@@ -3,8 +3,8 @@
 //! The stack's correctness story is largely *by convention*: `unsafe` lives
 //! only in `crates/net/src/sys`, decode paths never panic on hostile bytes,
 //! the hot-path functions pinned at zero allocations by `BENCH_hotpath.json`
-//! stay allocation-free, every stats counter is both bumped and surfaced,
-//! and every wire-kind byte has an encode and a decode arm. This crate turns
+//! stay allocation-free, every declared stats counter is bumped, and every
+//! wire-kind byte has an encode and a decode arm. This crate turns
 //! those conventions into lints: a hand-rolled lexer ([`lexer`]), structural
 //! passes ([`model`]) and five project-specific checks ([`lints`]) that emit
 //! `file:line: [lint-id] message` diagnostics with `reproduce --check`-style
@@ -38,7 +38,7 @@ pub const LINT_DESCRIPTIONS: [&str; 5] = [
     "`unsafe` only inside the confinement boundary, every block with a // SAFETY: comment",
     "no unwrap/expect/panic!/unreachable!/literal-indexing in protected non-test code",
     "no allocating calls inside the functions the hotpath manifest pins at 0 allocs",
-    "every stats counter field is both updated and surfaced in its snapshot/JSON",
+    "every declared stats counter is updated on its production path",
     "every wire-kind const has both an encode-path and a decode-path reference",
 ];
 
@@ -60,20 +60,17 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Where a counter struct's fields must be updated and surfaced.
+/// Where a counter block's fields must be updated.
 #[derive(Debug, Clone)]
 pub struct CounterSpec {
-    /// Struct whose fields are the counters (e.g. `ServerStats`).
+    /// Struct whose fields are the counters (e.g. `ServerStats`), declared
+    /// either as a plain struct or as the live block of a `counters!`
+    /// invocation.
     pub struct_name: String,
     /// File declaring the struct.
     pub decl_file: String,
     /// Files where update evidence (`+=`, `bump(&…)`, `fetch_add`) counts.
     pub update_files: Vec<String>,
-    /// File where surface evidence lives.
-    pub surface_file: String,
-    /// `Some(fn)` — the field must appear inside that function;
-    /// `None` — the field must appear inside a string literal (a JSON key).
-    pub surface_fn: Option<String>,
 }
 
 /// Everything the engine checks, parameterised so the fixture corpus can
@@ -87,7 +84,7 @@ pub struct AnalyzeConfig {
     pub panic_free: Vec<String>,
     /// `(file, fn)` pairs pinned allocation-free (the hotpath manifest).
     pub hotpath_manifest: Vec<(String, String)>,
-    /// Counter structs under the update/surface discipline.
+    /// Counter blocks under the update discipline.
     pub counters: Vec<CounterSpec>,
     /// Path prefix holding the wire codec.
     pub wire_files: Vec<String>,
@@ -124,36 +121,26 @@ impl AnalyzeConfig {
                         "crates/net/src/reactor.rs".into(),
                         "crates/net/src/server.rs".into(),
                     ],
-                    surface_file: "crates/net/src/stats.rs".into(),
-                    surface_fn: Some("snapshot".into()),
                 },
                 CounterSpec {
                     struct_name: "JournalStats".into(),
                     decl_file: "crates/journal/src/stats.rs".into(),
                     update_files: vec!["crates/journal/src/journal.rs".into()],
-                    surface_file: "crates/journal/src/stats.rs".into(),
-                    surface_fn: Some("snapshot".into()),
                 },
                 CounterSpec {
-                    struct_name: "DurabilityControl".into(),
+                    struct_name: "DurabilityCounters".into(),
                     decl_file: "crates/locserver/src/durability.rs".into(),
                     update_files: vec!["crates/locserver/src/durability.rs".into()],
-                    surface_file: "crates/locserver/src/durability.rs".into(),
-                    surface_fn: Some("snapshot".into()),
                 },
                 CounterSpec {
                     struct_name: "LinkStats".into(),
                     decl_file: "crates/sim/src/degraded.rs".into(),
                     update_files: vec!["crates/sim/src/degraded.rs".into()],
-                    surface_file: "crates/sim/src/lossy.rs".into(),
-                    surface_fn: None,
                 },
                 CounterSpec {
                     struct_name: "IndexStats".into(),
                     decl_file: "crates/locserver/src/service.rs".into(),
                     update_files: vec!["crates/locserver/src/service.rs".into()],
-                    surface_file: "crates/bench/src/scale.rs".into(),
-                    surface_fn: None,
                 },
             ],
             wire_files: vec!["crates/core/src/wire/".into()],

@@ -134,10 +134,14 @@ pub fn enclosing_fn(spans: &[FnSpan], i: usize) -> Option<&FnSpan> {
     spans.iter().filter(|f| i >= f.body.0 && i < f.body.1).min_by_key(|f| f.body.1 - f.body.0)
 }
 
-/// Named fields of `struct <name> { … }`, as `(field, decl_line)` pairs.
+/// Named fields of `struct <name> { … }`, as `(field, decl_line)` pairs:
+/// `ident: Type` members of a plain struct, or the bare documented counter
+/// names of a block declared inside a `counters! { … }` invocation (where
+/// the one list generates the live block, its snapshot and `fields()`).
 /// Returns `None` when the struct is not declared in this file.
 pub fn struct_fields(lexed: &LexedFile, name: &str) -> Option<Vec<(String, u32)>> {
     let tokens = &lexed.tokens;
+    let macro_bodies = counters_invocations(lexed);
     for i in 0..tokens.len() {
         if !(lexed.is_ident(i, "struct") && lexed.is_ident(i + 1, name)) {
             continue;
@@ -151,18 +155,22 @@ pub fn struct_fields(lexed: &LexedFile, name: &str) -> Option<Vec<(String, u32)>
         }
         let open = j;
         let close = lexed.matching_brace(open)?;
+        let bare = inside(&macro_bodies, i);
         let mut fields = Vec::new();
         let mut depth = 0usize;
         let mut k = open;
         while k < close {
             match tokens[k].kind {
-                TokenKind::Punct(b'{') | TokenKind::Punct(b'(') | TokenKind::Punct(b'<') => {
-                    depth += 1
+                TokenKind::Punct(b'{' | b'(' | b'<' | b'[') => depth += 1,
+                TokenKind::Punct(b'}' | b')' | b'>' | b']') => depth = depth.saturating_sub(1),
+                // A counter name: the whole list entry (attributes nest one
+                // level deeper, doc comments are not tokens).
+                TokenKind::Ident
+                    if bare && depth == 1 && (lexed.is_punct(k + 1, b',') || k + 1 == close) =>
+                {
+                    fields.push((lexed.token_text(&tokens[k]).to_string(), tokens[k].line));
                 }
-                TokenKind::Punct(b'}') | TokenKind::Punct(b')') | TokenKind::Punct(b'>') => {
-                    depth = depth.saturating_sub(1)
-                }
-                TokenKind::Ident if depth == 1 && lexed.is_punct(k + 1, b':') => {
+                TokenKind::Ident if !bare && depth == 1 && lexed.is_punct(k + 1, b':') => {
                     let word = lexed.token_text(&tokens[k]);
                     // `pub(crate)` never matches: `pub` precedes `(`, and the
                     // depth guard keeps generic arguments out.
@@ -177,6 +185,19 @@ pub fn struct_fields(lexed: &LexedFile, name: &str) -> Option<Vec<(String, u32)>
         return Some(fields);
     }
     None
+}
+
+/// Token ranges of the bodies of `counters! { … }` invocations (path
+/// prefixes such as `mbdr_journal::counters!` included).
+fn counters_invocations(lexed: &LexedFile) -> Vec<TokenRange> {
+    (0..lexed.tokens.len())
+        .filter(|&i| {
+            lexed.is_ident(i, "counters")
+                && lexed.is_punct(i + 1, b'!')
+                && lexed.is_punct(i + 2, b'{')
+        })
+        .filter_map(|i| lexed.matching_brace(i + 2).map(|close| (i + 2, close + 1)))
+        .collect()
 }
 
 /// All escape-hatch directives in the file, plus malformed-directive
@@ -248,6 +269,18 @@ mod tests {
             struct_fields(&lexed, "Stats").unwrap().into_iter().map(|(f, _)| f).collect();
         assert_eq!(fields, ["a", "b", "c"]);
         assert!(struct_fields(&lexed, "Absent").is_none());
+        // Inside a `counters!` invocation the fields are the bare counter
+        // names; outside one a bare name is not a field.
+        let src = "mbdr_journal::counters! {\n  pub(crate) struct Live {\n    /// First.\n    \
+                   first,\n    #[doc = \"x, y\"]\n    second,\n    last\n  }\n  \
+                   pub snapshot Copied { pub extra: Option<u8> }\n}\nstruct Plain { first, x: u8 }";
+        let lexed = LexedFile::lex(src.into());
+        let line = |name: &str, line| (name.to_string(), line);
+        assert_eq!(
+            struct_fields(&lexed, "Live").unwrap(),
+            [line("first", 4), line("second", 6), line("last", 7)]
+        );
+        assert_eq!(struct_fields(&lexed, "Plain").unwrap(), [line("x", 11)]);
     }
 
     #[test]

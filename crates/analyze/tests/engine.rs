@@ -14,8 +14,8 @@ fn fixture_root(which: &str) -> PathBuf {
 }
 
 /// The config both fixture trees are written against: boundary `sys/`,
-/// panic-free codec under `codec/`, one manifest fn, one counter struct,
-/// `KIND_`-prefixed wire consts.
+/// panic-free codec under `codec/`, one manifest fn, one plain and one
+/// `counters!`-declared counter block, `KIND_`-prefixed wire consts.
 fn fixture_config(hotpath_manifest: Vec<(&str, &str)>) -> AnalyzeConfig {
     AnalyzeConfig {
         unsafe_boundary: vec!["sys/".into()],
@@ -24,13 +24,18 @@ fn fixture_config(hotpath_manifest: Vec<(&str, &str)>) -> AnalyzeConfig {
             .into_iter()
             .map(|(f, func)| (f.to_string(), func.to_string()))
             .collect(),
-        counters: vec![CounterSpec {
-            struct_name: "Stats".into(),
-            decl_file: "stats.rs".into(),
-            update_files: vec!["stats.rs".into()],
-            surface_file: "stats.rs".into(),
-            surface_fn: Some("snapshot".into()),
-        }],
+        counters: vec![
+            CounterSpec {
+                struct_name: "Stats".into(),
+                decl_file: "stats.rs".into(),
+                update_files: vec!["stats.rs".into()],
+            },
+            CounterSpec {
+                struct_name: "Declared".into(),
+                decl_file: "stats.rs".into(),
+                update_files: vec!["stats.rs".into()],
+            },
+        ],
         wire_files: vec!["codec/".into()],
         wire_const_prefixes: vec!["KIND_".into()],
     }
@@ -88,9 +93,8 @@ fn bad_fixtures_produce_exactly_the_expected_diagnostics() {
         "outside.rs:4: [unsafe-confinement] `unsafe` outside the confinement boundary (sys/)",
         "outside.rs:4: [unsafe-confinement] `unsafe` without a `// SAFETY:` comment on it or \
          just above it",
-        "stats.rs:6: [counter-discipline] counter `Stats.ghost` is never surfaced through fn \
-         `snapshot` in stats.rs",
-        "stats.rs:6: [counter-discipline] counter `Stats.ghost` is never updated in stats.rs",
+        "stats.rs:7: [counter-discipline] counter `Stats.ghost` is never updated in stats.rs",
+        "stats.rs:22: [counter-discipline] counter `Declared.ghost` is never updated in stats.rs",
     ];
     assert_eq!(
         rendered,

@@ -1,5 +1,6 @@
-//! An undisciplined counter: `ghost` is declared but never bumped and never
-//! surfaced by the snapshot.
+//! Undisciplined counters: each block declares a `ghost` that nothing ever
+//! bumps, so it reads zero forever — in the plain struct and in the
+//! `counters!` block (whose macro reports it by construction).
 
 pub struct Stats {
     pub sent: u64,
@@ -10,8 +11,22 @@ impl Stats {
     pub fn record_send(&mut self) {
         self.sent += 1;
     }
+}
 
-    pub fn snapshot(&self) -> u64 {
-        self.sent
+counters! {
+    /// Live block.
+    pub struct Declared {
+        /// Frames sent.
+        sent,
+        /// Never bumped.
+        ghost,
+    }
+    /// Plain copy.
+    pub snapshot DeclaredSnapshot {}
+}
+
+impl Declared {
+    pub fn record_send(&self) {
+        self.sent.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -1,5 +1,6 @@
-//! A disciplined counter struct: every field is both updated on the
-//! production path and surfaced through the snapshot function.
+//! Disciplined counters: every field of the plain struct and every counter
+//! of the `counters!` block is updated on the production path (the
+//! snapshot member `label` is not a counter and needs no update).
 
 pub struct Stats {
     pub sent: u64,
@@ -13,8 +14,28 @@ impl Stats {
             self.dropped += 1;
         }
     }
+}
 
-    pub fn snapshot(&self) -> (u64, u64) {
-        (self.sent, self.dropped)
+counters! {
+    /// Live block.
+    pub struct Declared {
+        /// Frames sent.
+        sent,
+        /// Frames dropped.
+        dropped
+    }
+    /// Plain copy.
+    pub snapshot DeclaredSnapshot {
+        /// Overlaid by the caller.
+        pub label: Option<u8>,
+    }
+}
+
+impl Declared {
+    pub fn record_send(&self, delivered: bool) {
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        if !delivered {
+            bump(&self.dropped);
+        }
     }
 }

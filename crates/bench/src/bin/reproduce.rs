@@ -49,7 +49,7 @@ use mbdr_bench::{
     DEFAULT_SEED, REPRODUCE_COMMANDS,
 };
 use mbdr_geo::format_duration_hm;
-use mbdr_sim::{render_csv, render_json, render_table, ProtocolKind};
+use mbdr_sim::{render_csv, render_json, render_table, Json, ProtocolKind};
 use mbdr_trace::ScenarioKind;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -189,6 +189,10 @@ fn parse_args() -> Options {
     if !(options.scale > 0.0 && options.scale <= 1.0) {
         die("--scale must be in (0, 1]");
     }
+    // The documents echo the seed as a JSON number, which is exact up to 2^53.
+    if options.seed > 1 << 53 {
+        die("--seed must be at most 2^53");
+    }
     if options.check && options.write_baseline {
         die("--check and --write-baseline are mutually exclusive");
     }
@@ -221,33 +225,26 @@ fn print_usage() {
     );
 }
 
-/// Emits the full figure set as one machine-readable JSON document: scale,
-/// seed, and per figure the sweep data (update counts per protocol and
-/// accuracy) plus the wall-clock time the sweep took. This is the perf and
-/// regression baseline future changes are compared against.
-fn json_baseline(scale: f64, seed: u64) -> String {
-    let mut out = String::from("{\"schema\":\"mbdr-reproduce/1\"");
-    out.push_str(&format!(",\"scale\":{scale},\"seed\":{seed},\"figures\":["));
-    for (i, &kind) in ScenarioKind::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+/// The full figure set as one machine-readable JSON document: scale, seed,
+/// and per figure the sweep data (update counts per protocol and accuracy)
+/// plus the wall-clock time the sweep took. This is the perf and regression
+/// baseline future changes are compared against.
+fn json_baseline(scale: f64, seed: u64) -> Json {
+    let figures = ScenarioKind::ALL.iter().map(|&kind| {
         let started = Instant::now();
         let result = figure(kind, scale, seed);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        out.push_str(&format!(
-            "{{\"figure\":{},\"wall_ms\":{:.1},\"sweep\":{}}}",
-            figure_number(kind),
-            wall_ms,
-            render_json(&result)
-        ));
-    }
-    out.push_str("]}");
-    out
+        Json::object([
+            ("figure", Json::exact(f64::from(figure_number(kind)))),
+            ("wall_ms", Json::timing(wall_ms, 1)),
+            ("sweep", render_json(&result)),
+        ])
+    });
+    Json::document("mbdr-reproduce/1", scale, seed, [("figures", Json::array(figures))])
 }
 
 /// The JSON document for one of the baseline commands.
-fn baseline_json(command: Command, scale: f64, seed: u64) -> String {
+fn baseline_json(command: Command, scale: f64, seed: u64) -> Json {
     match command {
         Command::Json => json_baseline(scale, seed),
         Command::Throughput => render_throughput_json(scale, seed, &throughput_grid(scale, seed)),
@@ -284,8 +281,8 @@ fn run_json_command(options: &Options) {
     if options.command == Command::ConnScale {
         require_fd_headroom(options.scale);
     }
-    let current = baseline_json(options.command, options.scale, options.seed);
-    println!("{current}");
+    let fresh = baseline_json(options.command, options.scale, options.seed);
+    println!("{fresh}");
     let file = options.command.baseline_file().expect("JSON command");
     let path = options.baseline_dir.join(file);
     if options.write_baseline {
@@ -293,16 +290,14 @@ fn run_json_command(options: &Options) {
             eprintln!("error: cannot create {}: {e}", options.baseline_dir.display());
             std::process::exit(1);
         }
-        let mut contents = current;
-        contents.push('\n');
-        if let Err(e) = std::fs::write(&path, contents) {
+        if let Err(e) = std::fs::write(&path, format!("{fresh}\n")) {
             eprintln!("error: cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
         eprintln!("baseline written to {}", path.display());
     } else if options.check {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let committed = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 eprintln!(
                     "error: cannot read baseline {}: {e}\n(generate it with `reproduce {} --scale \
@@ -316,8 +311,6 @@ fn run_json_command(options: &Options) {
         };
         let baseline = parse_json(&committed)
             .unwrap_or_else(|e| fail_check(&path, &format!("baseline is not valid JSON: {e}")));
-        let fresh = parse_json(&current)
-            .unwrap_or_else(|e| fail_check(&path, &format!("fresh output is not valid JSON: {e}")));
         let report = compare_baseline(&baseline, &fresh);
         if report.passed() {
             eprintln!(

@@ -1,60 +1,34 @@
 //! The regression gate behind `reproduce <cmd> --check`: a dependency-free
-//! JSON parser plus a baseline comparator with per-metric tolerances.
+//! JSON parser plus a baseline comparator that reads each metric's class
+//! from the freshly built document.
 //!
 //! The baselines (`baselines/BENCH_<cmd>.json`) are committed outputs of the
-//! JSON-emitting reproduce commands at CI's smoke scales. A check run
-//! regenerates the document and walks both trees in parallel:
+//! JSON-emitting reproduce commands at CI's smoke scales. A check run builds
+//! the document again as an in-memory [`Json`] tree, parses the committed
+//! file, and walks both in parallel. Every numeric leaf of the fresh tree
+//! carries the [`MetricClass`] its emitter declared:
 //!
-//! * **strict** metrics — counts, config echoes, byte totals, the
+//! * **exact** leaves — counts, config echoes, byte totals, the
 //!   single-threaded deviation sweeps — must match the baseline to within a
 //!   tiny relative tolerance (they are fully determined by the seed);
-//! * **timing** metrics (wall clocks, throughputs, latencies) are machine-
-//!   dependent: they are only required to be finite and non-negative (a
-//!   sub-resolution wall clock legitimately renders as zero);
-//! * **loose** metrics (anything under an `accuracy` object, the query
-//!   result counts of the thread-skewed in-process workload, and the
-//!   readiness-loop diagnostics of the TCP documents) depend on thread
-//!   interleaving or kernel scheduling: they are only required to be finite
-//!   and non-negative.
+//! * **timing** leaves (wall clocks, throughputs, latencies) are machine-
+//!   dependent and **loose** leaves (the query-observed accuracy and result
+//!   counts of the thread-skewed in-process workload, the readiness-loop
+//!   diagnostics of the TCP documents) depend on thread interleaving or
+//!   kernel scheduling: both are only required to be finite and non-negative
+//!   (a sub-resolution wall clock legitimately renders as zero).
 //!
 //! Any structural difference — missing key, extra key, array length change,
 //! schema string change — fails the check outright: schema evolution must go
 //! through `--write-baseline`, not slip past the gate.
 
-use std::fmt::Write as _;
+use mbdr_sim::{Json, Metric, MetricClass};
 
-/// A parsed JSON value (only what the baselines need — no escapes beyond
-/// `\"` and `\\` ever appear in the hand-written documents).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as `f64`; the baselines stay far below 2^53).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks a key up in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document. Returns a message with the byte offset on
-/// malformed input.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
+/// Parses one JSON document (numbers come back as exact, shortest-form
+/// leaves: a committed file carries no classes). Returns a message with the
+/// byte offset on malformed input.
+pub fn parse_json(text: impl AsRef<[u8]>) -> Result<Json, String> {
+    let bytes = text.as_ref();
     let mut at = 0usize;
     let value = parse_value(bytes, &mut at)?;
     skip_ws(bytes, &mut at);
@@ -111,38 +85,67 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
     std::str::from_utf8(&bytes[start..*at])
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
+        .map(Json::exact)
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
+/// Parses a string literal: UTF-8 decoded run by run, plus every escape the
+/// writer produces (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX`) and `\/`.
 fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
     expect(bytes, at, b'"')?;
     let mut out = String::new();
     loop {
+        // Neither delimiter can occur inside a multi-byte sequence, so the
+        // bytes up to the next one are a whole number of characters.
+        let run = *at;
+        while !matches!(bytes.get(*at), Some(b'"' | b'\\') | None) {
+            *at += 1;
+        }
+        let raw = std::str::from_utf8(&bytes[run..*at])
+            .map_err(|e| format!("invalid UTF-8 at byte {}", run + e.valid_up_to()))?;
+        out.push_str(raw);
         match bytes.get(*at) {
             Some(b'"') => {
                 *at += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 let escaped = *bytes.get(*at + 1).ok_or("unterminated escape")?;
+                *at += 2;
                 match escaped {
                     b'"' | b'\\' | b'/' => out.push(escaped as char),
                     b'n' => out.push('\n'),
+                    b'r' => out.push('\r'),
                     b't' => out.push('\t'),
-                    other => return Err(format!("unsupported escape `\\{}`", other as char)),
+                    b'u' => {
+                        let unit = parse_hex4(bytes, at)?;
+                        out.push(char::from_u32(unit).ok_or_else(|| {
+                            format!("lone surrogate `\\u{unit:04x}` at byte {}", *at - 6)
+                        })?);
+                    }
+                    other => {
+                        return Err(format!(
+                            "unsupported escape `\\{}` at byte {}",
+                            other as char,
+                            *at - 2
+                        ))
+                    }
                 }
-                *at += 2;
-            }
-            Some(&b) => {
-                // The baselines are ASCII, but pass UTF-8 bytes through so a
-                // future label does not break the parser.
-                out.push(b as char);
-                *at += 1;
             }
             None => return Err("unterminated string".into()),
         }
     }
+}
+
+/// The four hex digits of a `\uXXXX` escape, as a code unit.
+fn parse_hex4(bytes: &[u8], at: &mut usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(*at..*at + 4)
+        .and_then(|d| std::str::from_utf8(d).ok())
+        .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .ok_or_else(|| format!("`\\u` needs four hex digits at byte {at}", at = *at))?;
+    *at += 4;
+    u32::from_str_radix(digits, 16).map_err(|e| e.to_string())
 }
 
 fn parse_array(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
@@ -193,75 +196,6 @@ fn parse_object(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// How a numeric leaf is judged against its baseline value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricClass {
-    /// Deterministic for a fixed seed: relative tolerance `1e-6`.
-    Strict,
-    /// Machine-dependent wall clock / rate: finite and non-negative.
-    Timing,
-    /// Thread-interleaving-dependent: finite and non-negative.
-    Loose,
-}
-
-/// Wall-clock and rate metrics, judged by name wherever they appear. The
-/// scale baseline splits each document cleanly along this line: result
-/// counts, occupancy diagnostics and dedup counters are seed-deterministic
-/// (strict), while every wall clock and throughput below is machine-
-/// dependent (sanity-only).
-const TIMING_KEYS: [&str; 19] = [
-    "wall_ms",
-    "ingest_wall_s",
-    "open_wall_s",
-    "opens_per_sec",
-    "query_wall_s",
-    "rect_wall_s",
-    "nearest_wall_s",
-    "recover_wall_s",
-    "updates_per_sec",
-    "journaled_updates_per_sec",
-    "queries_per_sec",
-    "predicts_per_sec",
-    "rect_per_sec",
-    "nearest_per_sec",
-    "replay_per_sec",
-    "latency_p50_ms",
-    "latency_p99_ms",
-    "p50_ms",
-    "p99_ms",
-];
-
-/// Query result counts whose determinism depends on the document: in the
-/// in-process throughput workload they depend on producer/query thread skew
-/// (loose), while the TCP workload pins its query instant to one post-flush
-/// moment, making them fully seed-determined (strict).
-const SKEW_DEPENDENT_KEYS: [&str; 3] = ["rect_results", "nearest_results", "zone_events"];
-
-/// Readiness-loop diagnostics: how many times a reactor woke, how often a
-/// wakeup found nothing to do, how often ingest admission pushed back. They
-/// depend on kernel scheduling and batching, never on the seed, so they are
-/// loose in every document that carries them.
-const SCHEDULING_KEYS: [&str; 3] = ["readiness_wakeups", "spurious_wakeups", "backpressure_stalls"];
-
-fn classify(path: &[String], skewed_results: bool) -> MetricClass {
-    let last = path.last().map(String::as_str).unwrap_or("");
-    // Everything under the thread-skewed `accuracy` object is loose; the
-    // single-threaded `deviation` sweeps stay strict.
-    if path.iter().any(|segment| segment == "accuracy") {
-        return MetricClass::Loose;
-    }
-    if TIMING_KEYS.contains(&last) {
-        return MetricClass::Timing;
-    }
-    if SCHEDULING_KEYS.contains(&last) {
-        return MetricClass::Loose;
-    }
-    if skewed_results && SKEW_DEPENDENT_KEYS.contains(&last) {
-        return MetricClass::Loose;
-    }
-    MetricClass::Strict
-}
-
 /// Outcome of one baseline comparison.
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
@@ -280,55 +214,34 @@ impl CheckReport {
     }
 
     fn fail(&mut self, path: &[String], message: String) {
-        let mut where_ = String::new();
-        for (i, segment) in path.iter().enumerate() {
-            if i > 0 {
-                where_.push('.');
-            }
-            let _ = write!(where_, "{segment}");
-        }
-        if where_.is_empty() {
-            where_.push_str("<root>");
-        }
+        let where_ = if path.is_empty() { "<root>".to_string() } else { path.join(".") };
         self.mismatches.push(format!("{where_}: {message}"));
     }
 }
 
-/// Compares a freshly generated document against its committed baseline.
-pub fn compare_baseline(baseline: &Json, current: &Json) -> CheckReport {
-    // Whether this document's query-result counts are thread-skew dependent
-    // (see SKEW_DEPENDENT_KEYS): true for the in-process throughput
-    // workload, false for the pinned-instant TCP workloads (`mbdr-net/1`
-    // and `mbdr-connscale/1`), whose result counts are gated strictly.
-    let skewed_results = !matches!(
-        baseline.get("schema"),
-        Some(Json::Str(s)) if s == "mbdr-net/1" || s == "mbdr-connscale/1"
-    );
+/// Compares a freshly built document against its parsed committed baseline.
+/// Metric classes are read from `fresh`; the baseline side only supplies
+/// values.
+pub fn compare_baseline(baseline: &Json, fresh: &Json) -> CheckReport {
     let mut report = CheckReport::default();
-    walk(baseline, current, &mut Vec::new(), skewed_results, &mut report);
+    walk(baseline, fresh, &mut Vec::new(), &mut report);
     report
 }
 
-fn walk(
-    baseline: &Json,
-    current: &Json,
-    path: &mut Vec<String>,
-    skewed_results: bool,
-    report: &mut CheckReport,
-) {
-    match (baseline, current) {
-        (Json::Obj(base_fields), Json::Obj(cur_fields)) => {
+fn walk(baseline: &Json, fresh: &Json, path: &mut Vec<String>, report: &mut CheckReport) {
+    match (baseline, fresh) {
+        (Json::Obj(base_fields), Json::Obj(fresh_fields)) => {
             for (key, base_value) in base_fields {
-                match current.get(key) {
-                    Some(cur_value) => {
+                match fresh.get(key) {
+                    Some(fresh_value) => {
                         path.push(key.clone());
-                        walk(base_value, cur_value, path, skewed_results, report);
+                        walk(base_value, fresh_value, path, report);
                         path.pop();
                     }
                     None => report.fail(path, format!("key `{key}` missing from current output")),
                 }
             }
-            for (key, _) in cur_fields {
+            for (key, _) in fresh_fields {
                 if baseline.get(key).is_none() {
                     report.fail(
                         path,
@@ -340,63 +253,38 @@ fn walk(
                 }
             }
         }
-        (Json::Arr(base_items), Json::Arr(cur_items)) => {
-            if base_items.len() != cur_items.len() {
+        (Json::Arr(base_items), Json::Arr(fresh_items)) => {
+            if base_items.len() != fresh_items.len() {
                 report.fail(
                     path,
-                    format!("array length {} != baseline {}", cur_items.len(), base_items.len()),
+                    format!("array length {} != baseline {}", fresh_items.len(), base_items.len()),
                 );
                 return;
             }
-            for (i, (b, c)) in base_items.iter().zip(cur_items).enumerate() {
+            for (i, (b, c)) in base_items.iter().zip(fresh_items).enumerate() {
                 path.push(format!("[{i}]"));
-                walk(b, c, path, skewed_results, report);
+                walk(b, c, path, report);
                 path.pop();
             }
         }
-        (Json::Num(base), Json::Num(cur)) => {
-            compare_number(*base, *cur, path, skewed_results, report)
+        (Json::Str(_) | Json::Bool(_) | Json::Null, _) if baseline == fresh => {
+            report.strict_compared += 1
         }
-        (Json::Str(base), Json::Str(cur)) => {
-            if base != cur {
-                report.fail(path, format!("`{cur}` != baseline `{base}`"));
-            } else {
-                report.strict_compared += 1;
-            }
+        (Json::Str(_), Json::Str(_)) | (Json::Bool(_), Json::Bool(_)) => {
+            report.fail(path, format!("{fresh} != baseline {baseline}"))
         }
-        (Json::Bool(base), Json::Bool(cur)) => {
-            if base != cur {
-                report.fail(path, format!("{cur} != baseline {base}"));
-            } else {
-                report.strict_compared += 1;
-            }
-        }
-        (Json::Null, Json::Null) => report.strict_compared += 1,
-        // `null` legitimately alternates with numbers only for metrics that
-        // are loose or timing (e.g. bytes-per-applied-update at total loss);
-        // sanity-check the numeric side and accept.
-        (Json::Null, Json::Num(cur)) | (Json::Num(cur), Json::Null)
-            if classify(path, skewed_results) != MetricClass::Strict =>
-        {
-            if cur.is_finite() {
-                report.sanity_checked += 1;
-            } else {
-                report.fail(path, format!("{cur} is not finite"));
-            }
-        }
+        (_, Json::Num(metric)) => compare_metric(baseline, metric, path, report),
         _ => report.fail(path, "value kind differs from the baseline".into()),
     }
 }
 
-fn compare_number(
-    base: f64,
-    cur: f64,
-    path: &[String],
-    skewed_results: bool,
-    report: &mut CheckReport,
-) {
-    match classify(path, skewed_results) {
-        MetricClass::Strict => {
+/// Judges one fresh numeric leaf by its own class. A non-finite fresh value
+/// is what the writer prints as `null`.
+fn compare_metric(baseline: &Json, fresh: &Metric, path: &[String], report: &mut CheckReport) {
+    let cur = fresh.printed();
+    match (baseline, cur.is_finite(), fresh.class) {
+        (Json::Num(base), true, MetricClass::Exact) => {
+            let base = base.value;
             let tolerance = 1e-9f64.max(1e-6 * base.abs().max(cur.abs()));
             if (base - cur).abs() <= tolerance {
                 report.strict_compared += 1;
@@ -404,23 +292,23 @@ fn compare_number(
                 report.fail(path, format!("{cur} != baseline {base} (tolerance {tolerance:.2e})"));
             }
         }
-        MetricClass::Timing => {
+        (Json::Num(_), true, class) => {
             // Not `> 0`: sub-resolution wall clocks legitimately render as
             // 0.0000 on a fast machine.
-            if cur.is_finite() && cur >= 0.0 {
+            if cur >= 0.0 {
                 report.sanity_checked += 1;
             } else {
-                report
-                    .fail(path, format!("timing metric {cur} is not a non-negative finite number"));
+                report.fail(path, format!("{} metric {cur} is negative", class.name()));
             }
         }
-        MetricClass::Loose => {
-            if cur.is_finite() && cur >= 0.0 {
-                report.sanity_checked += 1;
-            } else {
-                report.fail(path, format!("{cur} is not a non-negative finite number"));
-            }
+        (Json::Null, false, _) => report.strict_compared += 1,
+        // `null` legitimately alternates with a number only off the exact
+        // class (a rate over zero samples on one side, a value on the other).
+        (Json::Null, true, MetricClass::Timing | MetricClass::Loose)
+        | (Json::Num(_), false, MetricClass::Timing | MetricClass::Loose) => {
+            report.sanity_checked += 1
         }
+        _ => report.fail(path, "value kind differs from the baseline".into()),
     }
 }
 
@@ -428,19 +316,78 @@ fn compare_number(
 mod tests {
     use super::*;
 
-    const DOC: &str = r#"{"schema":"mbdr-x/1","scale":0.05,"points":[
-        {"updates_sent":120,"wall_ms":15.2,"rect_results":44,
-         "accuracy":{"samples":10,"mean_m":3.5},"deviation":{"mean_m":2.0},
-         "label":"a b","flag":true,"nothing":null}]}"#;
+    /// A fresh document with one leaf of every kind and class.
+    fn doc() -> Json {
+        let point = Json::object([
+            ("updates_sent", Json::exact(120.0)),
+            ("wall_ms", Json::timing(15.2, 1)),
+            ("rect_results", Json::loose(44.0)),
+            ("accuracy", Json::object([("mean_m", Json::loose(3.5).fixed(2))])),
+            ("deviation", Json::object([("mean_m", Json::exact(2.0).fixed(2))])),
+            ("label", Json::str("a b")),
+            ("flag", Json::Bool(true)),
+            ("nothing", Json::Null),
+        ]);
+        Json::document("mbdr-x/1", 0.05, 7, [("points", Json::array([point]))])
+    }
+
+    /// The committed form of a fresh document: what `--write-baseline` writes
+    /// and `--check` reads back.
+    fn committed(fresh: &Json) -> Json {
+        parse_json(fresh.to_string()).expect("the writer's output parses")
+    }
+
+    /// The node at `path` (object keys, decimal array indexes).
+    fn at<'a>(node: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        let Some((head, rest)) = path.split_first() else { return node };
+        let child = match node {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == head).map(|(_, v)| v),
+            Json::Arr(items) => items.get_mut(head.parse::<usize>().expect("array index")),
+            _ => None,
+        };
+        at(child.unwrap_or_else(|| panic!("no `{head}` in the tree")), rest)
+    }
+
+    /// `fresh` with the node at `path` replaced.
+    fn with(fresh: &Json, path: &[&str], node: Json) -> Json {
+        let mut tree = fresh.clone();
+        *at(&mut tree, path) = node;
+        tree
+    }
+
+    fn drift_every_number(node: &mut Json) {
+        match node {
+            Json::Num(metric) => metric.value = metric.value * 3.0 + 7.0,
+            Json::Arr(items) => items.iter_mut().for_each(drift_every_number),
+            Json::Obj(fields) => fields.iter_mut().for_each(|(_, v)| drift_every_number(v)),
+            _ => {}
+        }
+    }
+
+    /// The leaves of a real document the gate actually holds: every number is
+    /// drifted at once, and the paths that then fail are the exact ones.
+    fn gated_leaves(fresh: &Json) -> Vec<String> {
+        let baseline = committed(fresh);
+        let clean = compare_baseline(&baseline, fresh);
+        assert!(clean.passed(), "{:?}", clean.mismatches);
+        let mut drifted = fresh.clone();
+        drift_every_number(&mut drifted);
+        let report = compare_baseline(&baseline, &drifted);
+        report.mismatches.iter().map(|m| m[..m.find(':').expect("path: message")].into()).collect()
+    }
 
     #[test]
     fn parser_round_trips_the_baseline_shapes() {
-        let doc = parse_json(DOC).unwrap();
-        assert_eq!(doc.get("schema"), Some(&Json::Str("mbdr-x/1".into())));
+        let doc = committed(&doc());
+        assert_eq!(doc.get("schema"), Some(&Json::str("mbdr-x/1")));
         let Some(Json::Arr(points)) = doc.get("points") else { panic!("points array") };
-        assert_eq!(points[0].get("updates_sent"), Some(&Json::Num(120.0)));
+        assert_eq!(points[0].get("updates_sent"), Some(&Json::exact(120.0)));
         assert_eq!(points[0].get("flag"), Some(&Json::Bool(true)));
         assert_eq!(points[0].get("nothing"), Some(&Json::Null));
+        // Whitespace between tokens, and every string form the writer emits.
+        let spaced = parse_json(" { \"k\" : [ 1 , \"a\\r\\u0001\\/é\" ] } ").unwrap();
+        let expected = Json::array([Json::exact(1.0), Json::str("a\r\u{1}/é")]);
+        assert_eq!(spaced.get("k"), Some(&expected));
     }
 
     #[test]
@@ -449,123 +396,208 @@ mod tests {
         assert!(parse_json("[1,2").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("nul").is_err());
+        assert!(parse_json("\"\\q\"").unwrap_err().contains("byte 1"));
+        assert!(parse_json("\"\\u12\"").unwrap_err().contains("four hex digits at byte 3"));
+        assert!(parse_json("\"\\ud800\"").unwrap_err().contains("lone surrogate"));
+        // Invalid UTF-8 is an error with the offending byte's offset, never a
+        // mangled string.
+        assert_eq!(parse_json(b"[\"ok\",\"a\xC3\"]").unwrap_err(), "invalid UTF-8 at byte 8");
+    }
+
+    /// SplitMix64: the round-trip test's seeded generator.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn string(&mut self) -> String {
+            const ALPHABET: [char; 12] =
+                ['a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', 'é', '🚕'];
+            (0..self.below(9)).map(|_| ALPHABET[self.below(12) as usize]).collect()
+        }
+
+        fn tree(&mut self, depth: u32) -> Json {
+            match self.below(if depth == 0 { 5 } else { 7 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 0),
+                2 => Json::Str(self.string()),
+                3 => Json::timing(
+                    [f64::NAN, f64::INFINITY, -f64::INFINITY][self.below(3) as usize],
+                    1,
+                ),
+                4 => {
+                    let value = (self.below(u64::MAX) as i64 as f64) / 1024.0;
+                    match self.below(4) {
+                        0 => Json::exact(value),
+                        1 => Json::loose(value).fixed(2),
+                        2 => Json::timing(value, 3),
+                        _ => Json::exact(self.below(1 << 53) as f64),
+                    }
+                }
+                5 => Json::array((0..self.below(4)).map(|_| self.tree(depth - 1))),
+                _ => {
+                    Json::object((0..self.below(4)).map(|_| (self.string(), self.tree(depth - 1))))
+                }
+            }
+        }
+    }
+
+    /// What parsing a tree's printed form must give back: non-finite numbers
+    /// as `null`, fixed-precision numbers rounded, classes and precisions
+    /// dropped.
+    fn parsed_form(tree: &Json) -> Json {
+        match tree {
+            Json::Num(metric) if metric.printed().is_nan() => Json::Null,
+            Json::Num(metric) => Json::exact(metric.printed()),
+            Json::Arr(items) => Json::array(items.iter().map(parsed_form)),
+            Json::Obj(fields) => Json::object(fields.iter().map(|(k, v)| (&**k, parsed_form(v)))),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn writer_and_parser_round_trip_random_trees() {
+        let mut rng = Mix(2001);
+        for case in 0..500 {
+            let tree = rng.tree(4);
+            let text = tree.to_string();
+            let parsed = parse_json(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(parsed, parsed_form(&tree), "case {case}: {text}");
+        }
     }
 
     #[test]
     fn identical_documents_pass() {
-        let doc = parse_json(DOC).unwrap();
-        let report = compare_baseline(&doc, &doc);
+        let fresh = doc();
+        let report = compare_baseline(&committed(&fresh), &fresh);
         assert!(report.passed(), "{:?}", report.mismatches);
-        assert!(report.strict_compared >= 5);
-        assert!(report.sanity_checked >= 3, "wall_ms, rect_results, accuracy.*");
+        // schema, scale, seed, updates_sent, deviation.mean_m, label, flag, nothing
+        assert_eq!(report.strict_compared, 8);
+        // wall_ms, rect_results, accuracy.mean_m
+        assert_eq!(report.sanity_checked, 3);
     }
 
     #[test]
     fn strict_drift_fails_but_timing_and_loose_drift_do_not() {
-        let baseline = parse_json(DOC).unwrap();
-        // Timing and loose fields may drift arbitrarily…
-        let wobbly = DOC.replace("15.2", "99.9").replace(":44", ":7").replace("3.5", "120.0");
-        assert!(compare_baseline(&baseline, &parse_json(&wobbly).unwrap()).passed());
-        // …but a deterministic count may not.
-        let drifted = DOC.replace("120", "121");
-        let report = compare_baseline(&baseline, &parse_json(&drifted).unwrap());
-        assert!(!report.passed());
-        assert!(report.mismatches[0].contains("updates_sent"), "{:?}", report.mismatches);
-        // Nor may the single-threaded deviation stats.
-        let drifted =
-            DOC.replace("\"deviation\":{\"mean_m\":2.0}", "\"deviation\":{\"mean_m\":9.0}");
-        assert!(!compare_baseline(&baseline, &parse_json(&drifted).unwrap()).passed());
+        let fresh = doc();
+        // Timing and loose leaves may drift arbitrarily, exact ones may not —
+        // neither a deterministic count nor the single-threaded deviation.
+        assert_eq!(
+            gated_leaves(&fresh),
+            ["scale", "seed", "points.[0].updates_sent", "points.[0].deviation.mean_m"]
+        );
+        // The gate compares what the writer prints: a drift below the print
+        // precision of an exact leaf is no drift.
+        let within_print =
+            with(&fresh, &["points", "0", "deviation", "mean_m"], Json::exact(2.004).fixed(2));
+        assert!(compare_baseline(&committed(&fresh), &within_print).passed());
     }
 
     #[test]
     fn structural_changes_fail() {
-        let baseline = parse_json(DOC).unwrap();
-        let missing = DOC.replace("\"flag\":true,", "");
-        let report = compare_baseline(&baseline, &parse_json(&missing).unwrap());
-        assert!(report.mismatches.iter().any(|m| m.contains("missing")));
-        let extra = DOC.replace("\"flag\":true", "\"flag\":true,\"extra\":1");
-        let report = compare_baseline(&baseline, &parse_json(&extra).unwrap());
-        assert!(report.mismatches.iter().any(|m| m.contains("--write-baseline")));
-        let shorter = DOC.replace("\"points\":[", "\"points\":[999,");
-        assert!(!compare_baseline(&baseline, &parse_json(&shorter).unwrap()).passed());
+        let fresh = doc();
+        let baseline = committed(&fresh);
+        let failure = |changed: &Json| compare_baseline(&baseline, changed).mismatches.join("\n");
+        let mut missing = fresh.clone();
+        let Json::Obj(fields) = at(&mut missing, &["points", "0"]) else { panic!("point object") };
+        fields.retain(|(key, _)| key != "flag");
+        assert!(failure(&missing).contains("key `flag` missing"));
+        let mut extra = fresh.clone();
+        let Json::Obj(fields) = at(&mut extra, &["points", "0"]) else { panic!("point object") };
+        fields.push(("extra".into(), Json::exact(1.0)));
+        assert!(failure(&extra).contains("--write-baseline"));
+        let mut longer = fresh.clone();
+        let Json::Arr(points) = at(&mut longer, &["points"]) else { panic!("points array") };
+        points.push(Json::exact(999.0));
+        assert!(failure(&longer).contains("array length 2 != baseline 1"));
+        assert!(failure(&with(&fresh, &["schema"], Json::str("mbdr-x/2"))).contains("schema"));
+        assert!(failure(&with(&fresh, &["points", "0", "flag"], Json::exact(1.0))).contains("kind"));
     }
 
     #[test]
     fn net_schema_gates_query_result_counts_strictly() {
-        // In an mbdr-net/1 document the query phase is pinned to one
-        // post-flush instant, so rect_results & co. are deterministic and a
-        // drift must fail — unlike the thread-skewed throughput workload.
-        let doc = r#"{"schema":"mbdr-net/1","points":[{"rect_results":44,"zone_events":9}]}"#;
-        let baseline = parse_json(doc).unwrap();
-        assert!(compare_baseline(&baseline, &baseline).passed());
-        let drifted = doc.replace(":44", ":45");
-        let report = compare_baseline(&baseline, &parse_json(&drifted).unwrap());
-        assert!(!report.passed());
-        assert!(report.mismatches[0].contains("rect_results"), "{:?}", report.mismatches);
+        // The same key under the same schema string: whether `rect_results`
+        // is gated is decided by the class its emitter declared — exact in
+        // the pinned-instant TCP documents, loose in the thread-skewed
+        // throughput document — and by nothing else.
+        let point =
+            |rect_results| Json::document("mbdr-x/1", 1.0, 7, [("rect_results", rect_results)]);
+        let (pinned, skewed) = (point(Json::exact(44.0)), point(Json::loose(44.0)));
+        assert_eq!(committed(&pinned), committed(&skewed), "identical committed files");
+        assert_eq!(gated_leaves(&pinned), ["scale", "seed", "rect_results"]);
+        assert_eq!(gated_leaves(&skewed), ["scale", "seed"]);
     }
 
     #[test]
     fn scale_documents_split_timing_from_deterministic_keys() {
-        // The mbdr-scale/1 point shape: wall clocks and throughputs may
+        // The real mbdr-scale/1 emitter: wall clocks and throughputs may
         // drift freely, but result counts, occupancy diagnostics and dedup
-        // counters are seed-determined and must be gated strictly.
-        let doc = r#"{"schema":"mbdr-scale/1","points":[{"rect_hits":512,
-            "rect_wall_s":0.25,"nearest_wall_s":0.12,"rect_per_sec":1600.0,
-            "nearest_per_sec":3300.0,"occupied_cells":900,
-            "max_cell_occupancy":450,"candidates_inspected":80000,
-            "candidates_unique":64000}]}"#;
-        let baseline = parse_json(doc).unwrap();
-        let timing_drift = doc
-            .replace("0.25", "9.75")
-            .replace("0.12", "0.0")
-            .replace("1600.0", "12.5")
-            .replace("3300.0", "71000.0");
-        assert!(compare_baseline(&baseline, &parse_json(&timing_drift).unwrap()).passed());
-        for (needle, replacement) in [
-            (":512", ":513"),
-            (":900", ":901"),
-            (":450", ":449"),
-            (":80000", ":80001"),
-            (":64000", ":63999"),
-        ] {
-            let drifted = doc.replace(needle, replacement);
-            let report = compare_baseline(&baseline, &parse_json(&drifted).unwrap());
-            assert!(!report.passed(), "{needle} should be strict");
+        // counters are seed-determined and gated.
+        let points = crate::scale::scale_grid(0.01, 7);
+        let gated = gated_leaves(&crate::scale::render_scale_json(0.01, 7, &points));
+        assert_eq!(gated.len(), 2 + points.len() * 11, "{gated:?}");
+        assert!(!gated.iter().any(|path| path.ends_with("_wall_s") || path.ends_with("_per_sec")));
+        for key in ["rect_hits", "occupied_cells", "max_cell_occupancy", "candidates_unique"] {
+            assert!(gated.contains(&format!("points.[3].{key}")), "{key} must be gated");
         }
     }
 
     #[test]
     fn connscale_schema_gates_counts_strictly_but_not_scheduling_diagnostics() {
-        // In an mbdr-connscale/1 document the thread accounting and the hot
-        // subset's counts are deterministic (strict), while the readiness
-        // diagnostics depend on how the kernel batched wakeups (loose).
-        let doc = r#"{"schema":"mbdr-connscale/1","points":[{"rect_results":80,
-            "resident_threads":11,"pool_threads":5,"open_wall_s":1.25,
-            "server":{"readiness_wakeups":900,"spurious_wakeups":3,
-            "backpressure_stalls":0,"updates_applied":6144}}]}"#;
-        let baseline = parse_json(doc).unwrap();
-        let wobbly = doc
-            .replace(":900", ":123456")
-            .replace(":3,", ":0,")
-            .replace("\"backpressure_stalls\":0", "\"backpressure_stalls\":42")
-            .replace("1.25", "0.01");
-        assert!(compare_baseline(&baseline, &parse_json(&wobbly).unwrap()).passed());
-        for needle in [":80", ":11", ":5", ":6144"] {
-            let drifted = doc.replace(needle, &format!("{needle}1"));
-            let report = compare_baseline(&baseline, &parse_json(&drifted).unwrap());
-            assert!(!report.passed(), "{needle} should be strict");
+        // The real mbdr-connscale/1 emitter: thread accounting and the hot
+        // subset's counts are exact, while the readiness diagnostics depend
+        // on how the kernel batched wakeups and are loose.
+        let reports = crate::netbase::connscale_grid(0.02, 7);
+        let tree = crate::netbase::render_connscale_json(0.02, 7, &reports);
+        let gated = gated_leaves(&tree);
+        for key in ["rect_results", "pool_threads", "resident_threads", "server.updates_applied"] {
+            assert!(gated.contains(&format!("points.[0].{key}")), "{key} must be gated");
         }
+        for key in ["open_wall_s", "readiness_wakeups", "spurious_wakeups", "backpressure_stalls"] {
+            assert!(!gated.iter().any(|path| path.ends_with(key)), "{key} must not be gated");
+        }
+        // The close-side counters race the teardown and are left out.
+        assert!(!tree.to_string().contains("connections_closed"));
     }
 
     #[test]
     fn timing_metrics_accept_zero_but_reject_negatives() {
         // A sub-resolution wall clock legitimately renders as 0.0 on a fast
-        // machine — that must pass; a negative value is garbage and fails.
-        let baseline = parse_json(DOC).unwrap();
-        let zeroed = DOC.replace("15.2", "0.0");
-        assert!(compare_baseline(&baseline, &parse_json(&zeroed).unwrap()).passed());
-        let negative = DOC.replace("15.2", "-3.0");
-        let report = compare_baseline(&baseline, &parse_json(&negative).unwrap());
-        assert!(report.mismatches.iter().any(|m| m.contains("wall_ms")));
+        // machine — that must pass; a negative value is garbage and fails,
+        // for loose leaves as for timing ones.
+        let fresh = doc();
+        let baseline = committed(&fresh);
+        let zeroed = with(&fresh, &["points", "0", "wall_ms"], Json::timing(0.0, 1));
+        assert!(compare_baseline(&baseline, &zeroed).passed());
+        let negative = with(&fresh, &["points", "0", "wall_ms"], Json::timing(-3.0, 1));
+        let report = compare_baseline(&baseline, &negative);
+        assert!(report.mismatches.iter().any(|m| m.contains("wall_ms")), "{report:?}");
+        let negative = with(&fresh, &["points", "0", "rect_results"], Json::loose(-1.0));
+        assert!(!compare_baseline(&baseline, &negative).passed());
+    }
+
+    #[test]
+    fn null_alternates_with_numbers_only_off_the_exact_class() {
+        let fresh = doc();
+        let baseline = committed(&fresh);
+        // A rate over zero samples prints as null on one side only: fine for
+        // timing and loose leaves, a kind change for exact ones.
+        for (key, nulled, accepted) in [
+            ("wall_ms", Json::timing(f64::NAN, 1), true),
+            ("rect_results", Json::loose(f64::NAN), true),
+            ("updates_sent", Json::exact(f64::NAN), false),
+        ] {
+            let nulled = with(&fresh, &["points", "0", key], nulled);
+            assert_eq!(compare_baseline(&baseline, &nulled).passed(), accepted, "{key}");
+            assert_eq!(compare_baseline(&committed(&nulled), &fresh).passed(), accepted, "{key}");
+            // null on both sides is the same document whatever the class.
+            assert!(compare_baseline(&committed(&nulled), &nulled).passed(), "{key}");
+        }
     }
 }

@@ -32,10 +32,10 @@
 //! machine-dependent metric class; everything else is seed-determined.
 
 use crate::recovery::{encoded_frames, fleet, queries_match, UPDATES_PER_FRAME};
-use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig};
+use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig, JournalStatsSnapshot};
 use mbdr_locserver::durable::recover_into;
-use mbdr_locserver::recover_and_attach;
-use mbdr_sim::FaultPlan;
+use mbdr_locserver::{recover_and_attach, DurabilityStatsSnapshot, RecoveryReport};
+use mbdr_sim::{FaultPlan, Json};
 use std::fs;
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,38 +61,25 @@ pub struct FaultsBench {
     /// Updates the primary service accepted (gate: every one, including the
     /// whole degraded window).
     pub updates_applied: u64,
-    /// Applies acknowledged without a journal record (gate: exactly
-    /// `heal_frame - kill_frame`).
-    pub degraded_frames: u64,
-    /// Durable→Degraded transitions (gate: exactly one incident).
-    pub degraded_transitions: u64,
-    /// Degraded→Recovered transitions (gate: exactly one repair).
-    pub recovered_transitions: u64,
-    /// Durability probes attempted while degraded (the failed mid-window
-    /// probe plus the successful one at the heal point).
-    pub probe_attempts: u64,
-    /// Journal append errors (gate: 1 — the first failed append flips the
-    /// state and later frames skip the append instead of re-failing it).
-    pub append_errors: u64,
-    /// Journal records appended (gate: one per frame outside the window).
-    pub appends: u64,
-    /// Fdatasync calls in phase 1 (batch windows + rotations + snapshot).
-    pub fsyncs: u64,
-    /// Snapshots installed (gate: exactly the recovery's forced snapshot).
-    pub snapshots: u64,
-    /// Frames covered by the snapshot phase 2 restored from (gate:
-    /// `kill_frame` — everything journaled before the disk died).
-    pub snapshot_frames: u64,
-    /// Frame records replayed at recovery: every retained record, i.e. the
-    /// post-heal tail plus whatever pre-kill segments snapshot compaction
-    /// did not yet cover (trackers silently reject the stale ones). Gate:
-    /// at least `frames - heal_frame`, at most `appends`.
-    pub replayed_frames: u64,
-    /// Snapshot entries restored into registered trackers (gate: all).
-    pub restored_objects: u64,
-    /// Bytes recovery discarded (gate: 0 — the probe already repaired the
-    /// tail the dead disk left behind).
-    pub truncated_bytes: u64,
+    /// The service's durability counters after phase 1. Gates:
+    /// `degraded_frames` is exactly `heal_frame - kill_frame`, one
+    /// Durable→Degraded and one Degraded→Recovered transition, and two
+    /// probes (the failed mid-window one plus the successful one at the heal
+    /// point).
+    pub durability: DurabilityStatsSnapshot,
+    /// The journal's counters after phase 1. Gates: `append_errors` is 1 (the
+    /// first failed append flips the state and later frames skip the append
+    /// instead of re-failing it), `appends` is one per frame outside the
+    /// window, `snapshots` is exactly the recovery's forced snapshot.
+    pub journal: JournalStatsSnapshot,
+    /// What phase 2's recovery rebuilt. Gates: `snapshot_frames` is
+    /// `kill_frame` (everything journaled before the disk died);
+    /// `replayed_frames` — the post-heal tail plus whatever pre-kill segments
+    /// compaction did not yet cover, which trackers silently reject — is at
+    /// least `frames - heal_frame` and at most `appends`; every object is
+    /// restored; `truncated_bytes` is 0 (the probe already repaired the tail
+    /// the dead disk left behind).
+    pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with
     /// exactly the bits of a twin that saw all acknowledged frames
     /// (gate: 1).
@@ -161,14 +148,14 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     }
     let ingest_wall_s = started.elapsed().as_secs_f64();
     let durability = primary.durability_stats();
-    let ingest_stats = journal.stats();
+    let journal_stats = journal.stats();
     drop(primary);
     drop(journal); // crash: no clean shutdown, no final flush
 
     // --- Phase 2: recover and compare against the all-frames twin. ---
     let recovered = fleet(objects);
     let started = Instant::now();
-    let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery succeeds");
+    let (_journal, recovery) = recover_and_attach(&recovered, config).expect("recovery succeeds");
     let recover_wall_s = started.elapsed().as_secs_f64();
     let bit_identical_acknowledged = u64::from(queries_match(&recovered, &twin, objects, t_max));
 
@@ -181,58 +168,42 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
         kill_frame: plan.kill_frame,
         heal_frame: plan.heal_frame,
         updates_applied,
-        degraded_frames: durability.degraded_frames,
-        degraded_transitions: durability.degraded_transitions,
-        recovered_transitions: durability.recovered_transitions,
-        probe_attempts: durability.probe_attempts,
-        append_errors: ingest_stats.append_errors,
-        appends: ingest_stats.appends,
-        fsyncs: ingest_stats.fsyncs,
-        snapshots: ingest_stats.snapshots,
-        snapshot_frames: report.snapshot_frames,
-        replayed_frames: report.replayed_frames,
-        restored_objects: report.restored_objects,
-        truncated_bytes: report.truncated_bytes,
+        durability,
+        journal: journal_stats,
+        recovery,
         bit_identical_acknowledged,
         ingest_wall_s,
         recover_wall_s,
     }
 }
 
-/// Renders the measurement as one JSON document (schema `mbdr-faults/1`).
-pub fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> String {
-    format!(
-        "{{\"schema\":\"mbdr-faults/1\",\"scale\":{scale},\"seed\":{seed},\
-         \"objects\":{},\"frames\":{},\"updates_per_frame\":{},\
-         \"kill_frame\":{},\"heal_frame\":{},\"updates_applied\":{},\
-         \"degraded_frames\":{},\"degraded_transitions\":{},\
-         \"recovered_transitions\":{},\"probe_attempts\":{},\
-         \"append_errors\":{},\"appends\":{},\"fsyncs\":{},\"snapshots\":{},\
-         \"snapshot_frames\":{},\"replayed_frames\":{},\"restored_objects\":{},\
-         \"truncated_bytes\":{},\"bit_identical_acknowledged\":{},\
-         \"ingest_wall_s\":{:.4},\"recover_wall_s\":{:.4}}}",
-        r.objects,
-        r.frames,
-        r.updates_per_frame,
-        r.kill_frame,
-        r.heal_frame,
-        r.updates_applied,
-        r.degraded_frames,
-        r.degraded_transitions,
-        r.recovered_transitions,
-        r.probe_attempts,
-        r.append_errors,
-        r.appends,
-        r.fsyncs,
-        r.snapshots,
-        r.snapshot_frames,
-        r.replayed_frames,
-        r.restored_objects,
-        r.truncated_bytes,
-        r.bit_identical_acknowledged,
-        r.ingest_wall_s,
-        r.recover_wall_s,
-    )
+/// The measurement as one JSON document (schema `mbdr-faults/1`): every
+/// count is exact, only the two walls are timing.
+pub fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> Json {
+    let head = [
+        ("objects", Json::exact(r.objects as f64)),
+        ("frames", Json::exact(r.frames as f64)),
+        ("updates_per_frame", Json::exact(r.updates_per_frame as f64)),
+        ("kill_frame", Json::exact(r.kill_frame as f64)),
+        ("heal_frame", Json::exact(r.heal_frame as f64)),
+        ("updates_applied", Json::exact(r.updates_applied as f64)),
+    ];
+    let durability = r.durability.fields().map(|(name, count)| (name, Json::exact(count as f64)));
+    let tail = [
+        ("append_errors", Json::exact(r.journal.append_errors as f64)),
+        ("appends", Json::exact(r.journal.appends as f64)),
+        ("fsyncs", Json::exact(r.journal.fsyncs as f64)),
+        ("snapshots", Json::exact(r.journal.snapshots as f64)),
+        ("snapshot_frames", Json::exact(r.recovery.snapshot_frames as f64)),
+        ("replayed_frames", Json::exact(r.recovery.replayed_frames as f64)),
+        ("restored_objects", Json::exact(r.recovery.restored_objects as f64)),
+        ("truncated_bytes", Json::exact(r.recovery.truncated_bytes as f64)),
+        ("bit_identical_acknowledged", Json::exact(r.bit_identical_acknowledged as f64)),
+        ("ingest_wall_s", Json::timing(r.ingest_wall_s, 4)),
+        ("recover_wall_s", Json::timing(r.recover_wall_s, 4)),
+    ];
+    let fields = head.into_iter().chain(durability).chain(tail);
+    Json::document("mbdr-faults/1", scale, seed, fields)
 }
 
 #[cfg(test)]
@@ -244,25 +215,29 @@ mod tests {
         let r = faults_bench(0.25, 42);
         assert_eq!(r.bit_identical_acknowledged, 1);
         assert_eq!(r.updates_applied, (r.frames * r.updates_per_frame) as u64);
-        assert_eq!(r.degraded_frames, r.heal_frame - r.kill_frame);
-        assert!(r.degraded_frames > 0, "the seeded window must be non-empty: {r:?}");
-        assert_eq!(r.degraded_transitions, 1);
-        assert_eq!(r.recovered_transitions, 1);
-        assert_eq!(r.probe_attempts, 2, "one failed mid-window, one successful at heal");
-        assert_eq!(r.append_errors, 1, "only the first failed append hits the disk");
-        assert_eq!(r.appends, r.frames as u64 - r.degraded_frames);
-        assert_eq!(r.snapshots, 1, "exactly the recovery's forced snapshot");
-        assert_eq!(r.snapshot_frames, r.kill_frame);
+        assert_eq!(r.durability.degraded_frames, r.heal_frame - r.kill_frame);
+        assert!(r.durability.degraded_frames > 0, "the seeded window must be non-empty: {r:?}");
+        assert_eq!(r.durability.degraded_transitions, 1);
+        assert_eq!(r.durability.recovered_transitions, 1);
+        assert_eq!(r.durability.probe_attempts, 2, "one failed mid-window, one successful at heal");
+        assert_eq!(r.journal.append_errors, 1, "only the first failed append hits the disk");
+        assert_eq!(r.journal.appends, r.frames as u64 - r.durability.degraded_frames);
+        assert_eq!(r.journal.snapshots, 1, "exactly the recovery's forced snapshot");
+        assert_eq!(r.recovery.snapshot_frames, r.kill_frame);
         assert!(
-            r.replayed_frames >= r.frames as u64 - r.heal_frame,
+            r.recovery.replayed_frames >= r.frames as u64 - r.heal_frame,
             "the post-heal tail must replay: {r:?}"
         );
-        assert!(r.replayed_frames <= r.appends, "replay cannot exceed what was appended: {r:?}");
-        assert_eq!(r.restored_objects, r.objects as u64);
-        assert_eq!(r.truncated_bytes, 0, "the probe already repaired the tail");
-        let json = render_faults_json(0.25, 42, &r);
-        assert!(json.contains("\"schema\":\"mbdr-faults/1\""));
-        crate::check::parse_json(&json).expect("faults JSON parses");
+        assert!(
+            r.recovery.replayed_frames <= r.journal.appends,
+            "replay cannot exceed what was appended: {r:?}"
+        );
+        assert_eq!(r.recovery.restored_objects, r.objects as u64);
+        assert_eq!(r.recovery.truncated_bytes, 0, "the probe already repaired the tail");
+        let tree = render_faults_json(0.25, 42, &r);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-faults/1")));
+        let degraded = r.durability.degraded_frames as f64;
+        assert_eq!(tree.get("degraded_frames"), Some(&Json::exact(degraded)));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use mbdr_locserver::{
     recover_and_attach, LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig,
 };
 use mbdr_roadnet::{NetworkBuilder, NodeId, RoadClass, RoadNetwork};
+use mbdr_sim::Json;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -307,36 +308,33 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     }
 }
 
-/// Renders the report as one JSON document (schema `mbdr-hotpath/1`).
-pub fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> String {
-    format!(
-        "{{\"schema\":\"mbdr-hotpath/1\",\"scale\":{scale},\"seed\":{seed},\
-         \"objects\":{},\"shards\":{},\"updates_per_frame\":{},\"ingest_rounds\":{},\
-         \"queries\":{},\"predicts\":{},\"counting_allocator\":{},\
-         \"allocs_per_update\":{},\"allocs_per_journaled_update\":{},\
-         \"allocs_per_rect_query\":{},\
-         \"allocs_per_nearest_query\":{},\"allocs_per_predict\":{},\
-         \"rect_hits\":{},\"nearest_hits\":{},\
-         \"updates_per_sec\":{:.1},\"journaled_updates_per_sec\":{:.1},\
-         \"queries_per_sec\":{:.1},\"predicts_per_sec\":{:.1}}}",
-        r.objects,
-        r.shards,
-        r.updates_per_frame,
-        r.ingest_rounds,
-        r.queries,
-        r.predicts,
-        r.counting_allocator,
-        r.allocs_per_update,
-        r.allocs_per_journaled_update,
-        r.allocs_per_rect_query,
-        r.allocs_per_nearest_query,
-        r.allocs_per_predict,
-        r.rect_hits,
-        r.nearest_hits,
-        r.updates_per_sec,
-        r.journaled_updates_per_sec,
-        r.queries_per_sec,
-        r.predicts_per_sec,
+/// The report as one JSON document (schema `mbdr-hotpath/1`): the
+/// allocation ratios and hit counts are exact, the throughputs timing.
+pub fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> Json {
+    Json::document(
+        "mbdr-hotpath/1",
+        scale,
+        seed,
+        [
+            ("objects", Json::exact(r.objects as f64)),
+            ("shards", Json::exact(r.shards as f64)),
+            ("updates_per_frame", Json::exact(r.updates_per_frame as f64)),
+            ("ingest_rounds", Json::exact(r.ingest_rounds as f64)),
+            ("queries", Json::exact(r.queries as f64)),
+            ("predicts", Json::exact(r.predicts as f64)),
+            ("counting_allocator", Json::Bool(r.counting_allocator)),
+            ("allocs_per_update", Json::exact(r.allocs_per_update)),
+            ("allocs_per_journaled_update", Json::exact(r.allocs_per_journaled_update)),
+            ("allocs_per_rect_query", Json::exact(r.allocs_per_rect_query)),
+            ("allocs_per_nearest_query", Json::exact(r.allocs_per_nearest_query)),
+            ("allocs_per_predict", Json::exact(r.allocs_per_predict)),
+            ("rect_hits", Json::exact(r.rect_hits as f64)),
+            ("nearest_hits", Json::exact(r.nearest_hits as f64)),
+            ("updates_per_sec", Json::timing(r.updates_per_sec, 1)),
+            ("journaled_updates_per_sec", Json::timing(r.journaled_updates_per_sec, 1)),
+            ("queries_per_sec", Json::timing(r.queries_per_sec, 1)),
+            ("predicts_per_sec", Json::timing(r.predicts_per_sec, 1)),
+        ],
     )
 }
 
@@ -360,10 +358,8 @@ mod tests {
             assert_eq!(report.allocs_per_journaled_update, 0.0);
         }
         assert!(report.journaled_updates_per_sec > 0.0);
-        let json = render_hotpath_json(0.02, 7, &report);
-        assert!(json.contains("\"schema\":\"mbdr-hotpath/1\""));
-        assert!(json.contains("\"allocs_per_update\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        crate::check::parse_json(&json).expect("hotpath JSON parses");
+        let tree = render_hotpath_json(0.02, 7, &report);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-hotpath/1")));
+        assert_eq!(tree.get("allocs_per_update"), Some(&Json::exact(report.allocs_per_update)));
     }
 }

@@ -15,8 +15,9 @@
 //! baseline, and [`scale`] sweeps the synthetic million-object workload
 //! (uniform and Zipf-hotspot placement) over the spatial data plane as the
 //! large-N baseline. [`check`] is the regression gate: it parses the committed
-//! `baselines/BENCH_*.json` files and compares fresh output against them
-//! with per-metric tolerances (`reproduce <cmd> --check`). [`hotpath`]
+//! `baselines/BENCH_*.json` files and compares the freshly built
+//! [`mbdr_sim::Json`] document against them, judging each number by the
+//! metric class its emitter declared (`reproduce <cmd> --check`). [`hotpath`]
 //! measures the steady-state ingest/query/predict pipeline under the
 //! counting allocator ([`alloccount`]) and pins its allocations-per-
 //! operation at zero. [`recovery`] is the durability baseline: journaled

@@ -11,8 +11,8 @@
 //! are machine-dependent and only sanity-checked.
 
 use mbdr_sim::{
-    run_connscale_workload, run_net_workload, ConnScaleConfig, ConnScaleReport, NetWorkloadConfig,
-    NetWorkloadReport,
+    run_connscale_workload, run_net_workload, ConnScaleConfig, ConnScaleReport, Json,
+    NetWorkloadConfig, NetWorkloadReport,
 };
 
 /// The (producer, query) connection counts the baseline sweeps: a serial
@@ -39,18 +39,10 @@ pub fn net_grid(scale: f64, seed: u64) -> Vec<NetWorkloadReport> {
         .collect()
 }
 
-/// Renders the grid as one JSON document (schema `mbdr-net/1`).
-pub fn render_net_json(scale: f64, seed: u64, reports: &[NetWorkloadReport]) -> String {
-    let mut out =
-        format!("{{\"schema\":\"mbdr-net/1\",\"scale\":{scale},\"seed\":{seed},\"points\":[");
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.to_json());
-    }
-    out.push_str("]}");
-    out
+/// The grid as one JSON document (schema `mbdr-net/1`).
+pub fn render_net_json(scale: f64, seed: u64, reports: &[NetWorkloadReport]) -> Json {
+    let points = Json::array(reports.iter().map(NetWorkloadReport::to_json));
+    Json::document("mbdr-net/1", scale, seed, [("points", points)])
 }
 
 /// The (total, hot) connection counts the connection-scale baseline sweeps:
@@ -76,19 +68,11 @@ pub fn connscale_grid(scale: f64, seed: u64) -> Vec<ConnScaleReport> {
         .collect()
 }
 
-/// Renders the connection-scale grid as one JSON document (schema
+/// The connection-scale grid as one JSON document (schema
 /// `mbdr-connscale/1`).
-pub fn render_connscale_json(scale: f64, seed: u64, reports: &[ConnScaleReport]) -> String {
-    let mut out =
-        format!("{{\"schema\":\"mbdr-connscale/1\",\"scale\":{scale},\"seed\":{seed},\"points\":[");
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.to_json());
-    }
-    out.push_str("]}");
-    out
+pub fn render_connscale_json(scale: f64, seed: u64, reports: &[ConnScaleReport]) -> Json {
+    let points = Json::array(reports.iter().map(ConnScaleReport::to_json));
+    Json::document("mbdr-connscale/1", scale, seed, [("points", points)])
 }
 
 /// The file-descriptor budget `connscale` needs at the given scale: two fds
@@ -129,12 +113,11 @@ mod tests {
             assert!(r.latency_p99_ms >= r.latency_p50_ms);
             assert_eq!(r.server.connections_dropped, 0);
         }
-        let json = render_net_json(0.05, 7, &reports);
-        assert!(json.contains("\"schema\":\"mbdr-net/1\""));
-        assert!(json.contains("\"latency_p50_ms\":"));
-        assert!(json.contains("\"producer_connections\":4"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let tree = render_net_json(0.05, 7, &reports);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-net/1")));
+        let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        assert!(points[0].get("latency_p50_ms").is_some());
+        assert_eq!(points[1].get("producer_connections"), Some(&Json::exact(4.0)));
     }
 
     #[test]
@@ -149,11 +132,10 @@ mod tests {
             assert_eq!(r.server.register_failures, 0);
             assert_eq!(r.pool_threads, 5, "accept + 2 reactors + 2 ingest workers");
         }
-        let json = render_connscale_json(0.02, 7, &reports);
-        assert!(json.contains("\"schema\":\"mbdr-connscale/1\""));
-        assert!(json.contains("\"resident_threads\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let tree = render_connscale_json(0.02, 7, &reports);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-connscale/1")));
+        let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        assert!(points[0].get("resident_threads").is_some());
     }
 
     #[test]

@@ -27,8 +27,11 @@
 
 use mbdr_core::{Frame, LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_journal::{FsyncPolicy, JournalConfig, RECORD_HEADER_LEN};
-use mbdr_locserver::{recover_and_attach, LocationService, ObjectId, ServiceConfig};
+use mbdr_journal::{FsyncPolicy, JournalConfig, JournalStatsSnapshot, RECORD_HEADER_LEN};
+use mbdr_locserver::{
+    recover_and_attach, LocationService, ObjectId, RecoveryReport, ServiceConfig,
+};
+use mbdr_sim::Json;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,31 +61,21 @@ pub struct RecoveryBench {
     pub updates_per_frame: usize,
     /// Updates the primary service accepted (gate: every one is fresh).
     pub updates_applied: u64,
-    /// Journal records appended in phase 1 (gate: one per frame).
-    pub appends: u64,
-    /// Fdatasync calls in phase 1 (batch windows + rotations + snapshots).
-    pub fsyncs: u64,
-    /// Snapshots installed in phase 1 (gate: exactly on cadence).
-    pub snapshots: u64,
-    /// Frames covered by the snapshot recovery restored from.
-    pub snapshot_frames: u64,
-    /// Frame records replayed from the retained log tail.
-    pub replayed_frames: u64,
-    /// Updates routed to trackers during replay (snapshot-covered ones are
-    /// silently rejected inside the tracker but still counted here).
-    pub replayed_updates: u64,
-    /// Snapshot entries restored into registered trackers (gate: all).
-    pub restored_objects: u64,
-    /// Bytes discarded at recovery from intact files (gate: 0).
-    pub truncated_bytes: u64,
+    /// The journal's counters after phase 1. Gates: `appends` is one per
+    /// frame, `fsyncs` counts batch windows + rotations + snapshots,
+    /// `snapshots` fires exactly on cadence.
+    pub journal: JournalStatsSnapshot,
+    /// What phase 2's recovery rebuilt. Gates: every object restored,
+    /// `truncated_bytes` 0 (the files were intact); `replayed_updates` still
+    /// counts the snapshot-covered updates the trackers silently reject.
+    pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with exactly
     /// the twin's bits (gate: 1).
     pub bit_identical: u64,
-    /// Bytes the torn-tail phase discarded: the flipped record's header plus
-    /// payload, exactly (strict).
-    pub corrupt_truncated_bytes: u64,
-    /// Frames replayed after torn-tail repair (gate: all but the torn one).
-    pub corrupt_replayed_frames: u64,
+    /// What phase 3's recovery rebuilt after the torn tail. Gates:
+    /// `truncated_bytes` is exactly the flipped record's header plus payload,
+    /// `replayed_frames` is all but the torn one.
+    pub torn_recovery: RecoveryReport,
     /// `1` iff post-repair recovery equals a twin that never saw the torn
     /// frame (gate: 1).
     pub corrupt_bit_identical: u64,
@@ -275,17 +268,10 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
         frames: frames.len(),
         updates_per_frame: UPDATES_PER_FRAME,
         updates_applied,
-        appends: ingest_stats.appends,
-        fsyncs: ingest_stats.fsyncs,
-        snapshots: ingest_stats.snapshots,
-        snapshot_frames: report.snapshot_frames,
-        replayed_frames: report.replayed_frames,
-        replayed_updates: report.replayed_updates,
-        restored_objects: report.restored_objects,
-        truncated_bytes: report.truncated_bytes,
+        journal: ingest_stats,
+        recovery: report,
         bit_identical,
-        corrupt_truncated_bytes: tear_report.truncated_bytes,
-        corrupt_replayed_frames: tear_report.replayed_frames,
+        torn_recovery: tear_report,
         corrupt_bit_identical,
         ingest_wall_s,
         recover_wall_s,
@@ -293,36 +279,34 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     }
 }
 
-/// Renders the measurement as one JSON document (schema `mbdr-recovery/1`).
-pub fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> String {
-    format!(
-        "{{\"schema\":\"mbdr-recovery/1\",\"scale\":{scale},\"seed\":{seed},\
-         \"objects\":{},\"frames\":{},\"updates_per_frame\":{},\"updates_applied\":{},\
-         \"appends\":{},\"fsyncs\":{},\"snapshots\":{},\
-         \"snapshot_frames\":{},\"replayed_frames\":{},\"replayed_updates\":{},\
-         \"restored_objects\":{},\"truncated_bytes\":{},\"bit_identical\":{},\
-         \"corrupt_truncated_bytes\":{},\"corrupt_replayed_frames\":{},\
-         \"corrupt_bit_identical\":{},\
-         \"ingest_wall_s\":{:.4},\"recover_wall_s\":{:.4},\"replay_per_sec\":{:.1}}}",
-        r.objects,
-        r.frames,
-        r.updates_per_frame,
-        r.updates_applied,
-        r.appends,
-        r.fsyncs,
-        r.snapshots,
-        r.snapshot_frames,
-        r.replayed_frames,
-        r.replayed_updates,
-        r.restored_objects,
-        r.truncated_bytes,
-        r.bit_identical,
-        r.corrupt_truncated_bytes,
-        r.corrupt_replayed_frames,
-        r.corrupt_bit_identical,
-        r.ingest_wall_s,
-        r.recover_wall_s,
-        r.replay_per_sec,
+/// The measurement as one JSON document (schema `mbdr-recovery/1`): every
+/// count is exact, only the walls and the replay rate are timing.
+pub fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> Json {
+    Json::document(
+        "mbdr-recovery/1",
+        scale,
+        seed,
+        [
+            ("objects", Json::exact(r.objects as f64)),
+            ("frames", Json::exact(r.frames as f64)),
+            ("updates_per_frame", Json::exact(r.updates_per_frame as f64)),
+            ("updates_applied", Json::exact(r.updates_applied as f64)),
+            ("appends", Json::exact(r.journal.appends as f64)),
+            ("fsyncs", Json::exact(r.journal.fsyncs as f64)),
+            ("snapshots", Json::exact(r.journal.snapshots as f64)),
+            ("snapshot_frames", Json::exact(r.recovery.snapshot_frames as f64)),
+            ("replayed_frames", Json::exact(r.recovery.replayed_frames as f64)),
+            ("replayed_updates", Json::exact(r.recovery.replayed_updates as f64)),
+            ("restored_objects", Json::exact(r.recovery.restored_objects as f64)),
+            ("truncated_bytes", Json::exact(r.recovery.truncated_bytes as f64)),
+            ("bit_identical", Json::exact(r.bit_identical as f64)),
+            ("corrupt_truncated_bytes", Json::exact(r.torn_recovery.truncated_bytes as f64)),
+            ("corrupt_replayed_frames", Json::exact(r.torn_recovery.replayed_frames as f64)),
+            ("corrupt_bit_identical", Json::exact(r.corrupt_bit_identical as f64)),
+            ("ingest_wall_s", Json::timing(r.ingest_wall_s, 4)),
+            ("recover_wall_s", Json::timing(r.recover_wall_s, 4)),
+            ("replay_per_sec", Json::timing(r.replay_per_sec, 1)),
+        ],
     )
 }
 
@@ -335,15 +319,15 @@ mod tests {
         let r = recovery_bench(0.25, 42);
         assert_eq!(r.bit_identical, 1);
         assert_eq!(r.corrupt_bit_identical, 1);
-        assert_eq!(r.appends, r.frames as u64);
+        assert_eq!(r.journal.appends, r.frames as u64);
         assert_eq!(r.updates_applied, (r.frames * r.updates_per_frame) as u64);
-        assert_eq!(r.corrupt_replayed_frames, r.frames as u64 - 1);
-        assert_eq!(r.truncated_bytes, 0);
-        assert!(r.corrupt_truncated_bytes > 0);
-        assert!(r.snapshots >= 1, "cadence must fire at this scale: {r:?}");
-        assert!(r.snapshot_frames > 0);
-        let json = render_recovery_json(0.25, 42, &r);
-        assert!(json.contains("\"schema\":\"mbdr-recovery/1\""));
-        crate::check::parse_json(&json).expect("recovery JSON parses");
+        assert_eq!(r.torn_recovery.replayed_frames, r.frames as u64 - 1);
+        assert_eq!(r.recovery.truncated_bytes, 0);
+        assert!(r.torn_recovery.truncated_bytes > 0);
+        assert!(r.journal.snapshots >= 1, "cadence must fire at this scale: {r:?}");
+        assert!(r.recovery.snapshot_frames > 0);
+        let tree = render_recovery_json(0.25, 42, &r);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-recovery/1")));
+        assert_eq!(tree.get("bit_identical"), Some(&Json::exact(1.0)));
     }
 }

@@ -9,8 +9,7 @@
 //! the gate compares them strictly; wall clocks and throughputs ride along
 //! as machine-dependent sanity checks.
 
-use mbdr_sim::{run_scale_workload, ScaleConfig, ScaleReport};
-use std::fmt::Write as _;
+use mbdr_sim::{run_scale_workload, Json, ScaleConfig, ScaleReport};
 
 /// The N axis of the committed baseline (scaled by `--scale`, floored so a
 /// smoke run still exercises a multi-cell, multi-shard fleet).
@@ -29,46 +28,32 @@ pub fn scale_grid(scale: f64, seed: u64) -> Vec<ScaleReport> {
     points
 }
 
-/// Renders the grid as one JSON document (schema `mbdr-scale/1`).
-pub fn render_scale_json(scale: f64, seed: u64, points: &[ScaleReport]) -> String {
-    let mut out = String::from("{\"schema\":\"mbdr-scale/1\"");
-    let _ = write!(out, ",\"scale\":{scale},\"seed\":{seed},\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"objects\":{},\"hotspot\":{},\"updates_applied\":{},\
-             \"ingest_wall_s\":{:.4},\"updates_per_sec\":{:.1},\
-             \"rect_queries\":{},\"nearest_queries\":{},\
-             \"rect_hits\":{},\"nearest_hits\":{},\
-             \"rect_wall_s\":{:.4},\"nearest_wall_s\":{:.4},\
-             \"rect_per_sec\":{:.1},\"nearest_per_sec\":{:.1},\
-             \"indexed\":{},\"occupied_cells\":{},\"max_cell_occupancy\":{},\
-             \"candidates_inspected\":{},\"candidates_unique\":{}}}",
-            p.objects,
-            p.hotspot,
-            p.updates_applied,
-            p.ingest_wall_s,
-            p.updates_per_sec,
-            p.rect_queries,
-            p.nearest_queries,
-            p.rect_hits,
-            p.nearest_hits,
-            p.rect_wall_s,
-            p.nearest_wall_s,
-            p.rect_per_sec,
-            p.nearest_per_sec,
-            p.indexed,
-            p.occupied_cells,
-            p.max_cell_occupancy,
-            p.candidates_inspected,
-            p.candidates_unique,
-        );
-    }
-    out.push_str("]}");
-    out
+/// The grid as one JSON document (schema `mbdr-scale/1`). The workload is
+/// single-threaded: everything but the wall clocks and rates is exact.
+pub fn render_scale_json(scale: f64, seed: u64, points: &[ScaleReport]) -> Json {
+    let point = |p: &ScaleReport| {
+        Json::object([
+            ("objects", Json::exact(p.objects as f64)),
+            ("hotspot", Json::Bool(p.hotspot)),
+            ("updates_applied", Json::exact(p.updates_applied as f64)),
+            ("ingest_wall_s", Json::timing(p.ingest_wall_s, 4)),
+            ("updates_per_sec", Json::timing(p.updates_per_sec, 1)),
+            ("rect_queries", Json::exact(p.rect_queries as f64)),
+            ("nearest_queries", Json::exact(p.nearest_queries as f64)),
+            ("rect_hits", Json::exact(p.rect_hits as f64)),
+            ("nearest_hits", Json::exact(p.nearest_hits as f64)),
+            ("rect_wall_s", Json::timing(p.rect_wall_s, 4)),
+            ("nearest_wall_s", Json::timing(p.nearest_wall_s, 4)),
+            ("rect_per_sec", Json::timing(p.rect_per_sec, 1)),
+            ("nearest_per_sec", Json::timing(p.nearest_per_sec, 1)),
+            ("indexed", Json::exact(p.indexed as f64)),
+            ("occupied_cells", Json::exact(p.occupied_cells as f64)),
+            ("max_cell_occupancy", Json::exact(p.max_cell_occupancy as f64)),
+            ("candidates_inspected", Json::exact(p.candidates_inspected as f64)),
+            ("candidates_unique", Json::exact(p.candidates_unique as f64)),
+        ])
+    };
+    Json::document("mbdr-scale/1", scale, seed, [("points", Json::array(points.iter().map(point)))])
 }
 
 #[cfg(test)]
@@ -80,16 +65,13 @@ mod tests {
         let points = scale_grid(0.01, 7);
         assert_eq!(points.len(), 4, "two N points x two placement modes");
         assert!(points.iter().all(|p| p.indexed == p.objects));
-        let json = render_scale_json(0.01, 7, &points);
-        assert!(json.contains("\"schema\":\"mbdr-scale/1\""));
-        assert!(json.contains("\"max_cell_occupancy\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let doc = crate::check::parse_json(&json).expect("scale JSON parses");
+        let tree = render_scale_json(0.01, 7, &points);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-scale/1")));
+        // A second run of the same seed passes the gate against the first
+        // run's printed document.
+        let committed = crate::check::parse_json(tree.to_string()).expect("scale JSON parses");
         let again = render_scale_json(0.01, 7, &scale_grid(0.01, 7));
-        let report = crate::check::compare_baseline(
-            &doc,
-            &crate::check::parse_json(&again).expect("parses"),
-        );
+        let report = crate::check::compare_baseline(&committed, &again);
         assert!(report.passed(), "{:?}", report.mismatches);
     }
 }

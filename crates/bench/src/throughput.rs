@@ -4,7 +4,7 @@
 //! throughput of the sharded location service is tracked as a perf baseline
 //! from this change on (`reproduce throughput`).
 
-use mbdr_sim::{run_service_workload, QueryMix, WorkloadConfig, WorkloadReport};
+use mbdr_sim::{run_service_workload, Json, QueryMix, WorkloadConfig, WorkloadReport};
 
 /// The workload grid at the given scale — every combination of fleet size,
 /// shard count, query mix and ingest mode (per-update vs per-round
@@ -43,19 +43,10 @@ pub fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
     reports
 }
 
-/// Renders the grid as one JSON document (schema `mbdr-throughput/1`).
-pub fn render_throughput_json(scale: f64, seed: u64, reports: &[WorkloadReport]) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"mbdr-throughput/1\",\"scale\":{scale},\"seed\":{seed},\"points\":["
-    );
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.to_json());
-    }
-    out.push_str("]}");
-    out
+/// The grid as one JSON document (schema `mbdr-throughput/1`).
+pub fn render_throughput_json(scale: f64, seed: u64, reports: &[WorkloadReport]) -> Json {
+    let points = Json::array(reports.iter().map(WorkloadReport::to_json));
+    Json::document("mbdr-throughput/1", scale, seed, [("points", points)])
 }
 
 #[cfg(test)]
@@ -73,12 +64,9 @@ mod tests {
             assert!(r.queries_per_sec > 0.0);
             assert_eq!(r.updates_applied, r.updates_sent);
         }
-        let json = render_throughput_json(0.02, 7, &reports);
-        assert!(json.contains("\"schema\":\"mbdr-throughput/1\""));
-        assert!(json.contains("\"batched_ingest\":true"));
-        assert!(json.contains("\"updates_per_sec\":"));
-        assert!(json.contains("\"queries_per_sec\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let tree = render_throughput_json(0.02, 7, &reports);
+        assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-throughput/1")));
+        let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        assert_eq!(points.len(), reports.len());
     }
 }

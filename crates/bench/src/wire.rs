@@ -40,9 +40,9 @@ mod tests {
             assert!(pair[1].deviation.mean >= pair[0].deviation.mean);
             assert!(pair[1].delivered_ratio <= pair[0].delivered_ratio + 1e-12);
         }
-        let json = result.to_json();
-        assert!(json.contains("\"schema\":\"mbdr-wire/1\""));
-        assert!(json.contains("\"loss_rate\":0.5"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let tree = result.to_json();
+        assert_eq!(tree.get("schema"), Some(&mbdr_sim::Json::str("mbdr-wire/1")));
+        let Some(mbdr_sim::Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        assert_eq!(points[5].get("loss_rate"), Some(&mbdr_sim::Json::exact(0.5)));
     }
 }

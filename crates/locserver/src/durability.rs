@@ -28,7 +28,29 @@
 //! on the ingest hot path is a single `AtomicU8` load.
 
 use mbdr_core::DurabilityState;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
+
+mbdr_journal::counters! {
+    /// The monotone counters of one [`DurabilityControl`].
+    pub(crate) struct DurabilityCounters {
+        /// Frames applied to trackers *without* being journaled while
+        /// degraded — the exact count of applies a crash in the degraded
+        /// window would lose.
+        degraded_frames,
+        /// Durable/Recovered → Degraded transitions (distinct disk incidents).
+        degraded_transitions,
+        /// Degraded → Recovered transitions (healed incidents).
+        recovered_transitions,
+        /// Re-probe attempts made while degraded (successful or not).
+        probe_attempts,
+    }
+    /// Point-in-time copy of a service's `DurabilityControl` (surfaced through
+    /// `mbdr-net`'s `ServerStatsSnapshot`).
+    pub snapshot DurabilityStatsSnapshot {
+        /// Current durability regime.
+        pub state: DurabilityState,
+    }
+}
 
 /// Live durability state + counters for one [`crate::LocationService`].
 ///
@@ -42,15 +64,7 @@ pub(crate) struct DurabilityControl {
     /// Current [`DurabilityState`], stored as its wire byte (see
     /// [`DurabilityState::to_wire`]) so the hot-path check is one atomic load.
     state: AtomicU8,
-    /// Frames applied to trackers *without* being journaled while degraded —
-    /// the exact count of applies a crash in the degraded window would lose.
-    degraded_frames: AtomicU64,
-    /// Durable/Recovered → Degraded transitions (distinct disk incidents).
-    degraded_transitions: AtomicU64,
-    /// Degraded → Recovered transitions (healed incidents).
-    recovered_transitions: AtomicU64,
-    /// Re-probe attempts made while degraded (successful or not).
-    probe_attempts: AtomicU64,
+    counters: DurabilityCounters,
 }
 
 impl DurabilityControl {
@@ -74,18 +88,18 @@ impl DurabilityControl {
     pub(crate) fn enter_degraded(&self) {
         let prev = self.state.swap(DurabilityState::Degraded.to_wire(), Ordering::Relaxed);
         if prev != DurabilityState::Degraded.to_wire() {
-            self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+            self.counters.degraded_transitions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Counts one frame applied without journaling while degraded.
     pub(crate) fn note_degraded_frame(&self) {
-        self.degraded_frames.fetch_add(1, Ordering::Relaxed);
+        self.counters.degraded_frames.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one re-probe attempt.
     pub(crate) fn note_probe_attempt(&self) {
-        self.probe_attempts.fetch_add(1, Ordering::Relaxed);
+        self.counters.probe_attempts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Flips to [`DurabilityState::Recovered`] after a successful re-probe.
@@ -93,47 +107,13 @@ impl DurabilityControl {
     pub(crate) fn mark_recovered(&self) {
         let prev = self.state.swap(DurabilityState::Recovered.to_wire(), Ordering::Relaxed);
         if prev == DurabilityState::Degraded.to_wire() {
-            self.recovered_transitions.fetch_add(1, Ordering::Relaxed);
+            self.counters.recovered_transitions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Copies state + counters into a plain-value snapshot.
     pub(crate) fn snapshot(&self) -> DurabilityStatsSnapshot {
-        DurabilityStatsSnapshot {
-            state: self.state(),
-            degraded_frames: self.degraded_frames.load(Ordering::Relaxed),
-            degraded_transitions: self.degraded_transitions.load(Ordering::Relaxed),
-            recovered_transitions: self.recovered_transitions.load(Ordering::Relaxed),
-            probe_attempts: self.probe_attempts.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of a service's `DurabilityControl` (surfaced through
-/// `mbdr-net`'s `ServerStatsSnapshot`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DurabilityStatsSnapshot {
-    /// Current durability regime.
-    pub state: DurabilityState,
-    /// Frames applied without journaling while degraded.
-    pub degraded_frames: u64,
-    /// Distinct Durable/Recovered → Degraded incidents.
-    pub degraded_transitions: u64,
-    /// Degraded → Recovered healings.
-    pub recovered_transitions: u64,
-    /// Re-probe attempts while degraded.
-    pub probe_attempts: u64,
-}
-
-impl Default for DurabilityStatsSnapshot {
-    fn default() -> Self {
-        DurabilityStatsSnapshot {
-            state: DurabilityState::Durable,
-            degraded_frames: 0,
-            degraded_transitions: 0,
-            recovered_transitions: 0,
-            probe_attempts: 0,
-        }
+        DurabilityStatsSnapshot { state: self.state(), ..self.counters.snapshot() }
     }
 }
 

@@ -10,26 +10,76 @@ use mbdr_journal::JournalStatsSnapshot;
 use mbdr_locserver::{DurabilityStatsSnapshot, RecoveryReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic counters the server threads bump as they work.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_closed: AtomicU64,
-    pub(crate) connections_dropped: AtomicU64,
-    pub(crate) frames_received: AtomicU64,
-    pub(crate) updates_applied: AtomicU64,
-    pub(crate) frame_decode_errors: AtomicU64,
-    pub(crate) request_decode_errors: AtomicU64,
-    pub(crate) oversized_messages: AtomicU64,
-    pub(crate) queries_answered: AtomicU64,
-    pub(crate) zone_events_emitted: AtomicU64,
-    pub(crate) bytes_received: AtomicU64,
-    pub(crate) bytes_sent: AtomicU64,
-    pub(crate) evicted_slow: AtomicU64,
-    pub(crate) backpressure_stalls: AtomicU64,
-    pub(crate) readiness_wakeups: AtomicU64,
-    pub(crate) spurious_wakeups: AtomicU64,
-    pub(crate) register_failures: AtomicU64,
+mbdr_journal::counters! {
+    /// Shared atomic counters the server threads bump as they work.
+    pub struct ServerStats {
+        /// Connections the accept loop received (including ones later refused
+        /// at admission or registration).
+        connections_accepted,
+        /// Connections the peer closed cleanly at a message boundary.
+        connections_closed,
+        /// Connections the server dropped (decode error, oversized message or
+        /// socket failure).
+        connections_dropped,
+        /// Ingest frames received (valid envelopes; payload validity is counted
+        /// at apply time).
+        frames_received,
+        /// Updates the ingest workers applied to registered objects.
+        updates_applied,
+        /// Ingest frame payloads that failed to decode at apply time.
+        frame_decode_errors,
+        /// Request envelopes that failed to decode.
+        request_decode_errors,
+        /// Messages refused because their length prefix exceeded the cap.
+        oversized_messages,
+        /// Rect / nearest / zone-poll queries answered (flush barriers are
+        /// accounted per connection via `FlushDone`, not here, so this
+        /// reconciles exactly with client-side query counts).
+        queries_answered,
+        /// Zone enter/leave events sent to subscribers.
+        zone_events_emitted,
+        /// Bytes read off accepted sockets (length prefixes included).
+        bytes_received,
+        /// Bytes written to accepted sockets (length prefixes included).
+        bytes_sent,
+        /// Connections evicted as slow clients: their bounded outbound buffer
+        /// overflowed, or they sat write-blocked past the configured budget.
+        /// Every eviction is also counted under `connections_dropped`.
+        evicted_slow,
+        /// Times a connection's ingest frame was parked because its worker
+        /// queue was full (read-interest backoff; one park per stall, retries
+        /// are not recounted).
+        backpressure_stalls,
+        /// Connection readiness events the reactors processed (waker events
+        /// excluded). Scheduling-dependent: a diagnostic, not an invariant.
+        readiness_wakeups,
+        /// Readiness events that produced no progress (no bytes moved, no state
+        /// advanced). Scheduling-dependent: a diagnostic, not an invariant.
+        spurious_wakeups,
+        /// Connections refused because they could not be registered: the
+        /// admission cap was reached or the poller rejected the socket — the
+        /// reactor-era descendant of "the reader thread failed to spawn".
+        register_failures,
+    }
+    /// A point-in-time copy of the server's counters. The journal, durability
+    /// and recovery members live on the journal / service / bind-time report,
+    /// not on [`ServerStats`]: `NetServer::stats` overlays them.
+    pub snapshot ServerStatsSnapshot {
+        /// Write-ahead journal counters (all zero unless the server was started
+        /// with [`crate::NetServer::bind_durable`]); see
+        /// [`mbdr_journal::JournalStatsSnapshot`].
+        pub journal: JournalStatsSnapshot,
+        /// Durability state machine counters of the fronted service (state,
+        /// degraded-window frame count, transition and probe counts); see
+        /// [`mbdr_locserver::DurabilityStatsSnapshot`].
+        pub durability: DurabilityStatsSnapshot,
+        /// What crash recovery rebuilt at bind time (all zero unless the server
+        /// was started with [`crate::NetServer::bind_durable`]); see
+        /// [`mbdr_locserver::RecoveryReport`], satellite of the degraded-mode
+        /// observability surface: `truncated_bytes` and the replay counters are
+        /// reachable from one stats call instead of a held journal handle.
+        pub recovery: RecoveryReport,
+    }
 }
 
 impl ServerStats {
@@ -40,101 +90,4 @@ impl ServerStats {
     pub(crate) fn bump(counter: &AtomicU64) {
         Self::add(counter, 1);
     }
-
-    /// A consistent-enough copy of the counters (each is read atomically;
-    /// the set is not a single snapshot, which only matters mid-traffic).
-    pub fn snapshot(&self) -> ServerStatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServerStatsSnapshot {
-            connections_accepted: get(&self.connections_accepted),
-            connections_closed: get(&self.connections_closed),
-            connections_dropped: get(&self.connections_dropped),
-            frames_received: get(&self.frames_received),
-            updates_applied: get(&self.updates_applied),
-            frame_decode_errors: get(&self.frame_decode_errors),
-            request_decode_errors: get(&self.request_decode_errors),
-            oversized_messages: get(&self.oversized_messages),
-            queries_answered: get(&self.queries_answered),
-            zone_events_emitted: get(&self.zone_events_emitted),
-            bytes_received: get(&self.bytes_received),
-            bytes_sent: get(&self.bytes_sent),
-            evicted_slow: get(&self.evicted_slow),
-            backpressure_stalls: get(&self.backpressure_stalls),
-            readiness_wakeups: get(&self.readiness_wakeups),
-            spurious_wakeups: get(&self.spurious_wakeups),
-            register_failures: get(&self.register_failures),
-            // The journal, durability and recovery counters live on the
-            // journal / service / bind-time report, not here:
-            // `NetServer::stats` overlays them.
-            journal: JournalStatsSnapshot::default(),
-            durability: DurabilityStatsSnapshot::default(),
-            recovery: RecoveryReport::default(),
-        }
-    }
-}
-
-/// A point-in-time copy of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStatsSnapshot {
-    /// Connections the accept loop received (including ones later refused
-    /// at admission or registration).
-    pub connections_accepted: u64,
-    /// Connections the peer closed cleanly at a message boundary.
-    pub connections_closed: u64,
-    /// Connections the server dropped (decode error, oversized message or
-    /// socket failure).
-    pub connections_dropped: u64,
-    /// Ingest frames received (valid envelopes; payload validity is counted
-    /// at apply time).
-    pub frames_received: u64,
-    /// Updates the ingest workers applied to registered objects.
-    pub updates_applied: u64,
-    /// Ingest frame payloads that failed to decode at apply time.
-    pub frame_decode_errors: u64,
-    /// Request envelopes that failed to decode.
-    pub request_decode_errors: u64,
-    /// Messages refused because their length prefix exceeded the cap.
-    pub oversized_messages: u64,
-    /// Rect / nearest / zone-poll queries answered (flush barriers are
-    /// accounted per connection via `FlushDone`, not here, so this
-    /// reconciles exactly with client-side query counts).
-    pub queries_answered: u64,
-    /// Zone enter/leave events sent to subscribers.
-    pub zone_events_emitted: u64,
-    /// Bytes read off accepted sockets (length prefixes included).
-    pub bytes_received: u64,
-    /// Bytes written to accepted sockets (length prefixes included).
-    pub bytes_sent: u64,
-    /// Connections evicted as slow clients: their bounded outbound buffer
-    /// overflowed, or they sat write-blocked past the configured budget.
-    /// Every eviction is also counted under `connections_dropped`.
-    pub evicted_slow: u64,
-    /// Times a connection's ingest frame was parked because its worker
-    /// queue was full (read-interest backoff; one park per stall, retries
-    /// are not recounted).
-    pub backpressure_stalls: u64,
-    /// Connection readiness events the reactors processed (waker events
-    /// excluded). Scheduling-dependent: a diagnostic, not an invariant.
-    pub readiness_wakeups: u64,
-    /// Readiness events that produced no progress (no bytes moved, no state
-    /// advanced). Scheduling-dependent: a diagnostic, not an invariant.
-    pub spurious_wakeups: u64,
-    /// Connections refused because they could not be registered: the
-    /// admission cap was reached or the poller rejected the socket — the
-    /// reactor-era descendant of "the reader thread failed to spawn".
-    pub register_failures: u64,
-    /// Write-ahead journal counters (all zero unless the server was started
-    /// with [`crate::NetServer::bind_durable`]); see
-    /// [`mbdr_journal::JournalStatsSnapshot`].
-    pub journal: JournalStatsSnapshot,
-    /// Durability state machine counters of the fronted service (state,
-    /// degraded-window frame count, transition and probe counts); see
-    /// [`mbdr_locserver::DurabilityStatsSnapshot`].
-    pub durability: DurabilityStatsSnapshot,
-    /// What crash recovery rebuilt at bind time (all zero unless the server
-    /// was started with [`crate::NetServer::bind_durable`]); see
-    /// [`mbdr_locserver::RecoveryReport`], satellite of the degraded-mode
-    /// observability surface: `truncated_bytes` and the replay counters are
-    /// reachable from one stats call instead of a held journal handle.
-    pub recovery: RecoveryReport,
 }

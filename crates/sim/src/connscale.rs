@@ -17,6 +17,8 @@
 //! thread accounting are all fixed by the seed; wall clocks, rates,
 //! latencies and the readiness diagnostics are machine-dependent.
 
+use crate::net_workload::{percentile, server_counters};
+use crate::report::Json;
 use mbdr_core::{Frame, ObjectState, StaticPredictor, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
@@ -113,53 +115,35 @@ pub struct ConnScaleReport {
 }
 
 impl ConnScaleReport {
-    /// Renders the report as one JSON object, consumed by
-    /// `reproduce connscale`. Connection-close counters are deliberately
-    /// absent: the snapshot is taken at full load, where they are zero by
-    /// construction and would otherwise race the teardown.
-    pub fn to_json(&self) -> String {
-        let s = &self.server;
-        format!(
-            "{{\"connections\":{},\"hot_connections\":{},\"updates_sent\":{},\
-             \"updates_applied\":{},\"frames_sent\":{},\"open_wall_s\":{:.4},\
-             \"opens_per_sec\":{:.1},\"ingest_wall_s\":{:.4},\"updates_per_sec\":{:.1},\
-             \"rect_queries\":{},\"rect_results\":{},\"latency_p50_ms\":{:.3},\
-             \"latency_p99_ms\":{:.3},\"pool_threads\":{},\"resident_threads\":{},\
-             \"server\":{{\"connections_accepted\":{},\"connections_dropped\":{},\
-             \"frames_received\":{},\"updates_applied\":{},\"frame_decode_errors\":{},\
-             \"request_decode_errors\":{},\"queries_answered\":{},\"bytes_received\":{},\
-             \"bytes_sent\":{},\"evicted_slow\":{},\"backpressure_stalls\":{},\
-             \"readiness_wakeups\":{},\"spurious_wakeups\":{},\"register_failures\":{}}}}}",
-            self.connections,
-            self.hot_connections,
-            self.updates_sent,
-            self.updates_applied,
-            self.frames_sent,
-            self.open_wall_s,
-            self.opens_per_sec,
-            self.ingest_wall_s,
-            self.updates_per_sec,
-            self.rect_queries,
-            self.rect_results,
-            self.latency_p50_ms,
-            self.latency_p99_ms,
-            self.pool_threads,
-            self.resident_threads,
-            s.connections_accepted,
-            s.connections_dropped,
-            s.frames_received,
-            s.updates_applied,
-            s.frame_decode_errors,
-            s.request_decode_errors,
-            s.queries_answered,
-            s.bytes_received,
-            s.bytes_sent,
-            s.evicted_slow,
-            s.backpressure_stalls,
-            s.readiness_wakeups,
-            s.spurious_wakeups,
-            s.register_failures,
-        )
+    /// The report as one JSON object, consumed by `reproduce connscale`.
+    /// The close-side server counters are deliberately absent: the snapshot
+    /// is taken at full load, where they are zero by construction and would
+    /// otherwise race the teardown.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("connections", Json::exact(self.connections as f64)),
+            ("hot_connections", Json::exact(self.hot_connections as f64)),
+            ("updates_sent", Json::exact(self.updates_sent as f64)),
+            ("updates_applied", Json::exact(self.updates_applied as f64)),
+            ("frames_sent", Json::exact(self.frames_sent as f64)),
+            ("open_wall_s", Json::timing(self.open_wall_s, 4)),
+            ("opens_per_sec", Json::timing(self.opens_per_sec, 1)),
+            ("ingest_wall_s", Json::timing(self.ingest_wall_s, 4)),
+            ("updates_per_sec", Json::timing(self.updates_per_sec, 1)),
+            ("rect_queries", Json::exact(self.rect_queries as f64)),
+            ("rect_results", Json::exact(self.rect_results as f64)),
+            ("latency_p50_ms", Json::timing(self.latency_p50_ms, 3)),
+            ("latency_p99_ms", Json::timing(self.latency_p99_ms, 3)),
+            ("pool_threads", Json::exact(self.pool_threads as f64)),
+            ("resident_threads", Json::exact(self.resident_threads as f64)),
+            (
+                "server",
+                server_counters(
+                    &self.server,
+                    &["connections_closed", "oversized_messages", "zone_events_emitted"],
+                ),
+            ),
+        ])
     }
 }
 
@@ -338,14 +322,6 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     drop(clients);
     drop(server);
 
-    let p = |q: f64| {
-        if latencies.is_empty() {
-            0.0
-        } else {
-            let index = ((latencies.len() - 1) as f64 * q).round() as usize;
-            latencies[index.min(latencies.len() - 1)]
-        }
-    };
     ConnScaleReport {
         connections: config.connections,
         hot_connections: config.hot_connections,
@@ -358,8 +334,8 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
         updates_per_sec: applied_total as f64 / ingest_wall_s,
         rect_queries: config.rect_queries as u64,
         rect_results,
-        latency_p50_ms: p(0.50),
-        latency_p99_ms: p(0.99),
+        latency_p50_ms: percentile(&latencies, 0.50),
+        latency_p99_ms: percentile(&latencies, 0.99),
         pool_threads,
         resident_threads,
         server: stats,
@@ -407,11 +383,11 @@ mod tests {
         assert_eq!(a.rect_results, b.rect_results);
         assert_eq!(a.server.bytes_received, b.server.bytes_received);
         assert_eq!(a.server.bytes_sent, b.server.bytes_sent);
-        let json = a.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"pool_threads\":5"));
-        assert!(json.contains("\"server\":{"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let tree = a.to_json();
+        assert_eq!(tree.get("pool_threads"), Some(&Json::exact(5.0)));
+        let server = tree.get("server").expect("server object");
+        assert!(server.get("connections_accepted").is_some());
+        assert!(server.get("connections_closed").is_none(), "close counters race the teardown");
     }
 
     #[test]

@@ -43,7 +43,9 @@
 //!   TCP connections held on the server's fixed reactor pool while a small
 //!   hot subset streams and queries (`reproduce connscale` emits its
 //!   baseline).
-//! * [`report`] — plain-text table/CSV rendering of the results.
+//! * [`report`] — plain-text table/CSV rendering of the results, and the one
+//!   JSON value tree (typed metric classes, single writer) every baseline
+//!   document is built from.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -72,7 +74,7 @@ pub use lossy::{run_loss_sweep, LossPoint, LossSweepConfig, LossSweepResult};
 pub use metrics::{DeviationStats, RunMetrics};
 pub use net_workload::{run_net_workload, NetWorkloadConfig, NetWorkloadReport};
 pub use protocols::ProtocolKind;
-pub use report::{render_csv, render_json, render_table};
+pub use report::{render_csv, render_json, render_table, Json, Metric, MetricClass};
 pub use runner::{run_protocol, RunConfig};
 pub use scale_workload::{run_scale_workload, ScaleConfig, ScaleReport};
 pub use service_workload::{run_service_workload, QueryMix, WorkloadConfig, WorkloadReport};

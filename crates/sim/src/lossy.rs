@@ -21,6 +21,7 @@
 use crate::degraded::{DegradedChannel, LinkConfig, LinkStats};
 use crate::metrics::DeviationStats;
 use crate::protocols::{ProtocolContext, ProtocolKind};
+use crate::report::Json;
 use crate::runner::{run_protocol, RunConfig};
 use mbdr_core::{Frame, ServerTracker, Update, UpdateKind};
 use mbdr_trace::{Scenario, ScenarioKind, Trace};
@@ -106,58 +107,47 @@ pub struct LossSweepResult {
 }
 
 impl LossSweepResult {
-    /// Renders the sweep as one JSON document (schema `mbdr-wire/1`,
-    /// hand-written like the other baselines), consumed by `reproduce wire`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"mbdr-wire/1\",\"scenario\":\"{}\",\"protocol\":\"{}\",\
-             \"requested_accuracy\":{},\"scale\":{},\"seed\":{},\"updates_sent\":{},\"points\":[",
-            self.scenario,
-            self.protocol,
-            self.requested_accuracy,
-            self.scale,
-            self.seed,
-            self.updates_sent,
-        );
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let l = &p.link;
-            let d = &p.deviation;
-            let overhead = if p.bytes_per_applied_update.is_finite() {
-                format!("{:.1}", p.bytes_per_applied_update)
-            } else {
-                String::from("null")
-            };
-            out.push_str(&format!(
-                "{{\"loss_rate\":{},\"frames_sent\":{},\"frames_dropped\":{},\
-                 \"frames_duplicated\":{},\"frames_reordered\":{},\"frames_delivered\":{},\
-                 \"delivered_out_of_order\":{},\"payload_bytes\":{},\"decode_errors\":{},\
-                 \"updates_applied\":{},\"delivered_ratio\":{:.4},\
-                 \"bytes_per_applied_update\":{},\"deviation\":{{\"samples\":{},\
-                 \"mean_m\":{:.2},\"p95_m\":{:.2},\"max_m\":{:.2},\"bound_violations\":{}}}}}",
-                p.loss_rate,
-                l.frames_sent,
-                l.frames_dropped,
-                l.frames_duplicated,
-                l.frames_reordered,
-                l.frames_delivered,
-                l.delivered_out_of_order,
-                l.payload_bytes,
-                p.decode_errors,
-                p.updates_applied,
-                p.delivered_ratio,
-                overhead,
-                d.samples,
-                d.mean,
-                d.p95,
-                d.max,
-                d.bound_violations,
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The sweep as one JSON document (schema `mbdr-wire/1`), consumed by
+    /// `reproduce wire`. The replay is single-threaded, so every leaf is
+    /// exact.
+    pub fn to_json(&self) -> Json {
+        let point = |p: &LossPoint| {
+            let (l, d) = (&p.link, &p.deviation);
+            Json::object([
+                ("loss_rate", Json::exact(p.loss_rate)),
+                ("frames_sent", Json::exact(l.frames_sent as f64)),
+                ("frames_dropped", Json::exact(l.frames_dropped as f64)),
+                ("frames_duplicated", Json::exact(l.frames_duplicated as f64)),
+                ("frames_reordered", Json::exact(l.frames_reordered as f64)),
+                ("frames_delivered", Json::exact(l.frames_delivered as f64)),
+                ("delivered_out_of_order", Json::exact(l.delivered_out_of_order as f64)),
+                ("payload_bytes", Json::exact(l.payload_bytes as f64)),
+                ("decode_errors", Json::exact(p.decode_errors as f64)),
+                ("updates_applied", Json::exact(p.updates_applied as f64)),
+                ("delivered_ratio", Json::exact(p.delivered_ratio).fixed(4)),
+                ("bytes_per_applied_update", Json::exact(p.bytes_per_applied_update).fixed(1)),
+                (
+                    "deviation",
+                    Json::object([
+                        ("samples", Json::exact(d.samples as f64)),
+                        ("mean_m", Json::exact(d.mean).fixed(2)),
+                        ("p95_m", Json::exact(d.p95).fixed(2)),
+                        ("max_m", Json::exact(d.max).fixed(2)),
+                        ("bound_violations", Json::exact(d.bound_violations as f64)),
+                    ]),
+                ),
+            ])
+        };
+        Json::object([
+            ("schema", Json::str("mbdr-wire/1")),
+            ("scenario", Json::str(&*self.scenario)),
+            ("protocol", Json::str(&*self.protocol)),
+            ("requested_accuracy", Json::exact(self.requested_accuracy)),
+            ("scale", Json::exact(self.scale)),
+            ("seed", Json::exact(self.seed as f64)),
+            ("updates_sent", Json::exact(self.updates_sent as f64)),
+            ("points", Json::array(self.points.iter().map(point))),
+        ])
     }
 }
 
@@ -275,7 +265,7 @@ fn replay_with_link(
         bytes_per_applied_update: if updates_applied > 0 {
             stats.payload_bytes as f64 / updates_applied as f64
         } else {
-            // Undefined when nothing was applied; `to_json` renders null.
+            // Undefined when nothing was applied; the JSON writer prints null.
             f64::NAN
         },
         deviation: DeviationStats::from_samples(deviations, allowance),
@@ -378,12 +368,19 @@ mod tests {
             loss_rates: vec![0.0, 0.3],
             ..LossSweepConfig::default()
         });
-        let json = result.to_json();
-        assert!(json.starts_with("{\"schema\":\"mbdr-wire/1\""));
-        assert!(json.contains("\"loss_rate\":0.3"));
-        assert!(json.contains("\"bytes_per_applied_update\":"));
-        assert!(json.contains("\"deviation\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let tree = result.to_json();
+        assert!(tree.to_string().starts_with("{\"schema\":\"mbdr-wire/1\""));
+        let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[1].get("loss_rate"), Some(&Json::exact(0.3)));
+        assert!(points[1].get("deviation").and_then(|d| d.get("mean_m")).is_some());
+        // The overhead is undefined (NaN) when nothing was applied: the leaf
+        // stays exact and the writer alone turns it into null.
+        let mut nothing_applied = result.clone();
+        nothing_applied.points[0].bytes_per_applied_update = f64::NAN;
+        assert!(nothing_applied
+            .to_json()
+            .to_string()
+            .contains("\"bytes_per_applied_update\":null"));
     }
 }

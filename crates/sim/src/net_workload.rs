@@ -28,6 +28,7 @@
 //! latency as machine-dependent.
 
 use crate::protocols::ProtocolKind;
+use crate::report::Json;
 use crate::service_workload::build_scripts;
 use mbdr_core::Frame;
 use mbdr_geo::{Aabb, Point};
@@ -137,66 +138,51 @@ pub struct NetWorkloadReport {
 }
 
 impl NetWorkloadReport {
-    /// Renders the report as one JSON object (hand-written like the other
-    /// baselines), consumed by `reproduce net`.
-    pub fn to_json(&self) -> String {
-        let s = &self.server;
-        format!(
-            "{{\"objects\":{},\"producer_connections\":{},\"query_connections\":{},\
-             \"frame_batch\":{},\"virtual_duration_s\":{:.1},\"updates_sent\":{},\
-             \"frames_sent\":{},\"updates_applied\":{},\"ingest_wall_s\":{:.4},\
-             \"updates_per_sec\":{:.1},\"queries_issued\":{},\"rect_queries\":{},\
-             \"nearest_queries\":{},\"zone_polls\":{},\"rect_results\":{},\
-             \"nearest_results\":{},\"zone_events\":{},\"query_wall_s\":{:.4},\
-             \"queries_per_sec\":{:.1},\"latency_p50_ms\":{:.3},\"latency_p99_ms\":{:.3},\
-             \"client_bytes_sent\":{},\"server\":{{\"connections_accepted\":{},\
-             \"connections_closed\":{},\"connections_dropped\":{},\"frames_received\":{},\
-             \"updates_applied\":{},\"frame_decode_errors\":{},\"request_decode_errors\":{},\
-             \"oversized_messages\":{},\"queries_answered\":{},\"zone_events_emitted\":{},\
-             \"bytes_received\":{},\"bytes_sent\":{},\"evicted_slow\":{},\
-             \"backpressure_stalls\":{},\"readiness_wakeups\":{},\"spurious_wakeups\":{},\
-             \"register_failures\":{}}}}}",
-            self.objects,
-            self.producer_connections,
-            self.query_connections,
-            self.frame_batch,
-            self.virtual_duration_s,
-            self.updates_sent,
-            self.frames_sent,
-            self.updates_applied,
-            self.ingest_wall_s,
-            self.updates_per_sec,
-            self.queries_issued,
-            self.rect_queries,
-            self.nearest_queries,
-            self.zone_polls,
-            self.rect_results,
-            self.nearest_results,
-            self.zone_events,
-            self.query_wall_s,
-            self.queries_per_sec,
-            self.latency_p50_ms,
-            self.latency_p99_ms,
-            self.client_bytes_sent,
-            s.connections_accepted,
-            s.connections_closed,
-            s.connections_dropped,
-            s.frames_received,
-            s.updates_applied,
-            s.frame_decode_errors,
-            s.request_decode_errors,
-            s.oversized_messages,
-            s.queries_answered,
-            s.zone_events_emitted,
-            s.bytes_received,
-            s.bytes_sent,
-            s.evicted_slow,
-            s.backpressure_stalls,
-            s.readiness_wakeups,
-            s.spurious_wakeups,
-            s.register_failures,
-        )
+    /// The report as one JSON object, consumed by `reproduce net`. The query
+    /// phase runs after every producer flushed and always queries the same
+    /// instant, so the result counts are exact here (unlike the thread-skewed
+    /// in-process workload).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("objects", Json::exact(self.objects as f64)),
+            ("producer_connections", Json::exact(self.producer_connections as f64)),
+            ("query_connections", Json::exact(self.query_connections as f64)),
+            ("frame_batch", Json::exact(self.frame_batch as f64)),
+            ("virtual_duration_s", Json::exact(self.virtual_duration_s).fixed(1)),
+            ("updates_sent", Json::exact(self.updates_sent as f64)),
+            ("frames_sent", Json::exact(self.frames_sent as f64)),
+            ("updates_applied", Json::exact(self.updates_applied as f64)),
+            ("ingest_wall_s", Json::timing(self.ingest_wall_s, 4)),
+            ("updates_per_sec", Json::timing(self.updates_per_sec, 1)),
+            ("queries_issued", Json::exact(self.queries_issued as f64)),
+            ("rect_queries", Json::exact(self.rect_queries as f64)),
+            ("nearest_queries", Json::exact(self.nearest_queries as f64)),
+            ("zone_polls", Json::exact(self.zone_polls as f64)),
+            ("rect_results", Json::exact(self.rect_results as f64)),
+            ("nearest_results", Json::exact(self.nearest_results as f64)),
+            ("zone_events", Json::exact(self.zone_events as f64)),
+            ("query_wall_s", Json::timing(self.query_wall_s, 4)),
+            ("queries_per_sec", Json::timing(self.queries_per_sec, 1)),
+            ("latency_p50_ms", Json::timing(self.latency_p50_ms, 3)),
+            ("latency_p99_ms", Json::timing(self.latency_p99_ms, 3)),
+            ("client_bytes_sent", Json::exact(self.client_bytes_sent as f64)),
+            ("server", server_counters(&self.server, &[])),
+        ])
     }
+}
+
+/// The `server` object of the TCP documents: every [`ServerStatsSnapshot`]
+/// counter not named in `omit`, by iterating its field list. Counts are
+/// exact; the readiness-loop diagnostics (how often a reactor woke, found
+/// nothing to do, or pushed back on ingest) depend on kernel scheduling and
+/// batching, never on the seed, so they are loose.
+pub(crate) fn server_counters(stats: &ServerStatsSnapshot, omit: &[&str]) -> Json {
+    const KERNEL_SCHEDULED: [&str; 3] =
+        ["backpressure_stalls", "readiness_wakeups", "spurious_wakeups"];
+    Json::object(stats.fields().filter(|(name, _)| !omit.contains(name)).map(|(name, count)| {
+        let class = if KERNEL_SCHEDULED.contains(&name) { Json::loose } else { Json::exact };
+        (name, class(count as f64))
+    }))
 }
 
 /// Per-query-connection tallies.
@@ -225,7 +211,7 @@ pub(crate) fn await_clean_closes(server: &mbdr_net::NetServer, expected: u64) {
 }
 
 /// The `q`-th sorted sample (nearest-rank on the closed interval).
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
     }
@@ -465,20 +451,20 @@ mod tests {
 
     #[test]
     fn net_workload_json_is_well_formed() {
-        let report = run_net_workload(&NetWorkloadConfig {
-            objects: 8,
-            producer_connections: 2,
-            query_connections: 2,
-            queries_per_connection: 10,
-            trip_length_m: 300.0,
-            ..NetWorkloadConfig::default()
-        });
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"updates_per_sec\":"));
-        assert!(json.contains("\"latency_p99_ms\":"));
-        assert!(json.contains("\"server\":{"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let report = run_net_workload(&small_config());
+        let tree = report.to_json();
+        // Leaf equality includes the class: pinned-instant result counts are
+        // exact here, rates are timing.
+        assert_eq!(tree.get("rect_results"), Some(&Json::exact(report.rect_results as f64)));
+        assert_eq!(tree.get("updates_per_sec"), Some(&Json::timing(report.updates_per_sec, 1)));
+        // The server object is the counter block's own field list: nothing
+        // can be declared in `ServerStats` and left out of the document.
+        let Some(server @ Json::Obj(fields)) = tree.get("server") else { panic!("server object") };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, report.server.fields().map(|(name, _)| name).collect::<Vec<_>>());
+        let (applied, wakeups) = (report.updates_applied, report.server.readiness_wakeups);
+        assert_eq!(server.get("updates_applied"), Some(&Json::exact(applied as f64)));
+        assert_eq!(server.get("readiness_wakeups"), Some(&Json::loose(wakeups as f64)));
     }
 
     #[test]

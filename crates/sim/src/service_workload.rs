@@ -29,6 +29,7 @@
 
 use crate::fleet::object_scenario;
 use crate::protocols::{ProtocolContext, ProtocolKind};
+use crate::report::Json;
 use crate::runner::{run_protocol, RunConfig};
 use mbdr_core::{Predictor, Update};
 use mbdr_geo::{Aabb, Point};
@@ -183,45 +184,44 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
-    /// Renders the report as one JSON object (hand-written, no serializer
-    /// dependency), consumed by `reproduce throughput` as a perf baseline.
-    pub fn to_json(&self) -> String {
+    /// The report as one JSON object, consumed by `reproduce throughput` as
+    /// a perf baseline. Query threads sample whatever the producers have
+    /// applied so far, so the result counts and the whole `accuracy` object
+    /// depend on thread interleaving and are loose.
+    pub fn to_json(&self) -> Json {
         let a = &self.accuracy;
-        format!(
-            "{{\"objects\":{},\"shards\":{},\"producers\":{},\"query_threads\":{},\
-             \"query_mix\":\"{}\",\"batched_ingest\":{},\"virtual_duration_s\":{:.1},\
-             \"updates_sent\":{},\"updates_applied\":{},\"ingest_wall_s\":{:.4},\
-             \"updates_per_sec\":{:.1},\"queries_issued\":{},\"query_wall_s\":{:.4},\
-             \"queries_per_sec\":{:.1},\"rect_queries\":{},\"nearest_queries\":{},\
-             \"zone_queries\":{},\"rect_results\":{},\"nearest_results\":{},\
-             \"zone_events\":{},\"accuracy\":{{\"samples\":{},\"mean_m\":{:.2},\
-             \"max_m\":{:.2},\"bound_m\":{:.2},\"within_bound\":{}}}}}",
-            self.objects,
-            self.shards,
-            self.producers,
-            self.query_threads,
-            self.query_mix,
-            self.batched_ingest,
-            self.virtual_duration_s,
-            self.updates_sent,
-            self.updates_applied,
-            self.ingest_wall_s,
-            self.updates_per_sec,
-            self.queries_issued,
-            self.query_wall_s,
-            self.queries_per_sec,
-            self.rect_queries,
-            self.nearest_queries,
-            self.zone_queries,
-            self.rect_results,
-            self.nearest_results,
-            self.zone_events,
-            a.samples,
-            a.mean_m,
-            a.max_m,
-            a.bound_m,
-            a.within_bound,
-        )
+        Json::object([
+            ("objects", Json::exact(self.objects as f64)),
+            ("shards", Json::exact(self.shards as f64)),
+            ("producers", Json::exact(self.producers as f64)),
+            ("query_threads", Json::exact(self.query_threads as f64)),
+            ("query_mix", Json::str(&*self.query_mix)),
+            ("batched_ingest", Json::Bool(self.batched_ingest)),
+            ("virtual_duration_s", Json::exact(self.virtual_duration_s).fixed(1)),
+            ("updates_sent", Json::exact(self.updates_sent as f64)),
+            ("updates_applied", Json::exact(self.updates_applied as f64)),
+            ("ingest_wall_s", Json::timing(self.ingest_wall_s, 4)),
+            ("updates_per_sec", Json::timing(self.updates_per_sec, 1)),
+            ("queries_issued", Json::exact(self.queries_issued as f64)),
+            ("query_wall_s", Json::timing(self.query_wall_s, 4)),
+            ("queries_per_sec", Json::timing(self.queries_per_sec, 1)),
+            ("rect_queries", Json::exact(self.rect_queries as f64)),
+            ("nearest_queries", Json::exact(self.nearest_queries as f64)),
+            ("zone_queries", Json::exact(self.zone_queries as f64)),
+            ("rect_results", Json::loose(self.rect_results as f64)),
+            ("nearest_results", Json::loose(self.nearest_results as f64)),
+            ("zone_events", Json::loose(self.zone_events as f64)),
+            (
+                "accuracy",
+                Json::object([
+                    ("samples", Json::loose(a.samples as f64)),
+                    ("mean_m", Json::loose(a.mean_m).fixed(2)),
+                    ("max_m", Json::loose(a.max_m).fixed(2)),
+                    ("bound_m", Json::loose(a.bound_m).fixed(2)),
+                    ("within_bound", Json::loose(a.within_bound as f64)),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -582,12 +582,15 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let report = run_service_workload(&config);
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"updates_per_sec\":"));
-        assert!(json.contains("\"queries_per_sec\":"));
-        assert!(json.contains("\"query_mix\":\"rect4:near1:zone1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let tree = report.to_json();
+        assert_eq!(tree.get("query_mix"), Some(&Json::str("rect4:near1:zone1")));
+        // Leaf equality includes the class: query counts are exact, but what
+        // the racing query threads saw is loose here.
+        assert_eq!(tree.get("rect_queries"), Some(&Json::exact(report.rect_queries as f64)));
+        assert_eq!(tree.get("rect_results"), Some(&Json::loose(report.rect_results as f64)));
+        assert_eq!(tree.get("queries_per_sec"), Some(&Json::timing(report.queries_per_sec, 1)));
+        let bound = Json::loose(report.accuracy.bound_m).fixed(2);
+        assert_eq!(tree.get("accuracy").and_then(|a| a.get("bound_m")), Some(&bound));
     }
 
     #[test]
@@ -609,7 +612,7 @@ mod tests {
         assert_eq!(batched.updates_sent, per_update.updates_sent);
         assert_eq!(batched.updates_applied, batched.updates_sent);
         assert_eq!(per_update.updates_applied, per_update.updates_sent);
-        assert!(batched.to_json().contains("\"batched_ingest\":true"));
+        assert_eq!(batched.to_json().get("batched_ingest"), Some(&Json::Bool(true)));
         // The accuracy bound holds under batched ingest too.
         assert!(
             batched.accuracy.within_bound as f64 >= batched.accuracy.samples as f64 * 0.95,

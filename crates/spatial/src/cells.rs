@@ -1,7 +1,6 @@
-//! Cache-conscious cell storage shared by the grid indexes.
+//! Cache-conscious cell storage behind [`MovingIndex`](crate::MovingIndex).
 //!
-//! Both [`GridIndex`](crate::GridIndex) and [`MovingIndex`](crate::MovingIndex)
-//! map grid-cell coordinates to per-cell candidate lists. A
+//! The index maps grid-cell coordinates to per-cell candidate lists. A
 //! `HashMap<(i64, i64), Vec<_>>` does that with one heap allocation per
 //! occupied cell and a SipHash invocation per probe — at 10⁵–10⁶ objects the
 //! query path spends its time pointer-chasing. This module replaces it with:
@@ -171,14 +170,6 @@ impl<P: Copy + Default> CellTable<P> {
         self.slots.iter().filter(|s| s.state == SlotState::Live).map(|s| (s.coord, &s.payload))
     }
 
-    /// Iterates over the live cells in slot order, payloads mutable.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = ((i64, i64), &mut P)> {
-        self.slots
-            .iter_mut()
-            .filter(|s| s.state == SlotState::Live)
-            .map(|s| (s.coord, &mut s.payload))
-    }
-
     /// Grows (and drops tombstones) when live + tombstones would pass 3/4 of
     /// capacity — the probe-length guarantee of linear probing.
     fn reserve_one(&mut self) {
@@ -225,8 +216,6 @@ pub struct SeenScratch {
     inspected: u64,
     /// Candidates accepted (first visits — the unique candidate count).
     unique: u64,
-    /// Reusable id buffer for the sorted-output query forms.
-    pub(crate) ids: Vec<u32>,
 }
 
 impl SeenScratch {

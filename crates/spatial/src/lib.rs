@@ -5,18 +5,16 @@
 //! (Section 3). This crate provides that substrate, built from scratch on top
 //! of [`mbdr_geo`]:
 //!
-//! * [`GridIndex`] — a uniform grid (spatial hash). Simple, very fast to build
-//!   and ideal for the repeated small-radius "which links are within `u_m` of
-//!   me?" queries the map matcher issues every second.
 //! * [`RTree`] — a bulk-loaded STR (Sort-Tile-Recursive) R-tree with range and
-//!   (k-)nearest-neighbour queries. Used for larger maps and for the
-//!   location-service queries (range, nearest taxi).
-//! * [`MovingIndex`] — a keyed grid index whose entries can be moved and
-//!   removed after insertion; the location service maintains one per shard to
-//!   keep its range/nearest queries index-pruned while objects move.
-//! * [`SpatialIndex`] — the common query trait, so the map matcher and the
-//!   location service are index-agnostic (and the benchmarks can compare the
-//!   implementations).
+//!   (k-)nearest-neighbour queries. Build-once: it indexes the static map
+//!   geometry (`mbdr_roadnet`'s `LinkLocator` answers the map matcher's
+//!   "which links are within `u_m` of me?" query through it).
+//! * [`MovingIndex`] — a keyed uniform-grid index whose entries can be moved
+//!   and removed after insertion; the location service maintains one per
+//!   shard to keep its range/nearest queries index-pruned while objects move.
+//! * [`SpatialIndex`] — the common query trait, so callers are index-agnostic
+//!   (and the equivalence tests hold both implementations to one brute-force
+//!   oracle).
 //!
 //! Entries are `(Aabb, T)` pairs; the caller decides what the payload `T` is
 //! (a link id, an object id, …) and how precise the final distance filter must
@@ -27,12 +25,10 @@
 #![deny(unsafe_code)]
 
 pub mod cells;
-pub mod grid;
 pub mod moving;
 pub mod rtree;
 
 pub use cells::SeenScratch;
-pub use grid::GridIndex;
 pub use moving::MovingIndex;
 pub use rtree::RTree;
 

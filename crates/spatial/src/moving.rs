@@ -1,12 +1,11 @@
 //! A keyed, incrementally-updatable grid index for moving objects.
 //!
-//! [`GridIndex`](crate::GridIndex) and [`RTree`](crate::RTree) are build-once
-//! structures: perfect for static map geometry, useless for a store whose
-//! entries (tracked objects) move on every update. [`MovingIndex`] fills that
-//! gap: the same uniform-grid cell structure, but entries are addressed by a
-//! caller-chosen key and can be inserted, moved and removed in O(cells per
-//! entry) — the operation the location service performs on every ingested
-//! position update.
+//! [`RTree`](crate::RTree) is a build-once structure: perfect for static map
+//! geometry, useless for a store whose entries (tracked objects) move on
+//! every update. [`MovingIndex`] fills that gap: a uniform grid of cells
+//! whose entries are addressed by a caller-chosen key and can be inserted,
+//! moved and removed in O(cells per entry) — the operation the location
+//! service performs on every ingested position update.
 //!
 //! ## Storage layout
 //!
@@ -32,7 +31,7 @@
 //! the allocator zero times — the property the `hotpath` benchmark gate pins.
 //!
 //! Queries go through the common [`SpatialIndex`] trait, so the service stays
-//! index-agnostic and the equivalence property tests cover all three
+//! index-agnostic and the equivalence property tests cover both
 //! implementations with the same brute-force oracle.
 
 use crate::cells::CellTable;

@@ -1,10 +1,10 @@
-//! Property tests: all spatial indexes must agree with brute force — and,
+//! Property tests: both spatial indexes must agree with brute force — and,
 //! therefore, with each other. The location service relies on this
 //! index-agnostic guarantee: its sharded store answers queries through a
 //! spatial index but must return exactly what a full scan would.
 
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{GridIndex, MovingIndex, RTree, SpatialIndex};
+use mbdr_spatial::{MovingIndex, RTree, SpatialIndex};
 use proptest::prelude::*;
 
 fn arb_box() -> impl Strategy<Value = Aabb> {
@@ -42,19 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn grid_rect_query_equals_brute_force(
-        boxes in proptest::collection::vec(arb_box(), 1..200),
-        query in arb_box(),
-        cell in 10.0..500.0f64
-    ) {
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let grid = GridIndex::bulk_load(cell, items.clone());
-        let mut got: Vec<usize> = grid.query_rect(&query).iter().map(|e| e.item).collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_rect(&items, &query));
-    }
-
-    #[test]
     fn rtree_nearest_distances_equal_brute_force(
         boxes in proptest::collection::vec(arb_box(), 1..150),
         px in -3_000.0..3_000.0f64,
@@ -69,64 +56,6 @@ proptest! {
         prop_assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(expected.iter()) {
             prop_assert!((g - e).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn grid_nearest_distances_equal_brute_force(
-        boxes in proptest::collection::vec(arb_box(), 1..100),
-        px in -3_000.0..3_000.0f64,
-        py in -3_000.0..3_000.0f64,
-        k in 1usize..6,
-        cell in 20.0..400.0f64
-    ) {
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let grid = GridIndex::bulk_load(cell, items.clone());
-        let p = Point::new(px, py);
-        let expected = brute_nearest(&items, &p, k);
-        let got: Vec<f64> = grid.nearest(&p, k).iter().map(|n| n.distance).collect();
-        prop_assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(expected.iter()) {
-            prop_assert!((g - e).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn grid_and_rtree_return_identical_rect_result_sets(
-        boxes in proptest::collection::vec(arb_box(), 1..200),
-        query in arb_box(),
-        cell in 10.0..500.0f64
-    ) {
-        // Direct cross-index equality (not just each-vs-brute-force): the
-        // exact guarantee the index-backed location service relies on.
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::bulk_load(items.clone());
-        let grid = GridIndex::bulk_load(cell, items);
-        let mut a: Vec<usize> = tree.query_rect(&query).iter().map(|e| e.item).collect();
-        let mut b: Vec<usize> = grid.query_rect(&query).iter().map(|e| e.item).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn grid_and_rtree_nearest_distances_are_identical(
-        boxes in proptest::collection::vec(arb_box(), 1..100),
-        px in -3_000.0..3_000.0f64,
-        py in -3_000.0..3_000.0f64,
-        k in 1usize..8
-    ) {
-        // Nearest-k result sets can legitimately differ on exact distance
-        // ties, so the cross-index guarantee is on the distance sequence.
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::bulk_load(items.clone());
-        let grid = GridIndex::bulk_load(75.0, items);
-        let p = Point::new(px, py);
-        let a: Vec<f64> = tree.nearest(&p, k).iter().map(|n| n.distance).collect();
-        let b: Vec<f64> = grid.nearest(&p, k).iter().map(|n| n.distance).collect();
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert!((x - y).abs() < 1e-6, "distance mismatch: {} vs {}", x, y);
         }
     }
 
@@ -192,10 +121,13 @@ proptest! {
     ) {
         let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
         let tree = RTree::bulk_load(items.clone());
-        let grid = GridIndex::bulk_load(100.0, items);
+        let mut moving: MovingIndex<usize> = MovingIndex::new(100.0);
+        for (bbox, key) in items {
+            moving.insert(key, bbox);
+        }
         let p = Point::new(px, py);
         let mut a: Vec<usize> = tree.query_within(&p, radius).iter().map(|e| e.item).collect();
-        let mut b: Vec<usize> = grid.query_within(&p, radius).iter().map(|e| e.item).collect();
+        let mut b: Vec<usize> = moving.query_within(&p, radius).iter().map(|e| e.item).collect();
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
