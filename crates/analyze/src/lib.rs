@@ -100,7 +100,7 @@ impl AnalyzeConfig {
         let manifest_path = root.join(HOTPATH_MANIFEST);
         let manifest = load_hotpath_manifest(&manifest_path)?;
         Ok(AnalyzeConfig {
-            unsafe_boundary: vec!["crates/net/src/sys/".into()],
+            unsafe_boundary: vec!["crates/net/src/sys/epoll.rs".into()],
             panic_free: vec![
                 "crates/core/src/wire/".into(),
                 "crates/journal/src/".into(),

@@ -1,5 +1,5 @@
 //! unsafe-confinement: `unsafe` tokens may appear only under the configured
-//! boundary (`crates/net/src/sys/` — the raw-syscall wrappers), and every
+//! boundary (`crates/net/src/sys/epoll.rs` — the raw-syscall wrappers), and every
 //! `unsafe` site, inside or outside, must carry a `// SAFETY:` comment on
 //! its line or within the four lines above. Outside the boundary an escape
 //! hatch with a reason is additionally required.

@@ -110,6 +110,11 @@ fn the_real_tree_is_clean_under_the_committed_config() {
     let root = find_workspace_root(manifest_dir).expect("workspace root above crates/analyze");
     let config = AnalyzeConfig::mbdr(&root).expect("committed config loads");
     assert!(!config.hotpath_manifest.is_empty(), "hotpath manifest must not be empty");
+    assert_eq!(
+        config.unsafe_boundary,
+        ["crates/net/src/sys/epoll.rs"],
+        "one file, so `unsafe` in sys/mod.rs is a finding"
+    );
     let diagnostics = analyze_workspace(&root, &config).expect("analyze the real tree");
     let rendered: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(

@@ -5,9 +5,9 @@
 //! the headline reduction percentages, [`updates_along_route`] reproduces the
 //! Fig. 3 / Fig. 6 comparison (where along the route each protocol had to send
 //! an update), and [`ablations`] runs the additional design-choice studies
-//! DESIGN.md lists. The `reproduce` binary is a thin CLI over these functions,
-//! and the Criterion benches reuse them at reduced scale. Beyond the paper's
-//! artefacts, [`throughput`] sweeps the concurrent fleet workload over the
+//! DESIGN.md lists. The `reproduce` binary is a thin CLI over these functions.
+//! Beyond the paper's artefacts, [`throughput`] sweeps the concurrent fleet
+//! workload over the
 //! sharded location service (objects × shards × query mix) as the service's
 //! perf baseline, [`wire`] sweeps the lossy-uplink channel model over loss
 //! rates as the wire protocol's accuracy/overhead baseline, and [`netbase`]
@@ -264,6 +264,15 @@ mod tests {
         for row in &rows {
             assert!(row.stats.length_km > 0.0);
             assert!(row.stats.max_speed_kmh >= row.stats.average_speed_kmh);
+        }
+    }
+
+    #[test]
+    fn ablations_run_the_three_studies() {
+        let results = ablations(0.03, DEFAULT_SEED);
+        assert_eq!(results.len(), 3);
+        for (ablation, protocols) in results.iter().zip([5, 4, 5]) {
+            assert_eq!(ablation.result.points.len(), protocols * 3, "{}", ablation.name);
         }
     }
 

@@ -2,12 +2,11 @@
 //! [`mbdr_sim::scale_workload`] grid over N × {uniform, hotspot}, emitted as
 //! JSON and gated against `baselines/BENCH_scale.json`.
 //!
-//! The committed baseline runs the CI-sized axis (N up to 10⁵ at
-//! `--scale 1.0`); the criterion bench (`benches/scale_bench.rs`) carries
-//! the 10⁶ point for local runs. Result counts, occupancy diagnostics and
-//! the candidate-dedup counters are single-threaded and seed-determined, so
-//! the gate compares them strictly; wall clocks and throughputs ride along
-//! as machine-dependent sanity checks.
+//! The committed baseline runs N up to 10⁵ at `--scale 1.0`, the largest
+//! fleet any gate or benchmark workload uses. Result counts, occupancy
+//! diagnostics and the candidate-dedup counters are single-threaded and
+//! seed-determined, so the gate compares them strictly; wall clocks and
+//! throughputs ride along as machine-dependent sanity checks.
 
 use mbdr_sim::{run_scale_workload, Json, ScaleConfig, ScaleReport};
 

@@ -174,17 +174,6 @@ impl Request {
         }
     }
 
-    /// Like [`Request::decode`], but takes ownership of the buffer so an
-    /// ingest payload is carved out with a copyless `split_off` instead of
-    /// being copied — the server-side counterpart of
-    /// [`Request::encode_ingest`] on the per-frame hot path.
-    pub fn decode_owned(mut bytes: Vec<u8>) -> Result<Request, DecodeError> {
-        if bytes.first() == Some(&REQ_INGEST) {
-            return Ok(Request::Ingest(bytes.split_off(1)));
-        }
-        Self::decode(&bytes)
-    }
-
     /// Decodes a request from exactly `bytes`. Ingest frame payloads are
     /// *not* parsed here (the apply path validates them); everything else is
     /// fully validated, including finiteness of every float.
@@ -646,21 +635,6 @@ mod tests {
             let bytes = request.encode();
             assert_eq!(Request::decode(&bytes).unwrap(), request, "{request:?}");
         }
-    }
-
-    #[test]
-    fn decode_owned_agrees_with_decode_for_every_request() {
-        for request in sample_requests() {
-            let bytes = request.encode();
-            assert_eq!(
-                Request::decode_owned(bytes.clone()).unwrap(),
-                Request::decode(&bytes).unwrap(),
-                "{request:?}"
-            );
-        }
-        // And for garbage, both report the same typed error.
-        assert_eq!(Request::decode_owned(vec![0x7F]), Request::decode(&[0x7F]));
-        assert_eq!(Request::decode_owned(Vec::new()), Request::decode(&[]));
     }
 
     #[test]

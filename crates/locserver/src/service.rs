@@ -12,7 +12,7 @@ use crate::config::ServiceConfig;
 use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
 use crate::shard::{CandidateScratch, Shard};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
-use mbdr_core::{DecodeError, Frame, FrameView, HealthStatus, Predictor, Update};
+use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
 use serde::{Deserialize, Serialize};
@@ -217,19 +217,6 @@ impl LocationService {
             run_start = run_end;
         }
         applied
-    }
-
-    /// Ingests one decoded wire [`Frame`]: all of its updates belong to the
-    /// source object `ObjectId(frame.source)`, which lives on one shard, so
-    /// the whole frame costs a single write-lock acquisition. Returns the
-    /// number of updates applied (0 when the object is not registered).
-    pub fn apply_frame(&self, frame: &Frame) -> usize {
-        if frame.updates.is_empty() {
-            return 0;
-        }
-        let object = ObjectId(frame.source);
-        self.shard_of(object)
-            .write(|s| frame.updates.iter().filter(|u| s.apply_update(object, u)).count())
     }
 
     /// Decodes an encoded frame straight off the wire and ingests it — the

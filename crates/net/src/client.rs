@@ -52,6 +52,7 @@ pub struct NetClient {
     config: ClientConfig,
     max_message_bytes: u32,
     bytes_sent: u64,
+    bytes_received: u64,
     /// Highest update sequence observed in frames sent on this client
     /// (across reconnects), so a reconnect can resume above everything the
     /// old connection may have applied.
@@ -103,6 +104,7 @@ impl NetClient {
             config,
             max_message_bytes,
             bytes_sent: 0,
+            bytes_received: 0,
             max_sequence_sent: 0,
             send_buf: Vec::new(),
             recv_buf: Vec::new(),
@@ -162,6 +164,13 @@ impl NetClient {
     /// Bytes this client has put on the wire (length prefixes included).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
+    }
+
+    /// Bytes of complete responses this client has read off the wire (length
+    /// prefixes included) — what the server's `bytes_sent` counter reaches
+    /// once its write accounting for those responses has run.
+    pub fn bytes_received(&self) -> u64 {
+        self.bytes_received
     }
 
     /// Sends one update frame. Fire-and-forget: the server queues the frame
@@ -283,9 +292,7 @@ impl NetClient {
         out: &mut Vec<PositionRecord>,
     ) -> Result<(), NetError> {
         self.send(request)?;
-        if !read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)? {
-            return Err(NetError::Closed);
-        }
+        self.read_response()?;
         match decode_positions_into(&self.recv_buf, out) {
             Ok(()) => Ok(()),
             // Not a positions response: fall back to the full decoder so
@@ -324,12 +331,18 @@ impl NetClient {
         Ok(())
     }
 
-    fn receive(&mut self) -> Result<Response, NetError> {
-        if read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)? {
-            Ok(Response::decode(&self.recv_buf)?)
-        } else {
-            Err(NetError::Closed)
+    /// Reads one response body into `recv_buf`.
+    fn read_response(&mut self) -> Result<(), NetError> {
+        if !read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)? {
+            return Err(NetError::Closed);
         }
+        self.bytes_received += 4 + self.recv_buf.len() as u64;
+        Ok(())
+    }
+
+    fn receive(&mut self) -> Result<Response, NetError> {
+        self.read_response()?;
+        Ok(Response::decode(&self.recv_buf)?)
     }
 }
 

@@ -4,8 +4,8 @@
 //! between moving hosts and a location server — this crate puts the verified
 //! wire codec of `mbdr_core::wire` on real sockets. It is std-only (no
 //! external dependencies): an event-driven [`NetServer`] multiplexes every
-//! connection over a **fixed** thread pool (nonblocking sockets on a
-//! readiness loop — epoll on Linux, `poll(2)` elsewhere), parses
+//! connection over a **fixed** thread pool (nonblocking sockets on an
+//! epoll readiness loop), parses
 //! length-prefixed update [`Frame`](mbdr_core::Frame)s incrementally, feeds
 //! them to
 //! [`LocationService::apply_frame_bytes`](mbdr_locserver::LocationService::apply_frame_bytes)
@@ -19,8 +19,11 @@
 //! * [`NetServer`] / [`ServerConfig`] — accept thread, reactor pool,
 //!   bounded ingest queues, backpressure and slow-client eviction, flush
 //!   barrier (see [`server`] for the model).
-//! * [`sys`] — the readiness backends ([`PollerBackend`]), the one place in
-//!   the workspace with `unsafe` code.
+//! * `sys` (private) — the epoll readiness poller; `sys/epoll.rs` is the one
+//!   file on the serving path with `unsafe` code. The server side is
+//!   therefore **Linux-only**: on any other target [`NetServer::bind`]
+//!   returns [`std::io::ErrorKind::Unsupported`], while [`NetClient`] works
+//!   everywhere.
 //! * [`NetClient`] / [`ClientConfig`] / [`FlushSummary`] — one blocking
 //!   connection, with optional connect/read timeouts, plus
 //!   [`RetryPolicy`]-backed connect/reconnect for servers that restart.
@@ -43,8 +46,7 @@ mod reactor;
 pub mod retry;
 pub mod server;
 pub mod stats;
-#[allow(unsafe_code)]
-pub mod sys;
+mod sys;
 pub mod transport;
 
 pub use client::{ClientConfig, FlushSummary, NetClient};
@@ -52,7 +54,6 @@ pub use error::NetError;
 pub use retry::RetryPolicy;
 pub use server::{NetServer, ServerConfig};
 pub use stats::{ServerStats, ServerStatsSnapshot};
-pub use sys::PollerBackend;
 
 #[cfg(test)]
 mod tests {
@@ -109,6 +110,7 @@ mod tests {
         assert!(events[0].entered);
         assert!(client.poll_zones(2.0).expect("second poll").is_empty(), "no transition");
 
+        let (client_sent, client_received) = (client.bytes_sent(), client.bytes_received());
         drop(client);
         let stats = server.shutdown();
         assert_eq!(stats.connections_accepted, 1);
@@ -118,7 +120,9 @@ mod tests {
         assert_eq!(stats.updates_applied, 3);
         assert_eq!(stats.queries_answered, 4, "rect + nearest + two polls");
         assert_eq!(stats.zone_events_emitted, 1);
-        assert!(stats.bytes_received > 0 && stats.bytes_sent > 0);
+        assert!(client_sent > 0 && client_received > 0);
+        assert_eq!(stats.bytes_received, client_sent, "both ends count the same request bytes");
+        assert_eq!(stats.bytes_sent, client_received, "both ends count the same response bytes");
     }
 
     #[test]

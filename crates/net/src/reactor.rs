@@ -342,9 +342,9 @@ pub(crate) struct Reactor {
 }
 
 /// Builds a reactor's poller with its waker already registered.
-pub(crate) fn new_poller(config: &ServerConfig) -> std::io::Result<(Poller, Waker, WakeReceiver)> {
+pub(crate) fn new_poller() -> std::io::Result<(Poller, Waker, WakeReceiver)> {
     let (waker, wake_rx) = sys::waker_pair()?;
-    let mut poller = Poller::new(config.backend)?;
+    let mut poller = Poller::new()?;
     poller.register(wake_rx.fd(), WAKER_TOKEN, Interest::READ)?;
     Ok((poller, waker, wake_rx))
 }

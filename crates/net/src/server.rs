@@ -3,8 +3,8 @@
 //! ## Thread model
 //!
 //! The pool is **fixed**: one accept thread, `reactor_workers` reactor
-//! threads multiplexing every connection over nonblocking sockets (epoll on
-//! Linux, `poll(2)` elsewhere — see [`crate::sys`]), and `ingest_workers`
+//! threads multiplexing every connection over nonblocking sockets (epoll —
+//! the server side is Linux-only, see the crate docs), and `ingest_workers`
 //! threads applying frames to the service. Ten connections or ten thousand,
 //! the thread count does not move; per-connection cost is a socket, a
 //! registration and a state machine (see the private `reactor` module).
@@ -57,7 +57,6 @@ use crate::reactor::{
     ingest_worker, locked, new_poller, IngestJob, NewConn, Reactor, ReactorShared,
 };
 use crate::stats::{ServerStats, ServerStatsSnapshot};
-use crate::sys::PollerBackend;
 use crate::transport::DEFAULT_MAX_MESSAGE_BYTES;
 use mbdr_journal::{Journal, JournalConfig};
 use mbdr_locserver::{recover_and_attach, IndexStats, LocationService, RecoveryReport};
@@ -106,8 +105,6 @@ pub struct ServerConfig {
     /// Admission cap: connections accepted while this many are already
     /// registered are refused at accept time (`register_failures`).
     pub max_connections: usize,
-    /// Which readiness backend the reactors use.
-    pub backend: PollerBackend,
 }
 
 impl Default for ServerConfig {
@@ -120,7 +117,6 @@ impl Default for ServerConfig {
             max_outbound_bytes: 256 * 1024,
             write_stall_budget: Duration::from_secs(5),
             max_connections: 16 * 1024,
-            backend: PollerBackend::Auto,
         }
     }
 }
@@ -171,7 +167,7 @@ impl NetServer {
         let mut pollers = Vec::with_capacity(n_reactors);
         let mut reactor_shareds = Vec::with_capacity(n_reactors);
         for _ in 0..n_reactors {
-            let (poller, waker, wake_rx) = new_poller(&config)?;
+            let (poller, waker, wake_rx) = new_poller()?;
             pollers.push((poller, wake_rx));
             reactor_shareds.push(Arc::new(ReactorShared {
                 incoming: Mutex::new(Vec::new()),

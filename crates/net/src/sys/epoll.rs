@@ -1,8 +1,8 @@
-//! The Linux epoll backend: raw-syscall wrappers around `epoll_create1` /
+//! The Linux epoll poller: raw-syscall wrappers around `epoll_create1` /
 //! `epoll_ctl` / `epoll_wait`, declared against the C library std already
 //! links. Level-triggered (the reactor re-arms nothing), O(ready) per wait.
 
-use super::unix_impl::timeout_ms;
+use super::linux_impl::timeout_ms;
 use super::{Event, Interest};
 use std::ffi::c_int;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -50,13 +50,13 @@ fn interest_bits(interest: Interest) -> u32 {
 }
 
 /// One epoll instance plus its reusable kernel-facing event buffer.
-pub(crate) struct EpollPoller {
+pub(crate) struct Poller {
     epfd: OwnedFd,
     buf: Vec<EpollEvent>,
 }
 
-impl EpollPoller {
-    pub(crate) fn new() -> std::io::Result<EpollPoller> {
+impl Poller {
+    pub(crate) fn new() -> std::io::Result<Poller> {
         // SAFETY: epoll_create1 takes no pointers; a negative return is an
         // error, otherwise the fd is owned here (and closed by OwnedFd).
         #[allow(unsafe_code)]
@@ -68,7 +68,7 @@ impl EpollPoller {
         // nothing else.
         #[allow(unsafe_code)]
         let epfd = unsafe { OwnedFd::from_raw_fd(raw) };
-        Ok(EpollPoller { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 1024] })
+        Ok(Poller { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 1024] })
     }
 
     fn ctl(&mut self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> std::io::Result<()> {
@@ -108,11 +108,14 @@ impl EpollPoller {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, Interest { readable: false, writable: false });
     }
 
+    /// Blocks until readiness or `timeout`, appending into `events`
+    /// (cleared first). A signal (`EINTR`) returns an empty set.
     pub(crate) fn wait(
         &mut self,
         events: &mut Vec<Event>,
         timeout: Option<Duration>,
     ) -> std::io::Result<()> {
+        events.clear();
         // SAFETY: the buffer pointer/len pair is valid for the whole call;
         // the kernel writes at most `maxevents` entries.
         #[allow(unsafe_code)]

@@ -1,49 +1,25 @@
-//! Readiness multiplexing over the raw OS interfaces — the only place in
-//! the workspace that contains `unsafe` code.
-//!
-//! ## The epoll / poll split
+//! Readiness multiplexing over the raw OS interface — [`epoll.rs`](self) is
+//! the only file on the workspace's serving path that contains `unsafe` code.
 //!
 //! The reactor needs one primitive: "block until any of these sockets is
 //! readable or writable". The std library deliberately does not expose one,
-//! so this module declares the two classic C entry points itself (the C
-//! library is already linked by std — no new dependency):
+//! so `epoll.rs` declares the Linux entry points itself (the C library is
+//! already linked by std — no new dependency). Registration is a syscall
+//! per change (`epoll_ctl`), waiting is O(ready) (`epoll_wait`), so
+//! thousands of mostly-idle connections cost nothing per wakeup.
 //!
-//! * **epoll** ([`epoll.rs`](self)) — Linux only. Registration is a syscall
-//!   per change (`epoll_ctl`), waiting is O(ready) (`epoll_wait`), so
-//!   thousands of mostly-idle connections cost nothing per wakeup. This is
-//!   the backend the high-connection baseline gate measures.
-//! * **poll** ([`poll.rs`](self)) — the portable POSIX fallback. The fd set
-//!   is rebuilt and handed to the kernel on every call, so waiting is
-//!   O(registered); correct everywhere, cheap only for small sets. It also
-//!   keeps the reactor testable as a second implementation of the same
-//!   contract on Linux.
-//!
-//! Everything unsafe is confined to the two backend files: the rest of the
-//! crate sees only `Poller` (register / reregister / deregister / wait
-//! with a token per fd), `Event` (token + readable/writable bits, with
-//! error and hangup conditions folded into both so the read/write paths
-//! discover them as EOF or `EPIPE`), and `Waker` (a nonblocking
-//! `UnixStream` pair for cross-thread wakeups — no raw pipe syscalls
-//! needed). On non-Unix targets the module compiles to stubs that fail at
-//! `NetServer::bind` time with [`std::io::ErrorKind::Unsupported`]; the
-//! blocking [`crate::NetClient`] keeps working everywhere.
+//! **The server side is Linux-only.** The rest of the crate sees only
+//! `Poller` (register / reregister / deregister / wait with a token per
+//! fd), `Event` (token + readable/writable bits, with error and hangup
+//! conditions folded into both so the read/write paths discover them as
+//! EOF or `EPIPE`), and `Waker` (a nonblocking `UnixStream` pair for
+//! cross-thread wakeups — no raw pipe syscalls needed). On every other
+//! target the module compiles to stubs that fail at `NetServer::bind` time
+//! with [`std::io::ErrorKind::Unsupported`]; the blocking
+//! [`crate::NetClient`] keeps working everywhere.
 
 #[cfg(target_os = "linux")]
 mod epoll;
-#[cfg(unix)]
-mod poll;
-
-/// Which readiness backend a [`crate::NetServer`]'s reactors use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerBackend {
-    /// epoll on Linux, poll elsewhere — the right choice outside tests.
-    #[default]
-    Auto,
-    /// Force epoll; `NetServer::bind` fails off Linux.
-    Epoll,
-    /// Force the portable poll fallback (O(registered) per wait).
-    Poll,
-}
 
 /// Readiness interest for one registered socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +46,16 @@ pub(crate) struct Event {
     pub writable: bool,
 }
 
-#[cfg(unix)]
-pub(crate) use unix_impl::{stream_fd, Poller, SysFd, WakeReceiver, Waker};
+#[cfg(target_os = "linux")]
+pub(crate) use epoll::Poller;
+#[cfg(target_os = "linux")]
+pub(crate) use linux_impl::{stream_fd, waker_pair, SysFd, WakeReceiver, Waker};
 
-#[cfg(not(unix))]
-pub(crate) use stub_impl::{stream_fd, Poller, SysFd, WakeReceiver, Waker};
+#[cfg(not(target_os = "linux"))]
+pub(crate) use stub_impl::{stream_fd, waker_pair, Poller, SysFd, WakeReceiver, Waker};
 
-#[cfg(unix)]
-mod unix_impl {
-    use super::{Event, Interest, PollerBackend};
+#[cfg(target_os = "linux")]
+mod linux_impl {
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, RawFd};
@@ -93,82 +70,8 @@ mod unix_impl {
         stream.as_raw_fd()
     }
 
-    /// A readiness multiplexer: epoll on Linux, poll as the portable
-    /// fallback (see the module docs for the contract and the split).
-    pub(crate) enum Poller {
-        #[cfg(target_os = "linux")]
-        Epoll(super::epoll::EpollPoller),
-        Poll(super::poll::PollPoller),
-    }
-
-    impl Poller {
-        pub(crate) fn new(backend: PollerBackend) -> std::io::Result<Poller> {
-            match backend {
-                #[cfg(target_os = "linux")]
-                PollerBackend::Auto | PollerBackend::Epoll => {
-                    Ok(Poller::Epoll(super::epoll::EpollPoller::new()?))
-                }
-                #[cfg(not(target_os = "linux"))]
-                PollerBackend::Epoll => Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "epoll is Linux-only; use PollerBackend::Auto or Poll",
-                )),
-                _ => Ok(Poller::Poll(super::poll::PollPoller::new())),
-            }
-        }
-
-        pub(crate) fn register(
-            &mut self,
-            fd: SysFd,
-            token: u64,
-            interest: Interest,
-        ) -> std::io::Result<()> {
-            match self {
-                #[cfg(target_os = "linux")]
-                Poller::Epoll(p) => p.register(fd, token, interest),
-                Poller::Poll(p) => p.register(fd, token, interest),
-            }
-        }
-
-        pub(crate) fn reregister(
-            &mut self,
-            fd: SysFd,
-            token: u64,
-            interest: Interest,
-        ) -> std::io::Result<()> {
-            match self {
-                #[cfg(target_os = "linux")]
-                Poller::Epoll(p) => p.reregister(fd, token, interest),
-                Poller::Poll(p) => p.reregister(fd, token, interest),
-            }
-        }
-
-        pub(crate) fn deregister(&mut self, fd: SysFd) {
-            match self {
-                #[cfg(target_os = "linux")]
-                Poller::Epoll(p) => p.deregister(fd),
-                Poller::Poll(p) => p.deregister(fd),
-            }
-        }
-
-        /// Blocks until readiness or `timeout`, appending into `events`
-        /// (cleared first). A signal (`EINTR`) returns an empty set.
-        pub(crate) fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()> {
-            events.clear();
-            match self {
-                #[cfg(target_os = "linux")]
-                Poller::Epoll(p) => p.wait(events, timeout),
-                Poller::Poll(p) => p.wait(events, timeout),
-            }
-        }
-    }
-
-    /// Converts an optional timeout to the millisecond argument both
-    /// backends take: `-1` blocks, sub-millisecond waits round *up* so a
+    /// Converts an optional timeout to the millisecond argument
+    /// `epoll_wait` takes: `-1` blocks, sub-millisecond waits round *up* so a
     /// 200 µs retry tick cannot spin at 0 ms.
     pub(super) fn timeout_ms(timeout: Option<Duration>) -> i32 {
         match timeout {
@@ -185,8 +88,8 @@ mod unix_impl {
     }
 
     /// The sending half of a cross-thread wakeup channel: writing one byte
-    /// makes the owning reactor's [`Poller::wait`] return. Nonblocking, so
-    /// a full pipe (wakeup already pending) is success, not a stall.
+    /// makes the owning reactor's [`super::Poller::wait`] return. Nonblocking,
+    /// so a full pipe (wakeup already pending) is success, not a stall.
     pub(crate) struct Waker {
         tx: UnixStream,
     }
@@ -227,15 +130,9 @@ mod unix_impl {
     }
 }
 
-#[cfg(unix)]
-pub(crate) use unix_impl::waker_pair;
-
-#[cfg(not(unix))]
-pub(crate) use stub_impl::waker_pair;
-
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 mod stub_impl {
-    use super::{Event, Interest, PollerBackend};
+    use super::{Event, Interest};
     use std::net::TcpStream;
     use std::time::Duration;
 
@@ -248,16 +145,16 @@ mod stub_impl {
     fn unsupported() -> std::io::Error {
         std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "the mbdr-net reactor requires a Unix readiness backend (epoll or poll)",
+            "the mbdr-net reactor requires Linux epoll",
         )
     }
 
-    /// Readiness is unsupported off Unix: construction fails, so
+    /// Readiness is unsupported off Linux: construction fails, so
     /// `NetServer::bind` reports `Unsupported` instead of limping.
     pub(crate) struct Poller;
 
     impl Poller {
-        pub(crate) fn new(_backend: PollerBackend) -> std::io::Result<Poller> {
+        pub(crate) fn new() -> std::io::Result<Poller> {
             Err(unsupported())
         }
 
@@ -308,5 +205,121 @@ mod stub_impl {
 
     pub(crate) fn waker_pair() -> std::io::Result<(Waker, WakeReceiver)> {
         Err(unsupported())
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::linux_impl::timeout_ms;
+    use super::*;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    const NOW: Option<Duration> = Some(Duration::ZERO);
+    const WRITE: Interest = Interest { readable: false, writable: true };
+
+    /// A connected loopback pair: (the side the poller watches, its peer).
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (watched, _) = listener.accept().expect("accept");
+        (watched, peer)
+    }
+
+    fn wait(poller: &mut Poller, timeout: Option<Duration>) -> Vec<Event> {
+        // Stale contents prove `wait` clears the buffer before appending.
+        let mut events = vec![Event { token: u64::MAX, readable: true, writable: true }];
+        poller.wait(&mut events, timeout).expect("wait");
+        events
+    }
+
+    #[test]
+    fn a_peer_write_reports_the_registered_token_readable() {
+        let (watched, mut peer) = tcp_pair();
+        let mut poller = Poller::new().expect("poller");
+        poller.register(stream_fd(&watched), 42, Interest::READ).expect("register");
+        assert!(wait(&mut poller, NOW).is_empty(), "an idle socket is not ready");
+        peer.write_all(b"x").expect("peer write");
+        let events = wait(&mut poller, None);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 42);
+        assert!(events[0].readable && !events[0].writable);
+    }
+
+    #[test]
+    fn reregister_to_writable_fires_on_an_idle_socket_and_deregister_silences_it() {
+        let (watched, mut peer) = tcp_pair();
+        let mut poller = Poller::new().expect("poller");
+        let fd = stream_fd(&watched);
+        poller.register(fd, 7, Interest::READ).expect("register");
+        assert!(wait(&mut poller, NOW).is_empty());
+        poller.reregister(fd, 8, WRITE).expect("reregister");
+        let events = wait(&mut poller, None);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 8, "reregister replaces the token too");
+        assert!(events[0].writable && !events[0].readable);
+
+        poller.deregister(fd);
+        peer.write_all(b"x").expect("peer write");
+        assert!(wait(&mut poller, NOW).is_empty(), "a deregistered fd reports nothing");
+        poller.deregister(fd); // already gone: best-effort, must not panic
+    }
+
+    #[test]
+    fn peer_close_wakes_without_read_interest_and_a_hangup_sets_both_bits() {
+        // A TCP FIN must reach a connection parked for backpressure (read
+        // interest withdrawn), or a closed peer would linger.
+        let (watched, peer) = tcp_pair();
+        let mut poller = Poller::new().expect("poller");
+        let parked = Interest { readable: false, writable: false };
+        poller.register(stream_fd(&watched), 1, parked).expect("register");
+        assert!(wait(&mut poller, NOW).is_empty());
+        drop(peer);
+        let events = wait(&mut poller, None);
+        assert_eq!(events.len(), 1);
+        assert!(events[0].readable, "the read path must run to observe EOF");
+
+        // A full hangup is folded into both bits so whichever path runs
+        // first sees the failure.
+        let (local, remote) = UnixStream::pair().expect("pair");
+        poller.register(local.as_raw_fd(), 2, Interest::READ).expect("register");
+        drop(remote);
+        let hangup = wait(&mut poller, None).into_iter().find(|e| e.token == 2).expect("event");
+        assert!(hangup.readable && hangup.writable);
+    }
+
+    #[test]
+    fn the_waker_wakes_a_blocked_wait_and_drain_clears_it() {
+        let (waker, wake_rx) = waker_pair().expect("waker");
+        let mut poller = Poller::new().expect("poller");
+        poller.register(wake_rx.fd(), 99, Interest::READ).expect("register");
+        // No timeout: the scope joins only if `wake` ends the wait (whether
+        // it lands before the wait starts or while it blocks).
+        let events = std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| wait(&mut poller, None));
+            waker.wake();
+            waker.wake(); // coalesces with the pending byte
+            blocked.join().expect("waiter panicked")
+        });
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 99);
+        assert!(events[0].readable);
+        assert_eq!(wait(&mut poller, NOW).len(), 1, "level-triggered until drained");
+        wake_rx.drain();
+        assert!(wait(&mut poller, NOW).is_empty());
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_round_up_so_a_retry_tick_cannot_spin() {
+        assert_eq!(timeout_ms(None), -1, "no timeout blocks");
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0, "an explicit zero polls");
+        assert_eq!(timeout_ms(Some(Duration::from_micros(200))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_nanos(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(2_999))), 2, "whole ms truncate");
+        assert_eq!(timeout_ms(Some(Duration::from_secs(u64::MAX))), i32::MAX, "saturates");
     }
 }

@@ -17,7 +17,7 @@
 //! thread accounting are all fixed by the seed; wall clocks, rates,
 //! latencies and the readiness diagnostics are machine-dependent.
 
-use crate::net_workload::{percentile, server_counters};
+use crate::net_workload::{await_counter, percentile, server_counters};
 use crate::report::Json;
 use mbdr_core::{Frame, ObjectState, StaticPredictor, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
@@ -312,7 +312,11 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     }
     latencies.sort_by(f64::total_cmp);
 
-    // Snapshot at full load, then let everything go.
+    // Snapshot at full load, then let everything go. The reactor counts a
+    // response's bytes after `write()` returns, so a client can hold an
+    // answer the counter does not show yet: wait for it to catch up.
+    let received = hot.iter().chain([&query_client]).map(NetClient::bytes_received).sum::<u64>();
+    await_counter(&server, |s| s.bytes_sent, received);
     let stats = server.stats();
     let updates_sent =
         (config.hot_connections * config.frames_per_hot * config.updates_per_frame) as u64;

@@ -199,13 +199,19 @@ struct QueryTally {
     wall_s: f64,
 }
 
-/// Bounded wait for the server to observe every client's clean close. The
-/// reactor processes peer FINs asynchronously, so a snapshot taken right
-/// after the last client dropped could miss closes still in flight — and
-/// the baselines gate `connections_closed` strictly.
-pub(crate) fn await_clean_closes(server: &mbdr_net::NetServer, expected: u64) {
+/// Bounded wait for one of a *running* server's counters to reach
+/// `expected`. The reactor accounts asynchronously to its clients — a peer
+/// FIN is processed after the client dropped, `bytes_sent` is bumped after
+/// `write()` returned and the client may already hold the answer — so a
+/// snapshot taken right after the last client action could miss it, and the
+/// baselines gate these counters strictly.
+pub(crate) fn await_counter(
+    server: &mbdr_net::NetServer,
+    counter: fn(&ServerStatsSnapshot) -> u64,
+    expected: u64,
+) {
     let deadline = Instant::now() + std::time::Duration::from_secs(5);
-    while server.stats().connections_closed < expected && Instant::now() < deadline {
+    while counter(&server.stats()) < expected && Instant::now() < deadline {
         std::thread::yield_now();
     }
 }
@@ -367,7 +373,8 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     let client_bytes_sent = ingest_results.iter().map(|r| r.2).sum::<u64>()
         + query_results.iter().map(|t| t.bytes_sent).sum::<u64>();
 
-    await_clean_closes(&server, (config.producer_connections + config.query_connections) as u64);
+    let clients = (config.producer_connections + config.query_connections) as u64;
+    await_counter(&server, |s| s.connections_closed, clients);
     let server_stats = server.shutdown();
     NetWorkloadReport {
         objects: config.objects,

@@ -70,3 +70,23 @@ fn dead_reckoning_gains_are_larger_on_the_freeway_than_in_the_city() {
         "freeway saving ({freeway_saving:.0}%) should not be clearly below city saving ({city_saving:.0}%)"
     );
 }
+
+/// The shape Figs. 8 and 10 share with the others: map-based dead reckoning
+/// never sends more updates than the distance-based baseline.
+fn assert_map_based_never_loses_to_distance_based(result: &SweepResult, figure: u32) {
+    for &a in &result.accuracies {
+        let base = result.point(ProtocolKind::DistanceBased, a).unwrap().metrics.updates_per_hour;
+        let map = result.point(ProtocolKind::MapBased, a).unwrap().metrics.updates_per_hour;
+        assert!(map <= base, "figure {figure} shape violated at {a} m: map {map} vs base {base}");
+    }
+}
+
+#[test]
+fn interurban_ordering_matches_figure_8() {
+    assert_map_based_never_loses_to_distance_based(&sweep(ScenarioKind::Interurban, 24), 8);
+}
+
+#[test]
+fn walking_ordering_matches_figure_10() {
+    assert_map_based_never_loses_to_distance_based(&sweep(ScenarioKind::Walking, 25), 10);
+}
