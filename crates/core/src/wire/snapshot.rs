@@ -65,6 +65,9 @@ pub fn encode_snapshot_into(
     entries: &[SnapshotEntry],
     buf: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
+    // One exact reservation: a 100k-object body is ~7 MB, and growing to
+    // that by doubling copies it several times over.
+    buf.reserve(encoded_snapshot_len(entries));
     buf.extend_from_slice(&frames.to_be_bytes());
     for entry in entries {
         buf.push(KIND_SNAP_OBJECT);
@@ -85,6 +88,15 @@ pub fn encode_snapshot_into(
     buf.push(KIND_SNAP_END);
     buf.extend_from_slice(&(entries.len() as u64).to_be_bytes());
     Ok(())
+}
+
+/// Exact size of the body [`encode_snapshot_into`] writes for `entries`.
+fn encoded_snapshot_len(entries: &[SnapshotEntry]) -> usize {
+    // Per entry: kind, object id, two counters and the update length ahead
+    // of the update; around them `frames`, the end marker and the count.
+    let entries_len: usize =
+        entries.iter().map(|e| 1 + 8 + 8 + 8 + 2 + e.update.encoded_len()).sum();
+    8 + entries_len + 1 + 8
 }
 
 /// Decodes a snapshot body, returning the covered frame count and the entries
@@ -155,6 +167,8 @@ mod tests {
         let (frames, decoded) = decode_snapshot(&buf).unwrap();
         assert_eq!(frames, 77);
         assert_eq!(decoded, narrowed);
+        // The encoder's up-front reservation is the exact body size.
+        assert_eq!(buf.len(), encoded_snapshot_len(&narrowed));
         // Determinism: encoding the decoded entries reproduces the bytes.
         let mut buf2 = Vec::new();
         encode_snapshot_into(77, &decoded, &mut buf2).unwrap();

@@ -28,6 +28,8 @@ pub enum JournalError {
     /// A structural inconsistency was found after open-time repair, e.g. a
     /// record that validated at open fails its checksum during replay. This
     /// indicates concurrent external modification or hardware corruption.
+    /// Also returned by open, before any repair, when the log starts above
+    /// the newest valid snapshot: the frames in between exist nowhere.
     Corrupt {
         /// File in which the inconsistency was found.
         path: PathBuf,

@@ -6,7 +6,6 @@
 //! a deterministic fault injector ([`crate::FaultFs`]) in tests and the
 //! `faults` benchmark workload.
 
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,37 +40,71 @@ pub const SEGMENT_FILE_SUFFIX: &str = ".mbdrj";
 /// File-name suffix for snapshot files (`snap-<frames, 20 digits>.mbdrs`).
 pub const SNAPSHOT_FILE_SUFFIX: &str = ".mbdrs";
 
+/// Capacity the writer's record buffer is allocated with and shrunk back to
+/// after an outsized record, so one [`MAX_RECORD_BYTES`] frame cannot pin
+/// 16 MiB for the life of the journal.
+const RECORD_BUF_CAPACITY: usize = 64 * 1024;
+
 const SEGMENT_FILE_PREFIX: &str = "seg-";
 const SNAPSHOT_FILE_PREFIX: &str = "snap-";
 
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, and
+/// `[k][n]` is the CRC of byte `n` followed by `k` zero bytes, so eight input
+/// bytes fold into the running value with eight independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut bytewise = [0u32; 256];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
-        let mut k = 0;
-        while k < 8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+            bit += 1;
         }
-        table[n] = c;
+        bytewise[n] = c;
         n += 1;
     }
-    table
+    let mut tables = [bytewise; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ bytewise[(prev & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// IEEE CRC-32 (the zlib/zip polynomial) of `bytes`. Allocation-free; used for
 /// every record and snapshot checksum in the journal format.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &byte in bytes {
-        let index = ((crc ^ u32::from(byte)) & 0xFF) as usize;
-        crc = CRC_TABLE[index] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        // Irrefutable in fact (`chunks_exact(8)`); the pattern is how the
+        // eight bytes are named without a panicking index.
+        let [a, b, c, d, e, f, g, h] = *chunk else { continue };
+        let lo = crc ^ u32::from_le_bytes([a, b, c, d]);
+        crc = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[usize::from(e)]
+            ^ t2[usize::from(f)]
+            ^ t1[usize::from(g)]
+            ^ t0[usize::from(h)];
+    }
+    for &byte in chunks.remainder() {
+        crc = t0[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -127,18 +160,27 @@ pub struct SnapshotBlob {
     pub body: Vec<u8>,
 }
 
-struct Writer {
+/// An open segment file positioned for appending.
+struct Segment {
     file: Box<dyn VfsFile>,
     path: PathBuf,
-    /// Frame index of the active segment's first record; file names and
-    /// frame counts past this base are derived from `segment_bytes`.
+    /// Frame index of the segment's first record; file names and frame
+    /// counts past this base are derived from `segment_bytes`.
     base: u64,
+}
+
+struct Writer {
+    /// The active (last) segment.
+    segment: Segment,
     /// Bytes of the active segment known to hold complete records (header
     /// included). Only advanced after a fully successful append, so it is
     /// always a safe truncation point for [`Journal::repair_and_sync`].
     segment_bytes: u64,
     unsynced: u32,
     last_sync_nanos: u64,
+    /// Header + payload of the record being appended, assembled here so the
+    /// file sees one `write_all` per record. Outlives segment rotation.
+    record: Vec<u8>,
 }
 
 /// A segmented write-ahead log of already-encoded wire frames.
@@ -171,7 +213,10 @@ impl Journal {
     /// so nothing after a torn write is trustworthy). All discarded bytes are
     /// counted in [`JournalStatsSnapshot::truncated_bytes`]. Files written by
     /// a newer format version produce [`JournalError::UnsupportedVersion`]
-    /// and are never modified.
+    /// and are never modified. Likewise, if the oldest segment starts above
+    /// the newest snapshot that still validates (its covering snapshot is
+    /// corrupt or missing after compaction deleted the frames below), open
+    /// returns [`JournalError::Corrupt`] and touches no file.
     pub fn open(config: JournalConfig) -> Result<Journal, JournalError> {
         Journal::open_with_vfs(config, Arc::new(RealFs))
     }
@@ -185,7 +230,19 @@ impl Journal {
     ) -> Result<Journal, JournalError> {
         vfs.create_dir_all(&config.dir)?;
         let stats = JournalStats::default();
-        remove_tmp_files(vfs.as_ref(), &config.dir)?;
+
+        // Read-only first: pick the newest snapshot that validates, so the
+        // coverage check below can refuse before anything is repaired.
+        let snapshots =
+            list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
+        let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
+        for (snap_frames, path) in snapshots.iter().rev() {
+            if validate_snapshot(vfs.as_ref(), path, *snap_frames)? {
+                recovered_snapshot = Some((*snap_frames, path.clone()));
+                break;
+            }
+        }
+        let snapshot_floor = recovered_snapshot.as_ref().map_or(0, |(n, _)| *n);
 
         let segments =
             list_numbered(vfs.as_ref(), &config.dir, SEGMENT_FILE_PREFIX, SEGMENT_FILE_SUFFIX)?;
@@ -206,15 +263,29 @@ impl Journal {
                     unreachable = true;
                 }
                 SegmentScan::Valid { base, records, valid_end, file_len, torn } => {
-                    if !retained.is_empty() && base != frames {
+                    if retained.is_empty() {
+                        if base > snapshot_floor {
+                            // Compaction only deletes segments a snapshot
+                            // covers, so a log starting above every valid
+                            // snapshot means that snapshot is gone or corrupt
+                            // and the frames below `base` exist nowhere.
+                            // Nothing has been modified yet; refuse rather
+                            // than recover a partial state as if it were
+                            // whole.
+                            return Err(corrupt(
+                                &path,
+                                0,
+                                "log starts above the newest valid snapshot; \
+                                 the compacted frames below it are unrecoverable",
+                            ));
+                        }
+                        frames = base;
+                    } else if base != frames {
                         // Frame indices must be contiguous across segments.
                         truncated += file_len;
                         vfs.remove_file(&path)?;
                         unreachable = true;
                         continue;
-                    }
-                    if retained.is_empty() {
-                        frames = base;
                     }
                     frames += records;
                     if torn {
@@ -230,37 +301,32 @@ impl Journal {
             stats.truncated_bytes.fetch_add(truncated, Ordering::Relaxed);
         }
 
-        let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
-        let snapshots =
-            list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
-        for (snap_frames, path) in snapshots.into_iter().rev() {
-            if recovered_snapshot.is_none() && validate_snapshot(vfs.as_ref(), &path, snap_frames)?
-            {
-                recovered_snapshot = Some((snap_frames, path));
-            } else {
-                // Stale (older than the newest valid one) or corrupt: corrupt
-                // snapshots are simply ignored — the retained log still covers
-                // everything — and removed so they cannot shadow future ones.
+        remove_tmp_files(vfs.as_ref(), &config.dir)?;
+        for (_, path) in snapshots {
+            // Stale (older than the newest valid one) or corrupt. A corrupt
+            // snapshot is ignored — the coverage check above established that
+            // the retained log reaches back past it — and removed so it
+            // cannot shadow future ones.
+            if recovered_snapshot.as_ref().is_none_or(|(_, keep)| *keep != path) {
                 vfs.remove_file(&path)?;
             }
         }
-        let snapshot_floor = recovered_snapshot.as_ref().map_or(0, |(n, _)| *n);
         let frames = frames.max(snapshot_floor);
 
-        let writer = match retained.last() {
+        let (segment, segment_bytes) = match retained.pop() {
             Some((base, path)) => {
-                let file = vfs.open_append(path)?;
-                let segment_bytes = vfs.file_len(path)?;
-                Writer {
-                    file,
-                    path: path.clone(),
-                    base: *base,
-                    segment_bytes,
-                    unsynced: 0,
-                    last_sync_nanos: vfs.now_nanos(),
-                }
+                let file = vfs.open_append(&path)?;
+                let segment_bytes = vfs.file_len(&path)?;
+                (Segment { file, path, base }, segment_bytes)
             }
-            None => create_segment(vfs.as_ref(), &config.dir, frames)?,
+            None => (create_segment(vfs.as_ref(), &config.dir, frames)?, SEGMENT_HEADER_LEN as u64),
+        };
+        let writer = Writer {
+            segment,
+            segment_bytes,
+            unsynced: 0,
+            last_sync_nanos: vfs.now_nanos(),
+            record: Vec::with_capacity(RECORD_BUF_CAPACITY),
         };
 
         Ok(Journal {
@@ -277,22 +343,23 @@ impl Journal {
 
     /// Appends one already-encoded wire frame as a journal record.
     ///
-    /// Steady-state cost is two buffered writes (stack-built 8-byte header +
-    /// the borrowed payload slice) with zero heap allocation; segment rotation
-    /// and fsyncs are amortized per [`JournalConfig`]. On an I/O error the
-    /// segment is truncated back to the last complete record so a partial
-    /// header can never be followed by further appends. If that rollback
-    /// itself fails (dead disk), the torn bytes stay behind and
+    /// Steady-state cost is one checksum pass over the payload, one copy of
+    /// header + payload into the writer's reusable record buffer, and one
+    /// `write_all` to the segment file, with zero heap allocation; the record
+    /// has reached the kernel when this returns. Segment rotation and fsyncs
+    /// are amortized per [`JournalConfig`]. On an I/O error the segment is
+    /// truncated back to the last complete record so a partial record can
+    /// never be followed by further appends. If that rollback itself fails
+    /// (dead disk), the torn bytes stay behind and
     /// [`Journal::repair_and_sync`] removes them once the disk heals.
     pub fn append_frame(&self, bytes: &[u8]) -> Result<(), JournalError> {
         let len = bytes.len();
         if len == 0 || len > MAX_RECORD_BYTES {
             return Err(JournalError::RecordTooLarge { len });
         }
-        let mut header = [0u8; RECORD_HEADER_LEN];
-        let (len_part, crc_part) = header.split_at_mut(4);
-        len_part.copy_from_slice(&(len as u32).to_be_bytes());
-        crc_part.copy_from_slice(&crc32(bytes).to_be_bytes());
+        // Checksummed before the writer lock is taken: appends from different
+        // shards serialize only on the copy and the write.
+        let crc = crc32(bytes);
 
         let mut writer = self.writer.lock();
         let record_len = (RECORD_HEADER_LEN + len) as u64;
@@ -301,9 +368,19 @@ impl Journal {
         {
             self.rotate(&mut writer)?;
         }
-        if let Err(err) = write_record(&mut *writer.file, &header, bytes) {
+        let Writer { segment, record, .. } = &mut *writer;
+        record.clear();
+        record.extend_from_slice(&(len as u32).to_be_bytes());
+        record.extend_from_slice(&crc.to_be_bytes());
+        record.extend_from_slice(bytes);
+        let written = segment.file.write_all(record);
+        if record.capacity() > RECORD_BUF_CAPACITY {
+            record.clear();
+            record.shrink_to(RECORD_BUF_CAPACITY);
+        }
+        if let Err(err) = written {
             let keep = writer.segment_bytes;
-            let _ = writer.file.set_len(keep);
+            let _ = writer.segment.file.set_len(keep);
             return Err(JournalError::Io(err));
         }
         writer.segment_bytes += record_len;
@@ -337,7 +414,7 @@ impl Journal {
     pub fn flush(&self) -> Result<(), JournalError> {
         let mut writer = self.writer.lock();
         if writer.unsynced > 0 {
-            writer.file.sync_data()?;
+            writer.segment.file.sync_data()?;
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             writer.unsynced = 0;
             writer.last_sync_nanos = self.vfs.now_nanos();
@@ -366,18 +443,18 @@ impl Journal {
             SEGMENT_FILE_SUFFIX,
         )?;
         for (base, path) in segments {
-            if base > writer.base {
+            if base > writer.segment.base {
                 let len = self.vfs.file_len(&path).unwrap_or(0);
                 self.vfs.remove_file(&path)?;
                 self.stats.truncated_bytes.fetch_add(len, Ordering::Relaxed);
             }
         }
-        let on_disk = self.vfs.file_len(&writer.path)?;
+        let on_disk = self.vfs.file_len(&writer.segment.path)?;
         if on_disk > writer.segment_bytes {
-            self.vfs.truncate(&writer.path, writer.segment_bytes)?;
+            self.vfs.truncate(&writer.segment.path, writer.segment_bytes)?;
             self.stats.truncated_bytes.fetch_add(on_disk - writer.segment_bytes, Ordering::Relaxed);
         }
-        writer.file.sync_data()?;
+        writer.segment.file.sync_data()?;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         writer.unsynced = 0;
         writer.last_sync_nanos = self.vfs.now_nanos();
@@ -554,7 +631,7 @@ impl Journal {
             }
         };
         if due {
-            writer.file.sync_data()?;
+            writer.segment.file.sync_data()?;
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             writer.unsynced = 0;
             writer.last_sync_nanos = self.vfs.now_nanos();
@@ -563,10 +640,13 @@ impl Journal {
     }
 
     fn rotate(&self, writer: &mut Writer) -> Result<(), JournalError> {
-        writer.file.sync_data()?;
+        writer.segment.file.sync_data()?;
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         let base = self.frames.load(Ordering::Relaxed);
-        *writer = create_segment(self.vfs.as_ref(), &self.config.dir, base)?;
+        writer.segment = create_segment(self.vfs.as_ref(), &self.config.dir, base)?;
+        writer.segment_bytes = SEGMENT_HEADER_LEN as u64;
+        writer.unsynced = 0;
+        writer.last_sync_nanos = self.vfs.now_nanos();
         Ok(())
     }
 
@@ -624,18 +704,13 @@ impl Journal {
             let (Some((_, path)), Some((next_base, _))) = (pair.first(), pair.get(1)) else {
                 continue;
             };
-            if *next_base <= floor && *path != writer.path {
+            if *next_base <= floor && *path != writer.segment.path {
                 let _ = self.vfs.remove_file(path);
             }
         }
         drop(writer);
         Ok(())
     }
-}
-
-fn write_record(file: &mut dyn VfsFile, header: &[u8], payload: &[u8]) -> io::Result<()> {
-    file.write_all(header)?;
-    file.write_all(payload)
 }
 
 enum SegmentScan {
@@ -743,7 +818,7 @@ fn parse_snapshot(bytes: &[u8]) -> Option<(u64, &[u8])> {
     Some((frames, body))
 }
 
-fn create_segment(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<Writer, JournalError> {
+fn create_segment(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<Segment, JournalError> {
     let path = dir.join(format!("{SEGMENT_FILE_PREFIX}{base:020}{SEGMENT_FILE_SUFFIX}"));
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
     header.extend_from_slice(&SEGMENT_MAGIC);
@@ -758,14 +833,7 @@ fn create_segment(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<Writer, Journa
         let _ = vfs.remove_file(&path);
         return Err(JournalError::Io(err));
     }
-    Ok(Writer {
-        file,
-        path,
-        base,
-        segment_bytes: SEGMENT_HEADER_LEN as u64,
-        unsynced: 0,
-        last_sync_nanos: vfs.now_nanos(),
-    })
+    Ok(Segment { file, path, base })
 }
 
 fn list_numbered(
@@ -817,7 +885,7 @@ fn be_u64(bytes: &[u8]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultFs, FaultKind};
+    use crate::vfs::{splitmix64, FaultFs, FaultKind};
     use std::fs;
     use std::sync::atomic::AtomicU32;
 
@@ -832,11 +900,54 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Byte-at-a-time reference with each table entry computed on the fly, so
+    /// it shares nothing with `CRC_TABLES`: the oracle for the slicing kernel.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in bytes {
+            let mut c = (crc ^ u32::from(byte)) & 0xFF;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            crc = c ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    fn random_bytes(rng: &mut u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| splitmix64(rng) as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_at_every_short_length_and_offset() {
+        let mut rng = 0xC0FF_EE00u64;
+        let buffer = random_bytes(&mut rng, 64 + 8);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_on_seeded_random_buffers() {
+        let mut rng = 2001u64;
+        for round in 0..64 {
+            // Lengths spread over 0..=64 KiB, the last round pinned at the top.
+            let len = if round == 63 { 64 * 1024 } else { splitmix64(&mut rng) as usize % 65_537 };
+            let bytes = random_bytes(&mut rng, len);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "round {round}, len {len}");
+        }
     }
 
     #[test]
@@ -926,6 +1037,20 @@ mod tests {
     }
 
     #[test]
+    fn outsized_record_does_not_pin_the_record_buffer() {
+        let dir = temp_dir("outsized");
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
+        let big = vec![0xEEu8; 4 * RECORD_BUF_CAPACITY];
+        journal.append_frame(&big).expect("append outsized");
+        assert!(journal.writer.lock().record.capacity() < big.len(), "buffer shrank back");
+        journal.append_frame(b"small").expect("append small");
+        let mut seen = Vec::new();
+        journal.replay(|_, payload| seen.push(payload.to_vec())).expect("replay");
+        assert_eq!(seen, vec![big, b"small".to_vec()]);
+        cleanup(&dir);
+    }
+
+    #[test]
     fn forced_snapshot_ignores_threshold_and_disabled_config() {
         let dir = temp_dir("forced-snap");
         // Snapshots disabled entirely: begin_snapshot refuses...
@@ -1006,8 +1131,8 @@ mod tests {
         journal.append_frame(b"good-frame").expect("append");
         // Tear the next append's record header (4 of 8 bytes land) and let
         // the rollback fail too — the crash-consistent torn shape. Ops so
-        // far: create=0, segment header=1, append writes=2,3 → next is 4.
-        faults.schedule_fault(4, FaultKind::TornWrite { keep: 4 });
+        // far: create=0, segment header=1, append write=2 → next is 3.
+        faults.schedule_fault(3, FaultKind::TornWrite { keep: 4 });
         assert!(journal.append_frame(b"lost-frame").is_err());
         // While the disk is dead, repair itself fails cleanly.
         faults.set_dead(true);

@@ -24,8 +24,10 @@
 //!
 //! [`Journal::open`] repairs a torn tail by truncating at the first invalid
 //! record and discarding unreachable later segments (counted in
-//! [`JournalStatsSnapshot::truncated_bytes`]); corrupt snapshots are ignored
-//! in favor of replaying the retained log. Recovery is
+//! [`JournalStatsSnapshot::truncated_bytes`]); a corrupt snapshot is ignored
+//! in favor of replaying the retained log when that log still reaches back
+//! past it, and is a typed [`JournalError::Corrupt`] refusal (no file
+//! touched) when compaction already deleted the frames it covered. Recovery is
 //! snapshot-restore-then-replay, and replayed frames pass through the same
 //! staleness-aware apply rules as live traffic, so duplicates are harmless.
 //! All failure modes are typed [`JournalError`]s — the crate never panics on

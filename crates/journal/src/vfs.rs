@@ -9,7 +9,9 @@
 //! `sync_all`, `set_len`, `create`, `create_new_append`, `rename`,
 //! `remove_file`, `truncate`) in the order they happen. A schedule maps
 //! indices to [`FaultKind`]s, so a fault schedule derived from a seed replays
-//! byte-identically on every run. Read-side operations (`read`,
+//! byte-identically on every run. The journal hands the file one `write_all`
+//! per appended record (header and payload together), so an append without a
+//! due fsync consumes exactly one index. Read-side operations (`read`,
 //! `read_dir_names`, `file_len`, `open_append`, `create_dir_all`,
 //! `now_nanos`) never consume indices and never fail by injection: this
 //! models a disk whose write path is failing while already-written data still
@@ -156,6 +158,13 @@ pub enum FaultKind {
         /// Bytes of the buffer that do reach the disk.
         keep: usize,
     },
+    /// A `write_all` persists only the first `keep` bytes, then fails, and the
+    /// disk keeps taking operations — it filled up mid-write. Unlike
+    /// [`FaultKind::TornWrite`] the journal's own rollback gets to run.
+    ShortWrite {
+        /// Bytes of the buffer that do reach the disk.
+        keep: usize,
+    },
     /// A `write_all` silently persists the buffer with its last byte XORed by
     /// `mask` and reports success: lying firmware / in-flight bit rot. The
     /// corruption is only discovered by checksums at reopen.
@@ -265,8 +274,9 @@ impl FaultFs {
     }
 
     /// Derives `count` faults from `seed` alone, each at an operation index in
-    /// `[first_op, first_op + span)`, cycling through every [`FaultKind`]
-    /// shape. The same seed always produces the same schedule.
+    /// `[first_op, first_op + span)`, cycling through the five crash-time
+    /// [`FaultKind`] shapes (every one but `ShortWrite`, which the journal's
+    /// own rollback undoes). The same seed always produces the same schedule.
     pub fn schedule_from_seed(&self, seed: u64, first_op: u64, span: u64, count: u32) {
         let mut state = seed;
         let span = span.max(1);
@@ -330,6 +340,10 @@ impl VfsFile for FaultFile {
                 }
                 self.state.torn_rollback.store(true, Ordering::Relaxed);
                 Err(self.state.inject("injected: torn write"))
+            }
+            Some(FaultKind::ShortWrite { keep }) => {
+                self.inner.write_all(&buf[..keep.min(buf.len())])?;
+                Err(self.state.inject("injected: short write"))
             }
             Some(FaultKind::BitFlip { mask }) => {
                 let mut copy = buf.to_vec();
@@ -450,7 +464,7 @@ impl Vfs for FaultFs {
 
 /// SplitMix64: the seed-expansion step used for fault schedules (and by the
 /// retry-jitter and fault-plan generators elsewhere in the workspace).
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

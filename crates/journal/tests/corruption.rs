@@ -212,6 +212,60 @@ fn corrupt_snapshot_is_ignored_in_favor_of_the_log() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&p).unwrap()))
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn corrupt_snapshot_over_a_compacted_log_is_a_typed_refusal() {
+    let dir = temp_dir("snapshot-compacted");
+    let mut config = config(&dir);
+    config.segment_max_bytes = 64; // two 20-byte records per segment
+    config.snapshot_every_frames = 4;
+    let journal = Journal::open(config.clone()).expect("open");
+    for i in 0..7u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    let frames = journal.begin_snapshot().expect("snapshot due");
+    journal.install_snapshot(frames, b"tracker-state").expect("install");
+    journal.flush().expect("flush");
+    drop(journal);
+    let first = segment_paths(&dir).into_iter().next().expect("a segment survives");
+    assert!(
+        !first.ends_with("seg-00000000000000000000.mbdrj"),
+        "compaction must have deleted segment 0, oldest is {}",
+        first.display()
+    );
+    // Flip a byte inside the snapshot body: the only copy of the compacted
+    // frames' effect no longer validates.
+    let snap = dir.join(format!("snap-{frames:020}.mbdrs"));
+    let mut bytes = fs::read(&snap).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x10;
+    fs::write(&snap, &bytes).unwrap();
+    let before = dir_image(&dir);
+
+    let err = match Journal::open(config) {
+        Ok(_) => panic!("a log with a hole below it must not open as if it were whole"),
+        Err(err) => err,
+    };
+    assert!(
+        matches!(&err, JournalError::Corrupt { path, .. } if *path == first),
+        "wrong error: {err}"
+    );
+    // No destructive repair: the corrupt snapshot and every segment are
+    // exactly as they were, for an operator (or a newer build) to salvage.
+    assert_eq!(dir_image(&dir), before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn errors_render_human_readable_messages() {
     let io = JournalError::Io(std::io::Error::other("disk on fire"));

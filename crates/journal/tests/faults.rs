@@ -8,7 +8,7 @@
 //! Operation-index arithmetic (see the `vfs` module docs for what counts):
 //! a fresh open consumes ops 0 (`create_new_append`) and 1 (segment header
 //! `write_all`); with a large `PerBatch` fsync budget each append then
-//! consumes exactly two ops — record header, then payload.
+//! consumes exactly one op — header and payload in a single `write_all`.
 
 use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig};
 use std::fs;
@@ -21,7 +21,7 @@ static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 /// Ops consumed by opening a journal in a fresh directory.
 const OPEN_OPS: u64 = 2;
 /// Ops consumed per append under a never-firing `PerBatch` fsync policy.
-const APPEND_OPS: u64 = 2;
+const APPEND_OPS: u64 = 1;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -40,14 +40,9 @@ fn config(dir: &Path) -> JournalConfig {
     }
 }
 
-/// Op index of append `i`'s record-header write (0-based appends).
-fn header_write_op(i: u64) -> u64 {
+/// Op index of append `i`'s record write (0-based appends).
+fn record_write_op(i: u64) -> u64 {
     OPEN_OPS + APPEND_OPS * i
-}
-
-/// Op index of append `i`'s payload write.
-fn payload_write_op(i: u64) -> u64 {
-    header_write_op(i) + 1
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -65,18 +60,19 @@ fn replay_payloads(journal: &Journal) -> Vec<Vec<u8>> {
 }
 
 /// `truncated_record_is_repaired_and_counted`, from a seed: the last append's
-/// payload write tears mid-record and the rollback fails with it.
+/// write tears mid-record and the rollback fails with it.
 #[test]
 fn seeded_torn_payload_write_is_repaired_at_reopen() {
     let seed = 42u64;
     let mut rng = seed;
     let appends = 6 + splitmix64(&mut rng) % 8; // 6..=13
     let payload = [0xA5u8; 12];
-    let keep = (splitmix64(&mut rng) % (payload.len() as u64 - 1)) as usize; // < len
+    // Past the 8-byte record header, short of the full payload.
+    let keep = 8 + (splitmix64(&mut rng) % (payload.len() as u64 - 1)) as usize;
 
     let dir = temp_dir("torn");
     let faults = FaultFs::over_real();
-    faults.schedule_fault(payload_write_op(appends - 1), FaultKind::TornWrite { keep });
+    faults.schedule_fault(record_write_op(appends - 1), FaultKind::TornWrite { keep });
     let journal = Journal::open_with_vfs(config(&dir), Arc::new(faults.clone())).expect("open");
     for i in 0..appends - 1 {
         journal.append_frame(&payload).unwrap_or_else(|e| panic!("append {i}: {e}"));
@@ -94,6 +90,66 @@ fn seeded_torn_payload_write_is_repaired_at_reopen() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Header and payload travel in one `write_all`, so a tear can stop at any
+/// byte of the record — inside the length, inside the checksum, anywhere in
+/// the payload. Every cut is driven twice: with the journal's own rollback
+/// succeeding (`ShortWrite`) and with it blocked (`TornWrite`, the crash
+/// shape). Either way the append fails, the journal never counts the frame,
+/// and both the live repair and a cold reopen replay exactly the records
+/// that preceded it; only the blocked case leaves `keep` bytes to truncate.
+#[test]
+fn record_write_torn_at_every_byte_never_loses_or_invents_a_record() {
+    let preceding: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 21]).collect();
+    let victim = [0x3Cu8; 21];
+    let record_len = 8 + victim.len();
+    let clean_len = (18 + preceding.len() * record_len) as u64;
+
+    for keep in 0..record_len {
+        for rollback_blocked in [false, true] {
+            for live_repair in [false, true] {
+                let case = format!("keep {keep}, blocked {rollback_blocked}, live {live_repair}");
+                let dir = temp_dir("tear-all");
+                let faults = FaultFs::over_real();
+                let kind = if rollback_blocked {
+                    FaultKind::TornWrite { keep }
+                } else {
+                    FaultKind::ShortWrite { keep }
+                };
+                faults.schedule_fault(record_write_op(preceding.len() as u64), kind);
+                let journal =
+                    Journal::open_with_vfs(config(&dir), Arc::new(faults.clone())).expect("open");
+                for payload in &preceding {
+                    journal.append_frame(payload).expect("append");
+                }
+                assert!(journal.append_frame(&victim).is_err(), "{case}: torn append fails");
+                assert_eq!(journal.frames_appended(), 3, "{case}");
+                let segment = dir.join("seg-00000000000000000000.mbdrj");
+                let torn = if rollback_blocked { keep as u64 } else { 0 };
+                assert_eq!(fs::metadata(&segment).expect("meta").len(), clean_len + torn, "{case}");
+
+                let mut expected = preceding.clone();
+                if live_repair {
+                    journal.repair_and_sync().expect("repair");
+                    assert_eq!(journal.stats().truncated_bytes, torn, "{case}");
+                    assert_eq!(fs::metadata(&segment).expect("meta").len(), clean_len, "{case}");
+                    assert_eq!(replay_payloads(&journal), expected, "{case}");
+                    // The next record lands right behind the last good one.
+                    journal.append_frame(b"after-repair").expect("append after repair");
+                    expected.push(b"after-repair".to_vec());
+                }
+                drop(journal);
+
+                let journal = Journal::open(config(&dir)).expect("reopen");
+                let left_behind = if live_repair { 0 } else { torn };
+                assert_eq!(journal.stats().truncated_bytes, left_behind, "{case}");
+                assert_eq!(replay_payloads(&journal), expected, "{case}");
+                drop(journal);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
 /// `flipped_checksum_byte_drops_the_record`, from a seed: the disk silently
 /// corrupts the last payload byte (BitFlip reports success), so the journal
 /// believes the append landed — only the reopen checksum catches it.
@@ -106,7 +162,7 @@ fn seeded_bit_flip_drops_exactly_the_corrupted_record() {
 
     let dir = temp_dir("bitflip");
     let faults = FaultFs::over_real();
-    faults.schedule_fault(payload_write_op(appends - 1), FaultKind::BitFlip { mask });
+    faults.schedule_fault(record_write_op(appends - 1), FaultKind::BitFlip { mask });
     let journal = Journal::open_with_vfs(config(&dir), Arc::new(faults.clone())).expect("open");
     for i in 0..appends {
         journal.append_frame(&[i as u8; 9]).expect("silent corruption still reports Ok");
@@ -121,9 +177,9 @@ fn seeded_bit_flip_drops_exactly_the_corrupted_record() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// ENOSPC strikes a payload write: the append fails, its own rollback removes
-/// the already-written record header, and the log stays byte-clean — later
-/// appends and the reopen see no damage at all.
+/// ENOSPC strikes a record write: the append fails with nothing written, its
+/// own rollback is a no-op, and the log stays byte-clean — later appends and
+/// the reopen see no damage at all.
 #[test]
 fn seeded_enospc_fails_cleanly_without_torn_bytes() {
     let seed = 11u64;
@@ -132,7 +188,7 @@ fn seeded_enospc_fails_cleanly_without_torn_bytes() {
 
     let dir = temp_dir("enospc");
     let faults = FaultFs::over_real();
-    faults.schedule_fault(payload_write_op(victim), FaultKind::NoSpace);
+    faults.schedule_fault(record_write_op(victim), FaultKind::NoSpace);
     let journal = Journal::open_with_vfs(config(&dir), Arc::new(faults.clone())).expect("open");
     let mut ok = 0u64;
     for i in 0..8u8 {
@@ -164,8 +220,8 @@ fn seeded_fsync_failure_is_conservative_but_loses_nothing() {
     let seed = 3u64;
     let mut rng = seed;
     let victim = 1 + splitmix64(&mut rng) % 4; // append 1..=4 of 6
-                                               // PerFrame: each append consumes header, payload, sync → 3 ops.
-    let sync_op = OPEN_OPS + 3 * victim + 2;
+                                               // PerFrame: each append consumes record write, sync → 2 ops.
+    let sync_op = OPEN_OPS + 2 * victim + 1;
 
     let dir = temp_dir("fsync");
     let mut config = config(&dir);
@@ -268,11 +324,11 @@ fn seeded_partial_header_segment_from_failed_rotation_is_repaired() {
     let mut config = config(&dir);
     config.segment_max_bytes = 64; // 18-byte header + 24-byte records: rotate on append 1
     let faults = FaultFs::over_real();
-    // Append 0: ops 2 (header), 3 (payload). Append 1 rotates first:
-    // sync_data=4, create_new_append=5, segment-header write=6 (torn), then
-    // the cleanup remove_file=7 (blocked so the orphan persists on disk).
-    faults.schedule_fault(6, FaultKind::TornWrite { keep: 5 });
-    faults.schedule_fault(7, FaultKind::FailRename);
+    // Append 0: op 2 (record). Append 1 rotates first: sync_data=3,
+    // create_new_append=4, segment-header write=5 (torn), then the cleanup
+    // remove_file=6 (blocked so the orphan persists on disk).
+    faults.schedule_fault(5, FaultKind::TornWrite { keep: 5 });
+    faults.schedule_fault(6, FaultKind::FailRename);
     let journal = Journal::open_with_vfs(config.clone(), Arc::new(faults.clone())).expect("open");
     journal.append_frame(&[1u8; 16]).expect("append 0");
     assert!(journal.append_frame(&[2u8; 16]).is_err(), "rotation fault surfaces");

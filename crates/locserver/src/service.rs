@@ -302,7 +302,7 @@ impl LocationService {
     /// Collects every shard's tracker state under read locks, sorted by
     /// object id (the snapshot codec's canonical order).
     fn collect_snapshot_entries(&self) -> Vec<SnapshotEntry> {
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(self.object_count());
         for shard in &self.shards {
             shard.read(|s| s.snapshot_entries_into(&mut entries));
         }
