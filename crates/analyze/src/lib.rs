@@ -103,6 +103,9 @@ impl AnalyzeConfig {
             unsafe_boundary: vec!["crates/net/src/sys/epoll.rs".into()],
             panic_free: vec![
                 "crates/core/src/wire/".into(),
+                "crates/core/src/map_predictor.rs".into(),
+                "crates/core/src/predictor.rs".into(),
+                "crates/core/src/server.rs".into(),
                 "crates/journal/src/".into(),
                 "crates/net/src/".into(),
                 "crates/locserver/src/durability.rs".into(),

@@ -115,6 +115,26 @@ fn the_real_tree_is_clean_under_the_committed_config() {
         ["crates/net/src/sys/epoll.rs"],
         "one file, so `unsafe` in sys/mod.rs is a finding"
     );
+    // The predictor and tracker consume wire-derived state on serving
+    // threads: a hostile `towards` once indexed past the node table there,
+    // outside the protected set.
+    for file in ["map_predictor.rs", "predictor.rs", "server.rs"] {
+        let path = format!("crates/core/src/{file}");
+        assert!(config.panic_free.contains(&path), "{path} must be panic-free");
+    }
+    // The prediction walk's per-hop lookup, the rule behind it and the
+    // per-sighting buffer step are pinned allocation-free.
+    for (file, func) in [
+        ("crates/core/src/map_predictor.rs", "predict"),
+        ("crates/roadnet/src/network.rs", "straightest_continuation"),
+        ("crates/roadnet/src/network.rs", "smallest_angle_link"),
+        ("crates/geo/src/estimate.rs", "record"),
+    ] {
+        assert!(
+            config.hotpath_manifest.contains(&(file.to_string(), func.to_string())),
+            "hotpath manifest must pin {file} {func}"
+        );
+    }
     let diagnostics = analyze_workspace(&root, &config).expect("analyze the real tree");
     let rendered: Vec<String> = diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(

@@ -75,19 +75,23 @@ impl UpdateProtocol for KnownRouteDeadReckoning {
     }
 
     fn on_sighting(&mut self, s: Sighting) -> Option<Update> {
-        let estimate = self.estimator.push(s.t, s.position);
+        self.estimator.record(s.t, s.position);
         // Project the sensed position onto the known route to obtain the
         // current arc length (the route-equivalent of map matching).
         let proj = self.route.project(&s.position);
-        self.engine.decide(s.t, s.position, s.accuracy, None, || ObjectState {
-            position: proj.point,
-            speed: estimate.speed,
-            heading: estimate.heading,
-            timestamp: s.t,
-            link: None,
-            arc_length: proj.arc_length,
-            towards: None,
-            turn_rate: 0.0,
+        let estimator = &self.estimator;
+        self.engine.decide(s.t, s.position, s.accuracy, None, || {
+            let estimate = estimator.estimate();
+            ObjectState {
+                position: proj.point,
+                speed: estimate.speed,
+                heading: estimate.heading,
+                timestamp: s.t,
+                link: None,
+                arc_length: proj.arc_length,
+                towards: None,
+                turn_rate: 0.0,
+            }
         })
     }
 

@@ -42,8 +42,11 @@ impl UpdateProtocol for LinearDeadReckoning {
     }
 
     fn on_sighting(&mut self, s: Sighting) -> Option<Update> {
-        let estimate = self.estimator.push(s.t, s.position);
+        // The estimate is read only when an update is sent.
+        self.estimator.record(s.t, s.position);
+        let estimator = &self.estimator;
         self.engine.decide(s.t, s.position, s.accuracy, None, || {
+            let estimate = estimator.estimate();
             ObjectState::basic(s.position, estimate.speed, estimate.heading, s.t)
         })
     }

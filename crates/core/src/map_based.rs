@@ -156,7 +156,7 @@ impl UpdateProtocol for MapBasedDeadReckoning {
     }
 
     fn on_sighting(&mut self, s: Sighting) -> Option<Update> {
-        let estimate = self.estimator.push(s.t, s.position);
+        self.estimator.record(s.t, s.position);
         let m = self.matcher.update(s.position);
 
         // Losing the map forces an update: "When after forward- or
@@ -171,9 +171,10 @@ impl UpdateProtocol for MapBasedDeadReckoning {
             _ => None,
         };
 
-        let network = Arc::clone(&self.network);
+        let (network, estimator) = (&self.network, &self.estimator);
         let update = self.engine.decide(s.t, s.position, s.accuracy, force, || {
-            Self::build_state(&network, &m, estimate.speed, estimate.heading, s.t)
+            let estimate = estimator.estimate();
+            Self::build_state(network, &m, estimate.speed, estimate.heading, s.t)
         });
         if update.is_some() {
             self.server_in_map_mode = Some(now_in_map_mode);

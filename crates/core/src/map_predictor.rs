@@ -66,51 +66,36 @@ impl MapPredictor {
         &self.network
     }
 
-    /// Chooses the outgoing link at `node`, arriving over `arriving` with the
-    /// given direction of travel. Returns `None` when the node is a dead end.
+    /// Chooses the outgoing link at `node`, an endpoint of `arriving`, for an
+    /// object arriving over `arriving`. Returns `None` when the node is a
+    /// dead end.
     ///
-    /// Allocation-free: candidates are drawn from the network's adjacency
-    /// slice via [`RoadNetwork::outgoing_links_iter`] and re-iterated for
-    /// multi-pass policies instead of being collected — this runs once per
-    /// link hop inside every map-based prediction, so a fresh `Vec` here
-    /// would put malloc on the predict hot path.
-    fn choose_outgoing(
-        &self,
-        node: NodeId,
-        arriving: LinkId,
-        arrival_direction: Vec2,
-    ) -> Option<LinkId> {
-        let candidates = || self.network.outgoing_links_iter(node, Some(arriving));
-        let smallest_angle = |iter: &mut dyn Iterator<Item = LinkId>| -> Option<LinkId> {
-            iter.min_by(|&a, &b| {
-                let da = self.departure_angle(a, node, arrival_direction);
-                let db = self.departure_angle(b, node, arrival_direction);
-                da.partial_cmp(&db).expect("angles are finite").then(a.cmp(&b))
-            })
-        };
+    /// The paper's smallest-angle choice is a property of the map and was
+    /// made when the map was built ([`RoadNetwork::straightest_continuation`]),
+    /// so source and server share it by construction and a hop costs an array
+    /// lookup. The other policies stay allocation-free by re-iterating the
+    /// network's adjacency slice — this runs once per link hop inside every
+    /// map-based prediction.
+    fn choose_outgoing(&self, node: NodeId, arriving: LinkId) -> Option<LinkId> {
+        let network = &*self.network;
+        let candidates = || network.outgoing_links_iter(node, Some(arriving));
         match &self.policy {
-            IntersectionPolicy::SmallestAngle => smallest_angle(&mut candidates()),
+            IntersectionPolicy::SmallestAngle => network.straightest_continuation(arriving, node),
             IntersectionPolicy::HighestProbability(table) => table
                 .most_likely(node, arriving)
                 .filter(|&l| candidates().any(|c| c == l))
-                .or_else(|| smallest_angle(&mut candidates())),
+                .or_else(|| network.straightest_continuation(arriving, node)),
             IntersectionPolicy::MainRoad => {
-                let best_priority =
-                    candidates().map(|l| self.network.link(l).class.priority()).max()?;
-                smallest_angle(
-                    &mut candidates()
-                        .filter(|&l| self.network.link(l).class.priority() == best_priority),
+                let priority = |l: LinkId| network.link(l).class.priority();
+                let best_priority = candidates().map(priority).max()?;
+                network.smallest_angle_link(
+                    arriving,
+                    node,
+                    candidates().filter(|&l| priority(l) == best_priority),
                 )
             }
             IntersectionPolicy::FirstLink => candidates().min(),
         }
-    }
-
-    /// Angle between the arrival direction and the departure direction of a
-    /// candidate link at `node`.
-    fn departure_angle(&self, link: LinkId, node: NodeId, arrival_direction: Vec2) -> f64 {
-        let departure = self.network.link(link).departure_direction(node).unwrap_or(Vec2::NORTH);
-        arrival_direction.angle_to(&departure)
     }
 }
 
@@ -130,10 +115,14 @@ impl Predictor for MapPredictor {
         let mut remaining = reported.speed * dt;
 
         // Current position along the current link and the endpoint we walk
-        // towards. If the update did not carry a direction, derive it from the
-        // reported heading relative to the link geometry.
+        // towards. `towards` arrives off the wire: only an endpoint of the
+        // reported link is a direction. Anything else — absent, off the node
+        // table, or a node elsewhere on the map — is derived from the
+        // reported heading relative to the link geometry, so a hostile update
+        // can neither index past the map nor restart the walk from an
+        // unrelated intersection.
         let mut current_link = link_id;
-        let mut towards = reported.towards.unwrap_or_else(|| {
+        let mut towards = reported.towards.filter(|&n| link.touches(n)).unwrap_or_else(|| {
             let dir_at = link.geometry.direction_at_arc_length(reported.arc_length);
             let heading_vec = Vec2::from_heading(reported.heading);
             if dir_at.dot(&heading_vec) >= 0.0 {
@@ -170,17 +159,8 @@ impl Predictor for MapPredictor {
             // Consume the rest of this link and cross the intersection.
             remaining -= distance_to_end;
             hops += 1;
-            let l = self.network.link(current_link);
             let node = towards;
-            // Direction of arrival at the node: the link's direction at the
-            // node, oriented in travel direction.
-            let arrival_direction = match l.departure_direction(node) {
-                // `departure_direction(node)` points *away* from the node along
-                // the link, i.e. back where we came from — negate it.
-                Some(d) => -d,
-                None => Vec2::NORTH,
-            };
-            match self.choose_outgoing(node, current_link, arrival_direction) {
+            match self.choose_outgoing(node, current_link) {
                 Some(next) => {
                     let next_link = self.network.link(next);
                     towards = next_link.other_end(node).unwrap_or(next_link.to);
@@ -208,6 +188,8 @@ impl Predictor for MapPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerTracker;
+    use crate::state::{Update, UpdateKind};
     use mbdr_roadnet::{NetworkBuilder, RoadClass};
 
     /// A Y-junction: approach road heading east, then a slight-left branch
@@ -361,5 +343,41 @@ mod tests {
         let state = reported_on(approach, 250.0, 0.0, NodeId(1));
         let p = pred.predict(&state, 500.0);
         assert!(p.distance(&Point::new(250.0, 0.0)) < 1e-9);
+    }
+
+    /// What the server answers at `t` for an object reported 100 m before the
+    /// Y-junction, after the update crossed the wire with the given `towards`.
+    fn served_after_the_wire(towards: Option<NodeId>, t: f64) -> Point {
+        let (net, approach, _, _) = y_junction();
+        let state = ObjectState { towards, ..reported_on(approach, 400.0, 10.0, NodeId(1)) };
+        let bytes = Update { sequence: 0, state, kind: UpdateKind::Initial }.encode().unwrap();
+        let mut tracker = ServerTracker::new(Arc::new(MapPredictor::new(net)));
+        tracker.apply(&Update::decode(&bytes).expect("wire-legal"));
+        tracker.position_at(t).expect("tracked")
+    }
+
+    #[test]
+    fn a_towards_beyond_the_node_table_is_handled_as_absent() {
+        // Wire-legal (only 0xFFFF_FFFF is reserved), far past the 4 nodes of
+        // the map, and the walk crosses the link end at both instants.
+        for t in [30.0, 120.0] {
+            assert_eq!(
+                served_after_the_wire(Some(NodeId(4_000_000)), t),
+                served_after_the_wire(None, t)
+            );
+        }
+    }
+
+    #[test]
+    fn a_towards_that_is_not_an_endpoint_of_the_link_is_handled_as_absent() {
+        // Node 3 (D) is on the map but not on the approach link: the walk
+        // must neither turn around nor restart from D's intersection.
+        for t in [5.0, 30.0, 120.0] {
+            assert_eq!(served_after_the_wire(Some(NodeId(3)), t), served_after_the_wire(None, t));
+        }
+        // …and "absent" means eastwards, onto the smallest-angle branch.
+        let (net, _, left, _) = y_junction();
+        let expected = net.link(left).geometry.point_at_arc_length(200.0);
+        assert!(served_after_the_wire(Some(NodeId(3)), 30.0).distance(&expected) < 1e-6);
     }
 }

@@ -81,12 +81,14 @@ impl MotionEstimator {
         self.samples.clear();
     }
 
-    /// Pushes a sighting and returns the estimate over the current window.
+    /// Buffers a sighting without estimating — for protocols that read the
+    /// estimate only when they send an update ([`MotionEstimator::estimate`]
+    /// is pure, so estimating then gives the very bits estimating now would).
     ///
-    /// Sightings must be pushed in non-decreasing timestamp order; a sighting
-    /// whose timestamp does not advance past the newest buffered one replaces
-    /// it rather than corrupting the window.
-    pub fn push(&mut self, timestamp: f64, position: Point) -> MotionEstimate {
+    /// Sightings must be recorded in non-decreasing timestamp order; a
+    /// sighting whose timestamp does not advance past the newest buffered one
+    /// replaces it rather than corrupting the window.
+    pub fn record(&mut self, timestamp: f64, position: Point) {
         if let Some(&(last_t, _)) = self.samples.back() {
             if timestamp <= last_t {
                 self.samples.pop_back();
@@ -96,6 +98,12 @@ impl MotionEstimator {
             self.samples.pop_front();
         }
         self.samples.push_back((timestamp, position));
+    }
+
+    /// [`MotionEstimator::record`]s a sighting and returns the estimate over
+    /// the current window — for protocols that read it on every sighting.
+    pub fn push(&mut self, timestamp: f64, position: Point) -> MotionEstimate {
+        self.record(timestamp, position);
         self.estimate()
     }
 
@@ -232,5 +240,98 @@ mod tests {
             window: 2,
         };
         assert_eq!(e.velocity(), Vec2::new(5.0, 0.0));
+    }
+
+    /// `push` as it was when every sighting paid for an estimate: buffer and
+    /// estimate in one step, nothing shared with [`MotionEstimator`]. The
+    /// reference `record` + `estimate` must reproduce bit for bit.
+    fn eager_push(
+        window: usize,
+        samples: &mut VecDeque<(f64, Point)>,
+        timestamp: f64,
+        position: Point,
+    ) -> MotionEstimate {
+        if let Some(&(last_t, _)) = samples.back() {
+            if timestamp <= last_t {
+                samples.pop_back();
+            }
+        }
+        if samples.len() == window {
+            samples.pop_front();
+        }
+        samples.push_back((timestamp, position));
+        if samples.len() < 2 {
+            return MotionEstimate { window: samples.len().max(1), ..MotionEstimate::stationary() };
+        }
+        let (t0, p0) = *samples.front().unwrap();
+        let (t1, p1) = *samples.back().unwrap();
+        let dt = t1 - t0;
+        if dt <= f64::EPSILON {
+            return MotionEstimate { window: samples.len(), ..MotionEstimate::stationary() };
+        }
+        let mut path = 0.0;
+        let mut prev = p0;
+        for &(_, p) in samples.iter().skip(1) {
+            path += prev.distance(&p);
+            prev = p;
+        }
+        let direction = (p1 - p0).normalized_or_north();
+        MotionEstimate {
+            speed: path / dt,
+            direction,
+            heading: direction.heading(),
+            window: samples.len(),
+        }
+    }
+
+    #[test]
+    fn recording_then_estimating_on_demand_equals_estimating_every_sighting() {
+        // SplitMix64: seeded, so a failure names its stream.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        let unit = |state: &mut u64| (next(state) >> 11) as f64 / (1u64 << 53) as f64;
+        for window in 2..=8 {
+            for seed in 0..16u64 {
+                let mut rng = seed ^ ((window as u64) << 32);
+                let mut lazy = MotionEstimator::new(window);
+                let mut reference = VecDeque::new();
+                let (mut t, mut p) = (0.0, Point::new(0.0, 0.0));
+                for step in 0..400 {
+                    // Mostly 1 Hz; sometimes the same instant again, a
+                    // timestamp that runs backwards, or a standstill.
+                    t += match next(&mut rng) % 8 {
+                        0 => 0.0,
+                        1 => -0.5,
+                        _ => 1.0,
+                    };
+                    if !next(&mut rng).is_multiple_of(6) {
+                        p = Point::new(
+                            p.x + 40.0 * (unit(&mut rng) - 0.5),
+                            p.y + 40.0 * (unit(&mut rng) - 0.5),
+                        );
+                    }
+                    let eager = eager_push(window, &mut reference, t, p);
+                    lazy.record(t, p);
+                    // Read the estimate only now and then, as a protocol
+                    // that sends on ≈ 5 % of its sightings does.
+                    if next(&mut rng).is_multiple_of(4) {
+                        let e = lazy.estimate();
+                        let bits = |m: &MotionEstimate| {
+                            [m.speed, m.heading, m.direction.x, m.direction.y].map(f64::to_bits)
+                        };
+                        assert_eq!(
+                            (bits(&e), e.window),
+                            (bits(&eager), eager.window),
+                            "window {window} seed {seed} step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

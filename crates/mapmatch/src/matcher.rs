@@ -312,7 +312,7 @@ impl MapMatcher {
         sensed: &Point,
     ) -> Option<(LinkId, mbdr_roadnet::LinkMatch)> {
         let mut best: Option<(LinkId, mbdr_roadnet::LinkMatch)> = None;
-        for link_id in self.network.outgoing_links(via, exclude) {
+        for link_id in self.network.outgoing_links_iter(via, exclude) {
             let m = self.locator.project_onto(&self.network, link_id, sensed);
             if m.distance > self.config.tolerance {
                 continue;

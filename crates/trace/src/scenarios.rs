@@ -317,4 +317,28 @@ mod tests {
     fn zero_scale_is_rejected() {
         let _ = Scenario { kind: ScenarioKind::City, scale: 0.0, seed: 1 }.build();
     }
+
+    #[test]
+    fn every_scenario_map_carries_the_smallest_angle_choice_of_every_link_end() {
+        // The table is built with the map; `mbdr-roadnet`'s own tests check
+        // the rule against the per-hop oracle, this checks the four maps the
+        // protocols actually run on were given the rule's answer.
+        for kind in ScenarioKind::ALL {
+            let net = Scenario { kind, scale: 0.05, seed: 2001 }.build().network;
+            for link in net.links() {
+                for node in [link.from, link.to] {
+                    assert_eq!(
+                        net.straightest_continuation(link.id, node),
+                        net.smallest_angle_link(
+                            link.id,
+                            node,
+                            net.outgoing_links_iter(node, Some(link.id))
+                        ),
+                        "{kind:?}: arriving over {} at {node}",
+                        link.id
+                    );
+                }
+            }
+        }
+    }
 }
