@@ -510,13 +510,14 @@ impl Journal {
         let Some((frames, path)) = &self.recovered_snapshot else {
             return Ok(None);
         };
-        let bytes = self.vfs.read(path)?;
-        match parse_snapshot(&bytes) {
-            Some((snap_frames, body)) if snap_frames == *frames => {
-                Ok(Some(SnapshotBlob { frames: *frames, body: body.to_vec() }))
-            }
-            _ => Err(corrupt(path, 0, "snapshot failed revalidation")),
+        let mut bytes = self.vfs.read(path)?;
+        if !matches!(parse_snapshot(&bytes), Some((snap_frames, _)) if snap_frames == *frames) {
+            return Err(corrupt(path, 0, "snapshot failed revalidation"));
         }
+        // A valid image is exactly header + body, so the body is handed out in
+        // the buffer it was read into rather than in a second copy of it.
+        bytes.drain(..SNAPSHOT_HEADER_LEN);
+        Ok(Some(SnapshotBlob { frames: *frames, body: bytes }))
     }
 
     /// Cheap, lock-free check used once per ingested frame: is a snapshot

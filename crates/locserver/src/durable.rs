@@ -1,5 +1,6 @@
 //! Crash recovery: open the journal, restore the newest snapshot, replay the
-//! retained frame tail, then attach the journal for live appends.
+//! retained frame tail, rebuild the spatial indexes from the recovered
+//! trackers, then attach the journal for live appends.
 //!
 //! Replayed frames go through the same staleness-aware
 //! [`mbdr_core::ServerTracker`] apply rules as live traffic, so frames the
@@ -92,12 +93,22 @@ impl From<JournalError> for RecoverError {
 /// On a fresh (empty) directory this degenerates to "create the journal and
 /// attach it" with an all-zero report, so servers use one code path whether
 /// or not a previous life existed.
+///
+/// A service that already has a journal is refused with
+/// [`RecoverError::AlreadyAttached`] *before* anything is opened or restored:
+/// a second `Journal::open` on a live directory would be a second writer
+/// (its open sweeps in-flight `*.tmp` snapshots), and a restore would put
+/// snapshot state over live trackers.
 pub fn recover_and_attach(
     service: &LocationService,
     config: JournalConfig,
 ) -> Result<(Arc<Journal>, RecoveryReport), RecoverError> {
+    if service.journal().is_some() {
+        return Err(RecoverError::AlreadyAttached);
+    }
     let journal = Arc::new(Journal::open(config)?);
     let report = recover_into(service, &journal)?;
+    // Still checked: a concurrent attach may have won since the test above.
     if !service.attach_journal(Arc::clone(&journal)) {
         return Err(RecoverError::AlreadyAttached);
     }
@@ -106,6 +117,16 @@ pub fn recover_and_attach(
 
 /// The restore + replay half of [`recover_and_attach`], without attaching:
 /// useful when the caller owns journal lifecycle (tests, offline inspection).
+///
+/// Snapshot entries and replayed frames are written to the trackers only; the
+/// spatial indexes and expiry heaps are state *derived* from the trackers'
+/// last reports, and are built once, from scratch, as the last step — so
+/// until this function returns, [`LocationService::position_of`] already
+/// answers from restored state while rect and nearest queries see an index
+/// that does not cover it yet. Serve queries only afterwards
+/// (`mbdr-net`'s `NetServer::bind_durable` binds its listener after this
+/// returns). A pass that wrote to no tracker — a fresh directory — takes no
+/// shard lock at all.
 pub fn recover_into(
     service: &LocationService,
     journal: &Journal,
@@ -120,11 +141,16 @@ pub fn recover_into(
     }
     let mut updates = 0u64;
     let mut decode_errors = 0u64;
-    report.replayed_frames =
-        journal.replay(|_, bytes| match service.replay_frame_bytes(bytes) {
-            Ok(n) => updates += n as u64,
-            Err(_) => decode_errors += 1,
-        })?;
+    let replayed = journal.replay(|_, bytes| match service.replay_frame_bytes(bytes) {
+        Ok(n) => updates += n as u64,
+        Err(_) => decode_errors += 1,
+    });
+    // Before the replay's verdict is looked at: a replay that failed midway
+    // has moved trackers too, and they must not be left behind a stale index.
+    if report.restored_objects > 0 || updates > 0 {
+        service.rebuild_indexes();
+    }
+    report.replayed_frames = replayed?;
     report.replayed_updates = updates;
     report.frame_decode_errors = decode_errors;
     report.truncated_bytes = journal.stats().truncated_bytes;

@@ -270,18 +270,28 @@ impl LocationService {
     }
 
     /// Recovery twin of [`LocationService::apply_frame_bytes`]: applies a
-    /// frame that came *out of* the journal, without re-journaling it. Only
-    /// the recovery path ([`crate::durable`]) uses this, before the journal is
-    /// attached for live traffic.
+    /// frame that came *out of* the journal to its source's tracker — same
+    /// staleness rules, nothing re-journaled, and no index work: only an
+    /// object's last state is ever indexed, so [`crate::durable::recover_into`]
+    /// ends with one [`LocationService::rebuild_indexes`] instead of
+    /// re-anchoring per replayed update. Returns the number of updates routed
+    /// to a registered tracker.
     pub(crate) fn replay_frame_bytes(&self, bytes: &[u8]) -> Result<usize, DecodeError> {
         let view = FrameView::parse(bytes)?;
         if view.is_empty() {
             return Ok(0);
         }
         let object = ObjectId(view.source());
-        Ok(self
-            .shard_of(object)
-            .write(|s| view.updates().filter(|u| s.apply_update(object, u)).count()))
+        Ok(self.shard_of(object).write(|s| s.replay_updates(object, view.updates())))
+    }
+
+    /// Derives every shard's spatial index and expiry heap afresh from its
+    /// trackers, one write-lock hold per shard — the last step of a recovery
+    /// pass that restored or replayed anything.
+    pub(crate) fn rebuild_indexes(&self) {
+        for shard in &self.shards {
+            shard.write(|s| s.rebuild_index());
+        }
     }
 
     /// Proposes and, if the journal grants it, installs a snapshot of the full
@@ -391,7 +401,8 @@ impl LocationService {
         }
     }
 
-    /// Restores tracker state from decoded snapshot entries. Returns
+    /// Restores tracker state from decoded snapshot entries (trackers only;
+    /// see [`LocationService::rebuild_indexes`]). Returns
     /// `(restored, skipped)` — an entry is skipped when its object is not
     /// registered on this service (recovery cannot invent the predictor).
     pub(crate) fn restore_entries(&self, entries: &[SnapshotEntry]) -> (u64, u64) {

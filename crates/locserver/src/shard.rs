@@ -20,6 +20,19 @@
 //! box of a silent mover keeps growing, which is exactly the server's real
 //! uncertainty about it.
 //!
+//! ## Derived state
+//!
+//! The trackers are the shard's only primary state. The index and the expiry
+//! heap are *derived* from the trackers' last reports: an object's entry
+//! `(bbox, valid_until)` is a pure function of its last accepted state (and,
+//! once re-grown, of the query time that re-grew it), written by `reindex`
+//! and nothing else. Live ingest maintains them incrementally, one `reindex`
+//! per accepted update. Crash recovery does not: snapshot restore and journal
+//! replay write trackers only, and `rebuild_index` derives index and heap
+//! once at the end with the same `reindex` call — bit-identical entries, one
+//! heap entry per mover. Until it has run, rect and nearest queries see an
+//! index that does not cover the recovered trackers yet.
+//!
 //! ## Storage and query layout
 //!
 //! Trackers live in a dense slot arena (`slots[slot_id]`); the
@@ -215,12 +228,11 @@ impl ShardState {
         true
     }
 
-    /// Reinstates one object's tracker state from a durability snapshot and
-    /// re-anchors its index entry, mirroring the accepted-update path of
-    /// [`ShardState::apply_update`] (same `reindex` call, so the rebuilt
-    /// spatial entry is bit-identical to the one an uninterrupted server
-    /// holds). Returns `false` when the object is not registered — recovery
-    /// cannot invent a tracker because it would not know the predictor.
+    /// Recovery: reinstates one object's tracker state from a durability
+    /// snapshot. Tracker only — the index entry is derived state, written once
+    /// by [`ShardState::rebuild_index`] when the recovery pass is over. Returns
+    /// `false` when the object is not registered — recovery cannot invent a
+    /// tracker because it would not know the predictor.
     pub(crate) fn restore_object(
         &mut self,
         object: ObjectId,
@@ -231,13 +243,58 @@ impl ShardState {
         let Some(&slot) = self.by_id.get(&object) else {
             return false;
         };
-        let tracked = &mut self.slots[slot as usize];
-        tracked.tracker.restore(update, updates_applied, bytes_received);
-        if tracked.tracker.last_state().is_some() {
-            Self::reindex(&self.config, &mut self.index, &mut self.expiries, slot, tracked, None);
-        }
-        self.prune_superseded_expiries();
+        self.slots[slot as usize].tracker.restore(update, updates_applied, bytes_received);
         true
+    }
+
+    /// Recovery: applies one replayed frame's updates to `object`'s tracker
+    /// under the staleness rules of live ingest, resolving the slot once for
+    /// the frame. Tracker only, like [`ShardState::restore_object`]. Returns
+    /// how many updates reached a registered tracker — what
+    /// [`ShardState::apply_update`] would have answered `true` for.
+    pub(crate) fn replay_updates(
+        &mut self,
+        object: ObjectId,
+        updates: impl Iterator<Item = Update>,
+    ) -> usize {
+        let Some(&slot) = self.by_id.get(&object) else {
+            return 0;
+        };
+        let tracker = &mut self.slots[slot as usize].tracker;
+        let mut routed = 0;
+        for update in updates {
+            tracker.apply(&update);
+            routed += 1;
+        }
+        routed
+    }
+
+    /// Recovery: derives the spatial index and the expiry heap afresh from the
+    /// trackers' last reports — one [`ShardState::reindex`] per live slot, the
+    /// very call the accepted-update path ends with, so every entry is
+    /// bit-identical to the one per-update maintenance leaves behind, and the
+    /// heap holds exactly one entry per mover. Ascending slot order reads the
+    /// arena sequentially.
+    pub(crate) fn rebuild_index(&mut self) {
+        let mut live = vec![true; self.slots.len()];
+        for &slot in &self.free_slots {
+            live[slot as usize] = false;
+        }
+        self.index = MovingIndex::new(self.config.cell_size_m);
+        self.index.reserve(self.by_id.len());
+        self.expiries.clear();
+        for ((slot, tracked), live) in self.slots.iter_mut().enumerate().zip(live) {
+            if live {
+                Self::reindex(
+                    &self.config,
+                    &mut self.index,
+                    &mut self.expiries,
+                    slot as u32,
+                    tracked,
+                    None,
+                );
+            }
+        }
     }
 
     /// Appends one durability-snapshot entry per object with applied state to
@@ -484,5 +541,223 @@ impl Shard {
     /// Number of write-lock acquisitions so far.
     pub(crate) fn write_acquisitions(&self) -> u64 {
         self.write_acquisitions.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mbdr_core::{LinearPredictor, ObjectState};
+    use std::collections::HashSet;
+
+    /// splitmix64 — the seeded source of every stream below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    enum Op {
+        Register(ObjectId),
+        Deregister(ObjectId),
+        Frame(ObjectId, Vec<Update>),
+    }
+
+    /// Objects 0..IDS may be registered; a few ids beyond never are.
+    const IDS: u64 = 40;
+
+    /// A seeded stream over a small fleet: a quarter parked, the rest moving,
+    /// 1–8 updates per frame of which some are stale (older timestamp) or
+    /// duplicates (same timestamp and sequence), interleaved with
+    /// (re-)registrations and deregistrations. Returns the stream and how
+    /// many `(re-registrations, slot-reusing registrations)` it holds.
+    fn stream(seed: u64, ops: usize) -> (Vec<Op>, (usize, usize)) {
+        let mut rng = Rng(seed);
+        let mut out: Vec<Op> = (0..IDS).map(|i| Op::Register(ObjectId(i))).collect();
+        let mut registered = [true; IDS as usize];
+        let mut freed = 0usize;
+        let (mut reregistered, mut reused) = (0, 0);
+        let mut clock = [(0u64, 0.0f64); IDS as usize + 4]; // (next sequence, last timestamp)
+        for _ in 0..ops {
+            let id = rng.below(IDS);
+            match rng.below(100) {
+                0..=5 => {
+                    if registered[id as usize] {
+                        reregistered += 1;
+                    } else if freed > 0 {
+                        freed -= 1;
+                        reused += 1;
+                    }
+                    registered[id as usize] = true;
+                    out.push(Op::Register(ObjectId(id)));
+                }
+                6..=11 => {
+                    freed += usize::from(registered[id as usize]);
+                    registered[id as usize] = false;
+                    out.push(Op::Deregister(ObjectId(id)));
+                }
+                _ => {
+                    let id = rng.below(IDS + 4);
+                    let (sequence, last_t) = &mut clock[id as usize];
+                    let mut updates = Vec::new();
+                    for _ in 0..1 + rng.below(8) {
+                        let (seq, t) = match rng.below(100) {
+                            0..=14 => (rng.below(*sequence + 1), *last_t - rng.below(50) as f64),
+                            15..=24 => (sequence.saturating_sub(1), *last_t),
+                            _ => {
+                                *sequence += 1;
+                                *last_t += 0.5 + rng.below(40) as f64;
+                                (*sequence - 1, *last_t)
+                            }
+                        };
+                        // A quarter of the fleet is parked, bar the odd trip.
+                        let parked = id.is_multiple_of(4) && rng.below(20) != 0;
+                        let speed = if parked { 0.0 } else { 1.0 + rng.below(30) as f64 };
+                        let position = Point::new(
+                            rng.below(20_000) as f64 - 10_000.0,
+                            rng.below(20_000) as f64 - 10_000.0,
+                        );
+                        let heading = rng.below(628) as f64 / 100.0;
+                        updates.push(Update {
+                            sequence: seq,
+                            state: ObjectState::basic(position, speed, heading, t),
+                            kind: UpdateKind::DeviationBound,
+                        });
+                    }
+                    out.push(Op::Frame(ObjectId(id), updates));
+                }
+            }
+        }
+        (out, (reregistered, reused))
+    }
+
+    /// Runs `ops` through the shard; frames go update by update through
+    /// `apply_update` (`indexed`) or as a whole through `replay_updates`.
+    /// Returns the number of updates routed to a registered tracker.
+    fn run(shard: &mut ShardState, ops: &[Op], indexed: bool) -> usize {
+        let mut routed = 0;
+        for op in ops {
+            match op {
+                Op::Register(object) => shard.register(*object, Arc::new(LinearPredictor)),
+                Op::Deregister(object) => {
+                    shard.deregister(*object);
+                }
+                Op::Frame(object, updates) if indexed => {
+                    routed += updates.iter().filter(|u| shard.apply_update(*object, u)).count();
+                }
+                Op::Frame(object, updates) => {
+                    routed += shard.replay_updates(*object, updates.iter().copied());
+                }
+            }
+        }
+        routed
+    }
+
+    /// Every live slot carries the same tracker state, index box and validity
+    /// on both sides, and both heaps expire next at the same instant.
+    fn assert_same_derived_state(subject: &mut ShardState, oracle: &mut ShardState, what: &str) {
+        assert_eq!(subject.by_id, oracle.by_id, "{what}: slot assignment");
+        assert_eq!(subject.index.len(), oracle.index.len(), "{what}: indexed count");
+        for (object, &slot) in &oracle.by_id {
+            let (s, o) = (&subject.slots[slot as usize], &oracle.slots[slot as usize]);
+            assert_eq!(s.tracker.last_state(), o.tracker.last_state(), "{what}: {object:?}");
+            assert_eq!(s.tracker.updates_applied(), o.tracker.updates_applied(), "{what}");
+            assert_eq!(subject.index.get(&slot), oracle.index.get(&slot), "{what}: {object:?}");
+            assert_eq!(s.valid_until.to_bits(), o.valid_until.to_bits(), "{what}: {object:?}");
+        }
+        subject.prune_superseded_expiries();
+        oracle.prune_superseded_expiries();
+        assert_eq!(subject.next_expiry().to_bits(), oracle.next_expiry().to_bits(), "{what}");
+    }
+
+    #[test]
+    fn rebuilt_index_equals_the_per_update_maintained_one() {
+        let config = ServiceConfig { horizon_s: 20.0, ..ServiceConfig::default() };
+        let (mut reregistered, mut reused) = (0, 0);
+        for seed in 0..24u64 {
+            let (ops, (r, u)) = stream(0xD15C_0000 + seed, 700);
+            reregistered += r;
+            reused += u;
+            // Up to `warm` both sides index per update (recovery into a shard
+            // that already holds indexed state; 0 = a fresh one); up to `cut`
+            // the subject only moves trackers; then it rebuilds.
+            let warm = if seed.is_multiple_of(3) { 0 } else { IDS as usize + 10 * seed as usize };
+            let cut = 500;
+            let (mut subject, mut oracle) = (ShardState::new(config), ShardState::new(config));
+            run(&mut oracle, &ops[..warm], true);
+            run(&mut subject, &ops[..warm], true);
+            let routed = run(&mut oracle, &ops[warm..cut], true);
+            assert_eq!(run(&mut subject, &ops[warm..cut], false), routed, "seed {seed}");
+            subject.rebuild_index();
+            assert_same_derived_state(&mut subject, &mut oracle, "after the rebuild");
+
+            // Exactly one live heap entry per mover with state, none for
+            // parked objects or objects still waiting for a first report.
+            let movers = subject
+                .by_id
+                .values()
+                .filter_map(|&slot| subject.slots[slot as usize].tracker.last_state())
+                .filter(|state| state.speed.abs() >= 1e-9)
+                .count();
+            let mut in_heap = HashSet::new();
+            for Reverse(expiry) in subject.expiries.iter() {
+                let tracked = &subject.slots[expiry.slot as usize];
+                assert_eq!(tracked.generation, expiry.generation, "seed {seed}: a dead entry");
+                assert_eq!(tracked.valid_until.to_bits(), expiry.at.to_bits());
+                assert!(expiry.at.is_finite(), "seed {seed}: a parked object in the heap");
+                assert!(in_heap.insert(expiry.slot), "seed {seed}: two entries for one slot");
+            }
+            assert_eq!(in_heap.len(), movers, "seed {seed}");
+
+            // Placements are consistent after a rebuild: both sides keep
+            // ingesting, then lazily re-grow, and stay equal.
+            run(&mut oracle, &ops[cut..], true);
+            run(&mut subject, &ops[cut..], true);
+            assert_same_derived_state(&mut subject, &mut oracle, "after further ingest");
+            let far = oracle.next_expiry() + 10.0 * config.horizon_s;
+            for t in [oracle.next_expiry(), far] {
+                oracle.refresh_expired(t);
+                subject.refresh_expired(t);
+                assert_same_derived_state(&mut subject, &mut oracle, "after a re-grow");
+            }
+        }
+        assert!(reregistered > 0 && reused > 0, "the streams exercise both registration paths");
+    }
+
+    #[test]
+    fn rebuild_leaves_deregistered_and_unreported_slots_out() {
+        let mut shard = ShardState::new(ServiceConfig::default());
+        let report = |x: f64, speed: f64| Update {
+            sequence: 0,
+            state: ObjectState::basic(Point::new(x, 0.0), speed, 0.0, 1.0),
+            kind: UpdateKind::Initial,
+        };
+        for i in 0..3 {
+            shard.register(ObjectId(i), Arc::new(LinearPredictor));
+        }
+        assert_eq!(shard.replay_updates(ObjectId(0), [report(0.0, 5.0)].into_iter()), 1);
+        assert_eq!(shard.replay_updates(ObjectId(1), [report(900.0, 0.0)].into_iter()), 1);
+        assert_eq!(shard.replay_updates(ObjectId(9), [report(0.0, 5.0)].into_iter()), 0);
+        assert_eq!(shard.indexed_count(), 0, "replay moves trackers only");
+        // Object 0 leaves: its slot keeps a tracker with state but is free.
+        assert!(shard.deregister(ObjectId(0)));
+        shard.rebuild_index();
+        assert_eq!(shard.indexed_count(), 1, "only the parked, reported object 1");
+        assert_eq!(shard.next_expiry(), f64::INFINITY, "a parked object never expires");
+        // The freed slot is reused by a newcomer, which indexes normally.
+        shard.register(ObjectId(7), Arc::new(LinearPredictor));
+        assert!(shard.apply_update(ObjectId(7), &report(50.0, 5.0)));
+        assert_eq!(shard.indexed_count(), 2);
+        assert!(shard.next_expiry().is_finite());
     }
 }

@@ -2,12 +2,22 @@
 //! (snapshot + tail replay) must answer every query **bit-identically** to an
 //! uninterrupted twin that applied the same frames in memory — rect id sets
 //! and positions, nearest-neighbour sequences, and zone enter/leave events.
+//!
+//! Recovery writes trackers only and derives every shard's spatial index once
+//! at the end, so the second half of this file holds the *index* to the same
+//! standard: a rebuilt index equals one maintained update by update, recovery
+//! into a service that already holds indexed state re-derives it from the
+//! trackers, and a refused attach touches neither disk nor service.
 
 use mbdr_core::{encode_snapshot_into, Frame, SnapshotEntry};
 use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{FsyncPolicy, Journal, JournalConfig};
-use mbdr_locserver::{recover_and_attach, LocationService, ObjectId, ServiceConfig, ZoneWatcher};
+use mbdr_locserver::durable::recover_into;
+use mbdr_locserver::{
+    recover_and_attach, LocationService, ObjectId, RecoverError, RecoveryReport, ServiceConfig,
+    ZoneWatcher,
+};
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -285,4 +295,233 @@ fn snapshot_entries_for_unregistered_objects_are_skipped() {
     assert_eq!(report.skipped_objects, 1, "{report:?}");
     assert!(recovered.position_of(ObjectId(0), 1.0).is_some());
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// splitmix64 — the seeded source of the randomized recoveries below.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// `count` seeded frames over `clocks.len()` objects (a fifth parked), 1–4
+/// updates each, every object on its own advancing clock — continuing from
+/// `clocks`, so a second call extends the first call's stream.
+fn seeded_frames(rng: &mut Rng, clocks: &mut [(u64, f64)], count: usize) -> Vec<Vec<u8>> {
+    (0..count)
+        .map(|_| {
+            let object = rng.below(clocks.len() as u64);
+            let (sequence, t) = &mut clocks[object as usize];
+            let mut frame = Frame::new(object);
+            for _ in 0..1 + rng.below(4) {
+                *t += 0.25 + rng.below(8) as f64 * 0.25;
+                let speed = if object.is_multiple_of(5) { 0.0 } else { 1.0 + rng.below(12) as f64 };
+                let position = Point::new(
+                    rng.below(8_000) as f64 - 4_000.0,
+                    rng.below(8_000) as f64 - 4_000.0,
+                );
+                let state = ObjectState::basic(position, speed, rng.below(628) as f64 / 100.0, *t);
+                frame.updates.push(Update {
+                    sequence: *sequence,
+                    state,
+                    kind: UpdateKind::DeviationBound,
+                });
+                *sequence += 1;
+            }
+            frame.encode().expect("encode frame")
+        })
+        .collect()
+}
+
+/// Index occupancy plus rect and nearest answers at `t`, equal on both sides.
+fn assert_same_index_and_answers(a: &LocationService, b: &LocationService, t: f64, what: &str) {
+    let areas = [
+        Aabb::new(Point::new(-4_000.0, -4_000.0), Point::new(4_000.0, 4_000.0)),
+        Aabb::new(Point::new(-700.0, -900.0), Point::new(1_100.0, 600.0)),
+        Aabb::around(Point::new(2_500.0, -2_500.0), 400.0),
+    ];
+    for area in &areas {
+        assert_eq!(a.objects_in_rect(area, t), b.objects_in_rect(area, t), "{what}: rect, t={t}");
+    }
+    for from in [Point::new(0.0, 0.0), Point::new(-3_000.0, 3_500.0)] {
+        for k in [1, 7] {
+            assert_eq!(
+                a.nearest_objects(&from, t, k),
+                b.nearest_objects(&from, t, k),
+                "{what}: nearest, t={t}"
+            );
+        }
+    }
+    // After the queries, so a lazy re-grow they triggered is compared too.
+    assert_eq!(a.index_stats(), b.index_stats(), "{what}: index stats, t={t}");
+}
+
+#[test]
+fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
+    const FLEET: u64 = 60;
+    // A short horizon keeps ten horizons of box growth to a few cells.
+    let config = ServiceConfig { shards: 4, horizon_s: 10.0, ..ServiceConfig::default() };
+    let fleet = || {
+        let service = LocationService::with_config(config);
+        for i in 0..FLEET {
+            service.register(ObjectId(i), Arc::new(LinearPredictor));
+        }
+        service
+    };
+    let mut snapshot_recoveries = 0;
+    for seed in 0..20u64 {
+        let what = format!("seed {seed}");
+        let mut rng = Rng(0x5EED_0000 + seed);
+        let mut clocks = vec![(0u64, 0.0f64); FLEET as usize];
+        let count = 120 + rng.below(500) as usize;
+        let before = seeded_frames(&mut rng, &mut clocks, count);
+        let crash_at = 1 + rng.below(before.len() as u64) as usize;
+        let t_crash = clocks.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        let after = seeded_frames(&mut rng, &mut clocks, 2_000);
+        let dir = temp_dir("rebuilt");
+        let journal_config = JournalConfig {
+            dir: dir.clone(),
+            segment_max_bytes: 2 * 1024 + rng.below(16 * 1024),
+            fsync: FsyncPolicy::PerBatch(64),
+            // One seed in five recovers from the log alone.
+            snapshot_every_frames: if seed % 5 == 4 { 0 } else { 15 + rng.below(150) },
+        };
+
+        let primary = fleet();
+        let (journal, _) = recover_and_attach(&primary, journal_config.clone()).expect("attach");
+        // The twin answers no query before the comparison: lazy re-grow is
+        // query-driven, and a rebuilt index has seen none.
+        let twin = fleet();
+        for bytes in &before[..crash_at] {
+            primary.apply_frame_bytes(bytes).expect("primary apply");
+            twin.apply_frame_bytes(bytes).expect("twin apply");
+        }
+        drop(primary);
+        drop(journal);
+
+        let recovered = fleet();
+        let (journal, report) = recover_and_attach(&recovered, journal_config).expect("recovery");
+        assert_eq!(report.frame_decode_errors, 0, "{what}: {report:?}");
+        assert!(
+            report.snapshot_frames + report.replayed_frames >= crash_at as u64,
+            "{what}: {report:?}"
+        );
+        snapshot_recoveries += u64::from(report.restored_objects > 0);
+        assert_eq!(recovered.index_stats(), twin.index_stats(), "{what}: right after recovery");
+        assert_eq!(recovered.total_updates(), twin.total_updates(), "{what}");
+        // At the crash instant, half a horizon on, and ten horizons on — the
+        // last two re-grow entries of the rebuilt index.
+        for t in [t_crash, t_crash + 0.5 * config.horizon_s, t_crash + 10.0 * config.horizon_s] {
+            assert_same_index_and_answers(&recovered, &twin, t, &what);
+        }
+        // Placements are consistent after a rebuild: both keep ingesting (the
+        // recovered one journaling and snapshotting) and stay equal.
+        let t_end = clocks.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        for (i, bytes) in after.iter().enumerate() {
+            recovered.apply_frame_bytes(bytes).expect("recovered apply");
+            twin.apply_frame_bytes(bytes).expect("twin apply");
+            if i % 500 == 499 {
+                assert_same_index_and_answers(&recovered, &twin, t_end * 0.5, &what);
+            }
+        }
+        assert_same_index_and_answers(&recovered, &twin, t_end, &what);
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(snapshot_recoveries >= 8, "most seeds restore a snapshot: {snapshot_recoveries}");
+}
+
+#[test]
+fn recovery_into_indexed_state_rederives_the_index_from_the_trackers() {
+    let report_at = |sequence: u64, position: Point, speed: f64, t: f64| Update {
+        sequence,
+        state: ObjectState::basic(position, speed, 0.0, t),
+        kind: UpdateKind::Initial,
+    };
+    let (a, b) = (Point::new(-1_000.0, 0.0), Point::new(4_000.0, 0.0)); // 5 km apart
+    let (c, d) = (Point::new(0.0, 3_000.0), Point::new(0.0, -3_000.0));
+    let near = |p: Point| Aabb::around(p, 50.0);
+    let ids = |service: &LocationService, p: Point| -> Vec<u64> {
+        service.objects_in_rect(&near(p), 1.0).iter().map(|r| r.object.0).collect()
+    };
+
+    // Live, indexed state: object 0 parked at A, object 2 creeping at C.
+    // Object 1 is registered and has not reported.
+    let service = fleet();
+    assert!(service.apply_update(ObjectId(0), &report_at(3, a, 0.0, 1.0)));
+    assert!(service.apply_update(ObjectId(2), &report_at(3, c, 0.5, 1.0)));
+    assert_eq!(ids(&service, a), [0]);
+    assert_eq!(ids(&service, c), [2]);
+
+    // A journal whose snapshot says object 0 is at B, and whose log tail
+    // reports object 1 at D. Object 2 appears in neither.
+    let dir = temp_dir("indexed-state");
+    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    let journal = Journal::open(config.clone()).expect("open");
+    let entries = [SnapshotEntry {
+        object: 0,
+        updates_applied: 9,
+        bytes_received: 400,
+        update: report_at(8, b, 0.0, 1.0),
+    }];
+    let mut body = Vec::new();
+    encode_snapshot_into(0, &entries, &mut body).expect("encode snapshot");
+    journal.install_snapshot(0, &body).expect("install");
+    let frame = Frame::single(1, report_at(0, d, 0.5, 1.0)).encode().expect("encode frame");
+    journal.append_frame(&frame).expect("append");
+    drop(journal);
+
+    let journal = Journal::open(config).expect("reopen");
+    let report = recover_into(&service, &journal).expect("recover into live state");
+    assert_eq!((report.restored_objects, report.replayed_frames), (1, 1), "{report:?}");
+    assert_eq!(ids(&service, b), [0], "indexed where the snapshot put it");
+    assert_eq!(ids(&service, a), [] as [u64; 0], "and no longer where it was");
+    assert_eq!(ids(&service, d), [1], "the replayed report is indexed");
+    assert_eq!(ids(&service, c), [2], "the rebuild reads the trackers, not the snapshot's list");
+    assert_eq!(service.indexed_count(), 3);
+    assert_eq!(service.nearest_objects(&b, 1.0, 1)[0].object, ObjectId(0));
+
+    // A recovery with nothing to restore or replay leaves the shards alone.
+    let empty_dir = temp_dir("indexed-state-empty");
+    let empty = Journal::open(journal_config(&empty_dir)).expect("open empty");
+    let locks = service.write_lock_acquisitions();
+    assert_eq!(recover_into(&service, &empty).expect("recover"), RecoveryReport::default());
+    assert_eq!(service.write_lock_acquisitions(), locks, "no shard write lock taken");
+    assert_eq!(ids(&service, b), [0]);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&empty_dir);
+}
+
+#[test]
+fn refused_attach_touches_neither_disk_nor_service() {
+    let (dir_a, dir_b) = (temp_dir("refused-a"), temp_dir("refused-b"));
+    let service = fleet();
+    let (journal, _) = recover_and_attach(&service, journal_config(&dir_a)).expect("attach");
+    for bytes in &encoded_frames(5) {
+        service.apply_frame_bytes(bytes).expect("apply");
+    }
+    let stats = journal.stats();
+    let positions: Vec<_> = (0..OBJECTS).map(|i| service.position_of(ObjectId(i), 12.0)).collect();
+    let locks = service.write_lock_acquisitions();
+
+    let refused = recover_and_attach(&service, journal_config(&dir_b));
+    assert!(matches!(refused, Err(RecoverError::AlreadyAttached)), "second attach is refused");
+    assert!(!dir_b.exists(), "refused before any journal was opened or created");
+    assert_eq!(journal.stats(), stats, "the attached journal is untouched");
+    assert_eq!(service.write_lock_acquisitions(), locks, "no shard was written");
+    for (i, before) in positions.iter().enumerate() {
+        assert_eq!(&service.position_of(ObjectId(i as u64), 12.0), before, "object {i}");
+    }
+    assert!(Arc::ptr_eq(service.journal().expect("still attached"), &journal));
+    let _ = fs::remove_dir_all(&dir_a);
 }

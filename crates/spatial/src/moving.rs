@@ -157,6 +157,16 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         }
     }
 
+    /// Reserves room for `additional` more entries in the per-entry tables
+    /// (key map, entry arena, placement lists), so a bulk load of known size
+    /// does not re-grow them along the way. Cell storage grows with the cells
+    /// the entries turn out to occupy, as ever.
+    pub fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+        self.entries.reserve(additional);
+        self.placements.reserve(additional);
+    }
+
     /// The configured cell size in metres.
     #[inline]
     pub fn cell_size(&self) -> f64 {
