@@ -21,11 +21,6 @@
 //! measurement noise, so the same binary serves for both the allocation gate
 //! and the wall-clock numbers.
 
-// The one unsafe impl in the workspace: `GlobalAlloc` is an unsafe trait by
-// definition. The implementation only forwards to `std::alloc::System` and
-// touches no pointer itself beyond passing it through.
-#![allow(unsafe_code)]
-
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,43 +31,33 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// system allocator.
 pub struct CountingAllocator;
 
+#[allow(unsafe_code, reason = "GlobalAlloc is an unsafe trait; the impl only delegates to System")]
 // SAFETY: the impl and every method below only forward the caller's
 // arguments to `std::alloc::System` unchanged, so the system allocator's
 // contract is exactly the caller's contract; the counter bump touches no
-// pointer. Each `unsafe` line carries its own escape hatch: this is the one
-// sanctioned use outside `crates/net/src/sys` (a `GlobalAlloc` impl cannot
-// live behind the syscall boundary), and the per-site hatches are the point —
-// out-of-boundary unsafe stays expensive to write.
-// lint: allow(unsafe-confinement) reason=GlobalAlloc is an unsafe trait; the impl only delegates to System
+// pointer.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards layout to System.alloc; the contract is the caller's.
-    // lint: allow(unsafe-confinement) reason=GlobalAlloc methods are unsafe fn by trait definition
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(unsafe-confinement) reason=delegation to the system allocator with the caller's layout
+        // SAFETY: forwards the caller's layout to System.alloc unchanged.
         unsafe { System.alloc(layout) }
     }
 
-    // SAFETY: forwards ptr/layout to System.dealloc unchanged.
-    // lint: allow(unsafe-confinement) reason=GlobalAlloc methods are unsafe fn by trait definition
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // lint: allow(unsafe-confinement) reason=delegation to the system allocator with the caller's ptr/layout
+        // SAFETY: forwards the caller's ptr/layout to System.dealloc unchanged.
         unsafe { System.dealloc(ptr, layout) }
     }
 
-    // SAFETY: forwards layout to System.alloc_zeroed; contract passes through.
-    // lint: allow(unsafe-confinement) reason=GlobalAlloc methods are unsafe fn by trait definition
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(unsafe-confinement) reason=delegation to the system allocator with the caller's layout
+        // SAFETY: forwards the caller's layout to System.alloc_zeroed unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    // SAFETY: forwards ptr/layout/new_size to System.realloc unchanged.
-    // lint: allow(unsafe-confinement) reason=GlobalAlloc methods are unsafe fn by trait definition
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(unsafe-confinement) reason=delegation to the system allocator with the caller's arguments
+        // SAFETY: forwards the caller's ptr/layout/new_size to System.realloc
+        // unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -79,7 +79,6 @@ enum Command {
     Scale,
     Recovery,
     Faults,
-    Analyze,
     All,
 }
 
@@ -105,7 +104,6 @@ impl Command {
             "scale" => Command::Scale,
             "recovery" => Command::Recovery,
             "faults" => Command::Faults,
-            "analyze" => Command::Analyze,
             "all" => Command::All,
             _ => return None,
         })
@@ -200,13 +198,8 @@ fn parse_args() -> Options {
         die("--write-baseline only applies to the JSON commands \
              (json|throughput|wire|net|connscale|hotpath|scale|recovery|faults)");
     }
-    // `analyze` always checks (its committed "baseline" is zero findings),
-    // so `--check` is accepted there as a no-op for CI symmetry.
-    if options.check
-        && options.command.baseline_file().is_none()
-        && options.command != Command::Analyze
-    {
-        die("--check only applies to the JSON commands and `analyze`");
+    if options.check && options.command.baseline_file().is_none() {
+        die("--check only applies to the JSON commands");
     }
     options
 }
@@ -334,38 +327,6 @@ fn fail_check(path: &std::path::Path, message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Runs the static-analysis gate: every `mbdr-analyze` lint over the
-/// workspace, with the same exit semantics as the baseline checks (0 clean,
-/// 1 findings). The committed "baseline" is zero findings, so there is no
-/// `--write-baseline` mode.
-fn run_analyze() {
-    let cwd = std::env::current_dir().unwrap_or_else(|e| {
-        eprintln!("error: cannot read the working directory: {e}");
-        std::process::exit(2);
-    });
-    let Some(root) = mbdr_analyze::find_workspace_root(&cwd) else {
-        eprintln!("error: no workspace root above {}", cwd.display());
-        std::process::exit(2);
-    };
-    let config = mbdr_analyze::AnalyzeConfig::mbdr(&root).unwrap_or_else(|e| {
-        eprintln!("error: cannot load the analysis config: {e}");
-        std::process::exit(2);
-    });
-    let diagnostics = mbdr_analyze::analyze_workspace(&root, &config).unwrap_or_else(|e| {
-        eprintln!("error: analysis failed: {e}");
-        std::process::exit(2);
-    });
-    for d in &diagnostics {
-        println!("{d}");
-    }
-    if diagnostics.is_empty() {
-        eprintln!("analyze OK: {} lints clean over the workspace", mbdr_analyze::LINT_IDS.len());
-    } else {
-        eprintln!("analyze FAILED: {} finding(s)", diagnostics.len());
-        std::process::exit(1);
-    }
-}
-
 fn print_table1(scale: f64, seed: u64) {
     println!("== Table 1: characteristics of the traces (paper values in parentheses) ==");
     println!(
@@ -488,7 +449,6 @@ fn main() {
         | Command::Scale
         | Command::Recovery
         | Command::Faults => run_json_command(&options),
-        Command::Analyze => run_analyze(),
         Command::All => {
             print_table1(options.scale, options.seed);
             for kind in ScenarioKind::ALL {

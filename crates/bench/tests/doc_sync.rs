@@ -14,8 +14,8 @@
 //!   [`mbdr_sim::MetricClass`] variant, so the runbook cannot describe fewer
 //!   classes than the regression gate judges by.
 //!
-//! The scans are deliberately lexical — no rustc, no syn — matching the
-//! workspace's std-only analysis style (`mbdr-analyze`).
+//! The scans are deliberately lexical — no rustc, no syn — keeping the
+//! test std-only like the rest of the workspace.
 
 use mbdr_bench::REPRODUCE_COMMANDS;
 use mbdr_sim::MetricClass;

@@ -41,7 +41,7 @@
 //! layer speaks.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod distance_based;

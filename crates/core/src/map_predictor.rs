@@ -12,6 +12,18 @@
 //! probability-enhanced variant and the ablation benches (main-road priority,
 //! random choice) can reuse the same walker.
 
+// Panic-free by construction: device-sent state reaches this code off the
+// wire, so it answers bad input with typed errors, never with a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::predictor::{LinearPredictor, Predictor};
 use crate::state::ObjectState;
 use mbdr_geo::{Point, Vec2};

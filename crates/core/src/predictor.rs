@@ -6,6 +6,18 @@
 //! the concrete implementations here cover the non-map variants, and
 //! [`crate::map_predictor::MapPredictor`] adds the map-based ones.
 
+// Panic-free by construction: device-sent state reaches this code off the
+// wire, so it answers bad input with typed errors, never with a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::state::ObjectState;
 use mbdr_geo::{Point, Vec2};
 

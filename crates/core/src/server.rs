@@ -1,5 +1,17 @@
 //! The server-side tracker: the location server's view of one mobile object.
 
+// Panic-free by construction: device-sent state reaches this code off the
+// wire, so it answers bad input with typed errors, never with a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::predictor::Predictor;
 use crate::state::{ObjectState, Update};
 use mbdr_geo::Point;

@@ -51,9 +51,58 @@
 //! | 8 | 2 | update count (`u16`) |
 //! | 10 | — | per update: 2-byte length prefix (`u16`) followed by the encoded update |
 
+// Panic-free by construction: device-sent state reaches this code off the
+// wire, so it answers bad input with typed errors, never with a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::state::{ObjectState, Update, UpdateKind};
 use mbdr_geo::Point;
 use mbdr_roadnet::{LinkId, NodeId};
+
+/// Declares one namespace of one-byte wire kinds as a `#[repr(u8)]` enum
+/// whose discriminants are the namespace's `const`s. The variants, `ALL` and
+/// `TryFrom<u8>` (an unknown byte is [`DecodeError::InvalidKind`]) all come
+/// from this one list, and decoders match on the enum, so a kind without a
+/// decode arm does not compile.
+macro_rules! wire_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$variant_meta:meta])* $variant:ident = $byte:ident, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $name {
+            $( $(#[$variant_meta])* $variant = $byte, )+
+        }
+
+        impl $name {
+            /// Every kind of the namespace, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
+        }
+
+        impl TryFrom<u8> for $name {
+            type Error = $crate::wire::DecodeError;
+
+            fn try_from(byte: u8) -> Result<Self, $crate::wire::DecodeError> {
+                match byte {
+                    $( $byte => Ok($name::$variant), )+
+                    other => Err($crate::wire::DecodeError::InvalidKind(other)),
+                }
+            }
+        }
+    };
+}
 
 pub mod query;
 pub mod snapshot;
@@ -536,6 +585,7 @@ impl<'a> FrameView<'a> {
     /// [`Frame::decode`] (both run the same private `walk_frame` pass; here every
     /// decoded update is a discarded stack copy — no allocation for any
     /// count the attacker claims).
+    #[expect(clippy::indexing_slicing, reason = "a successful walk_frame saw the whole header")]
     pub fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>, DecodeError> {
         let mut count = 0u16;
         let source = walk_frame(bytes, |_| count += 1)?;

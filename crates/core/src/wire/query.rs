@@ -51,6 +51,42 @@ const RESP_FLUSH_DONE: u8 = 0x83;
 const RESP_ERROR: u8 = 0x84;
 const RESP_HEALTH: u8 = 0x85;
 
+wire_kinds! {
+    /// The kind byte a [`Request`] starts with.
+    pub enum RequestKind {
+        /// [`Request::Ingest`].
+        Ingest = REQ_INGEST,
+        /// [`Request::Rect`].
+        Rect = REQ_RECT,
+        /// [`Request::Nearest`].
+        Nearest = REQ_NEAREST,
+        /// [`Request::ZoneSubscribe`].
+        ZoneSubscribe = REQ_ZONE_SUBSCRIBE,
+        /// [`Request::ZonePoll`].
+        ZonePoll = REQ_ZONE_POLL,
+        /// [`Request::Flush`].
+        Flush = REQ_FLUSH,
+        /// [`Request::Health`].
+        Health = REQ_HEALTH,
+    }
+}
+
+wire_kinds! {
+    /// The kind byte a [`Response`] starts with.
+    pub enum ResponseKind {
+        /// [`Response::Positions`].
+        Positions = RESP_POSITIONS,
+        /// [`Response::ZoneEvents`].
+        ZoneEvents = RESP_ZONE_EVENTS,
+        /// [`Response::FlushDone`].
+        FlushDone = RESP_FLUSH_DONE,
+        /// [`Response::Error`].
+        Error = RESP_ERROR,
+        /// [`Response::Health`].
+        Health = RESP_HEALTH,
+    }
+}
+
 /// Bytes of one encoded position record (`object` + `x` + `y` + `age`).
 const POSITION_RECORD_LEN: usize = 32;
 /// Bytes of one encoded zone event (`zone` + `object` + flag + `t`).
@@ -179,30 +215,30 @@ impl Request {
     /// fully validated, including finiteness of every float.
     pub fn decode(bytes: &[u8]) -> Result<Request, DecodeError> {
         let mut reader = Reader::new(bytes);
-        let kind = reader.u8()?;
-        let request = match kind {
-            REQ_INGEST => return Ok(Request::Ingest(bytes.get(1..).unwrap_or_default().to_vec())),
-            REQ_RECT => {
+        let request = match RequestKind::try_from(reader.u8()?)? {
+            RequestKind::Ingest => {
+                return Ok(Request::Ingest(bytes.get(1..).unwrap_or_default().to_vec()))
+            }
+            RequestKind::Rect => {
                 let area = read_aabb(&mut reader)?;
                 let t = finite(reader.f64()?)?;
                 Request::Rect { area, t }
             }
-            REQ_NEAREST => {
+            RequestKind::Nearest => {
                 let x = finite(reader.f64()?)?;
                 let y = finite(reader.f64()?)?;
                 let t = finite(reader.f64()?)?;
                 let k = reader.u16()?;
                 Request::Nearest { from: Point::new(x, y), t, k }
             }
-            REQ_ZONE_SUBSCRIBE => {
+            RequestKind::ZoneSubscribe => {
                 let zone = reader.u32()?;
                 let area = read_aabb(&mut reader)?;
                 Request::ZoneSubscribe { zone, area }
             }
-            REQ_ZONE_POLL => Request::ZonePoll { t: finite(reader.f64()?)? },
-            REQ_FLUSH => Request::Flush,
-            REQ_HEALTH => Request::Health,
-            other => return Err(DecodeError::InvalidKind(other)),
+            RequestKind::ZonePoll => Request::ZonePoll { t: finite(reader.f64()?)? },
+            RequestKind::Flush => Request::Flush,
+            RequestKind::Health => Request::Health,
         };
         if reader.remaining() != 0 {
             return Err(DecodeError::TrailingBytes(reader.remaining()));
@@ -479,8 +515,8 @@ impl Response {
     /// corrupted buffers report a typed [`DecodeError`].
     pub fn decode(bytes: &[u8]) -> Result<Response, DecodeError> {
         let mut reader = Reader::new(bytes);
-        let response = match reader.u8()? {
-            RESP_POSITIONS => {
+        let response = match ResponseKind::try_from(reader.u8()?)? {
+            ResponseKind::Positions => {
                 let count = reader.u32()? as usize;
                 // Untrusted count: cap the preallocation by what the buffer
                 // can actually hold, like Frame::decode.
@@ -499,7 +535,7 @@ impl Response {
                 }
                 Response::Positions(records)
             }
-            RESP_ZONE_EVENTS => {
+            ResponseKind::ZoneEvents => {
                 let count = reader.u32()? as usize;
                 let mut events = Vec::with_capacity(count.min(reader.remaining() / ZONE_EVENT_LEN));
                 for _ in 0..count {
@@ -515,18 +551,17 @@ impl Response {
                 }
                 Response::ZoneEvents(events)
             }
-            RESP_FLUSH_DONE => {
+            ResponseKind::FlushDone => {
                 Response::FlushDone { frames: reader.u64()?, updates_applied: reader.u64()? }
             }
-            RESP_ERROR => Response::Error(ServeError::from_wire(reader.u8()?)?),
-            RESP_HEALTH => Response::Health(HealthStatus {
+            ResponseKind::Error => Response::Error(ServeError::from_wire(reader.u8()?)?),
+            ResponseKind::Health => Response::Health(HealthStatus {
                 state: DurabilityState::from_wire(reader.u8()?)?,
                 degraded_frames: reader.u64()?,
                 recovered_frames: reader.u64()?,
                 truncated_bytes: reader.u64()?,
                 append_errors: reader.u64()?,
             }),
-            other => return Err(DecodeError::InvalidKind(other)),
         };
         if reader.remaining() != 0 {
             return Err(DecodeError::TrailingBytes(reader.remaining()));
@@ -631,18 +666,27 @@ mod tests {
 
     #[test]
     fn every_request_round_trips() {
+        let mut kinds = Vec::new();
         for request in sample_requests() {
             let bytes = request.encode();
             assert_eq!(Request::decode(&bytes).unwrap(), request, "{request:?}");
+            kinds.push(RequestKind::try_from(bytes[0]).unwrap());
         }
+        assert_eq!(kinds, RequestKind::ALL, "the samples cover every request kind");
     }
 
     #[test]
     fn every_response_round_trips() {
+        let mut kinds = Vec::new();
         for response in sample_responses() {
             let bytes = response.encode().unwrap();
             assert_eq!(Response::decode(&bytes).unwrap(), response, "{response:?}");
+            let kind = ResponseKind::try_from(bytes[0]).unwrap();
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
         }
+        assert_eq!(kinds, ResponseKind::ALL, "the samples cover every response kind");
     }
 
     #[test]

@@ -41,6 +41,16 @@ pub const KIND_SNAP_OBJECT: u8 = 0x01;
 /// Record kind terminating a snapshot body (followed by the entry count).
 pub const KIND_SNAP_END: u8 = 0x02;
 
+wire_kinds! {
+    /// The kind byte each snapshot-body record starts with.
+    pub enum SnapshotRecordKind {
+        /// One tracked object's state ([`KIND_SNAP_OBJECT`]).
+        Object = KIND_SNAP_OBJECT,
+        /// The end marker ([`KIND_SNAP_END`]).
+        End = KIND_SNAP_END,
+    }
+}
+
 /// One tracked object's durable state: the last applied update plus the
 /// tracker's monotonic counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,28 +116,28 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<SnapshotEntry>), Decode
     let frames = reader.u64()?;
     let mut entries = Vec::new();
     loop {
-        let kind = reader.u8()?;
-        if kind == KIND_SNAP_END {
-            let count = reader.u64()?;
-            if reader.remaining() != 0 {
-                return Err(DecodeError::TrailingBytes(reader.remaining()));
+        match SnapshotRecordKind::try_from(reader.u8()?)? {
+            SnapshotRecordKind::End => {
+                let count = reader.u64()?;
+                if reader.remaining() != 0 {
+                    return Err(DecodeError::TrailingBytes(reader.remaining()));
+                }
+                if count != entries.len() as u64 {
+                    // The end marker's cross-check disagrees with what we
+                    // walked: structural corruption inside a checksummed blob.
+                    return Err(DecodeError::InvalidKind(KIND_SNAP_END));
+                }
+                return Ok((frames, entries));
             }
-            if count != entries.len() as u64 {
-                // The end marker's cross-check disagrees with what we walked:
-                // structural corruption inside a checksummed blob.
-                return Err(DecodeError::InvalidKind(KIND_SNAP_END));
+            SnapshotRecordKind::Object => {
+                let object = reader.u64()?;
+                let updates_applied = reader.u64()?;
+                let bytes_received = reader.u64()?;
+                let len = reader.u16()? as usize;
+                let update = Update::decode(reader.take(len)?)?;
+                entries.push(SnapshotEntry { object, updates_applied, bytes_received, update });
             }
-            return Ok((frames, entries));
         }
-        if kind != KIND_SNAP_OBJECT {
-            return Err(DecodeError::InvalidKind(kind));
-        }
-        let object = reader.u64()?;
-        let updates_applied = reader.u64()?;
-        let bytes_received = reader.u64()?;
-        let len = reader.u16()? as usize;
-        let update = Update::decode(reader.take(len)?)?;
-        entries.push(SnapshotEntry { object, updates_applied, bytes_received, update });
     }
 }
 
@@ -169,6 +179,10 @@ mod tests {
         assert_eq!(decoded, narrowed);
         // The encoder's up-front reservation is the exact body size.
         assert_eq!(buf.len(), encoded_snapshot_len(&narrowed));
+        // The body carries every record kind: an object record right after
+        // `frames`, the end marker ahead of the 8-byte count.
+        let kinds = [buf[8], buf[buf.len() - 9]].map(|b| SnapshotRecordKind::try_from(b).unwrap());
+        assert_eq!(kinds, SnapshotRecordKind::ALL);
         // Determinism: encoding the decoded entries reproduces the bytes.
         let mut buf2 = Vec::new();
         encode_snapshot_into(77, &decoded, &mut buf2).unwrap();

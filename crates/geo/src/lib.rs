@@ -24,7 +24,7 @@
 //! the rest of the workspace so the substrate can be reused on its own.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod bbox;
 pub mod bearing;

@@ -53,6 +53,7 @@ const CRC32_POLY: u32 = 0xEDB8_8320;
 /// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, and
 /// `[k][n]` is the CRC of byte `n` followed by `k` zero bytes, so eight input
 /// bytes fold into the running value with eight independent lookups.
+#[expect(clippy::indexing_slicing, reason = "n < 256 and 1 <= k < 8 by the loop bounds")]
 const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut bytewise = [0u32; 256];
     let mut n = 0;
@@ -85,6 +86,7 @@ static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 /// IEEE CRC-32 (the zlib/zip polynomial) of `bytes`. Allocation-free; used for
 /// every record and snapshot checksum in the journal format.
 #[must_use]
+#[expect(clippy::indexing_slicing, reason = "every index is a byte or masked to 0..=255")]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = u32::MAX;

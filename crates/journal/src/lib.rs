@@ -47,6 +47,19 @@
 //! is the disk-side half of degraded-mode recovery: it restores a clean,
 //! synced, appendable tail once a dying disk heals.
 
+#![forbid(unsafe_code)]
+// Panic-free by construction: every byte this crate reads came off a disk
+// that may be torn or corrupt, so it answers with typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod error;
 mod journal;
 mod stats;

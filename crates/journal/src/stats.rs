@@ -4,10 +4,11 @@
 //! into the live block of relaxed `AtomicU64`s the hot paths bump, its
 //! plain-value snapshot, `snapshot()` between the two and a `fields()`
 //! name/value list. A reporter that walks `fields()` cannot miss a counter;
-//! `mbdr-analyze`'s counter-discipline lint checks the other half (every
-//! declared counter is bumped somewhere). The macro lives in the lowest crate
-//! that owns counters; `mbdr-locserver` and `mbdr-net` declare theirs through
-//! it. [`JournalStats`] is the journal's own block.
+//! the other half (every declared counter is bumped) is held by tests that
+//! assert each counter's exact value on the path that bumps it. The macro
+//! lives in the lowest crate that owns counters; `mbdr-locserver` and
+//! `mbdr-net` declare theirs through it. [`JournalStats`] is the journal's
+//! own block.
 
 /// Declares a counter block: `struct` is the live atomic block (fields
 /// `pub(crate)` in the declaring crate), `snapshot` its plain-value copy.
@@ -35,7 +36,10 @@ macro_rules! counters {
             /// Copies every counter into its plain-value snapshot (each is
             /// read atomically; the set is not a single snapshot, which only
             /// matters mid-traffic).
-            #[allow(clippy::needless_update)]
+            #[allow(
+                clippy::needless_update,
+                reason = "a snapshot without extra fields leaves `..Default::default()` nothing to fill"
+            )]
             pub fn snapshot(&self) -> $snap {
                 $snap {
                     $( $counter: self.$counter.load(::std::sync::atomic::Ordering::Relaxed), )*

@@ -330,6 +330,7 @@ struct FaultFile {
 }
 
 impl VfsFile for FaultFile {
+    #[expect(clippy::indexing_slicing, reason = "`keep` is clamped to buf.len()")]
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         let op = self.state.next_op();
         match self.state.take_fault(op) {

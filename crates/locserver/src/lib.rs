@@ -43,7 +43,18 @@
 //! identical to the pre-shard full-scan implementation.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+// Panic-free by construction: device-sent frames and journal bytes reach
+// this code, so it answers bad input with typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod config;
 pub mod durability;

@@ -149,6 +149,7 @@ impl LocationService {
     }
 
     /// The shard responsible for `object`.
+    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
     fn shard_of(&self, object: ObjectId) -> &Shard {
         &self.shards[self.shard_index(object)]
     }
@@ -189,6 +190,7 @@ impl LocationService {
     /// observable service state is identical to calling
     /// [`LocationService::apply_update`] for each element in order. Returns
     /// the number of updates applied to registered objects.
+    #[expect(clippy::indexing_slicing, reason = "`order` holds valid shard and batch indexes")]
     pub fn apply_batch(&self, batch: &[(ObjectId, Update)]) -> usize {
         // One allocation for the whole batch: sort (shard, batch index) pairs
         // so each stripe's updates form a contiguous run, in batch order
@@ -495,6 +497,7 @@ impl LocationService {
     /// writes the answer into `out` (cleared first), keeping the ring
     /// search's candidate set in `scratch`. Identical results; with warm
     /// buffers a query performs zero heap allocations.
+    #[expect(clippy::indexing_slicing, reason = "k >= 1; both indexes are checked against len")]
     pub fn nearest_objects_into(
         &self,
         from: &Point,

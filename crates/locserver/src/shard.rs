@@ -152,6 +152,7 @@ impl ShardState {
         self.index.len()
     }
 
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn total_updates(&self) -> u64 {
         self.by_id.values().map(|&s| self.slots[s as usize].tracker.updates_applied()).sum()
     }
@@ -161,6 +162,7 @@ impl ShardState {
         (self.index.occupied_cells(), self.index.max_cell_occupancy())
     }
 
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn register(&mut self, object: ObjectId, predictor: Arc<dyn Predictor>) {
         match self.by_id.get(&object).copied() {
             Some(slot) => {
@@ -200,6 +202,7 @@ impl ShardState {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn deregister(&mut self, object: ObjectId) -> bool {
         let Some(slot) = self.by_id.remove(&object) else {
             return false;
@@ -212,6 +215,7 @@ impl ShardState {
         true
     }
 
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn apply_update(&mut self, object: ObjectId, update: &Update) -> bool {
         let Some(&slot) = self.by_id.get(&object) else {
             return false;
@@ -233,6 +237,7 @@ impl ShardState {
     /// by [`ShardState::rebuild_index`] when the recovery pass is over. Returns
     /// `false` when the object is not registered — recovery cannot invent a
     /// tracker because it would not know the predictor.
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn restore_object(
         &mut self,
         object: ObjectId,
@@ -252,6 +257,7 @@ impl ShardState {
     /// the frame. Tracker only, like [`ShardState::restore_object`]. Returns
     /// how many updates reached a registered tracker — what
     /// [`ShardState::apply_update`] would have answered `true` for.
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn replay_updates(
         &mut self,
         object: ObjectId,
@@ -275,6 +281,7 @@ impl ShardState {
     /// bit-identical to the one per-update maintenance leaves behind, and the
     /// heap holds exactly one entry per mover. Ascending slot order reads the
     /// arena sequentially.
+    #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
     pub(crate) fn rebuild_index(&mut self) {
         let mut live = vec![true; self.slots.len()];
         for &slot in &self.free_slots {
@@ -301,6 +308,7 @@ impl ShardState {
     /// `out` (objects still waiting for their first update carry no state and
     /// are skipped — recovery re-registers them empty, exactly as they were).
     /// Iteration order is arbitrary; the caller sorts.
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn snapshot_entries_into(&self, out: &mut Vec<SnapshotEntry>) {
         for (&object, &slot) in &self.by_id {
             let tracked = &self.slots[slot as usize];
@@ -333,6 +341,7 @@ impl ShardState {
     /// accumulate one heap entry per update: for a frequently-updating object
     /// the superseded entries are exactly the earliest-expiring ones and get
     /// popped here.
+    #[expect(clippy::indexing_slicing, reason = "heap entries hold slot ids this shard issued")]
     fn prune_superseded_expiries(&mut self) {
         while let Some(Reverse(top)) = self.expiries.peek() {
             if self.slots[top.slot as usize].generation == top.generation {
@@ -384,6 +393,7 @@ impl ShardState {
     }
 
     /// Re-grows every index entry whose validity ended at or before `t`.
+    #[expect(clippy::indexing_slicing, reason = "heap entries hold slot ids this shard issued")]
     pub(crate) fn refresh_expired(&mut self, t: f64) {
         while let Some(Reverse(top)) = self.expiries.peek() {
             if top.at > t {
@@ -408,6 +418,7 @@ impl ShardState {
     }
 
     /// The position report for one object at time `t`.
+    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
     pub(crate) fn report_for(&self, object: ObjectId, t: f64) -> Option<PositionReport> {
         let slot = *self.by_id.get(&object)?;
         let tracker = &self.slots[slot as usize].tracker;
@@ -421,6 +432,7 @@ impl ShardState {
     /// own deterministic order on final results), then predict every
     /// candidate at `t` into the contiguous struct-of-arrays buffers the
     /// filter passes run over.
+    #[expect(clippy::indexing_slicing, reason = "index items are slot ids this shard issued")]
     fn collect_candidates(&self, area: &Aabb, t: f64, scratch: &mut CandidateScratch) {
         let CandidateScratch { seen, cand, xs, ys, ages, objects } = scratch;
         cand.clear();
@@ -447,6 +459,7 @@ impl ShardState {
     /// at `t` lies inside `area`, in unspecified order (the service sorts).
     /// Callers must have refreshed expiries ≥ `t`. With warm scratch buffers
     /// this performs zero heap allocations.
+    #[expect(clippy::indexing_slicing, reason = "the SoA lanes are pushed together")]
     pub(crate) fn collect_in_rect(
         &self,
         area: &Aabb,
@@ -469,6 +482,7 @@ impl ShardState {
     /// `radius` around `from`. Conservative: every object whose *exact*
     /// predicted position is within `radius` of `from` is included. Scratch
     /// reuse as in [`ShardState::collect_in_rect`].
+    #[expect(clippy::indexing_slicing, reason = "the SoA lanes are pushed together")]
     pub(crate) fn collect_near(
         &self,
         from: &Point,

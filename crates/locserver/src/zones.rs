@@ -139,6 +139,7 @@ impl ZoneWatcher {
     /// Like [`ZoneWatcher::evaluate`], but appends the transitions to a
     /// caller-provided buffer (cleared first) — the reusable-buffer form the
     /// serving layer polls with.
+    #[expect(clippy::indexing_slicing, reason = "left_start <= events.len()")]
     pub fn evaluate_into(
         &mut self,
         service: &LocationService,

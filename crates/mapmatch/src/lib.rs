@@ -21,7 +21,7 @@
 //! probability-enhanced protocol variant uses to learn its transition tables.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod matcher;

@@ -38,7 +38,19 @@
 //! fleet through the full path.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+// `unsafe` is allowed block by block, with a reason, in `sys/epoll.rs` only.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+// Panic-free by construction: every byte this crate reads came off a
+// socket, so it answers hostile input with typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod client;
 pub mod error;
@@ -120,6 +132,10 @@ mod tests {
         assert_eq!(stats.updates_applied, 3);
         assert_eq!(stats.queries_answered, 4, "rect + nearest + two polls");
         assert_eq!(stats.zone_events_emitted, 1);
+        // Six requests each waited on the previous answer (frames + flush,
+        // rect, nearest, subscribe + poll, poll, then the close), so each
+        // needed a readiness event of its own.
+        assert!(stats.readiness_wakeups >= 6, "{} wakeups", stats.readiness_wakeups);
         assert!(client_sent > 0 && client_received > 0);
         assert_eq!(stats.bytes_received, client_sent, "both ends count the same request bytes");
         assert_eq!(stats.bytes_sent, client_received, "both ends count the same response bytes");

@@ -140,6 +140,7 @@ pub(crate) struct IngestJob {
 /// Applies queued frames to the service. Per-connection order is preserved
 /// because every connection is pinned to exactly one worker queue. Ends when
 /// every sender (the reactors) is gone: shutdown.
+#[expect(clippy::indexing_slicing, reason = "job.reactor names the reactor that queued it")]
 pub(crate) fn ingest_worker(
     rx: &Receiver<IngestJob>,
     service: &LocationService,
@@ -639,6 +640,7 @@ impl Runtime {
     }
 
     /// Drains readable bytes (bounded per wakeup) and parses what arrived.
+    #[expect(clippy::indexing_slicing, reason = "read_len <= read_buf.len() always")]
     fn on_readable(&mut self, conn: &mut Conn, progress: &mut bool) -> Fate {
         if conn.paused() {
             // Read interest is withdrawn while paused; this is a residual
@@ -676,6 +678,7 @@ impl Runtime {
     /// The request parser: consumes complete length-prefixed messages from
     /// the read buffer and handles each, stopping at a pause (flush barrier
     /// / ingest stall) or an incomplete message.
+    #[expect(clippy::indexing_slicing, reason = "reads stay in read_buf[consumed..read_len]")]
     fn parse_and_handle(&mut self, conn: &mut Conn) -> Fate {
         loop {
             if conn.paused() {
@@ -752,6 +755,7 @@ impl Runtime {
         Fate::Alive
     }
 
+    #[expect(clippy::indexing_slicing, reason = "one zone_wire_ids push per watcher zone")]
     fn handle_request(&mut self, conn: &mut Conn, request: Request) -> Fate {
         match request {
             Request::Ingest(frame_bytes) => {
@@ -873,6 +877,7 @@ impl Runtime {
     /// Hands one ingest frame to the connection's pinned worker queue, or
     /// parks it and withdraws read interest when the queue is full (`fresh`
     /// distinguishes a first park from a retry for the stall counter).
+    #[expect(clippy::indexing_slicing, reason = "tx_index is modulo worker_txs.len()")]
     fn enqueue_frame(&mut self, conn: &mut Conn, frame_bytes: Vec<u8>, fresh: bool) -> Fate {
         {
             let mut p = locked(&conn.progress.state);
@@ -934,6 +939,7 @@ impl Runtime {
 
     /// Writes as much pending output as the socket takes, then updates
     /// write interest and the slow-client clock.
+    #[expect(clippy::indexing_slicing, reason = "OutBuf keeps start <= buf.len()")]
     fn flush_out(&mut self, conn: &mut Conn, progress: &mut bool) -> Fate {
         while conn.out.pending() > 0 {
             match conn.stream.write(&conn.out.buf[conn.out.start..]) {

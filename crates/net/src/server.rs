@@ -148,6 +148,7 @@ pub struct NetServer {
 impl NetServer {
     /// Binds the serving layer to `addr` (use port 0 for an ephemeral port)
     /// and starts the fixed thread pool: accept + reactors + ingest workers.
+    #[expect(clippy::indexing_slicing, reason = "one reactor_shareds entry per poller")]
     pub fn bind(
         service: Arc<LocationService>,
         addr: impl ToSocketAddrs,
@@ -424,6 +425,7 @@ fn probe_loop(service: &LocationService, signal: &(Mutex<bool>, Condvar)) {
     }
 }
 
+#[expect(clippy::indexing_slicing, reason = "the reactor index is modulo reactors.len()")]
 fn accept_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,

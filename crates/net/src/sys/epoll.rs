@@ -59,14 +59,14 @@ impl Poller {
     pub(crate) fn new() -> std::io::Result<Poller> {
         // SAFETY: epoll_create1 takes no pointers; a negative return is an
         // error, otherwise the fd is owned here (and closed by OwnedFd).
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "raw syscall: std exposes no epoll")]
         let raw = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if raw < 0 {
             return Err(std::io::Error::last_os_error());
         }
         // SAFETY: `raw` was just returned by the kernel and is owned by
         // nothing else.
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "adopting a kernel-returned fd into OwnedFd")]
         let epfd = unsafe { OwnedFd::from_raw_fd(raw) };
         Ok(Poller { epfd, buf: vec![EpollEvent { events: 0, data: 0 }; 1024] })
     }
@@ -75,7 +75,7 @@ impl Poller {
         let mut ev = EpollEvent { events: interest_bits(interest), data: token };
         // SAFETY: `ev` outlives the call; the kernel copies it before
         // returning. DEL ignores the event pointer entirely.
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "raw syscall: std exposes no epoll")]
         let rc = unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
         if rc < 0 {
             Err(std::io::Error::last_os_error())
@@ -110,6 +110,7 @@ impl Poller {
 
     /// Blocks until readiness or `timeout`, appending into `events`
     /// (cleared first). A signal (`EINTR`) returns an empty set.
+    #[expect(clippy::indexing_slicing, reason = "epoll_wait returns at most buf.len() events")]
     pub(crate) fn wait(
         &mut self,
         events: &mut Vec<Event>,
@@ -118,7 +119,7 @@ impl Poller {
         events.clear();
         // SAFETY: the buffer pointer/len pair is valid for the whole call;
         // the kernel writes at most `maxevents` entries.
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "raw syscall: std exposes no epoll")]
         let rc = unsafe {
             epoll_wait(
                 self.epfd.as_raw_fd(),

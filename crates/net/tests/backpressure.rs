@@ -1,17 +1,19 @@
 //! The reactor's overload policy, pinned by counters: a client that stops
 //! reading is *evicted* (outbound-bound overflow or write-stall budget, each
 //! on its own counter path), a full ingest queue *stalls* the producer
-//! instead of dropping frames, and a connection the admission cap refuses is
+//! instead of dropping frames (a hangup while it is parked is a
+//! `spurious_wakeups` event), and a connection the admission cap refuses is
 //! a `register_failures` drop — all while healthy connections on the same
 //! reactors keep answering within an ordinary latency bound.
 
-use mbdr_core::{Frame, ObjectState, Request, Update, UpdateKind};
+use mbdr_core::{Frame, ObjectState, Predictor, Request, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_locserver::{LocationService, ObjectId};
+use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
 use mbdr_net::transport::write_message;
 use mbdr_net::{NetClient, NetServer, ServerConfig};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn update(seq: u64, t: f64, x: f64, y: f64) -> Update {
@@ -215,4 +217,87 @@ fn connections_beyond_the_admission_cap_are_counted_register_failures() {
     assert_eq!(stats.register_failures, refusals, "every refusal on its own counter");
     assert_eq!(stats.connections_dropped, refusals, "each refusal is attributed as a drop");
     assert_eq!(stats.updates_applied, 0);
+}
+
+/// A predictor that parks the first prediction it is asked for — and with it
+/// the caller's shard read lock — until the test releases it.
+struct GatePredictor {
+    entered: Mutex<Option<Sender<()>>>,
+    release: Mutex<Option<Receiver<()>>>,
+}
+
+impl Predictor for GatePredictor {
+    fn predict(&self, reported: &ObjectState, _t: f64) -> Point {
+        if let Some(entered) = self.entered.lock().expect("gate lock").take() {
+            entered.send(()).expect("test waits for the gate");
+            let release = self.release.lock().expect("gate lock").take();
+            release.expect("one release").recv().expect("test releases the gate");
+        }
+        reported.position
+    }
+
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+}
+
+#[test]
+fn a_peer_hangup_on_a_paused_connection_is_a_spurious_wakeup() {
+    // One shard, held by a query parked inside its predictor: the single
+    // ingest worker blocks on the write lock, the single-slot queue fills,
+    // and the reactor parks a frame with read interest withdrawn.
+    let service = Arc::new(LocationService::with_config(ServiceConfig {
+        shards: 1,
+        ..ServiceConfig::default()
+    }));
+    let server = NetServer::bind(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServerConfig { ingest_workers: 1, ingest_queue: 1, ..ServerConfig::default() },
+    )
+    .unwrap();
+    // Declared after `server`, so a failed assert drops `release` (opening
+    // the gate) before the server's drop waits on the worker it blocks.
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let gate = GatePredictor {
+        entered: Mutex::new(Some(entered_tx)),
+        release: Mutex::new(Some(release_rx)),
+    };
+    service.register(ObjectId(0), Arc::new(gate));
+    service.apply_update(ObjectId(0), &update(0, 0.0, 1.0, 2.0));
+    let query = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.objects_in_rect(&world(), 0.0).len())
+    };
+    entered.recv().expect("the query reached the gate");
+
+    let frames = 8u64;
+    let mut producer = TcpStream::connect(server.local_addr()).expect("producer connects");
+    for seq in 1..=frames {
+        let body = Request::encode_ingest(&Frame::single(0, update(seq, seq as f64, 1.0, 2.0)))
+            .expect("frame encodes");
+        write_message(&mut producer, &body).expect("send");
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().backpressure_stalls == 0 {
+        assert!(Instant::now() < deadline, "the blocked worker never stalled the producer");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The hangup wakes the parked connection, which cannot act on it yet.
+    drop(producer);
+    while server.stats().spurious_wakeups == 0 {
+        assert!(Instant::now() < deadline, "the hangup never woke the paused connection");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    release.send(()).expect("gate still parked");
+    assert_eq!(query.join().expect("query thread"), 1);
+    while service.total_updates() < 1 + frames {
+        assert!(Instant::now() < deadline, "the parked frames never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.updates_applied, frames, "the stalls dropped nothing");
+    assert!(stats.spurious_wakeups >= 1 && stats.spurious_wakeups <= stats.readiness_wakeups);
 }

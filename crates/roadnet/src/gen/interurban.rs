@@ -49,7 +49,7 @@ impl Default for InterurbanConfig {
 struct Town {
     /// Centre node (named `town {i} centre`), used as a routing landmark by
     /// the trace scenarios.
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "documents the landmark; scenarios find it by its name")]
     center: NodeId,
     west_gate: NodeId,
     east_gate: NodeId,

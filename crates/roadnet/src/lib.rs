@@ -28,7 +28,7 @@
 //! * [`io`] — a simple line-oriented text format for persisting maps.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod gen;

@@ -48,7 +48,7 @@
 //!   document is built from.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod connscale;

@@ -112,16 +112,27 @@ impl LossSweepResult {
     /// exact.
     pub fn to_json(&self) -> Json {
         let point = |p: &LossPoint| {
-            let (l, d) = (&p.link, &p.deviation);
+            // Exhaustive, no `..`: a new link counter that is not emitted
+            // is a compile error.
+            let LinkStats {
+                frames_sent,
+                frames_dropped,
+                frames_duplicated,
+                frames_reordered,
+                frames_delivered,
+                delivered_out_of_order,
+                payload_bytes,
+            } = p.link;
+            let d = &p.deviation;
             Json::object([
                 ("loss_rate", Json::exact(p.loss_rate)),
-                ("frames_sent", Json::exact(l.frames_sent as f64)),
-                ("frames_dropped", Json::exact(l.frames_dropped as f64)),
-                ("frames_duplicated", Json::exact(l.frames_duplicated as f64)),
-                ("frames_reordered", Json::exact(l.frames_reordered as f64)),
-                ("frames_delivered", Json::exact(l.frames_delivered as f64)),
-                ("delivered_out_of_order", Json::exact(l.delivered_out_of_order as f64)),
-                ("payload_bytes", Json::exact(l.payload_bytes as f64)),
+                ("frames_sent", Json::exact(frames_sent as f64)),
+                ("frames_dropped", Json::exact(frames_dropped as f64)),
+                ("frames_duplicated", Json::exact(frames_duplicated as f64)),
+                ("frames_reordered", Json::exact(frames_reordered as f64)),
+                ("frames_delivered", Json::exact(frames_delivered as f64)),
+                ("delivered_out_of_order", Json::exact(delivered_out_of_order as f64)),
+                ("payload_bytes", Json::exact(payload_bytes as f64)),
                 ("decode_errors", Json::exact(p.decode_errors as f64)),
                 ("updates_applied", Json::exact(p.updates_applied as f64)),
                 ("delivered_ratio", Json::exact(p.delivered_ratio).fixed(4)),

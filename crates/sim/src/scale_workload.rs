@@ -29,7 +29,9 @@
 
 use mbdr_core::{LinearPredictor, ObjectState, Predictor, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_locserver::{LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig};
+use mbdr_locserver::{
+    IndexStats, LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -262,7 +264,9 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         updates_applied += service.apply_batch(&batch) as u64;
         ingest_wall_s += started.elapsed().as_secs_f64();
     }
-    let index = service.index_stats();
+    // Exhaustive, no `..`: a new index statistic that is not reported is a
+    // compile error.
+    let IndexStats { indexed, occupied_cells, max_cell_occupancy } = service.index_stats();
 
     // --- Queries at the last report instant (inside every validity horizon).
     // Hotspot mode aims half the traffic at the dense block, mirroring real
@@ -329,9 +333,9 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         nearest_wall_s,
         rect_per_sec: config.rect_queries as f64 / rect_wall_s.max(1e-9),
         nearest_per_sec: config.nearest_queries as f64 / nearest_wall_s.max(1e-9),
-        indexed: index.indexed,
-        occupied_cells: index.occupied_cells,
-        max_cell_occupancy: index.max_cell_occupancy,
+        indexed,
+        occupied_cells,
+        max_cell_occupancy,
         candidates_inspected,
         candidates_unique,
     }

@@ -22,7 +22,7 @@
 //! bounding box satisfies the predicate, never fewer.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cells;
 pub mod moving;

@@ -24,7 +24,7 @@
 //! paper's traces. See DESIGN.md for the substitution argument.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod gps;
 pub mod motion;
