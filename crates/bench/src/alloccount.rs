@@ -17,9 +17,8 @@
 //! [`counting_allocator_installed`] detects that so reports can say whether
 //! their zeros are meaningful.
 //!
-//! The per-allocation overhead is one relaxed atomic increment — far below
-//! measurement noise, so the same binary serves for both the allocation gate
-//! and the wall-clock numbers.
+//! The per-allocation overhead is one relaxed atomic increment, so the whole
+//! `reproduce` binary can carry it for the one command that reads it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

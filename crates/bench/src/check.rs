@@ -1,32 +1,23 @@
 //! The regression gate behind `reproduce <cmd> --check`: a dependency-free
-//! JSON parser plus a baseline comparator that reads each metric's class
-//! from the freshly built document.
+//! JSON parser plus a baseline comparator.
 //!
 //! The baselines (`baselines/BENCH_<cmd>.json`) are committed outputs of the
 //! JSON-emitting reproduce commands at CI's smoke scales. A check run builds
 //! the document again as an in-memory [`Json`] tree, parses the committed
-//! file, and walks both in parallel. Every numeric leaf of the fresh tree
-//! carries the [`MetricClass`] its emitter declared:
-//!
-//! * **exact** leaves — counts, config echoes, byte totals, the
-//!   single-threaded deviation sweeps — must match the baseline to within a
-//!   tiny relative tolerance (they are fully determined by the seed);
-//! * **timing** leaves (wall clocks, throughputs, latencies) are machine-
-//!   dependent and **loose** leaves (the query-observed accuracy and result
-//!   counts of the thread-skewed in-process workload, the readiness-loop
-//!   diagnostics of the TCP documents) depend on thread interleaving or
-//!   kernel scheduling: both are only required to be finite and non-negative
-//!   (a sub-resolution wall clock legitimately renders as zero).
+//! file, and walks both in parallel. Every number in a document — counts,
+//! config echoes, byte totals, the single-threaded deviation sweeps — is
+//! fully determined by the seed, so each must match the baseline as printed,
+//! to a relative `1e-6` that absorbs float formatting across machines and
+//! nothing else. Time is measured by `benchmark/`, never here.
 //!
 //! Any structural difference — missing key, extra key, array length change,
 //! schema string change — fails the check outright: schema evolution must go
 //! through `--write-baseline`, not slip past the gate.
 
-use mbdr_sim::{Json, Metric, MetricClass};
+use mbdr_sim::Json;
 
-/// Parses one JSON document (numbers come back as exact, shortest-form
-/// leaves: a committed file carries no classes). Returns a message with the
-/// byte offset on malformed input.
+/// Parses one JSON document (numbers come back as shortest-form leaves).
+/// Returns a message with the byte offset on malformed input.
 pub fn parse_json(text: impl AsRef<[u8]>) -> Result<Json, String> {
     let bytes = text.as_ref();
     let mut at = 0usize;
@@ -201,10 +192,8 @@ fn parse_object(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
 pub struct CheckReport {
     /// Human-readable mismatch descriptions (empty means the check passed).
     pub mismatches: Vec<String>,
-    /// Leaves compared strictly.
-    pub strict_compared: usize,
-    /// Leaves only sanity-checked (timing + loose).
-    pub sanity_checked: usize,
+    /// Leaves that matched the baseline.
+    pub compared: usize,
 }
 
 impl CheckReport {
@@ -220,8 +209,7 @@ impl CheckReport {
 }
 
 /// Compares a freshly built document against its parsed committed baseline.
-/// Metric classes are read from `fresh`; the baseline side only supplies
-/// values.
+/// Numbers are compared as `fresh` prints them.
 pub fn compare_baseline(baseline: &Json, fresh: &Json) -> CheckReport {
     let mut report = CheckReport::default();
     walk(baseline, fresh, &mut Vec::new(), &mut report);
@@ -267,47 +255,28 @@ fn walk(baseline: &Json, fresh: &Json, path: &mut Vec<String>, report: &mut Chec
                 path.pop();
             }
         }
-        (Json::Str(_) | Json::Bool(_) | Json::Null, _) if baseline == fresh => {
-            report.strict_compared += 1
-        }
+        (Json::Str(_) | Json::Bool(_) | Json::Null, _) if baseline == fresh => report.compared += 1,
         (Json::Str(_), Json::Str(_)) | (Json::Bool(_), Json::Bool(_)) => {
             report.fail(path, format!("{fresh} != baseline {baseline}"))
         }
-        (_, Json::Num(metric)) => compare_metric(baseline, metric, path, report),
+        (_, Json::Num(metric)) => compare_number(baseline, metric.printed(), path, report),
         _ => report.fail(path, "value kind differs from the baseline".into()),
     }
 }
 
-/// Judges one fresh numeric leaf by its own class. A non-finite fresh value
-/// is what the writer prints as `null`.
-fn compare_metric(baseline: &Json, fresh: &Metric, path: &[String], report: &mut CheckReport) {
-    let cur = fresh.printed();
-    match (baseline, cur.is_finite(), fresh.class) {
-        (Json::Num(base), true, MetricClass::Exact) => {
+/// Judges one fresh number as the writer prints it (NaN for `null`).
+fn compare_number(baseline: &Json, cur: f64, path: &[String], report: &mut CheckReport) {
+    match baseline {
+        Json::Num(base) if cur.is_finite() => {
             let base = base.value;
             let tolerance = 1e-9f64.max(1e-6 * base.abs().max(cur.abs()));
             if (base - cur).abs() <= tolerance {
-                report.strict_compared += 1;
+                report.compared += 1;
             } else {
                 report.fail(path, format!("{cur} != baseline {base} (tolerance {tolerance:.2e})"));
             }
         }
-        (Json::Num(_), true, class) => {
-            // Not `> 0`: sub-resolution wall clocks legitimately render as
-            // 0.0000 on a fast machine.
-            if cur >= 0.0 {
-                report.sanity_checked += 1;
-            } else {
-                report.fail(path, format!("{} metric {cur} is negative", class.name()));
-            }
-        }
-        (Json::Null, false, _) => report.strict_compared += 1,
-        // `null` legitimately alternates with a number only off the exact
-        // class (a rate over zero samples on one side, a value on the other).
-        (Json::Null, true, MetricClass::Timing | MetricClass::Loose)
-        | (Json::Num(_), false, MetricClass::Timing | MetricClass::Loose) => {
-            report.sanity_checked += 1
-        }
+        Json::Null if !cur.is_finite() => report.compared += 1,
         _ => report.fail(path, "value kind differs from the baseline".into()),
     }
 }
@@ -316,13 +285,10 @@ fn compare_metric(baseline: &Json, fresh: &Metric, path: &[String], report: &mut
 mod tests {
     use super::*;
 
-    /// A fresh document with one leaf of every kind and class.
+    /// A fresh document with one leaf of every kind.
     fn doc() -> Json {
         let point = Json::object([
             ("updates_sent", Json::exact(120.0)),
-            ("wall_ms", Json::timing(15.2, 1)),
-            ("rect_results", Json::loose(44.0)),
-            ("accuracy", Json::object([("mean_m", Json::loose(3.5).fixed(2))])),
             ("deviation", Json::object([("mean_m", Json::exact(2.0).fixed(2))])),
             ("label", Json::str("a b")),
             ("flag", Json::Bool(true)),
@@ -364,8 +330,8 @@ mod tests {
         }
     }
 
-    /// The leaves of a real document the gate actually holds: every number is
-    /// drifted at once, and the paths that then fail are the exact ones.
+    /// The leaves the gate actually holds: every number is drifted at once,
+    /// and the paths that then fail are the gated ones.
     fn gated_leaves(fresh: &Json) -> Vec<String> {
         let baseline = committed(fresh);
         let clean = compare_baseline(&baseline, fresh);
@@ -427,16 +393,14 @@ mod tests {
                 0 => Json::Null,
                 1 => Json::Bool(self.below(2) == 0),
                 2 => Json::Str(self.string()),
-                3 => Json::timing(
-                    [f64::NAN, f64::INFINITY, -f64::INFINITY][self.below(3) as usize],
-                    1,
-                ),
+                3 => Json::exact([f64::NAN, f64::INFINITY, -f64::INFINITY][self.below(3) as usize])
+                    .fixed(1),
                 4 => {
                     let value = (self.below(u64::MAX) as i64 as f64) / 1024.0;
                     match self.below(4) {
                         0 => Json::exact(value),
-                        1 => Json::loose(value).fixed(2),
-                        2 => Json::timing(value, 3),
+                        1 => Json::exact(value).fixed(2),
+                        2 => Json::exact(value).fixed(3),
                         _ => Json::exact(self.below(1 << 53) as f64),
                     }
                 }
@@ -449,8 +413,7 @@ mod tests {
     }
 
     /// What parsing a tree's printed form must give back: non-finite numbers
-    /// as `null`, fixed-precision numbers rounded, classes and precisions
-    /// dropped.
+    /// as `null`, fixed-precision numbers rounded, precisions dropped.
     fn parsed_form(tree: &Json) -> Json {
         match tree {
             Json::Num(metric) if metric.printed().is_nan() => Json::Null,
@@ -477,26 +440,38 @@ mod tests {
         let fresh = doc();
         let report = compare_baseline(&committed(&fresh), &fresh);
         assert!(report.passed(), "{:?}", report.mismatches);
-        // schema, scale, seed, updates_sent, deviation.mean_m, label, flag, nothing
-        assert_eq!(report.strict_compared, 8);
-        // wall_ms, rect_results, accuracy.mean_m
-        assert_eq!(report.sanity_checked, 3);
+        // schema, scale, seed, updates_sent, deviation.mean_m, label, flag,
+        // nothing
+        assert_eq!(report.compared, 8);
     }
 
     #[test]
-    fn strict_drift_fails_but_timing_and_loose_drift_do_not() {
+    fn every_numeric_drift_fails() {
         let fresh = doc();
-        // Timing and loose leaves may drift arbitrarily, exact ones may not —
-        // neither a deterministic count nor the single-threaded deviation.
+        // No number may drift — neither a count nor the single-threaded
+        // deviation.
         assert_eq!(
             gated_leaves(&fresh),
             ["scale", "seed", "points.[0].updates_sent", "points.[0].deviation.mean_m"]
         );
         // The gate compares what the writer prints: a drift below the print
-        // precision of an exact leaf is no drift.
+        // precision of a leaf is no drift.
         let within_print =
             with(&fresh, &["points", "0", "deviation", "mean_m"], Json::exact(2.004).fixed(2));
         assert!(compare_baseline(&committed(&fresh), &within_print).passed());
+    }
+
+    #[test]
+    fn net_schema_gates_query_result_counts_strictly() {
+        // The real mbdr-net/1 emitter queries one post-flush instant, so what
+        // the queries returned is as seed-determined as what was sent and is
+        // gated like it. The scheduling diagnostics are not in the document.
+        let tree = crate::netbase::render_net_json(0.05, 7, &crate::netbase::net_grid(0.05, 7));
+        let gated = gated_leaves(&tree);
+        for key in ["rect_results", "nearest_results", "zone_events", "server.bytes_sent"] {
+            assert!(gated.contains(&format!("points.[0].{key}")), "{key} must be gated");
+        }
+        assert!(!tree.to_string().contains("wakeups"));
     }
 
     #[test]
@@ -521,83 +496,13 @@ mod tests {
     }
 
     #[test]
-    fn net_schema_gates_query_result_counts_strictly() {
-        // The same key under the same schema string: whether `rect_results`
-        // is gated is decided by the class its emitter declared — exact in
-        // the pinned-instant TCP documents, loose in the thread-skewed
-        // throughput document — and by nothing else.
-        let point =
-            |rect_results| Json::document("mbdr-x/1", 1.0, 7, [("rect_results", rect_results)]);
-        let (pinned, skewed) = (point(Json::exact(44.0)), point(Json::loose(44.0)));
-        assert_eq!(committed(&pinned), committed(&skewed), "identical committed files");
-        assert_eq!(gated_leaves(&pinned), ["scale", "seed", "rect_results"]);
-        assert_eq!(gated_leaves(&skewed), ["scale", "seed"]);
-    }
-
-    #[test]
-    fn scale_documents_split_timing_from_deterministic_keys() {
-        // The real mbdr-scale/1 emitter: wall clocks and throughputs may
-        // drift freely, but result counts, occupancy diagnostics and dedup
-        // counters are seed-determined and gated.
-        let points = crate::scale::scale_grid(0.01, 7);
-        let gated = gated_leaves(&crate::scale::render_scale_json(0.01, 7, &points));
-        assert_eq!(gated.len(), 2 + points.len() * 11, "{gated:?}");
-        assert!(!gated.iter().any(|path| path.ends_with("_wall_s") || path.ends_with("_per_sec")));
-        for key in ["rect_hits", "occupied_cells", "max_cell_occupancy", "candidates_unique"] {
-            assert!(gated.contains(&format!("points.[3].{key}")), "{key} must be gated");
-        }
-    }
-
-    #[test]
-    fn connscale_schema_gates_counts_strictly_but_not_scheduling_diagnostics() {
-        // The real mbdr-connscale/1 emitter: thread accounting and the hot
-        // subset's counts are exact, while the readiness diagnostics depend
-        // on how the kernel batched wakeups and are loose.
-        let reports = crate::netbase::connscale_grid(0.02, 7);
-        let tree = crate::netbase::render_connscale_json(0.02, 7, &reports);
-        let gated = gated_leaves(&tree);
-        for key in ["rect_results", "pool_threads", "resident_threads", "server.updates_applied"] {
-            assert!(gated.contains(&format!("points.[0].{key}")), "{key} must be gated");
-        }
-        for key in ["open_wall_s", "readiness_wakeups", "spurious_wakeups", "backpressure_stalls"] {
-            assert!(!gated.iter().any(|path| path.ends_with(key)), "{key} must not be gated");
-        }
-        // The close-side counters race the teardown and are left out.
-        assert!(!tree.to_string().contains("connections_closed"));
-    }
-
-    #[test]
-    fn timing_metrics_accept_zero_but_reject_negatives() {
-        // A sub-resolution wall clock legitimately renders as 0.0 on a fast
-        // machine — that must pass; a negative value is garbage and fails,
-        // for loose leaves as for timing ones.
+    fn null_and_a_number_never_match() {
         let fresh = doc();
-        let baseline = committed(&fresh);
-        let zeroed = with(&fresh, &["points", "0", "wall_ms"], Json::timing(0.0, 1));
-        assert!(compare_baseline(&baseline, &zeroed).passed());
-        let negative = with(&fresh, &["points", "0", "wall_ms"], Json::timing(-3.0, 1));
-        let report = compare_baseline(&baseline, &negative);
-        assert!(report.mismatches.iter().any(|m| m.contains("wall_ms")), "{report:?}");
-        let negative = with(&fresh, &["points", "0", "rect_results"], Json::loose(-1.0));
-        assert!(!compare_baseline(&baseline, &negative).passed());
-    }
-
-    #[test]
-    fn null_alternates_with_numbers_only_off_the_exact_class() {
-        let fresh = doc();
-        let baseline = committed(&fresh);
-        // A rate over zero samples prints as null on one side only: fine for
-        // timing and loose leaves, a kind change for exact ones.
-        for (key, nulled, accepted) in [
-            ("wall_ms", Json::timing(f64::NAN, 1), true),
-            ("rect_results", Json::loose(f64::NAN), true),
-            ("updates_sent", Json::exact(f64::NAN), false),
-        ] {
-            let nulled = with(&fresh, &["points", "0", key], nulled);
-            assert_eq!(compare_baseline(&baseline, &nulled).passed(), accepted, "{key}");
-            assert_eq!(compare_baseline(&committed(&nulled), &fresh).passed(), accepted, "{key}");
-            // null on both sides is the same document whatever the class.
-            assert!(compare_baseline(&committed(&nulled), &nulled).passed(), "{key}");
-        }
+        // A number printed as `null` on one side only is a kind change,
+        // whichever side it is on; `null` on both sides is the same document.
+        let nulled = with(&fresh, &["points", "0", "updates_sent"], Json::exact(f64::NAN));
+        assert!(!compare_baseline(&committed(&fresh), &nulled).passed());
+        assert!(!compare_baseline(&committed(&nulled), &fresh).passed());
+        assert!(compare_baseline(&committed(&nulled), &nulled).passed());
     }
 }

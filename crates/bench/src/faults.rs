@@ -28,8 +28,7 @@
 //!    the un-journaled window. `truncated_bytes` is a strict `0` — the
 //!    probe's repair already cleaned the tail the dead disk left behind.
 //!
-//! Only `ingest_wall_s` / `recover_wall_s` ride along under the
-//! machine-dependent metric class; everything else is seed-determined.
+//! Every number is seed-determined.
 
 use crate::recovery::{encoded_frames, fleet, queries_match, UPDATES_PER_FRAME};
 use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig, JournalStatsSnapshot};
@@ -38,13 +37,12 @@ use mbdr_locserver::{recover_and_attach, DurabilityStatsSnapshot, RecoveryReport
 use mbdr_sim::{FaultPlan, Json};
 use std::fs;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Fdatasync batch window of the faulted ingest (strictly gated).
 const FSYNC_BATCH: u32 = 16;
 
 /// One fault-injection measurement (see the module docs). Every count is
-/// seed-deterministic; only the `*_wall_s` fields are machine-dependent.
+/// seed-deterministic.
 #[derive(Debug, Clone)]
 pub struct FaultsBench {
     /// Tracked objects.
@@ -84,15 +82,11 @@ pub struct FaultsBench {
     /// exactly the bits of a twin that saw all acknowledged frames
     /// (gate: 1).
     pub bit_identical_acknowledged: u64,
-    /// Wall-clock seconds of the faulted ingest phase.
-    pub ingest_wall_s: f64,
-    /// Wall-clock seconds of the crash recovery.
-    pub recover_wall_s: f64,
 }
 
 /// Runs the fault-injection measurement. Deterministic for a given
-/// `(scale, seed)` up to wall clocks; uses (and removes) a scratch
-/// directory under the system temp dir.
+/// `(scale, seed)`; uses (and removes) a scratch directory under the system
+/// temp dir.
 pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     let objects = ((16.0 * scale).round() as usize).max(8);
     let rounds = ((80.0 * scale).round() as usize).max(16);
@@ -127,7 +121,6 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     assert!(primary.attach_journal(Arc::clone(&journal)));
     let twin = fleet(objects);
 
-    let started = Instant::now();
     let mut updates_applied = 0u64;
     for (i, bytes) in frames.iter().enumerate() {
         let i = i as u64;
@@ -146,7 +139,6 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
         updates_applied += primary.apply_frame_bytes(bytes).expect("apply is acknowledged") as u64;
         twin.apply_frame_bytes(bytes).expect("twin frame applies");
     }
-    let ingest_wall_s = started.elapsed().as_secs_f64();
     let durability = primary.durability_stats();
     let journal_stats = journal.stats();
     drop(primary);
@@ -154,9 +146,7 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
 
     // --- Phase 2: recover and compare against the all-frames twin. ---
     let recovered = fleet(objects);
-    let started = Instant::now();
     let (_journal, recovery) = recover_and_attach(&recovered, config).expect("recovery succeeds");
-    let recover_wall_s = started.elapsed().as_secs_f64();
     let bit_identical_acknowledged = u64::from(queries_match(&recovered, &twin, objects, t_max));
 
     let _ = fs::remove_dir_all(&scratch);
@@ -172,13 +162,10 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
         journal: journal_stats,
         recovery,
         bit_identical_acknowledged,
-        ingest_wall_s,
-        recover_wall_s,
     }
 }
 
-/// The measurement as one JSON document (schema `mbdr-faults/1`): every
-/// count is exact, only the two walls are timing.
+/// The measurement as one JSON document (schema `mbdr-faults/1`).
 pub fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> Json {
     let head = [
         ("objects", Json::exact(r.objects as f64)),
@@ -199,8 +186,6 @@ pub fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> Json {
         ("restored_objects", Json::exact(r.recovery.restored_objects as f64)),
         ("truncated_bytes", Json::exact(r.recovery.truncated_bytes as f64)),
         ("bit_identical_acknowledged", Json::exact(r.bit_identical_acknowledged as f64)),
-        ("ingest_wall_s", Json::timing(r.ingest_wall_s, 4)),
-        ("recover_wall_s", Json::timing(r.recover_wall_s, 4)),
     ];
     let fields = head.into_iter().chain(durability).chain(tail);
     Json::document("mbdr-faults/1", scale, seed, fields)

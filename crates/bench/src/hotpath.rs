@@ -1,6 +1,6 @@
-//! The hot-path experiment: steady-state ingest / query / predict throughput
-//! **and** allocations-per-operation, emitted as JSON (`reproduce hotpath`)
-//! and gated against `baselines/BENCH_hotpath.json`.
+//! The hot-path experiment: steady-state ingest / query / predict
+//! allocations-per-operation, emitted as JSON (`reproduce hotpath`) and gated
+//! against `baselines/BENCH_hotpath.json`.
 //!
 //! The workload is deliberately periodic: every object's position cycles
 //! with period [`POSITION_CYCLE`] and all objects share one cell footprint,
@@ -23,8 +23,8 @@
 //! operation count, fully determined by the workload — the baseline pins
 //! them at `0`, so a single accidental `clone()` on any of these paths fails
 //! `reproduce hotpath --check` (and the `zero_alloc` integration test) with
-//! a number, not a hunch. Wall-clock throughputs ride along under the
-//! machine-dependent (sanity-only) metric class.
+//! a number, not a hunch. What the same paths cost in time is measured
+//! layer by layer in `benchmark/` (`core.*`, `locserver.*`, `journal.*`).
 
 use crate::alloccount;
 use mbdr_core::{LinearPredictor, MapPredictor, ObjectState, Predictor, Update, UpdateKind};
@@ -37,7 +37,6 @@ use mbdr_roadnet::{NetworkBuilder, NodeId, RoadClass, RoadNetwork};
 use mbdr_sim::Json;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Period of the position pattern: after one full cycle every grid cell the
 /// workload will ever occupy has been occupied.
@@ -49,9 +48,8 @@ const UPDATES_PER_FRAME: usize = 8;
 /// Seconds between consecutive updates of one object.
 const UPDATE_INTERVAL_S: f64 = 0.125;
 
-/// One hot-path measurement (see the module docs). The `allocs_per_*`
-/// fields are strict regression gates; the `*_per_sec` fields are
-/// machine-dependent timings.
+/// One hot-path measurement (see the module docs). Every field is
+/// determined by the workload; the `allocs_per_*` fields are the gates.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
     /// Tracked objects.
@@ -86,15 +84,6 @@ pub struct HotpathReport {
     pub rect_hits: u64,
     /// Total nearest-query results (seed-deterministic, gated strictly).
     pub nearest_hits: u64,
-    /// Measured ingest throughput, updates per second.
-    pub updates_per_sec: f64,
-    /// Measured ingest throughput with the journal attached, updates per
-    /// second (machine- and filesystem-dependent).
-    pub journaled_updates_per_sec: f64,
-    /// Measured query throughput (rect + nearest), queries per second.
-    pub queries_per_sec: f64,
-    /// Measured map-prediction throughput, predictions per second.
-    pub predicts_per_sec: f64,
 }
 
 /// Position of every object at logical update step `step` — shared by all
@@ -144,8 +133,7 @@ fn prediction_network() -> (Arc<RoadNetwork>, ObjectState) {
     (network, state)
 }
 
-/// Runs the hot-path measurement. Deterministic for a given `(scale, seed)`:
-/// the only machine-dependent outputs are the `*_per_sec` timings.
+/// Runs the hot-path measurement. Deterministic for a given `(scale, seed)`.
 pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     let objects = ((128.0 * scale).round() as usize).max(32);
     let shards = 8usize;
@@ -184,12 +172,10 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     }
     let measured_updates = (measured_rounds * objects * UPDATES_PER_FRAME) as u64;
     let allocs_before = alloccount::allocations();
-    let started = Instant::now();
     let mut applied = 0usize;
     for bytes in &frames[warm_frames..] {
         applied += service.apply_frame_bytes(bytes).expect("measured frame applies");
     }
-    let ingest_wall = started.elapsed().as_secs_f64();
     let ingest_allocs = alloccount::allocations() - allocs_before;
     assert_eq!(applied as u64, measured_updates, "every measured update is fresh");
 
@@ -221,13 +207,11 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
         journaled.apply_frame_bytes(bytes).expect("warm journaled frame applies");
     }
     let allocs_before = alloccount::allocations();
-    let started = Instant::now();
     let mut journaled_applied = 0usize;
     for bytes in &frames[warm_frames..] {
         journaled_applied +=
             journaled.apply_frame_bytes(bytes).expect("measured journaled frame applies");
     }
-    let journaled_wall = started.elapsed().as_secs_f64();
     let journaled_allocs = alloccount::allocations() - allocs_before;
     assert_eq!(journaled_applied as u64, measured_updates, "journaled run sees the same updates");
     drop(journal);
@@ -253,7 +237,6 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
         service.nearest_objects_into(&point_for(i), t_q, 5, &mut scratch, &mut out);
     }
     let allocs_before = alloccount::allocations();
-    let started = Instant::now();
     let mut rect_hits = 0u64;
     for i in 0..queries {
         service.objects_in_rect_into(&rect_for(i), t_q, &mut scratch, &mut out);
@@ -266,7 +249,6 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
         service.nearest_objects_into(&point_for(i), t_q, 5, &mut scratch, &mut out);
         nearest_hits += out.len() as u64;
     }
-    let query_wall = started.elapsed().as_secs_f64();
     let nearest_allocs = alloccount::allocations() - allocs_before;
 
     // --- Map prediction over the y-junction (crosses the intersection for
@@ -277,12 +259,10 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
         black_box(predictor.predict(&state, (i % 32) as f64 * 2.0));
     }
     let allocs_before = alloccount::allocations();
-    let started = Instant::now();
     let mut checksum = 0.0f64;
     for i in 0..predicts {
         checksum += predictor.predict(&state, (i % 32) as f64 * 2.0).x;
     }
-    let predict_wall = started.elapsed().as_secs_f64();
     let predict_allocs = alloccount::allocations() - allocs_before;
     black_box(checksum);
 
@@ -301,15 +281,10 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
         allocs_per_predict: predict_allocs as f64 / predicts as f64,
         rect_hits,
         nearest_hits,
-        updates_per_sec: measured_updates as f64 / ingest_wall.max(1e-9),
-        journaled_updates_per_sec: measured_updates as f64 / journaled_wall.max(1e-9),
-        queries_per_sec: (2 * queries) as f64 / query_wall.max(1e-9),
-        predicts_per_sec: predicts as f64 / predict_wall.max(1e-9),
     }
 }
 
-/// The report as one JSON document (schema `mbdr-hotpath/1`): the
-/// allocation ratios and hit counts are exact, the throughputs timing.
+/// The report as one JSON document (schema `mbdr-hotpath/1`).
 pub fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> Json {
     Json::document(
         "mbdr-hotpath/1",
@@ -330,10 +305,6 @@ pub fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> Json {
             ("allocs_per_predict", Json::exact(r.allocs_per_predict)),
             ("rect_hits", Json::exact(r.rect_hits as f64)),
             ("nearest_hits", Json::exact(r.nearest_hits as f64)),
-            ("updates_per_sec", Json::timing(r.updates_per_sec, 1)),
-            ("journaled_updates_per_sec", Json::timing(r.journaled_updates_per_sec, 1)),
-            ("queries_per_sec", Json::timing(r.queries_per_sec, 1)),
-            ("predicts_per_sec", Json::timing(r.predicts_per_sec, 1)),
         ],
     )
 }
@@ -350,14 +321,12 @@ mod tests {
         // always finds its k = 5 — fully determined by the fixture.
         assert_eq!(report.rect_hits, (report.objects * report.queries) as u64);
         assert_eq!(report.nearest_hits, 5 * report.queries as u64);
-        assert!(report.updates_per_sec > 0.0);
         // Unit tests run without the counting allocator: the counter never
         // moves, so the ratios must be exactly zero here too.
         if !report.counting_allocator {
             assert_eq!(report.allocs_per_update, 0.0);
             assert_eq!(report.allocs_per_journaled_update, 0.0);
         }
-        assert!(report.journaled_updates_per_sec > 0.0);
         let tree = render_hotpath_json(0.02, 7, &report);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-hotpath/1")));
         assert_eq!(tree.get("allocs_per_update"), Some(&Json::exact(report.allocs_per_update)));

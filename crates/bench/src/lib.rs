@@ -9,15 +9,17 @@
 //! Beyond the paper's artefacts, [`throughput`] sweeps the concurrent fleet
 //! workload over the
 //! sharded location service (objects × shards × query mix) as the service's
-//! perf baseline, [`wire`] sweeps the lossy-uplink channel model over loss
+//! concurrency baseline, [`wire`] sweeps the lossy-uplink channel model over loss
 //! rates as the wire protocol's accuracy/overhead baseline, and [`netbase`]
 //! drives the TCP serving layer over loopback as the end-to-end network
 //! baseline, and [`scale`] sweeps the synthetic million-object workload
 //! (uniform and Zipf-hotspot placement) over the spatial data plane as the
-//! large-N baseline. [`check`] is the regression gate: it parses the committed
+//! large-N baseline. [`baseline_document`] builds any of the nine documents
+//! by command name. [`check`] is the regression gate: it parses the committed
 //! `baselines/BENCH_*.json` files and compares the freshly built
-//! [`mbdr_sim::Json`] document against them, judging each number by the
-//! metric class its emitter declared (`reproduce <cmd> --check`). [`hotpath`]
+//! [`mbdr_sim::Json`] document against them, number by number
+//! (`reproduce <cmd> --check`). Every number is seed-determined; time is
+//! measured by the separate `benchmark/` package. [`hotpath`]
 //! measures the steady-state ingest/query/predict pipeline under the
 //! counting allocator ([`alloccount`]) and pins its allocations-per-
 //! operation at zero. [`recovery`] is the durability baseline: journaled
@@ -42,11 +44,18 @@ pub mod scale;
 pub mod throughput;
 pub mod wire;
 
+use faults::{faults_bench, render_faults_json};
+use hotpath::{hotpath_report, render_hotpath_json};
 use mbdr_geo::Point;
 use mbdr_sim::protocols::ProtocolContext;
 use mbdr_sim::runner::{run_protocol, RunConfig};
-use mbdr_sim::{sweep_scenario, ProtocolKind, SweepResult};
+use mbdr_sim::{render_json, sweep_scenario, Json, ProtocolKind, SweepResult};
 use mbdr_trace::{Scenario, ScenarioData, ScenarioKind, TraceStats};
+use netbase::{connscale_grid, net_grid, render_connscale_json, render_net_json};
+use recovery::{recovery_bench, render_recovery_json};
+use scale::{render_scale_json, scale_grid};
+use throughput::{render_throughput_json, throughput_grid};
+use wire::wire_baseline;
 
 /// Default random seed used by all experiments (fixed for reproducibility).
 pub const DEFAULT_SEED: u64 = 2001;
@@ -76,6 +85,36 @@ pub const REPRODUCE_COMMANDS: [&str; 19] = [
     "faults",
     "all",
 ];
+
+/// The full figure set as one machine-readable JSON document (schema
+/// `mbdr-reproduce/1`): per figure, the sweep data — update counts and
+/// deviations per protocol and accuracy (`reproduce json`).
+pub fn figures_json(scale: f64, seed: u64) -> Json {
+    let figures = ScenarioKind::ALL.iter().map(|&kind| {
+        Json::object([
+            ("figure", Json::exact(f64::from(figure_number(kind)))),
+            ("sweep", render_json(&figure(kind, scale, seed))),
+        ])
+    });
+    Json::document("mbdr-reproduce/1", scale, seed, [("figures", Json::array(figures))])
+}
+
+/// The JSON document of one baseline command (`json`, `throughput`, …,
+/// `faults`), or `None` for a command that prints no baseline document.
+pub fn baseline_document(command: &str, scale: f64, seed: u64) -> Option<Json> {
+    Some(match command {
+        "json" => figures_json(scale, seed),
+        "throughput" => render_throughput_json(scale, seed, &throughput_grid(scale, seed)),
+        "wire" => wire_baseline(scale, seed).to_json(),
+        "net" => render_net_json(scale, seed, &net_grid(scale, seed)),
+        "connscale" => render_connscale_json(scale, seed, &connscale_grid(scale, seed)),
+        "hotpath" => render_hotpath_json(scale, seed, &hotpath_report(scale, seed)),
+        "scale" => render_scale_json(scale, seed, &scale_grid(scale, seed)),
+        "recovery" => render_recovery_json(scale, seed, &recovery_bench(scale, seed)),
+        "faults" => render_faults_json(scale, seed, &faults_bench(scale, seed)),
+        _ => return None,
+    })
+}
 
 /// Builds the scenario data for one movement pattern at the given scale
 /// (1.0 = the paper's full trace length).
@@ -274,6 +313,29 @@ mod tests {
         for (ablation, protocols) in results.iter().zip([5, 4, 5]) {
             assert_eq!(ablation.result.points.len(), protocols * 3, "{}", ablation.name);
         }
+    }
+
+    #[test]
+    fn every_baseline_document_prints_the_same_bytes_twice() {
+        // Every number in every document is seed-determined, so two builds
+        // of the same (scale, seed) print byte-identical documents.
+        let commands = [
+            ("json", 0.02),
+            ("throughput", 0.02),
+            ("wire", 0.05),
+            ("net", 0.05),
+            ("connscale", 0.02),
+            ("hotpath", 0.02),
+            ("scale", 0.01),
+            ("recovery", 0.25),
+            ("faults", 0.25),
+        ];
+        for (command, scale) in commands {
+            let print =
+                || baseline_document(command, scale, 7).expect("a baseline command").to_string();
+            assert_eq!(print(), print(), "`reproduce {command}` is not reproducible");
+        }
+        assert!(baseline_document("fig7", 0.02, 7).is_none());
     }
 
     #[test]

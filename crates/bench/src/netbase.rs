@@ -4,11 +4,11 @@
 //! workload of [`mbdr_sim::connscale`] swept over an idle-crowd grid
 //! (schema `mbdr-connscale/1`).
 //!
-//! Counts (updates, frames, bytes, query results, thread accounting) are
-//! deterministic for a given seed — the query phases run after flush
-//! barriers at one fixed instant — so the regression gate compares them
-//! strictly, while the throughput, latency and readiness-diagnostic fields
-//! are machine-dependent and only sanity-checked.
+//! Every number is a count (updates, frames, bytes, query results, thread
+//! accounting) and deterministic for a given seed — the query phases run
+//! after flush barriers at one fixed instant — so the regression gate
+//! compares them all. Round-trip and connect times are `benchmark/`'s
+//! `tcp_fleet` metrics.
 
 use mbdr_sim::{
     run_connscale_workload, run_net_workload, ConnScaleConfig, ConnScaleReport, Json,
@@ -103,20 +103,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_grid_produces_json_with_latency_fields() {
+    fn smoke_grid_produces_json_with_exact_counts() {
         // Tiny smoke scale: the same path CI exercises.
         let reports = net_grid(0.05, 7);
         assert_eq!(reports.len(), BASELINE_CONNECTIONS.len());
         for r in &reports {
             assert_eq!(r.updates_applied, r.updates_sent);
-            assert!(r.updates_per_sec > 0.0);
-            assert!(r.latency_p99_ms >= r.latency_p50_ms);
+            assert_eq!(r.server.frames_received, r.frames_sent);
             assert_eq!(r.server.connections_dropped, 0);
         }
         let tree = render_net_json(0.05, 7, &reports);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-net/1")));
         let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
-        assert!(points[0].get("latency_p50_ms").is_some());
+        let sent = reports[0].updates_sent as f64;
+        assert_eq!(points[0].get("updates_sent"), Some(&Json::exact(sent)));
         assert_eq!(points[1].get("producer_connections"), Some(&Json::exact(4.0)));
     }
 

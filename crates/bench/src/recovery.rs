@@ -22,8 +22,8 @@
 //!    truncate exactly that record (`corrupt_truncated_bytes` is strict) and
 //!    the result must equal a twin that never saw the final frame.
 //!
-//! Wall clocks (`ingest_wall_s`, `recover_wall_s`, `replay_per_sec`) ride
-//! along under the machine-dependent metric class.
+//! How long recovery takes is `benchmark/`'s `recover_s` and
+//! `journal.replay_ns_per_frame`.
 
 use mbdr_core::{Frame, LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
@@ -35,7 +35,6 @@ use mbdr_sim::Json;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Updates batched per journaled frame.
 pub(crate) const UPDATES_PER_FRAME: usize = 4;
@@ -49,8 +48,7 @@ const FSYNC_BATCH: u32 = 16;
 const SNAPSHOT_EVERY_FRAMES: u64 = 67;
 
 /// One durability measurement (see the module docs). Every count is
-/// seed-deterministic; only the `*_wall_s` / `*_per_sec` fields are
-/// machine-dependent.
+/// seed-deterministic.
 #[derive(Debug, Clone)]
 pub struct RecoveryBench {
     /// Tracked objects.
@@ -79,12 +77,6 @@ pub struct RecoveryBench {
     /// `1` iff post-repair recovery equals a twin that never saw the torn
     /// frame (gate: 1).
     pub corrupt_bit_identical: u64,
-    /// Wall-clock seconds of the journaled ingest phase.
-    pub ingest_wall_s: f64,
-    /// Wall-clock seconds of snapshot restore + tail replay.
-    pub recover_wall_s: f64,
-    /// Replayed frames per second of recovery wall clock.
-    pub replay_per_sec: f64,
 }
 
 pub(crate) fn fleet(objects: usize) -> LocationService {
@@ -183,8 +175,8 @@ fn corrupt_last_record(dir: &Path) {
 }
 
 /// Runs the durability measurement. Deterministic for a given
-/// `(scale, seed)` up to wall clocks; uses (and removes) a scratch directory
-/// under the system temp dir.
+/// `(scale, seed)`; uses (and removes) a scratch directory under the system
+/// temp dir.
 pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     let objects = ((24.0 * scale).round() as usize).max(8);
     let rounds = ((96.0 * scale).round() as usize).max(12);
@@ -209,12 +201,10 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     };
     let primary = fleet(objects);
     let (journal, _) = recover_and_attach(&primary, config.clone()).expect("fresh dir attaches");
-    let started = Instant::now();
     let mut updates_applied = 0u64;
     for bytes in &frames {
         updates_applied += primary.apply_frame_bytes(bytes).expect("frame applies") as u64;
     }
-    let ingest_wall_s = started.elapsed().as_secs_f64();
     let ingest_stats = journal.stats();
     drop(primary);
     drop(journal);
@@ -227,9 +217,7 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
 
     // --- Phase 2: recover and compare. ---
     let recovered = fleet(objects);
-    let started = Instant::now();
     let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery succeeds");
-    let recover_wall_s = started.elapsed().as_secs_f64();
     let bit_identical = u64::from(queries_match(&recovered, &twin, objects, t_max));
 
     // --- Phase 3: torn tail on a log-only journal. ---
@@ -273,14 +261,10 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
         bit_identical,
         torn_recovery: tear_report,
         corrupt_bit_identical,
-        ingest_wall_s,
-        recover_wall_s,
-        replay_per_sec: report.replayed_frames as f64 / recover_wall_s.max(1e-9),
     }
 }
 
-/// The measurement as one JSON document (schema `mbdr-recovery/1`): every
-/// count is exact, only the walls and the replay rate are timing.
+/// The measurement as one JSON document (schema `mbdr-recovery/1`).
 pub fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> Json {
     Json::document(
         "mbdr-recovery/1",
@@ -303,9 +287,6 @@ pub fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> Json {
             ("corrupt_truncated_bytes", Json::exact(r.torn_recovery.truncated_bytes as f64)),
             ("corrupt_replayed_frames", Json::exact(r.torn_recovery.replayed_frames as f64)),
             ("corrupt_bit_identical", Json::exact(r.corrupt_bit_identical as f64)),
-            ("ingest_wall_s", Json::timing(r.ingest_wall_s, 4)),
-            ("recover_wall_s", Json::timing(r.recover_wall_s, 4)),
-            ("replay_per_sec", Json::timing(r.replay_per_sec, 1)),
         ],
     )
 }

@@ -5,8 +5,7 @@
 //! The committed baseline runs N up to 10⁵ at `--scale 1.0`, the largest
 //! fleet any gate or benchmark workload uses. Result counts, occupancy
 //! diagnostics and the candidate-dedup counters are single-threaded and
-//! seed-determined, so the gate compares them strictly; wall clocks and
-//! throughputs ride along as machine-dependent sanity checks.
+//! seed-determined, so the gate compares them all.
 
 use mbdr_sim::{run_scale_workload, Json, ScaleConfig, ScaleReport};
 
@@ -27,24 +26,17 @@ pub fn scale_grid(scale: f64, seed: u64) -> Vec<ScaleReport> {
     points
 }
 
-/// The grid as one JSON document (schema `mbdr-scale/1`). The workload is
-/// single-threaded: everything but the wall clocks and rates is exact.
+/// The grid as one JSON document (schema `mbdr-scale/1`).
 pub fn render_scale_json(scale: f64, seed: u64, points: &[ScaleReport]) -> Json {
     let point = |p: &ScaleReport| {
         Json::object([
             ("objects", Json::exact(p.objects as f64)),
             ("hotspot", Json::Bool(p.hotspot)),
             ("updates_applied", Json::exact(p.updates_applied as f64)),
-            ("ingest_wall_s", Json::timing(p.ingest_wall_s, 4)),
-            ("updates_per_sec", Json::timing(p.updates_per_sec, 1)),
             ("rect_queries", Json::exact(p.rect_queries as f64)),
             ("nearest_queries", Json::exact(p.nearest_queries as f64)),
             ("rect_hits", Json::exact(p.rect_hits as f64)),
             ("nearest_hits", Json::exact(p.nearest_hits as f64)),
-            ("rect_wall_s", Json::timing(p.rect_wall_s, 4)),
-            ("nearest_wall_s", Json::timing(p.nearest_wall_s, 4)),
-            ("rect_per_sec", Json::timing(p.rect_per_sec, 1)),
-            ("nearest_per_sec", Json::timing(p.nearest_per_sec, 1)),
             ("indexed", Json::exact(p.indexed as f64)),
             ("occupied_cells", Json::exact(p.occupied_cells as f64)),
             ("max_cell_occupancy", Json::exact(p.max_cell_occupancy as f64)),

@@ -1,6 +1,6 @@
 //! Doc-sync: the committed documentation must stay true to the code.
 //!
-//! Three contracts are enforced here:
+//! Two contracts are enforced here:
 //!
 //! * `docs/WIRE.md` names (in backticks) every wire/format constant defined
 //!   by `mbdr-core`'s wire modules and by `mbdr-journal`, and names no
@@ -10,15 +10,11 @@
 //!   command in [`mbdr_bench::REPRODUCE_COMMANDS`] (the same list the
 //!   binary's parser and usage string are tested against), and every
 //!   `reproduce -- <word>` invocation they show names a real command.
-//! * `docs/OPERATIONS.md` names (in bold, as its section 2 bullets do) every
-//!   [`mbdr_sim::MetricClass`] variant, so the runbook cannot describe fewer
-//!   classes than the regression gate judges by.
 //!
 //! The scans are deliberately lexical — no rustc, no syn — keeping the
 //! test std-only like the rest of the workspace.
 
 use mbdr_bench::REPRODUCE_COMMANDS;
-use mbdr_sim::MetricClass;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -208,19 +204,4 @@ fn docs_and_usage_agree_on_the_reproduce_command_list() {
              the binary does not accept: {ghosts:?}"
         );
     }
-}
-
-#[test]
-fn operations_doc_names_every_metric_class() {
-    let doc = read(&repo_root().join("docs/OPERATIONS.md"));
-    let undocumented: Vec<&str> = MetricClass::ALL
-        .iter()
-        .map(|class| class.name())
-        .filter(|name| !doc.contains(&format!("**{name}**")))
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "docs/OPERATIONS.md section 2 does not define these metric classes \
-         (as a `**<class>**` bullet): {undocumented:?}"
-    );
 }

@@ -224,8 +224,6 @@ fn steady_state_ingest_and_queries_do_not_allocate() {
         report.allocs_per_predict, 0.0,
         "steady-state MapPredictor::predict must not allocate"
     );
-    // The throughput side of the report stays sane.
-    assert!(report.updates_per_sec > 0.0 && report.queries_per_sec > 0.0);
     assert_eq!(report.rect_hits, (report.objects * report.queries) as u64);
 
     assert_protocols_do_not_allocate();

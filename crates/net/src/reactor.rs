@@ -21,7 +21,10 @@
 //! The frame is parked on the connection, read interest is withdrawn, and
 //! the reactor retries on a short tick — TCP then pushes back on the
 //! producer while everyone else keeps being served
-//! ([`ServerStats`] counts each park as a `backpressure_stall`).
+//! ([`ServerStats`] counts each park as a `backpressure_stall`). A paused
+//! connection sleeps through a peer's FIN; a hangup or socket error, which
+//! the poller reports whatever the interest, takes its fd out of the poller
+//! until the pause ends, so a dead peer cannot spin the reactor.
 //!
 //! *Outbound*: responses go through a bounded per-connection buffer flushed
 //! on writability. A client that stops reading either overflows the bound
@@ -248,8 +251,12 @@ struct Conn {
     stream: TcpStream,
     fd: SysFd,
     conn_id: u64,
-    /// The readiness interest currently registered with the poller.
+    /// The readiness interest currently registered with the poller (or to
+    /// register on resume, while `unwatched`).
     interest: Interest,
+    /// Taken out of the poller during a pause after a hangup or error (see
+    /// `on_readable`); `resume_read` registers it again.
+    unwatched: bool,
     /// Incremental read buffer: `read_buf[consumed..read_len]` is unparsed.
     read_buf: Vec<u8>,
     read_len: usize,
@@ -279,6 +286,7 @@ impl Conn {
             fd,
             conn_id,
             interest: Interest::READ,
+            unwatched: false,
             read_buf: Vec::new(),
             read_len: 0,
             consumed: 0,
@@ -582,7 +590,10 @@ impl Runtime {
             if fate != Fate::Alive {
                 return fate;
             }
-            self.resume_read(conn);
+            let fate = self.resume_read(conn);
+            if fate != Fate::Alive {
+                return fate;
+            }
             // Requests may have been buffered behind the barrier.
             return self.parse_and_handle(conn);
         }
@@ -610,8 +621,10 @@ impl Runtime {
             let mut fate = self.enqueue_frame(&mut conn, bytes, false);
             if fate == Fate::Alive && conn.stalled_frame.is_none() {
                 // The park resolved: resume reading and parsing.
-                self.resume_read(&mut conn);
-                fate = self.parse_and_handle(&mut conn);
+                fate = self.resume_read(&mut conn);
+                if fate == Fate::Alive {
+                    fate = self.parse_and_handle(&mut conn);
+                }
             }
             self.finish(conn, fate);
         }
@@ -643,8 +656,15 @@ impl Runtime {
     #[expect(clippy::indexing_slicing, reason = "read_len <= read_buf.len() always")]
     fn on_readable(&mut self, conn: &mut Conn, progress: &mut bool) -> Fate {
         if conn.paused() {
-            // Read interest is withdrawn while paused; this is a residual
-            // hangup/error event. EOF discovery waits for the resume.
+            // Read interest is withdrawn while paused, so this is a hangup
+            // or error, which the poller reports whatever the interest and,
+            // level-triggered, on every wait. Stop watching the fd until
+            // the pause ends: the resume registers it again and the read
+            // path then observes the EOF or error.
+            if !conn.unwatched {
+                self.poller.deregister(conn.fd);
+                conn.unwatched = true;
+            }
             return Fate::Alive;
         }
         let mut total = 0usize;
@@ -978,11 +998,27 @@ impl Runtime {
         self.set_interest(conn, Interest { readable: false, writable: conn.interest.writable });
     }
 
-    fn resume_read(&mut self, conn: &mut Conn) {
-        self.set_interest(conn, Interest { readable: true, writable: conn.interest.writable });
+    /// Re-arms reading after a pause. A connection taken out of the poller
+    /// during the pause is registered again; if that fails nothing would
+    /// ever wake it, so it is dropped.
+    fn resume_read(&mut self, conn: &mut Conn) -> Fate {
+        let want = Interest { readable: true, writable: conn.interest.writable };
+        if conn.unwatched {
+            if self.poller.register(conn.fd, conn.conn_id, want).is_err() {
+                return Fate::Dropped;
+            }
+            conn.unwatched = false;
+            conn.interest = want;
+        }
+        self.set_interest(conn, want);
+        Fate::Alive
     }
 
     fn set_interest(&mut self, conn: &mut Conn, want: Interest) {
+        if conn.unwatched {
+            conn.interest = want; // registered as such on resume
+            return;
+        }
         if want == conn.interest {
             return;
         }

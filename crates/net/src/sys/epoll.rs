@@ -36,12 +36,12 @@ extern "C" {
 }
 
 fn interest_bits(interest: Interest) -> u32 {
-    // EPOLLRDHUP is always armed: a peer half-close must wake the reactor
-    // even when read interest is (temporarily) withdrawn for backpressure,
-    // or a closed connection could linger until its next event.
-    let mut bits = EPOLLRDHUP;
+    // EPOLLRDHUP only with read interest: level-triggered, a half-close
+    // armed while reading is paused would fire on every wait until the
+    // pause ends. Resuming re-arms EPOLLIN, which then reports the EOF.
+    let mut bits = 0;
     if interest.readable {
-        bits |= EPOLLIN;
+        bits |= EPOLLIN | EPOLLRDHUP;
     }
     if interest.writable {
         bits |= EPOLLOUT;

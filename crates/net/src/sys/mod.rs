@@ -272,15 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn peer_close_wakes_without_read_interest_and_a_hangup_sets_both_bits() {
-        // A TCP FIN must reach a connection parked for backpressure (read
-        // interest withdrawn), or a closed peer would linger.
+    fn peer_close_waits_for_read_interest_and_a_hangup_sets_both_bits() {
+        // A TCP FIN must not wake a connection parked for backpressure (read
+        // interest withdrawn) — level-triggered, it would wake it on every
+        // wait — but must reach it as soon as reading resumes.
         let (watched, peer) = tcp_pair();
         let mut poller = Poller::new().expect("poller");
         let parked = Interest { readable: false, writable: false };
         poller.register(stream_fd(&watched), 1, parked).expect("register");
-        assert!(wait(&mut poller, NOW).is_empty());
         drop(peer);
+        assert!(wait(&mut poller, NOW).is_empty(), "a parked connection sleeps through a FIN");
+        poller.reregister(stream_fd(&watched), 1, Interest::READ).expect("resume");
         let events = wait(&mut poller, None);
         assert_eq!(events.len(), 1);
         assert!(events[0].readable, "the read path must run to observe EOF");

@@ -1,10 +1,10 @@
 //! The reactor's overload policy, pinned by counters: a client that stops
 //! reading is *evicted* (outbound-bound overflow or write-stall budget, each
 //! on its own counter path), a full ingest queue *stalls* the producer
-//! instead of dropping frames (a hangup while it is parked is a
-//! `spurious_wakeups` event), and a connection the admission cap refuses is
-//! a `register_failures` drop — all while healthy connections on the same
-//! reactors keep answering within an ordinary latency bound.
+//! instead of dropping frames (a hangup while it is parked waits for the
+//! resume instead of spinning the reactor), and a connection the admission
+//! cap refuses is a `register_failures` drop — all while healthy connections
+//! on the same reactors keep answering within an ordinary latency bound.
 
 use mbdr_core::{Frame, ObjectState, Predictor, Request, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
@@ -241,11 +241,24 @@ impl Predictor for GatePredictor {
     }
 }
 
-#[test]
-fn a_peer_hangup_on_a_paused_connection_is_a_spurious_wakeup() {
-    // One shard, held by a query parked inside its predictor: the single
-    // ingest worker blocks on the write lock, the single-slot queue fills,
-    // and the reactor parks a frame with read interest withdrawn.
+/// Frames the paused producer sends before it hangs up.
+const PARKED_FRAMES: u64 = 8;
+
+/// A server with a producer connection parked, read interest withdrawn.
+/// Fields drop in declaration order: a failed assert drops `release` first,
+/// opening the gate before the server's drop waits on the worker it blocks.
+struct PausedProducer {
+    release: Sender<()>,
+    query: std::thread::JoinHandle<usize>,
+    server: NetServer,
+}
+
+/// One shard, held by a query parked inside its predictor: the single ingest
+/// worker blocks on the write lock, the single-slot queue fills, and the
+/// reactor parks a frame. With `unread_reply` the producer first asks for
+/// health and never reads the answer, so dropping it resets the connection
+/// (a hangup plus an error) instead of closing it with a FIN.
+fn paused_producer(unread_reply: bool) -> (PausedProducer, TcpStream) {
     let service = Arc::new(LocationService::with_config(ServiceConfig {
         shards: 1,
         ..ServiceConfig::default()
@@ -256,8 +269,6 @@ fn a_peer_hangup_on_a_paused_connection_is_a_spurious_wakeup() {
         ServerConfig { ingest_workers: 1, ingest_queue: 1, ..ServerConfig::default() },
     )
     .unwrap();
-    // Declared after `server`, so a failed assert drops `release` (opening
-    // the gate) before the server's drop waits on the worker it blocks.
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
     let gate = GatePredictor {
@@ -272,9 +283,11 @@ fn a_peer_hangup_on_a_paused_connection_is_a_spurious_wakeup() {
     };
     entered.recv().expect("the query reached the gate");
 
-    let frames = 8u64;
     let mut producer = TcpStream::connect(server.local_addr()).expect("producer connects");
-    for seq in 1..=frames {
+    if unread_reply {
+        write_message(&mut producer, &Request::Health.encode()).expect("send");
+    }
+    for seq in 1..=PARKED_FRAMES {
         let body = Request::encode_ingest(&Frame::single(0, update(seq, seq as f64, 1.0, 2.0)))
             .expect("frame encodes");
         write_message(&mut producer, &body).expect("send");
@@ -284,20 +297,64 @@ fn a_peer_hangup_on_a_paused_connection_is_a_spurious_wakeup() {
         assert!(Instant::now() < deadline, "the blocked worker never stalled the producer");
         std::thread::sleep(Duration::from_millis(1));
     }
-    // The hangup wakes the parked connection, which cannot act on it yet.
-    drop(producer);
-    while server.stats().spurious_wakeups == 0 {
-        assert!(Instant::now() < deadline, "the hangup never woke the paused connection");
-        std::thread::sleep(Duration::from_millis(1));
+    (PausedProducer { release, query, server }, producer)
+}
+
+impl PausedProducer {
+    /// Hangs the producer up on a connection that cannot act on it until the
+    /// pause ends, and returns the spurious wakeups the reactor took over the
+    /// next 60 ms.
+    fn hang_up(&self, producer: TcpStream) -> u64 {
+        let before = self.server.stats().spurious_wakeups;
+        drop(producer);
+        std::thread::sleep(Duration::from_millis(60));
+        self.server.stats().spurious_wakeups - before
     }
 
-    release.send(()).expect("gate still parked");
-    assert_eq!(query.join().expect("query thread"), 1);
-    while service.total_updates() < 1 + frames {
-        assert!(Instant::now() < deadline, "the parked frames never drained");
-        std::thread::sleep(Duration::from_millis(1));
+    /// Opens the gate and waits until the hung-up connection has left.
+    fn release(self) -> mbdr_net::ServerStatsSnapshot {
+        self.release.send(()).expect("gate still parked");
+        assert_eq!(self.query.join().expect("query thread"), 1);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let gone = |s: mbdr_net::ServerStatsSnapshot| s.connections_closed + s.connections_dropped;
+        while gone(self.server.stats()) == 0 {
+            assert!(Instant::now() < deadline, "the hung-up connection lingered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.server.shutdown()
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.updates_applied, frames, "the stalls dropped nothing");
-    assert!(stats.spurious_wakeups >= 1 && stats.spurious_wakeups <= stats.readiness_wakeups);
+}
+
+#[test]
+fn a_peer_hangup_on_a_paused_connection_does_not_spin_the_reactor() {
+    let (paused, producer) = paused_producer(false);
+    // A FIN must not wake the reactor again and again while the connection
+    // is parked.
+    let spun = paused.hang_up(producer);
+    assert!(spun < 10, "{spun} spurious wakeups in 60 ms of a paused hangup");
+    assert_eq!(paused.server.stats().connections_closed, 0, "still parked");
+
+    // Releasing the gate drains every parked frame; the resumed read then
+    // observes the EOF, and the connection ends as a clean close.
+    let stats = paused.release();
+    assert_eq!(stats.updates_applied, PARKED_FRAMES, "the stalls dropped nothing");
+    assert_eq!(stats.connections_closed, 1, "the hangup ends as a clean close");
+    assert_eq!(stats.connections_dropped, 0);
+}
+
+#[test]
+fn a_peer_reset_on_a_paused_connection_is_unwatched_until_the_resume() {
+    let (paused, producer) = paused_producer(true);
+    // A reset is reported whatever the interest. The wakeup that reports it
+    // can do nothing yet, so it is spurious; the reactor then takes the fd
+    // out of the poller instead of waking on it until the pause ends.
+    let spun = paused.hang_up(producer);
+    assert!((1..10).contains(&spun), "{spun} spurious wakeups in 60 ms of a paused reset");
+    assert_eq!(paused.server.stats().connections_dropped, 0, "still parked");
+
+    // The resume watches the fd again and the read path meets the reset.
+    let stats = paused.release();
+    assert_eq!(stats.connections_dropped, 1, "the reset ends as a drop");
+    assert_eq!(stats.connections_closed, 0);
+    assert!(stats.updates_applied <= PARKED_FRAMES);
 }

@@ -1,8 +1,8 @@
 //! The high-connection-count axis of the serving layer: thousands of
 //! mostly-idle connections with a small hot subset.
 //!
-//! [`crate::net_workload`] measures wire throughput with a handful of busy
-//! connections; this workload measures the dimension the reactor refactor
+//! [`crate::net_workload`] drives the wire with a handful of busy
+//! connections; this workload drives the dimension the reactor refactor
 //! exists for — *connection count*. It opens `connections` loopback
 //! sockets, leaves all but `hot_connections` of them completely idle, and
 //! drives the hot subset through the usual ingest → flush → rect-query
@@ -12,12 +12,12 @@
 //! counts stay exact: an idle crowd that slowed, dropped or corrupted the
 //! hot path would show up in the strictly-gated counters.
 //!
-//! Determinism contract (what `reproduce connscale --check` gates
-//! strictly): update/frame counts, rect result counts, byte totals and the
-//! thread accounting are all fixed by the seed; wall clocks, rates,
-//! latencies and the readiness diagnostics are machine-dependent.
+//! Determinism contract (what `reproduce connscale --check` gates):
+//! update/frame counts, rect result counts, byte totals and the thread
+//! accounting are all fixed by the seed. Connect and round-trip times are
+//! `benchmark/`'s `tcp_fleet` metrics.
 
-use crate::net_workload::{await_counter, percentile, server_counters};
+use crate::net_workload::{await_counter, server_counters};
 use crate::report::Json;
 use mbdr_core::{Frame, ObjectState, StaticPredictor, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
@@ -26,7 +26,6 @@ use mbdr_net::{NetClient, NetServer, ServerConfig, ServerStatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Half-extent of the square world the hot objects live in, metres.
 const WORLD_HALF_M: f64 = 5_000.0;
@@ -86,22 +85,10 @@ pub struct ConnScaleReport {
     pub updates_applied: u64,
     /// Frames the hot subset sent.
     pub frames_sent: u64,
-    /// Wall clock to open every connection, seconds.
-    pub open_wall_s: f64,
-    /// Connection-open throughput, connections per second.
-    pub opens_per_sec: f64,
-    /// Wall clock of the slowest hot driver (flush barrier included).
-    pub ingest_wall_s: f64,
-    /// Hot-subset ingest throughput, updates per second.
-    pub updates_per_sec: f64,
-    /// Rect queries issued.
+    /// Rect queries issued (with the idle crowd attached).
     pub rect_queries: u64,
     /// Objects returned by those queries (seed-deterministic).
     pub rect_results: u64,
-    /// Median rect round-trip latency with the idle crowd attached, ms.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile rect round-trip latency, ms.
-    pub latency_p99_ms: f64,
     /// The server's fixed pool size (accept + reactors + ingest workers).
     pub pool_threads: usize,
     /// OS threads of this process at full connection load (Linux: counted
@@ -126,14 +113,8 @@ impl ConnScaleReport {
             ("updates_sent", Json::exact(self.updates_sent as f64)),
             ("updates_applied", Json::exact(self.updates_applied as f64)),
             ("frames_sent", Json::exact(self.frames_sent as f64)),
-            ("open_wall_s", Json::timing(self.open_wall_s, 4)),
-            ("opens_per_sec", Json::timing(self.opens_per_sec, 1)),
-            ("ingest_wall_s", Json::timing(self.ingest_wall_s, 4)),
-            ("updates_per_sec", Json::timing(self.updates_per_sec, 1)),
             ("rect_queries", Json::exact(self.rect_queries as f64)),
             ("rect_results", Json::exact(self.rect_results as f64)),
-            ("latency_p50_ms", Json::timing(self.latency_p50_ms, 3)),
-            ("latency_p99_ms", Json::timing(self.latency_p99_ms, 3)),
             ("pool_threads", Json::exact(self.pool_threads as f64)),
             ("resident_threads", Json::exact(self.resident_threads as f64)),
             (
@@ -236,7 +217,6 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     // Phase 1: open the whole crowd. The first `hot_connections` clients
     // will stream; the rest sit idle for the entire run.
     let openers = config.opener_threads.max(1).min(config.connections);
-    let opened_at = Instant::now();
     let mut clients: Vec<NetClient> = Vec::with_capacity(config.connections);
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -255,7 +235,6 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
         }
     })
     .expect("opener scope panicked");
-    let open_wall_s = opened_at.elapsed().as_secs_f64().max(1e-9);
 
     // The whole crowd is connected: this is the moment the fixed-pool claim
     // is about.
@@ -267,13 +246,11 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     let per_driver = config.hot_connections.div_ceil(drivers);
     let mut applied_total = 0u64;
     let mut frames_total = 0u64;
-    let mut walls: Vec<f64> = Vec::new();
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (d, chunk) in hot.chunks_mut(per_driver).enumerate() {
             let base = d * per_driver;
             handles.push(scope.spawn(move |_| {
-                let started = Instant::now();
                 let mut applied = 0u64;
                 let mut frames = 0u64;
                 for (i, client) in chunk.iter_mut().enumerate() {
@@ -285,32 +262,26 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
                     assert_eq!(flush.frames, config.frames_per_hot as u64);
                     applied += flush.updates_applied;
                 }
-                (applied, frames, started.elapsed().as_secs_f64())
+                (applied, frames)
             }));
         }
         for handle in handles {
-            let (applied, frames, wall) = handle.join().expect("hot driver panicked");
+            let (applied, frames) = handle.join().expect("hot driver panicked");
             applied_total += applied;
             frames_total += frames;
-            walls.push(wall);
         }
     })
     .expect("hot scope panicked");
-    let ingest_wall_s = walls.iter().copied().fold(0.0, f64::max).max(1e-9);
 
     // Phase 3: rect queries at the pinned instant, idle crowd still attached.
     let t_q = query_time(config);
     let mut query_client = NetClient::connect(addr).expect("query connects");
     let mut records = Vec::new();
-    let mut latencies: Vec<f64> = Vec::with_capacity(config.rect_queries);
     let mut rect_results = 0u64;
     for area in query_rects(config) {
-        let at = Instant::now();
         query_client.objects_in_rect_into(&area, t_q, &mut records).expect("rect query");
-        latencies.push(at.elapsed().as_secs_f64() * 1e3);
         rect_results += records.len() as u64;
     }
-    latencies.sort_by(f64::total_cmp);
 
     // Snapshot at full load, then let everything go. The reactor counts a
     // response's bytes after `write()` returns, so a client can hold an
@@ -332,14 +303,8 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
         updates_sent,
         updates_applied: applied_total,
         frames_sent: frames_total,
-        open_wall_s,
-        opens_per_sec: config.connections as f64 / open_wall_s,
-        ingest_wall_s,
-        updates_per_sec: applied_total as f64 / ingest_wall_s,
         rect_queries: config.rect_queries as u64,
         rect_results,
-        latency_p50_ms: percentile(&latencies, 0.50),
-        latency_p99_ms: percentile(&latencies, 0.99),
         pool_threads,
         resident_threads,
         server: stats,
@@ -377,7 +342,6 @@ mod tests {
         assert_eq!(report.server.evicted_slow, 0);
         assert_eq!(report.rect_queries, 32);
         assert_eq!(report.pool_threads, 1 + 2 + 2);
-        assert!(report.opens_per_sec > 0.0);
     }
 
     #[test]

@@ -29,22 +29,22 @@
 //! * [`service_workload`] — the whole fleet replayed against one shared,
 //!   sharded [`mbdr_locserver::LocationService`]: concurrent producer threads
 //!   ingesting updates while query threads issue the motivating range /
-//!   nearest / zone queries, measuring ingest throughput, query throughput
-//!   and query-observed accuracy.
+//!   nearest / zone queries, checking query-observed accuracy against an
+//!   analytic skew bound.
 //! * [`scale_workload`] — the million-object axis: synthetic fleets placed
 //!   uniformly or with Zipf hotspot skew, ingested in full-fleet rounds and
-//!   queried with rect / nearest traffic, measuring the spatial data plane
+//!   queried with rect / nearest traffic, exercising the spatial data plane
 //!   at N up to 10⁶ (`reproduce scale` emits its baseline).
 //! * [`net_workload`] — the same fleet driven over real loopback TCP through
-//!   `mbdr_net`'s serving layer: producer connections stream encoded frames,
-//!   query connections issue the binary query protocol, and the report adds
-//!   p50/p99 query round-trip latency (`reproduce net` emits its baseline).
+//!   `mbdr_net`'s serving layer: producer connections stream encoded frames
+//!   and query connections issue the binary query protocol at one pinned
+//!   instant (`reproduce net` emits its baseline).
 //! * [`connscale`] — the connection-count axis: thousands of mostly-idle
 //!   TCP connections held on the server's fixed reactor pool while a small
 //!   hot subset streams and queries (`reproduce connscale` emits its
 //!   baseline).
 //! * [`report`] — plain-text table/CSV rendering of the results, and the one
-//!   JSON value tree (typed metric classes, single writer) every baseline
+//!   JSON value tree (seed-determined numbers, single writer) every baseline
 //!   document is built from.
 
 #![warn(missing_docs)]
@@ -74,7 +74,7 @@ pub use lossy::{run_loss_sweep, LossPoint, LossSweepConfig, LossSweepResult};
 pub use metrics::{DeviationStats, RunMetrics};
 pub use net_workload::{run_net_workload, NetWorkloadConfig, NetWorkloadReport};
 pub use protocols::ProtocolKind;
-pub use report::{render_csv, render_json, render_table, Json, Metric, MetricClass};
+pub use report::{render_csv, render_json, render_table, Json, Metric};
 pub use runner::{run_protocol, RunConfig};
 pub use scale_workload::{run_scale_workload, ScaleConfig, ScaleReport};
 pub use service_workload::{run_service_workload, QueryMix, WorkloadConfig, WorkloadReport};

@@ -1,11 +1,10 @@
 //! The TCP serving-layer workload: the fleet's update streams and the
 //! motivating queries driven over real loopback sockets.
 //!
-//! [`crate::service_workload`] measures the sharded store with in-process
-//! calls; this module measures the same store behind `mbdr_net`'s serving
+//! [`crate::service_workload`] drives the sharded store with in-process
+//! calls; this module drives the same store behind `mbdr_net`'s serving
 //! layer — every update crosses a socket as an encoded frame and every query
-//! is a request–response round trip, so the reported numbers include codec,
-//! framing, kernel and queueing costs.
+//! is a request–response round trip through codec, framing and kernel.
 //!
 //! ## Phases
 //!
@@ -13,19 +12,16 @@
 //!    [`NetClient`], stream their share of the fleet's protocol-generated
 //!    updates as frames of up to `frame_batch` updates (timestamp order per
 //!    object, so every update is accepted), and end with a
-//!    [`NetClient::flush`] barrier. Ingest throughput is total applied
-//!    updates over the slowest producer's wall clock — flush included, so
-//!    queue drain time is charged.
+//!    [`NetClient::flush`] barrier.
 //! 2. **Query**: `query_connections` threads each open their own connection,
 //!    subscribe two zones, and issue a seeded mix of rect / nearest / zone
-//!    polls at the fixed query time `t = virtual_duration`. Per-query
-//!    latency is measured around the full round trip.
+//!    polls at the fixed query time `t = virtual_duration`.
 //!
 //! Because the query phase starts only after every producer flushed and
 //! always queries the same instant, the *result counts* (objects returned,
 //! zone events) are deterministic for a given seed — which is what lets
-//! `reproduce net --check` gate them strictly while treating throughput and
-//! latency as machine-dependent.
+//! `reproduce net --check` gate them. The time each layer costs is measured
+//! by `benchmark/`'s `tcp_fleet` workload, not here.
 
 use crate::protocols::ProtocolKind;
 use crate::report::Json;
@@ -105,10 +101,6 @@ pub struct NetWorkloadReport {
     /// Updates the server applied (equals `updates_sent` — asserted by the
     /// tests: TCP is reliable and per-object streams are in order).
     pub updates_applied: u64,
-    /// Wall clock of the slowest producer, flush barrier included, seconds.
-    pub ingest_wall_s: f64,
-    /// Ingest throughput over the wire, updates per second.
-    pub updates_per_sec: f64,
     /// Queries issued (exactly `query_connections · queries_per_connection`).
     pub queries_issued: u64,
     /// Rect queries issued.
@@ -123,14 +115,6 @@ pub struct NetWorkloadReport {
     pub nearest_results: u64,
     /// Zone enter/leave events received.
     pub zone_events: u64,
-    /// Wall clock of the slowest query connection, seconds.
-    pub query_wall_s: f64,
-    /// Query throughput over the wire, queries per second.
-    pub queries_per_sec: f64,
-    /// Median query round-trip latency, milliseconds.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile query round-trip latency, milliseconds.
-    pub latency_p99_ms: f64,
     /// Bytes the clients put on the wire (length prefixes included).
     pub client_bytes_sent: u64,
     /// The server's final counters.
@@ -141,7 +125,7 @@ impl NetWorkloadReport {
     /// The report as one JSON object, consumed by `reproduce net`. The query
     /// phase runs after every producer flushed and always queries the same
     /// instant, so the result counts are exact here (unlike the thread-skewed
-    /// in-process workload).
+    /// in-process workload, whose document leaves them out).
     pub fn to_json(&self) -> Json {
         Json::object([
             ("objects", Json::exact(self.objects as f64)),
@@ -152,8 +136,6 @@ impl NetWorkloadReport {
             ("updates_sent", Json::exact(self.updates_sent as f64)),
             ("frames_sent", Json::exact(self.frames_sent as f64)),
             ("updates_applied", Json::exact(self.updates_applied as f64)),
-            ("ingest_wall_s", Json::timing(self.ingest_wall_s, 4)),
-            ("updates_per_sec", Json::timing(self.updates_per_sec, 1)),
             ("queries_issued", Json::exact(self.queries_issued as f64)),
             ("rect_queries", Json::exact(self.rect_queries as f64)),
             ("nearest_queries", Json::exact(self.nearest_queries as f64)),
@@ -161,10 +143,6 @@ impl NetWorkloadReport {
             ("rect_results", Json::exact(self.rect_results as f64)),
             ("nearest_results", Json::exact(self.nearest_results as f64)),
             ("zone_events", Json::exact(self.zone_events as f64)),
-            ("query_wall_s", Json::timing(self.query_wall_s, 4)),
-            ("queries_per_sec", Json::timing(self.queries_per_sec, 1)),
-            ("latency_p50_ms", Json::timing(self.latency_p50_ms, 3)),
-            ("latency_p99_ms", Json::timing(self.latency_p99_ms, 3)),
             ("client_bytes_sent", Json::exact(self.client_bytes_sent as f64)),
             ("server", server_counters(&self.server, &[])),
         ])
@@ -172,17 +150,20 @@ impl NetWorkloadReport {
 }
 
 /// The `server` object of the TCP documents: every [`ServerStatsSnapshot`]
-/// counter not named in `omit`, by iterating its field list. Counts are
-/// exact; the readiness-loop diagnostics (how often a reactor woke, found
-/// nothing to do, or pushed back on ingest) depend on kernel scheduling and
-/// batching, never on the seed, so they are loose.
+/// counter not named in `omit`, by iterating its field list. The
+/// readiness-loop diagnostics (how often a reactor woke, found nothing to
+/// do, or pushed back on ingest) depend on kernel scheduling and batching,
+/// never on the seed, so they are always left out; `benchmark/`'s
+/// `tcp_fleet` reports them as `net.server.*` metrics.
 pub(crate) fn server_counters(stats: &ServerStatsSnapshot, omit: &[&str]) -> Json {
     const KERNEL_SCHEDULED: [&str; 3] =
         ["backpressure_stalls", "readiness_wakeups", "spurious_wakeups"];
-    Json::object(stats.fields().filter(|(name, _)| !omit.contains(name)).map(|(name, count)| {
-        let class = if KERNEL_SCHEDULED.contains(&name) { Json::loose } else { Json::exact };
-        (name, class(count as f64))
-    }))
+    Json::object(
+        stats
+            .fields()
+            .filter(|(name, _)| !KERNEL_SCHEDULED.contains(name) && !omit.contains(name))
+            .map(|(name, count)| (name, Json::exact(count as f64))),
+    )
 }
 
 /// Per-query-connection tallies.
@@ -194,9 +175,7 @@ struct QueryTally {
     rect_results: u64,
     nearest_results: u64,
     zone_events: u64,
-    latencies_ms: Vec<f64>,
     bytes_sent: u64,
-    wall_s: f64,
 }
 
 /// Bounded wait for one of a *running* server's counters to reach
@@ -214,15 +193,6 @@ pub(crate) fn await_counter(
     while counter(&server.stats()) < expected && Instant::now() < deadline {
         std::thread::yield_now();
     }
-}
-
-/// The `q`-th sorted sample (nearest-rank on the closed interval).
-pub(crate) fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let index = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
-    sorted_ms[index.min(sorted_ms.len() - 1)]
 }
 
 /// Runs the whole serving-layer workload over loopback.
@@ -260,14 +230,13 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     let addr = server.local_addr();
 
     // Phase 1: concurrent producer connections, round-robin fleet partition.
-    let mut ingest_results: Vec<(u64, u64, u64, f64)> = Vec::new();
+    let mut ingest_results: Vec<(u64, u64, u64)> = Vec::new();
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for p in 0..config.producer_connections {
             let scripts = &scripts;
             handles.push(scope.spawn(move |_| {
                 let mut client = NetClient::connect(addr).expect("producer connects");
-                let started = Instant::now();
                 let mut frames = 0u64;
                 for script in scripts.iter().skip(p).step_by(config.producer_connections) {
                     for chunk in script.updates.chunks(config.frame_batch) {
@@ -278,12 +247,7 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
                 }
                 let flush = client.flush().expect("flush barrier");
                 assert_eq!(flush.frames, frames, "server saw every frame");
-                (
-                    frames,
-                    flush.updates_applied,
-                    client.bytes_sent(),
-                    started.elapsed().as_secs_f64(),
-                )
+                (frames, flush.updates_applied, client.bytes_sent())
             }));
         }
         for handle in handles {
@@ -294,7 +258,6 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
 
     let frames_sent: u64 = ingest_results.iter().map(|r| r.0).sum();
     let updates_applied: u64 = ingest_results.iter().map(|r| r.1).sum();
-    let ingest_wall_s = ingest_results.iter().map(|r| r.3).fold(0.0, f64::max).max(1e-9);
 
     // Phase 2: concurrent query connections at the fixed post-ingest instant.
     let t_q = virtual_duration;
@@ -321,15 +284,12 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
                 // nearest answers decode into it without allocating per
                 // response (the server side reuses its buffers too).
                 let mut records = Vec::new();
-                let started = Instant::now();
                 for _ in 0..config.queries_per_connection {
                     let p = Point::new(
                         map_bounds.min.x + rng.gen_range(0.0..1.0) * span_x,
                         map_bounds.min.y + rng.gen_range(0.0..1.0) * span_y,
                     );
-                    let draw = rng.gen_range(0u32..3);
-                    let at = Instant::now();
-                    match draw {
+                    match rng.gen_range(0u32..3) {
                         0 => {
                             let area = Aabb::around(p, rng.gen_range(100.0..1_200.0));
                             tally.rect += 1;
@@ -352,9 +312,7 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
                                 client.poll_zones(t_q).expect("zone poll").len() as u64;
                         }
                     }
-                    tally.latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
                 }
-                tally.wall_s = started.elapsed().as_secs_f64();
                 tally.bytes_sent = client.bytes_sent();
                 tally
             }));
@@ -366,10 +324,6 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     .expect("query scope panicked");
 
     let queries_issued = (config.query_connections * config.queries_per_connection) as u64;
-    let query_wall_s = query_results.iter().map(|t| t.wall_s).fold(0.0, f64::max).max(1e-9);
-    let mut latencies: Vec<f64> =
-        query_results.iter().flat_map(|t| t.latencies_ms.iter().copied()).collect();
-    latencies.sort_by(f64::total_cmp);
     let client_bytes_sent = ingest_results.iter().map(|r| r.2).sum::<u64>()
         + query_results.iter().map(|t| t.bytes_sent).sum::<u64>();
 
@@ -385,8 +339,6 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
         updates_sent,
         frames_sent,
         updates_applied,
-        ingest_wall_s,
-        updates_per_sec: updates_applied as f64 / ingest_wall_s,
         queries_issued,
         rect_queries: query_results.iter().map(|t| t.rect).sum(),
         nearest_queries: query_results.iter().map(|t| t.nearest).sum(),
@@ -394,10 +346,6 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
         rect_results: query_results.iter().map(|t| t.rect_results).sum(),
         nearest_results: query_results.iter().map(|t| t.nearest_results).sum(),
         zone_events: query_results.iter().map(|t| t.zone_events).sum(),
-        query_wall_s,
-        queries_per_sec: queries_issued as f64 / query_wall_s,
-        latency_p50_ms: percentile(&latencies, 0.50),
-        latency_p99_ms: percentile(&latencies, 0.99),
         client_bytes_sent,
         server: server_stats,
     }
@@ -434,17 +382,12 @@ mod tests {
         assert_eq!(report.server.connections_dropped, 0);
         assert_eq!(report.server.frame_decode_errors, 0);
         assert_eq!(report.server.request_decode_errors, 0);
-        assert!(report.updates_per_sec > 0.0);
-        assert!(report.queries_per_sec > 0.0);
-        assert!(report.latency_p50_ms > 0.0);
-        assert!(report.latency_p99_ms >= report.latency_p50_ms);
     }
 
     #[test]
     fn query_results_are_deterministic_across_runs() {
-        // The strict half of the `reproduce net --check` contract: with the
-        // query phase pinned to one post-flush instant, everything but wall
-        // clock and latency must reproduce exactly.
+        // The `reproduce net --check` contract: with the query phase pinned
+        // to one post-flush instant, every count must reproduce exactly.
         let (a, b) = (run_net_workload(&small_config()), run_net_workload(&small_config()));
         assert_eq!(a.updates_sent, b.updates_sent);
         assert_eq!(a.frames_sent, b.frames_sent);
@@ -460,18 +403,17 @@ mod tests {
     fn net_workload_json_is_well_formed() {
         let report = run_net_workload(&small_config());
         let tree = report.to_json();
-        // Leaf equality includes the class: pinned-instant result counts are
-        // exact here, rates are timing.
         assert_eq!(tree.get("rect_results"), Some(&Json::exact(report.rect_results as f64)));
-        assert_eq!(tree.get("updates_per_sec"), Some(&Json::timing(report.updates_per_sec, 1)));
-        // The server object is the counter block's own field list: nothing
-        // can be declared in `ServerStats` and left out of the document.
+        // The server object is the counter block's own field list minus the
+        // three scheduling diagnostics: nothing else can be declared in
+        // `ServerStats` and left out of the document.
         let Some(server @ Json::Obj(fields)) = tree.get("server") else { panic!("server object") };
         let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names, report.server.fields().map(|(name, _)| name).collect::<Vec<_>>());
-        let (applied, wakeups) = (report.updates_applied, report.server.readiness_wakeups);
-        assert_eq!(server.get("updates_applied"), Some(&Json::exact(applied as f64)));
-        assert_eq!(server.get("readiness_wakeups"), Some(&Json::loose(wakeups as f64)));
+        let scheduled = ["backpressure_stalls", "readiness_wakeups", "spurious_wakeups"];
+        let counters = report.server.fields().map(|(name, _)| name);
+        assert_eq!(names, counters.filter(|name| !scheduled.contains(name)).collect::<Vec<_>>());
+        let applied = report.updates_applied as f64;
+        assert_eq!(server.get("updates_applied"), Some(&Json::exact(applied)));
     }
 
     #[test]

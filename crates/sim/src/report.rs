@@ -7,11 +7,11 @@
 //! CSV for external plotting.
 //!
 //! Every machine-readable baseline document (`reproduce json|throughput|…`)
-//! is built as a [`Json`] tree whose numeric leaves each carry a
-//! [`MetricClass`] and a print precision, declared on the line that emits the
-//! field. [`Json`]'s `Display` impl is the single writer; `mbdr_bench::check`
-//! compares the in-memory tree against the parsed committed baseline and reads
-//! each leaf's class from the tree.
+//! is built as a [`Json`] tree whose numeric leaves are seed-determined
+//! counts and measurements, each with the print precision declared on the
+//! line that emits it. [`Json`]'s `Display` impl is the single writer;
+//! `mbdr_bench::check` compares the in-memory tree against the parsed
+//! committed baseline. Time is not measured here: `benchmark/` owns it.
 
 use crate::protocols::ProtocolKind;
 use crate::sweep::SweepResult;
@@ -76,46 +76,14 @@ pub fn render_csv(result: &SweepResult) -> String {
     out
 }
 
-/// How `reproduce --check` judges a numeric leaf against its committed
-/// baseline. The class is stated by the emitter on the line that builds the
-/// leaf; it is never inferred from the key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricClass {
-    /// Fully determined by the seed (counts, config echoes, byte totals,
-    /// single-threaded deviation sweeps): must match the baseline to a
-    /// relative `1e-6`.
-    Exact,
-    /// Machine-dependent wall clock, rate or latency: only required to be
-    /// finite and non-negative (a sub-resolution wall clock legitimately
-    /// renders as zero).
-    Timing,
-    /// Dependent on thread interleaving or kernel scheduling, not on the
-    /// seed: only required to be finite and non-negative.
-    Loose,
-}
-
-impl MetricClass {
-    /// Every class, in documentation order.
-    pub const ALL: [MetricClass; 3] = [MetricClass::Exact, MetricClass::Timing, MetricClass::Loose];
-
-    /// The class's name in check output and in `docs/OPERATIONS.md`.
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricClass::Exact => "exact",
-            MetricClass::Timing => "timing",
-            MetricClass::Loose => "loose",
-        }
-    }
-}
-
-/// A numeric leaf: its value, how the gate judges it, and how it prints.
+/// A numeric leaf: its value and how it prints. The value is fully
+/// determined by the seed, so `reproduce --check` requires it to match the
+/// baseline (to a relative `1e-6`, which absorbs float formatting only).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metric {
     /// The value (counts are stored as `f64`; the documents stay far below
     /// 2^53). Non-finite values print as `null`.
     pub value: f64,
-    /// How the regression gate judges the leaf.
-    pub class: MetricClass,
     /// Digits after the decimal point, or `None` for the shortest form that
     /// round-trips.
     pub decimals: Option<u8>,
@@ -151,7 +119,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// A number with its metric class and print precision.
+    /// A number with its print precision.
     Num(Metric),
     /// A string.
     Str(String),
@@ -162,25 +130,9 @@ pub enum Json {
 }
 
 impl Json {
-    fn num(value: f64, class: MetricClass) -> Json {
-        Json::Num(Metric { value, class, decimals: None })
-    }
-
-    /// A seed-determined number ([`MetricClass::Exact`]).
+    /// A seed-determined number, printed in its shortest round-trip form.
     pub fn exact(value: f64) -> Json {
-        Json::num(value, MetricClass::Exact)
-    }
-
-    /// A wall clock, rate or latency ([`MetricClass::Timing`]) printed with
-    /// `decimals` digits.
-    pub fn timing(value: f64, decimals: u8) -> Json {
-        Json::num(value, MetricClass::Timing).fixed(decimals)
-    }
-
-    /// An interleaving- or scheduling-dependent number
-    /// ([`MetricClass::Loose`]).
-    pub fn loose(value: f64) -> Json {
-        Json::num(value, MetricClass::Loose)
+        Json::Num(Metric { value, decimals: None })
     }
 
     /// Prints this number with exactly `decimals` digits after the point.
@@ -392,11 +344,11 @@ mod tests {
             "\"a\\\"b\\\\c\\n\\r\\t\\u0001é\""
         );
         assert_eq!(Json::exact(f64::NAN).to_string(), "null");
-        assert_eq!(Json::timing(f64::INFINITY, 1).to_string(), "null");
+        assert_eq!(Json::exact(f64::INFINITY).fixed(1).to_string(), "null");
         assert_eq!(Json::exact(2.5).to_string(), "2.5");
         assert_eq!(Json::exact(7.0).to_string(), "7");
-        assert_eq!(Json::timing(0.125, 1).to_string(), "0.1");
-        assert_eq!(Json::loose(9.8765).fixed(2).to_string(), "9.88");
+        assert_eq!(Json::exact(0.125).fixed(1).to_string(), "0.1");
+        assert_eq!(Json::exact(9.8765).fixed(2).to_string(), "9.88");
         assert_eq!(
             Json::document("s/1", 0.5, 9, [("ok", Json::Bool(true)), ("none", Json::Null)])
                 .to_string(),

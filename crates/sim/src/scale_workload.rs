@@ -24,7 +24,7 @@
 //!
 //! Ingest runs [`ScaleConfig::update_rounds`] full-fleet rounds *after* the
 //! initial placement round, so the steady-state move path (unregister from
-//! the old cells, re-register in the new) dominates the measurement — that
+//! the old cells, re-register in the new) dominates the workload — that
 //! is the path hotspot density punishes.
 
 use mbdr_core::{LinearPredictor, ObjectState, Predictor, Update, UpdateKind};
@@ -33,7 +33,6 @@ use mbdr_locserver::{
     IndexStats, LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of one scale-workload run.
 #[derive(Debug, Clone)]
@@ -59,9 +58,9 @@ pub struct ScaleConfig {
     pub update_rounds: usize,
     /// Seconds of simulated time between rounds.
     pub round_interval_s: f64,
-    /// Timed rect queries.
+    /// Rect queries issued after ingest.
     pub rect_queries: usize,
-    /// Timed nearest queries.
+    /// Nearest queries issued after ingest.
     pub nearest_queries: usize,
     /// RNG seed.
     pub seed: u64,
@@ -89,9 +88,9 @@ impl ScaleConfig {
     }
 }
 
-/// What one scale-workload run measured. The `*_wall_s` / `*_per_sec`
-/// fields are machine-dependent timings; everything else is fully
-/// seed-deterministic and gated strictly by `reproduce scale --check`.
+/// What one scale-workload run counted. Every field is seed-deterministic
+/// and gated by `reproduce scale --check`; the time the same pipeline takes
+/// is `benchmark/`'s `ingest_durable` and `query_hotspot` metrics.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     /// Fleet size.
@@ -100,26 +99,14 @@ pub struct ScaleReport {
     pub hotspot: bool,
     /// Updates ingested (placement round + update rounds).
     pub updates_applied: u64,
-    /// Wall-clock seconds spent ingesting.
-    pub ingest_wall_s: f64,
-    /// Ingest throughput, updates per second.
-    pub updates_per_sec: f64,
-    /// Timed rect queries issued.
+    /// Rect queries issued.
     pub rect_queries: usize,
-    /// Timed nearest queries issued.
+    /// Nearest queries issued.
     pub nearest_queries: usize,
     /// Total rect-query results (seed-deterministic).
     pub rect_hits: u64,
     /// Total nearest-query results (seed-deterministic).
     pub nearest_hits: u64,
-    /// Wall-clock seconds spent in rect queries.
-    pub rect_wall_s: f64,
-    /// Wall-clock seconds spent in nearest queries.
-    pub nearest_wall_s: f64,
-    /// Rect-query throughput, queries per second.
-    pub rect_per_sec: f64,
-    /// Nearest-query throughput, queries per second.
-    pub nearest_per_sec: f64,
     /// Objects carried in the shard indexes after ingest.
     pub indexed: usize,
     /// Occupied grid cells summed over shards after ingest.
@@ -127,8 +114,8 @@ pub struct ScaleReport {
     /// Highest entry count in any single cell — the skew observable; in
     /// hotspot mode this is a large fraction of one shard's fleet.
     pub max_cell_occupancy: usize,
-    /// Index candidates inspected across the timed queries (duplicates
-    /// included: one inspection per overlapped cell).
+    /// Index candidates inspected across all queries, warm-up included
+    /// (duplicates included: one inspection per overlapped cell).
     pub candidates_inspected: u64,
     /// Unique candidates after deduplication.
     pub candidates_unique: u64,
@@ -246,9 +233,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         service.register(ObjectId(id), Arc::clone(&predictor));
     }
 
-    // --- Ingest: placement round + update rounds, batched per round. The
-    // batch is rebuilt (untimed) each round; only apply_batch is timed.
-    let mut ingest_wall_s = 0.0;
+    // --- Ingest: placement round + update rounds, batched per round.
     let mut updates_applied = 0u64;
     let mut batch: Vec<(ObjectId, Update)> = Vec::with_capacity(config.objects);
     for round in 0..=config.update_rounds {
@@ -260,9 +245,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
                 .enumerate()
                 .map(|(id, m)| (ObjectId(id as u64), m.update(round as u64, t))),
         );
-        let started = Instant::now();
         updates_applied += service.apply_batch(&batch) as u64;
-        ingest_wall_s += started.elapsed().as_secs_f64();
     }
     // Exhaustive, no `..`: a new index statistic that is not reported is a
     // compile error.
@@ -294,45 +277,35 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         (from, 1 + rng.next_below(16) as usize)
     };
 
-    // Warm the scratch buffers so the timed loops measure steady state.
+    // Eight warm-up queries. They draw from the seeded stream and count in
+    // the dedup counters, so the baselines depend on them.
     for i in 0..8 {
         service.objects_in_rect_into(&rect_for(i, &mut rng), t_q, &mut scratch, &mut out);
         let (from, k) = nearest_for(i, &mut rng);
         service.nearest_objects_into(&from, t_q, k, &mut scratch, &mut out);
     }
 
-    let started = Instant::now();
     let mut rect_hits = 0u64;
     for i in 0..config.rect_queries {
         service.objects_in_rect_into(&rect_for(i, &mut rng), t_q, &mut scratch, &mut out);
         rect_hits += out.len() as u64;
     }
-    let rect_wall_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
     let mut nearest_hits = 0u64;
     for i in 0..config.nearest_queries {
         let (from, k) = nearest_for(i, &mut rng);
         service.nearest_objects_into(&from, t_q, k, &mut scratch, &mut out);
         nearest_hits += out.len() as u64;
     }
-    let nearest_wall_s = started.elapsed().as_secs_f64();
     let (candidates_inspected, candidates_unique) = scratch.dedup_counters();
 
     ScaleReport {
         objects: config.objects,
         hotspot: config.hotspot,
         updates_applied,
-        ingest_wall_s,
-        updates_per_sec: updates_applied as f64 / ingest_wall_s.max(1e-9),
         rect_queries: config.rect_queries,
         nearest_queries: config.nearest_queries,
         rect_hits,
         nearest_hits,
-        rect_wall_s,
-        nearest_wall_s,
-        rect_per_sec: config.rect_queries as f64 / rect_wall_s.max(1e-9),
-        nearest_per_sec: config.nearest_queries as f64 / nearest_wall_s.max(1e-9),
         indexed,
         occupied_cells,
         max_cell_occupancy,
