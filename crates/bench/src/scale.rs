@@ -29,19 +29,37 @@ pub fn scale_grid(scale: f64, seed: u64) -> Vec<ScaleReport> {
 /// The grid as one JSON document (schema `mbdr-scale/1`).
 pub fn render_scale_json(scale: f64, seed: u64, points: &[ScaleReport]) -> Json {
     let point = |p: &ScaleReport| {
+        // Exhaustive, no `..`: a report field without a key is a compile
+        // error.
+        let ScaleReport {
+            objects,
+            hotspot,
+            updates_applied,
+            rect_queries,
+            nearest_queries,
+            rect_hits,
+            nearest_hits,
+            indexed,
+            occupied_cells,
+            max_cell_occupancy,
+            candidates_inspected,
+            candidates_unique,
+            nearest_rings,
+        } = *p;
         Json::object([
-            ("objects", Json::exact(p.objects as f64)),
-            ("hotspot", Json::Bool(p.hotspot)),
-            ("updates_applied", Json::exact(p.updates_applied as f64)),
-            ("rect_queries", Json::exact(p.rect_queries as f64)),
-            ("nearest_queries", Json::exact(p.nearest_queries as f64)),
-            ("rect_hits", Json::exact(p.rect_hits as f64)),
-            ("nearest_hits", Json::exact(p.nearest_hits as f64)),
-            ("indexed", Json::exact(p.indexed as f64)),
-            ("occupied_cells", Json::exact(p.occupied_cells as f64)),
-            ("max_cell_occupancy", Json::exact(p.max_cell_occupancy as f64)),
-            ("candidates_inspected", Json::exact(p.candidates_inspected as f64)),
-            ("candidates_unique", Json::exact(p.candidates_unique as f64)),
+            ("objects", Json::exact(objects as f64)),
+            ("hotspot", Json::Bool(hotspot)),
+            ("updates_applied", Json::exact(updates_applied as f64)),
+            ("rect_queries", Json::exact(rect_queries as f64)),
+            ("nearest_queries", Json::exact(nearest_queries as f64)),
+            ("rect_hits", Json::exact(rect_hits as f64)),
+            ("nearest_hits", Json::exact(nearest_hits as f64)),
+            ("indexed", Json::exact(indexed as f64)),
+            ("occupied_cells", Json::exact(occupied_cells as f64)),
+            ("max_cell_occupancy", Json::exact(max_cell_occupancy as f64)),
+            ("candidates_inspected", Json::exact(candidates_inspected as f64)),
+            ("candidates_unique", Json::exact(candidates_unique as f64)),
+            ("nearest_rings", Json::exact(nearest_rings as f64)),
         ])
     };
     Json::document("mbdr-scale/1", scale, seed, [("points", Json::array(points.iter().map(point)))])

@@ -212,7 +212,10 @@ impl Request {
 
     /// Decodes a request from exactly `bytes`. Ingest frame payloads are
     /// *not* parsed here (the apply path validates them); everything else is
-    /// fully validated, including finiteness of every float.
+    /// fully validated, including finiteness of every float — so a nearest
+    /// request that reaches the location service never carries a NaN or
+    /// infinite query point (the service would answer one with an empty
+    /// list).
     pub fn decode(bytes: &[u8]) -> Result<Request, DecodeError> {
         let mut reader = Reader::new(bytes);
         let request = match RequestKind::try_from(reader.u8()?)? {

@@ -15,7 +15,10 @@
 //!   [`LocationService::objects_in_rect`] (range query) and
 //!   [`LocationService::nearest_objects`] (k-nearest, "nearest taxi") are
 //!   **index-pruned** instead of full scans — while returning exactly what a
-//!   full scan over every tracker would.
+//!   full scan over every tracker would. A nearest query's first ring is
+//!   sized from `k` and the occupancy of the query point's cell
+//!   ([`mbdr_spatial::first_ring_radius`]), so in a crowded cell it starts
+//!   small and doubles only while the k-th distance lies outside it.
 //! * position queries ([`LocationService::position_of`]) extrapolate with the
 //!   object's own prediction function, exactly like the per-object server in
 //!   the update protocol; [`zones::ZoneWatcher`] adds enter/leave

@@ -15,6 +15,7 @@ use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
+use mbdr_spatial::first_ring_radius;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -49,6 +50,10 @@ pub struct QueryScratch {
     pub(crate) cand: CandidateScratch,
     /// Nearest-query candidates: exact distance + report.
     near: Vec<(f64, PositionReport)>,
+    /// Nearest queries served with this scratch.
+    nearest_queries: u64,
+    /// Rings those queries collected, summed.
+    rings: u64,
 }
 
 impl QueryScratch {
@@ -59,6 +64,15 @@ impl QueryScratch {
     /// deduplicated to one candidate.
     pub fn dedup_counters(&self) -> (u64, u64) {
         self.cand.dedup_counters()
+    }
+
+    /// Cumulative ring counters over every nearest query this scratch has
+    /// served: `(nearest queries, rings collected)`. Each ring is one
+    /// candidate walk over every shard, so the ratio is how often the first
+    /// ring had to grow; a query answered without a walk (`k = 0`, a
+    /// non-finite point) counts with zero rings.
+    pub fn ring_counters(&self) -> (u64, u64) {
+        (self.nearest_queries, self.rings)
     }
 }
 
@@ -478,11 +492,20 @@ impl LocationService {
     /// The `k` objects whose predicted positions at time `t` are nearest to
     /// `from` (the "nearest taxi" query), nearest first (ties broken by id).
     ///
-    /// Index-pruned: an expanding ring search over the shard indexes — the
-    /// ring doubles until the k-th candidate's exact distance is inside it
-    /// (or the ring provably covers every object), so dense fleets never get
-    /// fully scanned. The candidate set is cut down with a partial selection
-    /// (`select_nth_unstable_by`) instead of a full sort.
+    /// Index-pruned: an expanding ring search over the shard indexes. The
+    /// first ring is sized from `k` and the objects indexed in `from`'s grid
+    /// cell ([`mbdr_spatial::first_ring_radius`] over
+    /// [`LocationService::occupancy_at`]), so a crowded cell starts with a
+    /// ring that holds a few times `k` objects rather than the whole cell.
+    /// The ring then doubles until the k-th candidate's exact distance is
+    /// inside it (or the ring provably covers every object), so dense fleets
+    /// never get fully scanned and the answer does not depend on where the
+    /// search started. The candidate set is cut down with a partial
+    /// selection (`select_nth_unstable_by`) instead of a full sort.
+    ///
+    /// A non-finite `from` has no distance order and gets an empty answer
+    /// at once (over the wire it cannot occur: request decoding rejects
+    /// non-finite floats).
     ///
     /// Allocates the result `Vec` (plus internal scratch) per call — hot
     /// callers should use [`LocationService::nearest_objects_into`].
@@ -495,8 +518,10 @@ impl LocationService {
 
     /// The reusable-buffer form of [`LocationService::nearest_objects`]:
     /// writes the answer into `out` (cleared first), keeping the ring
-    /// search's candidate set in `scratch`. Identical results; with warm
-    /// buffers a query performs zero heap allocations.
+    /// search's candidate set and its ring counters
+    /// ([`QueryScratch::ring_counters`]) in `scratch`. Identical results,
+    /// empty for a non-finite `from`; with warm buffers a query performs
+    /// zero heap allocations.
     #[expect(clippy::indexing_slicing, reason = "k >= 1; both indexes are checked against len")]
     pub fn nearest_objects_into(
         &self,
@@ -507,19 +532,21 @@ impl LocationService {
         out: &mut Vec<PositionReport>,
     ) {
         out.clear();
-        if k == 0 {
+        let QueryScratch { cand, near: candidates, nearest_queries, rings } = scratch;
+        *nearest_queries += 1;
+        if k == 0 || !from.is_finite() {
             return;
         }
         // `total_cmp` agrees with `partial_cmp` on every value that can
-        // occur here (squared distances: finite, non-negative, never -0.0)
-        // and stays a total order if a NaN ever slipped in, so the sort can
-        // never panic.
+        // occur here (distances: finite, non-negative, never -0.0) and stays
+        // a total order if a NaN ever slipped in, so the sort can never
+        // panic.
         let cmp = |a: &(f64, PositionReport), b: &(f64, PositionReport)| {
             a.0.total_cmp(&b.0).then(a.1.object.cmp(&b.1.object))
         };
-        let mut radius = self.config.cell_size_m;
-        let QueryScratch { cand, near: candidates } = scratch;
+        let mut radius = first_ring_radius(self.config.cell_size_m, self.occupancy_at(from), k);
         loop {
+            *rings += 1;
             candidates.clear();
             // The termination extent is recomputed inside the same lock hold
             // as each shard's candidate collection, so lazily re-grown boxes
@@ -550,6 +577,15 @@ impl LocationService {
             }
             radius = (radius * 2.0).max(kth.unwrap_or(0.0)).min(extent);
         }
+    }
+
+    /// Index entries registered in the grid cell containing `p`, summed
+    /// over the shards — the local density a nearest query sizes its first
+    /// ring from. Read as is, without re-growing expired entries, so it is a
+    /// heuristic, not a count of the objects that are in the cell at any
+    /// particular time.
+    pub fn occupancy_at(&self, p: &Point) -> usize {
+        self.shards.iter().map(|s| s.read(|st| st.occupancy_at(p))).sum()
     }
 
     /// Total number of updates ingested across all objects.
@@ -827,6 +863,50 @@ mod tests {
             s.nearest_objects_into(&Point::new(90.0, 0.0), 1.0, k, &mut scratch, &mut out);
             assert_eq!(out, s.nearest_objects(&Point::new(90.0, 0.0), 1.0, k), "k={k}");
         }
+    }
+
+    #[test]
+    fn non_finite_query_points_get_an_empty_answer_at_once() {
+        let s = service_with_three_cars();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut scratch = QueryScratch::default();
+            let mut out = Vec::new();
+            for from in [
+                Point::new(f64::NAN, 0.0),
+                Point::new(0.0, f64::NAN),
+                Point::new(f64::INFINITY, 0.0),
+                Point::new(0.0, f64::NEG_INFINITY),
+            ] {
+                s.nearest_objects_into(&from, 1.0, 2, &mut scratch, &mut out);
+                tx.send((from, out.len())).expect("receiver waits");
+            }
+        });
+        for _ in 0..4 {
+            let (from, found) = rx
+                .recv_timeout(std::time::Duration::from_secs(3))
+                .expect("a non-finite query point must not hang the search");
+            assert_eq!(found, 0, "{from:?}");
+        }
+    }
+
+    #[test]
+    fn ring_counters_count_queries_and_the_rounds_they_took() {
+        let s = service_with_three_cars();
+        let mut scratch = QueryScratch::default();
+        let mut out = Vec::new();
+        assert_eq!(scratch.ring_counters(), (0, 0));
+        // One car within the one-cell first ring: settled in one round.
+        s.nearest_objects_into(&Point::new(90.0, 0.0), 1.0, 1, &mut scratch, &mut out);
+        assert_eq!(scratch.ring_counters(), (1, 1));
+        // All three: the ring grows until it covers the car 300 m away.
+        s.nearest_objects_into(&Point::new(90.0, 0.0), 1.0, 3, &mut scratch, &mut out);
+        let (queries, rings) = scratch.ring_counters();
+        assert_eq!(queries, 2);
+        assert!(rings > 2, "{rings}");
+        s.nearest_objects_into(&Point::ORIGIN, 1.0, 0, &mut scratch, &mut out);
+        s.nearest_objects_into(&Point::new(f64::NAN, 0.0), 1.0, 1, &mut scratch, &mut out);
+        assert_eq!(scratch.ring_counters(), (4, rings), "k = 0 and NaN collect nothing");
     }
 
     #[test]

@@ -510,6 +510,11 @@ impl ShardState {
     pub(crate) fn extent_radius(&self, from: &Point) -> f64 {
         self.index.extent_radius(from)
     }
+
+    /// Index entries registered in the grid cell containing `from`.
+    pub(crate) fn occupancy_at(&self, from: &Point) -> usize {
+        self.index.occupancy_at(from)
+    }
 }
 
 /// One lock stripe: a shard's state behind its own reader–writer lock.

@@ -68,6 +68,161 @@ fn reference_nearest(
     out.into_iter().take(k).map(|(_, r)| r).collect()
 }
 
+/// SplitMix64 — the seeded, dependency-free stream of the dense-cluster test.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Position, age and id bits: `PositionReport`'s `==` would let `-0.0`
+/// match `0.0`.
+fn bits(reports: &[PositionReport]) -> Vec<(u64, u64, u64, u64)> {
+    reports
+        .iter()
+        .map(|r| {
+            (
+                r.object.0,
+                r.position.x.to_bits(),
+                r.position.y.to_bits(),
+                r.information_age.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Thousands of objects in the grid cell `[-cell, 0)²` on a uniform
+/// background with an empty block at `[2 km, 3 km)²`, half parked, half
+/// moving, linear and static predictors mixed; every mover re-reports once
+/// at `t = 5`. Queries on cell corners, negative-coordinate boundaries,
+/// inside the cluster and in empty cells, at the last report instant and
+/// past every validity horizon, for `k` around the first ring's switch
+/// points, must equal the full scan bit for bit.
+fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
+    const CLUSTER: usize = 2_500;
+    const BACKGROUND: usize = 1_000;
+    let cell = config.cell_size_m;
+    let mut rng = SplitMix(seed);
+    let service = LocationService::with_config(config);
+    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut movers = Vec::new();
+    for i in 0..CLUSTER + BACKGROUND {
+        let id = ObjectId(i as u64);
+        let predictor: Arc<dyn Predictor> =
+            if i % 2 == 0 { Arc::new(LinearPredictor) } else { Arc::new(StaticPredictor) };
+        service.register(id, Arc::clone(&predictor));
+        mirror.insert(id, ServerTracker::new(predictor));
+        let position = if i < CLUSTER {
+            Point::new(-cell * rng.next_f64(), -cell * rng.next_f64())
+        } else {
+            loop {
+                let p = Point::new(
+                    10_000.0 * rng.next_f64() - 5_000.0,
+                    10_000.0 * rng.next_f64() - 5_000.0,
+                );
+                if !(2_000.0..3_000.0).contains(&p.x) || !(2_000.0..3_000.0).contains(&p.y) {
+                    break p;
+                }
+            }
+        };
+        let speed = if rng.next_f64() < 0.5 { 0.0 } else { 1.0 + 14.0 * rng.next_f64() };
+        let heading = rng.next_f64() * std::f64::consts::TAU;
+        let update = Update {
+            sequence: 0,
+            state: ObjectState::basic(position, speed, heading, 0.0),
+            kind: UpdateKind::Initial,
+        };
+        assert!(service.apply_update(id, &update));
+        mirror.get_mut(&id).unwrap().apply(&update);
+        if speed > 0.0 {
+            movers.push((id, position, speed, heading));
+        }
+    }
+    for &(id, position, speed, heading) in &movers {
+        let moved = Point::new(
+            position.x + 5.0 * speed * heading.sin(),
+            position.y + 5.0 * speed * heading.cos(),
+        );
+        let update = Update {
+            sequence: 1,
+            state: ObjectState::basic(moved, speed, heading, 5.0),
+            kind: UpdateKind::DeviationBound,
+        };
+        assert!(service.apply_update(id, &update));
+        mirror.get_mut(&id).unwrap().apply(&update);
+    }
+
+    let points = [
+        Point::new(0.0, 0.0),
+        Point::new(-cell, -cell),
+        Point::new(-cell, 0.0),
+        Point::new(0.0, -cell),
+        Point::new(-2.0 * cell, -cell),
+        Point::new(cell, cell),
+        Point::new(-cell, -cell / 2.0),
+        Point::new(-cell / 2.0, -cell),
+        Point::new(-0.0, -cell / 2.0),
+        Point::new(-1e-9, -1e-9),
+        Point::new(-cell / 2.0, -cell / 2.0),
+        Point::new(-3.7, -cell + 1.8),
+        Point::new(2_500.0, 2_500.0),
+        Point::new(2_000.0 + cell / 2.0, 3_000.0 - cell / 2.0),
+        Point::new(30_000.0, -30_000.0),
+    ];
+    let objects = CLUSTER + BACKGROUND;
+    let mut crowded = 0;
+    for t in [5.0, 5.0 + config.horizon_s + 0.5, 500.0] {
+        for from in &points {
+            let full = reference_nearest(&mirror, from, t, usize::MAX);
+            let expect = |k: usize| &full[..k.min(full.len())];
+            // k = 1 first: it is the query that lazily re-grows the index
+            // entries at this `t`, so the occupancy read next is the one
+            // every later query sizes its first ring from.
+            let got = service.nearest_objects(from, t, 1);
+            assert_eq!(bits(&got), bits(expect(1)), "{from:?}, t {t}, k 1");
+            let occupancy = service.occupancy_at(from);
+            crowded += usize::from(occupancy >= CLUSTER / 2);
+            for k in [
+                8,
+                64,
+                occupancy.saturating_sub(1),
+                occupancy,
+                occupancy + 1,
+                objects + 1,
+                u16::MAX as usize,
+            ] {
+                let got = service.nearest_objects(from, t, k);
+                assert_eq!(
+                    bits(&got),
+                    bits(expect(k)),
+                    "{from:?}, t {t}, k {k}, occupancy {occupancy}, {config:?}"
+                );
+            }
+        }
+    }
+    assert!(crowded > 0, "some query starts with a ring smaller than a cell");
+}
+
+#[test]
+fn dense_cluster_nearest_matches_the_full_scan_reference() {
+    // Point boxes (no slack) and the default's wide ones; 16 shards split
+    // the cluster, one shard holds it whole.
+    let tight = ServiceConfig { shards: 16, cell_size_m: 250.0, horizon_s: 20.0, slack_m: 0.0 };
+    dense_cluster_matches_the_full_scan(0x5EED_0001, tight);
+    dense_cluster_matches_the_full_scan(0x5EED_0002, ServiceConfig::with_shards(1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

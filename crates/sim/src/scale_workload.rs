@@ -119,6 +119,9 @@ pub struct ScaleReport {
     pub candidates_inspected: u64,
     /// Unique candidates after deduplication.
     pub candidates_unique: u64,
+    /// Rings the nearest queries collected, warm-up included: one per
+    /// query that settled in its first ring, more for each doubling.
+    pub nearest_rings: u64,
 }
 
 /// SplitMix64: tiny, seedable, and (unlike thread-count-dependent streams)
@@ -297,6 +300,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         nearest_hits += out.len() as u64;
     }
     let (candidates_inspected, candidates_unique) = scratch.dedup_counters();
+    let (_, nearest_rings) = scratch.ring_counters();
 
     ScaleReport {
         objects: config.objects,
@@ -311,6 +315,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         max_cell_occupancy,
         candidates_inspected,
         candidates_unique,
+        nearest_rings,
     }
 }
 

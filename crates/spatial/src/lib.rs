@@ -12,6 +12,8 @@
 //! * [`MovingIndex`] — a keyed uniform-grid index whose entries can be moved
 //!   and removed after insertion; the location service maintains one per
 //!   shard to keep its range/nearest queries index-pruned while objects move.
+//!   Its nearest search and the service's share one first-ring policy,
+//!   [`first_ring_radius`].
 //! * [`SpatialIndex`] — the common query trait, so callers are index-agnostic
 //!   (and the equivalence tests hold both implementations to one brute-force
 //!   oracle).
@@ -29,7 +31,7 @@ pub mod moving;
 pub mod rtree;
 
 pub use cells::SeenScratch;
-pub use moving::MovingIndex;
+pub use moving::{first_ring_radius, MovingIndex};
 pub use rtree::RTree;
 
 use mbdr_geo::{Aabb, Point};

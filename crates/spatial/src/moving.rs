@@ -201,6 +201,13 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         self.table.iter().map(|(_, seg)| seg.len as usize).max().unwrap_or(0)
     }
 
+    /// Number of entries registered in the cell containing `p` (0 for an
+    /// empty cell) — one table probe, the local density a nearest search
+    /// sizes its first ring from (see [`first_ring_radius`]).
+    pub fn occupancy_at(&self, p: &Point) -> usize {
+        self.table.get(cell_of(p, self.cell_size)).map_or(0, |seg| seg.len as usize)
+    }
+
     /// Inserts `key` with `bbox`, replacing (and unregistering) any previous
     /// placement of the same key. Returns `true` if the key was already
     /// present.
@@ -411,13 +418,38 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     }
 }
 
+/// The grid cell containing `p`.
+fn cell_of(p: &Point, cell_size: f64) -> (i64, i64) {
+    ((p.x / cell_size).floor() as i64, (p.y / cell_size).floor() as i64)
+}
+
 /// The inclusive range of grid cells a box overlaps, as an iterator.
 fn cell_range(bbox: &Aabb, cell_size: f64) -> impl Iterator<Item = (i64, i64)> {
-    let cx0 = (bbox.min.x / cell_size).floor() as i64;
-    let cy0 = (bbox.min.y / cell_size).floor() as i64;
-    let cx1 = (bbox.max.x / cell_size).floor() as i64;
-    let cy1 = (bbox.max.y / cell_size).floor() as i64;
+    let (cx0, cy0) = cell_of(&bbox.min, cell_size);
+    let (cx1, cy1) = cell_of(&bbox.max, cell_size);
     (cx0..=cx1).flat_map(move |cx| (cy0..=cy1).map(move |cy| (cx, cy)))
+}
+
+/// The half-width of the first ring of an expanding-ring k-nearest search
+/// from a point whose grid cell (side `cell_size`) holds `occupancy`
+/// entries.
+///
+/// Below `k` entries (an empty cell included) the ring is one cell, as if
+/// the density were unknown. Otherwise it is `2·cell·√(k / (π·occupancy))`:
+/// at the cell's density a disc of that radius holds about `4k` entries,
+/// so a crowded cell starts with a ring that is a small fraction of it and
+/// rarely needs a second round. The result lies in `(0, cell_size]` and
+/// never decreases as `k` grows. It only decides where the search starts:
+/// the search doubles the ring until the k-th distance fits inside it, so
+/// answers do not depend on it.
+pub fn first_ring_radius(cell_size: f64, occupancy: usize, k: usize) -> f64 {
+    // `k ≥ 1` keeps the radius strictly positive.
+    let k = k.max(1);
+    if occupancy < k {
+        return cell_size;
+    }
+    let radius = 2.0 * cell_size * (k as f64 / (std::f64::consts::PI * occupancy as f64)).sqrt();
+    radius.min(cell_size)
 }
 
 impl<K: Copy + Eq + Hash + Ord> SpatialIndex<K> for MovingIndex<K> {
@@ -434,12 +466,16 @@ impl<K: Copy + Eq + Hash + Ord> SpatialIndex<K> for MovingIndex<K> {
         hits
     }
 
+    /// The expanding-ring search: the first ring comes from
+    /// [`first_ring_radius`] and the local [`MovingIndex::occupancy_at`],
+    /// then doubles until the k-th distance fits inside it. A non-finite `p`
+    /// has no meaningful distance order and gets an empty answer at once.
     fn nearest<'a>(&'a self, p: &Point, k: usize) -> Vec<Neighbor<'a, K>> {
-        if self.items.is_empty() || k == 0 {
+        if self.items.is_empty() || k == 0 || !p.is_finite() {
             return Vec::new();
         }
         let extent = self.extent_radius(p);
-        let mut radius = self.cell_size;
+        let mut radius = first_ring_radius(self.cell_size, self.occupancy_at(p), k);
         loop {
             // Entries whose bbox does not intersect the square of half-width
             // `radius` are strictly farther than `radius` from `p`, so once
@@ -454,10 +490,7 @@ impl<K: Copy + Eq + Hash + Ord> SpatialIndex<K> for MovingIndex<K> {
             // the unique key as tiebreak), so the result is deterministic
             // and no stable-sort temp buffer is allocated.
             found.sort_unstable_by(|a, b| {
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .expect("finite distances")
-                    .then(a.entry.item.cmp(&b.entry.item))
+                a.distance.total_cmp(&b.distance).then(a.entry.item.cmp(&b.entry.item))
             });
             let settled = found.len() >= k && found[k - 1].distance <= radius;
             if settled || radius >= extent {
@@ -610,6 +643,103 @@ mod tests {
         let empty: MovingIndex<u32> = MovingIndex::new(10.0);
         assert!(empty.nearest(&Point::ORIGIN, 2).is_empty());
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn non_finite_query_points_get_an_empty_answer_at_once() {
+        let idx = populated();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for p in [
+                Point::new(f64::NAN, 0.0),
+                Point::new(0.0, f64::NAN),
+                Point::new(f64::INFINITY, 0.0),
+                Point::new(0.0, f64::NEG_INFINITY),
+            ] {
+                tx.send((p, idx.nearest(&p, 1).len())).expect("receiver waits");
+            }
+        });
+        for _ in 0..4 {
+            let (p, found) = rx
+                .recv_timeout(std::time::Duration::from_secs(3))
+                .expect("a non-finite query point must not hang the search");
+            assert_eq!(found, 0, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn occupancy_at_counts_the_cell_containing_the_point() {
+        let mut idx = MovingIndex::new(10.0);
+        idx.insert(1u32, Aabb::around(Point::new(5.0, 5.0), 1.0));
+        idx.insert(2, Aabb::around(Point::new(6.0, 4.0), 1.0));
+        idx.insert(3, Aabb::around(Point::new(-5.0, -5.0), 1.0));
+        assert_eq!(idx.occupancy_at(&Point::new(0.0, 0.0)), 2, "a corner belongs to +x/+y");
+        assert_eq!(idx.occupancy_at(&Point::new(9.999, 9.999)), 2);
+        assert_eq!(idx.occupancy_at(&Point::new(-0.001, -0.001)), 1, "floor, not truncation");
+        assert_eq!(idx.occupancy_at(&Point::new(10.0, 0.0)), 0);
+        assert_eq!(idx.occupancy_at(&Point::new(500.0, 500.0)), 0);
+    }
+
+    #[test]
+    fn first_ring_is_one_cell_below_k_and_shrinks_with_density() {
+        let cell = 250.0;
+        assert_eq!(first_ring_radius(cell, 0, 1), cell, "an empty cell");
+        assert_eq!(first_ring_radius(cell, 0, 0), cell);
+        assert_eq!(first_ring_radius(cell, 7, 8), cell, "fewer entries than k");
+        // At occupancy == k the formula exceeds one cell and is capped.
+        assert_eq!(first_ring_radius(cell, 8, 8), cell);
+        let dense = first_ring_radius(cell, 16_000, 1);
+        let expect = 2.0 * cell * (1.0 / (std::f64::consts::PI * 16_000.0)).sqrt();
+        assert!((dense - expect).abs() < 1e-12, "{dense} vs {expect}");
+        assert!(dense < cell / 50.0, "a crowded cell starts with a small ring");
+        assert!(first_ring_radius(cell, 16_000, 0) > 0.0, "k = 0 is treated as 1");
+    }
+
+    #[test]
+    fn first_ring_lies_in_the_cell_and_never_shrinks_as_k_grows() {
+        for cell in [1e-3, 1.0, 250.0, 1e6] {
+            for occupancy in [0, 1, 2, 7, 64, 1_000, 15_800, 1 << 20, usize::MAX] {
+                let mut last = 0.0;
+                for k in (0..200).chain([1_000, 1 << 20, usize::MAX]) {
+                    let r = first_ring_radius(cell, occupancy, k);
+                    assert!(r > 0.0 && r <= cell, "cell {cell}, occupancy {occupancy}, k {k}: {r}");
+                    assert!(r >= last, "cell {cell}, occupancy {occupancy}, k {k}: {r} < {last}");
+                    last = r;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_in_a_crowded_cell_matches_a_full_scan() {
+        // Enough entries in one cell that the first ring is a small fraction
+        // of it, on corners and negative-coordinate boundaries.
+        let mut idx = MovingIndex::new(100.0);
+        let mut boxes = Vec::new();
+        for key in 0..2_000u32 {
+            let (x, y) = ((key % 50) as f64 * 2.0 - 100.0, (key / 50) as f64 * 2.5 - 100.0);
+            let b = Aabb::around(Point::new(x, y), 0.5 + (key % 3) as f64);
+            idx.insert(key, b);
+            boxes.push((key, b));
+        }
+        for p in [
+            Point::new(-100.0, -100.0),
+            Point::new(-50.0, -50.0),
+            Point::new(0.0, 0.0),
+            Point::new(-0.0, -100.0),
+            Point::new(-37.3, -61.9),
+            Point::new(400.0, -400.0),
+        ] {
+            for k in [1, 2, 8, 64, 999, 1_999, 2_000, 2_001] {
+                let mut brute: Vec<(f64, u32)> =
+                    boxes.iter().map(|(key, b)| (b.distance_to_point(&p), *key)).collect();
+                brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                brute.truncate(k);
+                let got: Vec<(f64, u32)> =
+                    idx.nearest(&p, k).iter().map(|n| (n.distance, n.entry.item)).collect();
+                assert_eq!(got, brute, "{p:?}, k {k}");
+            }
+        }
     }
 
     #[test]
