@@ -5,9 +5,10 @@
 //!
 //! Beyond `hotpath_report`'s measured loops, the test drives the source-side
 //! protocols (and so `MotionEstimator::record`), the update and query
-//! codecs, the blocking transport's reader, `MovingIndex::query_keys_into`
-//! and the intersection policies that walk a junction's outgoing links
-//! through a warm-then-measured loop each.
+//! codecs, the blocking transport's reader, `MovingIndex::query_keys_into`,
+//! rect queries whose answers are large enough for the radix sort, and the
+//! intersection policies that walk a junction's outgoing links through a
+//! warm-then-measured loop each.
 //!
 //! This file holds exactly one `#[test]` on purpose: the counting allocator
 //! is process-global, and a sibling test allocating concurrently would bleed
@@ -21,10 +22,11 @@ use mbdr_core::wire::query::{
 };
 use mbdr_core::{
     Frame, IntersectionPolicy, LinearDeadReckoning, MapBasedDeadReckoning, MapPredictor,
-    ObjectState, PositionRecord, Predictor, ProtocolConfig, Request, Sighting, Update, UpdateKind,
-    UpdateProtocol, ZoneEventRecord,
+    ObjectState, PositionRecord, Predictor, ProtocolConfig, Request, Sighting, StaticPredictor,
+    Update, UpdateKind, UpdateProtocol, ZoneEventRecord,
 };
 use mbdr_geo::{Aabb, Point};
+use mbdr_locserver::{LocationService, ObjectId, QueryScratch};
 use mbdr_net::transport::{read_message_into, write_message};
 use mbdr_roadnet::{NetworkBuilder, RoadClass, TransitionTable};
 use mbdr_spatial::{MovingIndex, SeenScratch};
@@ -160,6 +162,40 @@ fn assert_index_key_queries_do_not_allocate() {
     assert!(!keys.is_empty());
 }
 
+/// Rect queries whose answers alternate between 1 000 and 2 000 reports:
+/// `hotpath`'s answers hold 32, below the size where the answer is put in
+/// id order by the radix sort through `QueryScratch`'s second buffer.
+fn assert_large_rect_answers_do_not_allocate() {
+    let service = LocationService::new();
+    // 60 columns × 40 rows of parked objects 10 m apart, spread over every
+    // shard by id hash.
+    for i in 0..2_400u64 {
+        let id = ObjectId(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        service.register(id, Arc::new(StaticPredictor));
+        let at = Point::new((i % 60) as f64 * 10.0, (i / 60) as f64 * 10.0);
+        let update = Update {
+            sequence: 0,
+            state: ObjectState::basic(at, 0.0, 0.0, 0.0),
+            kind: UpdateKind::Initial,
+        };
+        assert!(service.apply_update(id, &update));
+    }
+    let columns = |n: f64| Aabb::new(Point::new(-5.0, -5.0), Point::new(n * 10.0 - 5.0, 395.0));
+    let (small, large) = (columns(25.0), columns(50.0));
+    let mut scratch = QueryScratch::default();
+    let mut out = Vec::new();
+    let mut hits = 0;
+    let allocs = measured_allocations(|i| {
+        let area = if i % 2 == 0 { &small } else { &large };
+        service.objects_in_rect_into(area, 1.0, &mut scratch, &mut out);
+        hits += out.len();
+        black_box(&out);
+    });
+    assert_eq!(allocs, 0, "objects_in_rect_into with radix-sorted answers must not allocate");
+    assert_eq!(hits, 2 * OPS * 1_500, "answers alternate between 1 000 and 2 000 reports");
+    assert!(out.windows(2).all(|w| w[0].object < w[1].object), "answers are in id order");
+}
+
 /// Prediction through a y-junction under the policies that walk the
 /// junction's outgoing links (`outgoing_links_iter`, `smallest_angle_link`).
 fn assert_policy_predictions_do_not_allocate() {
@@ -230,5 +266,6 @@ fn steady_state_ingest_and_queries_do_not_allocate() {
     assert_codecs_do_not_allocate();
     assert_transport_reads_do_not_allocate();
     assert_index_key_queries_do_not_allocate();
+    assert_large_rect_answers_do_not_allocate();
     assert_policy_predictions_do_not_allocate();
 }

@@ -43,11 +43,18 @@ pub struct PositionReport {
 /// thread), not to the service: each reader reuses its own buffers and the
 /// steady-state allocation count per query is zero once the buffers have
 /// reached their high-water capacity.
+///
+/// Besides the candidate buffers, a scratch holds a second rect-answer
+/// buffer for the radix sort, so a reader's high-water mark is about twice
+/// its largest rect answer times 32 bytes (one for the caller's answer
+/// `Vec`, one here); `mbdr-net` keeps one scratch per connection.
 #[derive(Default)]
 pub struct QueryScratch {
     /// Candidate walk + batch-prediction buffers (seen mask, candidate slot
     /// ids and the struct-of-arrays prediction output; see `crate::shard`).
     pub(crate) cand: CandidateScratch,
+    /// The radix sort's second buffer for rect answers.
+    radix: Vec<PositionReport>,
     /// Nearest-query candidates: exact distance + report.
     near: Vec<(f64, PositionReport)>,
     /// Nearest queries served with this scratch.
@@ -70,9 +77,69 @@ impl QueryScratch {
     /// served: `(nearest queries, rings collected)`. Each ring is one
     /// candidate walk over every shard, so the ratio is how often the first
     /// ring had to grow; a query answered without a walk (`k = 0`, a
-    /// non-finite point) counts with zero rings.
+    /// non-finite point or time) counts with zero rings.
     pub fn ring_counters(&self) -> (u64, u64) {
         (self.nearest_queries, self.rings)
+    }
+}
+
+/// Answers below this many reports are put in id order by a comparison
+/// sort: the radix sort's fixed cost per pass (a 2 048-bucket histogram and
+/// its prefix sum) only pays off above it. On a 2-vCPU x86-64 host the two
+/// cross between 384 and 512 reports of ids below 10⁵.
+const RADIX_MIN: usize = 384;
+
+/// Bits per radix digit: six digits cover a 64-bit id.
+const DIGIT_BITS: u32 = 11;
+
+/// Buckets per radix digit.
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// Puts `reports` in ascending object-id order, using `spare` as the radix
+/// sort's second buffer (see [`LocationService::objects_in_rect_into`]).
+/// Ids must be unique; on return `reports` and `spare` may have swapped
+/// allocations.
+fn sort_by_object(reports: &mut Vec<PositionReport>, spare: &mut Vec<PositionReport>) {
+    let Some(&first) = reports.first() else {
+        return;
+    };
+    if reports.len() < RADIX_MIN {
+        reports.sort_unstable_by_key(|r| r.object);
+        return;
+    }
+    // A digit in which every id equals the first id's is already sorted.
+    let differ = reports.iter().fold(0, |acc, r| acc | (r.object.0 ^ first.object.0));
+    // Every pass overwrites all of `dst`, so stale contents may stay.
+    spare.resize(reports.len(), first);
+    for shift in (0..u64::BITS).step_by(DIGIT_BITS as usize) {
+        if (differ >> shift) & (BUCKETS as u64 - 1) != 0 {
+            radix_pass(reports, spare, shift);
+            std::mem::swap(reports, spare);
+        }
+    }
+}
+
+/// One stable counting-sort pass of `src` into `dst` on the digit at `shift`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "digits are masked below BUCKETS; the buckets partition `0..src.len() == dst.len()`"
+)]
+fn radix_pass(src: &[PositionReport], dst: &mut [PositionReport], shift: u32) {
+    let digit = |r: &PositionReport| (r.object.0 >> shift) as usize & (BUCKETS - 1);
+    let mut offsets = [0usize; BUCKETS];
+    for r in src {
+        offsets[digit(r)] += 1;
+    }
+    let mut start = 0;
+    for offset in &mut offsets {
+        let count = *offset;
+        *offset = start;
+        start += count;
+    }
+    for r in src {
+        let at = &mut offsets[digit(r)];
+        dst[*at] = *r;
+        *at += 1;
     }
 }
 
@@ -473,6 +540,17 @@ impl LocationService {
     /// spatial-index candidate walk. Identical results; with warm buffers a
     /// query performs **zero** heap allocations (enforced by the
     /// counting-allocator gate in `mbdr-bench`).
+    ///
+    /// The answer is put in id order by an LSD radix sort on [`ObjectId`]
+    /// with 11-bit digits that runs one pass per digit in which the
+    /// answer's ids differ — two passes for ids below 2²² — through a second
+    /// buffer kept in `scratch`. After a pass `out` and that buffer may have
+    /// swapped allocations. Answers below a few hundred reports use a
+    /// comparison sort instead. Ids are unique, so both orders are the same.
+    ///
+    /// A non-finite `t` gets an empty answer at once, before any lock (over
+    /// the wire it cannot occur: request decoding rejects non-finite
+    /// floats).
     pub fn objects_in_rect_into(
         &self,
         area: &Aabb,
@@ -481,12 +559,13 @@ impl LocationService {
         out: &mut Vec<PositionReport>,
     ) {
         out.clear();
+        if !t.is_finite() {
+            return;
+        }
         for shard in &self.shards {
             shard.read_fresh(t, |s| s.collect_in_rect(area, t, &mut scratch.cand, out));
         }
-        // Unstable sort: object ids are unique, so the order is total and
-        // deterministic, and no stable-sort temp buffer is allocated.
-        out.sort_unstable_by_key(|r| r.object);
+        sort_by_object(out, &mut scratch.radix);
     }
 
     /// The `k` objects whose predicted positions at time `t` are nearest to
@@ -504,8 +583,8 @@ impl LocationService {
     /// selection (`select_nth_unstable_by`) instead of a full sort.
     ///
     /// A non-finite `from` has no distance order and gets an empty answer
-    /// at once (over the wire it cannot occur: request decoding rejects
-    /// non-finite floats).
+    /// at once, and so does a non-finite `t`, before any lock (over the wire
+    /// neither can occur: request decoding rejects non-finite floats).
     ///
     /// Allocates the result `Vec` (plus internal scratch) per call — hot
     /// callers should use [`LocationService::nearest_objects_into`].
@@ -520,8 +599,8 @@ impl LocationService {
     /// writes the answer into `out` (cleared first), keeping the ring
     /// search's candidate set and its ring counters
     /// ([`QueryScratch::ring_counters`]) in `scratch`. Identical results,
-    /// empty for a non-finite `from`; with warm buffers a query performs
-    /// zero heap allocations.
+    /// empty for a non-finite `from` or `t`; with warm buffers a query
+    /// performs zero heap allocations.
     #[expect(clippy::indexing_slicing, reason = "k >= 1; both indexes are checked against len")]
     pub fn nearest_objects_into(
         &self,
@@ -532,9 +611,9 @@ impl LocationService {
         out: &mut Vec<PositionReport>,
     ) {
         out.clear();
-        let QueryScratch { cand, near: candidates, nearest_queries, rings } = scratch;
+        let QueryScratch { cand, near: candidates, nearest_queries, rings, .. } = scratch;
         *nearest_queries += 1;
-        if k == 0 || !from.is_finite() {
+        if k == 0 || !from.is_finite() || !t.is_finite() {
             return;
         }
         // `total_cmp` agrees with `partial_cmp` on every value that can
@@ -907,6 +986,107 @@ mod tests {
         s.nearest_objects_into(&Point::ORIGIN, 1.0, 0, &mut scratch, &mut out);
         s.nearest_objects_into(&Point::new(f64::NAN, 0.0), 1.0, 1, &mut scratch, &mut out);
         assert_eq!(scratch.ring_counters(), (4, rings), "k = 0 and NaN collect nothing");
+    }
+
+    #[test]
+    fn non_finite_query_times_answer_empty_and_leave_the_index_intact() {
+        // A mover heading east from the origin and a parked object. Before
+        // the rule, one query at NaN re-grew the mover with a NaN box and no
+        // heap entry, so later finite queries missed it; one at +∞ tried to
+        // register an infinite box in every cell of i64.
+        let s = LocationService::new();
+        s.register(ObjectId(1), Arc::new(LinearPredictor));
+        s.register(ObjectId(2), Arc::new(StaticPredictor));
+        s.apply_update(ObjectId(1), &update(0, 0.0, 0.0, 0.0, 10.0, std::f64::consts::FRAC_PI_2));
+        s.apply_update(ObjectId(2), &update(0, 0.0, 50.0, 0.0, 0.0, 0.0));
+        let s = Arc::new(s);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let service = Arc::clone(&s);
+        std::thread::spawn(move || {
+            let mut scratch = QueryScratch::default();
+            let mut out = Vec::new();
+            let area = Aabb::around(Point::ORIGIN, 1_000.0);
+            for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+                service.objects_in_rect_into(&area, t, &mut scratch, &mut out);
+                let rect = out.len();
+                service.nearest_objects_into(&Point::ORIGIN, t, 2, &mut scratch, &mut out);
+                tx.send((t, rect, out.len())).expect("receiver waits");
+            }
+        });
+        for _ in 0..4 {
+            let (t, rect, nearest) = rx
+                .recv_timeout(std::time::Duration::from_secs(3))
+                .expect("a non-finite query time must not hang the query");
+            assert_eq!((rect, nearest), (0, 0), "t {t}");
+        }
+        assert_eq!(s.write_lock_acquisitions(), 4, "only the registrations and updates");
+        let nearest: Vec<ObjectId> =
+            s.nearest_objects(&Point::ORIGIN, 10.0, 2).iter().map(|r| r.object).collect();
+        assert_eq!(nearest, [ObjectId(2), ObjectId(1)], "the mover at x = 100 is still found");
+        let east = Aabb::around(Point::new(100.0, 0.0), 1.0);
+        assert_eq!(s.objects_in_rect(&east, 10.0).len(), 1);
+    }
+
+    /// Reports whose ids are `ids` (in that order), with distinct positions.
+    fn reports(ids: &[u64]) -> Vec<PositionReport> {
+        ids.iter()
+            .enumerate()
+            .map(|(i, &id)| PositionReport {
+                object: ObjectId(id),
+                position: Point::new(i as f64, -(i as f64)),
+                information_age: i as f64 * 0.5,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radix_order_equals_the_comparison_sort_for_every_id_family() {
+        let mut state = 0xD161_7000_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const BASE: u64 = 0x0123_4567_89AB_CDEF;
+        // The `i`-th id of a family, given a fresh random `u64`.
+        type Family = fn(u64, u64) -> u64;
+        let families: [(&str, Family); 7] = [
+            ("random over all 64 bits", |_, r| r),
+            ("sequential from zero", |i, _| i),
+            ("only the top digit", |i, _| BASE ^ (i << 55)),
+            ("low digits and bit 63", |i, _| (BASE + (i >> 1)) ^ ((i & 1) << 63)),
+            ("one middle digit", |i, _| BASE ^ (i << 33)),
+            ("just below u64::MAX", |i, _| u64::MAX - i),
+            ("every sixth bit", |i, _| (0..11).fold(0, |acc, b| acc | ((i >> b & 1) << (6 * b)))),
+        ];
+        let mut spare = reports(&[7; 9_000]); // stale contents must not leak
+        for (name, id) in families {
+            for n in [0, 1, 2, RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1, 2_047, 5_000] {
+                let mut ids: Vec<u64> = (0..n as u64).map(|i| id(i, next())).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                // Shuffled, ascending and descending inputs.
+                let mut shuffled = ids.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                let descending: Vec<u64> = ids.iter().rev().copied().collect();
+                for input in [shuffled, ids.clone(), descending] {
+                    let mut expect = reports(&input);
+                    expect.sort_by_key(|r| r.object);
+                    let mut got = reports(&input);
+                    sort_by_object(&mut got, &mut spare);
+                    assert_eq!(got, expect, "{name}, n {n}");
+                }
+            }
+        }
+        // Ids that differ only in bit 63.
+        let input = reports(&[BASE | 1 << 63, BASE]);
+        let mut got = input.clone();
+        sort_by_object(&mut got, &mut spare);
+        assert_eq!(got, [input[1], input[0]]);
     }
 
     #[test]

@@ -20,6 +20,23 @@
 //! box of a silent mover keeps growing, which is exactly the server's real
 //! uncertainty about it.
 //!
+//! ## Silent movers: the wide list
+//!
+//! A re-grown box's radius grows linearly with the time since the report, so
+//! the cells it registers in grow with its square: one 10 m/s mover silent
+//! for 10⁴ s would register in about 650 000 cells, all under the shard's
+//! write lock. So a re-grow whose box would span more than `WIDE_CELLS`
+//! cells per axis takes the entry out of the grid and puts its slot on the
+//! shard's *wide list* instead, with no box, no validity limit and no heap
+//! entry. Every rect and nearest walk takes the whole list as candidates
+//! and the exact filter decides, which is what a box that large would have
+//! yielded anyway. Wide entries stay out of the index's `bounds()` and so
+//! out of `extent_radius`; a nearest search stays exact because every ring
+//! collects them. The object's next accepted update, its deregistration or
+//! re-registration, and `rebuild_index` take an entry off the list. An
+//! accepted update always writes a grid entry, exactly as before the list
+//! existed.
+//!
 //! ## Derived state
 //!
 //! The trackers are the shard's only primary state. The index and the expiry
@@ -41,10 +58,10 @@
 //! query candidate is a direct array index — no hashing on the query path.
 //! Range and nearest collection run as batch kernels in three passes over
 //! struct-of-arrays scratch: (1) walk the index cells for candidate slots
-//! (deduplicated by a generation-stamped seen mask), (2) predict every
-//! candidate into contiguous position arrays, (3) one linear
-//! containment/distance pass over those arrays. With warm buffers all three
-//! passes are allocation-free.
+//! (deduplicated by a generation-stamped seen mask) and add the wide list,
+//! (2) predict every candidate into contiguous position arrays, (3) one
+//! linear containment/distance pass over those arrays. With warm buffers
+//! all three passes are allocation-free.
 
 use crate::config::ServiceConfig;
 use crate::service::{ObjectId, PositionReport};
@@ -57,6 +74,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A lazily re-grown box wider than this many grid cells per axis leaves the
+/// grid for the wide list (see the module docs). It bounds the cells one
+/// re-grow registers to about `WIDE_CELLS²`.
+const WIDE_CELLS: f64 = 64.0;
 
 /// An object tracked by one shard, stored in the dense slot arena.
 struct TrackedSlot {
@@ -71,6 +93,8 @@ struct TrackedSlot {
     generation: u64,
     /// Query times up to this instant are covered by the index entry.
     valid_until: f64,
+    /// The entry is on the shard's wide list instead of in the grid.
+    wide: bool,
 }
 
 /// A pending index-entry expiry (min-heap by time via `Reverse`).
@@ -129,6 +153,9 @@ pub(crate) struct ShardState {
     free_slots: Vec<u32>,
     /// Spatial index keyed by slot id.
     index: MovingIndex<u32>,
+    /// Slots whose re-grown box was too wide for the grid (see the module
+    /// docs): candidates of every query.
+    wide: Vec<u32>,
     expiries: BinaryHeap<Reverse<Expiry>>,
 }
 
@@ -140,6 +167,7 @@ impl ShardState {
             slots: Vec::new(),
             free_slots: Vec::new(),
             index: MovingIndex::new(config.cell_size_m),
+            wide: Vec::new(),
             expiries: BinaryHeap::new(),
         }
     }
@@ -148,8 +176,9 @@ impl ShardState {
         self.by_id.len()
     }
 
+    /// Objects with an index entry: in the grid or on the wide list.
     pub(crate) fn indexed_count(&self) -> usize {
-        self.index.len()
+        self.index.len() + self.wide.len()
     }
 
     #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
@@ -170,6 +199,7 @@ impl ShardState {
                 // bump invalidates any pending expiries for the old tracker.
                 self.index.remove(&slot);
                 let tracked = &mut self.slots[slot as usize];
+                Self::leave_wide(&mut self.wide, slot, tracked);
                 tracked.tracker = ServerTracker::new(predictor);
                 tracked.generation += 1;
                 tracked.valid_until = f64::INFINITY;
@@ -193,6 +223,7 @@ impl ShardState {
                             tracker: ServerTracker::new(predictor),
                             generation: 0,
                             valid_until: f64::INFINITY,
+                            wide: false,
                         });
                         slot
                     }
@@ -208,8 +239,10 @@ impl ShardState {
             return false;
         };
         self.index.remove(&slot);
+        let tracked = &mut self.slots[slot as usize];
+        Self::leave_wide(&mut self.wide, slot, tracked);
         // Invalidate pending expiries for this slot before recycling it.
-        self.slots[slot as usize].generation += 1;
+        tracked.generation += 1;
         self.free_slots.push(slot);
         self.prune_superseded_expiries();
         true
@@ -226,7 +259,15 @@ impl ShardState {
         if tracked.tracker.updates_applied() != before {
             // The update was accepted (not a stale sequence number): re-anchor
             // the index entry on the new reported state.
-            Self::reindex(&self.config, &mut self.index, &mut self.expiries, slot, tracked, None);
+            Self::reindex(
+                &self.config,
+                &mut self.index,
+                &mut self.wide,
+                &mut self.expiries,
+                slot,
+                tracked,
+                None,
+            );
         }
         self.prune_superseded_expiries();
         true
@@ -289,12 +330,15 @@ impl ShardState {
         }
         self.index = MovingIndex::new(self.config.cell_size_m);
         self.index.reserve(self.by_id.len());
+        self.wide.clear();
         self.expiries.clear();
         for ((slot, tracked), live) in self.slots.iter_mut().enumerate().zip(live) {
+            tracked.wide = false;
             if live {
                 Self::reindex(
                     &self.config,
                     &mut self.index,
+                    &mut self.wide,
                     &mut self.expiries,
                     slot as u32,
                     tracked,
@@ -353,16 +397,20 @@ impl ShardState {
 
     /// (Re)writes the index entry of the object in `slot` from its last
     /// reported state. With `extend_to = Some(t)` the validity is pushed past
-    /// `t` (lazy re-grow on a stale query); otherwise it starts one horizon
-    /// after the report.
+    /// `t` (lazy re-grow on a stale query), and a box wider than
+    /// `WIDE_CELLS` cells per axis moves the entry to the wide list instead;
+    /// otherwise the validity starts one horizon after the report and the
+    /// entry joins the grid, leaving the wide list if it was on it.
     fn reindex(
         config: &ServiceConfig,
         index: &mut MovingIndex<u32>,
+        wide: &mut Vec<u32>,
         expiries: &mut BinaryHeap<Reverse<Expiry>>,
         slot: u32,
         tracked: &mut TrackedSlot,
         extend_to: Option<f64>,
     ) {
+        Self::leave_wide(wide, slot, tracked);
         let Some(state) = tracked.tracker.last_state() else {
             return;
         };
@@ -374,6 +422,13 @@ impl ShardState {
             (valid_until, speed * (valid_until - state.timestamp) + config.slack_m)
         };
         tracked.generation += 1;
+        if extend_to.is_some() && 2.0 * radius > WIDE_CELLS * config.cell_size_m {
+            index.remove(&slot);
+            tracked.valid_until = f64::INFINITY;
+            tracked.wide = true;
+            wide.push(slot);
+            return;
+        }
         tracked.valid_until = valid_until;
         index.insert(slot, Aabb::around(state.position, radius));
         if valid_until.is_finite() {
@@ -382,6 +437,15 @@ impl ShardState {
                 slot,
                 generation: tracked.generation,
             }));
+        }
+    }
+
+    /// Takes `slot` off the wide list if it is on it.
+    fn leave_wide(wide: &mut Vec<u32>, slot: u32, tracked: &mut TrackedSlot) {
+        if std::mem::take(&mut tracked.wide) {
+            if let Some(at) = wide.iter().position(|&s| s == slot) {
+                wide.swap_remove(at);
+            }
         }
     }
 
@@ -409,6 +473,7 @@ impl ShardState {
             Self::reindex(
                 &self.config,
                 &mut self.index,
+                &mut self.wide,
                 &mut self.expiries,
                 expiry.slot,
                 tracked,
@@ -429,14 +494,15 @@ impl ShardState {
 
     /// Passes 1+2 of the batch query kernels: walk the index cells for the
     /// candidate slot ids (deduplicated, unordered — the service imposes its
-    /// own deterministic order on final results), then predict every
-    /// candidate at `t` into the contiguous struct-of-arrays buffers the
-    /// filter passes run over.
+    /// own deterministic order on final results) and add the whole wide
+    /// list, then predict every candidate at `t` into the contiguous
+    /// struct-of-arrays buffers the filter passes run over.
     #[expect(clippy::indexing_slicing, reason = "index items are slot ids this shard issued")]
     fn collect_candidates(&self, area: &Aabb, t: f64, scratch: &mut CandidateScratch) {
         let CandidateScratch { seen, cand, xs, ys, ages, objects } = scratch;
         cand.clear();
         self.index.for_each_in_rect_unordered(area, seen, |entry| cand.push(entry.item));
+        cand.extend_from_slice(&self.wide);
         xs.clear();
         ys.clear();
         ages.clear();
@@ -693,7 +759,14 @@ mod tests {
             assert_eq!(s.tracker.updates_applied(), o.tracker.updates_applied(), "{what}");
             assert_eq!(subject.index.get(&slot), oracle.index.get(&slot), "{what}: {object:?}");
             assert_eq!(s.valid_until.to_bits(), o.valid_until.to_bits(), "{what}: {object:?}");
+            assert_eq!(s.wide, o.wide, "{what}: {object:?}");
         }
+        let sorted = |wide: &[u32]| {
+            let mut wide = wide.to_vec();
+            wide.sort_unstable();
+            wide
+        };
+        assert_eq!(sorted(&subject.wide), sorted(&oracle.wide), "{what}: wide list");
         subject.prune_superseded_expiries();
         oracle.prune_superseded_expiries();
         assert_eq!(subject.next_expiry().to_bits(), oracle.next_expiry().to_bits(), "{what}");
@@ -751,6 +824,87 @@ mod tests {
             }
         }
         assert!(reregistered > 0 && reused > 0, "the streams exercise both registration paths");
+    }
+
+    #[test]
+    fn a_silent_mover_leaves_the_grid_for_the_wide_list_until_it_reports() {
+        let config = ServiceConfig::default();
+        let mover = |t: f64, x: f64| Update {
+            sequence: t as u64,
+            state: ObjectState::basic(Point::new(x, 0.0), 10.0, std::f64::consts::FRAC_PI_2, t),
+            kind: UpdateKind::DeviationBound,
+        };
+        let parked = Update {
+            sequence: 0,
+            state: ObjectState::basic(Point::new(-500.0, 0.0), 0.0, 0.0, 0.0),
+            kind: UpdateKind::Initial,
+        };
+        // `twin` sees the same reports and never a far-future query.
+        let (mut shard, mut twin) = (ShardState::new(config), ShardState::new(config));
+        for s in [&mut shard, &mut twin] {
+            s.register(ObjectId(1), Arc::new(LinearPredictor));
+            s.register(ObjectId(2), Arc::new(LinearPredictor));
+            assert!(s.apply_update(ObjectId(1), &mover(0.0, 0.0)));
+            assert!(s.apply_update(ObjectId(2), &parked));
+        }
+        let slot = shard.by_id[&ObjectId(1)];
+        let in_grid = |s: &ShardState| s.index.contains_key(&slot);
+
+        // A re-grow below the cap stays in the grid.
+        shard.refresh_expired(100.0);
+        assert!(in_grid(&shard) && shard.wide.is_empty());
+
+        // Far past it: off the grid, onto the wide list, out of the heap.
+        let cells_before = shard.index.occupied_cells();
+        shard.refresh_expired(1e9);
+        assert!(!in_grid(&shard));
+        assert_eq!(shard.wide, [slot]);
+        assert!(shard.slots[slot as usize].wide);
+        assert!(shard.index.occupied_cells() < cells_before, "its cells are released");
+        assert_eq!(shard.indexed_count(), 2, "a wide entry still counts as indexed");
+        shard.prune_superseded_expiries();
+        assert_eq!(shard.next_expiry(), f64::INFINITY, "nothing left to re-grow");
+
+        // Every query takes it as a candidate; the exact filter decides.
+        let mut scratch = CandidateScratch::default();
+        let mut out = Vec::new();
+        let at = Point::new(1e10, 0.0);
+        shard.collect_in_rect(&Aabb::around(at, 1.0), 1e9, &mut scratch, &mut out);
+        assert_eq!(out.iter().map(|r| r.object).collect::<Vec<_>>(), [ObjectId(1)]);
+        out.clear();
+        shard.collect_in_rect(&Aabb::around(Point::ORIGIN, 1.0), 1e9, &mut scratch, &mut out);
+        assert!(out.is_empty());
+        let mut near = Vec::new();
+        shard.collect_near(&Point::new(-500.0, 0.0), 1.0, 1e9, &mut scratch, &mut near);
+        assert_eq!(near.len(), 2, "the parked object and the wide one");
+
+        // Its next accepted update writes the entry the twin writes.
+        for s in [&mut shard, &mut twin] {
+            assert!(s.apply_update(ObjectId(1), &mover(2e9, 7.0)));
+        }
+        assert!(shard.wide.is_empty() && !shard.slots[slot as usize].wide);
+        assert_same_derived_state(&mut shard, &mut twin, "after the update");
+
+        // Deregistration, re-registration and a rebuild each empty the list.
+        let regrow_and_check = |s: &mut ShardState, what: &str| {
+            s.refresh_expired(1e11);
+            assert_eq!(s.wide, [slot], "{what}");
+        };
+        regrow_and_check(&mut shard, "before the deregistration");
+        assert!(shard.deregister(ObjectId(1)));
+        assert!(shard.wide.is_empty());
+        assert_eq!(shard.indexed_count(), 1);
+        shard.register(ObjectId(1), Arc::new(LinearPredictor));
+        assert_eq!(shard.by_id[&ObjectId(1)], slot, "the slot is reused");
+        assert!(shard.apply_update(ObjectId(1), &mover(3e9, 0.0)));
+        regrow_and_check(&mut shard, "before the re-registration");
+        shard.register(ObjectId(1), Arc::new(LinearPredictor));
+        assert!(shard.wide.is_empty() && !shard.slots[slot as usize].wide);
+        assert!(shard.apply_update(ObjectId(1), &mover(4e9, 0.0)));
+        regrow_and_check(&mut shard, "before the rebuild");
+        shard.rebuild_index();
+        assert!(shard.wide.is_empty() && in_grid(&shard));
+        assert!(!shard.slots[slot as usize].wide);
     }
 
     #[test]

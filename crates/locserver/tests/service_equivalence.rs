@@ -11,7 +11,7 @@ use mbdr_core::{
     UpdateKind,
 };
 use mbdr_geo::{Aabb, Point};
-use mbdr_locserver::{LocationService, ObjectId, PositionReport, ServiceConfig};
+use mbdr_locserver::{LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -221,6 +221,226 @@ fn dense_cluster_nearest_matches_the_full_scan_reference() {
     let tight = ServiceConfig { shards: 16, cell_size_m: 250.0, horizon_s: 20.0, slack_m: 0.0 };
     dense_cluster_matches_the_full_scan(0x5EED_0001, tight);
     dense_cluster_matches_the_full_scan(0x5EED_0002, ServiceConfig::with_shards(1));
+}
+
+/// The answer ids of one rect search: where in the id space the objects'
+/// ids lie decides which radix digits the sort runs.
+#[derive(Debug, Clone, Copy)]
+enum Ids {
+    /// Uniform over all 64 bits: every digit differs.
+    Random,
+    /// `0..n`: the two low digits differ.
+    Sequential,
+    /// Only bits 51 and up differ: the low digits are skipped.
+    HighBits,
+    /// Pairs that differ only in bit 63, the pairs a counter apart: the
+    /// middle digits are skipped.
+    Bit63Pairs,
+    /// Counting down from `u64::MAX` in strides of 2³² + 1.
+    NearMax,
+}
+
+impl Ids {
+    fn id(self, i: u64, rng: &mut SplitMix) -> u64 {
+        const BASE: u64 = 0x0123_4567_89AB_CDEF;
+        match self {
+            Ids::Random => rng.next_u64(),
+            Ids::Sequential => i,
+            Ids::HighBits => BASE ^ (i << 51),
+            Ids::Bit63Pairs => (BASE + (i >> 1)) ^ ((i & 1) << 63),
+            Ids::NearMax => u64::MAX - i * 0x1_0000_0001,
+        }
+    }
+}
+
+/// `LINE` parked objects one metre apart on a row far from everything else,
+/// so a rect over the first `n` of them answers exactly `n`, plus `MOVERS`
+/// objects scattered over ±5 km with linear, arc and static predictors, all
+/// reporting at `t ≤ 10`. Rects: every prefix of the row up to 600 objects
+/// (at the report instant; a sample of them later) and thousands, random
+/// rects from 1 m to 16 km wide, and hostile ones (inverted, zero-area,
+/// NaN-cornered, ±1e300, infinite). Times: the last report instant, past
+/// every `valid_until` (the index re-grows), far past it (entries leave the
+/// grid for the wide list), and NaN/±∞ between them, which must answer
+/// empty and disturb nothing. Every answer must equal the full scan in ids,
+/// position bits and age bits.
+fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig) {
+    const LINE: u64 = 2_100;
+    const MOVERS: u64 = 600;
+    const SWEEP: u64 = 600;
+    const ROW_Y: f64 = 50_000.0;
+    let mut rng = SplitMix(seed);
+    let service = LocationService::with_config(config);
+    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut row = Vec::new();
+    for i in 0..LINE + MOVERS {
+        let id = ObjectId(ids.id(i, &mut rng));
+        let (predictor, state) = if i < LINE {
+            row.push(id);
+            let state = ObjectState::basic(Point::new(i as f64, ROW_Y), 0.0, 0.0, 0.0);
+            (predictor_for(0), state)
+        } else {
+            let position = Point::new(
+                10_000.0 * rng.next_f64() - 5_000.0,
+                10_000.0 * rng.next_f64() - 5_000.0,
+            );
+            let speed = if i % 4 == 0 { 0.0 } else { 1.0 + 29.0 * rng.next_f64() };
+            let mut state = ObjectState::basic(
+                position,
+                speed,
+                rng.next_f64() * std::f64::consts::TAU,
+                (10.0 * rng.next_f64()).floor(),
+            );
+            state.turn_rate = 0.02 * rng.next_f64() - 0.01;
+            (predictor_for(i as usize), state)
+        };
+        service.register(id, Arc::clone(&predictor));
+        assert!(mirror.insert(id, ServerTracker::new(predictor)).is_none(), "{ids:?}: id clash");
+        let update = Update { sequence: 0, state, kind: UpdateKind::Initial };
+        assert!(service.apply_update(id, &update));
+        mirror.get_mut(&id).unwrap().apply(&update);
+    }
+
+    let prefix = |n: u64| {
+        Aabb::new(Point::new(-0.5, ROW_Y - 0.25), Point::new(n as f64 - 0.5, ROW_Y + 0.25))
+    };
+    let mut areas: Vec<Aabb> = [1_000, 2_047, 2_048, LINE].into_iter().map(prefix).collect();
+    for _ in 0..40 {
+        let center =
+            Point::new(14_000.0 * rng.next_f64() - 7_000.0, 14_000.0 * rng.next_f64() - 7_000.0);
+        areas.push(Aabb::around(center, 0.5 + 8_000.0 * rng.next_f64().powi(3)));
+    }
+    let (nan, big) = (f64::NAN, 1e300);
+    areas.extend([
+        Aabb { min: Point::new(4_000.0, 4_000.0), max: Point::new(-4_000.0, -4_000.0) },
+        Aabb { min: Point::new(-4_000.0, 4_000.0), max: Point::new(4_000.0, -4_000.0) },
+        Aabb { min: Point::new(7.0, ROW_Y), max: Point::new(7.0, ROW_Y) },
+        Aabb { min: Point::new(nan, -4_000.0), max: Point::new(4_000.0, 4_000.0) },
+        Aabb { min: Point::new(-4_000.0, -4_000.0), max: Point::new(4_000.0, nan) },
+        Aabb { min: Point::new(nan, nan), max: Point::new(nan, nan) },
+        Aabb { min: Point::new(-big, -big), max: Point::new(big, big) },
+        Aabb { min: Point::new(-big, -big), max: Point::new(0.0, 0.0) },
+        Aabb { min: Point::new(big, big), max: Point::new(big, big) },
+        Aabb {
+            min: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            max: Point::new(f64::INFINITY, f64::INFINITY),
+        },
+    ]);
+
+    let everything = Aabb {
+        min: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        max: Point::new(f64::INFINITY, f64::INFINITY),
+    };
+    let times = [
+        10.0,
+        f64::NAN,
+        10.0 + config.horizon_s + 1.0,
+        f64::INFINITY,
+        1_000.0,
+        f64::NEG_INFINITY,
+        1e6,
+    ];
+    let mut scratch = QueryScratch::default();
+    let mut got = Vec::new();
+    for t in times {
+        let sweep = (0..=SWEEP).filter(|n| t == 10.0 || n % 53 <= 1).map(prefix);
+        let areas: Vec<Aabb> = sweep.chain(areas.iter().copied()).collect();
+        if !t.is_finite() {
+            for area in &areas {
+                service.objects_in_rect_into(area, t, &mut scratch, &mut got);
+                assert!(got.is_empty(), "{ids:?}: t {t} answers empty");
+            }
+            continue;
+        }
+        // The full scan filters every object by the area and sorts by id,
+        // so one scan per `t` filtered per area is the same reference.
+        let full = reference_in_rect(&mirror, &everything, t);
+        assert_eq!(full.len() as u64, LINE + MOVERS);
+        for (qi, area) in areas.iter().enumerate() {
+            let expect: Vec<PositionReport> =
+                full.iter().filter(|r| area.contains(&r.position)).copied().collect();
+            service.objects_in_rect_into(area, t, &mut scratch, &mut got);
+            assert_eq!(bits(&got), bits(&expect), "{ids:?}, t {t}, rect {qi} {area:?}");
+            if t == 10.0 && qi as u64 <= SWEEP {
+                assert_eq!(got.len(), qi, "{ids:?}: the row prefix answers its length");
+            }
+        }
+    }
+    // The row's ids really are spread the way the family says.
+    row.sort_unstable();
+    assert_eq!(row.len() as u64, LINE);
+}
+
+#[test]
+fn seeded_rect_search_matches_the_full_scan_reference() {
+    let tight = ServiceConfig { shards: 16, cell_size_m: 250.0, horizon_s: 20.0, slack_m: 0.0 };
+    for (i, ids) in [Ids::Random, Ids::Sequential, Ids::HighBits, Ids::Bit63Pairs, Ids::NearMax]
+        .into_iter()
+        .enumerate()
+    {
+        rect_search_matches_the_full_scan(0x5EED_0100 + i as u64, ids, tight);
+    }
+    rect_search_matches_the_full_scan(0x5EED_0200, Ids::Random, ServiceConfig::with_shards(1));
+}
+
+#[test]
+fn silent_movers_far_in_the_future_answer_in_time_and_match_the_full_scan() {
+    // Before the wide list, one query at t = 10⁵ s re-grew every silent
+    // mover into millions of cells under the shard write locks.
+    let mut rng = SplitMix(0x5EED_0300);
+    let service = LocationService::with_config(ServiceConfig::with_shards(4));
+    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    for i in 0..200u64 {
+        let id = ObjectId(rng.next_u64());
+        let predictor = predictor_for(i as usize);
+        service.register(id, Arc::clone(&predictor));
+        mirror.insert(id, ServerTracker::new(predictor));
+        let position =
+            Point::new(4_000.0 * rng.next_f64() - 2_000.0, 4_000.0 * rng.next_f64() - 2_000.0);
+        let speed = if i % 5 == 0 { 0.0 } else { 1.0 + 29.0 * rng.next_f64() };
+        let state =
+            ObjectState::basic(position, speed, rng.next_f64() * std::f64::consts::TAU, 0.0);
+        let update = Update { sequence: 0, state, kind: UpdateKind::Initial };
+        assert!(service.apply_update(id, &update));
+        mirror.get_mut(&id).unwrap().apply(&update);
+    }
+    let service = Arc::new(service);
+    for t in [1e5, 1e9] {
+        // Rects around the origin, the whole plane, and each of a few
+        // movers' predicted positions; nearest from the origin and from far
+        // out along the movers' paths.
+        let full = reference_in_rect(&mirror, &Aabb::around(Point::ORIGIN, f64::MAX), t);
+        let mut areas =
+            vec![Aabb::around(Point::ORIGIN, 3_000.0), Aabb::around(Point::ORIGIN, 1e300)];
+        areas.extend(full.iter().step_by(37).map(|r| Aabb::around(r.position, 1.0)));
+        let points: Vec<Point> = [Point::ORIGIN]
+            .into_iter()
+            .chain(full.iter().step_by(53).map(|r| r.position))
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&service);
+        let queries = (areas.clone(), points.clone());
+        std::thread::spawn(move || {
+            let (areas, points) = queries;
+            let rects: Vec<_> = areas.iter().map(|a| worker.objects_in_rect(a, t)).collect();
+            let nearest: Vec<Vec<_>> = points
+                .iter()
+                .flat_map(|p| [1, 8, 500].map(|k| worker.nearest_objects(p, t, k)))
+                .collect();
+            tx.send((rects, nearest)).expect("receiver waits");
+        });
+        let (rects, nearest) = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .unwrap_or_else(|_| panic!("queries at t = {t} must not stall"));
+        for (area, got) in areas.iter().zip(&rects) {
+            assert_eq!(bits(got), bits(&reference_in_rect(&mirror, area, t)), "t {t}, {area:?}");
+        }
+        let expect =
+            points.iter().flat_map(|p| [1, 8, 500].map(|k| reference_nearest(&mirror, p, t, k)));
+        for (i, (got, expect)) in nearest.iter().zip(expect).enumerate() {
+            assert_eq!(bits(got), bits(&expect), "t {t}, nearest query {i}");
+        }
+    }
 }
 
 proptest! {

@@ -14,12 +14,15 @@
 //!   cells is accepted on first visit and skipped afterwards, replacing the
 //!   `sort_unstable + dedup` pass (O(c·log c), and resorting *every* query)
 //!   the indexes used before. Bumping one generation counter resets the mask
-//!   without touching the stamp array.
+//!   without touching the stamp array. A walk gathers each cell segment's
+//!   first visits into a list without a branch per slot (see
+//!   [`SeenScratch`]), and the caller then makes one pass over that list.
 //!
 //! Everything here is allocation-free in steady state: the table only grows
 //! when new cells appear (tombstones left by emptied cells are reused when
 //! the same — or any probing — coordinate is re-inserted), and the stamp
-//! array only grows to the owning index's high-water entry count.
+//! array and first-visit list only grow to the owning index's high-water
+//! entry count.
 
 /// Probe states of one table slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,19 +202,24 @@ impl<P: Copy + Default> CellTable<P> {
 }
 
 /// Caller-owned scratch for the candidate walk: a generation-stamped seen
-/// mask (per-entry dedup in O(1)) plus a reusable id buffer for the
-/// key-ordered query forms.
+/// mask (per-entry dedup in O(1)) plus the list of the current query's first
+/// visits, gathered without a branch per slot.
 ///
 /// The scratch belongs to the *reader*, not the index: queries run under
 /// shared locks, so every reader (connection, query thread) holds its own
 /// and reuses it across queries — after warm-up, a query performs zero heap
 /// allocations. One scratch may serve indexes of different sizes; the stamp
-/// array grows to the largest entry count it has seen.
+/// array and the first-visit list grow to the largest entry count seen.
 #[derive(Debug, Default)]
 pub struct SeenScratch {
     /// `stamps[dense_id] == generation` ⇔ the entry was visited this query.
     stamps: Vec<u32>,
     generation: u32,
+    /// `fresh[..gathered]` holds this query's first visits in walk order.
+    /// It is one longer than the largest index served, so the gather can
+    /// write every slot's id before it knows whether to keep it.
+    fresh: Vec<u32>,
+    gathered: usize,
     /// Candidates inspected (one per entry per overlapped cell).
     inspected: u64,
     /// Candidates accepted (first visits — the unique candidate count).
@@ -225,11 +233,16 @@ impl SeenScratch {
     }
 
     /// Starts a new query over an index with `entries` dense ids: bumps the
-    /// generation so every previous stamp becomes stale at once.
+    /// generation so every previous stamp becomes stale at once, and empties
+    /// the first-visit list.
     pub(crate) fn begin(&mut self, entries: usize) {
         if self.stamps.len() < entries {
             self.stamps.resize(entries, 0);
         }
+        if self.fresh.len() <= entries {
+            self.fresh.resize(entries + 1, 0);
+        }
+        self.gathered = 0;
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // The u32 generation lapped: clear the stamps once so a stamp
@@ -239,18 +252,37 @@ impl SeenScratch {
         }
     }
 
-    /// `true` exactly once per dense id per query — the dedup primitive.
+    /// Stamps every dense id of `ids` as visited and appends the ones not
+    /// yet visited this query to [`SeenScratch::first_visits`] — the dedup
+    /// primitive. `ids` must be distinct (one cell's segment is).
+    ///
+    /// Branch-free per id: each id is written at the list's end whether or
+    /// not it is new, and the end advances by `fresh as usize`. Which slots
+    /// repeat an earlier cell's entry is data-dependent, so a branch on it
+    /// would be mispredicted all through a crowded walk.
     #[inline]
-    pub(crate) fn first_visit(&mut self, id: u32) -> bool {
-        self.inspected += 1;
-        let stamp = &mut self.stamps[id as usize];
-        if *stamp == self.generation {
-            false
-        } else {
-            *stamp = self.generation;
-            self.unique += 1;
-            true
+    pub(crate) fn gather(&mut self, ids: impl ExactSizeIterator<Item = u32>) {
+        let generation = self.generation;
+        let start = self.gathered;
+        let mut end = start;
+        self.inspected += ids.len() as u64;
+        for id in ids {
+            let stamp = &mut self.stamps[id as usize];
+            let fresh = *stamp != generation;
+            *stamp = generation;
+            // In bounds: `end` counts distinct ids below the index's entry
+            // count, and `begin` sized `fresh` one past that.
+            self.fresh[end] = id;
+            end += usize::from(fresh);
         }
+        self.unique += (end - start) as u64;
+        self.gathered = end;
+    }
+
+    /// The current query's first visits, in the order the walk met them.
+    #[inline]
+    pub(crate) fn first_visits(&self) -> &[u32] {
+        &self.fresh[..self.gathered]
     }
 
     /// Cumulative `(candidates inspected, unique candidates)` over every
@@ -322,15 +354,75 @@ mod tests {
     fn seen_scratch_dedups_per_generation() {
         let mut seen = SeenScratch::new();
         seen.begin(8);
-        assert!(seen.first_visit(3));
-        assert!(!seen.first_visit(3));
-        assert!(seen.first_visit(7));
+        seen.gather([3].into_iter());
+        seen.gather([3, 7].into_iter());
+        assert_eq!(seen.first_visits(), [3, 7]);
         seen.begin(8);
-        assert!(seen.first_visit(3), "new generation resets the mask");
+        assert!(seen.first_visits().is_empty());
+        seen.gather([3].into_iter());
+        assert_eq!(seen.first_visits(), [3], "new generation resets the mask");
         assert_eq!(seen.dedup_counters(), (4, 3));
         seen.reset_counters();
         assert_eq!(seen.dedup_counters(), (0, 0));
         seen.begin(1024);
-        assert!(seen.first_visit(1023), "mask grows to the index size");
+        seen.gather([1023].into_iter());
+        assert_eq!(seen.first_visits(), [1023], "mask grows to the index size");
+    }
+
+    /// The per-slot branch the gather replaced: `true` once per id per query.
+    struct FirstVisit {
+        seen: std::collections::HashSet<u32>,
+        order: Vec<u32>,
+        inspected: u64,
+    }
+
+    impl FirstVisit {
+        fn visit(&mut self, id: u32) {
+            self.inspected += 1;
+            if self.seen.insert(id) {
+                self.order.push(id);
+            }
+        }
+    }
+
+    #[test]
+    fn gather_matches_a_first_visit_reference_on_seeded_walks() {
+        let mut state = 0x6A7E_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut seen = SeenScratch::new();
+        let mut reference_counts = (0, 0);
+        // Index sizes from one entry to thousands; walks of up to 64 cells
+        // whose segments repeat ids across cells but never within one. The
+        // stamps outlive each walk, so later walks run over stale ones.
+        for walk in 0..300 {
+            let entries = 1 + next(if walk % 3 == 0 { 4 } else { 3_000 }) as usize;
+            let mut reference =
+                FirstVisit { seen: Default::default(), order: Vec::new(), inspected: 0 };
+            seen.begin(entries);
+            for _ in 0..next(64) {
+                let mut segment: Vec<u32> = (0..entries as u32).collect();
+                let len = next(entries as u64 + 1) as usize;
+                for i in 0..len {
+                    let j = i + next((entries - i) as u64) as usize;
+                    segment.swap(i, j);
+                }
+                segment.truncate(len);
+                for &id in &segment {
+                    reference.visit(id);
+                }
+                seen.gather(segment.into_iter());
+            }
+            assert_eq!(seen.first_visits(), reference.order, "walk {walk}");
+            reference_counts.0 += reference.inspected;
+            reference_counts.1 += reference.order.len() as u64;
+            assert_eq!(seen.dedup_counters(), reference_counts, "walk {walk}");
+        }
+        assert!(reference_counts.0 > 2 * reference_counts.1, "the walks repeat ids");
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! * entries live in a dense arena (`entries[dense_id]`), addressed by a
 //!   small integer id; the key → id map is hashed only on mutation;
-//! * cell membership lives in one flat slab of `(key, dense_id)` slots,
+//! * cell membership lives in one flat slab of dense-id slots,
 //!   carved into power-of-two-capacity segments — one contiguous segment per
 //!   occupied cell, found through an open-addressed `CellTable`;
 //! * every entry records its placements (`cell`, position *within* the
@@ -24,7 +24,8 @@
 //!   O(cells per entry), independent of how crowded the cells are;
 //! * queries walk contiguous segments and deduplicate with a
 //!   generation-stamped [`SeenScratch`] in O(candidates), instead of sorting
-//!   the candidate list on every query.
+//!   the candidate list on every query; the walk gathers each segment's
+//!   first visits without a branch per slot.
 //!
 //! All mutation paths reuse freed segments, dense ids and placement buffers,
 //! so the steady state (objects moving within a warm cell population) touches
@@ -62,14 +63,6 @@ fn seg_cap(class: u8) -> u32 {
     MIN_SEG_CAP << class
 }
 
-/// One slab slot: the entry's key (so ordered queries need no indirection)
-/// plus its dense id (what the seen-mask and the entry arena are indexed by).
-#[derive(Debug, Clone, Copy)]
-struct ArenaSlot<K> {
-    key: K,
-    dense: u32,
-}
-
 /// One cell an entry is registered in, with its position *relative to the
 /// cell's segment start* — stable across both table rehashes (the coordinate
 /// is stored, not a table slot) and segment grows (relative, not absolute).
@@ -79,23 +72,24 @@ struct Placement {
     pos: u32,
 }
 
-/// The flat slot slab all cell segments are carved from, with one free list
-/// per size class so emptied and outgrown segments are recycled instead of
-/// leaking or reallocating.
+/// The flat slot slab all cell segments are carved from — one dense id per
+/// slot, what the seen mask and the entry arena are indexed by — with one
+/// free list per size class so emptied and outgrown segments are recycled
+/// instead of leaking or reallocating.
 #[derive(Debug, Clone)]
-struct Slab<K> {
-    data: Vec<ArenaSlot<K>>,
+struct Slab {
+    data: Vec<u32>,
     free: [Vec<u32>; NUM_CLASSES],
 }
 
-impl<K: Copy> Slab<K> {
+impl Slab {
     fn new() -> Self {
         Slab { data: Vec::new(), free: std::array::from_fn(|_| Vec::new()) }
     }
 
     /// A segment of the given class: a recycled one if available, else fresh
     /// slab tail (filled with `filler` — callers overwrite the live prefix).
-    fn alloc(&mut self, class: u8, filler: ArenaSlot<K>) -> u32 {
+    fn alloc(&mut self, class: u8, filler: u32) -> u32 {
         if let Some(start) = self.free[class as usize].pop() {
             return start;
         }
@@ -132,7 +126,7 @@ pub struct MovingIndex<K> {
     free_ids: Vec<u32>,
     /// Cell coordinate → its segment of `slab`.
     table: CellTable<Segment>,
-    slab: Slab<K>,
+    slab: Slab,
     /// Union of every bbox ever inserted (never shrinks on removal); used as
     /// a conservative termination bound for nearest-neighbour searches.
     bounds: Option<Aabb>,
@@ -239,7 +233,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
             }
         };
         for cell in cell_range(&bbox, self.cell_size) {
-            self.register(dense, key, cell);
+            self.register(dense, cell);
         }
         self.bounds = Some(match self.bounds {
             Some(b) => b.union(&bbox),
@@ -274,11 +268,10 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
 
     /// Appends a slot for `dense` to `cell`'s segment, growing the segment a
     /// size class (copy + recycle) when full, and records the placement.
-    fn register(&mut self, dense: u32, key: K, cell: (i64, i64)) {
-        let slot = ArenaSlot { key, dense };
+    fn register(&mut self, dense: u32, cell: (i64, i64)) {
         let pos = match self.table.get(cell).copied() {
             Some(seg) if seg.len < seg_cap(seg.class) => {
-                self.slab.data[(seg.start + seg.len) as usize] = slot;
+                self.slab.data[(seg.start + seg.len) as usize] = dense;
                 self.table.get_mut(cell).expect("cell just probed").len += 1;
                 seg.len
             }
@@ -286,20 +279,20 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 // Segment full: move the cell to the next size class.
                 // Placements store segment-relative positions, so the copy
                 // invalidates nothing.
-                let new_start = self.slab.alloc(seg.class + 1, slot);
+                let new_start = self.slab.alloc(seg.class + 1, dense);
                 self.slab.data.copy_within(
                     seg.start as usize..(seg.start + seg.len) as usize,
                     new_start as usize,
                 );
-                self.slab.data[(new_start + seg.len) as usize] = slot;
+                self.slab.data[(new_start + seg.len) as usize] = dense;
                 self.slab.release(seg.start, seg.class);
                 *self.table.get_mut(cell).expect("cell just probed") =
                     Segment { start: new_start, len: seg.len + 1, class: seg.class + 1 };
                 seg.len
             }
             None => {
-                let start = self.slab.alloc(0, slot);
-                self.slab.data[start as usize] = slot;
+                let start = self.slab.alloc(0, dense);
+                self.slab.data[start as usize] = dense;
                 self.table.insert(cell, Segment { start, len: 1, class: 0 });
                 0
             }
@@ -318,7 +311,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
             // An entry appears at most once per cell, so the swapped slot
             // always belongs to a *different* entry whose placement list is
             // in place (not the one being detached).
-            let list = &mut self.placements[tail.dense as usize];
+            let list = &mut self.placements[tail as usize];
             let record =
                 list.iter_mut().find(|p| p.cell == cell).expect("swapped entry records this cell");
             record.pos = pos;
@@ -345,31 +338,37 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         })
     }
 
+    /// Walks the cells overlapping `query` and leaves the dense ids of the
+    /// entries registered there in `seen.first_visits()`, each once, in walk
+    /// order. Returns `false` (and walks nothing) when no entry can match.
+    fn gather_in(&self, query: &Aabb, seen: &mut SeenScratch) -> bool {
+        let Some(clamped) = self.clamp(query) else {
+            return false;
+        };
+        seen.begin(self.entries.len());
+        for cell in cell_range(&clamped, self.cell_size) {
+            if let Some(seg) = self.table.get(cell) {
+                let slots = &self.slab.data[seg.start as usize..(seg.start + seg.len) as usize];
+                seen.gather(slots.iter().copied());
+            }
+        }
+        true
+    }
+
     /// Writes the keys of entries registered in cells overlapping `query`
     /// into `out` (cleared first), deduplicated and in ascending order.
     ///
     /// Dedup is O(candidates) via the generation-stamped seen mask — an
-    /// entry spanning many visited cells is accepted once and skipped on
+    /// entry spanning many visited cells is gathered once and skipped on
     /// every later visit — and only the *unique* keys are sorted. Both
     /// buffers are the caller's scratch: a reader that reuses them across
     /// queries performs zero heap allocations per query in steady state.
     pub fn query_keys_into(&self, query: &Aabb, seen: &mut SeenScratch, out: &mut Vec<K>) {
         out.clear();
-        let Some(clamped) = self.clamp(query) else {
-            return;
-        };
-        seen.begin(self.entries.len());
-        for cell in cell_range(&clamped, self.cell_size) {
-            let Some(seg) = self.table.get(cell) else {
-                continue;
-            };
-            for slot in &self.slab.data[seg.start as usize..(seg.start + seg.len) as usize] {
-                if seen.first_visit(slot.dense) {
-                    out.push(slot.key);
-                }
-            }
+        if self.gather_in(query, seen) {
+            out.extend(seen.first_visits().iter().map(|&dense| self.entries[dense as usize].item));
+            out.sort_unstable();
         }
-        out.sort_unstable();
     }
 
     /// Calls `f` for every entry whose bounding box intersects `query`, in
@@ -377,26 +376,22 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// service's batch query kernels are built on (they impose their own
     /// deterministic order on the final results, so paying for an ordered
     /// candidate walk here would be waste).
+    ///
+    /// Two passes: the cell walk gathers every segment's first visits into
+    /// `seen` without a branch per slot, then one pass over those entries
+    /// runs the bbox test and `f`. The entries reach `f` in the order the
+    /// walk first met them.
     pub fn for_each_in_rect_unordered<'a>(
         &'a self,
         query: &Aabb,
         seen: &mut SeenScratch,
         mut f: impl FnMut(&'a Entry<K>),
     ) {
-        let Some(clamped) = self.clamp(query) else {
-            return;
-        };
-        seen.begin(self.entries.len());
-        for cell in cell_range(&clamped, self.cell_size) {
-            let Some(seg) = self.table.get(cell) else {
-                continue;
-            };
-            for slot in &self.slab.data[seg.start as usize..(seg.start + seg.len) as usize] {
-                if seen.first_visit(slot.dense) {
-                    let entry = &self.entries[slot.dense as usize];
-                    if entry.bbox.intersects(query) {
-                        f(entry);
-                    }
+        if self.gather_in(query, seen) {
+            for &dense in seen.first_visits() {
+                let entry = &self.entries[dense as usize];
+                if entry.bbox.intersects(query) {
+                    f(entry);
                 }
             }
         }
@@ -758,6 +753,67 @@ mod tests {
             via_scratch.sort_unstable();
             assert_eq!(via_scratch, owned, "{query:?}");
         }
+    }
+
+    #[test]
+    fn gathered_walks_count_and_order_what_a_per_slot_first_visit_walk_did() {
+        // Boxes from points to many cells wide over a crowded block, churned
+        // so segments hold swapped slots; queries from one cell to the whole
+        // extent.
+        let mut idx = MovingIndex::new(10.0);
+        let mut state = 0x51AB_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for round in 0..3 {
+            for key in 0..400u32 {
+                if round > 0 && next(3) == 0 {
+                    idx.remove(&key);
+                    continue;
+                }
+                let c = Point::new(next(200) as f64 - 100.0, next(200) as f64 - 100.0);
+                idx.insert(key, Aabb::around(c, [0.0, 3.0, 12.0, 45.0][next(4) as usize]));
+            }
+        }
+        let mut seen = SeenScratch::new();
+        let mut expect_counts = (0u64, 0u64);
+        for q in 0..200 {
+            let half = [1.0, 8.0, 30.0, 150.0][q % 4];
+            let c = Point::new(next(260) as f64 - 130.0, next(260) as f64 - 130.0);
+            let query = Aabb::around(c, half);
+            // The walk the gather replaced: one branch per slot.
+            let mut firsts = Vec::new();
+            let mut visited = std::collections::HashSet::new();
+            if let Some(clamped) = idx.clamp(&query) {
+                for cell in cell_range(&clamped, idx.cell_size) {
+                    if let Some(seg) = idx.table.get(cell) {
+                        for &dense in
+                            &idx.slab.data[seg.start as usize..(seg.start + seg.len) as usize]
+                        {
+                            expect_counts.0 += 1;
+                            if visited.insert(dense) {
+                                firsts.push(dense);
+                            }
+                        }
+                    }
+                }
+            }
+            expect_counts.1 += firsts.len() as u64;
+            let expect: Vec<u32> = firsts
+                .iter()
+                .map(|&dense| &idx.entries[dense as usize])
+                .filter(|e| e.bbox.intersects(&query))
+                .map(|e| e.item)
+                .collect();
+            let mut got = Vec::new();
+            idx.for_each_in_rect_unordered(&query, &mut seen, |e| got.push(e.item));
+            assert_eq!(got, expect, "query {q}: same entries in the same order");
+            assert_eq!(seen.dedup_counters(), expect_counts, "query {q}");
+        }
+        assert!(expect_counts.0 > expect_counts.1, "entries straddle cells");
     }
 
     #[test]
