@@ -56,18 +56,6 @@ impl Aabb {
         self.max.y - self.min.y
     }
 
-    /// Area in square metres.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
-    /// Half of the perimeter; the standard R-tree "margin" measure.
-    #[inline]
-    pub fn half_perimeter(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Centre point of the box.
     #[inline]
     pub fn center(&self) -> Point {
@@ -149,8 +137,6 @@ mod tests {
         assert_eq!(bb.max, Point::new(5.0, 3.0));
         assert!(approx_eq(bb.width(), 7.0));
         assert!(approx_eq(bb.height(), 4.0));
-        assert!(approx_eq(bb.area(), 28.0));
-        assert!(approx_eq(bb.half_perimeter(), 11.0));
     }
 
     #[test]

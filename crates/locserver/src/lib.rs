@@ -41,10 +41,10 @@
 //! deadline lazily re-grows the box (still anchored at the reported
 //! position), so the entry of a silent mover widens over time — matching the
 //! server's genuine uncertainty — while frequently-updating objects keep
-//! tight boxes. A box that would span more than 64 grid cells per axis
+//! tight boxes. A box that would span more than 64 grid cells per axis —
+//! a silent mover's re-grow, or an accepted update at a very high speed —
 //! leaves the grid for a per-shard wide list that every query takes as
-//! candidates, so one re-grow of a silent mover registers about 64² cells
-//! at most. Conservative boxes can only ever add *candidates*, which the
+//! candidates, so one update or re-grow registers about 64² cells at most. Conservative boxes can only ever add *candidates*, which the
 //! exact per-object prediction then filters, so query answers are
 //! bit-for-bit identical to the pre-shard full-scan implementation.
 

@@ -20,22 +20,22 @@
 //! box of a silent mover keeps growing, which is exactly the server's real
 //! uncertainty about it.
 //!
-//! ## Silent movers: the wide list
+//! ## Silent and fast movers: the wide list
 //!
-//! A re-grown box's radius grows linearly with the time since the report, so
-//! the cells it registers in grow with its square: one 10 m/s mover silent
-//! for 10⁴ s would register in about 650 000 cells, all under the shard's
-//! write lock. So a re-grow whose box would span more than `WIDE_CELLS`
-//! cells per axis takes the entry out of the grid and puts its slot on the
-//! shard's *wide list* instead, with no box, no validity limit and no heap
-//! entry. Every rect and nearest walk takes the whole list as candidates
-//! and the exact filter decides, which is what a box that large would have
-//! yielded anyway. Wide entries stay out of the index's `bounds()` and so
-//! out of `extent_radius`; a nearest search stays exact because every ring
-//! collects them. The object's next accepted update, its deregistration or
-//! re-registration, and `rebuild_index` take an entry off the list. An
-//! accepted update always writes a grid entry, exactly as before the list
-//! existed.
+//! A box's radius grows linearly with the speed and with the time since the
+//! report, so the cells it registers in grow with its square: one 10 m/s
+//! mover silent for 10⁴ s would register in about 650 000 cells, and one
+//! accepted update at 10⁴ m/s in about 5 million, all under the shard's
+//! write lock. So an entry whose box would span more than `WIDE_CELLS`
+//! cells per axis — on a re-grow or on an accepted update — leaves the grid
+//! and its slot goes on the shard's *wide list* instead, with no box, no
+//! validity limit and no heap entry. Every rect and nearest walk takes the
+//! whole list as candidates and the exact filter decides, which is what a
+//! box that large would have yielded anyway. Wide entries stay out of the
+//! index's `bounds()` and so out of `extent_radius`; a nearest search stays
+//! exact because every ring collects them. The object's next accepted update
+//! with a narrower box, its deregistration or re-registration, and a
+//! `rebuild_index` that finds its box narrower take an entry off the list.
 //!
 //! ## Derived state
 //!
@@ -68,15 +68,15 @@ use crate::service::{ObjectId, PositionReport};
 use mbdr_core::wire::snapshot::SnapshotEntry;
 use mbdr_core::{Predictor, ServerTracker, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{MovingIndex, SeenScratch, SpatialIndex};
+use mbdr_spatial::{MovingIndex, SeenScratch};
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A lazily re-grown box wider than this many grid cells per axis leaves the
-/// grid for the wide list (see the module docs). It bounds the cells one
+/// A box wider than this many grid cells per axis leaves the grid for the
+/// wide list (see the module docs). It bounds the cells one update or
 /// re-grow registers to about `WIDE_CELLS²`.
 const WIDE_CELLS: f64 = 64.0;
 
@@ -397,10 +397,10 @@ impl ShardState {
 
     /// (Re)writes the index entry of the object in `slot` from its last
     /// reported state. With `extend_to = Some(t)` the validity is pushed past
-    /// `t` (lazy re-grow on a stale query), and a box wider than
-    /// `WIDE_CELLS` cells per axis moves the entry to the wide list instead;
-    /// otherwise the validity starts one horizon after the report and the
-    /// entry joins the grid, leaving the wide list if it was on it.
+    /// `t` (lazy re-grow on a stale query); otherwise it starts one horizon
+    /// after the report. A box wider than `WIDE_CELLS` cells per axis puts
+    /// the entry on the wide list; any other box puts it in the grid, off
+    /// the wide list if it was on it.
     fn reindex(
         config: &ServiceConfig,
         index: &mut MovingIndex<u32>,
@@ -422,7 +422,7 @@ impl ShardState {
             (valid_until, speed * (valid_until - state.timestamp) + config.slack_m)
         };
         tracked.generation += 1;
-        if extend_to.is_some() && 2.0 * radius > WIDE_CELLS * config.cell_size_m {
+        if 2.0 * radius > WIDE_CELLS * config.cell_size_m {
             index.remove(&slot);
             tracked.valid_until = f64::INFINITY;
             tracked.wide = true;
@@ -661,7 +661,8 @@ mod tests {
     /// Objects 0..IDS may be registered; a few ids beyond never are.
     const IDS: u64 = 40;
 
-    /// A seeded stream over a small fleet: a quarter parked, the rest moving,
+    /// A seeded stream over a small fleet: a quarter parked, the rest moving
+    /// (a few at speeds that put their first box on the wide list),
     /// 1–8 updates per frame of which some are stale (older timestamp) or
     /// duplicates (same timestamp and sequence), interleaved with
     /// (re-)registrations and deregistrations. Returns the stream and how
@@ -705,9 +706,17 @@ mod tests {
                                 (*sequence - 1, *last_t)
                             }
                         };
-                        // A quarter of the fleet is parked, bar the odd trip.
+                        // A quarter of the fleet is parked, bar the odd trip;
+                        // one moving report in 16 claims a speed around or
+                        // far past the one that makes its first box wide.
                         let parked = id.is_multiple_of(4) && rng.below(20) != 0;
-                        let speed = if parked { 0.0 } else { 1.0 + rng.below(30) as f64 };
+                        let speed = match (parked, rng.below(64)) {
+                            (true, _) => 0.0,
+                            (false, hostile @ 0..=3) => {
+                                [390.0, 400.0, 1e4, f64::from(f32::MAX)][hostile as usize]
+                            }
+                            (false, _) => 1.0 + rng.below(30) as f64,
+                        };
                         let position = Point::new(
                             rng.below(20_000) as f64 - 10_000.0,
                             rng.below(20_000) as f64 - 10_000.0,
@@ -775,7 +784,7 @@ mod tests {
     #[test]
     fn rebuilt_index_equals_the_per_update_maintained_one() {
         let config = ServiceConfig { horizon_s: 20.0, ..ServiceConfig::default() };
-        let (mut reregistered, mut reused) = (0, 0);
+        let (mut reregistered, mut reused, mut wide_after_rebuild) = (0, 0, 0);
         for seed in 0..24u64 {
             let (ops, (r, u)) = stream(0xD15C_0000 + seed, 700);
             reregistered += r;
@@ -793,12 +802,16 @@ mod tests {
             subject.rebuild_index();
             assert_same_derived_state(&mut subject, &mut oracle, "after the rebuild");
 
-            // Exactly one live heap entry per mover with state, none for
-            // parked objects or objects still waiting for a first report.
+            // Exactly one live heap entry per mover with state in the grid,
+            // none for parked or wide objects or objects still waiting for a
+            // first report.
+            wide_after_rebuild += subject.wide.len();
             let movers = subject
                 .by_id
                 .values()
-                .filter_map(|&slot| subject.slots[slot as usize].tracker.last_state())
+                .map(|&slot| &subject.slots[slot as usize])
+                .filter(|tracked| !tracked.wide)
+                .filter_map(|tracked| tracked.tracker.last_state())
                 .filter(|state| state.speed.abs() >= 1e-9)
                 .count();
             let mut in_heap = HashSet::new();
@@ -824,6 +837,7 @@ mod tests {
             }
         }
         assert!(reregistered > 0 && reused > 0, "the streams exercise both registration paths");
+        assert!(wide_after_rebuild > 0, "fast reports put entries on the wide list");
     }
 
     #[test]

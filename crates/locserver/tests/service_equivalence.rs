@@ -443,6 +443,87 @@ fn silent_movers_far_in_the_future_answer_in_time_and_match_the_full_scan() {
     }
 }
 
+#[test]
+fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
+    // Before an accepted update could go on the wide list, one update at
+    // 10⁴ m/s registered its box in about 5 million cells (seconds under the
+    // shard write lock), and 10⁶ m/s or f32::MAX never finished.
+    const HOSTILE: [f64; 3] = [1e4, 1e6, f32::MAX as f64];
+    let mut rng = SplitMix(0x5EED_0400);
+    let service = Arc::new(LocationService::with_config(ServiceConfig::with_shards(4)));
+    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut updates = Vec::new();
+    for i in 0..120u64 {
+        let id = ObjectId(rng.next_u64());
+        // Hostile objects are linear movers: 20 per speed, of which some
+        // report it first, some after a normal report, and some slow down
+        // again afterwards (off the wide list and back into the grid).
+        let hostile = HOSTILE.get(i as usize % 6).copied();
+        let predictor: Arc<dyn Predictor> =
+            if hostile.is_some() { Arc::new(LinearPredictor) } else { predictor_for(i as usize) };
+        service.register(id, Arc::clone(&predictor));
+        mirror.insert(id, ServerTracker::new(predictor));
+        let normal = if i % 5 == 0 { 0.0 } else { 1.0 + 29.0 * rng.next_f64() };
+        let mut report = |sequence: u64, speed: f64, t: f64| {
+            let position =
+                Point::new(4_000.0 * rng.next_f64() - 2_000.0, 4_000.0 * rng.next_f64() - 2_000.0);
+            let heading = rng.next_f64() * std::f64::consts::TAU;
+            let state = ObjectState::basic(position, speed, heading, t);
+            updates.push((id, Update { sequence, state, kind: UpdateKind::DeviationBound }));
+        };
+        match (hostile, i / 6 % 4) {
+            (None, _) => report(0, normal, 0.0),
+            (Some(fast), 0) => report(0, fast, 0.0),
+            (Some(fast), 1) => {
+                report(0, normal, 0.0);
+                report(1, fast, 1.0);
+            }
+            (Some(fast), _) => {
+                report(0, fast, 0.0);
+                report(1, normal, 1.0);
+                report(2, fast, 2.0);
+                report(3, normal, 3.0);
+            }
+        }
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = Arc::clone(&service);
+    let applied = updates.clone();
+    std::thread::spawn(move || {
+        for (id, update) in applied {
+            tx.send(worker.apply_update(id, &update)).expect("receiver waits");
+        }
+    });
+    for (id, update) in &updates {
+        let accepted = rx
+            .recv_timeout(std::time::Duration::from_secs(3))
+            .unwrap_or_else(|_| panic!("an update at {} m/s must not stall", update.state.speed));
+        assert!(accepted);
+        mirror.get_mut(id).unwrap().apply(update);
+    }
+    for t in [3.0, 3.5, 60.0] {
+        let full = reference_in_rect(&mirror, &Aabb::around(Point::ORIGIN, f64::MAX), t);
+        let mut areas = vec![
+            Aabb::around(Point::ORIGIN, 3_000.0),
+            Aabb::around(Point::ORIGIN, 1e300),
+            Aabb::around(Point::ORIGIN, f64::MAX),
+        ];
+        areas.extend(full.iter().step_by(7).map(|r| Aabb::around(r.position, 1.0)));
+        for area in &areas {
+            let got = service.objects_in_rect(area, t);
+            assert_eq!(bits(&got), bits(&reference_in_rect(&mirror, area, t)), "t {t}, {area:?}");
+        }
+        let points = [Point::ORIGIN].into_iter().chain(full.iter().step_by(11).map(|r| r.position));
+        for p in points {
+            for k in [1, 8, 500] {
+                let got = service.nearest_objects(&p, t, k);
+                let expect = reference_nearest(&mirror, &p, t, k);
+                assert_eq!(bits(&got), bits(&expect), "t {t}, nearest from {p:?}, k {k}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

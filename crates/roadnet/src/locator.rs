@@ -2,15 +2,21 @@
 //!
 //! The paper's map matcher initialises itself by "querying a spatial index for
 //! the map information with the mobile object's current position" and keeps
-//! re-querying while the object is off the map. [`LinkLocator`] wraps an
-//! [`mbdr_spatial`] index over per-segment bounding boxes of every link and
-//! returns candidate links together with their exact (polyline-projected)
-//! distance, corrected position and arc length.
+//! re-querying while the object is off the map. [`LinkLocator`] keeps an
+//! [`mbdr_spatial::MovingIndex`] grid — the index every location-service
+//! shard runs — over per-segment bounding boxes of every link, and returns
+//! candidate links together with their exact (polyline-projected) distance,
+//! corrected position and arc length, nearest first with ties broken by the
+//! lower link id.
 
 use crate::ids::LinkId;
 use crate::network::RoadNetwork;
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{RTree, SpatialIndex};
+use mbdr_spatial::{MovingIndex, SeenScratch};
+
+/// Side of the locator's grid cells, metres — the location service's
+/// default cell.
+const CELL_M: f64 = 250.0;
 
 /// A candidate link produced by a locator query, with the exact projection of
 /// the query position onto the link geometry.
@@ -34,21 +40,22 @@ pub struct LinkMatch {
 /// return the best projection per link.
 #[derive(Debug, Clone)]
 pub struct LinkLocator {
-    /// Entries are (segment bbox, (link id, segment index)).
-    index: RTree<(LinkId, u32)>,
+    /// Keyed (link id, segment index), one entry per segment bbox.
+    index: MovingIndex<(LinkId, u32)>,
 }
 
 impl LinkLocator {
     /// Builds a locator for the given network.
     pub fn build(network: &RoadNetwork) -> Self {
-        let mut items: Vec<(Aabb, (LinkId, u32))> = Vec::new();
+        let mut index = MovingIndex::new(CELL_M);
+        index.reserve(network.links().iter().map(|link| link.geometry.segment_count()).sum());
         for link in network.links() {
             for (si, seg) in link.geometry.segments().enumerate() {
                 let bbox = Aabb::from_points([seg.a, seg.b]).expect("segment has two points");
-                items.push((bbox, (link.id, si as u32)));
+                index.insert((link.id, si as u32), bbox);
             }
         }
-        LinkLocator { index: RTree::bulk_load(items) }
+        LinkLocator { index }
     }
 
     /// Number of indexed segments (diagnostic).
@@ -57,24 +64,36 @@ impl LinkLocator {
     }
 
     /// All links whose geometry comes within `max_distance` metres of `p`,
-    /// sorted by ascending exact distance. `max_distance` is the paper's
+    /// each once with its best projection. `max_distance` is the paper's
     /// matching tolerance `u_m`.
+    ///
+    /// Sorted by ascending exact distance; **equal distances go to the lower
+    /// link id first**. Ties are common — a fix that projects onto a shared
+    /// node is equally far from every link meeting there — and the first
+    /// match decides where the matcher starts, so the rule is part of the
+    /// answer. A non-finite `p`, or a `max_distance` that is negative or NaN,
+    /// matches nothing.
     pub fn links_within(
         &self,
         network: &RoadNetwork,
         p: &Point,
         max_distance: f64,
     ) -> Vec<LinkMatch> {
-        let mut seen: Vec<LinkId> = Vec::new();
         let mut out: Vec<LinkMatch> = Vec::new();
-        for entry in self.index.query_within(p, max_distance) {
-            let (link_id, _) = entry.item;
-            if seen.contains(&link_id) {
-                continue;
-            }
-            seen.push(link_id);
-            let link = network.link(link_id);
-            let proj = link.geometry.project(p);
+        if !p.is_finite() || max_distance.is_nan() || max_distance < 0.0 {
+            return out;
+        }
+        // Keys come sorted by (link, segment): a link's segments are
+        // adjacent, so each link is projected once.
+        let mut keys = Vec::new();
+        self.index.query_keys_into(
+            &Aabb::around(*p, max_distance),
+            &mut SeenScratch::new(),
+            &mut keys,
+        );
+        keys.dedup_by_key(|&mut (link, _)| link);
+        for (link_id, _) in keys {
+            let proj = network.link(link_id).geometry.project(p);
             if proj.distance <= max_distance {
                 out.push(LinkMatch {
                     link: link_id,
@@ -84,7 +103,7 @@ impl LinkLocator {
                 });
             }
         }
-        out.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("finite distances"));
+        out.sort_unstable_by(|a, b| a.distance.total_cmp(&b.distance).then(a.link.cmp(&b.link)));
         out
     }
 
@@ -99,33 +118,7 @@ impl LinkLocator {
         p: &Point,
         max_distance: f64,
     ) -> Option<LinkMatch> {
-        // First try the cheap bounded query; if it finds nothing the point is
-        // farther than `max_distance` from every link.
         self.links_within(network, p, max_distance).into_iter().next()
-    }
-
-    /// The nearest link regardless of distance (used by diagnostics and by the
-    /// off-road re-acquisition logic, which wants to know how far away the
-    /// road network is).
-    pub fn nearest_link_unbounded(&self, network: &RoadNetwork, p: &Point) -> Option<LinkMatch> {
-        // Ask the R-tree for a generous number of nearest segment boxes and
-        // refine with exact projections.
-        let mut best: Option<LinkMatch> = None;
-        for n in self.index.nearest(p, 16) {
-            let (link_id, _) = n.entry.item;
-            let link = network.link(link_id);
-            let proj = link.geometry.project(p);
-            let candidate = LinkMatch {
-                link: link_id,
-                distance: proj.distance,
-                position_on_link: proj.point,
-                arc_length: proj.arc_length,
-            };
-            if best.as_ref().map(|b| candidate.distance < b.distance).unwrap_or(true) {
-                best = Some(candidate);
-            }
-        }
-        best
     }
 
     /// Projects `p` onto a specific link (convenience wrapper used by the
@@ -197,14 +190,6 @@ mod tests {
         // The connector (10 m away) must be first.
         assert_eq!(matches[0].link, LinkId(4));
         assert!((matches[0].distance - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn unbounded_nearest_always_finds_something() {
-        let net = h_network();
-        let loc = LinkLocator::build(&net);
-        let m = loc.nearest_link_unbounded(&net, &Point::new(5_000.0, 5_000.0)).unwrap();
-        assert!(m.distance > 1_000.0);
     }
 
     #[test]

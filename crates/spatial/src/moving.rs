@@ -1,11 +1,10 @@
 //! A keyed, incrementally-updatable grid index for moving objects.
 //!
-//! [`RTree`](crate::RTree) is a build-once structure: perfect for static map
-//! geometry, useless for a store whose entries (tracked objects) move on
-//! every update. [`MovingIndex`] fills that gap: a uniform grid of cells
-//! whose entries are addressed by a caller-chosen key and can be inserted,
-//! moved and removed in O(cells per entry) — the operation the location
-//! service performs on every ingested position update.
+//! [`MovingIndex`] is a uniform grid of cells whose entries are addressed by
+//! a caller-chosen key and can be inserted, moved and removed in O(cells per
+//! entry) — the operation the location service performs on every ingested
+//! position update. A static entry set (the link segments of a map) is the
+//! special case that is inserted once and never moved.
 //!
 //! ## Storage layout
 //!
@@ -31,12 +30,13 @@
 //! so the steady state (objects moving within a warm cell population) touches
 //! the allocator zero times — the property the `hotpath` benchmark gate pins.
 //!
-//! Queries go through the common [`SpatialIndex`] trait, so the service stays
-//! index-agnostic and the equivalence property tests cover both
-//! implementations with the same brute-force oracle.
+//! Two queries serve every caller: [`MovingIndex::query_keys_into`] (sorted,
+//! deduplicated keys of the cells a box overlaps) and
+//! [`MovingIndex::for_each_in_rect_unordered`] (entries whose box intersects
+//! the query, in walk order). Both run on caller-owned scratch buffers.
 
 use crate::cells::CellTable;
-use crate::{Entry, Neighbor, SeenScratch, SpatialIndex};
+use crate::{Entry, SeenScratch};
 use mbdr_geo::{Aabb, Point};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -127,8 +127,8 @@ pub struct MovingIndex<K> {
     /// Cell coordinate → its segment of `slab`.
     table: CellTable<Segment>,
     slab: Slab,
-    /// Union of every bbox ever inserted (never shrinks on removal); used as
-    /// a conservative termination bound for nearest-neighbour searches.
+    /// Union of every bbox ever inserted (never shrinks on removal); clamps
+    /// oversized query boxes and bounds the service's nearest-ring search.
     bounds: Option<Aabb>,
 }
 
@@ -159,6 +159,16 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         self.items.reserve(additional);
         self.entries.reserve(additional);
         self.placements.reserve(additional);
+    }
+
+    /// Number of entries in the index.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Returns `true` if the index holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
     }
 
     /// The configured cell size in metres.
@@ -398,9 +408,8 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     }
 
     /// A radius from `p` guaranteed to cover every entry (derived from the
-    /// monotone `bounds` box, so O(1) rather than a scan). Used to terminate
-    /// expanding-ring nearest-neighbour searches, both the index's own and
-    /// the location service's cross-shard one.
+    /// monotone `bounds` box, so O(1) rather than a scan). Terminates the
+    /// location service's cross-shard expanding-ring nearest search.
     pub fn extent_radius(&self, p: &Point) -> f64 {
         match self.bounds {
             Some(b) => {
@@ -447,60 +456,18 @@ pub fn first_ring_radius(cell_size: f64, occupancy: usize, k: usize) -> f64 {
     radius.min(cell_size)
 }
 
-impl<K: Copy + Eq + Hash + Ord> SpatialIndex<K> for MovingIndex<K> {
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn query_rect<'a>(&'a self, query: &Aabb) -> Vec<&'a Entry<K>> {
-        let mut seen = SeenScratch::new();
-        let mut hits: Vec<&'a Entry<K>> = Vec::new();
-        self.for_each_in_rect_unordered(query, &mut seen, |e| hits.push(e));
-        // The trait form promises a deterministic (ascending-key) order.
-        hits.sort_unstable_by_key(|a| a.item);
-        hits
-    }
-
-    /// The expanding-ring search: the first ring comes from
-    /// [`first_ring_radius`] and the local [`MovingIndex::occupancy_at`],
-    /// then doubles until the k-th distance fits inside it. A non-finite `p`
-    /// has no meaningful distance order and gets an empty answer at once.
-    fn nearest<'a>(&'a self, p: &Point, k: usize) -> Vec<Neighbor<'a, K>> {
-        if self.items.is_empty() || k == 0 || !p.is_finite() {
-            return Vec::new();
-        }
-        let extent = self.extent_radius(p);
-        let mut radius = first_ring_radius(self.cell_size, self.occupancy_at(p), k);
-        loop {
-            // Entries whose bbox does not intersect the square of half-width
-            // `radius` are strictly farther than `radius` from `p`, so once
-            // the k-th candidate distance is within `radius` the result is
-            // exact (no diagonal-cell corrections needed).
-            let mut found: Vec<Neighbor<'a, K>> = self
-                .query_rect(&Aabb::around(*p, radius))
-                .into_iter()
-                .map(|e| Neighbor { distance: e.bbox.distance_to_point(p), entry: e })
-                .collect();
-            // Unstable sort: the comparator is a total order (distance with
-            // the unique key as tiebreak), so the result is deterministic
-            // and no stable-sort temp buffer is allocated.
-            found.sort_unstable_by(|a, b| {
-                a.distance.total_cmp(&b.distance).then(a.entry.item.cmp(&b.entry.item))
-            });
-            let settled = found.len() >= k && found[k - 1].distance <= radius;
-            if settled || radius >= extent {
-                found.truncate(k);
-                return found;
-            }
-            let needed = if found.len() >= k { found[k - 1].distance } else { radius * 2.0 };
-            radius = (radius * 2.0).max(needed).min(extent);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Keys of the entries whose box intersects `query`, ascending — the
+    /// unordered walk the service's kernels run, put in order for a test.
+    fn rect(idx: &MovingIndex<u32>, query: &Aabb) -> Vec<u32> {
+        let mut keys = Vec::new();
+        idx.for_each_in_rect_unordered(query, &mut SeenScratch::new(), |e| keys.push(e.item));
+        keys.sort_unstable();
+        keys
+    }
 
     fn populated() -> MovingIndex<u32> {
         let mut idx = MovingIndex::new(10.0);
@@ -521,13 +488,12 @@ mod tests {
         let mut idx = populated();
         assert_eq!(idx.len(), 3);
         assert!(idx.contains_key(&2));
-        let hits = idx.query_rect(&Aabb::around(Point::new(5.0, 5.0), 3.0));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].item, 1);
+        assert_eq!(rect(&idx, &Aabb::around(Point::new(5.0, 5.0), 3.0)), [1]);
         assert!(idx.remove(&1));
         assert!(!idx.remove(&1), "double remove is a no-op");
-        assert!(idx.query_rect(&Aabb::around(Point::new(5.0, 5.0), 3.0)).is_empty());
+        assert!(rect(&idx, &Aabb::around(Point::new(5.0, 5.0), 3.0)).is_empty());
         assert_eq!(idx.len(), 2);
+        assert!(MovingIndex::<u32>::new(10.0).is_empty());
     }
 
     #[test]
@@ -535,10 +501,8 @@ mod tests {
         let mut idx = populated();
         assert!(idx.insert(1, Aabb::around(Point::new(205.0, 5.0), 1.0)), "key existed");
         assert_eq!(idx.len(), 3, "a move does not grow the index");
-        assert!(idx.query_rect(&Aabb::around(Point::new(5.0, 5.0), 3.0)).is_empty());
-        let hits = idx.query_rect(&Aabb::around(Point::new(205.0, 5.0), 3.0));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].item, 1);
+        assert!(rect(&idx, &Aabb::around(Point::new(5.0, 5.0), 3.0)).is_empty());
+        assert_eq!(rect(&idx, &Aabb::around(Point::new(205.0, 5.0), 3.0)), [1]);
         assert_eq!(idx.get(&1).unwrap().center(), Point::new(205.0, 5.0));
     }
 
@@ -547,7 +511,7 @@ mod tests {
         let mut idx = MovingIndex::new(10.0);
         idx.insert(9, Aabb::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0)));
         assert!(idx.occupied_cells() >= 25);
-        assert!(idx.query_rect(&Aabb::around(Point::new(49.0, 49.0), 1.0)).len() == 1);
+        assert_eq!(rect(&idx, &Aabb::around(Point::new(49.0, 49.0), 1.0)), [9]);
         idx.remove(&9);
         assert_eq!(idx.occupied_cells(), 0, "emptied cells are released");
         assert_eq!(idx.max_cell_occupancy(), 0);
@@ -570,9 +534,8 @@ mod tests {
             assert!(idx.remove(&key));
         }
         let query = Aabb::around(Point::new(50.0, 50.0), 5.0);
-        let left: Vec<u32> = idx.query_rect(&query).iter().map(|e| e.item).collect();
         let expect: Vec<u32> = (0..64).filter(|k| k % 3 != 0).collect();
-        assert_eq!(left, expect);
+        assert_eq!(rect(&idx, &query), expect);
         for key in expect {
             assert!(idx.remove(&key));
         }
@@ -613,51 +576,28 @@ mod tests {
     }
 
     #[test]
-    fn nearest_orders_by_distance_then_key() {
-        let mut idx = populated();
-        // Two entries at the same distance from the query point.
-        idx.insert(4, Aabb::around(Point::new(-15.0, 5.0), 1.0));
-        idx.insert(5, Aabb::around(Point::new(25.0, 5.0), 1.0)); // same box as 2
-        let nn = idx.nearest(&Point::new(5.0, 5.0), 4);
-        assert_eq!(nn.len(), 4);
-        assert!(nn.windows(2).all(|w| w[0].distance <= w[1].distance));
-        let items: Vec<u32> = nn.iter().map(|n| n.entry.item).collect();
-        assert_eq!(items[0], 1);
-        // 2 and 5 share a distance: ascending key order breaks the tie.
-        let pos2 = items.iter().position(|&i| i == 2).unwrap();
-        let pos5 = items.iter().position(|&i| i == 5).unwrap();
-        assert!(pos2 < pos5);
-    }
-
-    #[test]
-    fn nearest_reaches_far_entries_and_empty_index_is_empty() {
-        let idx = populated();
-        let nn = idx.nearest(&Point::ORIGIN, 3);
-        assert_eq!(nn.len(), 3);
-        assert_eq!(nn.last().unwrap().entry.item, 3);
-        let empty: MovingIndex<u32> = MovingIndex::new(10.0);
-        assert!(empty.nearest(&Point::ORIGIN, 2).is_empty());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn non_finite_query_points_get_an_empty_answer_at_once() {
         let idx = populated();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
+            let mut seen = SeenScratch::new();
+            let mut keys = Vec::new();
             for p in [
                 Point::new(f64::NAN, 0.0),
                 Point::new(0.0, f64::NAN),
                 Point::new(f64::INFINITY, 0.0),
                 Point::new(0.0, f64::NEG_INFINITY),
             ] {
-                tx.send((p, idx.nearest(&p, 1).len())).expect("receiver waits");
+                let query = Aabb::around(p, 1e6);
+                idx.query_keys_into(&query, &mut seen, &mut keys);
+                let walked = rect(&idx, &query).len();
+                tx.send((p, keys.len() + walked)).expect("receiver waits");
             }
         });
         for _ in 0..4 {
             let (p, found) = rx
                 .recv_timeout(std::time::Duration::from_secs(3))
-                .expect("a non-finite query point must not hang the search");
+                .expect("a non-finite query point must not hang the walk");
             assert_eq!(found, 0, "{p:?}");
         }
     }
@@ -702,56 +642,6 @@ mod tests {
                     last = r;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn nearest_in_a_crowded_cell_matches_a_full_scan() {
-        // Enough entries in one cell that the first ring is a small fraction
-        // of it, on corners and negative-coordinate boundaries.
-        let mut idx = MovingIndex::new(100.0);
-        let mut boxes = Vec::new();
-        for key in 0..2_000u32 {
-            let (x, y) = ((key % 50) as f64 * 2.0 - 100.0, (key / 50) as f64 * 2.5 - 100.0);
-            let b = Aabb::around(Point::new(x, y), 0.5 + (key % 3) as f64);
-            idx.insert(key, b);
-            boxes.push((key, b));
-        }
-        for p in [
-            Point::new(-100.0, -100.0),
-            Point::new(-50.0, -50.0),
-            Point::new(0.0, 0.0),
-            Point::new(-0.0, -100.0),
-            Point::new(-37.3, -61.9),
-            Point::new(400.0, -400.0),
-        ] {
-            for k in [1, 2, 8, 64, 999, 1_999, 2_000, 2_001] {
-                let mut brute: Vec<(f64, u32)> =
-                    boxes.iter().map(|(key, b)| (b.distance_to_point(&p), *key)).collect();
-                brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                brute.truncate(k);
-                let got: Vec<(f64, u32)> =
-                    idx.nearest(&p, k).iter().map(|n| (n.distance, n.entry.item)).collect();
-                assert_eq!(got, brute, "{p:?}, k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_buffer_query_agrees_with_the_allocating_one() {
-        let mut idx = populated();
-        idx.insert(4, Aabb::new(Point::new(0.0, 0.0), Point::new(120.0, 120.0))); // spans many cells
-        let mut seen = SeenScratch::new();
-        for query in [
-            Aabb::around(Point::new(5.0, 5.0), 3.0),
-            Aabb::around(Point::new(60.0, 60.0), 80.0),
-            Aabb::around(Point::new(-500.0, -500.0), 1.0),
-        ] {
-            let owned: Vec<u32> = idx.query_rect(&query).iter().map(|e| e.item).collect();
-            let mut via_scratch = Vec::new();
-            idx.for_each_in_rect_unordered(&query, &mut seen, |e| via_scratch.push(e.item));
-            via_scratch.sort_unstable();
-            assert_eq!(via_scratch, owned, "{query:?}");
         }
     }
 

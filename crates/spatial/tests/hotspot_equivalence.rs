@@ -4,22 +4,20 @@
 //! per-cell segments grow through many size classes, the seen-mask dedup does
 //! real work, and swap-remove bookkeeping is exercised hardest.
 //!
-//! Two layers:
+//! Two layers, both through the queries production runs:
 //!
 //! * a deterministic 100 000-entry test (hotspot placement + churn +
-//!   LCG-randomized queries) requiring **bit-identical** answers — exact id
-//!   sets for rect queries, exact (`==`, no tolerance) distance sequences for
-//!   nearest — against a brute-force reference scan and a bulk-loaded
-//!   [`RTree`];
-//! * a property test over randomized crowded placements at a size proptest
-//!   can afford to shrink.
+//!   randomized queries) requiring the unordered rect walk to return
+//!   **exactly** the brute-force id set, and the sorted key query a sorted
+//!   superset of it;
+//! * seeded cases over crowded placements at a size that runs in
+//!   milliseconds.
 
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{MovingIndex, RTree, SpatialIndex};
-use proptest::prelude::*;
+use mbdr_spatial::{MovingIndex, SeenScratch};
 use std::collections::BTreeMap;
 
-/// SplitMix64 — deterministic, dependency-free stream for the big test.
+/// SplitMix64 — deterministic, dependency-free stream.
 struct Rng(u64);
 
 impl Rng {
@@ -33,6 +31,10 @@ impl Rng {
 
     fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -50,15 +52,32 @@ fn hotspot_box(rng: &mut Rng) -> Aabb {
     Aabb::around(center, 1.0 + rng.next_f64() * 40.0)
 }
 
-fn brute_rect(items: &BTreeMap<usize, Aabb>, q: &Aabb) -> Vec<usize> {
-    items.iter().filter(|(_, b)| b.intersects(q)).map(|(&k, _)| k).collect()
+/// A crowded placement: every box near the origin, so most of the index
+/// lives in a handful of cells.
+fn crowded_box(rng: &mut Rng) -> Aabb {
+    let (x, y) = (rng.next_f64() * 600.0, rng.next_f64() * 400.0);
+    Aabb::new(Point::new(x, y), Point::new(x + rng.next_f64() * 80.0, y + rng.next_f64() * 80.0))
 }
 
-fn brute_nearest_distances(items: &BTreeMap<usize, Aabb>, p: &Point, k: usize) -> Vec<f64> {
-    let mut d: Vec<f64> = items.values().map(|b| b.distance_to_point(p)).collect();
-    d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    d.truncate(k);
-    d
+/// The rect walk returns exactly the brute-force set; the key query a sorted
+/// superset of it.
+fn assert_rect_matches_the_scan(
+    index: &MovingIndex<usize>,
+    reference: &BTreeMap<usize, Aabb>,
+    query: &Aabb,
+    what: &str,
+) {
+    let mut seen = SeenScratch::new();
+    let expect: Vec<usize> =
+        reference.iter().filter(|(_, b)| b.intersects(query)).map(|(&k, _)| k).collect();
+    let mut walked = Vec::new();
+    index.for_each_in_rect_unordered(query, &mut seen, |e| walked.push(e.item));
+    walked.sort_unstable();
+    assert_eq!(walked, expect, "{what}: the rect walk");
+    let mut keys = Vec::new();
+    index.query_keys_into(query, &mut seen, &mut keys);
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{what}: keys sorted and unique");
+    assert!(expect.iter().all(|k| keys.binary_search(k).is_ok()), "{what}: a superset");
 }
 
 #[test]
@@ -75,20 +94,17 @@ fn hundred_thousand_hotspot_entries_answer_bit_identically_to_a_full_scan() {
     // Churn: move 5 % of the fleet (hotspot → elsewhere and vice versa) and
     // remove 2 %, so the swap-remove + placement-patch paths run at scale.
     for _ in 0..N / 20 {
-        let key = (rng.next_u64() as usize) % N;
+        let key = rng.below(N);
         let b = hotspot_box(&mut rng);
         index.insert(key, b);
         reference.insert(key, b);
     }
     for _ in 0..N / 50 {
-        let key = (rng.next_u64() as usize) % N;
+        let key = rng.below(N);
         index.remove(&key);
         reference.remove(&key);
     }
     assert_eq!(index.len(), reference.len());
-
-    let items: Vec<(Aabb, usize)> = reference.iter().map(|(&k, &b)| (b, k)).collect();
-    let tree = RTree::bulk_load(items);
 
     for i in 0..40 {
         // Even queries aim at the hotspot block, odd ones anywhere.
@@ -101,73 +117,38 @@ fn hundred_thousand_hotspot_entries_answer_bit_identically_to_a_full_scan() {
             )
         };
         let query = Aabb::around(center, CELL * (0.5 + rng.next_f64() * 4.0));
-        let expected = brute_rect(&reference, &query);
-        let got: Vec<usize> = index.query_rect(&query).iter().map(|e| e.item).collect();
-        assert_eq!(got, expected, "rect query {i} ({query:?})");
-        let mut tree_got: Vec<usize> = tree.query_rect(&query).iter().map(|e| e.item).collect();
-        tree_got.sort_unstable();
-        assert_eq!(tree_got, expected, "rtree rect query {i}");
-
-        let k = 1 + (rng.next_u64() as usize) % 16;
-        let expected_d = brute_nearest_distances(&reference, &center, k);
-        let got_d: Vec<f64> = index.nearest(&center, k).iter().map(|n| n.distance).collect();
-        // Bitwise equality: both sides compute `Aabb::distance_to_point`, so
-        // any deviation means the index dropped or fabricated a candidate.
-        assert_eq!(got_d, expected_d, "nearest query {i} (k={k})");
-        let tree_d: Vec<f64> = tree.nearest(&center, k).iter().map(|n| n.distance).collect();
-        assert_eq!(tree_d, expected_d, "rtree nearest query {i} (k={k})");
+        assert_rect_matches_the_scan(&index, &reference, &query, &format!("query {i}"));
     }
 }
 
-/// A crowded placement for proptest: every box near the origin, so most of
-/// the index lives in a handful of cells.
-fn arb_crowded_box() -> impl Strategy<Value = Aabb> {
-    (0.0..600.0f64, 0.0..400.0f64, 0.0..80.0f64, 0.0..80.0f64)
-        .prop_map(|(x, y, w, h)| Aabb::new(Point::new(x, y), Point::new(x + w, y + h)))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn crowded_cells_stay_equivalent_under_churn(
-        initial in proptest::collection::vec(arb_crowded_box(), 1..400),
-        moves in proptest::collection::vec((0usize..400, arb_crowded_box()), 0..120),
-        removals in proptest::collection::vec(0usize..400, 0..80),
-        query in arb_crowded_box(),
-        k in 1usize..10
-    ) {
+#[test]
+fn crowded_cells_stay_equivalent_under_churn() {
+    let mut rng = Rng(0xC0DE_0000_2026_1017);
+    for case in 0..48 {
         // Cell size much larger than the placement spread: everything shares
         // very few cells, maximizing per-cell crowding.
         let mut index: MovingIndex<usize> = MovingIndex::new(500.0);
         let mut reference: BTreeMap<usize, Aabb> = BTreeMap::new();
-        let n = initial.len();
-        for (key, b) in initial.iter().enumerate() {
-            index.insert(key, *b);
-            reference.insert(key, *b);
+        let n = 1 + rng.below(400);
+        for key in 0..n {
+            let b = crowded_box(&mut rng);
+            index.insert(key, b);
+            reference.insert(key, b);
         }
-        for (raw, b) in &moves {
-            index.insert(raw % n, *b);
-            reference.insert(raw % n, *b);
+        for _ in 0..rng.below(120) {
+            let (key, b) = (rng.below(n), crowded_box(&mut rng));
+            index.insert(key, b);
+            reference.insert(key, b);
         }
-        for raw in &removals {
-            index.remove(&(raw % n));
-            reference.remove(&(raw % n));
+        for _ in 0..rng.below(80) {
+            let key = rng.below(n);
+            index.remove(&key);
+            reference.remove(&key);
         }
-        prop_assert_eq!(index.len(), reference.len());
-
-        let got: Vec<usize> = index.query_rect(&query).iter().map(|e| e.item).collect();
-        prop_assert_eq!(&got, &brute_rect(&reference, &query));
-        if !reference.is_empty() {
-            let tree = RTree::bulk_load(reference.iter().map(|(&k, &b)| (b, k)).collect::<Vec<_>>());
-            let mut tree_got: Vec<usize> = tree.query_rect(&query).iter().map(|e| e.item).collect();
-            tree_got.sort_unstable();
-            prop_assert_eq!(&got, &tree_got);
-
-            let p = query.center();
-            let expected = brute_nearest_distances(&reference, &p, k);
-            let nn: Vec<f64> = index.nearest(&p, k).iter().map(|x| x.distance).collect();
-            prop_assert_eq!(nn, expected, "bitwise nearest distance mismatch");
+        assert_eq!(index.len(), reference.len(), "case {case}");
+        for q in 0..4 {
+            let query = crowded_box(&mut rng);
+            assert_rect_matches_the_scan(&index, &reference, &query, &format!("case {case}, {q}"));
         }
     }
 }

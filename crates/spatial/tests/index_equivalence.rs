@@ -1,135 +1,86 @@
-//! Property tests: both spatial indexes must agree with brute force — and,
-//! therefore, with each other. The location service relies on this
-//! index-agnostic guarantee: its sharded store answers queries through a
-//! spatial index but must return exactly what a full scan would.
+//! The grid index against brute force through the two queries production
+//! runs: the location service's unordered rect walk must return exactly the
+//! entries whose box intersects the query, and the sorted key query (the
+//! link locator's) must return a sorted superset of them.
 
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{MovingIndex, RTree, SpatialIndex};
-use proptest::prelude::*;
+use mbdr_spatial::{MovingIndex, SeenScratch};
+use std::collections::BTreeMap;
 
-fn arb_box() -> impl Strategy<Value = Aabb> {
-    (-2_000.0..2_000.0f64, -2_000.0..2_000.0f64, 0.0..200.0f64, 0.0..200.0f64)
-        .prop_map(|(x, y, w, h)| Aabb::new(Point::new(x, y), Point::new(x + w, y + h)))
-}
+/// SplitMix64 — deterministic, dependency-free case generator.
+struct Rng(u64);
 
-fn brute_rect(items: &[(Aabb, usize)], q: &Aabb) -> Vec<usize> {
-    let mut v: Vec<usize> =
-        items.iter().filter(|(b, _)| b.intersects(q)).map(|(_, i)| *i).collect();
-    v.sort_unstable();
-    v
-}
-
-fn brute_nearest(items: &[(Aabb, usize)], p: &Point, k: usize) -> Vec<f64> {
-    let mut d: Vec<f64> = items.iter().map(|(b, _)| b.distance_to_point(p)).collect();
-    d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    d.truncate(k);
-    d
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn rtree_rect_query_equals_brute_force(
-        boxes in proptest::collection::vec(arb_box(), 1..200),
-        query in arb_box()
-    ) {
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::bulk_load(items.clone());
-        let mut got: Vec<usize> = tree.query_rect(&query).iter().map(|e| e.item).collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, brute_rect(&items, &query));
+impl Rng {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
-    #[test]
-    fn rtree_nearest_distances_equal_brute_force(
-        boxes in proptest::collection::vec(arb_box(), 1..150),
-        px in -3_000.0..3_000.0f64,
-        py in -3_000.0..3_000.0f64,
-        k in 1usize..10
-    ) {
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::bulk_load(items.clone());
-        let p = Point::new(px, py);
-        let expected = brute_nearest(&items, &p, k);
-        let got: Vec<f64> = tree.nearest(&p, k).iter().map(|n| n.distance).collect();
-        prop_assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(expected.iter()) {
-            prop_assert!((g - e).abs() < 1e-6);
-        }
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
     }
 
-    #[test]
-    fn moving_index_after_churn_equals_brute_force_and_rtree(
-        initial in proptest::collection::vec(arb_box(), 1..120),
-        moves in proptest::collection::vec((0usize..120, arb_box()), 0..60),
-        removals in proptest::collection::vec(0usize..120, 0..40),
-        query in arb_box(),
-        cell in 20.0..400.0f64,
-        k in 1usize..8
-    ) {
+    fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    fn boxed(&mut self) -> Aabb {
+        let (x, y) = (self.range(-2_000.0, 2_000.0), self.range(-2_000.0, 2_000.0));
+        Aabb::new(
+            Point::new(x, y),
+            Point::new(x + self.range(0.0, 200.0), y + self.range(0.0, 200.0)),
+        )
+    }
+}
+
+#[test]
+fn moving_index_after_churn_equals_brute_force() {
+    let mut rng = Rng(0x1DE7_0000_2026_1017);
+    let mut seen = SeenScratch::new();
+    let mut keys = Vec::new();
+    for case in 0..64 {
         // Replay insert → move → remove churn (the location-service update
-        // pattern) and require the surviving entries to answer exactly like a
-        // freshly bulk-loaded RTree and like brute force.
-        let mut moving: MovingIndex<usize> = MovingIndex::new(cell);
-        let mut current: std::collections::BTreeMap<usize, Aabb> = Default::default();
-        for (i, b) in initial.iter().enumerate() {
-            moving.insert(i, *b);
-            current.insert(i, *b);
+        // pattern) and require the surviving entries to answer exactly like
+        // brute force.
+        let cell = rng.range(20.0, 400.0);
+        let mut index: MovingIndex<usize> = MovingIndex::new(cell);
+        let mut reference: BTreeMap<usize, Aabb> = BTreeMap::new();
+        let n = 1 + rng.below(120);
+        for key in 0..n {
+            let b = rng.boxed();
+            index.insert(key, b);
+            reference.insert(key, b);
         }
-        let n = initial.len();
-        for (raw, b) in &moves {
-            let key = raw % n;
-            moving.insert(key, *b);
-            current.insert(key, *b);
+        for _ in 0..rng.below(60) {
+            let (key, b) = (rng.below(n), rng.boxed());
+            index.insert(key, b);
+            reference.insert(key, b);
         }
-        for raw in &removals {
-            let key = raw % n;
-            moving.remove(&key);
-            current.remove(&key);
+        for _ in 0..rng.below(40) {
+            let key = rng.below(n);
+            index.remove(&key);
+            reference.remove(&key);
         }
-        let items: Vec<(Aabb, usize)> = current.iter().map(|(&k, &b)| (b, k)).collect();
-        prop_assert_eq!(moving.len(), items.len());
+        assert_eq!(index.len(), reference.len(), "case {case}");
+        for q in 0..8 {
+            let query = rng.boxed();
+            let what = format!("case {case}, query {q} ({query:?}), cell {cell}");
 
-        // Rect: exact result-set equality against brute force and the RTree.
-        let mut got: Vec<usize> = moving.query_rect(&query).iter().map(|e| e.item).collect();
-        got.sort_unstable();
-        prop_assert_eq!(&got, &brute_rect(&items, &query));
-        if !items.is_empty() {
-            let tree = RTree::bulk_load(items.clone());
-            let mut tree_got: Vec<usize> = tree.query_rect(&query).iter().map(|e| e.item).collect();
-            tree_got.sort_unstable();
-            prop_assert_eq!(&got, &tree_got);
+            let expect: Vec<usize> =
+                reference.iter().filter(|(_, b)| b.intersects(&query)).map(|(&k, _)| k).collect();
+            let mut walked = Vec::new();
+            index.for_each_in_rect_unordered(&query, &mut seen, |e| walked.push(e.item));
+            walked.sort_unstable();
+            assert_eq!(walked, expect, "{what}: the rect walk");
 
-            // Nearest: identical distance sequences.
-            let p = query.center();
-            let expected = brute_nearest(&items, &p, k);
-            let nn: Vec<f64> = moving.nearest(&p, k).iter().map(|x| x.distance).collect();
-            prop_assert_eq!(nn.len(), expected.len());
-            for (g, e) in nn.iter().zip(expected.iter()) {
-                prop_assert!((g - e).abs() < 1e-6, "nearest distance {} vs {}", g, e);
-            }
+            index.query_keys_into(&query, &mut seen, &mut keys);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{what}: keys sorted and unique");
+            assert!(expect.iter().all(|k| keys.binary_search(k).is_ok()), "{what}: a superset");
+            assert!(keys.iter().all(|k| reference.contains_key(k)), "{what}: live keys only");
         }
-    }
-
-    #[test]
-    fn both_indexes_agree_on_radius_queries(
-        boxes in proptest::collection::vec(arb_box(), 1..150),
-        px in -2_000.0..2_000.0f64,
-        py in -2_000.0..2_000.0f64,
-        radius in 1.0..800.0f64
-    ) {
-        let items: Vec<(Aabb, usize)> = boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let tree = RTree::bulk_load(items.clone());
-        let mut moving: MovingIndex<usize> = MovingIndex::new(100.0);
-        for (bbox, key) in items {
-            moving.insert(key, bbox);
-        }
-        let p = Point::new(px, py);
-        let mut a: Vec<usize> = tree.query_within(&p, radius).iter().map(|e| e.item).collect();
-        let mut b: Vec<usize> = moving.query_within(&p, radius).iter().map(|e| e.item).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 }
