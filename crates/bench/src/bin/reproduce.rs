@@ -1,5 +1,5 @@
 //! `reproduce` — regenerate every table and figure of the paper, plus the
-//! post-paper perf baselines, with a built-in regression gate.
+//! post-paper perf baselines.
 //!
 //! ```text
 //! cargo run --release -p mbdr-bench --bin reproduce -- all --scale 1.0
@@ -13,38 +13,33 @@
 //! cargo run --release -p mbdr-bench --bin reproduce -- net --scale 0.05
 //! cargo run --release -p mbdr-bench --bin reproduce -- connscale
 //! cargo run --release -p mbdr-bench --bin reproduce -- scale
-//! cargo run --release -p mbdr-bench --bin reproduce -- json --scale 0.05 --check
-//! cargo run --release -p mbdr-bench --bin reproduce -- net --scale 0.05 --write-baseline
+//! cargo run --release -p mbdr-bench --bin reproduce -- json --scale 0.05 > baselines/BENCH_json.json
 //! ```
 //!
 //! `--scale` (default 1.0) shrinks the trace length for quick smoke runs;
 //! `--seed` changes the synthetic map/trace/noise seed; `--csv` prints the
-//! figure data as CSV instead of a table. For the JSON-emitting commands
-//! (`json`, `throughput`, `wire`, `net`, `connscale`, `hotpath`, `scale`,
-//! `recovery`, `faults`),
-//! `--check` compares the fresh
-//! output against the committed `baselines/BENCH_<cmd>.json` value by value
-//! and exits non-zero on any difference, `--write-baseline`
-//! (re)generates that file, and `--baseline-dir` overrides the directory.
-//! The document itself always goes to stdout, so CI can archive it while
-//! gating on the exit code. Every number in a document is determined by
-//! `(scale, seed)`, so a check is exact; `reproduce` keeps no clock, and
-//! wall clocks, rates and latencies are measured by the `benchmark/` package.
+//! figure and ablation data as CSV instead of a table. The JSON-emitting
+//! commands (`json`, `throughput`, `wire`, `net`, `connscale`, `hotpath`,
+//! `scale`, `recovery`, `faults`) print one document to stdout, one leaf per
+//! line. Every number in a document is determined by `(scale, seed)`, so the
+//! regression gate is a byte comparison: `baselines/check.sh` diffs each
+//! fresh document against the committed `baselines/BENCH_<cmd>.json`, and
+//! redirecting stdout into that file regenerates it. `reproduce` keeps no
+//! clock; wall clocks, rates and latencies are measured by the `benchmark/`
+//! package.
 //!
 //! Every flag is parsed in one place and every unknown command or argument
 //! dies with usage and a non-zero exit — there is exactly one parser.
 
 use mbdr_bench::alloccount::CountingAllocator;
-use mbdr_bench::check::{compare_baseline, parse_json};
 use mbdr_bench::netbase::{connscale_fd_demand, open_file_soft_limit};
 use mbdr_bench::{
     ablations, baseline_document, figure, figure_number, scenario_data, summary, table1,
-    updates_along_route, DEFAULT_SEED, REPRODUCE_COMMANDS,
+    updates_along_route, DEFAULT_SEED, REPRODUCE_COMMANDS, REPRODUCE_FLAGS,
 };
 use mbdr_geo::format_duration_hm;
 use mbdr_sim::{render_csv, render_table, ProtocolKind};
 use mbdr_trace::ScenarioKind;
-use std::path::PathBuf;
 
 /// The counting allocator behind `reproduce hotpath`: installed for the
 /// whole binary, it makes allocations-per-operation an exact, gateable
@@ -61,21 +56,15 @@ enum Command {
     Summary,
     UpdatesTrace,
     Ablations,
-    Json,
-    Throughput,
-    Wire,
-    Net,
-    ConnScale,
-    Hotpath,
-    Scale,
-    Recovery,
-    Faults,
+    /// A JSON baseline document, built by [`baseline_document`] by name.
+    Document(&'static str),
     All,
 }
 
 impl Command {
     /// The single place a command name is recognised.
     fn parse(name: &str) -> Option<Command> {
+        let name = *REPRODUCE_COMMANDS.iter().find(|&&command| command == name)?;
         Some(match name {
             "table1" => Command::Table1,
             "fig7" => Command::Fig(ScenarioKind::Freeway),
@@ -86,35 +75,16 @@ impl Command {
             "summary" => Command::Summary,
             "updates-trace" => Command::UpdatesTrace,
             "ablations" => Command::Ablations,
-            "json" => Command::Json,
-            "throughput" => Command::Throughput,
-            "wire" => Command::Wire,
-            "net" => Command::Net,
-            "connscale" => Command::ConnScale,
-            "hotpath" => Command::Hotpath,
-            "scale" => Command::Scale,
-            "recovery" => Command::Recovery,
-            "faults" => Command::Faults,
+            "json" | "throughput" | "wire" | "net" | "connscale" | "hotpath" | "scale"
+            | "recovery" | "faults" => Command::Document(name),
             "all" => Command::All,
             _ => return None,
         })
     }
 
-    /// The baseline file name for the JSON-emitting commands, `None` for the
-    /// human-readable ones (which have no baseline to check against).
-    fn baseline_file(self) -> Option<&'static str> {
-        Some(match self {
-            Command::Json => "BENCH_json.json",
-            Command::Throughput => "BENCH_throughput.json",
-            Command::Wire => "BENCH_wire.json",
-            Command::Net => "BENCH_net.json",
-            Command::ConnScale => "BENCH_connscale.json",
-            Command::Hotpath => "BENCH_hotpath.json",
-            Command::Scale => "BENCH_scale.json",
-            Command::Recovery => "BENCH_recovery.json",
-            Command::Faults => "BENCH_faults.json",
-            _ => return None,
-        })
+    /// Whether `--csv` changes what the command prints.
+    fn has_csv_form(self) -> bool {
+        matches!(self, Command::Fig(_) | Command::Figures | Command::Ablations | Command::All)
     }
 }
 
@@ -123,22 +93,11 @@ struct Options {
     scale: f64,
     seed: u64,
     csv: bool,
-    check: bool,
-    write_baseline: bool,
-    baseline_dir: PathBuf,
 }
 
-fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
-    let mut options = Options {
-        command: Command::All,
-        scale: 1.0,
-        seed: DEFAULT_SEED,
-        csv: false,
-        check: false,
-        write_baseline: false,
-        baseline_dir: PathBuf::from("baselines"),
-    };
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut args = args.into_iter();
+    let mut options = Options { command: Command::All, scale: 1.0, seed: DEFAULT_SEED, csv: false };
     let mut positional_seen = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -146,53 +105,36 @@ fn parse_args() -> Options {
                 options.scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number in (0, 1]"));
+                    .ok_or("--scale needs a number in (0, 1]")?;
             }
             "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
+                options.seed =
+                    args.next().and_then(|v| v.parse().ok()).ok_or("--seed needs an integer")?;
             }
             "--csv" => options.csv = true,
-            "--check" => options.check = true,
-            "--write-baseline" => options.write_baseline = true,
-            "--baseline-dir" => {
-                options.baseline_dir = args
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| die("--baseline-dir needs a path"));
-            }
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
             }
             other if !positional_seen => {
-                options.command = Command::parse(other)
-                    .unwrap_or_else(|| die(&format!("unknown command `{other}`")));
+                options.command =
+                    Command::parse(other).ok_or_else(|| format!("unknown command `{other}`"))?;
                 positional_seen = true;
             }
-            other => die(&format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     if !(options.scale > 0.0 && options.scale <= 1.0) {
-        die("--scale must be in (0, 1]");
+        return Err("--scale must be in (0, 1]".into());
     }
     // The documents echo the seed as a JSON number, which is exact up to 2^53.
     if options.seed > 1 << 53 {
-        die("--seed must be at most 2^53");
+        return Err("--seed must be at most 2^53".into());
     }
-    if options.check && options.write_baseline {
-        die("--check and --write-baseline are mutually exclusive");
+    if options.csv && !options.command.has_csv_form() {
+        return Err("--csv only applies to fig7|fig8|fig9|fig10|figures|ablations|all".into());
     }
-    if options.write_baseline && options.command.baseline_file().is_none() {
-        die("--write-baseline only applies to the JSON commands \
-             (json|throughput|wire|net|connscale|hotpath|scale|recovery|faults)");
-    }
-    if options.check && options.command.baseline_file().is_none() {
-        die("--check only applies to the JSON commands");
-    }
-    options
+    Ok(options)
 }
 
 fn die(message: &str) -> ! {
@@ -202,11 +144,11 @@ fn die(message: &str) -> ! {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: reproduce [{}]\n       [--scale F] [--seed N] [--csv] [--check] \
-         [--write-baseline] [--baseline-dir DIR]",
-        REPRODUCE_COMMANDS.join("|"),
-    );
+    let flags: Vec<String> = REPRODUCE_FLAGS
+        .iter()
+        .map(|&(flag, value)| format!("[{}]", [flag, value].join(" ").trim_end()))
+        .collect();
+    eprintln!("usage: reproduce [{}]\n       {}", REPRODUCE_COMMANDS.join("|"), flags.join(" "));
 }
 
 /// Refuses to start `connscale` when the process's open-file limit cannot
@@ -223,61 +165,6 @@ fn require_fd_headroom(scale: f64) {
         );
         std::process::exit(2);
     }
-}
-
-/// Runs a JSON command, optionally checking against or (re)writing its
-/// committed baseline. The fresh document always goes to stdout.
-fn run_json_command(options: &Options) {
-    if options.command == Command::ConnScale {
-        require_fd_headroom(options.scale);
-    }
-    let file = options.command.baseline_file().expect("JSON command");
-    let name = file.trim_start_matches("BENCH_").trim_end_matches(".json");
-    let fresh = baseline_document(name, options.scale, options.seed)
-        .expect("every baseline file is named after its command");
-    println!("{fresh}");
-    let path = options.baseline_dir.join(file);
-    if options.write_baseline {
-        if let Err(e) = std::fs::create_dir_all(&options.baseline_dir) {
-            eprintln!("error: cannot create {}: {e}", options.baseline_dir.display());
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(&path, format!("{fresh}\n")) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("baseline written to {}", path.display());
-    } else if options.check {
-        let committed = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!(
-                    "error: cannot read baseline {}: {e}\n(generate it with `reproduce {name} --scale \
-                     {} --write-baseline`)",
-                    path.display(),
-                    options.scale,
-                );
-                std::process::exit(1);
-            }
-        };
-        let baseline = parse_json(&committed)
-            .unwrap_or_else(|e| fail_check(&path, &format!("baseline is not valid JSON: {e}")));
-        let report = compare_baseline(&baseline, &fresh);
-        if report.passed() {
-            eprintln!("check OK against {}: {} values matched", path.display(), report.compared);
-        } else {
-            eprintln!("regression check FAILED against {}:", path.display());
-            for mismatch in &report.mismatches {
-                eprintln!("  {mismatch}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn fail_check(path: &std::path::Path, message: &str) -> ! {
-    eprintln!("error: {}: {message}", path.display());
-    std::process::exit(1);
 }
 
 fn print_table1(scale: f64, seed: u64) {
@@ -381,7 +268,7 @@ fn print_ablations(scale: f64, seed: u64, csv: bool) {
 }
 
 fn main() {
-    let options = parse_args();
+    let options = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| die(&message));
     match options.command {
         Command::Table1 => print_table1(options.scale, options.seed),
         Command::Fig(kind) => print_figure(kind, options.scale, options.seed, options.csv),
@@ -393,15 +280,14 @@ fn main() {
         Command::Summary => print_summary(options.scale, options.seed),
         Command::UpdatesTrace => print_updates_trace(options.scale, options.seed),
         Command::Ablations => print_ablations(options.scale, options.seed, options.csv),
-        Command::Json
-        | Command::Throughput
-        | Command::Wire
-        | Command::Net
-        | Command::ConnScale
-        | Command::Hotpath
-        | Command::Scale
-        | Command::Recovery
-        | Command::Faults => run_json_command(&options),
+        Command::Document(name) => {
+            if name == "connscale" {
+                require_fd_headroom(options.scale);
+            }
+            let document = baseline_document(name, options.scale, options.seed)
+                .expect("every Document command builds a baseline document");
+            println!("{document}");
+        }
         Command::All => {
             print_table1(options.scale, options.seed);
             for kind in ScenarioKind::ALL {
@@ -417,6 +303,9 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn command_list_and_parser_agree_exactly() {
@@ -432,29 +321,53 @@ mod tests {
     }
 
     #[test]
-    fn json_commands_have_baseline_files_and_figure_commands_do_not() {
-        for name in REPRODUCE_COMMANDS {
-            let command = Command::parse(name).expect("parses");
-            let json_command = matches!(
-                command,
-                Command::Json
-                    | Command::Throughput
-                    | Command::Wire
-                    | Command::Net
-                    | Command::ConnScale
-                    | Command::Hotpath
-                    | Command::Scale
-                    | Command::Recovery
-                    | Command::Faults
-            );
-            assert_eq!(
-                command.baseline_file().is_some(),
-                json_command,
-                "`{name}` baseline-file mapping drifted"
-            );
-            if let Some(file) = command.baseline_file() {
-                assert_eq!(file, format!("BENCH_{name}.json"), "baseline naming convention");
-            }
+    fn flag_list_and_parser_agree_and_csv_needs_a_csv_form() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|arg| arg.to_string()));
+        // Every flag the usage string advertises parses (`--help` prints the
+        // usage and exits, so it is left out here)…
+        for (flag, value) in REPRODUCE_FLAGS.into_iter().filter(|&(flag, _)| flag != "--help") {
+            let args = if value.is_empty() { vec!["fig7", flag] } else { vec!["fig7", flag, "1"] };
+            assert!(parse(&args).is_ok(), "`{flag}` is listed but not parsed");
         }
+        // …an unlisted one does not…
+        assert!(parse(&["json", "--check"]).is_err());
+        // …and `--csv` is refused, not ignored, where it would change nothing.
+        for name in ["table1", "summary", "updates-trace", "json", "faults"] {
+            assert!(parse(&[name, "--csv"]).is_err(), "`{name} --csv` should not parse");
+        }
+        for name in ["fig7", "figures", "ablations", "all"] {
+            assert!(parse(&[name, "--csv"]).is_ok(), "`{name} --csv` should parse");
+        }
+    }
+
+    #[test]
+    fn json_commands_have_baseline_files_and_figure_commands_do_not() {
+        // Three sets must be equal, so no document goes ungated: the
+        // commands that print a document, the committed baselines, and the
+        // table `baselines/check.sh` diffs. The scan is lexical, like
+        // `tests/doc_sync.rs`.
+        let documents: BTreeSet<&str> = REPRODUCE_COMMANDS
+            .into_iter()
+            .filter(|&name| Command::parse(name) == Some(Command::Document(name)))
+            .collect();
+        assert_eq!(documents.len(), 9, "{documents:?}");
+        let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let files: BTreeSet<String> = fs::read_dir(&baselines)
+            .unwrap_or_else(|err| panic!("read_dir {}: {err}", baselines.display()))
+            .filter_map(|entry| {
+                let name = entry.expect("dir entry").file_name().into_string().ok()?;
+                Some(name.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string())
+            })
+            .collect();
+        assert_eq!(files.iter().map(String::as_str).collect::<BTreeSet<_>>(), documents);
+        let script = fs::read_to_string(baselines.join("check.sh")).expect("read check.sh");
+        let table: BTreeSet<&str> = script
+            .split_whitespace()
+            .filter_map(|word| {
+                let (name, scale) = word.trim_end_matches(';').split_once(':')?;
+                scale.parse::<f64>().is_ok().then_some(name)
+            })
+            .collect();
+        assert_eq!(table, documents, "baselines/check.sh's (command, scale) table");
     }
 }

@@ -22,7 +22,7 @@
 //! The allocations-per-operation numbers are exact integers divided by the
 //! operation count, fully determined by the workload — the baseline pins
 //! them at `0`, so a single accidental `clone()` on any of these paths fails
-//! `reproduce hotpath --check` (and the `zero_alloc` integration test) with
+//! the `BENCH_hotpath.json` gate (and the `zero_alloc` integration test) with
 //! a number, not a hunch. What the same paths cost in time is measured
 //! layer by layer in `benchmark/` (`core.*`, `locserver.*`, `journal.*`).
 

@@ -12,14 +12,13 @@
 //! concurrency baseline, [`wire`] sweeps the lossy-uplink channel model over loss
 //! rates as the wire protocol's accuracy/overhead baseline, and [`netbase`]
 //! drives the TCP serving layer over loopback as the end-to-end network
-//! baseline, and [`scale`] sweeps the synthetic million-object workload
+//! baseline, and [`scale`] sweeps the synthetic 10⁴/10⁵-object workload
 //! (uniform and Zipf-hotspot placement) over the spatial data plane as the
 //! large-N baseline. [`baseline_document`] builds any of the nine documents
-//! by command name. [`check`] is the regression gate: it parses the committed
-//! `baselines/BENCH_*.json` files and compares the freshly built
-//! [`mbdr_sim::Json`] document against them, number by number
-//! (`reproduce <cmd> --check`). Every number is seed-determined; time is
-//! measured by the separate `benchmark/` package. [`hotpath`]
+//! by command name. Every number in them is seed-determined, so the
+//! regression gate is a byte comparison: `baselines/check.sh` diffs each
+//! fresh document against the committed `baselines/BENCH_<cmd>.json`. Time
+//! is measured by the separate `benchmark/` package. [`hotpath`]
 //! measures the steady-state ingest/query/predict pipeline under the
 //! counting allocator ([`alloccount`]) and pins its allocations-per-
 //! operation at zero. [`recovery`] is the durability baseline: journaled
@@ -35,7 +34,6 @@
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 pub mod alloccount;
-pub mod check;
 pub mod faults;
 pub mod hotpath;
 pub mod netbase;
@@ -85,6 +83,14 @@ pub const REPRODUCE_COMMANDS: [&str; 19] = [
     "faults",
     "all",
 ];
+
+/// Every `reproduce` flag with the placeholder of its value (empty for a
+/// switch), in the order the usage string lists them. The binary prints its
+/// usage from this list and its parser is tested against it; the
+/// `reproduce -- <cmd> …` lines in README and `docs/OPERATIONS.md` may show
+/// no other flag.
+pub const REPRODUCE_FLAGS: [(&str, &str); 4] =
+    [("--scale", "F"), ("--seed", "N"), ("--csv", ""), ("--help", "")];
 
 /// The full figure set as one machine-readable JSON document (schema
 /// `mbdr-reproduce/1`): per figure, the sweep data — update counts and

@@ -121,6 +121,24 @@ mod tests {
     }
 
     #[test]
+    fn net_schema_gates_query_result_counts_strictly() {
+        // The mbdr-net/1 emitter queries one post-flush instant, so what the
+        // queries returned is as seed-determined as what was sent and is
+        // printed as a leaf the regression gate holds. The scheduling
+        // diagnostics are not in the document.
+        let tree = render_net_json(0.05, 7, &net_grid(0.05, 7));
+        let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
+        for point in points {
+            for key in ["rect_results", "nearest_results", "zone_events"] {
+                assert!(matches!(point.get(key), Some(Json::Num(_))), "{key} must be a leaf");
+            }
+            let bytes_sent = point.get("server").and_then(|server| server.get("bytes_sent"));
+            assert!(matches!(bytes_sent, Some(Json::Num(_))), "server.bytes_sent must be a leaf");
+        }
+        assert!(!tree.to_string().contains("wakeups"));
+    }
+
+    #[test]
     fn connscale_smoke_grid_holds_every_connection() {
         // Tiny smoke scale: the same path CI exercises (32+32 connections).
         let reports = connscale_grid(0.02, 7);

@@ -1,4 +1,4 @@
-//! The million-object-scale baseline behind `reproduce scale`: the
+//! The large-N baseline behind `reproduce scale`: the
 //! [`mbdr_sim::scale_workload`] grid over N × {uniform, hotspot}, emitted as
 //! JSON and gated against `baselines/BENCH_scale.json`.
 //!
@@ -76,11 +76,5 @@ mod tests {
         assert!(points.iter().all(|p| p.indexed == p.objects));
         let tree = render_scale_json(0.01, 7, &points);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-scale/1")));
-        // A second run of the same seed passes the gate against the first
-        // run's printed document.
-        let committed = crate::check::parse_json(tree.to_string()).expect("scale JSON parses");
-        let again = render_scale_json(0.01, 7, &scale_grid(0.01, 7));
-        let report = crate::check::compare_baseline(&committed, &again);
-        assert!(report.passed(), "{:?}", report.mismatches);
     }
 }

@@ -8,13 +8,15 @@
 //!   updating the spec fails `cargo test`, as does documenting a ghost.
 //! * `README.md` and `docs/OPERATIONS.md` mention every `reproduce`
 //!   command in [`mbdr_bench::REPRODUCE_COMMANDS`] (the same list the
-//!   binary's parser and usage string are tested against), and every
-//!   `reproduce -- <word>` invocation they show names a real command.
+//!   binary's parser and usage string are tested against), every
+//!   `reproduce -- <word>` invocation they show names a real command, and
+//!   every flag a `reproduce <cmd> …` invocation shows is in
+//!   [`mbdr_bench::REPRODUCE_FLAGS`].
 //!
 //! The scans are deliberately lexical — no rustc, no syn — keeping the
 //! test std-only like the rest of the workspace.
 
-use mbdr_bench::REPRODUCE_COMMANDS;
+use mbdr_bench::{REPRODUCE_COMMANDS, REPRODUCE_FLAGS};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -202,6 +204,43 @@ fn docs_and_usage_agree_on_the_reproduce_command_list() {
             ghosts.is_empty(),
             "{doc_path} shows `reproduce -- <cmd>` invocations for commands \
              the binary does not accept: {ghosts:?}"
+        );
+    }
+}
+
+/// Every `-`-word shown in a `reproduce <cmd> …` or `reproduce -- <cmd> …`
+/// invocation of a real command: the words after the command up to the end
+/// of the line, a shell comment, a pipe, a redirect or a closing backtick.
+fn invoked_flags(doc: &str) -> BTreeSet<String> {
+    let mut flags = BTreeSet::new();
+    for line in doc.lines() {
+        let mut rest = line;
+        while let Some(at) = rest.find("reproduce ") {
+            rest = &rest[at + "reproduce ".len()..];
+            let invocation = rest.strip_prefix("-- ").unwrap_or(rest);
+            let invocation =
+                &invocation[..invocation.find(['#', '|', '>', '`']).unwrap_or(invocation.len())];
+            let mut words = invocation.split_whitespace();
+            if words.next().is_some_and(|command| REPRODUCE_COMMANDS.contains(&command)) {
+                flags.extend(words.filter(|word| word.starts_with('-')).map(str::to_string));
+            }
+        }
+    }
+    flags
+}
+
+#[test]
+fn docs_show_only_real_reproduce_flags() {
+    let root = repo_root();
+    let known: BTreeSet<&str> = REPRODUCE_FLAGS.iter().map(|&(flag, _)| flag).collect();
+    for doc_path in ["README.md", "docs/OPERATIONS.md"] {
+        let shown = invoked_flags(&read(&root.join(doc_path)));
+        assert!(!shown.is_empty(), "{doc_path}: the flag scan found no flag at all");
+        let ghosts: Vec<&String> = shown.iter().filter(|f| !known.contains(f.as_str())).collect();
+        assert!(
+            ghosts.is_empty(),
+            "{doc_path} shows reproduce flags the binary does not accept: {ghosts:?} \
+             (REPRODUCE_FLAGS is the source of truth)"
         );
     }
 }

@@ -12,7 +12,7 @@
 //! counts stay exact: an idle crowd that slowed, dropped or corrupted the
 //! hot path would show up in the strictly-gated counters.
 //!
-//! Determinism contract (what `reproduce connscale --check` gates):
+//! Determinism contract (what the `BENCH_connscale.json` gate holds):
 //! update/frame counts, rect result counts, byte totals and the thread
 //! accounting are all fixed by the seed. Connect and round-trip times are
 //! `benchmark/`'s `tcp_fleet` metrics.

@@ -380,7 +380,7 @@ mod tests {
             ..LossSweepConfig::default()
         });
         let tree = result.to_json();
-        assert!(tree.to_string().starts_with("{\"schema\":\"mbdr-wire/1\""));
+        assert!(tree.to_string().starts_with("{\n  \"schema\": \"mbdr-wire/1\",\n"));
         let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
         assert_eq!(points.len(), 2);
         assert_eq!(points[1].get("loss_rate"), Some(&Json::exact(0.3)));
@@ -392,6 +392,6 @@ mod tests {
         assert!(nothing_applied
             .to_json()
             .to_string()
-            .contains("\"bytes_per_applied_update\":null"));
+            .contains("\"bytes_per_applied_update\": null,\n"));
     }
 }

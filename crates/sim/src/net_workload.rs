@@ -20,7 +20,7 @@
 //! Because the query phase starts only after every producer flushed and
 //! always queries the same instant, the *result counts* (objects returned,
 //! zone events) are deterministic for a given seed — which is what lets
-//! `reproduce net --check` gate them. The time each layer costs is measured
+//! the `BENCH_net.json` gate hold them. The time each layer costs is measured
 //! by `benchmark/`'s `tcp_fleet` workload, not here.
 
 use crate::protocols::ProtocolKind;
@@ -386,7 +386,7 @@ mod tests {
 
     #[test]
     fn query_results_are_deterministic_across_runs() {
-        // The `reproduce net --check` contract: with the query phase pinned
+        // The `BENCH_net.json` gate's contract: with the query phase pinned
         // to one post-flush instant, every count must reproduce exactly.
         let (a, b) = (run_net_workload(&small_config()), run_net_workload(&small_config()));
         assert_eq!(a.updates_sent, b.updates_sent);

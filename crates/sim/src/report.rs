@@ -9,9 +9,10 @@
 //! Every machine-readable baseline document (`reproduce json|throughput|…`)
 //! is built as a [`Json`] tree whose numeric leaves are seed-determined
 //! counts and measurements, each with the print precision declared on the
-//! line that emits it. [`Json`]'s `Display` impl is the single writer;
-//! `mbdr_bench::check` compares the in-memory tree against the parsed
-//! committed baseline. Time is not measured here: `benchmark/` owns it.
+//! line that emits it. [`Json`]'s `Display` impl is the single writer and
+//! prints one leaf per line, so the gate is a line diff of the printed
+//! document against the committed baseline (`baselines/check.sh`). Time is
+//! not measured here: `benchmark/` owns it.
 
 use crate::protocols::ProtocolKind;
 use crate::sweep::SweepResult;
@@ -77,8 +78,8 @@ pub fn render_csv(result: &SweepResult) -> String {
 }
 
 /// A numeric leaf: its value and how it prints. The value is fully
-/// determined by the seed, so `reproduce --check` requires it to match the
-/// baseline (to a relative `1e-6`, which absorbs float formatting only).
+/// determined by the seed, so the regression gate requires its printed text
+/// to match the committed baseline byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metric {
     /// The value (counts are stored as `f64`; the documents stay far below
@@ -101,18 +102,9 @@ impl std::fmt::Display for Metric {
     }
 }
 
-impl Metric {
-    /// The value the printed text reads back as (NaN for `null`), so a fresh
-    /// leaf compares equal to its own committed text.
-    pub fn printed(&self) -> f64 {
-        self.to_string().parse().unwrap_or(f64::NAN)
-    }
-}
-
-/// The one JSON value tree: every baseline document is built as a `Json`,
-/// printed by its [`Display`](std::fmt::Display) impl (the only JSON writer
-/// in the workspace) and compared in memory by `mbdr_bench::check`, which
-/// also parses the committed baselines into this type.
+/// The one JSON value tree: every baseline document is built as a `Json` and
+/// printed by its [`Display`](std::fmt::Display) impl, the only JSON writer
+/// in the workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -183,39 +175,41 @@ impl Json {
     }
 }
 
-/// The writer: compact JSON, non-finite numbers as `null`, strings escaped
-/// (`"`, `\`, `\n`, `\r`, `\t`, other control characters as `\u00XX`;
-/// everything else, non-ASCII included, verbatim).
+/// The writer: one leaf per line, two spaces of indent per level,
+/// `"key": value` in objects, and `[]` / `{}` inline when empty — so a line
+/// diff between two documents names every changed leaf. Non-finite numbers
+/// print as `null`; strings are escaped (`"`, `\`, `\n`, `\r`, `\t`, other
+/// control characters as `\u00XX`; everything else, non-ASCII included,
+/// verbatim).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(value) => write!(f, "{value}"),
-            Json::Num(metric) => write!(f, "{metric}"),
-            Json::Str(value) => write_string(f, value),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_string(f, key)?;
-                    write!(f, ":{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        write_json(f, self, 0)
     }
+}
+
+fn write_json(f: &mut std::fmt::Formatter<'_>, value: &Json, depth: usize) -> std::fmt::Result {
+    let (open, close, entries): (_, _, Vec<(Option<&str>, &Json)>) = match value {
+        Json::Null => return f.write_str("null"),
+        Json::Bool(value) => return write!(f, "{value}"),
+        Json::Num(metric) => return write!(f, "{metric}"),
+        Json::Str(value) => return write_string(f, value),
+        Json::Arr(items) => ('[', ']', items.iter().map(|item| (None, item)).collect()),
+        Json::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(&**k), v)).collect()),
+    };
+    f.write_char(open)?;
+    for (i, (key, value)) in entries.iter().enumerate() {
+        let separator = if i == 0 { "" } else { "," };
+        write!(f, "{separator}\n{:indent$}", "", indent = 2 * (depth + 1))?;
+        if let Some(key) = key {
+            write_string(f, key)?;
+            f.write_str(": ")?;
+        }
+        write_json(f, value, depth + 1)?;
+    }
+    if !entries.is_empty() {
+        write!(f, "\n{:indent$}", "", indent = 2 * depth)?;
+    }
+    f.write_char(close)
 }
 
 fn write_string(f: &mut std::fmt::Formatter<'_>, value: &str) -> std::fmt::Result {
@@ -328,10 +322,12 @@ mod tests {
     fn json_is_well_formed_and_carries_update_counts() {
         let tree = render_json(&fake_result());
         let json = tree.to_string();
-        assert!(json.starts_with("{\"scenario\":\"car, freeway\",\"accuracies_m\":[50],"));
-        assert!(json.contains("\"protocol\":\"map-based dr\""));
-        assert!(json.contains("\"updates\":400,\"updates_per_hour\":400,"));
-        assert!(json.contains("\"relative_to_baseline_pct\":10,"));
+        assert!(json.starts_with(
+            "{\n  \"scenario\": \"car, freeway\",\n  \"accuracies_m\": [\n    50\n  ],\n"
+        ));
+        assert!(json.contains("\n      \"protocol\": \"map-based dr\",\n"));
+        assert!(json.contains("\n      \"updates\": 400,\n      \"updates_per_hour\": 400,\n"));
+        assert!(json.contains("\n      \"relative_to_baseline_pct\": 10,\n"));
         // The sweep is single-threaded and seed-determined: every leaf is exact.
         let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
         assert_eq!(points[0].get("updates"), Some(&Json::exact(400.0)));
@@ -352,8 +348,42 @@ mod tests {
         assert_eq!(
             Json::document("s/1", 0.5, 9, [("ok", Json::Bool(true)), ("none", Json::Null)])
                 .to_string(),
-            "{\"schema\":\"s/1\",\"scale\":0.5,\"seed\":9,\"ok\":true,\"none\":null}"
+            "{\n  \"schema\": \"s/1\",\n  \"scale\": 0.5,\n  \"seed\": 9,\n  \"ok\": true,\n  \"none\": null\n}"
         );
+    }
+
+    #[test]
+    fn writer_prints_one_leaf_per_line() {
+        let tree = Json::object([
+            (
+                "a\"b",
+                Json::array([
+                    Json::object([
+                        ("mean_m", Json::exact(2.004).fixed(2)),
+                        ("max_m", Json::exact(f64::INFINITY)),
+                    ]),
+                    Json::exact(f64::NAN),
+                    Json::exact(f64::NEG_INFINITY).fixed(1),
+                    Json::array([]),
+                ]),
+            ),
+            ("empty", Json::object::<&str>([])),
+            ("ok", Json::Bool(true)),
+        ]);
+        let expected = r#"{
+  "a\"b": [
+    {
+      "mean_m": 2.00,
+      "max_m": null
+    },
+    null,
+    null,
+    []
+  ],
+  "empty": {},
+  "ok": true
+}"#;
+        assert_eq!(tree.to_string(), expected);
     }
 
     #[test]

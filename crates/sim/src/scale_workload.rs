@@ -19,7 +19,7 @@
 //! is Zipf(1)-distributed, so the first cell alone holds roughly
 //! `fraction / H_harmonic` of the whole fleet. Everything is driven by one
 //! seeded SplitMix64 stream, so reports are bit-deterministic for a
-//! given config — which is what lets `reproduce scale --check` gate the
+//! given config — which is what lets the `BENCH_scale.json` gate hold the
 //! result counts and occupancy diagnostics strictly.
 //!
 //! Ingest runs [`ScaleConfig::update_rounds`] full-fleet rounds *after* the
@@ -89,7 +89,7 @@ impl ScaleConfig {
 }
 
 /// What one scale-workload run counted. Every field is seed-deterministic
-/// and gated by `reproduce scale --check`; the time the same pipeline takes
+/// and gated by `BENCH_scale.json`; the time the same pipeline takes
 /// is `benchmark/`'s `ingest_durable` and `query_hotspot` metrics.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
