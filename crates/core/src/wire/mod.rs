@@ -593,6 +593,14 @@ impl<'a> FrameView<'a> {
         Ok(FrameView { source, count, payload: &bytes[FRAME_HEADER_LEN..] })
     }
 
+    /// The source id the header of the frame in `bytes` names, read without
+    /// validating the rest: what routes a frame to its shard before
+    /// [`FrameView::parse`] runs there. `None` if `bytes` is too short to
+    /// hold the id.
+    pub fn peek_source(bytes: &[u8]) -> Option<u64> {
+        Reader::new(bytes).u64().ok()
+    }
+
     /// Identifier of the source all batched updates belong to.
     #[inline]
     pub fn source(&self) -> u64 {

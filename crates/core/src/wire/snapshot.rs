@@ -33,7 +33,7 @@
 //! Encoders must emit entries sorted by object id so that snapshot bytes are
 //! deterministic for identical state; `decode_snapshot` does not re-sort.
 
-use super::{DecodeError, EncodeError, Reader};
+use super::{DecodeError, EncodeError, Reader, UPDATE_BASE_LEN};
 use crate::state::Update;
 
 /// Record kind for one tracked object's state in a snapshot body.
@@ -112,9 +112,16 @@ fn encoded_snapshot_len(entries: &[SnapshotEntry]) -> usize {
 /// Decodes a snapshot body, returning the covered frame count and the entries
 /// in their encoded order.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(u64, Vec<SnapshotEntry>), DecodeError> {
+    // The end marker's count is the body's last eight bytes: reserve for it
+    // up front, one allocation instead of a doubling chain. The count is
+    // untrusted until the walk cross-checks it, so the reservation is capped
+    // by what the body could hold at the smallest record size.
+    let claimed =
+        bytes.len().checked_sub(8).and_then(|at| Reader::new(bytes.get(at..)?).u64().ok());
+    let plausible = bytes.len() / (1 + 8 + 8 + 8 + 2 + UPDATE_BASE_LEN);
+    let mut entries = Vec::with_capacity(claimed.map_or(0, |n| n.min(plausible as u64) as usize));
     let mut reader = Reader::new(bytes);
     let frames = reader.u64()?;
-    let mut entries = Vec::new();
     loop {
         match SnapshotRecordKind::try_from(reader.u8()?)? {
             SnapshotRecordKind::End => {
@@ -177,6 +184,8 @@ mod tests {
         let (frames, decoded) = decode_snapshot(&buf).unwrap();
         assert_eq!(frames, 77);
         assert_eq!(decoded, narrowed);
+        // The decoder reserved for the end marker's count, exactly.
+        assert_eq!(decoded.capacity(), narrowed.len());
         // The encoder's up-front reservation is the exact body size.
         assert_eq!(buf.len(), encoded_snapshot_len(&narrowed));
         // The body carries every record kind: an object record right after
@@ -187,6 +196,17 @@ mod tests {
         let mut buf2 = Vec::new();
         encode_snapshot_into(77, &decoded, &mut buf2).unwrap();
         assert_eq!(buf, buf2);
+    }
+
+    #[test]
+    fn a_lying_end_count_reserves_no_more_than_the_body_holds() {
+        let mut buf = Vec::new();
+        encode_snapshot_into(3, &[entry(1, 4, 100.0, 10.0)], &mut buf).unwrap();
+        let at = buf.len() - 8;
+        buf[at..].copy_from_slice(&u64::MAX.to_be_bytes());
+        // The walk's cross-check refuses the count; the reservation ahead of
+        // it was capped at what the body could hold, not u64::MAX entries.
+        assert_eq!(decode_snapshot(&buf), Err(DecodeError::InvalidKind(KIND_SNAP_END)));
     }
 
     #[test]

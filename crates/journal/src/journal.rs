@@ -209,16 +209,25 @@ impl Journal {
     /// Opens (or creates) the journal in `config.dir` on the real filesystem,
     /// repairing any torn tail.
     ///
-    /// Repair policy: segments are scanned in frame order; the first record
-    /// with a bad length or checksum truncates its segment at that point, and
-    /// every later segment is deleted (records only become durable in order,
-    /// so nothing after a torn write is trustworthy). All discarded bytes are
-    /// counted in [`JournalStatsSnapshot::truncated_bytes`]. Files written by
-    /// a newer format version produce [`JournalError::UnsupportedVersion`]
-    /// and are never modified. Likewise, if the oldest segment starts above
-    /// the newest snapshot that still validates (its covering snapshot is
-    /// corrupt or missing after compaction deleted the frames below), open
-    /// returns [`JournalError::Corrupt`] and touches no file.
+    /// The open scan reads every retained file once: snapshots newest first
+    /// until one validates, then every segment in frame order, checksumming
+    /// each record. Repair policy: the first record with a bad length or
+    /// checksum truncates its segment at that point, and every later segment
+    /// is deleted (records only become durable in order, so nothing after a
+    /// torn write is trustworthy). All discarded bytes are counted in
+    /// [`JournalStatsSnapshot::truncated_bytes`]. Files written by a newer
+    /// format version produce [`JournalError::UnsupportedVersion`] and are
+    /// never modified. Likewise, if the oldest segment starts above the
+    /// newest snapshot that still validates (its covering snapshot is corrupt
+    /// or missing after compaction deleted the frames below), open returns
+    /// [`JournalError::Corrupt`] and touches no file. A log that ends below
+    /// the snapshot's frame count is wholly covered by the snapshot: its
+    /// segments are dropped, as compaction would drop them, and appends
+    /// continue in a fresh segment based at the snapshot's frame count.
+    ///
+    /// The bytes the scan validated are dropped when it returns; a recovering
+    /// caller that wants them uses [`Journal::open_and_recover`] instead of
+    /// reading them again.
     pub fn open(config: JournalConfig) -> Result<Journal, JournalError> {
         Journal::open_with_vfs(config, Arc::new(RealFs))
     }
@@ -230,7 +239,44 @@ impl Journal {
         config: JournalConfig,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Journal, JournalError> {
-        vfs.create_dir_all(&config.dir)?;
+        Ok(Journal::scan(config, vfs, |_| Ok::<(), JournalError>(()))?.0)
+    }
+
+    /// [`Journal::open_with_vfs`] that also hands what it validated to
+    /// `sink`, so recovery reads and checksums every retained byte once: first
+    /// the chosen snapshot's body (as [`Retained::Snapshot`]), then each
+    /// retained segment's records in frame order (as [`Retained::Segment`]),
+    /// the same sequence [`Journal::recover`] hands over for a journal that
+    /// is already open. One file's bytes are in memory at a time — the
+    /// snapshot image is dropped before the first segment is read — and none
+    /// outlives the call.
+    ///
+    /// The snapshot is handed over before any segment is read, so a refusal
+    /// can follow it: a coverage gap or a newer-version first segment before
+    /// any segment has been handed over, a newer-version later segment after
+    /// the earlier ones. No refusal modifies a file. An error the sink
+    /// returns stops the scan where it is and is returned as is; files
+    /// repaired up to that point stay repaired. Delivered records count in
+    /// [`JournalStatsSnapshot::recovered_frames`].
+    pub fn open_and_recover<E: From<JournalError>>(
+        config: JournalConfig,
+        vfs: Arc<dyn Vfs>,
+        sink: impl FnMut(Retained<'_>) -> Result<(), E>,
+    ) -> Result<Journal, E> {
+        let (journal, delivered) = Journal::scan(config, vfs, sink)?;
+        journal.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
+        Ok(journal)
+    }
+
+    /// The open scan behind [`Journal::open_with_vfs`] and
+    /// [`Journal::open_and_recover`]; returns the journal and the number of
+    /// records handed to `sink`.
+    fn scan<E: From<JournalError>>(
+        config: JournalConfig,
+        vfs: Arc<dyn Vfs>,
+        mut sink: impl FnMut(Retained<'_>) -> Result<(), E>,
+    ) -> Result<(Journal, u64), E> {
+        vfs.create_dir_all(&config.dir).map_err(JournalError::Io)?;
         let stats = JournalStats::default();
 
         // Read-only first: pick the newest snapshot that validates, so the
@@ -239,8 +285,11 @@ impl Journal {
             list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
         let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
         for (snap_frames, path) in snapshots.iter().rev() {
-            if validate_snapshot(vfs.as_ref(), path, *snap_frames)? {
+            if let Some(image) = read_snapshot(vfs.as_ref(), path, *snap_frames)? {
                 recovered_snapshot = Some((*snap_frames, path.clone()));
+                // Handed over and dropped before any segment is read, so the
+                // image and a segment buffer are never in memory together.
+                sink(snapshot_item(*snap_frames, &image))?;
                 break;
             }
         }
@@ -251,53 +300,62 @@ impl Journal {
         let mut retained: Vec<(u64, PathBuf)> = Vec::new();
         let mut frames: u64 = 0;
         let mut truncated: u64 = 0;
+        let mut delivered: u64 = 0;
         let mut unreachable = false;
         for (_, path) in segments {
             if unreachable {
-                truncated += vfs.file_len(&path)?;
-                vfs.remove_file(&path)?;
+                truncated += vfs.file_len(&path).map_err(JournalError::Io)?;
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
                 continue;
             }
-            match scan_segment(vfs.as_ref(), &path)? {
-                SegmentScan::Unreadable { file_len } => {
-                    truncated += file_len;
-                    vfs.remove_file(&path)?;
-                    unreachable = true;
+            let bytes = vfs.read(&path).map_err(JournalError::Io)?;
+            let file_len = bytes.len() as u64;
+            let Some((base, records)) = segment_body(&path, &bytes)? else {
+                // Header missing, short, or wrong magic: the file (and
+                // everything after it) is an unreachable torn tail.
+                truncated += file_len;
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
+                unreachable = true;
+                continue;
+            };
+            if retained.is_empty() {
+                if base > snapshot_floor {
+                    // Compaction only deletes segments a snapshot covers, so
+                    // a log starting above every valid snapshot means that
+                    // snapshot is gone or corrupt and the frames below `base`
+                    // exist nowhere. Nothing has been modified yet (and no
+                    // segment handed over); refuse rather than recover a
+                    // partial state as if it were whole.
+                    return Err(corrupt(
+                        &path,
+                        0,
+                        "log starts above the newest valid snapshot; \
+                         the compacted frames below it are unrecoverable",
+                    )
+                    .into());
                 }
-                SegmentScan::Valid { base, records, valid_end, file_len, torn } => {
-                    if retained.is_empty() {
-                        if base > snapshot_floor {
-                            // Compaction only deletes segments a snapshot
-                            // covers, so a log starting above every valid
-                            // snapshot means that snapshot is gone or corrupt
-                            // and the frames below `base` exist nowhere.
-                            // Nothing has been modified yet; refuse rather
-                            // than recover a partial state as if it were
-                            // whole.
-                            return Err(corrupt(
-                                &path,
-                                0,
-                                "log starts above the newest valid snapshot; \
-                                 the compacted frames below it are unrecoverable",
-                            ));
-                        }
-                        frames = base;
-                    } else if base != frames {
-                        // Frame indices must be contiguous across segments.
-                        truncated += file_len;
-                        vfs.remove_file(&path)?;
-                        unreachable = true;
-                        continue;
-                    }
-                    frames += records;
-                    if torn {
-                        vfs.truncate(&path, valid_end)?;
-                        truncated += file_len - valid_end;
-                        unreachable = true;
-                    }
-                    retained.push((base, path));
-                }
+                frames = base;
+            } else if base != frames {
+                // Frame indices must be contiguous across segments.
+                truncated += file_len;
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
+                unreachable = true;
+                continue;
             }
+            let (count, valid) = validate_records(records);
+            frames += count;
+            let valid_end = (SEGMENT_HEADER_LEN + valid) as u64;
+            if valid_end < file_len {
+                vfs.truncate(&path, valid_end).map_err(JournalError::Io)?;
+                truncated += file_len - valid_end;
+                unreachable = true;
+            }
+            sink(Retained::Segment(Records {
+                bytes: records.get(..valid).unwrap_or_default(),
+                index: base,
+            }))?;
+            delivered += count;
+            retained.push((base, path));
         }
         if truncated > 0 {
             stats.truncated_bytes.fetch_add(truncated, Ordering::Relaxed);
@@ -310,15 +368,27 @@ impl Journal {
             // the retained log reaches back past it — and removed so it
             // cannot shadow future ones.
             if recovered_snapshot.as_ref().is_none_or(|(_, keep)| *keep != path) {
-                vfs.remove_file(&path)?;
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
+            }
+        }
+        if frames < snapshot_floor {
+            // The log ends below the snapshot (a repaired tail, or a snapshot
+            // that outran the log): every retained record is covered. Appending
+            // to the last segment would number its records from `frames` while
+            // the counter and the next rotation continue from the floor, and a
+            // later open would discard what followed as non-contiguous. Drop
+            // the covered segments as compaction would; the writer starts a
+            // fresh segment at the floor.
+            for (_, path) in retained.drain(..) {
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
             }
         }
         let frames = frames.max(snapshot_floor);
 
         let (segment, segment_bytes) = match retained.pop() {
             Some((base, path)) => {
-                let file = vfs.open_append(&path)?;
-                let segment_bytes = vfs.file_len(&path)?;
+                let file = vfs.open_append(&path).map_err(JournalError::Io)?;
+                let segment_bytes = vfs.file_len(&path).map_err(JournalError::Io)?;
                 (Segment { file, path, base }, segment_bytes)
             }
             None => (create_segment(vfs.as_ref(), &config.dir, frames)?, SEGMENT_HEADER_LEN as u64),
@@ -331,7 +401,7 @@ impl Journal {
             record: Vec::with_capacity(RECORD_BUF_CAPACITY),
         };
 
-        Ok(Journal {
+        let journal = Journal {
             config,
             stats,
             vfs,
@@ -340,7 +410,8 @@ impl Journal {
             snapshot_floor: AtomicU64::new(snapshot_floor),
             snapshot_active: AtomicBool::new(false),
             recovered_snapshot,
-        })
+        };
+        Ok((journal, delivered))
     }
 
     /// Appends one already-encoded wire frame as a journal record.
@@ -466,11 +537,70 @@ impl Journal {
     /// Streams every retained record, in frame order, into `sink(index,
     /// payload)` and returns the number delivered. Intended to be called once
     /// at boot, after [`Journal::open`] and the snapshot restore, before live
-    /// appends begin; the writer lock is held for the whole replay. Records
-    /// were validated at open, so a failure here is a typed
-    /// [`JournalError::Corrupt`] indicating external modification.
+    /// appends begin; the writer lock is held for the whole replay. Each
+    /// segment is read once and checksummed in full before its first record
+    /// is delivered. Records were validated at open, so a failure here is a
+    /// typed [`JournalError::Corrupt`] indicating external modification.
     pub fn replay(&self, mut sink: impl FnMut(u64, &[u8])) -> Result<u64, JournalError> {
         let _writer = self.writer.lock();
+        let delivered = self.each_segment(&mut |records| {
+            for (index, payload) in records {
+                sink(index, payload);
+            }
+            Ok::<(), JournalError>(())
+        })?;
+        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
+        Ok(delivered)
+    }
+
+    /// Reads back the newest valid snapshot found at open, if any. The file is
+    /// read again and its body revalidated against its checksum before being
+    /// returned.
+    pub fn load_snapshot(&self) -> Result<Option<SnapshotBlob>, JournalError> {
+        let Some((frames, path)) = &self.recovered_snapshot else {
+            return Ok(None);
+        };
+        let Some(mut bytes) = read_snapshot(self.vfs.as_ref(), path, *frames)? else {
+            return Err(corrupt(path, 0, "snapshot failed revalidation"));
+        };
+        // A valid image is exactly header + body, so the body is handed out in
+        // the buffer it was read into rather than in a second copy of it.
+        bytes.drain(..SNAPSHOT_HEADER_LEN);
+        Ok(Some(SnapshotBlob { frames: *frames, body: bytes }))
+    }
+
+    /// [`Journal::load_snapshot`] and [`Journal::replay`] in one pass for a
+    /// journal that is already open: hands `sink` the snapshot found at open
+    /// and then each retained segment's records, the sequence
+    /// [`Journal::open_and_recover`] hands over, and returns the number of
+    /// records delivered. Every file is read and checksummed once here; a
+    /// file that no longer validates is a [`JournalError::Corrupt`]. The
+    /// writer lock is held throughout, and an error from `sink` stops the
+    /// pass and is returned as is.
+    pub fn recover<E: From<JournalError>>(
+        &self,
+        mut sink: impl FnMut(Retained<'_>) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let _writer = self.writer.lock();
+        if let Some((frames, path)) = &self.recovered_snapshot {
+            let image = read_snapshot(self.vfs.as_ref(), path, *frames)?;
+            let Some(image) = image else {
+                return Err(corrupt(path, 0, "snapshot failed revalidation").into());
+            };
+            sink(snapshot_item(*frames, &image))?;
+        }
+        let delivered = self.each_segment(&mut |records| sink(Retained::Segment(records)))?;
+        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
+        Ok(delivered)
+    }
+
+    /// Reads every segment in the directory once, checksums it in full and
+    /// hands its records to `sink`; returns the number of records handed
+    /// over. The caller holds the writer lock.
+    fn each_segment<E: From<JournalError>>(
+        &self,
+        sink: &mut impl FnMut(Records<'_>) -> Result<(), E>,
+    ) -> Result<u64, E> {
         let segments = list_numbered(
             self.vfs.as_ref(),
             &self.config.dir,
@@ -479,47 +609,19 @@ impl Journal {
         )?;
         let mut delivered = 0u64;
         for (_, path) in segments {
-            let bytes = self.vfs.read(&path)?;
-            let Some(base) = bytes.get(10..).and_then(be_u64) else {
-                return Err(corrupt(&path, 0, "segment header failed revalidation"));
+            let bytes = self.vfs.read(&path).map_err(JournalError::Io)?;
+            let Some((base, records)) = segment_body(&path, &bytes)? else {
+                return Err(corrupt(&path, 0, "segment header failed revalidation").into());
             };
-            let mut at = SEGMENT_HEADER_LEN;
-            let mut index = base;
-            while at < bytes.len() {
-                let Some((len, crc)) = record_header(&bytes, at) else {
-                    return Err(corrupt(&path, at as u64, "record header failed revalidation"));
-                };
-                let start = at + RECORD_HEADER_LEN;
-                let Some(payload) = bytes.get(start..start + len) else {
-                    return Err(corrupt(&path, at as u64, "record body failed revalidation"));
-                };
-                if crc32(payload) != crc {
-                    return Err(corrupt(&path, at as u64, "record checksum failed revalidation"));
-                }
-                sink(index, payload);
-                delivered += 1;
-                index += 1;
-                at = start + len;
+            let (count, valid) = validate_records(records);
+            if valid < records.len() {
+                let at = (SEGMENT_HEADER_LEN + valid) as u64;
+                return Err(corrupt(&path, at, "record failed revalidation").into());
             }
+            sink(Records { bytes: records, index: base })?;
+            delivered += count;
         }
-        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
         Ok(delivered)
-    }
-
-    /// Reads back the newest valid snapshot found at open, if any. The body is
-    /// revalidated against its checksum before being returned.
-    pub fn load_snapshot(&self) -> Result<Option<SnapshotBlob>, JournalError> {
-        let Some((frames, path)) = &self.recovered_snapshot else {
-            return Ok(None);
-        };
-        let mut bytes = self.vfs.read(path)?;
-        if !matches!(parse_snapshot(&bytes), Some((snap_frames, _)) if snap_frames == *frames) {
-            return Err(corrupt(path, 0, "snapshot failed revalidation"));
-        }
-        // A valid image is exactly header + body, so the body is handed out in
-        // the buffer it was read into rather than in a second copy of it.
-        bytes.drain(..SNAPSHOT_HEADER_LEN);
-        Ok(Some(SnapshotBlob { frames: *frames, body: bytes }))
     }
 
     /// Cheap, lock-free check used once per ingested frame: is a snapshot
@@ -676,6 +778,10 @@ impl Journal {
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         self.vfs.rename(&tmp_path, &final_path)?;
+        // The rename must be durable before compaction unlinks the segments
+        // the new snapshot covers: otherwise a power cut could keep the
+        // unlinks and lose the rename.
+        self.vfs.sync_dir(&self.config.dir)?;
         self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
         self.snapshot_floor.store(frames, Ordering::Relaxed);
         self.compact(frames, &final_path)
@@ -716,29 +822,61 @@ impl Journal {
     }
 }
 
-enum SegmentScan {
-    /// Header missing, short, or wrong magic: the file (and everything after
-    /// it) is treated as an unreachable torn tail.
-    Unreadable {
-        file_len: u64,
+/// One step of a recovery read, in journal order: the chosen snapshot (if
+/// any) first, then every retained segment. Handed out by
+/// [`Journal::open_and_recover`] and [`Journal::recover`]; the borrowed bytes
+/// are the ones the checksum pass validated and live only for the call.
+#[derive(Debug, Clone)]
+pub enum Retained<'a> {
+    /// The newest valid snapshot.
+    Snapshot {
+        /// Number of journal frames the snapshot covers.
+        frames: u64,
+        /// Caller-encoded snapshot body, checksummed.
+        body: &'a [u8],
     },
-    Valid {
-        base: u64,
-        records: u64,
-        valid_end: u64,
-        file_len: u64,
-        torn: bool,
-    },
+    /// One retained segment's checksummed records.
+    Segment(Records<'a>),
 }
 
-fn scan_segment(vfs: &dyn Vfs, path: &Path) -> Result<SegmentScan, JournalError> {
-    let bytes = vfs.read(path)?;
-    let file_len = bytes.len() as u64;
+/// The checksummed records of one retained segment: iterates
+/// `(frame index, payload)` in frame order, borrowing each payload from the
+/// segment buffer the checksum pass read. The walk is the one
+/// [`Journal::replay`] and the open scan use; it checks no checksum again.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    /// Record bytes after the segment header, every record validated.
+    bytes: &'a [u8],
+    /// Frame index of the next record.
+    index: u64,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        let (_, payload, rest) = next_record(self.bytes)?;
+        let index = self.index;
+        self.bytes = rest;
+        self.index += 1;
+        Some((index, payload))
+    }
+}
+
+/// The [`Retained::Snapshot`] for a validated snapshot image.
+fn snapshot_item(frames: u64, image: &[u8]) -> Retained<'_> {
+    Retained::Snapshot { frames, body: image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default() }
+}
+
+/// Splits a segment image into its base frame index and the record bytes
+/// after the header. `None` for a header that is missing, short, or has the
+/// wrong magic; [`JournalError::UnsupportedVersion`] for a newer format.
+fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<(u64, &'a [u8])>, JournalError> {
     if bytes.len() < SEGMENT_HEADER_LEN || bytes.get(..8) != Some(&SEGMENT_MAGIC[..]) {
-        return Ok(SegmentScan::Unreadable { file_len });
+        return Ok(None);
     }
     let Some(version) = bytes.get(8..).and_then(be_u16) else {
-        return Ok(SegmentScan::Unreadable { file_len });
+        return Ok(None);
     };
     if version > JOURNAL_VERSION {
         return Err(JournalError::UnsupportedVersion {
@@ -747,49 +885,60 @@ fn scan_segment(vfs: &dyn Vfs, path: &Path) -> Result<SegmentScan, JournalError>
             supported: JOURNAL_VERSION,
         });
     }
-    let Some(base) = bytes.get(10..).and_then(be_u64) else {
-        return Ok(SegmentScan::Unreadable { file_len });
+    let (Some(base), Some(records)) =
+        (bytes.get(10..).and_then(be_u64), bytes.get(SEGMENT_HEADER_LEN..))
+    else {
+        return Ok(None);
     };
-    let mut at = SEGMENT_HEADER_LEN;
-    let mut records = 0u64;
-    let mut torn = false;
-    while at < bytes.len() {
-        let Some((len, crc)) = record_header(&bytes, at) else {
-            torn = true;
-            break;
-        };
-        let start = at + RECORD_HEADER_LEN;
-        let Some(payload) = bytes.get(start..start + len) else {
-            torn = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            torn = true;
-            break;
-        }
-        records += 1;
-        at = start + len;
-    }
-    Ok(SegmentScan::Valid { base, records, valid_end: at as u64, file_len, torn })
+    Ok(Some((base, records)))
 }
 
-fn record_header(bytes: &[u8], at: usize) -> Option<(usize, u32)> {
-    let header = bytes.get(at..at + RECORD_HEADER_LEN)?;
+/// The one record walker: splits the record at the front of `bytes` into
+/// its stored checksum, its payload and the bytes after it. `None` at the
+/// end, or for a header that is short or claims an impossible length or a
+/// body the bytes do not hold.
+fn next_record(bytes: &[u8]) -> Option<(u32, &[u8], &[u8])> {
+    let header = bytes.get(..RECORD_HEADER_LEN)?;
     let len = be_u32(header)? as usize;
     let crc = header.get(4..).and_then(be_u32)?;
     if len == 0 || len > MAX_RECORD_BYTES {
         return None;
     }
-    Some((len, crc))
+    let payload = bytes.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + len)?;
+    let rest = bytes.get(RECORD_HEADER_LEN + len..)?;
+    Some((crc, payload, rest))
 }
 
-fn validate_snapshot(vfs: &dyn Vfs, path: &Path, expect_frames: u64) -> Result<bool, JournalError> {
+/// Checksums the records of `bytes` (a segment after its header) in order,
+/// up to the first that does not validate. Returns how many validated and
+/// how many bytes they span; a span shorter than `bytes` is a torn tail.
+fn validate_records(bytes: &[u8]) -> (u64, usize) {
+    let mut rest = bytes;
+    let mut count = 0u64;
+    while let Some((crc, payload, next)) = next_record(rest) {
+        if crc32(payload) != crc {
+            break;
+        }
+        count += 1;
+        rest = next;
+    }
+    (count, bytes.len() - rest.len())
+}
+
+/// Reads the snapshot at `path` and returns its image if it validates for
+/// `expect_frames` (`None` if it does not);
+/// [`JournalError::UnsupportedVersion`] for a newer format.
+fn read_snapshot(
+    vfs: &dyn Vfs,
+    path: &Path,
+    expect_frames: u64,
+) -> Result<Option<Vec<u8>>, JournalError> {
     let bytes = vfs.read(path)?;
     if bytes.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
-        return Ok(false);
+        return Ok(None);
     }
     let Some(version) = bytes.get(8..).and_then(be_u16) else {
-        return Ok(false);
+        return Ok(None);
     };
     if version > JOURNAL_VERSION {
         return Err(JournalError::UnsupportedVersion {
@@ -798,7 +947,8 @@ fn validate_snapshot(vfs: &dyn Vfs, path: &Path, expect_frames: u64) -> Result<b
             supported: JOURNAL_VERSION,
         });
     }
-    Ok(matches!(parse_snapshot(&bytes), Some((frames, _)) if frames == expect_frames))
+    let valid = matches!(parse_snapshot(&bytes), Some((frames, _)) if frames == expect_frames);
+    Ok(valid.then_some(bytes))
 }
 
 /// Parses and checksum-validates a snapshot file image, returning the covered
@@ -821,6 +971,9 @@ fn parse_snapshot(bytes: &[u8]) -> Option<(u64, &[u8])> {
     Some((frames, body))
 }
 
+/// Creates the segment based at `base`, writes its header and syncs the
+/// directory, so the new entry survives a power cut before any record in it
+/// is acknowledged.
 fn create_segment(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<Segment, JournalError> {
     let path = dir.join(format!("{SEGMENT_FILE_PREFIX}{base:020}{SEGMENT_FILE_SUFFIX}"));
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
@@ -828,9 +981,9 @@ fn create_segment(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<Segment, Journ
     header.extend_from_slice(&JOURNAL_VERSION.to_be_bytes());
     header.extend_from_slice(&base.to_be_bytes());
     let mut file = vfs.create_new_append(&path)?;
-    if let Err(err) = file.write_all(&header) {
-        // Best effort: do not leave a partial-header segment behind. If even
-        // the remove fails (dead disk), open-time scanning or
+    if let Err(err) = file.write_all(&header).and_then(|()| vfs.sync_dir(dir)) {
+        // Best effort: do not leave a partial-header or unsynced segment
+        // behind. If even the remove fails (dead disk), open-time scanning or
         // `repair_and_sync` will discard it later.
         drop(file);
         let _ = vfs.remove_file(&path);

@@ -27,11 +27,18 @@
 //! [`JournalStatsSnapshot::truncated_bytes`]); a corrupt snapshot is ignored
 //! in favor of replaying the retained log when that log still reaches back
 //! past it, and is a typed [`JournalError::Corrupt`] refusal (no file
-//! touched) when compaction already deleted the frames it covered. Recovery is
+//! touched) when compaction already deleted the frames it covered. A log that
+//! ends below the snapshot (a tail torn below its frame count) is wholly
+//! covered by it: its segments are dropped and appends continue in a fresh
+//! segment at the snapshot's frame count. Every new segment and every
+//! snapshot rename is followed by a directory sync ([`Vfs::sync_dir`]), the
+//! rename before compaction unlinks anything. Recovery is
 //! snapshot-restore-then-replay, and replayed frames pass through the same
-//! staleness-aware apply rules as live traffic, so duplicates are harmless.
-//! All failure modes are typed [`JournalError`]s — the crate never panics on
-//! corrupt input.
+//! staleness-aware apply rules as live traffic, so duplicates are harmless;
+//! [`Journal::open_and_recover`] hands the recovering caller the bytes the
+//! open scan checksummed, so each retained byte is read and checksummed
+//! once. All failure modes are typed [`JournalError`]s — the crate never
+//! panics on corrupt input.
 //!
 //! Durability is tunable via [`FsyncPolicy`] (per-frame, per-batch, or
 //! timer-based fsync). The crate is std-only.
@@ -67,8 +74,8 @@ mod vfs;
 
 pub use error::JournalError;
 pub use journal::{
-    crc32, FsyncPolicy, Journal, JournalConfig, SnapshotBlob, JOURNAL_VERSION, MAX_RECORD_BYTES,
-    RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+    crc32, FsyncPolicy, Journal, JournalConfig, Records, Retained, SnapshotBlob, JOURNAL_VERSION,
+    MAX_RECORD_BYTES, RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SNAPSHOT_FILE_SUFFIX, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
 };
 pub use stats::{JournalStats, JournalStatsSnapshot};

@@ -16,6 +16,8 @@
 //! `now_nanos`) never consume indices and never fail by injection: this
 //! models a disk whose write path is failing while already-written data still
 //! reads back, which keeps recovery scans well-defined mid-schedule.
+//! `sync_dir` consumes no index either, so adding directory syncs moved no
+//! schedule; it fails only while the disk is dead.
 //!
 //! The clock also lives on the seam: [`Vfs::now_nanos`] backs
 //! [`crate::FsyncPolicy::Timer`], so [`FaultFs::advance_clock`] can drive the
@@ -66,6 +68,9 @@ pub trait Vfs: Send + Sync {
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
     /// Size of the file at `path` in bytes.
     fn file_len(&self, path: &Path) -> io::Result<u64>;
+    /// `fsync` of the directory itself, so the entries a `create`, `rename`
+    /// or `remove_file` changed survive a power cut.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Monotonic clock reading in nanoseconds; backs
     /// [`crate::FsyncPolicy::Timer`].
     fn now_nanos(&self) -> u64;
@@ -138,6 +143,9 @@ impl Vfs for RealFs {
     }
     fn file_len(&self, path: &Path) -> io::Result<u64> {
         Ok(std::fs::metadata(path)?.len())
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        std::fs::File::open(dir)?.sync_all()
     }
     fn now_nanos(&self) -> u64 {
         real_now_nanos()
@@ -456,6 +464,13 @@ impl Vfs for FaultFs {
 
     fn file_len(&self, path: &Path) -> io::Result<u64> {
         self.inner.file_len(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        if self.state.dead.load(Ordering::Relaxed) {
+            return Err(self.state.inject("injected: directory sync failure (disk dead)"));
+        }
+        self.inner.sync_dir(dir)
     }
 
     fn now_nanos(&self) -> u64 {

@@ -267,6 +267,55 @@ fn corrupt_snapshot_over_a_compacted_log_is_a_typed_refusal() {
 }
 
 #[test]
+fn a_log_repaired_below_the_snapshot_floor_keeps_every_later_frame() {
+    let dir = temp_dir("below-floor");
+    // 12-byte payloads make 20-byte records: 20 records fill a segment.
+    let config = JournalConfig {
+        segment_max_bytes: 18 + 20 * 20,
+        fsync: FsyncPolicy::PerBatch(1),
+        ..config(&dir)
+    };
+    let journal = Journal::open(config.clone()).expect("open");
+    for i in 0..30u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    let frames = journal.begin_forced_snapshot().expect("snapshot slot");
+    assert_eq!(frames, 30);
+    journal.install_snapshot(frames, b"state at 30").expect("install");
+    for i in 30..35u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    drop(journal);
+    // Compaction left the segment based at 20 (records 20..35). Flip the
+    // last payload byte of record 25: the log now ends below the floor.
+    let segments = segment_paths(&dir);
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    assert!(segments[0].ends_with("seg-00000000000000000020.mbdrj"));
+    let mut bytes = fs::read(&segments[0]).expect("read");
+    bytes[18 + 5 * 20 + 19] ^= 0x01;
+    fs::write(&segments[0], &bytes).expect("write back");
+
+    let journal = Journal::open(config.clone()).expect("repairing open");
+    assert_eq!(journal.frames_appended(), 30, "the snapshot covers up to 30");
+    assert_eq!(journal.stats().truncated_bytes, 10 * 20, "records 25..35 are torn away");
+    for i in 0..40u8 {
+        journal.append_frame(&[100 + i; 12]).expect("append after repair");
+    }
+    journal.flush().expect("flush");
+    drop(journal);
+
+    let journal = Journal::open(config).expect("third open");
+    assert_eq!(journal.stats().truncated_bytes, 0, "nothing acknowledged is discarded");
+    assert_eq!(journal.frames_appended(), 70);
+    let mut seen = Vec::new();
+    journal.replay(|index, payload| seen.push((index, payload.to_vec()))).expect("replay");
+    let expected: Vec<(u64, Vec<u8>)> =
+        (0..40u8).map(|i| (30 + u64::from(i), vec![100 + i; 12])).collect();
+    assert_eq!(seen, expected, "every post-repair frame replays at its own index");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn errors_render_human_readable_messages() {
     let io = JournalError::Io(std::io::Error::other("disk on fire"));
     assert!(format!("{io}").contains("disk on fire"));

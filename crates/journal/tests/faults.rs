@@ -10,11 +10,12 @@
 //! `write_all`); with a large `PerBatch` fsync budget each append then
 //! consumes exactly one op — header and payload in a single `write_all`.
 
-use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig};
+use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig, RealFs, Vfs, VfsFile};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -393,4 +394,105 @@ fn seeded_schedules_replay_byte_identically() {
 
 fn replay_is_trivial(log: &[Vec<u8>]) -> bool {
     log.len() == 24 // every fault missed the write path; nothing to compare
+}
+
+/// A passthrough [`Vfs`] over [`RealFs`] that logs the directory-changing
+/// operations and the directory syncs, in the order the journal makes them.
+#[derive(Default)]
+struct Recording {
+    log: Mutex<Vec<&'static str>>,
+}
+
+impl Recording {
+    fn note(&self, op: &'static str) {
+        self.log.lock().expect("log lock").push(op);
+    }
+}
+
+impl Vfs for Recording {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealFs.create_dir_all(dir)
+    }
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        RealFs.open_append(path)
+    }
+    fn create_new_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.note("create_segment");
+        RealFs.create_new_append(path)
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        self.note("create");
+        RealFs.create(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealFs.read(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.note("rename");
+        RealFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.note("remove_file");
+        RealFs.remove_file(path)
+    }
+    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+        RealFs.read_dir_names(dir)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        RealFs.truncate(path, len)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        RealFs.file_len(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.note("sync_dir");
+        RealFs.sync_dir(dir)
+    }
+    fn now_nanos(&self) -> u64 {
+        RealFs.now_nanos()
+    }
+}
+
+#[test]
+fn directory_syncs_follow_new_segments_and_precede_compaction() {
+    let dir = temp_dir("sync-dir");
+    let recording = Arc::new(Recording::default());
+    let config = JournalConfig { segment_max_bytes: 64, ..config(&dir) };
+    let journal = Journal::open_with_vfs(config, recording.clone()).expect("open");
+    for round in 0..3u8 {
+        for i in 0..6u8 {
+            journal.append_frame(&[round, i, 0xAB, 0xCD]).expect("append");
+        }
+        let frames = journal.begin_forced_snapshot().expect("snapshot slot");
+        journal.install_snapshot(frames, &[round; 8]).expect("install");
+    }
+    let fsyncs = journal.stats().fsyncs;
+    drop(journal);
+    let log = recording.log.lock().expect("log lock").clone();
+    assert!(log.iter().filter(|op| **op == "create_segment").count() > 3, "{log:?}");
+    assert_eq!(log.iter().filter(|op| **op == "rename").count(), 3, "{log:?}");
+    assert!(log.contains(&"remove_file"), "compaction unlinked segments: {log:?}");
+    for (at, op) in log.iter().enumerate() {
+        let next = log.get(at + 1).copied();
+        match *op {
+            "create_segment" => assert_eq!(next, Some("sync_dir"), "op {at} of {log:?}"),
+            "rename" => assert_eq!(next, Some("sync_dir"), "op {at} of {log:?}"),
+            _ => {}
+        }
+    }
+    // Directory syncs are not data fsyncs: the counter holds one per
+    // rotation and one per snapshot file, as before.
+    let rotations = log.iter().filter(|op| **op == "create_segment").count() as u64 - 1;
+    assert_eq!(fsyncs, rotations + 3);
+
+    // FaultFs forwards the sync without consuming an operation index, and
+    // refuses it only while the disk is dead.
+    let faults = FaultFs::over_real();
+    let ops = faults.ops();
+    faults.sync_dir(&dir).expect("live disk syncs");
+    assert_eq!(faults.ops(), ops, "sync_dir consumes no operation index");
+    faults.set_dead(true);
+    assert!(faults.sync_dir(&dir).is_err(), "a dead disk refuses the sync");
+    assert_eq!(faults.ops(), ops);
+    let _ = fs::remove_dir_all(&dir);
 }

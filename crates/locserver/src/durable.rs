@@ -9,6 +9,20 @@
 //! makes *restore snapshot, then replay everything retained* correct without
 //! tracking a precise per-object replay cursor.
 //!
+//! Recovery works per shard and reads the journal once. The journal's open
+//! scan hands over the bytes it has just checksummed: the snapshot body, then
+//! one segment buffer at a time ([`mbdr_journal::Journal::open_and_recover`]),
+//! so one file's bytes are in memory at a time (the snapshot is restored and
+//! its image dropped before the first segment is read) and every retained
+//! byte is read and checksummed once. Snapshot entries and each
+//! segment's frames are bucketed by shard (frames borrowed from the segment
+//! buffer, in journal order), and each shard is written under one write-lock
+//! hold, the shards spread over up to `available_parallelism` scoped
+//! threads. The index rebuild at the end stays serial: on two threads it
+//! raised the process's peak RSS (each thread's allocator arena keeps half
+//! the rebuilt indexes). [`recover_into`] documents what an error leaves
+//! behind.
+//!
 //! Objects must be registered (with their predictors) on the service *before*
 //! recovery runs: a snapshot records tracker state, not prediction functions.
 //! Entries for unregistered objects are counted in
@@ -16,7 +30,7 @@
 
 use crate::service::LocationService;
 use mbdr_core::{decode_snapshot, DecodeError};
-use mbdr_journal::{Journal, JournalConfig, JournalError};
+use mbdr_journal::{Journal, JournalConfig, JournalError, RealFs, Retained, Vfs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,6 +104,12 @@ impl From<JournalError> for RecoverError {
 /// finally attaches the journal so live ingest appends to it. Returns the
 /// journal handle and a [`RecoveryReport`] of what was rebuilt.
 ///
+/// The restore and the replay consume the bytes the journal's open scan
+/// reads and checksums ([`Journal::open_and_recover`]), so every retained
+/// journal byte is read and checksummed once; see [`recover_into`] for how
+/// the work is spread over shards and threads and what an error leaves
+/// behind.
+///
 /// On a fresh (empty) directory this degenerates to "create the journal and
 /// attach it" with an all-zero report, so servers use one code path whether
 /// or not a previous life existed.
@@ -103,11 +123,23 @@ pub fn recover_and_attach(
     service: &LocationService,
     config: JournalConfig,
 ) -> Result<(Arc<Journal>, RecoveryReport), RecoverError> {
+    recover_and_attach_with_vfs(service, config, Arc::new(RealFs))
+}
+
+/// [`recover_and_attach`] against an explicit storage implementation, as
+/// [`Journal::open_with_vfs`] is to [`Journal::open`].
+pub fn recover_and_attach_with_vfs(
+    service: &LocationService,
+    config: JournalConfig,
+    vfs: Arc<dyn Vfs>,
+) -> Result<(Arc<Journal>, RecoveryReport), RecoverError> {
     if service.journal().is_some() {
         return Err(RecoverError::AlreadyAttached);
     }
-    let journal = Arc::new(Journal::open(config)?);
-    let report = recover_into(service, &journal)?;
+    let mut pass = Pass::new(service);
+    let opened = Journal::open_and_recover(config, vfs, |item| pass.take(item));
+    let journal = Arc::new(pass.finish(opened)?);
+    let report = pass.report(&journal);
     // Still checked: a concurrent attach may have won since the test above.
     if !service.attach_journal(Arc::clone(&journal)) {
         return Err(RecoverError::AlreadyAttached);
@@ -115,44 +147,92 @@ pub fn recover_and_attach(
     Ok((journal, report))
 }
 
-/// The restore + replay half of [`recover_and_attach`], without attaching:
-/// useful when the caller owns journal lifecycle (tests, offline inspection).
+/// The restore + replay half of [`recover_and_attach`], without attaching,
+/// for a journal the caller has already opened (tests, offline inspection).
+/// The open scan's bytes are gone by then, so this reads the snapshot and
+/// every retained segment again, once each ([`Journal::recover`]).
 ///
-/// Snapshot entries and replayed frames are written to the trackers only; the
-/// spatial indexes and expiry heaps are state *derived* from the trackers'
-/// last reports, and are built once, from scratch, as the last step — so
-/// until this function returns, [`LocationService::position_of`] already
-/// answers from restored state while rect and nearest queries see an index
-/// that does not cover it yet. Serve queries only afterwards
-/// (`mbdr-net`'s `NetServer::bind_durable` binds its listener after this
-/// returns). A pass that wrote to no tracker — a fresh directory — takes no
-/// shard lock at all.
+/// The snapshot body is decoded in full before any tracker is touched, so a
+/// [`RecoverError::Snapshot`] leaves the service as it was. Its entries are
+/// then bucketed by shard and each shard restored under one write-lock
+/// hold. Each segment's frames are bucketed by their source's shard in
+/// journal order, borrowed from the segment buffer, and each shard replays
+/// its frames under one write-lock hold. Both steps spread the shards over
+/// up to [`std::thread::available_parallelism`] threads (the calling thread
+/// and scoped helpers, never more than there are shards with work).
+///
+/// Snapshot entries and replayed frames are written to the trackers only;
+/// the spatial indexes and expiry heaps are state *derived* from the
+/// trackers' last reports, and are built once, afresh and serially,
+/// as the last step — so until this function returns,
+/// [`LocationService::position_of`] already answers from restored state
+/// while rect and nearest queries see an index that does not cover it yet.
+/// Serve queries only afterwards (`mbdr-net`'s `NetServer::bind_durable`
+/// binds its listener after this returns). A pass that wrote to no tracker
+/// — a fresh directory — spawns no thread and takes no shard lock at all.
+///
+/// The snapshot is restored before the journal reads a segment (so its
+/// image is gone before the first segment buffer arrives), and each segment
+/// is replayed as it is read. A refusal can therefore come after writes: a
+/// coverage gap or a first segment in a newer format version after the
+/// snapshot was restored, a later segment in a newer format version (or,
+/// here, one that no longer validates) after the segments before it were
+/// replayed too. The indexes are rebuilt over those trackers all the same,
+/// so the service is consistent, but it holds a partial state; build a
+/// fresh service before retrying. No refusal modifies a journal file, and a
+/// snapshot that fails to decode touches no tracker.
 pub fn recover_into(
     service: &LocationService,
     journal: &Journal,
 ) -> Result<RecoveryReport, RecoverError> {
-    let mut report = RecoveryReport::default();
-    if let Some(blob) = journal.load_snapshot()? {
-        let (frames, entries) = decode_snapshot(&blob.body).map_err(RecoverError::Snapshot)?;
-        let (restored, skipped) = service.restore_entries(&entries);
-        report.snapshot_frames = frames;
-        report.restored_objects = restored;
-        report.skipped_objects = skipped;
+    let mut pass = Pass::new(service);
+    let outcome = journal.recover(|item| pass.take(item));
+    pass.finish(outcome)?;
+    Ok(pass.report(journal))
+}
+
+/// One recovery pass: applies what the journal hands over and counts it.
+struct Pass<'s> {
+    service: &'s LocationService,
+    report: RecoveryReport,
+}
+
+impl<'s> Pass<'s> {
+    fn new(service: &'s LocationService) -> Self {
+        Pass { service, report: RecoveryReport::default() }
     }
-    let mut updates = 0u64;
-    let mut decode_errors = 0u64;
-    let replayed = journal.replay(|_, bytes| match service.replay_frame_bytes(bytes) {
-        Ok(n) => updates += n as u64,
-        Err(_) => decode_errors += 1,
-    });
-    // Before the replay's verdict is looked at: a replay that failed midway
-    // has moved trackers too, and they must not be left behind a stale index.
-    if report.restored_objects > 0 || updates > 0 {
-        service.rebuild_indexes();
+
+    /// Applies one snapshot or segment to the trackers.
+    fn take(&mut self, item: Retained<'_>) -> Result<(), RecoverError> {
+        match item {
+            Retained::Snapshot { body, .. } => {
+                let (frames, entries) = decode_snapshot(body).map_err(RecoverError::Snapshot)?;
+                let (restored, skipped) = self.service.restore_entries(&entries);
+                self.report.snapshot_frames = frames;
+                self.report.restored_objects = restored;
+                self.report.skipped_objects = skipped;
+            }
+            Retained::Segment(records) => {
+                let replayed = self.service.replay_frames(records.map(|(_, bytes)| bytes));
+                self.report.replayed_frames += replayed.frames;
+                self.report.replayed_updates += replayed.updates;
+                self.report.frame_decode_errors += replayed.decode_errors;
+            }
+        }
+        Ok(())
     }
-    report.replayed_frames = replayed?;
-    report.replayed_updates = updates;
-    report.frame_decode_errors = decode_errors;
-    report.truncated_bytes = journal.stats().truncated_bytes;
-    Ok(report)
+
+    /// Rebuilds the indexes if any tracker was written — before the pass's
+    /// verdict is returned: a pass that failed midway has moved trackers
+    /// too, and they must not be left behind a stale index.
+    fn finish<T>(&self, outcome: Result<T, RecoverError>) -> Result<T, RecoverError> {
+        if self.report.restored_objects > 0 || self.report.replayed_updates > 0 {
+            self.service.rebuild_indexes();
+        }
+        outcome
+    }
+
+    fn report(&self, journal: &Journal) -> RecoveryReport {
+        RecoveryReport { truncated_bytes: journal.stats().truncated_bytes, ..self.report }
+    }
 }

@@ -10,6 +10,7 @@
 
 use crate::config::ServiceConfig;
 use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
+use crate::shard::ShardState;
 use crate::shard::{CandidateScratch, Shard};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
@@ -17,7 +18,10 @@ use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
 use mbdr_spatial::first_ring_radius;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
 use std::sync::{Arc, OnceLock};
+use std::thread;
 
 /// Identifier of a tracked mobile object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -154,6 +158,17 @@ pub struct IndexStats {
     /// Highest entry count in any single cell of any shard — the direct
     /// observable of hotspot skew.
     pub max_cell_occupancy: usize,
+}
+
+/// What [`LocationService::replay_frames`] did with one segment's frames.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Replayed {
+    /// Frames handed in.
+    pub(crate) frames: u64,
+    /// Updates routed to registered trackers.
+    pub(crate) updates: u64,
+    /// Frames that failed wire decoding.
+    pub(crate) decode_errors: u64,
 }
 
 /// A thread-safe, lock-striped location service tracking many objects.
@@ -352,22 +367,6 @@ impl LocationService {
         Ok(applied)
     }
 
-    /// Recovery twin of [`LocationService::apply_frame_bytes`]: applies a
-    /// frame that came *out of* the journal to its source's tracker — same
-    /// staleness rules, nothing re-journaled, and no index work: only an
-    /// object's last state is ever indexed, so [`crate::durable::recover_into`]
-    /// ends with one [`LocationService::rebuild_indexes`] instead of
-    /// re-anchoring per replayed update. Returns the number of updates routed
-    /// to a registered tracker.
-    pub(crate) fn replay_frame_bytes(&self, bytes: &[u8]) -> Result<usize, DecodeError> {
-        let view = FrameView::parse(bytes)?;
-        if view.is_empty() {
-            return Ok(0);
-        }
-        let object = ObjectId(view.source());
-        Ok(self.shard_of(object).write(|s| s.replay_updates(object, view.updates())))
-    }
-
     /// Derives every shard's spatial index and expiry heap afresh from its
     /// trackers, one write-lock hold per shard — the last step of a recovery
     /// pass that restored or replayed anything.
@@ -485,24 +484,117 @@ impl LocationService {
     }
 
     /// Restores tracker state from decoded snapshot entries (trackers only;
-    /// see [`LocationService::rebuild_indexes`]). Returns
-    /// `(restored, skipped)` — an entry is skipped when its object is not
-    /// registered on this service (recovery cannot invent the predictor).
+    /// see [`LocationService::rebuild_indexes`]): the entries are bucketed by
+    /// shard and each shard is restored under one write-lock hold, the
+    /// shards spread over threads by [`LocationService::write_shards`].
+    /// Returns `(restored, skipped)` — an entry is skipped when its object is
+    /// not registered on this service (recovery cannot invent the predictor).
+    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
     pub(crate) fn restore_entries(&self, entries: &[SnapshotEntry]) -> (u64, u64) {
-        let mut restored = 0u64;
-        let mut skipped = 0u64;
+        let mut buckets: Vec<Vec<&SnapshotEntry>> = vec![Vec::new(); self.shards.len()];
         for entry in entries {
-            let object = ObjectId(entry.object);
-            let ok = self.shard_of(object).write(|s| {
-                s.restore_object(object, &entry.update, entry.updates_applied, entry.bytes_received)
-            });
-            if ok {
-                restored += 1;
-            } else {
-                skipped += 1;
+            buckets[self.shard_index(ObjectId(entry.object))].push(entry);
+        }
+        let restored: u64 = self
+            .write_shards(&buckets, |s, bucket| {
+                let restored = bucket.iter().filter(|e| {
+                    s.restore_object(
+                        ObjectId(e.object),
+                        &e.update,
+                        e.updates_applied,
+                        e.bytes_received,
+                    )
+                });
+                restored.count() as u64
+            })
+            .into_iter()
+            .sum();
+        (restored, entries.len() as u64 - restored)
+    }
+
+    /// Recovery twin of [`LocationService::apply_frame_bytes`] for one
+    /// journal segment's frames: each frame goes to its source's shard in
+    /// journal order (one object's frames always share a shard, so each
+    /// object sees its frames in order), and each shard applies its frames
+    /// under one write-lock hold, the shards spread over threads by
+    /// [`LocationService::write_shards`]. The frames are borrowed from the
+    /// segment buffer, never copied. Same staleness rules as live ingest,
+    /// nothing re-journaled, and no index work: only an object's last state
+    /// is ever indexed, so [`crate::durable::recover_into`] ends with one
+    /// [`LocationService::rebuild_indexes`] instead of re-anchoring per
+    /// replayed update.
+    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
+    pub(crate) fn replay_frames<'a>(&self, frames: impl Iterator<Item = &'a [u8]>) -> Replayed {
+        let mut replayed = Replayed::default();
+        let mut buckets: Vec<Vec<&[u8]>> = vec![Vec::new(); self.shards.len()];
+        for bytes in frames {
+            replayed.frames += 1;
+            match FrameView::peek_source(bytes) {
+                Some(source) => buckets[self.shard_index(ObjectId(source))].push(bytes),
+                None => replayed.decode_errors += 1,
             }
         }
-        (restored, skipped)
+        let per_shard = self.write_shards(&buckets, |s, bucket| {
+            let mut counts = Replayed::default();
+            for bytes in bucket {
+                match FrameView::parse(bytes) {
+                    Ok(view) => {
+                        let routed = s.replay_updates(ObjectId(view.source()), view.updates());
+                        counts.updates += routed as u64;
+                    }
+                    Err(_) => counts.decode_errors += 1,
+                }
+            }
+            counts
+        });
+        for counts in per_shard {
+            replayed.updates += counts.updates;
+            replayed.decode_errors += counts.decode_errors;
+        }
+        replayed
+    }
+
+    /// Runs `work` on every shard whose bucket (`buckets[i]` belongs to shard
+    /// `i`) is not empty, under one write-lock hold per shard, and returns
+    /// the results in no particular order. The shards are dealt round-robin
+    /// over `min(available_parallelism, non-empty shards)` threads: the
+    /// calling thread and scoped helpers (a helper the OS refuses to start
+    /// has its shards run on the calling thread). With nothing to do no
+    /// thread is spawned and no lock is taken.
+    fn write_shards<T: Sync, R: Send>(
+        &self,
+        buckets: &[Vec<T>],
+        work: impl Fn(&mut ShardState, &[T]) -> R + Sync,
+    ) -> Vec<R> {
+        let jobs: Vec<(&Shard, &[T])> = self
+            .shards
+            .iter()
+            .zip(buckets)
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(shard, bucket)| (shard, bucket.as_slice()))
+            .collect();
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get).min(jobs.len());
+        let lane = |lane: usize| -> Vec<R> {
+            let mine = jobs.iter().skip(lane).step_by(threads.max(1));
+            mine.map(|&(shard, bucket)| shard.write(|s| work(s, bucket))).collect()
+        };
+        if threads <= 1 {
+            return lane(0);
+        }
+        let lane = &lane;
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|i| thread::Builder::new().spawn_scoped(scope, move || lane(i)).map_err(|_| i))
+                .collect();
+            let mut out = lane(0);
+            for helper in helpers {
+                out.extend(match helper {
+                    Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
+                    Err(i) => lane(i),
+                });
+            }
+            out
+        })
     }
 
     /// Total write-lock acquisitions across all stripes — a cheap diagnostic
@@ -693,6 +785,32 @@ impl LocationService {
 mod tests {
     use super::*;
     use mbdr_core::{LinearPredictor, ObjectState, StaticPredictor, UpdateKind};
+    use std::collections::HashSet;
+
+    #[test]
+    fn write_shards_deals_shards_over_threads_and_skips_empty_buckets() {
+        let s = LocationService::with_config(ServiceConfig::with_shards(16));
+        // Nothing to do: no lock, no thread.
+        let empty: Vec<Vec<u8>> = vec![Vec::new(); 16];
+        assert!(s.write_shards(&empty, |_, _| thread::current().id()).is_empty());
+        assert_eq!(s.write_lock_acquisitions(), 0);
+        // Every shard busy: one lock hold each, on as many threads as the
+        // machine offers (two or more on any multi-core host).
+        let busy: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i]).collect();
+        let ran = s.write_shards(&busy, |_, bucket| (thread::current().id(), bucket.to_vec()));
+        assert_eq!(s.write_lock_acquisitions(), 16);
+        let mut buckets: Vec<Vec<u8>> = ran.iter().map(|(_, bucket)| bucket.clone()).collect();
+        buckets.sort();
+        assert_eq!(buckets, busy, "each shard ran once, with its own bucket");
+        let threads: HashSet<_> = ran.iter().map(|(id, _)| *id).collect();
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(threads.len(), cores.min(16));
+        // Fewer busy shards than cores: one thread per busy shard at most.
+        let one: Vec<Vec<u8>> =
+            (0..16u8).map(|i| if i == 5 { vec![i] } else { Vec::new() }).collect();
+        let ran = s.write_shards(&one, |_, _| thread::current().id());
+        assert_eq!(ran, [thread::current().id()], "a lone shard runs on the calling thread");
+    }
 
     fn update(seq: u64, t: f64, x: f64, y: f64, speed: f64, heading: f64) -> Update {
         Update {

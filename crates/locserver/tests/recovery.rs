@@ -9,19 +9,21 @@
 //! into a service that already holds indexed state re-derives it from the
 //! trackers, and a refused attach touches neither disk nor service.
 
-use mbdr_core::{encode_snapshot_into, Frame, SnapshotEntry};
+use mbdr_core::{decode_snapshot, encode_snapshot_into, Frame, SnapshotEntry};
 use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_journal::{FsyncPolicy, Journal, JournalConfig};
+use mbdr_journal::{
+    FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Vfs, VfsFile, JOURNAL_VERSION,
+};
 use mbdr_locserver::durable::recover_into;
 use mbdr_locserver::{
-    recover_and_attach, LocationService, ObjectId, RecoverError, RecoveryReport, ServiceConfig,
-    ZoneWatcher,
+    recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, RecoverError,
+    RecoveryReport, ServiceConfig, ZoneWatcher,
 };
 use std::fs::{self, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const OBJECTS: u64 = 12;
@@ -366,28 +368,78 @@ fn assert_same_index_and_answers(a: &LocationService, b: &LocationService, t: f6
     assert_eq!(a.index_stats(), b.index_stats(), "{what}: index stats, t={t}");
 }
 
+/// The report of the serial recovery the parallel one must match: one
+/// decode, then one tracker write per snapshot entry and per replayed frame,
+/// in journal order. Read from a copy of `dir`, so the recovery under test
+/// opens the directory as the crash left it.
+fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport {
+    let copy = temp_dir("serial-oracle");
+    fs::create_dir_all(&copy).expect("oracle dir");
+    for entry in fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("entry").path();
+        fs::copy(&path, copy.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    let journal = Journal::open(JournalConfig::new(&copy)).expect("oracle open");
+    let mut report = RecoveryReport::default();
+    if let Some(blob) = journal.load_snapshot().expect("oracle snapshot") {
+        let (frames, entries) = decode_snapshot(&blob.body).expect("oracle decode");
+        report.snapshot_frames = frames;
+        report.restored_objects = entries.iter().filter(|e| registered(e.object)).count() as u64;
+        report.skipped_objects = entries.len() as u64 - report.restored_objects;
+    }
+    report.replayed_frames = journal
+        .replay(|_, bytes| match Frame::decode(bytes) {
+            Ok(frame) if registered(frame.source) => {
+                report.replayed_updates += frame.updates.len() as u64;
+            }
+            Ok(_) => {}
+            Err(_) => report.frame_decode_errors += 1,
+        })
+        .expect("oracle replay");
+    report.truncated_bytes = journal.stats().truncated_bytes;
+    drop(journal);
+    let _ = fs::remove_dir_all(&copy);
+    report
+}
+
+/// Recovery against an uninterrupted twin, and its report against the
+/// serial oracle, over seeds that vary the shard count (one shard, fewer
+/// shards than threads, an odd split, many small shards), the segment size
+/// and the snapshot cadence. The primary also serves objects the recovering
+/// service does not register, so snapshots carry entries recovery must
+/// skip, and the crash leaves one checksummed record that is no frame. With
+/// 16 shards and two or more cores, restore and replay run on two threads
+/// or more.
 #[test]
 fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
     const FLEET: u64 = 60;
-    // A short horizon keeps ten horizons of box growth to a few cells.
-    let config = ServiceConfig { shards: 4, horizon_s: 10.0, ..ServiceConfig::default() };
-    let fleet = || {
-        let service = LocationService::with_config(config);
-        for i in 0..FLEET {
-            service.register(ObjectId(i), Arc::new(LinearPredictor));
-        }
-        service
-    };
+    /// Objects only the primary serves: their snapshot entries are skipped.
+    const STRANGERS: u64 = 6;
     let mut snapshot_recoveries = 0;
+    let mut skipping_recoveries = 0;
     for seed in 0..20u64 {
         let what = format!("seed {seed}");
+        let shards = [1, 3, 4, 16][seed as usize % 4];
+        // A short horizon keeps ten horizons of box growth to a few cells.
+        let config = ServiceConfig { shards, horizon_s: 10.0, ..ServiceConfig::default() };
+        let fleet = |objects: u64| {
+            let service = LocationService::with_config(config);
+            for i in 0..objects {
+                service.register(ObjectId(i), Arc::new(LinearPredictor));
+            }
+            service
+        };
         let mut rng = Rng(0x5EED_0000 + seed);
-        let mut clocks = vec![(0u64, 0.0f64); FLEET as usize];
+        let mut clocks = vec![(0u64, 0.0f64); (FLEET + STRANGERS) as usize];
         let count = 120 + rng.below(500) as usize;
         let before = seeded_frames(&mut rng, &mut clocks, count);
         let crash_at = 1 + rng.below(before.len() as u64) as usize;
         let t_crash = clocks.iter().map(|&(_, t)| t).fold(0.0, f64::max);
+        clocks.truncate(FLEET as usize);
         let after = seeded_frames(&mut rng, &mut clocks, 2_000);
+        // Checksummed but no frame: 1 to 19 bytes, so some are too short to
+        // name a source and the rest fail the frame walk.
+        let garbage = vec![0xEE; 1 + rng.below(19) as usize];
         let dir = temp_dir("rebuilt");
         let journal_config = JournalConfig {
             dir: dir.clone(),
@@ -397,26 +449,30 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
             snapshot_every_frames: if seed % 5 == 4 { 0 } else { 15 + rng.below(150) },
         };
 
-        let primary = fleet();
+        let primary = fleet(FLEET + STRANGERS);
         let (journal, _) = recover_and_attach(&primary, journal_config.clone()).expect("attach");
         // The twin answers no query before the comparison: lazy re-grow is
         // query-driven, and a rebuilt index has seen none.
-        let twin = fleet();
+        let twin = fleet(FLEET);
         for bytes in &before[..crash_at] {
             primary.apply_frame_bytes(bytes).expect("primary apply");
             twin.apply_frame_bytes(bytes).expect("twin apply");
         }
+        journal.append_frame(&garbage).expect("append garbage");
         drop(primary);
         drop(journal);
 
-        let recovered = fleet();
+        let expected = serial_report(&dir, |object| object < FLEET);
+        let recovered = fleet(FLEET);
         let (journal, report) = recover_and_attach(&recovered, journal_config).expect("recovery");
-        assert_eq!(report.frame_decode_errors, 0, "{what}: {report:?}");
+        assert_eq!(report, expected, "{what}: parallel and serial recovery disagree");
+        assert_eq!(report.frame_decode_errors, 1, "{what}: {report:?}");
         assert!(
-            report.snapshot_frames + report.replayed_frames >= crash_at as u64,
+            report.snapshot_frames + report.replayed_frames > crash_at as u64,
             "{what}: {report:?}"
         );
         snapshot_recoveries += u64::from(report.restored_objects > 0);
+        skipping_recoveries += u64::from(report.skipped_objects > 0);
         assert_eq!(recovered.index_stats(), twin.index_stats(), "{what}: right after recovery");
         assert_eq!(recovered.total_updates(), twin.total_updates(), "{what}");
         // At the crash instant, half a horizon on, and ten horizons on — the
@@ -439,6 +495,7 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
         let _ = fs::remove_dir_all(&dir);
     }
     assert!(snapshot_recoveries >= 8, "most seeds restore a snapshot: {snapshot_recoveries}");
+    assert!(skipping_recoveries >= 8, "most seeds skip strangers: {skipping_recoveries}");
 }
 
 #[test]
@@ -524,4 +581,196 @@ fn refused_attach_touches_neither_disk_nor_service() {
     }
     assert!(Arc::ptr_eq(service.journal().expect("still attached"), &journal));
     let _ = fs::remove_dir_all(&dir_a);
+}
+
+/// A passthrough [`Vfs`] over [`RealFs`] that counts the bytes it reads.
+#[derive(Default)]
+struct CountingFs {
+    read_bytes: AtomicU64,
+}
+
+impl Vfs for CountingFs {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealFs.create_dir_all(dir)
+    }
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        RealFs.open_append(path)
+    }
+    fn create_new_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        RealFs.create_new_append(path)
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        RealFs.create(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let bytes = RealFs.read(path)?;
+        self.read_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealFs.remove_file(path)
+    }
+    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+        RealFs.read_dir_names(dir)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        RealFs.truncate(path, len)
+    }
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        RealFs.file_len(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        RealFs.sync_dir(dir)
+    }
+    fn now_nanos(&self) -> u64 {
+        RealFs.now_nanos()
+    }
+}
+
+/// Total length of the files in `dir` whose names end in `suffix`, and how
+/// many there are.
+fn files_ending_in(dir: &Path, suffix: &str) -> (u64, usize) {
+    let lens: Vec<u64> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.to_string_lossy().ends_with(suffix))
+        .map(|p| fs::metadata(&p).expect("metadata").len())
+        .collect();
+    (lens.iter().sum(), lens.len())
+}
+
+#[test]
+fn recovery_reads_each_retained_file_once() {
+    let dir = temp_dir("read-once");
+    let config = JournalConfig { snapshot_every_frames: 200, ..journal_config(&dir) };
+    let primary = fleet();
+    let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
+    for bytes in &encoded_frames(30) {
+        primary.apply_frame_bytes(bytes).expect("apply");
+    }
+    journal.flush().expect("flush");
+    drop(primary);
+    drop(journal);
+    let (snapshot_bytes, snapshots) = files_ending_in(&dir, ".mbdrs");
+    let (segment_bytes, segments) = files_ending_in(&dir, ".mbdrj");
+    assert_eq!(snapshots, 1, "compaction keeps the newest snapshot only");
+    assert!(segments > 1, "a multi-segment tail: {segments}");
+
+    let counting = Arc::new(CountingFs::default());
+    let recovered = fleet();
+    let (_journal, report) =
+        recover_and_attach_with_vfs(&recovered, config, counting.clone()).expect("recovery");
+    assert!(report.restored_objects > 0 && report.replayed_frames > 0, "{report:?}");
+    assert_eq!(
+        counting.read_bytes.load(Ordering::Relaxed),
+        snapshot_bytes + segment_bytes,
+        "each retained file is read once"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir` with its bytes, sorted by path.
+fn dir_image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .map(|p| (p.clone(), fs::read(&p).expect("read")))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_newer_segment_refuses_recovery_after_what_precedes_it_was_applied() {
+    // A journal whose snapshot is followed by a three-segment tail.
+    let dir = temp_dir("newer-segment");
+    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    let primary = fleet();
+    let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
+    let frames = encoded_frames(10);
+    let (early, late) = frames.split_at(frames.len() / 2);
+    for bytes in early {
+        primary.apply_frame_bytes(bytes).expect("apply");
+    }
+    let floor = journal.begin_forced_snapshot().expect("snapshot slot");
+    let entries = [SnapshotEntry {
+        object: 0,
+        updates_applied: 1,
+        bytes_received: 42,
+        update: Update {
+            sequence: 0,
+            state: ObjectState::basic(Point::new(1.0, 2.0), 3.0, 0.0, 0.0),
+            kind: UpdateKind::Initial,
+        },
+    }];
+    let mut body = Vec::new();
+    encode_snapshot_into(floor, &entries, &mut body).expect("encode snapshot");
+    journal.install_snapshot(floor, &body).expect("install");
+    for bytes in late {
+        primary.apply_frame_bytes(bytes).expect("apply");
+    }
+    journal.flush().expect("flush");
+    drop(primary);
+    drop(journal);
+    let mut segments: Vec<PathBuf> = dir_image(&dir)
+        .into_iter()
+        .map(|(path, _)| path)
+        .filter(|p| p.to_string_lossy().ends_with(".mbdrj"))
+        .collect();
+    segments.sort();
+    assert!(segments.len() > 2, "a multi-segment tail: {segments:?}");
+    let claim_newer_format = |path: &Path| {
+        let mut bytes = fs::read(path).expect("read");
+        bytes[8..10].copy_from_slice(&(JOURNAL_VERSION + 1).to_be_bytes());
+        fs::write(path, &bytes).expect("write back");
+    };
+    let refuse = |service: &LocationService| {
+        let before = dir_image(&dir);
+        let refused = recover_and_attach(service, config.clone()).map(|(_, report)| report);
+        assert!(
+            matches!(
+                refused,
+                Err(RecoverError::Journal(JournalError::UnsupportedVersion { version, .. }))
+                    if version == JOURNAL_VERSION + 1
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(dir_image(&dir), before, "a refusal modifies no file");
+        assert!(service.journal().is_none(), "nothing attached");
+    };
+
+    // The newest segment claims a format this build does not know: the
+    // snapshot and the older segments were applied before the refusal, and
+    // the index was rebuilt over what they wrote.
+    let newest = segments.last().expect("a segment");
+    let intact = fs::read(newest).expect("read");
+    claim_newer_format(newest);
+    let recovered = fleet();
+    refuse(&recovered);
+    let reporting: Vec<u64> =
+        (0..OBJECTS).filter(|&i| recovered.position_of(ObjectId(i), 30.0).is_some()).collect();
+    assert!(reporting.len() > 1, "the older segments reached the trackers: {reporting:?}");
+    assert_eq!(recovered.indexed_count(), reporting.len());
+    let everywhere = Aabb::new(Point::new(-1.0e5, -1.0e5), Point::new(1.0e5, 1.0e5));
+    let mut indexed: Vec<u64> =
+        recovered.objects_in_rect(&everywhere, 30.0).iter().map(|r| r.object.0).collect();
+    indexed.sort_unstable();
+    assert_eq!(indexed, reporting);
+
+    // The first segment claims it instead: refused after the snapshot was
+    // restored (it is applied before any segment is read) and before any
+    // frame was replayed.
+    fs::write(newest, &intact).expect("restore the newest segment");
+    claim_newer_format(&segments[0]);
+    let snapshot_only = fleet();
+    refuse(&snapshot_only);
+    let reporting: Vec<u64> =
+        (0..OBJECTS).filter(|&i| snapshot_only.position_of(ObjectId(i), 30.0).is_some()).collect();
+    assert_eq!(reporting, [0], "only the snapshot's one entry");
+    assert_eq!(snapshot_only.total_updates(), 1, "its counters, no replayed update");
+    assert_eq!(snapshot_only.indexed_count(), 1);
+    let _ = fs::remove_dir_all(&dir);
 }
