@@ -14,10 +14,12 @@
 //! drives the TCP serving layer over loopback as the end-to-end network
 //! baseline, and [`scale`] sweeps the synthetic 10⁴/10⁵-object workload
 //! (uniform and Zipf-hotspot placement) over the spatial data plane as the
-//! large-N baseline. [`baseline_document`] builds any of the nine documents
-//! by command name. Every number in them is seed-determined, so the
-//! regression gate is a byte comparison: `baselines/check.sh` diffs each
-//! fresh document against the committed `baselines/BENCH_<cmd>.json`. Time
+//! large-N baseline, with each point's heap high-water mark per object read
+//! from the counting allocator ([`alloccount`]). [`baseline_document`]
+//! builds any of the nine documents by command name. Every number in them
+//! is seed-determined, so the regression gate is a byte comparison:
+//! `baselines/check.sh` diffs each fresh document against the committed
+//! `baselines/BENCH_<cmd>.json`. Time
 //! is measured by the separate `benchmark/` package. [`hotpath`]
 //! measures the steady-state ingest/query/predict pipeline under the
 //! counting allocator ([`alloccount`]) and pins its allocations-per-

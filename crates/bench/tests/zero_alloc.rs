@@ -6,6 +6,7 @@
 //! Beyond `hotpath_report`'s measured loops, the test drives the source-side
 //! protocols (and so `MotionEstimator::record`), the update and query
 //! codecs, the blocking transport's reader, `MovingIndex::query_keys_into`,
+//! ingest whose index boxes cross a position-run size class on every move,
 //! rect queries whose answers are large enough for the radix sort, and the
 //! intersection policies that walk a junction's outgoing links through a
 //! warm-then-measured loop each.
@@ -162,6 +163,41 @@ fn assert_index_key_queries_do_not_allocate() {
     assert!(!keys.is_empty());
 }
 
+/// Ingest whose moves change the size class of the entry's position run:
+/// each object flips between parked (a 200 m box inside one 250 m cell, a
+/// run of class 0) and 10 m/s (an 800 m box over 5 × 5 cells, class 3).
+fn assert_class_crossing_moves_do_not_allocate() {
+    let service = LocationService::new();
+    let ids: Vec<ObjectId> =
+        (0..64u64).map(|i| ObjectId(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+    for &id in &ids {
+        service.register(id, Arc::new(StaticPredictor));
+    }
+    let at = |k: usize| Point::new((k % 8) as f64 * 250.0 + 125.0, (k / 8) as f64 * 250.0 + 125.0);
+    let update = |k: usize, sequence: u64, speed: f64| Update {
+        sequence,
+        state: ObjectState::basic(at(k), speed, 0.0, sequence as f64),
+        kind: UpdateKind::DeviationBound,
+    };
+    let cells_at = |sequence: u64, speed: f64| {
+        for (k, &id) in ids.iter().enumerate() {
+            assert!(service.apply_update(id, &update(k, sequence, speed)));
+        }
+        service.index_stats().occupied_cells
+    };
+    assert_eq!(cells_at(0, 0.0), ids.len(), "a parked object's box stays in its cell");
+    let moving = cells_at(1, 10.0);
+    assert!(moving > 4 * ids.len(), "a moving object's box covers 5 x 5 cells: {moving}");
+    let mut applied = 0;
+    let allocs = measured_allocations(|i| {
+        let (round, k) = (i / ids.len(), i % ids.len());
+        let speed = if (round + k) % 2 == 0 { 0.0 } else { 10.0 };
+        applied += usize::from(service.apply_update(ids[k], &update(k, round as u64 + 2, speed)));
+    });
+    assert_eq!(allocs, 0, "moves that change a run's size class must not allocate");
+    assert_eq!(applied, 2 * OPS, "every update reaches a registered object");
+}
+
 /// Rect queries whose answers alternate between 1 000 and 2 000 reports:
 /// `hotpath`'s answers hold 32, below the size where the answer is put in
 /// id order by the radix sort through `QueryScratch`'s second buffer.
@@ -266,6 +302,7 @@ fn steady_state_ingest_and_queries_do_not_allocate() {
     assert_codecs_do_not_allocate();
     assert_transport_reads_do_not_allocate();
     assert_index_key_queries_do_not_allocate();
+    assert_class_crossing_moves_do_not_allocate();
     assert_large_rect_answers_do_not_allocate();
     assert_policy_predictions_do_not_allocate();
 }

@@ -408,21 +408,9 @@ impl Runtime {
                 self.teardown_all();
                 return;
             }
-            let mut readiness = 0u64;
-            let mut waker_rang = false;
-            for ev in &events {
-                if ev.token == WAKER_TOKEN {
-                    waker_rang = true;
-                    continue;
-                }
-                readiness += 1;
-                self.dispatch(ev);
-            }
+            let waker_rang = self.dispatch_all(&events);
             events.clear();
             self.events = events;
-            if readiness > 0 {
-                ServerStats::add(&self.stats.readiness_wakeups, readiness);
-            }
             if waker_rang {
                 self.wake_rx.drain();
             }
@@ -436,20 +424,36 @@ impl Runtime {
                 // One nonblocking sweep before teardown: events already
                 // ready (typically peer FINs racing the shutdown signal)
                 // still get their proper close attribution instead of
-                // vanishing into the unattributed-shutdown teardown.
+                // vanishing into the unattributed-shutdown teardown, and
+                // count as readiness wakeups like any other batch.
                 let mut events = std::mem::take(&mut self.events);
                 if self.poller.wait(&mut events, Some(Duration::ZERO)).is_ok() {
-                    for ev in &events {
-                        if ev.token != WAKER_TOKEN {
-                            self.dispatch(ev);
-                        }
-                    }
+                    self.dispatch_all(&events);
                 }
                 self.service_completions();
                 self.teardown_all();
                 return;
             }
         }
+    }
+
+    /// Dispatches every connection event of one poll batch, adds them to
+    /// `readiness_wakeups`, and returns whether the waker rang.
+    fn dispatch_all(&mut self, events: &[Event]) -> bool {
+        let mut readiness = 0u64;
+        let mut waker_rang = false;
+        for ev in events {
+            if ev.token == WAKER_TOKEN {
+                waker_rang = true;
+                continue;
+            }
+            readiness += 1;
+            self.dispatch(ev);
+        }
+        if readiness > 0 {
+            ServerStats::add(&self.stats.readiness_wakeups, readiness);
+        }
+        waker_rang
     }
 
     fn wait_timeout(&self) -> Option<Duration> {

@@ -18,15 +18,19 @@
 //! * cell membership lives in one flat slab of dense-id slots,
 //!   carved into power-of-two-capacity segments — one contiguous segment per
 //!   occupied cell, found through an open-addressed `CellTable`;
-//! * every entry records its placements (`cell`, position *within* the
-//!   cell's segment), so removal is a swap-remove plus a placement patch —
-//!   O(cells per entry), independent of how crowded the cells are;
+//! * every entry records the rectangle of cells its box overlaps and a
+//!   *position run* — one `u32` per cell of that rectangle, in walk order,
+//!   holding the entry's position *within* the cell's segment — carved from
+//!   a second size-class slab of its own. Removal is a swap-remove plus one
+//!   run patch for the entry moved into the hole, at the rank its rectangle
+//!   gives the cell: O(cells per entry), independent of how crowded the
+//!   cells are, and no heap block per entry;
 //! * queries walk contiguous segments and deduplicate with a
 //!   generation-stamped [`SeenScratch`] in O(candidates), instead of sorting
 //!   the candidate list on every query; the walk gathers each segment's
 //!   first visits without a branch per slot.
 //!
-//! All mutation paths reuse freed segments, dense ids and placement buffers,
+//! All mutation paths reuse freed segments, dense ids and position runs,
 //! so the steady state (objects moving within a warm cell population) touches
 //! the allocator zero times — the property the `hotpath` benchmark gate pins.
 //!
@@ -63,19 +67,68 @@ fn seg_cap(class: u8) -> u32 {
     MIN_SEG_CAP << class
 }
 
-/// One cell an entry is registered in, with its position *relative to the
-/// cell's segment start* — stable across both table rehashes (the coordinate
-/// is stored, not a table slot) and segment grows (relative, not absolute).
-#[derive(Debug, Clone, Copy)]
-struct Placement {
-    cell: (i64, i64),
-    pos: u32,
+/// The size class of the smallest segment holding `slots` slots.
+#[inline]
+fn class_for(slots: u32) -> u8 {
+    (slots.max(MIN_SEG_CAP) - 1).ilog2() as u8 + 1 - MIN_SEG_CAP.ilog2() as u8
 }
 
-/// The flat slot slab all cell segments are carved from — one dense id per
-/// slot, what the seen mask and the entry arena are indexed by — with one
+/// The cells an entry's box overlaps — `cols × rows` cells from `(x0, y0)`
+/// — and the start of its position run in `MovingIndex::runs`. Run slot
+/// `rank(cell)` holds the entry's position *relative to* that cell's segment
+/// start, which stays valid across table rehashes (cells are found by
+/// coordinate) and segment grows (relative, not absolute).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    x0: i64,
+    y0: i64,
+    cols: u32,
+    rows: u32,
+    start: u32,
+}
+
+impl Span {
+    /// The cell rectangle of `bbox`, with no run yet. A box whose corners
+    /// are out of order overlaps no cell.
+    fn of(bbox: &Aabb, cell_size: f64) -> Span {
+        let (x0, y0) = cell_of(&bbox.min, cell_size);
+        let (x1, y1) = cell_of(&bbox.max, cell_size);
+        let axis = |lo: i64, hi: i64| {
+            if hi < lo {
+                return 0;
+            }
+            let cells = u32::try_from(hi.abs_diff(lo)).ok().and_then(|d| d.checked_add(1));
+            cells.expect("a box spans fewer than 2^32 cells per axis")
+        };
+        Span { x0, y0, cols: axis(x0, x1), rows: axis(y0, y1), start: 0 }
+    }
+
+    /// The cells of the rectangle in run order — column by column, the
+    /// order [`cell_range`] walks them.
+    fn cells(&self) -> impl Iterator<Item = (i64, i64)> {
+        let (x0, y0, rows) = (self.x0, self.y0, self.rows);
+        (0..self.cols)
+            .flat_map(move |dx| (0..rows).map(move |dy| (x0 + i64::from(dx), y0 + i64::from(dy))))
+    }
+
+    /// The size class of this span's run.
+    fn class(&self) -> u8 {
+        class_for(self.cols.checked_mul(self.rows).expect("a box spans fewer than 2^32 cells"))
+    }
+
+    /// The index in the run of `cell`, which must lie in the rectangle:
+    /// [`cell_range`] order, column by column.
+    #[inline]
+    fn rank(&self, cell: (i64, i64)) -> u32 {
+        (cell.0 - self.x0) as u32 * self.rows + (cell.1 - self.y0) as u32
+    }
+}
+
+/// A flat `u32` slab carved into power-of-two-capacity segments, with one
 /// free list per size class so emptied and outgrown segments are recycled
-/// instead of leaking or reallocating.
+/// instead of leaking or reallocating. The index keeps two: one for the
+/// cell segments (one dense id per slot, what the seen mask and the entry
+/// arena are indexed by) and one for the entries' position runs.
 #[derive(Debug, Clone)]
 struct Slab {
     data: Vec<u32>,
@@ -119,14 +172,16 @@ pub struct MovingIndex<K> {
     /// Dense id → entry. Freed ids keep their stale slot (unreachable: no
     /// cell references it) and are recycled through `free_ids`.
     entries: Vec<Entry<K>>,
-    /// Dense id → the cells the entry is registered in. The inner buffers
-    /// are retained across removal/re-insert so a moving entry allocates
-    /// nothing in steady state.
-    placements: Vec<Vec<Placement>>,
+    /// Dense id → the cells the entry is registered in and its run in
+    /// `runs` (stale for freed ids, like their entries).
+    spans: Vec<Span>,
     free_ids: Vec<u32>,
     /// Cell coordinate → its segment of `slab`.
     table: CellTable<Segment>,
     slab: Slab,
+    /// The entries' position runs, apart from the cell segments so a query's
+    /// walk over `slab` stays dense.
+    runs: Slab,
     /// Union of every bbox ever inserted (never shrinks on removal); clamps
     /// oversized query boxes and bounds the service's nearest-ring search.
     bounds: Option<Aabb>,
@@ -143,22 +198,23 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
             cell_size,
             items: HashMap::new(),
             entries: Vec::new(),
-            placements: Vec::new(),
+            spans: Vec::new(),
             free_ids: Vec::new(),
             table: CellTable::new(),
             slab: Slab::new(),
+            runs: Slab::new(),
             bounds: None,
         }
     }
 
     /// Reserves room for `additional` more entries in the per-entry tables
-    /// (key map, entry arena, placement lists), so a bulk load of known size
+    /// (key map, entry arena, cell spans), so a bulk load of known size
     /// does not re-grow them along the way. Cell storage grows with the cells
     /// the entries turn out to occupy, as ever.
     pub fn reserve(&mut self, additional: usize) {
         self.items.reserve(additional);
         self.entries.reserve(additional);
-        self.placements.reserve(additional);
+        self.spans.reserve(additional);
     }
 
     /// Number of entries in the index.
@@ -218,9 +274,8 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     pub fn insert(&mut self, key: K, bbox: Aabb) -> bool {
         let (dense, moved) = match self.items.get(&key).copied() {
             Some(dense) => {
-                // A move: detach the old placements but keep the dense id
-                // (and its placement buffer) — no hashing beyond the lookup,
-                // no allocation.
+                // A move: detach the old placement but keep the dense id —
+                // no hashing beyond the lookup, no allocation.
                 self.detach(dense);
                 self.entries[dense as usize].bbox = bbox;
                 (dense, true)
@@ -234,7 +289,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                     None => {
                         let id = self.entries.len() as u32;
                         self.entries.push(Entry::new(bbox, key));
-                        self.placements.push(Vec::new());
+                        self.spans.push(Span::default());
                         id
                     }
                 };
@@ -242,9 +297,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 (dense, false)
             }
         };
-        for cell in cell_range(&bbox, self.cell_size) {
-            self.register(dense, cell);
-        }
+        self.attach(dense, Span::of(&bbox, self.cell_size));
         self.bounds = Some(match self.bounds {
             Some(b) => b.union(&bbox),
             None => bbox,
@@ -254,8 +307,9 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
 
     /// Removes `key` from the index. Returns `true` if it was present.
     ///
-    /// O(cells the entry spans), independent of cell crowding: each placement
-    /// is a swap-remove at a recorded position, not a scan of the cell.
+    /// O(cells the entry spans), independent of cell crowding: each cell is
+    /// a swap-remove at the position the entry's run records, not a scan of
+    /// the cell.
     pub fn remove(&mut self, key: &K) -> bool {
         let Some(dense) = self.items.remove(key) else {
             return false;
@@ -265,30 +319,41 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         true
     }
 
-    /// Unregisters every placement of `dense`, retaining its placement
-    /// buffer's capacity for reuse.
-    fn detach(&mut self, dense: u32) {
-        let mut list = std::mem::take(&mut self.placements[dense as usize]);
-        for p in list.drain(..) {
-            self.unregister(p.cell, p.pos);
+    /// Registers `dense` in every cell of `span` (a fresh rectangle), taking
+    /// a run of the matching class from `runs` and recording there the
+    /// position each cell's segment gave it.
+    fn attach(&mut self, dense: u32, mut span: Span) {
+        span.start = self.runs.alloc(span.class(), 0);
+        self.spans[dense as usize] = span;
+        for (slot, cell) in (span.start as usize..).zip(span.cells()) {
+            self.runs.data[slot] = self.register(dense, cell);
         }
-        // Hand the (now empty) buffer back so the next insert reuses it.
-        self.placements[dense as usize] = list;
+    }
+
+    /// Unregisters `dense` from every cell its span covers and returns its
+    /// run to `runs`' free list.
+    fn detach(&mut self, dense: u32) {
+        let span = self.spans[dense as usize];
+        for (slot, cell) in (span.start as usize..).zip(span.cells()) {
+            self.unregister(cell, self.runs.data[slot]);
+        }
+        self.runs.release(span.start, span.class());
     }
 
     /// Appends a slot for `dense` to `cell`'s segment, growing the segment a
-    /// size class (copy + recycle) when full, and records the placement.
-    fn register(&mut self, dense: u32, cell: (i64, i64)) {
-        let pos = match self.table.get(cell).copied() {
+    /// size class (copy + recycle) when full. Returns the slot's position in
+    /// the segment.
+    fn register(&mut self, dense: u32, cell: (i64, i64)) -> u32 {
+        match self.table.get(cell).copied() {
             Some(seg) if seg.len < seg_cap(seg.class) => {
                 self.slab.data[(seg.start + seg.len) as usize] = dense;
                 self.table.get_mut(cell).expect("cell just probed").len += 1;
                 seg.len
             }
             Some(seg) => {
-                // Segment full: move the cell to the next size class.
-                // Placements store segment-relative positions, so the copy
-                // invalidates nothing.
+                // Segment full: move the cell to the next size class. Runs
+                // store segment-relative positions, so the copy invalidates
+                // nothing.
                 let new_start = self.slab.alloc(seg.class + 1, dense);
                 self.slab.data.copy_within(
                     seg.start as usize..(seg.start + seg.len) as usize,
@@ -306,25 +371,22 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 self.table.insert(cell, Segment { start, len: 1, class: 0 });
                 0
             }
-        };
-        self.placements[dense as usize].push(Placement { cell, pos });
+        }
     }
 
-    /// Swap-removes the slot at `pos` of `cell`'s segment, patching the
-    /// placement record of whichever entry's slot was swapped into the hole.
+    /// Swap-removes the slot at `pos` of `cell`'s segment, patching the run
+    /// of whichever entry's slot was swapped into the hole.
     fn unregister(&mut self, cell: (i64, i64), pos: u32) {
-        let seg = *self.table.get(cell).expect("placement refers to an occupied cell");
+        let seg = *self.table.get(cell).expect("a run refers to an occupied cell");
         let last = seg.len - 1;
         if pos != last {
             let tail = self.slab.data[(seg.start + last) as usize];
             self.slab.data[(seg.start + pos) as usize] = tail;
             // An entry appears at most once per cell, so the swapped slot
-            // always belongs to a *different* entry whose placement list is
-            // in place (not the one being detached).
-            let list = &mut self.placements[tail as usize];
-            let record =
-                list.iter_mut().find(|p| p.cell == cell).expect("swapped entry records this cell");
-            record.pos = pos;
+            // always belongs to a *different* entry, whose span covers
+            // `cell` and whose run is in place (not the one being detached).
+            let span = &self.spans[tail as usize];
+            self.runs.data[(span.start + span.rank(cell)) as usize] = pos;
         }
         if last == 0 {
             self.table.remove(cell);
@@ -528,7 +590,7 @@ mod tests {
         assert_eq!(idx.occupied_cells(), 1);
         assert_eq!(idx.max_cell_occupancy(), 64);
         // Remove from the middle: each removal swap-removes a slot, which
-        // must patch the swapped entry's placement record — verified because
+        // must patch the swapped entry's position run — verified because
         // later removals (and queries) still find everything.
         for key in (0..64u32).step_by(3) {
             assert!(idx.remove(&key));
@@ -550,8 +612,7 @@ mod tests {
             idx.insert(key, Aabb::around(Point::new(key as f64 * 7.0, 0.0), 3.0));
         }
         // Warm up full move cycles (both transition directions) so every
-        // size class / free list / placement buffer reaches its high-water
-        // mark…
+        // size class / free list / run reaches its high-water mark…
         for round in 0..4 {
             let phase = round % 2;
             for key in 0..32u32 {
@@ -560,9 +621,10 @@ mod tests {
             }
         }
         let slab_len = idx.slab.data.len();
+        let runs_len = idx.runs.data.len();
         let entries_len = idx.entries.len();
         // …then keep cycling through the same positions: the arenas must not
-        // grow (segments, ids and placement buffers are all recycled).
+        // grow (segments, ids and runs are all recycled).
         for round in 0..50 {
             let phase = round % 2;
             for key in 0..32u32 {
@@ -571,8 +633,154 @@ mod tests {
             }
         }
         assert_eq!(idx.slab.data.len(), slab_len, "steady churn must not grow the slab");
+        assert_eq!(idx.runs.data.len(), runs_len, "runs are recycled");
         assert_eq!(idx.entries.len(), entries_len, "dense ids are recycled");
         assert_eq!(idx.len(), 32);
+    }
+
+    /// Checks every live entry's run against the cell segments: for each
+    /// cell of its box, in `cell_range` order, the run records the position
+    /// at which that cell's segment holds the entry's dense id; and the
+    /// segments hold no other slots.
+    fn assert_runs_match_segments(idx: &MovingIndex<u32>) {
+        let mut registered = 0usize;
+        for (&key, &dense) in &idx.items {
+            let span = idx.spans[dense as usize];
+            let bbox = idx.entries[dense as usize].bbox;
+            for (rank, cell) in cell_range(&bbox, idx.cell_size).enumerate() {
+                let pos = idx.runs.data[span.start as usize + rank];
+                let seg = idx.table.get(cell).expect("a registered cell is occupied");
+                assert!(pos < seg.len, "key {key}, cell {cell:?}: position {pos} past the segment");
+                let slot = idx.slab.data[(seg.start + pos) as usize];
+                assert_eq!(
+                    slot, dense,
+                    "key {key}, cell {cell:?}: the run points at another entry"
+                );
+                registered += 1;
+            }
+        }
+        let slots: usize = idx.table.iter().map(|(_, seg)| seg.len as usize).sum();
+        assert_eq!(slots, registered, "segment lengths add up to the entries' cell counts");
+    }
+
+    /// Holds both queries to a brute-force scan of `model` (key → box) for
+    /// `query`; `bounds` is the union of every box ever inserted.
+    fn assert_queries_match_model(
+        idx: &MovingIndex<u32>,
+        model: &std::collections::BTreeMap<u32, Aabb>,
+        bounds: Option<Aabb>,
+        query: &Aabb,
+    ) {
+        let expect: Vec<u32> =
+            model.iter().filter(|(_, b)| b.intersects(query)).map(|(&k, _)| k).collect();
+        assert_eq!(rect(idx, query), expect, "rect walk for {query:?}");
+        // The key query answers by cell: every entry registered in a cell
+        // the query (clamped to the bounds) overlaps.
+        let cells = |b: &Aabb| (cell_of(&b.min, idx.cell_size), cell_of(&b.max, idx.cell_size));
+        let expect: Vec<u32> = match bounds.filter(|b| b.intersects(query)) {
+            None => Vec::new(),
+            Some(bounds) => {
+                let clamped = Aabb::new(
+                    Point::new(query.min.x.max(bounds.min.x), query.min.y.max(bounds.min.y)),
+                    Point::new(query.max.x.min(bounds.max.x), query.max.y.min(bounds.max.y)),
+                );
+                let (qlo, qhi) = cells(&clamped);
+                model
+                    .iter()
+                    .filter(|(_, b)| {
+                        let (lo, hi) = cells(b);
+                        lo.0 <= qhi.0 && qlo.0 <= hi.0 && lo.1 <= qhi.1 && qlo.1 <= hi.1
+                    })
+                    .map(|(&k, _)| k)
+                    .collect()
+            }
+        };
+        let mut keys = Vec::new();
+        idx.query_keys_into(query, &mut SeenScratch::new(), &mut keys);
+        assert_eq!(keys, expect, "key query for {query:?}");
+    }
+
+    #[test]
+    fn position_runs_follow_churn_against_a_model() {
+        // Boxes from one cell to 7 × 6 cells (runs of class 0 to 4), never
+        // square but for the point boxes, centred in a 6 × 6-cell block so
+        // cells are crowded; keys are removed and re-inserted, so dense ids
+        // are recycled.
+        let mut idx = MovingIndex::new(10.0);
+        let mut model = std::collections::BTreeMap::new();
+        let mut bounds: Option<Aabb> = None;
+        let mut state = 0x9E37_u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        const HALVES: [(f64, f64); 5] =
+            [(0.0, 0.0), (4.0, 9.0), (14.0, 6.0), (19.0, 24.0), (28.0, 21.0)];
+        let place = |idx: &mut MovingIndex<u32>,
+                     model: &mut std::collections::BTreeMap<u32, Aabb>,
+                     bounds: &mut Option<Aabb>,
+                     key: u32,
+                     bbox: Aabb| {
+            idx.insert(key, bbox);
+            model.insert(key, bbox);
+            *bounds = Some(bounds.map_or(bbox, |b| b.union(&bbox)));
+        };
+        let mut classes = [0u32; NUM_CLASSES];
+        for step in 0..3_000 {
+            let key = next(64) as u32;
+            if model.contains_key(&key) && next(4) == 0 {
+                assert!(idx.remove(&key));
+                model.remove(&key);
+            } else {
+                let c = Point::new(next(60) as f64 + 0.5, next(60) as f64 + 0.5);
+                let (hx, hy) = HALVES[next(5) as usize];
+                let bbox =
+                    Aabb::new(Point::new(c.x - hx, c.y - hy), Point::new(c.x + hx, c.y + hy));
+                place(&mut idx, &mut model, &mut bounds, key, bbox);
+                classes[idx.spans[idx.items[&key] as usize].class() as usize] += 1;
+            }
+            assert_eq!(idx.len(), model.len(), "step {step}");
+            assert_runs_match_segments(&idx);
+            let c = Point::new(next(120) as f64 - 30.0, next(120) as f64 - 30.0);
+            let query = Aabb::around(c, [0.5, 7.0, 30.0][next(3) as usize]);
+            assert_queries_match_model(&idx, &model, bounds, &query);
+        }
+        assert!(classes[..5].iter().all(|&n| n > 50), "runs of every class: {classes:?}");
+        assert!(idx.max_cell_occupancy() > 16, "cells outgrow three segment classes");
+
+        // Steady churn: every key flips between a one-cell box and a
+        // 30-cell one each round (class 0 ↔ class 3), and every fifth key is
+        // removed and re-inserted. After warm-up neither slab grows.
+        let shape = |key: u32, round: u32| {
+            let c = Point::new(f64::from(key % 8) * 13.0 + 5.0, f64::from(key / 8) * 17.0 + 5.0);
+            let (hx, hy) = if (key + round).is_multiple_of(2) { (0.0, 0.0) } else { (28.0, 21.0) };
+            Aabb::new(Point::new(c.x - hx, c.y - hy), Point::new(c.x + hx, c.y + hy))
+        };
+        let mut lengths = None;
+        for round in 0..24 {
+            for key in 0..64u32 {
+                if key % 5 == 0 {
+                    idx.remove(&key);
+                    model.remove(&key);
+                }
+                place(&mut idx, &mut model, &mut bounds, key, shape(key, round));
+            }
+            assert_runs_match_segments(&idx);
+            if round == 4 {
+                lengths = Some((idx.slab.data.len(), idx.runs.data.len()));
+            }
+            if let Some(lengths) = lengths {
+                assert_eq!(
+                    (idx.slab.data.len(), idx.runs.data.len()),
+                    lengths,
+                    "round {round}: steady churn must not grow either slab"
+                );
+            }
+        }
+        let query = Aabb::new(Point::new(-50.0, -50.0), Point::new(200.0, 200.0));
+        assert_queries_match_model(&idx, &model, bounds, &query);
     }
 
     #[test]
