@@ -5,7 +5,7 @@
 //! counter on every `alloc` / `realloc` / `alloc_zeroed` call (deallocations
 //! are free and not counted). It also keeps the bytes live on the heap —
 //! requested sizes, not the system allocator's chunks — and their high-water
-//! mark since the last [`reset_peak`], which `reproduce scale` reads as the
+//! mark since the last `reset_peak`, which `reproduce scale` reads as the
 //! heap cost of each tracked object. Binaries that want allocation accounting
 //! install it with
 //!
@@ -106,13 +106,13 @@ pub fn allocations() -> u64 {
 
 /// Bytes currently live on the heap (requested sizes, all threads). Zero
 /// unless a binary installs [`CountingAllocator`].
-pub fn live_bytes() -> usize {
+pub(crate) fn live_bytes() -> usize {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// The most bytes live at once since the last [`reset_peak`] (or since the
 /// process started).
-pub fn peak_bytes() -> usize {
+pub(crate) fn peak_bytes() -> usize {
     PEAK_BYTES.load(Ordering::Relaxed)
 }
 
@@ -120,7 +120,7 @@ pub fn peak_bytes() -> usize {
 /// later [`peak_bytes`] minus this value is the most a stretch of work in
 /// between added to the heap at once. Exact when no other thread allocates
 /// meanwhile.
-pub fn reset_peak() -> usize {
+pub(crate) fn reset_peak() -> usize {
     let live = live_bytes();
     PEAK_BYTES.store(live, Ordering::Relaxed);
     live

@@ -44,7 +44,7 @@ const FSYNC_BATCH: u32 = 16;
 /// One fault-injection measurement (see the module docs). Every count is
 /// seed-deterministic.
 #[derive(Debug, Clone)]
-pub struct FaultsBench {
+pub(crate) struct FaultsBench {
     /// Tracked objects.
     pub objects: usize,
     /// Frames acknowledged in phase 1 (durable prefix + degraded window +
@@ -87,7 +87,7 @@ pub struct FaultsBench {
 /// Runs the fault-injection measurement. Deterministic for a given
 /// `(scale, seed)`; uses (and removes) a scratch directory under the system
 /// temp dir.
-pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
+pub(crate) fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     let objects = ((16.0 * scale).round() as usize).max(8);
     let rounds = ((80.0 * scale).round() as usize).max(16);
     let frames = encoded_frames(objects, rounds, seed);
@@ -166,7 +166,7 @@ pub fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
 }
 
 /// The measurement as one JSON document (schema `mbdr-faults/1`).
-pub fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> Json {
+pub(crate) fn render_faults_json(scale: f64, seed: u64, r: &FaultsBench) -> Json {
     let head = [
         ("objects", Json::exact(r.objects as f64)),
         ("frames", Json::exact(r.frames as f64)),

@@ -3,7 +3,7 @@
 //! against `baselines/BENCH_hotpath.json`.
 //!
 //! The workload is deliberately periodic: every object's position cycles
-//! with period [`POSITION_CYCLE`] and all objects share one cell footprint,
+//! with period `POSITION_CYCLE` and all objects share one cell footprint,
 //! so a warm-up pass through one full cycle touches every grid cell, heap
 //! slot and buffer the measured phase will touch. After that warm-up the
 //! ingest → predict → query pipeline is **allocation-free by design**:
@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 /// Period of the position pattern: after one full cycle every grid cell the
 /// workload will ever occupy has been occupied.
-pub const POSITION_CYCLE: usize = 4;
+pub(crate) const POSITION_CYCLE: usize = 4;
 
 /// Updates batched per frame (one uplink transmission).
 const UPDATES_PER_FRAME: usize = 8;
@@ -285,7 +285,7 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
 }
 
 /// The report as one JSON document (schema `mbdr-hotpath/1`).
-pub fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> Json {
+pub(crate) fn render_hotpath_json(scale: f64, seed: u64, r: &HotpathReport) -> Json {
     Json::document(
         "mbdr-hotpath/1",
         scale,

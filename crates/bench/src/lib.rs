@@ -97,7 +97,7 @@ pub const REPRODUCE_FLAGS: [(&str, &str); 4] =
 /// The full figure set as one machine-readable JSON document (schema
 /// `mbdr-reproduce/1`): per figure, the sweep data — update counts and
 /// deviations per protocol and accuracy (`reproduce json`).
-pub fn figures_json(scale: f64, seed: u64) -> Json {
+pub(crate) fn figures_json(scale: f64, seed: u64) -> Json {
     let figures = ScenarioKind::ALL.iter().map(|&kind| {
         Json::object([
             ("figure", Json::exact(f64::from(figure_number(kind)))),

@@ -17,12 +17,12 @@ use mbdr_sim::{
 
 /// The (producer, query) connection counts the baseline sweeps: a serial
 /// reference point and the concurrent shape the serving layer exists for.
-pub const BASELINE_CONNECTIONS: [(usize, usize); 2] = [(1, 1), (4, 4)];
+pub(crate) const BASELINE_CONNECTIONS: [(usize, usize); 2] = [(1, 1), (4, 4)];
 
 /// Runs the serving-layer baseline grid at the given scale (`scale` shrinks
 /// fleet size, trip length and query counts together, like the throughput
 /// baseline).
-pub fn net_grid(scale: f64, seed: u64) -> Vec<NetWorkloadReport> {
+pub(crate) fn net_grid(scale: f64, seed: u64) -> Vec<NetWorkloadReport> {
     BASELINE_CONNECTIONS
         .iter()
         .map(|&(producers, queriers)| {
@@ -40,19 +40,19 @@ pub fn net_grid(scale: f64, seed: u64) -> Vec<NetWorkloadReport> {
 }
 
 /// The grid as one JSON document (schema `mbdr-net/1`).
-pub fn render_net_json(scale: f64, seed: u64, reports: &[NetWorkloadReport]) -> Json {
+pub(crate) fn render_net_json(scale: f64, seed: u64, reports: &[NetWorkloadReport]) -> Json {
     let points = Json::array(reports.iter().map(NetWorkloadReport::to_json));
     Json::document("mbdr-net/1", scale, seed, [("points", points)])
 }
 
 /// The (total, hot) connection counts the connection-scale baseline sweeps:
 /// a mid-size point and the multi-thousand shape the reactor exists for.
-pub const BASELINE_CONNSCALE: [(usize, usize); 2] = [(1_024, 32), (4_096, 64)];
+pub(crate) const BASELINE_CONNSCALE: [(usize, usize); 2] = [(1_024, 32), (4_096, 64)];
 
 /// Runs the connection-scale grid at the given scale (`scale` shrinks the
 /// idle crowd and hot subset together; counts never drop below a small
 /// floor so the workload stays meaningful at CI smoke scales).
-pub fn connscale_grid(scale: f64, seed: u64) -> Vec<ConnScaleReport> {
+pub(crate) fn connscale_grid(scale: f64, seed: u64) -> Vec<ConnScaleReport> {
     BASELINE_CONNSCALE
         .iter()
         .map(|&(connections, hot)| {
@@ -70,7 +70,7 @@ pub fn connscale_grid(scale: f64, seed: u64) -> Vec<ConnScaleReport> {
 
 /// The connection-scale grid as one JSON document (schema
 /// `mbdr-connscale/1`).
-pub fn render_connscale_json(scale: f64, seed: u64, reports: &[ConnScaleReport]) -> Json {
+pub(crate) fn render_connscale_json(scale: f64, seed: u64, reports: &[ConnScaleReport]) -> Json {
     let points = Json::array(reports.iter().map(ConnScaleReport::to_json));
     Json::document("mbdr-connscale/1", scale, seed, [("points", points)])
 }

@@ -50,7 +50,7 @@ const SNAPSHOT_EVERY_FRAMES: u64 = 67;
 /// One durability measurement (see the module docs). Every count is
 /// seed-deterministic.
 #[derive(Debug, Clone)]
-pub struct RecoveryBench {
+pub(crate) struct RecoveryBench {
     /// Tracked objects.
     pub objects: usize,
     /// Frames journaled and ingested in phase 1.
@@ -177,7 +177,7 @@ fn corrupt_last_record(dir: &Path) {
 /// Runs the durability measurement. Deterministic for a given
 /// `(scale, seed)`; uses (and removes) a scratch directory under the system
 /// temp dir.
-pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
+pub(crate) fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     let objects = ((24.0 * scale).round() as usize).max(8);
     let rounds = ((96.0 * scale).round() as usize).max(12);
     let frames = encoded_frames(objects, rounds, seed);
@@ -265,7 +265,7 @@ pub fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
 }
 
 /// The measurement as one JSON document (schema `mbdr-recovery/1`).
-pub fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> Json {
+pub(crate) fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> Json {
     Json::document(
         "mbdr-recovery/1",
         scale,

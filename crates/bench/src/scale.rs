@@ -13,7 +13,7 @@ use mbdr_sim::{run_scale_workload, Json, ScaleConfig, ScaleReport};
 
 /// One point of the grid: the workload's report and what it cost the heap.
 #[derive(Debug)]
-pub struct ScalePoint {
+pub(crate) struct ScalePoint {
     /// The workload's counts.
     pub report: ScaleReport,
     /// The most heap bytes the run held at once beyond those live when it
@@ -27,11 +27,11 @@ pub struct ScalePoint {
 
 /// The N axis of the committed baseline (scaled by `--scale`, floored so a
 /// smoke run still exercises a multi-cell, multi-shard fleet).
-pub const SCALE_N_AXIS: [usize; 2] = [10_000, 100_000];
+pub(crate) const SCALE_N_AXIS: [usize; 2] = [10_000, 100_000];
 
 /// Runs the baseline grid: every N in [`SCALE_N_AXIS`] (multiplied by
 /// `scale`) in uniform and hotspot mode.
-pub fn scale_grid(scale: f64, seed: u64) -> Vec<ScalePoint> {
+pub(crate) fn scale_grid(scale: f64, seed: u64) -> Vec<ScalePoint> {
     let counting = counting_allocator_installed();
     let mut points = Vec::new();
     for &n in &SCALE_N_AXIS {
@@ -51,7 +51,7 @@ pub fn scale_grid(scale: f64, seed: u64) -> Vec<ScalePoint> {
 }
 
 /// The grid as one JSON document (schema `mbdr-scale/1`).
-pub fn render_scale_json(scale: f64, seed: u64, points: &[ScalePoint]) -> Json {
+pub(crate) fn render_scale_json(scale: f64, seed: u64, points: &[ScalePoint]) -> Json {
     let point = |p: &ScalePoint| {
         // Exhaustive, no `..`: a report field without a key is a compile
         // error.

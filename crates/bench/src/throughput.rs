@@ -12,7 +12,7 @@ use mbdr_sim::{run_service_workload, Json, QueryMix, WorkloadConfig, WorkloadRep
 /// query-mix shape. `scale` shrinks fleet size, trip length and query counts
 /// together, so `--scale 0.02` is a seconds-long smoke run while
 /// `--scale 1.0` is the full grid.
-pub fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
+pub(crate) fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
     let objects_axis = [64usize, 192];
     let shards_axis = [1usize, 16];
     let mix_axis = [QueryMix::RECT_HEAVY, QueryMix::NEAREST_HEAVY];
@@ -44,7 +44,7 @@ pub fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
 }
 
 /// The grid as one JSON document (schema `mbdr-throughput/1`).
-pub fn render_throughput_json(scale: f64, seed: u64, reports: &[WorkloadReport]) -> Json {
+pub(crate) fn render_throughput_json(scale: f64, seed: u64, reports: &[WorkloadReport]) -> Json {
     let points = Json::array(reports.iter().map(WorkloadReport::to_json));
     Json::document("mbdr-throughput/1", scale, seed, [("points", points)])
 }

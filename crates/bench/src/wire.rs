@@ -8,12 +8,12 @@ use mbdr_sim::{run_loss_sweep, LinkConfig, LossSweepConfig, LossSweepResult, Pro
 use mbdr_trace::ScenarioKind;
 
 /// The loss rates the baseline sweeps, ascending.
-pub const BASELINE_LOSS_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.35, 0.5];
+pub(crate) const BASELINE_LOSS_RATES: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.35, 0.5];
 
 /// Runs the wire baseline: the map-based protocol on the city scenario at
 /// `u_s` = 100 m over a GPRS-like degraded link, swept over
 /// [`BASELINE_LOSS_RATES`]. `scale` shrinks the trace for smoke runs.
-pub fn wire_baseline(scale: f64, seed: u64) -> LossSweepResult {
+pub(crate) fn wire_baseline(scale: f64, seed: u64) -> LossSweepResult {
     run_loss_sweep(&LossSweepConfig {
         scenario: ScenarioKind::City,
         scale,

@@ -1,11 +1,11 @@
-//! Wolfson-style adaptive threshold policies (sdr / adr / dtdr).
+//! Wolfson-style adaptive threshold policies (adr / dtdr).
 //!
 //! The related work the paper builds on (Wolfson et al. \[12\]) studies dead
 //! reckoning where the update threshold is not fixed but chosen to minimise a
-//! cost that charges both for update messages and for uncertainty:
+//! cost that charges both for update messages and for uncertainty. Its fixed
+//! threshold (*sdr*, speed dead reckoning) is the plain linear protocol,
+//! [`crate::LinearDeadReckoning`]; the two adaptive policies are:
 //!
-//! * **sdr** (speed dead reckoning): a fixed threshold — equivalent to the
-//!   plain linear protocol here;
 //! * **adr** (adaptive dead reckoning): after each update the threshold is
 //!   recomputed from the observed deviation growth rate, balancing the cost of
 //!   an update against the cost of carrying uncertainty;
@@ -25,8 +25,6 @@ use std::sync::Arc;
 /// How the send threshold evolves over time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptivePolicy {
-    /// Fixed threshold (Wolfson's *speed dead reckoning*).
-    Fixed,
     /// Cost-balancing threshold (Wolfson's *adaptive dead reckoning*): after
     /// each update the threshold is set to `sqrt(2 · update_cost · a /
     /// deviation_cost)`, where `a` is the observed deviation growth rate in
@@ -63,7 +61,7 @@ pub struct AdaptiveDeadReckoning {
 
 impl AdaptiveDeadReckoning {
     /// Creates the protocol. `base_config.requested_accuracy` is the initial
-    /// (and, for [`AdaptivePolicy::Fixed`], permanent) threshold.
+    /// threshold.
     pub fn new(
         policy: AdaptivePolicy,
         base_config: ProtocolConfig,
@@ -81,14 +79,9 @@ impl AdaptiveDeadReckoning {
         }
     }
 
-    /// The threshold currently in force, metres.
-    pub fn current_threshold(&self) -> f64 {
-        self.current_threshold
-    }
-
     fn effective_threshold(&self, t: f64) -> f64 {
         match self.policy {
-            AdaptivePolicy::Fixed | AdaptivePolicy::CostBased { .. } => self.current_threshold,
+            AdaptivePolicy::CostBased { .. } => self.current_threshold,
             AdaptivePolicy::Declining { decay_per_second, floor } => {
                 let silence = (t - self.last_update_t).max(0.0);
                 (self.current_threshold * (-decay_per_second * silence).exp()).max(floor)
@@ -114,7 +107,6 @@ impl AdaptiveDeadReckoning {
 impl UpdateProtocol for AdaptiveDeadReckoning {
     fn name(&self) -> &str {
         match self.policy {
-            AdaptivePolicy::Fixed => "sdr (fixed-threshold dead reckoning)",
             AdaptivePolicy::CostBased { .. } => "adr (adaptive dead reckoning)",
             AdaptivePolicy::Declining { .. } => "dtdr (disconnection-detection dead reckoning)",
         }
@@ -172,16 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_matches_plain_linear_behaviour() {
-        let positions = slalom(300);
-        let mut fixed =
-            AdaptiveDeadReckoning::new(AdaptivePolicy::Fixed, ProtocolConfig::new(50.0), 4);
-        let mut linear = crate::linear::LinearDeadReckoning::new(ProtocolConfig::new(50.0), 4);
-        assert_eq!(run(&mut fixed, &positions), run(&mut linear, &positions));
-        assert_eq!(fixed.current_threshold(), 50.0);
-    }
-
-    #[test]
     fn cost_based_threshold_adapts_to_the_motion() {
         let positions = slalom(400);
         let mut adr = AdaptiveDeadReckoning::new(
@@ -191,8 +173,8 @@ mod tests {
         );
         run(&mut adr, &positions);
         // The threshold must have moved away from its initial value.
-        assert_ne!(adr.current_threshold(), 50.0);
-        assert!(adr.current_threshold() >= 10.0 && adr.current_threshold() <= 250.0);
+        assert_ne!(adr.current_threshold, 50.0);
+        assert!(adr.current_threshold >= 10.0 && adr.current_threshold <= 250.0);
         assert!(adr.name().starts_with("adr"));
     }
 
@@ -224,8 +206,7 @@ mod tests {
         // periodic liveness updates.
         let positions: Vec<Point> =
             (0..600).map(|t| Point::new(10.0 * t as f64, 0.002 * (t as f64).powi(2))).collect();
-        let mut fixed =
-            AdaptiveDeadReckoning::new(AdaptivePolicy::Fixed, ProtocolConfig::new(100.0), 2);
+        let mut fixed = crate::linear::LinearDeadReckoning::new(ProtocolConfig::new(100.0), 2);
         let mut dtdr = AdaptiveDeadReckoning::new(
             AdaptivePolicy::Declining { decay_per_second: 0.02, floor: 10.0 },
             ProtocolConfig::new(100.0),

@@ -19,13 +19,13 @@ use std::sync::Arc;
 /// Prediction along a pre-known route: walk the route polyline from the
 /// reported arc length at the reported speed.
 #[derive(Debug, Clone)]
-pub struct RoutePredictor {
+pub(crate) struct RoutePredictor {
     route: Arc<Polyline>,
 }
 
 impl RoutePredictor {
     /// Creates a predictor for the given route geometry.
-    pub fn new(route: Arc<Polyline>) -> Self {
+    pub(crate) fn new(route: Arc<Polyline>) -> Self {
         RoutePredictor { route }
     }
 }
@@ -61,11 +61,6 @@ impl KnownRouteDeadReckoning {
             estimator: MotionEstimator::new(interpolation_window),
             route,
         }
-    }
-
-    /// Length of the known route, metres.
-    pub fn route_length(&self) -> f64 {
-        self.route.length()
     }
 }
 
@@ -172,7 +167,7 @@ mod tests {
             }
         }
         assert!(updates >= 4, "stop-and-go must force repeated updates, got {updates}");
-        assert!(p.route_length() > 0.0);
+        assert!(p.route.length() > 0.0);
         assert_eq!(p.predictor().name(), "known-route");
     }
 }

@@ -21,15 +21,12 @@
 //! | module | protocol | prediction |
 //! |---|---|---|
 //! | [`distance_based`] | distance-based reporting (non-DR baseline, \[6\]) | object stays at last reported position |
-//! | [`time_based`] | time-based reporting (PCS-style baseline, \[1\]) | — (periodic) |
-//! | [`movement_based`] | movement-based reporting (PCS-style baseline, \[1\]) | — (per distance travelled) |
 //! | [`linear`] | linear-prediction dead reckoning | straight line at reported speed/heading |
 //! | [`higher_order`] | higher-order prediction | circular arc (adds turn rate) |
 //! | [`map_based`] | **map-based dead reckoning** (the paper's contribution) | along the road network, smallest-angle link at intersections |
 //! | [`map_prob`] | map-based with probability information | along the road network, most-probable link at intersections |
 //! | [`known_route`] | dead reckoning with known route (\[12\]) | along the pre-known route |
-//! | [`adaptive`] | Wolfson-style sdr/adr/dtdr threshold policies | wraps any predictor |
-//! | [`history`] | history-based: learn the map from past traces | map-based on the learned map |
+//! | [`adaptive`] | Wolfson-style adr/dtdr adaptive threshold policies | wraps any predictor |
 //!
 //! [`server::ServerTracker`] is the server-side replica that applies updates
 //! and answers `position_at(t)`; [`protocol::UpdateProtocol`] is the
@@ -46,35 +43,29 @@
 pub mod adaptive;
 pub mod distance_based;
 pub mod higher_order;
-pub mod history;
 pub mod known_route;
 pub mod linear;
 pub mod map_based;
 pub mod map_predictor;
 pub mod map_prob;
-pub mod movement_based;
 pub mod predictor;
 pub mod protocol;
 pub mod server;
 pub mod state;
-pub mod time_based;
 pub mod wire;
 
 pub use adaptive::{AdaptiveDeadReckoning, AdaptivePolicy};
 pub use distance_based::DistanceBasedReporting;
 pub use higher_order::HigherOrderDeadReckoning;
-pub use history::{HistoryBasedDeadReckoning, MapLearner};
 pub use known_route::KnownRouteDeadReckoning;
 pub use linear::LinearDeadReckoning;
 pub use map_based::MapBasedDeadReckoning;
 pub use map_predictor::{IntersectionPolicy, MapPredictor};
 pub use map_prob::ProbabilityMapDeadReckoning;
-pub use movement_based::MovementBasedReporting;
 pub use predictor::{ArcPredictor, LinearPredictor, Predictor, StaticPredictor};
 pub use protocol::{ProtocolConfig, Sighting, UpdateProtocol};
 pub use server::ServerTracker;
 pub use state::{ObjectState, Update, UpdateKind};
-pub use time_based::TimeBasedReporting;
 pub use wire::query::{
     DurabilityState, HealthStatus, PositionRecord, Request, Response, ServeError, ZoneEventRecord,
 };

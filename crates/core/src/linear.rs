@@ -29,11 +29,6 @@ impl LinearDeadReckoning {
             estimator: MotionEstimator::new(interpolation_window),
         }
     }
-
-    /// The interpolation window in use.
-    pub fn interpolation_window(&self) -> usize {
-        self.estimator.window()
-    }
 }
 
 impl UpdateProtocol for LinearDeadReckoning {
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn exposes_window_and_predictor() {
         let p = LinearDeadReckoning::new(ProtocolConfig::new(100.0), 8);
-        assert_eq!(p.interpolation_window(), 8);
+        assert_eq!(p.estimator.window(), 8);
         assert_eq!(p.predictor().name(), "linear");
     }
 }

@@ -66,7 +66,7 @@ impl MapBasedDeadReckoning {
 
     /// Creates the protocol with an explicit intersection policy (used by the
     /// probability-enhanced variant and by the ablation benches).
-    pub fn with_policy(
+    pub(crate) fn with_policy(
         network: Arc<RoadNetwork>,
         config: ProtocolConfig,
         interpolation_window: usize,
@@ -108,11 +108,6 @@ impl MapBasedDeadReckoning {
             network,
             server_in_map_mode: None,
         }
-    }
-
-    /// The map-matching tolerance `u_m` in force.
-    pub fn matching_tolerance(&self) -> f64 {
-        self.matcher.config().tolerance
     }
 
     /// Builds the reported object state from a match result and the motion
@@ -317,7 +312,7 @@ mod tests {
         let (net, _) = curvy_network();
         let p = MapBasedDeadReckoning::new(net, ProtocolConfig::new(75.0), 4, 25.0);
         assert_eq!(p.config().requested_accuracy, 75.0);
-        assert_eq!(p.matching_tolerance(), 25.0);
+        assert_eq!(p.matcher.config().tolerance, 25.0);
         assert_eq!(p.predictor().name(), "map-based");
         assert!(p.name().contains("map-based"));
     }

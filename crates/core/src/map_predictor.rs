@@ -73,11 +73,6 @@ impl MapPredictor {
         MapPredictor { network, policy }
     }
 
-    /// The underlying network.
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.network
-    }
-
     /// Chooses the outgoing link at `node`, an endpoint of `arriving`, for an
     /// object arriving over `arriving`. Returns `None` when the node is a
     /// dead end.

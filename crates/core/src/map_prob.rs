@@ -71,9 +71,8 @@ impl UpdateProtocol for ProbabilityMapDeadReckoning {
 /// Records every intersection transition of a route into a transition table.
 ///
 /// Driving the same commute repeatedly and feeding each trip's route through
-/// this function produces the user-specific probabilities; merging the tables
-/// of many users produces the user-independent variant
-/// ([`TransitionTable::merge`]).
+/// this function produces the user-specific probabilities; feeding the trips
+/// of many users into one table produces the user-independent variant.
 pub fn learn_transitions_from_route(
     network: &RoadNetwork,
     route: &Route,

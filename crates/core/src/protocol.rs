@@ -48,12 +48,6 @@ impl ProtocolConfig {
         self.sensor_uncertainty = up;
         self
     }
-
-    /// The deviation at which an update must be sent: `u_s − u_p`, but never
-    /// below 1 m so a pathological configuration (u_p ≥ u_s) still terminates.
-    pub fn send_threshold(&self) -> f64 {
-        (self.requested_accuracy - self.sensor_uncertainty).max(1.0)
-    }
 }
 
 impl Default for ProtocolConfig {
@@ -89,7 +83,7 @@ pub trait UpdateProtocol {
 /// to this engine; they differ only in how they construct the reported
 /// [`ObjectState`] and which [`Predictor`] they share with the server.
 #[derive(Clone)]
-pub struct DeadReckoningEngine {
+pub(crate) struct DeadReckoningEngine {
     config: ProtocolConfig,
     predictor: Arc<dyn Predictor>,
     last_reported: Option<ObjectState>,
@@ -109,29 +103,18 @@ impl std::fmt::Debug for DeadReckoningEngine {
 
 impl DeadReckoningEngine {
     /// Creates an engine around a shared predictor.
-    pub fn new(config: ProtocolConfig, predictor: Arc<dyn Predictor>) -> Self {
+    pub(crate) fn new(config: ProtocolConfig, predictor: Arc<dyn Predictor>) -> Self {
         DeadReckoningEngine { config, predictor, last_reported: None, sequence: 0 }
     }
 
     /// The shared predictor.
-    pub fn predictor(&self) -> Arc<dyn Predictor> {
+    pub(crate) fn predictor(&self) -> Arc<dyn Predictor> {
         Arc::clone(&self.predictor)
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> ProtocolConfig {
+    pub(crate) fn config(&self) -> ProtocolConfig {
         self.config
-    }
-
-    /// The last state that was actually reported to the server, if any.
-    pub fn last_reported(&self) -> Option<&ObjectState> {
-        self.last_reported.as_ref()
-    }
-
-    /// The position the server currently predicts for time `t` (`None` before
-    /// the first update).
-    pub fn server_prediction(&self, t: f64) -> Option<Point> {
-        self.last_reported.as_ref().map(|s| self.predictor.predict(s, t))
     }
 
     /// Decides whether an update is needed for an object whose *actual*
@@ -140,7 +123,7 @@ impl DeadReckoningEngine {
     ///
     /// `force` requests an update regardless of the deviation (used by the
     /// map-based protocol on mode changes, e.g. when it loses the map).
-    pub fn decide(
+    pub(crate) fn decide(
         &mut self,
         t: f64,
         actual: Point,
@@ -174,15 +157,6 @@ mod tests {
     use crate::predictor::LinearPredictor;
 
     #[test]
-    fn config_threshold_subtracts_sensor_uncertainty() {
-        let c = ProtocolConfig::new(100.0).with_sensor_uncertainty(5.0);
-        assert_eq!(c.send_threshold(), 95.0);
-        // Degenerate configuration stays positive.
-        let d = ProtocolConfig::new(2.0).with_sensor_uncertainty(5.0);
-        assert_eq!(d.send_threshold(), 1.0);
-    }
-
-    #[test]
     fn first_sighting_always_produces_an_initial_update() {
         let mut e = DeadReckoningEngine::new(ProtocolConfig::new(50.0), Arc::new(LinearPredictor));
         let u = e
@@ -192,7 +166,7 @@ mod tests {
             .expect("initial update");
         assert_eq!(u.kind, UpdateKind::Initial);
         assert_eq!(u.sequence, 0);
-        assert!(e.last_reported().is_some());
+        assert!(e.last_reported.is_some());
     }
 
     #[test]
@@ -253,11 +227,11 @@ mod tests {
     #[test]
     fn server_prediction_matches_the_shared_predictor() {
         let mut e = DeadReckoningEngine::new(ProtocolConfig::new(50.0), Arc::new(LinearPredictor));
-        assert!(e.server_prediction(10.0).is_none());
+        assert!(e.last_reported.is_none());
         e.decide(0.0, Point::new(0.0, 0.0), 3.0, None, || {
             ObjectState::basic(Point::new(0.0, 0.0), 10.0, 0.0, 0.0)
         });
-        let p = e.server_prediction(5.0).unwrap();
+        let p = e.predictor.predict(e.last_reported.as_ref().unwrap(), 5.0);
         assert!((p.y - 50.0).abs() < 1e-9);
     }
 }

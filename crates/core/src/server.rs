@@ -133,11 +133,6 @@ impl ServerTracker {
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
     }
-
-    /// Name of the prediction function in use.
-    pub fn predictor_name(&self) -> &'static str {
-        self.predictor.name()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,7 @@ mod tests {
         let t = ServerTracker::new(Arc::new(LinearPredictor));
         assert!(t.position_at(10.0).is_none());
         assert_eq!(t.updates_applied(), 0);
-        assert_eq!(t.predictor_name(), "linear");
+        assert_eq!(t.predictor.name(), "linear");
     }
 
     #[test]

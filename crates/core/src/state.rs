@@ -65,9 +65,12 @@ pub enum UpdateKind {
     /// The protocol changed its internal mode (e.g. the map-based protocol
     /// lost the map and fell back to linear prediction, or re-acquired it).
     ModeChange,
-    /// Periodic report (time-based baseline).
+    /// Periodic report. No in-tree protocol sends it; the versioned wire
+    /// format keeps kind 3 so a decoder accepts it from other sources.
     Periodic,
-    /// Travelled-distance report (movement-based baseline).
+    /// Travelled-distance report. No in-tree protocol sends it; the
+    /// versioned wire format keeps kind 4 so a decoder accepts it from other
+    /// sources.
     Movement,
 }
 

@@ -15,7 +15,7 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0 | 8 | `sequence` (`u64`) |
-//! | 8 | 1 | `kind` (0 initial, 1 deviation bound, 2 mode change, 3 periodic, 4 movement) |
+//! | 8 | 1 | `kind` (0 initial, 1 deviation bound, 2 mode change; 3 periodic and 4 movement decode, but no in-tree protocol sends them) |
 //! | 9 | 8 | `timestamp` (`f64`, s) |
 //! | 17 | 8 | `position.x` (`f64`, m) |
 //! | 25 | 8 | `position.y` (`f64`, m) |
@@ -541,12 +541,6 @@ impl<'a> UpdateView<'a> {
         Ok(UpdateView { bytes, update: Update::decode(bytes)? })
     }
 
-    /// The wire bytes the view was parsed from.
-    #[inline]
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
     /// Length of the update on the wire, bytes.
     #[inline]
     pub fn wire_len(&self) -> usize {
@@ -924,7 +918,7 @@ mod tests {
         let bytes = sample_update().encode().unwrap();
         let view = UpdateView::parse(&bytes).unwrap();
         assert_eq!(*view.get(), Update::decode(&bytes).unwrap());
-        assert_eq!(view.bytes(), &bytes[..]);
+        assert_eq!(view.bytes, &bytes[..]);
         assert_eq!(view.wire_len(), bytes.len());
         // Every truncation is rejected with the same typed error.
         for cut in 0..bytes.len() {

@@ -139,17 +139,10 @@ pub enum Request {
 }
 
 impl Request {
-    /// Wraps an update frame for transmission, encoding it eagerly so the
-    /// sender learns about unencodable states ([`EncodeError`]) before any
-    /// bytes hit the socket.
-    pub fn ingest(frame: &Frame) -> Result<Request, EncodeError> {
-        Ok(Request::Ingest(frame.encode()?))
-    }
-
     /// Encodes an ingest request for `frame` in a single pass (kind byte +
     /// frame, one allocation) — the per-frame hot path of a producer client,
-    /// where [`Request::ingest`] followed by [`Request::encode`] would copy
-    /// the whole payload twice.
+    /// where building a [`Request::Ingest`] and then calling
+    /// [`Request::encode`] would copy the whole payload twice.
     pub fn encode_ingest(frame: &Frame) -> Result<Vec<u8>, EncodeError> {
         let mut buf = Vec::with_capacity(1 + frame.encoded_len());
         Self::encode_ingest_into(frame, &mut buf)?;
@@ -824,6 +817,6 @@ mod tests {
         state.link = Some(LinkId(1));
         state.towards = Some(NodeId(u32::MAX));
         let update = crate::state::Update { sequence: 0, state, kind: UpdateKind::Initial };
-        assert!(Request::ingest(&Frame::single(1, update)).is_err());
+        assert!(Request::encode_ingest(&Frame::single(1, update)).is_err());
     }
 }

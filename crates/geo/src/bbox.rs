@@ -28,7 +28,7 @@ impl Aabb {
 
     /// A degenerate box containing exactly one point.
     #[inline]
-    pub fn from_point(p: Point) -> Self {
+    pub(crate) fn from_point(p: Point) -> Self {
         Aabb { min: p, max: p }
     }
 
@@ -84,7 +84,7 @@ impl Aabb {
     }
 
     /// Grows the box in place so that it contains `p`.
-    pub fn expand_to_include(&mut self, p: &Point) {
+    pub(crate) fn expand_to_include(&mut self, p: &Point) {
         self.min.x = self.min.x.min(p.x);
         self.min.y = self.min.y.min(p.y);
         self.max.x = self.max.x.max(p.x);

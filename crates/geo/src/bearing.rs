@@ -4,65 +4,7 @@
 //! link "with the smallest angle to the previous link" (Section 3 of the
 //! paper); that comparison is [`angle_between`] on two headings.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
-
-/// A compass heading in radians clockwise from north, normalised to `[0, 2π)`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Bearing(f64);
-
-impl Bearing {
-    /// North (0 rad).
-    pub const NORTH: Bearing = Bearing(0.0);
-
-    /// Creates a bearing, normalising the angle into `[0, 2π)`.
-    #[inline]
-    pub fn new(radians: f64) -> Self {
-        Bearing(normalize_angle(radians))
-    }
-
-    /// Creates a bearing from degrees clockwise from north.
-    #[inline]
-    pub fn from_degrees(degrees: f64) -> Self {
-        Bearing::new(degrees.to_radians())
-    }
-
-    /// The bearing in radians, in `[0, 2π)`.
-    #[inline]
-    pub fn radians(&self) -> f64 {
-        self.0
-    }
-
-    /// The bearing in degrees, in `[0, 360)`.
-    #[inline]
-    pub fn degrees(&self) -> f64 {
-        self.0.to_degrees()
-    }
-
-    /// Absolute angular difference to `other`, in `[0, π]`.
-    #[inline]
-    pub fn difference(&self, other: &Bearing) -> f64 {
-        angle_between(self.0, other.0)
-    }
-
-    /// The bearing rotated by `delta` radians (positive = clockwise).
-    #[inline]
-    pub fn rotated(&self, delta: f64) -> Bearing {
-        Bearing::new(self.0 + delta)
-    }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn reversed(&self) -> Bearing {
-        self.rotated(PI)
-    }
-}
-
-impl From<f64> for Bearing {
-    fn from(radians: f64) -> Self {
-        Bearing::new(radians)
-    }
-}
 
 /// Normalises any angle in radians into `[0, 2π)`.
 #[inline]
@@ -129,22 +71,5 @@ mod tests {
         // Crossing the north wrap-around.
         assert!(approx_eq(signed_angle_between(TAU - 0.1, 0.1), 0.2));
         assert!(approx_eq(signed_angle_between(0.1, TAU - 0.1), -0.2));
-    }
-
-    #[test]
-    fn bearing_conversions() {
-        let b = Bearing::from_degrees(90.0);
-        assert!(approx_eq(b.radians(), FRAC_PI_2));
-        assert!(approx_eq(b.degrees(), 90.0));
-        assert!(approx_eq(Bearing::from_degrees(450.0).degrees(), 90.0));
-    }
-
-    #[test]
-    fn bearing_difference_and_rotation() {
-        let east = Bearing::from_degrees(90.0);
-        let north = Bearing::NORTH;
-        assert!(approx_eq(east.difference(&north), FRAC_PI_2));
-        assert!(approx_eq(north.rotated(FRAC_PI_2).degrees(), 90.0));
-        assert!(approx_eq(east.reversed().degrees(), 270.0));
     }
 }

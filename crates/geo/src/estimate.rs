@@ -32,14 +32,8 @@ pub struct MotionEstimate {
 
 impl MotionEstimate {
     /// An estimate describing a stationary object.
-    pub fn stationary() -> Self {
+    pub(crate) fn stationary() -> Self {
         MotionEstimate { speed: 0.0, direction: Vec2::NORTH, heading: 0.0, window: 1 }
-    }
-
-    /// The velocity vector (direction scaled by speed), m/s.
-    #[inline]
-    pub fn velocity(&self) -> Vec2 {
-        self.direction * self.speed
     }
 }
 
@@ -62,23 +56,6 @@ impl MotionEstimator {
     #[inline]
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// Number of sightings currently buffered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no sightings have been pushed yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Removes all buffered sightings.
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 
     /// Buffers a sighting without estimating — for protocols that read the
@@ -207,7 +184,7 @@ mod tests {
         let e = est.push(1.0, Point::new(6.0, 0.0));
         assert!(e.speed.is_finite());
         assert!(approx_eq(e.speed, 6.0));
-        assert_eq!(est.len(), 2);
+        assert_eq!(est.samples.len(), 2);
     }
 
     #[test]
@@ -219,27 +196,6 @@ mod tests {
         est.push(1.0, Point::new(10.0, 0.0));
         let e = est.push(2.0, Point::new(10.0, 10.0));
         assert!(approx_eq(e.speed, 10.0));
-    }
-
-    #[test]
-    fn clear_resets_the_estimator() {
-        let mut est = MotionEstimator::new(2);
-        est.push(0.0, Point::new(0.0, 0.0));
-        est.push(1.0, Point::new(10.0, 0.0));
-        est.clear();
-        assert!(est.is_empty());
-        assert!(approx_eq(est.estimate().speed, 0.0));
-    }
-
-    #[test]
-    fn velocity_combines_speed_and_direction() {
-        let e = MotionEstimate {
-            speed: 5.0,
-            direction: Vec2::EAST,
-            heading: std::f64::consts::FRAC_PI_2,
-            window: 2,
-        };
-        assert_eq!(e.velocity(), Vec2::new(5.0, 0.0));
     }
 
     /// `push` as it was when every sighting paid for an estimate: buffer and

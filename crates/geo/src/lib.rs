@@ -18,7 +18,7 @@
 //! * [`estimate`] — speed and direction estimation from the last *n* position
 //!   sightings (the paper interpolates over 2, 4 or 8 fixes depending on the
 //!   movement pattern).
-//! * [`units`] — small typed helpers for km/h ↔ m/s and friends.
+//! * [`units`] — km/h ↔ m/s conversion and Table 1's `h:mm` durations.
 //!
 //! Everything is `f64`, allocation-free on the hot paths, and independent of
 //! the rest of the workspace so the substrate can be reused on its own.
@@ -37,16 +37,13 @@ pub mod units;
 pub mod vec2;
 
 pub use bbox::Aabb;
-pub use bearing::{angle_between, normalize_angle, signed_angle_between, Bearing};
+pub use bearing::{angle_between, normalize_angle, signed_angle_between};
 pub use estimate::{MotionEstimate, MotionEstimator};
 pub use point::{GeoPoint, Point};
 pub use polyline::{PolyProjection, Polyline};
 pub use projection::LocalProjection;
 pub use segment::{Segment, SegmentProjection};
-pub use units::{
-    format_duration_hm, hours_to_seconds, km_to_m, kmh_to_ms, m_to_km, ms_to_kmh, seconds_to_hours,
-    Meters, MetersPerSecond, Seconds,
-};
+pub use units::{format_duration_hm, kmh_to_ms, ms_to_kmh, Seconds};
 pub use vec2::Vec2;
 
 /// Numerical tolerance used by geometric comparisons in this crate (metres).
@@ -57,8 +54,8 @@ pub use vec2::Vec2;
 pub const EPSILON: f64 = 1e-4;
 
 /// Returns `true` if two scalar values are equal within [`EPSILON`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn approx_eq(a: f64, b: f64) -> bool {
     (a - b).abs() <= EPSILON
 }
 

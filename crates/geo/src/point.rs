@@ -39,21 +39,15 @@ impl Point {
     /// Squared Euclidean distance to `other` (avoids the square root when only
     /// comparisons are needed, e.g. nearest-link selection).
     #[inline]
-    pub fn distance_squared(&self, other: &Point) -> f64 {
+    pub(crate) fn distance_squared(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
 
-    /// Displacement vector from `self` to `other`.
-    #[inline]
-    pub fn vector_to(&self, other: &Point) -> Vec2 {
-        Vec2::new(other.x - self.x, other.y - self.y)
-    }
-
     /// The point translated by `v`.
     #[inline]
-    pub fn translate(&self, v: Vec2) -> Point {
+    pub(crate) fn translate(&self, v: Vec2) -> Point {
         Point::new(self.x + v.x, self.y + v.y)
     }
 
@@ -68,7 +62,7 @@ impl Point {
 
     /// Midpoint between `self` and `other`.
     #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
+    pub(crate) fn midpoint(&self, other: &Point) -> Point {
         self.lerp(other, 0.5)
     }
 
@@ -154,7 +148,7 @@ pub struct GeoPoint {
 impl GeoPoint {
     /// Mean Earth radius used by the spherical distance formulas, in metres
     /// (IUGG mean radius).
-    pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+    pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
     /// Creates a geodetic point, checking coordinate ranges in debug builds.
     #[inline]
@@ -175,21 +169,9 @@ impl GeoPoint {
         Self::EARTH_RADIUS_M * c
     }
 
-    /// Initial bearing from `self` towards `other`, in radians clockwise from
-    /// north, normalised to `[0, 2π)`.
-    pub fn initial_bearing(&self, other: &GeoPoint) -> f64 {
-        let lat1 = self.lat.to_radians();
-        let lat2 = other.lat.to_radians();
-        let dlon = (other.lon - self.lon).to_radians();
-        let y = dlon.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-        let theta = y.atan2(x);
-        theta.rem_euclid(std::f64::consts::TAU)
-    }
-
     /// Returns `true` if the point lies inside the valid coordinate ranges.
     #[inline]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         (-90.0..=90.0).contains(&self.lat)
             && (-180.0..=180.0).contains(&self.lon)
             && self.lat.is_finite()
@@ -267,15 +249,6 @@ mod tests {
     fn haversine_zero_on_identical_points() {
         let p = GeoPoint::new(48.0, 9.0);
         assert!(p.haversine_distance(&p).abs() < 1e-9);
-    }
-
-    #[test]
-    fn initial_bearing_cardinal_directions() {
-        let origin = GeoPoint::new(0.0, 0.0);
-        let north = GeoPoint::new(1.0, 0.0);
-        let east = GeoPoint::new(0.0, 1.0);
-        assert!(origin.initial_bearing(&north).abs() < 1e-9);
-        assert!((origin.initial_bearing(&east) - std::f64::consts::FRAC_PI_2).abs() < 1e-6);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl Polyline {
 
     /// The `i`-th segment.
     #[inline]
-    pub fn segment(&self, i: usize) -> Segment {
+    pub(crate) fn segment(&self, i: usize) -> Segment {
         Segment::new(self.vertices[i], self.vertices[i + 1])
     }
 
@@ -97,12 +97,6 @@ impl Polyline {
     #[inline]
     pub fn last(&self) -> Point {
         *self.vertices.last().expect("polyline has at least two vertices")
-    }
-
-    /// Cumulative arc length from the start to vertex `i`.
-    #[inline]
-    pub fn cumulative_length(&self, i: usize) -> f64 {
-        self.cumulative[i]
     }
 
     /// Axis-aligned bounding box of the polyline.
@@ -198,28 +192,6 @@ impl Polyline {
     pub fn distance_to(&self, p: &Point) -> f64 {
         self.project(p).distance
     }
-
-    /// The polyline traversed in the opposite direction.
-    pub fn reversed(&self) -> Polyline {
-        let mut v = self.vertices.clone();
-        v.reverse();
-        Polyline::new(v)
-    }
-
-    /// Resamples the polyline at (roughly) every `step` metres of arc length,
-    /// always including both endpoints. Useful for rendering and for building
-    /// synthetic traces that follow a link.
-    pub fn resample(&self, step: f64) -> Vec<Point> {
-        assert!(step > 0.0, "resample step must be positive");
-        let total = self.length();
-        let n = (total / step).ceil().max(1.0) as usize;
-        let mut out = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let s = (i as f64 / n as f64) * total;
-            out.push(self.point_at_arc_length(s));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -247,9 +219,9 @@ mod tests {
     #[test]
     fn cumulative_lengths_are_monotone() {
         let p = ell();
-        assert!(approx_eq(p.cumulative_length(0), 0.0));
-        assert!(approx_eq(p.cumulative_length(1), 10.0));
-        assert!(approx_eq(p.cumulative_length(2), 20.0));
+        assert!(approx_eq(p.cumulative[0], 0.0));
+        assert!(approx_eq(p.cumulative[1], 10.0));
+        assert!(approx_eq(p.cumulative[2], 20.0));
     }
 
     #[test]
@@ -302,26 +274,6 @@ mod tests {
         assert!(approx_eq(proj.point.x, 10.0));
         assert!(approx_eq(proj.point.y, 0.0));
         assert!(approx_eq(proj.arc_length, 10.0));
-    }
-
-    #[test]
-    fn reversed_has_same_length_and_swapped_ends() {
-        let p = ell();
-        let r = p.reversed();
-        assert!(approx_eq(p.length(), r.length()));
-        assert_eq!(r.first(), p.last());
-        assert_eq!(r.last(), p.first());
-    }
-
-    #[test]
-    fn resample_includes_endpoints_and_is_dense_enough() {
-        let p = ell();
-        let pts = p.resample(3.0);
-        assert_eq!(*pts.first().unwrap(), p.first());
-        assert_eq!(*pts.last().unwrap(), p.last());
-        for w in pts.windows(2) {
-            assert!(w[0].distance(&w[1]) <= 3.0 + 1e-9);
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct LocalProjection {
 
 impl LocalProjection {
     /// Creates a projection centred on `origin`.
-    pub fn new(origin: GeoPoint) -> Self {
+    pub(crate) fn new(origin: GeoPoint) -> Self {
         debug_assert!(origin.is_valid(), "projection origin must be a valid GeoPoint");
         let lat_rad = origin.lat.to_radians();
         // First-order WGS-84 series expansions for the length of one degree.
@@ -45,12 +45,6 @@ impl LocalProjection {
     /// synthetic maps and traces.
     pub fn stuttgart() -> Self {
         LocalProjection::new(GeoPoint::new(48.745, 9.105))
-    }
-
-    /// The reference point of the projection.
-    #[inline]
-    pub fn origin(&self) -> GeoPoint {
-        self.origin
     }
 
     /// Projects a geodetic point into the local metric frame.
@@ -70,18 +64,6 @@ impl LocalProjection {
             lon: self.origin.lon + p.x / self.m_per_deg_lon,
         }
     }
-
-    /// Metres of northing per degree of latitude at the reference point.
-    #[inline]
-    pub fn metres_per_degree_lat(&self) -> f64 {
-        self.m_per_deg_lat
-    }
-
-    /// Metres of easting per degree of longitude at the reference point.
-    #[inline]
-    pub fn metres_per_degree_lon(&self) -> f64 {
-        self.m_per_deg_lon
-    }
 }
 
 impl Default for LocalProjection {
@@ -97,7 +79,7 @@ mod tests {
     #[test]
     fn origin_maps_to_zero() {
         let proj = LocalProjection::stuttgart();
-        let p = proj.to_local(&proj.origin());
+        let p = proj.to_local(&proj.origin);
         assert!(p.distance(&Point::ORIGIN) < 1e-9);
     }
 
@@ -124,20 +106,20 @@ mod tests {
     #[test]
     fn one_degree_of_latitude_is_about_111_km() {
         let proj = LocalProjection::stuttgart();
-        assert!((proj.metres_per_degree_lat() - 111_000.0).abs() < 1_000.0);
+        assert!((proj.m_per_deg_lat - 111_000.0).abs() < 1_000.0);
         // At ~48.7° N a degree of longitude is shorter than a degree of latitude.
-        assert!(proj.metres_per_degree_lon() < proj.metres_per_degree_lat());
+        assert!(proj.m_per_deg_lon < proj.m_per_deg_lat);
     }
 
     #[test]
     fn default_is_stuttgart() {
-        assert_eq!(LocalProjection::default().origin(), LocalProjection::stuttgart().origin());
+        assert_eq!(LocalProjection::default().origin, LocalProjection::stuttgart().origin);
     }
 
     #[test]
     fn equator_projection_is_roughly_isotropic() {
         let proj = LocalProjection::new(GeoPoint::new(0.0, 0.0));
-        let ratio = proj.metres_per_degree_lon() / proj.metres_per_degree_lat();
+        let ratio = proj.m_per_deg_lon / proj.m_per_deg_lat;
         assert!((ratio - 1.0).abs() < 0.01, "ratio {ratio}");
     }
 }

@@ -37,26 +37,26 @@ impl Segment {
 
     /// Length of the segment in metres.
     #[inline]
-    pub fn length(&self) -> f64 {
+    pub(crate) fn length(&self) -> f64 {
         self.a.distance(&self.b)
     }
 
     /// Direction from `a` to `b` as a (possibly zero) vector.
     #[inline]
-    pub fn direction(&self) -> Vec2 {
+    pub(crate) fn direction(&self) -> Vec2 {
         self.b - self.a
     }
 
     /// Unit direction from `a` to `b`; north for degenerate (zero-length)
     /// segments so that headings stay well defined.
     #[inline]
-    pub fn unit_direction(&self) -> Vec2 {
+    pub(crate) fn unit_direction(&self) -> Vec2 {
         self.direction().normalized_or_north()
     }
 
     /// Heading of the segment in radians clockwise from north.
     #[inline]
-    pub fn heading(&self) -> f64 {
+    pub(crate) fn heading(&self) -> f64 {
         self.direction().heading()
     }
 
@@ -68,7 +68,7 @@ impl Segment {
 
     /// The point at arc-length `s` metres from `a` (clamped to the segment).
     #[inline]
-    pub fn point_at_distance(&self, s: f64) -> Point {
+    pub(crate) fn point_at_distance(&self, s: f64) -> Point {
         let len = self.length();
         if len <= f64::EPSILON {
             return self.a;
@@ -85,30 +85,6 @@ impl Segment {
             if len2 <= f64::EPSILON { 0.0 } else { ((*p - self.a).dot(&d) / len2).clamp(0.0, 1.0) };
         let point = self.a.lerp(&self.b, t);
         SegmentProjection { point, t, distance: p.distance(&point) }
-    }
-
-    /// Shortest distance from `p` to the segment in metres.
-    #[inline]
-    pub fn distance_to(&self, p: &Point) -> f64 {
-        self.project(p).distance
-    }
-
-    /// The segment with its direction reversed.
-    #[inline]
-    pub fn reversed(&self) -> Segment {
-        Segment::new(self.b, self.a)
-    }
-
-    /// Midpoint of the segment.
-    #[inline]
-    pub fn midpoint(&self) -> Point {
-        self.a.midpoint(&self.b)
-    }
-
-    /// Returns `true` if the segment is (numerically) a single point.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.length() <= f64::EPSILON
     }
 }
 
@@ -153,7 +129,6 @@ mod tests {
     #[test]
     fn degenerate_segment_projects_to_its_point() {
         let s = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0));
-        assert!(s.is_degenerate());
         let proj = s.project(&Point::new(4.0, 5.0));
         assert_eq!(proj.point, s.a);
         assert!(approx_eq(proj.distance, 5.0));
@@ -171,17 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn reversed_swaps_endpoints() {
-        let s = seg().reversed();
-        assert_eq!(s.a, Point::new(10.0, 0.0));
-        assert_eq!(s.b, Point::new(0.0, 0.0));
-        assert_eq!(seg().midpoint(), Point::new(5.0, 0.0));
-    }
-
-    #[test]
     fn distance_to_matches_projection_distance() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(0.0, 8.0));
-        assert!(approx_eq(s.distance_to(&Point::new(3.0, 4.0)), 3.0));
-        assert!(approx_eq(s.distance_to(&Point::new(0.0, 12.0)), 4.0));
+        assert!(approx_eq(s.project(&Point::new(3.0, 4.0)).distance, 3.0));
+        assert!(approx_eq(s.project(&Point::new(0.0, 12.0)).distance, 4.0));
     }
 }

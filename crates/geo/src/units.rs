@@ -1,50 +1,22 @@
 //! Small typed unit helpers.
 //!
 //! The paper quotes speeds in km/h (Table 1) and accuracies in metres; the
-//! protocol maths runs in SI units (m, m/s, s). These aliases and conversion
-//! helpers keep the call sites readable without a heavyweight units library.
+//! protocol maths runs in SI units (m, m/s, s). The `Seconds` alias and the
+//! conversions keep the call sites readable without a heavyweight units library.
 
-/// Metres. Plain alias used in public APIs for documentation value.
-pub type Meters = f64;
-/// Metres per second.
-pub type MetersPerSecond = f64;
 /// Seconds.
 pub type Seconds = f64;
 
 /// Converts kilometres per hour to metres per second.
 #[inline]
-pub fn kmh_to_ms(kmh: f64) -> MetersPerSecond {
+pub fn kmh_to_ms(kmh: f64) -> f64 {
     kmh / 3.6
 }
 
 /// Converts metres per second to kilometres per hour.
 #[inline]
-pub fn ms_to_kmh(ms: MetersPerSecond) -> f64 {
+pub fn ms_to_kmh(ms: f64) -> f64 {
     ms * 3.6
-}
-
-/// Converts kilometres to metres.
-#[inline]
-pub fn km_to_m(km: f64) -> Meters {
-    km * 1000.0
-}
-
-/// Converts metres to kilometres.
-#[inline]
-pub fn m_to_km(m: Meters) -> f64 {
-    m / 1000.0
-}
-
-/// Converts hours to seconds.
-#[inline]
-pub fn hours_to_seconds(h: f64) -> Seconds {
-    h * 3600.0
-}
-
-/// Converts seconds to hours.
-#[inline]
-pub fn seconds_to_hours(s: Seconds) -> f64 {
-    s / 3600.0
 }
 
 /// Formats a duration in seconds as `h:mm` (the format used in Table 1,
@@ -69,21 +41,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_conversions() {
-        assert!(approx_eq(km_to_m(1.5), 1500.0));
-        assert!(approx_eq(m_to_km(250.0), 0.25));
-    }
-
-    #[test]
-    fn time_conversions() {
-        assert!(approx_eq(hours_to_seconds(1.5), 5400.0));
-        assert!(approx_eq(seconds_to_hours(5400.0), 1.5));
-    }
-
-    #[test]
     fn duration_formatting_matches_table1_style() {
-        assert_eq!(format_duration_hm(hours_to_seconds(1.0) + 35.0 * 60.0), "1:35 h");
-        assert_eq!(format_duration_hm(hours_to_seconds(2.0) + 8.0 * 60.0), "2:08 h");
+        assert_eq!(format_duration_hm(3600.0 + 35.0 * 60.0), "1:35 h");
+        assert_eq!(format_duration_hm(7200.0 + 8.0 * 60.0), "2:08 h");
         assert_eq!(format_duration_hm(30.0), "0:01 h");
     }
 }

@@ -57,7 +57,7 @@ impl Vec2 {
 
     /// Squared Euclidean norm.
     #[inline]
-    pub fn norm_squared(&self) -> f64 {
+    pub(crate) fn norm_squared(&self) -> f64 {
         self.x * self.x + self.y * self.y
     }
 
@@ -67,17 +67,10 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// 2-D cross product (z component of the 3-D cross product). Positive when
-    /// `other` lies counter-clockwise from `self`.
-    #[inline]
-    pub fn cross(&self, other: &Vec2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Returns a unit-length copy, or `None` if the vector is (numerically)
     /// zero.
     #[inline]
-    pub fn normalized(&self) -> Option<Vec2> {
+    pub(crate) fn normalized(&self) -> Option<Vec2> {
         let n = self.norm();
         if n <= f64::EPSILON {
             None
@@ -86,7 +79,7 @@ impl Vec2 {
         }
     }
 
-    /// Like [`Vec2::normalized`] but falls back to `Vec2::NORTH` for the zero
+    /// Like `Vec2::normalized` but falls back to `Vec2::NORTH` for the zero
     /// vector. Convenient when a heading is required and "standing still"
     /// should behave deterministically.
     #[inline]
@@ -96,7 +89,7 @@ impl Vec2 {
 
     /// Scales the vector by `s`.
     #[inline]
-    pub fn scale(&self, s: f64) -> Vec2 {
+    pub(crate) fn scale(&self, s: f64) -> Vec2 {
         Vec2::new(self.x * s, self.y * s)
     }
 
@@ -125,14 +118,8 @@ impl Vec2 {
 
     /// Returns `true` if the vector is exactly zero.
     #[inline]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.x == 0.0 && self.y == 0.0
-    }
-
-    /// Returns `true` if both components are finite.
-    #[inline]
-    pub fn is_finite(&self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 
@@ -228,13 +215,6 @@ mod tests {
         assert!(approx_eq(v.norm(), 5.0));
         assert!(approx_eq(v.dot(&v), 25.0));
         assert!(approx_eq(Vec2::EAST.dot(&Vec2::NORTH), 0.0));
-    }
-
-    #[test]
-    fn cross_sign_indicates_turn_direction() {
-        // North is counter-clockwise from east.
-        assert!(Vec2::EAST.cross(&Vec2::NORTH) > 0.0);
-        assert!(Vec2::NORTH.cross(&Vec2::EAST) < 0.0);
     }
 
     #[test]

@@ -87,7 +87,7 @@ static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 /// every record and snapshot checksum in the journal format.
 #[must_use]
 #[expect(clippy::indexing_slicing, reason = "every index is a byte or masked to 0..=255")]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = u32::MAX;
     let mut chunks = bytes.chunks_exact(8);
@@ -700,11 +700,6 @@ impl Journal {
         self.frames.load(Ordering::Relaxed)
     }
 
-    /// Frame count covered by the newest installed snapshot (0 if none).
-    pub fn snapshot_floor(&self) -> u64 {
-        self.snapshot_floor.load(Ordering::Relaxed)
-    }
-
     /// Frame count of the snapshot selected at open, if one was found.
     pub fn recovered_snapshot_frames(&self) -> Option<u64> {
         self.recovered_snapshot.as_ref().map(|(frames, _)| *frames)
@@ -713,16 +708,6 @@ impl Journal {
     /// Point-in-time copy of the journal's counters.
     pub fn stats(&self) -> JournalStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Directory holding the journal's segment and snapshot files.
-    pub fn dir(&self) -> &Path {
-        &self.config.dir
-    }
-
-    /// The configuration this journal was opened with.
-    pub fn config(&self) -> &JournalConfig {
-        &self.config
     }
 
     fn maybe_sync(&self, writer: &mut Writer) -> Result<(), JournalError> {
@@ -1161,7 +1146,7 @@ mod tests {
         let frames = journal.begin_snapshot().expect("snapshot due");
         journal.install_snapshot(frames, b"snapshot-body").expect("install");
         assert_eq!(journal.stats().snapshots, 1);
-        assert_eq!(journal.snapshot_floor(), frames);
+        assert_eq!(journal.snapshot_floor.load(Ordering::Relaxed), frames);
         drop(journal);
 
         let journal = Journal::open(config).expect("reopen");
@@ -1220,7 +1205,7 @@ mod tests {
         assert_eq!(frames, 3);
         assert_eq!(journal.begin_forced_snapshot(), None, "slot is exclusive");
         journal.install_snapshot(frames, b"forced-floor").expect("install");
-        assert_eq!(journal.snapshot_floor(), 3);
+        assert_eq!(journal.snapshot_floor.load(Ordering::Relaxed), 3);
         drop(journal);
         let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
         assert_eq!(journal.load_snapshot().expect("load").expect("present").frames, 3);

@@ -74,9 +74,9 @@ mod vfs;
 
 pub use error::JournalError;
 pub use journal::{
-    crc32, FsyncPolicy, Journal, JournalConfig, Records, Retained, SnapshotBlob, JOURNAL_VERSION,
+    FsyncPolicy, Journal, JournalConfig, Records, Retained, SnapshotBlob, JOURNAL_VERSION,
     MAX_RECORD_BYTES, RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SNAPSHOT_FILE_SUFFIX, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
 };
-pub use stats::{JournalStats, JournalStatsSnapshot};
+pub use stats::JournalStatsSnapshot;
 pub use vfs::{FaultFs, FaultKind, RealFs, Vfs, VfsFile};

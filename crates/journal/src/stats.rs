@@ -40,7 +40,7 @@ macro_rules! counters {
                 clippy::needless_update,
                 reason = "a snapshot without extra fields leaves `..Default::default()` nothing to fill"
             )]
-            pub fn snapshot(&self) -> $snap {
+            pub(crate) fn snapshot(&self) -> $snap {
                 $snap {
                     $( $counter: self.$counter.load(::std::sync::atomic::Ordering::Relaxed), )*
                     ..Default::default()
@@ -67,7 +67,7 @@ macro_rules! counters {
 counters! {
     /// Live monotonic counters for one journal instance, updated with relaxed
     /// atomics from the append/recovery paths in `journal.rs`.
-    pub struct JournalStats {
+    pub(crate) struct JournalStats {
         /// Frame records durably appended to the active segment.
         appends,
         /// Number of `fsync`/`fdatasync` calls issued on segment or snapshot files.
@@ -83,7 +83,7 @@ counters! {
         /// dropped by the infallible `record_frame` wrapper.
         append_errors,
     }
-    /// Point-in-time copy of [`JournalStats`] (also surfaced through
+    /// Point-in-time copy of `JournalStats` (also surfaced through
     /// `mbdr-net`'s `ServerStatsSnapshot`).
     pub snapshot JournalStatsSnapshot {}
 }

@@ -227,11 +227,6 @@ impl LocationService {
         self.journal.get()
     }
 
-    /// The configuration the service was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// Number of lock stripes.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

@@ -90,11 +90,6 @@ impl ZoneWatcher {
         self.zones.len() - 1
     }
 
-    /// Number of registered zones.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
-    }
-
     /// Immediately removes `object` from every zone's membership set,
     /// returning one `Left` event per zone it was inside.
     ///
@@ -215,7 +210,7 @@ mod tests {
         let index =
             watcher.add_zone("mall", Aabb::new(Point::new(100.0, -50.0), Point::new(200.0, 50.0)));
         assert_eq!(index, 0);
-        assert_eq!(watcher.zone_count(), 1);
+        assert_eq!(watcher.zones.len(), 1);
 
         // t = 5 s: at x = 50, outside.
         assert!(watcher.evaluate(&service, 5.0).is_empty());

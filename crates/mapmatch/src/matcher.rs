@@ -116,18 +116,6 @@ impl MapMatcher {
         &self.config
     }
 
-    /// The current link hypothesis, if any.
-    pub fn current_link(&self) -> Option<LinkId> {
-        self.current.as_ref().map(|c| c.link)
-    }
-
-    /// Forgets all state (used when a protocol falls back to linear prediction
-    /// and later wants a fresh start).
-    pub fn reset(&mut self) {
-        self.current = None;
-        self.node_history.clear();
-    }
-
     /// Processes one sensed position and returns the match result.
     pub fn update(&mut self, sensed: Point) -> MatchResult {
         match self.current.take() {
@@ -396,7 +384,7 @@ mod tests {
         assert!(!r.is_matched());
         assert_eq!(r.event, MatchEvent::StillOffMap);
         assert_eq!(r.corrected, Point::new(50.0, 500.0));
-        assert!(m.current_link().is_none());
+        assert!(m.current.is_none());
     }
 
     #[test]
@@ -472,24 +460,13 @@ mod tests {
         // Wander far off every link.
         let r = m.update(Point::new(50.0, 400.0));
         assert_eq!(r.event, MatchEvent::LostMap);
-        assert!(m.current_link().is_none());
+        assert!(m.current.is_none());
         let r = m.update(Point::new(55.0, 400.0));
         assert_eq!(r.event, MatchEvent::StillOffMap);
         // Come back near the street → re-acquired.
         let r = m.update(Point::new(60.0, 12.0));
         assert_eq!(r.event, MatchEvent::Acquired);
         assert_eq!(r.link, Some(LinkId(0)));
-    }
-
-    #[test]
-    fn reset_clears_all_state() {
-        let mut m = matcher(30.0);
-        m.update(Point::new(50.0, 5.0));
-        assert!(m.current_link().is_some());
-        m.reset();
-        assert!(m.current_link().is_none());
-        // After reset the next update acquires again.
-        assert_eq!(m.update(Point::new(55.0, 5.0)).event, MatchEvent::Acquired);
     }
 
     #[test]

@@ -39,8 +39,13 @@ pub struct ClientConfig {
     /// is unusable afterwards (a late response would desynchronize the
     /// stream) — call [`NetClient::reconnect_with_fresh_sequence`].
     pub read_timeout: Option<Duration>,
-    /// Per-message size cap in both directions (0 means the 1 MiB default);
-    /// see [`NetClient::set_max_message_bytes`].
+    /// Per-message size cap in both directions (0 means the 1 MiB default):
+    /// outgoing messages above it fail fast with [`NetError::Oversized`]
+    /// (the server would refuse them and drop the connection mid-stream),
+    /// and a response above it is rejected instead of read. A rect answer
+    /// carries 32 bytes per object, so clients querying fleets past ~32 k
+    /// objects in one rectangle need a larger cap on both ends
+    /// ([`crate::ServerConfig::max_message_bytes`] server-side).
     pub max_message_bytes: u32,
 }
 
@@ -143,22 +148,6 @@ impl NetClient {
     /// or recovery window instead of failing on the first refused dial.
     pub fn reconnect_with_retry(&mut self, policy: RetryPolicy) -> std::io::Result<u64> {
         policy.run(|| self.reconnect_with_fresh_sequence())
-    }
-
-    /// The local address of the underlying socket.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.writer.local_addr()
-    }
-
-    /// Raises (or lowers) the per-message size cap, default 1 MiB, applied
-    /// in both directions: outgoing messages above it fail fast with
-    /// [`NetError::Oversized`] (the server would refuse them and drop the
-    /// connection mid-stream), and a response above it is rejected instead
-    /// of read. A rect answer carries 32 bytes per object, so clients
-    /// querying fleets past ~32 k objects in one rectangle need a larger cap
-    /// on both ends ([`crate::ServerConfig::max_message_bytes`] server-side).
-    pub fn set_max_message_bytes(&mut self, max: u32) {
-        self.max_message_bytes = max;
     }
 
     /// Bytes this client has put on the wire (length prefixes included).

@@ -10,7 +10,7 @@
 //! [`RetryPolicy::deadline`].
 //!
 //! The jitter stream is a seeded splitmix64: the full delay schedule is a
-//! pure function of the policy ([`RetryPolicy::delays`]), so tests assert
+//! pure function of the policy (`RetryPolicy::delays`), so tests assert
 //! exact schedules instead of sleeping, and two clients with different seeds
 //! spread out while a replayed run stays bit-identical.
 
@@ -47,7 +47,7 @@ impl RetryPolicy {
     /// backoffs (the `deadline` is enforced by [`RetryPolicy::run`], not
     /// here). Each delay lies in `[base/2, base]` where `base` doubles from
     /// `initial_backoff` to `max_backoff`.
-    pub fn delays(&self) -> Delays {
+    pub(crate) fn delays(&self) -> Delays {
         Delays {
             base: self.initial_backoff.min(self.max_backoff),
             max: self.max_backoff,
@@ -59,7 +59,7 @@ impl RetryPolicy {
     /// scheduled delay between attempts (truncated to the remaining budget).
     /// The first attempt is immediate; the error of the final attempt is
     /// returned verbatim.
-    pub fn run<T, E>(&self, mut op: impl FnMut() -> Result<T, E>) -> Result<T, E> {
+    pub(crate) fn run<T, E>(&self, mut op: impl FnMut() -> Result<T, E>) -> Result<T, E> {
         let start = Instant::now();
         let mut delays = self.delays();
         loop {
@@ -82,7 +82,7 @@ impl RetryPolicy {
 /// Iterator form of a [`RetryPolicy`]'s delay schedule (see
 /// [`RetryPolicy::delays`]).
 #[derive(Debug, Clone)]
-pub struct Delays {
+pub(crate) struct Delays {
     base: Duration,
     max: Duration,
     rng: u64,

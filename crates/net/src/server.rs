@@ -59,7 +59,7 @@ use crate::reactor::{
 use crate::stats::{ServerStats, ServerStatsSnapshot};
 use crate::transport::DEFAULT_MAX_MESSAGE_BYTES;
 use mbdr_journal::{Journal, JournalConfig};
-use mbdr_locserver::{recover_and_attach, IndexStats, LocationService, RecoveryReport};
+use mbdr_locserver::{recover_and_attach, LocationService, RecoveryReport};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -337,15 +337,6 @@ impl NetServer {
     /// fixedness the connection-scaling gate asserts.
     pub fn pool_threads(&self) -> usize {
         self.pool_threads
-    }
-
-    /// Spatial-index occupancy of the fronted service — gauges computed from
-    /// the live shard indexes at call time (occupied cells, max cell
-    /// occupancy), complementing the event counters in
-    /// [`NetServer::stats`]: together they make hotspot skew observable on a
-    /// serving deployment without a debugger.
-    pub fn index_stats(&self) -> IndexStats {
-        self.service.index_stats()
     }
 
     /// Stops accepting, tears down every connection, drains the workers and

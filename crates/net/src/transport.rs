@@ -14,7 +14,7 @@ use std::io::{Read, Write};
 /// (a full 65 535-update frame is under 4 MiB only for pathological batches;
 /// real frames are a few hundred bytes) while keeping hostile allocations
 /// bounded.
-pub const DEFAULT_MAX_MESSAGE_BYTES: u32 = 1 << 20;
+pub(crate) const DEFAULT_MAX_MESSAGE_BYTES: u32 = 1 << 20;
 
 /// Writes one length-prefixed message and flushes. Returns the bytes put on
 /// the wire (prefix + body).

@@ -39,16 +39,6 @@ impl NetworkBuilder {
         NetworkBuilder::default()
     }
 
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of links added so far.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Adds an intersection at `position` and returns its id.
     pub fn add_node(&mut self, position: Point) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -57,14 +47,14 @@ impl NetworkBuilder {
     }
 
     /// Adds a named intersection at `position` and returns its id.
-    pub fn add_named_node(&mut self, position: Point, name: impl Into<String>) -> NodeId {
+    pub(crate) fn add_named_node(&mut self, position: Point, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::named(id, position, name));
         id
     }
 
     /// Position of a previously added node.
-    pub fn node_position(&self, id: NodeId) -> Point {
+    pub(crate) fn node_position(&self, id: NodeId) -> Point {
         self.nodes[id.index()].position
     }
 
@@ -78,7 +68,7 @@ impl NetworkBuilder {
     ///
     /// The supplied `shape_points` are the *interior* vertices; the endpoint
     /// positions are prepended/appended automatically.
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -107,7 +97,7 @@ impl NetworkBuilder {
     }
 
     /// Overrides the speed limit of an already-added link.
-    pub fn set_speed_limit(&mut self, link: LinkId, kmh: f64) {
+    pub(crate) fn set_speed_limit(&mut self, link: LinkId, kmh: f64) {
         self.links[link.index()].speed_limit_kmh = kmh;
     }
 
@@ -125,7 +115,7 @@ impl NetworkBuilder {
     /// Finishes the network without validation (used by generators whose
     /// output is validated in their own tests; avoids double work on large
     /// maps).
-    pub fn build_unchecked(self) -> RoadNetwork {
+    pub(crate) fn build_unchecked(self) -> RoadNetwork {
         RoadNetwork::from_parts(self.nodes, self.links)
     }
 }
@@ -143,8 +133,8 @@ mod tests {
         assert_eq!(n1, NodeId(1));
         let l0 = b.add_straight_link(n0, n1, RoadClass::Residential);
         assert_eq!(l0, LinkId(0));
-        assert_eq!(b.node_count(), 2);
-        assert_eq!(b.link_count(), 1);
+        assert_eq!(b.nodes.len(), 2);
+        assert_eq!(b.links.len(), 1);
         let net = b.build().unwrap();
         assert_eq!(net.node(n1).name.as_deref(), Some("corner"));
     }
@@ -157,7 +147,7 @@ mod tests {
         let l = b.add_link(a, c, vec![Point::new(10.0, 5.0)], RoadClass::Arterial);
         let net = b.build().unwrap();
         let link = net.link(l);
-        assert_eq!(link.shape_point_count(), 1);
+        assert_eq!(link.geometry.vertices().len(), 3);
         assert_eq!(link.geometry.first(), Point::new(0.0, 0.0));
         assert_eq!(link.geometry.last(), Point::new(20.0, 0.0));
     }

@@ -44,13 +44,10 @@ impl Default for InterurbanConfig {
 }
 
 /// A generated village: the nodes the corridor code needs to attach the
-/// trunk road (entering from the west, leaving towards the east) and the
-/// centre used as a routing landmark.
+/// trunk road (entering from the west, leaving towards the east). Its centre
+/// node is named `town {i} centre`; the trace scenarios find that landmark
+/// by its name.
 struct Town {
-    /// Centre node (named `town {i} centre`), used as a routing landmark by
-    /// the trace scenarios.
-    #[allow(dead_code, reason = "documents the landmark; scenarios find it by its name")]
-    center: NodeId,
     west_gate: NodeId,
     east_gate: NodeId,
 }
@@ -77,7 +74,7 @@ fn add_town(
     let ne = b.add_node(jitter(rng, center + Vec2::new(half * 0.8, half * 0.8), 30.0));
     b.add_straight_link(north, ne, RoadClass::Residential);
     b.add_straight_link(east, ne, RoadClass::Residential);
-    Town { center: c, west_gate: west, east_gate: east }
+    Town { west_gate: west, east_gate: east }
 }
 
 /// Generates the inter-urban network described by `config`.
@@ -140,15 +137,9 @@ pub fn generate(config: &InterurbanConfig) -> RoadNetwork {
     b.build().expect("generated inter-urban map must be structurally valid")
 }
 
-/// Convenience wrapper with the default configuration and a caller-chosen seed.
-pub fn generate_default(seed: u64) -> RoadNetwork {
-    generate(&InterurbanConfig { seed, ..InterurbanConfig::default() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::NetworkStats;
 
     fn small() -> InterurbanConfig {
         InterurbanConfig { towns: 4, ..InterurbanConfig::default() }
@@ -168,7 +159,7 @@ mod tests {
         assert_eq!(trunks.len(), 3, "one trunk per consecutive town pair");
         for t in trunks {
             assert!(t.length() >= small().town_spacing_m * 0.7);
-            assert!(t.shape_point_count() > 0, "country roads should wind");
+            assert!(t.geometry.vertices().len() > 2, "country roads should wind");
             assert!((70.0..=100.0).contains(&t.speed_limit_kmh));
         }
     }
@@ -184,22 +175,22 @@ mod tests {
     fn corridor_total_length_scales_with_town_count() {
         let small_net = generate(&small());
         let large_net = generate(&InterurbanConfig { towns: 8, ..small() });
-        assert!(large_net.total_length() > small_net.total_length() * 1.8);
+        let total = |net: &RoadNetwork| net.links().iter().map(|l| l.length()).sum::<f64>();
+        assert!(total(&large_net) > total(&small_net) * 1.8);
     }
 
     #[test]
     fn there_are_decision_points_at_village_centres() {
         let net = generate(&small());
-        let stats = NetworkStats::of(&net);
-        assert!(stats.decision_nodes >= 4);
+        assert!(net.nodes().iter().filter(|n| net.degree(n.id) >= 3).count() >= 4);
     }
 
     #[test]
     fn determinism_in_seed() {
         let a = generate(&small());
         let b = generate(&small());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.total_length(), b.total_length());
+        assert_eq!(a.nodes(), b.nodes());
+        assert_eq!(a.links(), b.links());
     }
 
     #[test]

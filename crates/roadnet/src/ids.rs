@@ -19,7 +19,7 @@ pub struct LinkId(pub u32);
 impl NodeId {
     /// The raw index value.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -27,7 +27,7 @@ impl NodeId {
 impl LinkId {
     /// The raw index value.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

@@ -25,7 +25,6 @@
 //!   perturbed city grid and a campus footpath network.
 //! * [`transition`] — link-to-link transition statistics, feeding the
 //!   "map-based with probability information" protocol variant.
-//! * [`io`] — a simple line-oriented text format for persisting maps.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,13 +32,11 @@
 pub mod builder;
 pub mod gen;
 pub mod ids;
-pub mod io;
 pub mod link;
 pub mod locator;
 pub mod network;
 pub mod node;
 pub mod route;
-pub mod stats;
 pub mod transition;
 
 pub use builder::NetworkBuilder;
@@ -49,5 +46,4 @@ pub use locator::{LinkLocator, LinkMatch};
 pub use network::RoadNetwork;
 pub use node::Node;
 pub use route::{Route, Router};
-pub use stats::NetworkStats;
 pub use transition::TransitionTable;

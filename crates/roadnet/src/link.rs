@@ -1,7 +1,7 @@
 //! Links: road segments between two intersections, with shape points.
 
 use crate::ids::{LinkId, NodeId};
-use mbdr_geo::{kmh_to_ms, Aabb, Point, Polyline, Vec2};
+use mbdr_geo::{kmh_to_ms, Aabb, Polyline, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Functional classification of a road, carrying a default speed limit.
@@ -29,7 +29,7 @@ pub enum RoadClass {
 
 impl RoadClass {
     /// Default speed limit for the class, km/h.
-    pub fn default_speed_limit_kmh(self) -> f64 {
+    pub(crate) fn default_speed_limit_kmh(self) -> f64 {
         match self {
             RoadClass::Freeway => 130.0,
             RoadClass::Ramp => 60.0,
@@ -38,11 +38,6 @@ impl RoadClass {
             RoadClass::Residential => 30.0,
             RoadClass::Footpath => 6.0,
         }
-    }
-
-    /// Returns `true` if cars may use a link of this class.
-    pub fn is_drivable(self) -> bool {
-        !matches!(self, RoadClass::Footpath)
     }
 
     /// A relative importance used when a predictor prefers "main roads"
@@ -85,14 +80,14 @@ pub struct Link {
 
 impl Link {
     /// Creates a link with the class's default speed limit.
-    pub fn new(id: LinkId, from: NodeId, to: NodeId, geometry: Polyline, class: RoadClass) -> Self {
+    pub(crate) fn new(
+        id: LinkId,
+        from: NodeId,
+        to: NodeId,
+        geometry: Polyline,
+        class: RoadClass,
+    ) -> Self {
         Link { id, from, to, geometry, class, speed_limit_kmh: class.default_speed_limit_kmh() }
-    }
-
-    /// Sets an explicit speed limit (km/h), returning the modified link.
-    pub fn with_speed_limit(mut self, kmh: f64) -> Self {
-        self.speed_limit_kmh = kmh;
-        self
     }
 
     /// Length of the link along its geometry, metres.
@@ -107,15 +102,9 @@ impl Link {
         kmh_to_ms(self.speed_limit_kmh)
     }
 
-    /// Number of shape points (interior vertices).
-    #[inline]
-    pub fn shape_point_count(&self) -> usize {
-        self.geometry.vertices().len().saturating_sub(2)
-    }
-
     /// Bounding box of the link geometry.
     #[inline]
-    pub fn bounding_box(&self) -> Aabb {
+    pub(crate) fn bounding_box(&self) -> Aabb {
         self.geometry.bounding_box()
     }
 
@@ -144,7 +133,7 @@ impl Link {
     /// This is the vector the map-based predictor compares against the
     /// previous direction of travel to pick the "smallest angle" outgoing link
     /// at an intersection.
-    pub fn departure_direction(&self, node: NodeId) -> Option<Vec2> {
+    pub(crate) fn departure_direction(&self, node: NodeId) -> Option<Vec2> {
         if node == self.from {
             Some(self.geometry.direction_at_arc_length(0.0))
         } else if node == self.to {
@@ -154,35 +143,12 @@ impl Link {
             None
         }
     }
-
-    /// Arc-length position of the given endpoint on the link geometry
-    /// (0 for `from`, `length()` for `to`); `None` if not an endpoint.
-    pub fn arc_length_of_endpoint(&self, node: NodeId) -> Option<f64> {
-        if node == self.from {
-            Some(0.0)
-        } else if node == self.to {
-            Some(self.length())
-        } else {
-            None
-        }
-    }
-
-    /// Position at a given arc length measured *from the given endpoint*
-    /// towards the other end (clamped to the link).
-    pub fn point_from_endpoint(&self, node: NodeId, distance: f64) -> Option<Point> {
-        if node == self.from {
-            Some(self.geometry.point_at_arc_length(distance))
-        } else if node == self.to {
-            Some(self.geometry.point_at_arc_length(self.length() - distance))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbdr_geo::Point;
 
     fn ell_link() -> Link {
         // 10 m east then 10 m north, with one shape point at the corner.
@@ -203,15 +169,9 @@ mod tests {
     fn length_and_shape_points() {
         let l = ell_link();
         assert!((l.length() - 20.0).abs() < 1e-9);
-        assert_eq!(l.shape_point_count(), 1);
+        assert_eq!(l.geometry.vertices().len(), 3);
         assert_eq!(l.speed_limit_kmh, 30.0);
         assert!((l.speed_limit_ms() - 30.0 / 3.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_speed_limit_overrides_class_default() {
-        let l = ell_link().with_speed_limit(50.0);
-        assert_eq!(l.speed_limit_kmh, 50.0);
     }
 
     #[test]
@@ -234,29 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn point_from_endpoint_walks_in_the_right_direction() {
-        let l = ell_link();
-        assert_eq!(l.point_from_endpoint(NodeId(0), 5.0), Some(Point::new(5.0, 0.0)));
-        assert_eq!(l.point_from_endpoint(NodeId(1), 5.0), Some(Point::new(10.0, 5.0)));
-        assert_eq!(l.point_from_endpoint(NodeId(7), 5.0), None);
-    }
-
-    #[test]
-    fn arc_length_of_endpoints() {
-        let l = ell_link();
-        assert_eq!(l.arc_length_of_endpoint(NodeId(0)), Some(0.0));
-        assert!((l.arc_length_of_endpoint(NodeId(1)).unwrap() - 20.0).abs() < 1e-9);
-        assert_eq!(l.arc_length_of_endpoint(NodeId(2)), None);
-    }
-
-    #[test]
     fn road_class_properties() {
         assert!(
             RoadClass::Freeway.default_speed_limit_kmh()
                 > RoadClass::Residential.default_speed_limit_kmh()
         );
-        assert!(RoadClass::Freeway.is_drivable());
-        assert!(!RoadClass::Footpath.is_drivable());
         assert!(RoadClass::Freeway.priority() > RoadClass::Arterial.priority());
     }
 

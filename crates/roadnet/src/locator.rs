@@ -58,11 +58,6 @@ impl LinkLocator {
         LinkLocator { index }
     }
 
-    /// Number of indexed segments (diagnostic).
-    pub fn indexed_segments(&self) -> usize {
-        self.index.len()
-    }
-
     /// All links whose geometry comes within `max_distance` metres of `p`,
     /// each once with its best projection. `max_distance` is the paper's
     /// matching tolerance `u_m`.
@@ -207,6 +202,6 @@ mod tests {
         let net = h_network();
         let loc = LinkLocator::build(&net);
         // Five straight links → five segments.
-        assert_eq!(loc.indexed_segments(), 5);
+        assert_eq!(loc.index.len(), 5);
     }
 }

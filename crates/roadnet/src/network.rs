@@ -25,12 +25,6 @@ pub struct RoadNetwork {
 }
 
 impl RoadNetwork {
-    /// Creates an empty network. Use [`crate::NetworkBuilder`] for
-    /// construction with validation.
-    pub fn empty() -> Self {
-        RoadNetwork::default()
-    }
-
     pub(crate) fn from_parts(nodes: Vec<Node>, links: Vec<Link>) -> Self {
         let mut adjacency = vec![Vec::new(); nodes.len()];
         for link in &links {
@@ -88,11 +82,6 @@ impl RoadNetwork {
         &self.links[id.index()]
     }
 
-    /// The node with the given id, or `None` if out of range.
-    pub fn get_node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.index())
-    }
-
     /// The link with the given id, or `None` if out of range.
     pub fn get_link(&self, id: LinkId) -> Option<&Link> {
         self.links.get(id.index())
@@ -112,7 +101,7 @@ impl RoadNetwork {
 
     /// Ids of all links incident to `node` (in insertion order).
     #[inline]
-    pub fn incident_links(&self, node: NodeId) -> &[LinkId] {
+    pub(crate) fn incident_links(&self, node: NodeId) -> &[LinkId] {
         &self.adjacency[node.index()]
     }
 
@@ -182,7 +171,7 @@ impl RoadNetwork {
     }
 
     /// Ids of nodes adjacent to `node` (one hop over any incident link).
-    pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         self.adjacency[node.index()].iter().filter_map(|&l| self.link(l).other_end(node)).collect()
     }
 
@@ -195,11 +184,6 @@ impl RoadNetwork {
         Some(bb)
     }
 
-    /// Total length of all links, metres.
-    pub fn total_length(&self) -> f64 {
-        self.links.iter().map(|l| l.length()).sum()
-    }
-
     /// Checks structural invariants; returns a list of human-readable
     /// problems (empty = valid).
     ///
@@ -208,7 +192,7 @@ impl RoadNetwork {
     /// * link ids and node ids match their storage index,
     /// * link geometry starts/ends at its endpoints' positions,
     /// * no zero-length links.
-    pub fn validate(&self) -> Vec<String> {
+    pub(crate) fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             if node.id.index() != i {
@@ -244,7 +228,7 @@ impl RoadNetwork {
 
     /// Returns `true` if every node can reach every other node over the links
     /// (the trace generator requires a connected map to plan routes).
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;
         }
@@ -269,7 +253,10 @@ impl RoadNetwork {
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
-    use crate::gen::{campus, city_grid, freeway, interurban};
+    use crate::gen::campus::{self, CampusConfig};
+    use crate::gen::city_grid::{self, CityConfig};
+    use crate::gen::freeway::{self, FreewayConfig};
+    use crate::gen::interurban::{self, InterurbanConfig};
     use crate::link::RoadClass;
     use mbdr_geo::{Point, Polyline};
 
@@ -292,7 +279,6 @@ mod tests {
         assert_eq!(net.link_count(), 3);
         assert!(!net.is_empty());
         assert_eq!(net.node(NodeId(1)).position, Point::new(100.0, 0.0));
-        assert!(net.get_node(NodeId(99)).is_none());
         assert!(net.get_link(LinkId(99)).is_none());
     }
 
@@ -330,13 +316,11 @@ mod tests {
         let net = triangle();
         let bb = net.bounding_box().unwrap();
         assert!(bb.contains(&Point::new(50.0, 40.0)));
-        let expected = 100.0 + 2.0 * (50.0f64.powi(2) + 80.0f64.powi(2)).sqrt();
-        assert!((net.total_length() - expected).abs() < 1e-6);
     }
 
     #[test]
     fn empty_network() {
-        let net = RoadNetwork::empty();
+        let net = RoadNetwork::default();
         assert!(net.is_empty());
         assert!(net.bounding_box().is_none());
         assert!(net.is_connected());
@@ -395,10 +379,15 @@ mod tests {
     #[test]
     fn the_table_is_the_rule_on_every_generated_map() {
         for seed in [7, 2001] {
-            assert_table_is_the_rule(&freeway::generate_default(seed), "freeway");
-            assert_table_is_the_rule(&interurban::generate_default(seed), "inter-urban");
-            assert_table_is_the_rule(&city_grid::generate_default(seed), "city grid");
-            assert_table_is_the_rule(&campus::generate_default(seed), "campus");
+            let freeway = freeway::generate(&FreewayConfig { seed, ..FreewayConfig::default() });
+            assert_table_is_the_rule(&freeway, "freeway");
+            let interurban =
+                interurban::generate(&InterurbanConfig { seed, ..InterurbanConfig::default() });
+            assert_table_is_the_rule(&interurban, "inter-urban");
+            let city = city_grid::generate(&CityConfig { seed, ..CityConfig::default() });
+            assert_table_is_the_rule(&city, "city grid");
+            let campus = campus::generate(&CampusConfig { seed, ..CampusConfig::default() });
+            assert_table_is_the_rule(&campus, "campus");
         }
     }
 
@@ -499,7 +488,7 @@ mod tests {
 
     #[test]
     fn the_empty_network_has_an_empty_table_and_clone_carries_it() {
-        let empty = RoadNetwork::empty();
+        let empty = RoadNetwork::default();
         assert!(empty.continuations.is_empty());
         assert_eq!(empty.straightest_continuation(LinkId(0), NodeId(0)), None);
         let net = triangle();

@@ -21,19 +21,13 @@ pub struct Node {
 
 impl Node {
     /// Creates an unnamed node.
-    pub fn new(id: NodeId, position: Point) -> Self {
+    pub(crate) fn new(id: NodeId, position: Point) -> Self {
         Node { id, position, name: None }
     }
 
     /// Creates a named node.
-    pub fn named(id: NodeId, position: Point, name: impl Into<String>) -> Self {
+    pub(crate) fn named(id: NodeId, position: Point, name: impl Into<String>) -> Self {
         Node { id, position, name: Some(name.into()) }
-    }
-
-    /// Distance from this intersection to `p`, metres.
-    #[inline]
-    pub fn distance_to(&self, p: &Point) -> f64 {
-        self.position.distance(p)
     }
 }
 
@@ -46,7 +40,6 @@ mod tests {
         let n = Node::new(NodeId(3), Point::new(3.0, 4.0));
         assert_eq!(n.id, NodeId(3));
         assert!(n.name.is_none());
-        assert!((n.distance_to(&Point::ORIGIN) - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Route {
         self.links.is_empty()
     }
 
-    /// Number of links in the route.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
     /// Total length of the route along link geometry, metres.
     pub fn length(&self, network: &RoadNetwork) -> f64 {
         self.links.iter().map(|&l| network.link(l).length()).sum()
@@ -190,22 +185,6 @@ impl<'a> Router<'a> {
         links.reverse();
         Some(Route { nodes, links })
     }
-
-    /// Cost (metres or seconds, depending on the metric) of the shortest path,
-    /// or `None` if unreachable.
-    pub fn cost(&self, start: NodeId, goal: NodeId) -> Option<f64> {
-        self.route(start, goal).map(|r| match self.metric {
-            RouteMetric::Distance => r.length(self.network),
-            RouteMetric::TravelTime => r
-                .links
-                .iter()
-                .map(|&l| {
-                    let link = self.network.link(l);
-                    link.length() / link.speed_limit_ms().max(0.1)
-                })
-                .sum(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +222,7 @@ mod tests {
         let router = Router::new(&net);
         let route = router.route(NodeId(0), NodeId(8)).unwrap();
         assert!(route.is_valid(&net));
-        assert_eq!(route.len(), 4);
+        assert_eq!(route.links.len(), 4);
         assert!((route.length(&net) - 400.0).abs() < 1e-6);
         assert_eq!(route.nodes.first(), Some(&NodeId(0)));
         assert_eq!(route.nodes.last(), Some(&NodeId(8)));
@@ -270,7 +249,6 @@ mod tests {
         b.add_straight_link(d, e, RoadClass::Residential);
         let net = b.build().unwrap();
         assert!(Router::new(&net).route(NodeId(0), NodeId(3)).is_none());
-        assert!(Router::new(&net).cost(NodeId(0), NodeId(3)).is_none());
     }
 
     #[test]
@@ -288,11 +266,11 @@ mod tests {
         let net = b.build().unwrap();
 
         let by_distance = Router::new(&net).route(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(by_distance.len(), 1);
+        assert_eq!(by_distance.links.len(), 1);
 
         let by_time =
             Router::with_metric(&net, RouteMetric::TravelTime).route(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(by_time.len(), 2, "the fast detour should win on time");
+        assert_eq!(by_time.links.len(), 2, "the fast detour should win on time");
     }
 
     #[test]

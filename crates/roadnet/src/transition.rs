@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// Key of a transition observation: arriving over `from_link` at `node`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TransitionKey {
+pub(crate) struct TransitionKey {
     /// Intersection being crossed.
     pub node: NodeId,
     /// Link over which the intersection was entered.
@@ -48,11 +48,6 @@ impl TransitionTable {
         self.total_observations
     }
 
-    /// Number of distinct (node, arriving-link) situations observed.
-    pub fn situations(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The most frequently taken outgoing link for the given situation, if the
     /// situation has been observed at all. Ties are broken towards the smaller
     /// link id so the choice is deterministic on both source and server.
@@ -60,30 +55,6 @@ impl TransitionTable {
         let key = TransitionKey { node, from_link };
         let dist = self.counts.get(&key)?;
         dist.iter().max_by(|(la, ca), (lb, cb)| ca.cmp(cb).then(lb.cmp(la))).map(|(&l, _)| l)
-    }
-
-    /// Probability (relative frequency) that `to_link` is taken in the given
-    /// situation; `None` if the situation has never been observed.
-    pub fn probability(&self, node: NodeId, from_link: LinkId, to_link: LinkId) -> Option<f64> {
-        let key = TransitionKey { node, from_link };
-        let dist = self.counts.get(&key)?;
-        let total: u64 = dist.values().sum();
-        if total == 0 {
-            return None;
-        }
-        Some(*dist.get(&to_link).unwrap_or(&0) as f64 / total as f64)
-    }
-
-    /// Merges another table into this one (used to aggregate per-object,
-    /// user-specific tables into a user-independent one).
-    pub fn merge(&mut self, other: &TransitionTable) {
-        for (key, dist) in &other.counts {
-            let entry = self.counts.entry(*key).or_default();
-            for (&link, &count) in dist {
-                *entry.entry(link).or_insert(0) += count;
-            }
-        }
-        self.total_observations += other.total_observations;
     }
 }
 
@@ -95,9 +66,8 @@ mod tests {
     fn empty_table_knows_nothing() {
         let t = TransitionTable::new();
         assert_eq!(t.observations(), 0);
-        assert_eq!(t.situations(), 0);
+        assert_eq!(t.counts.len(), 0);
         assert!(t.most_likely(NodeId(0), LinkId(0)).is_none());
-        assert!(t.probability(NodeId(0), LinkId(0), LinkId(1)).is_none());
     }
 
     #[test]
@@ -109,9 +79,7 @@ mod tests {
         t.record(NodeId(5), LinkId(1), LinkId(3));
         assert_eq!(t.most_likely(NodeId(5), LinkId(1)), Some(LinkId(2)));
         assert_eq!(t.observations(), 4);
-        assert_eq!(t.situations(), 1);
-        assert!((t.probability(NodeId(5), LinkId(1), LinkId(2)).unwrap() - 0.75).abs() < 1e-9);
-        assert!((t.probability(NodeId(5), LinkId(1), LinkId(9)).unwrap() - 0.0).abs() < 1e-9);
+        assert_eq!(t.counts.len(), 1);
     }
 
     #[test]
@@ -127,20 +95,8 @@ mod tests {
         let mut t = TransitionTable::new();
         t.record(NodeId(1), LinkId(0), LinkId(2));
         t.record(NodeId(1), LinkId(9), LinkId(3));
-        assert_eq!(t.situations(), 2);
+        assert_eq!(t.counts.len(), 2);
         assert_eq!(t.most_likely(NodeId(1), LinkId(0)), Some(LinkId(2)));
         assert_eq!(t.most_likely(NodeId(1), LinkId(9)), Some(LinkId(3)));
-    }
-
-    #[test]
-    fn merge_accumulates_counts() {
-        let mut a = TransitionTable::new();
-        a.record(NodeId(1), LinkId(0), LinkId(2));
-        let mut b = TransitionTable::new();
-        b.record(NodeId(1), LinkId(0), LinkId(3));
-        b.record(NodeId(1), LinkId(0), LinkId(3));
-        a.merge(&b);
-        assert_eq!(a.observations(), 3);
-        assert_eq!(a.most_likely(NodeId(1), LinkId(0)), Some(LinkId(3)));
     }
 }

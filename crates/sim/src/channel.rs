@@ -6,11 +6,11 @@
 //! applies an update slightly after the source sent it — the situation a
 //! GSM/GPRS uplink creates in practice.
 //!
-//! The channel is generic over what it carries ([`WirePayload`]): protocol
+//! The channel is generic over what it carries (`WirePayload`): protocol
 //! runs ship [`Update`]s directly, while the lossy-link model
 //! ([`crate::degraded`]) ships encoded [`Frame`] bytes. Deliveries come out
 //! in *arrival-time* order — with a fixed latency that equals send order, but
-//! [`MessageChannel::send_delayed`] lets a caller add per-message delay
+//! `MessageChannel::send_delayed` lets a caller add per-message delay
 //! (jitter), in which case later sends can overtake earlier ones exactly as
 //! on a real packet link.
 
@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 /// Accumulated traffic statistics of a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ChannelStats {
+pub(crate) struct ChannelStats {
     /// Number of messages sent.
     pub messages: u64,
     /// Total payload bytes sent.
@@ -30,7 +30,7 @@ pub struct ChannelStats {
 
 /// Anything the channel can carry and charge for: the payload knows the wire
 /// bytes it occupies.
-pub trait WirePayload {
+pub(crate) trait WirePayload {
     /// Bytes this payload occupies on the wire.
     fn wire_len(&self) -> usize;
 }
@@ -84,7 +84,7 @@ impl<T> PartialOrd for InFlight<T> {
 /// A unidirectional source→server channel with per-message accounting, a
 /// fixed base latency and optional per-message extra delay.
 #[derive(Debug, Clone)]
-pub struct MessageChannel<T = Update> {
+pub(crate) struct MessageChannel<T = Update> {
     latency: f64,
     next_index: u64,
     in_flight: BinaryHeap<Reverse<InFlight<T>>>,
@@ -93,7 +93,7 @@ pub struct MessageChannel<T = Update> {
 
 impl<T: WirePayload> MessageChannel<T> {
     /// Creates a channel with the given one-way latency in seconds.
-    pub fn new(latency: f64) -> Self {
+    pub(crate) fn new(latency: f64) -> Self {
         assert!(latency >= 0.0);
         MessageChannel {
             latency,
@@ -103,25 +103,15 @@ impl<T: WirePayload> MessageChannel<T> {
         }
     }
 
-    /// An ideal, zero-latency channel (what the paper's simulation assumes).
-    pub fn instantaneous() -> Self {
-        MessageChannel::new(0.0)
-    }
-
-    /// The configured one-way latency, seconds.
-    pub fn latency(&self) -> f64 {
-        self.latency
-    }
-
     /// Sends a payload at time `sent_at`.
-    pub fn send(&mut self, sent_at: f64, payload: T) {
+    pub(crate) fn send(&mut self, sent_at: f64, payload: T) {
         self.send_delayed(sent_at, 0.0, payload);
     }
 
     /// Sends a payload at time `sent_at` with `extra_delay` seconds added on
     /// top of the base latency (per-message jitter). Messages with enough
     /// extra delay arrive after — and are delivered after — later sends.
-    pub fn send_delayed(&mut self, sent_at: f64, extra_delay: f64, payload: T) {
+    pub(crate) fn send_delayed(&mut self, sent_at: f64, extra_delay: f64, payload: T) {
         assert!(extra_delay >= 0.0);
         self.stats.messages += 1;
         self.stats.payload_bytes += payload.wire_len() as u64;
@@ -136,7 +126,7 @@ impl<T: WirePayload> MessageChannel<T> {
 
     /// Delivers every payload whose arrival time is ≤ `now`, in arrival
     /// order (send order breaks ties).
-    pub fn deliver_until(&mut self, now: f64) -> Vec<T> {
+    pub(crate) fn deliver_until(&mut self, now: f64) -> Vec<T> {
         let mut out = Vec::new();
         while let Some(Reverse(front)) = self.in_flight.peek() {
             if front.arrival <= now + 1e-9 {
@@ -149,13 +139,8 @@ impl<T: WirePayload> MessageChannel<T> {
         out
     }
 
-    /// Number of payloads currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Traffic statistics so far.
-    pub fn stats(&self) -> ChannelStats {
+    pub(crate) fn stats(&self) -> ChannelStats {
         self.stats
     }
 }
@@ -176,10 +161,10 @@ mod tests {
 
     #[test]
     fn instantaneous_channel_delivers_immediately() {
-        let mut c = MessageChannel::instantaneous();
+        let mut c = MessageChannel::new(0.0);
         c.send(10.0, update(0));
         assert_eq!(c.deliver_until(10.0).len(), 1);
-        assert_eq!(c.in_flight(), 0);
+        assert_eq!(c.in_flight.len(), 0);
         assert_eq!(c.stats().messages, 1);
         assert!(c.stats().payload_bytes > 0);
     }
@@ -189,7 +174,7 @@ mod tests {
         let mut c = MessageChannel::new(2.5);
         c.send(10.0, update(0));
         assert!(c.deliver_until(11.0).is_empty());
-        assert_eq!(c.in_flight(), 1);
+        assert_eq!(c.in_flight.len(), 1);
         let delivered = c.deliver_until(12.6);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].sequence, 0);

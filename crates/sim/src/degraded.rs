@@ -4,7 +4,7 @@
 //! does more than delay messages: it *loses* them, *duplicates* them (link-
 //! layer retransmissions whose ack got lost), *jitters* their delivery and
 //! thereby *reorders* them. [`DegradedChannel`] layers those impairments on
-//! the accounted [`MessageChannel`]: each encoded frame's fate is drawn from
+//! the accounted `MessageChannel`: each encoded frame's fate is drawn from
 //! a seeded RNG, surviving copies travel through the inner channel with
 //! per-frame extra delay, and every impairment is tallied per cause in
 //! [`LinkStats`].
@@ -19,7 +19,7 @@
 //! a subset of those dropped at `p₂ > p₁`. The loss-rate sweep in
 //! [`crate::lossy`] leans on exactly this property.
 
-use crate::channel::{ChannelStats, MessageChannel, WirePayload};
+use crate::channel::{MessageChannel, WirePayload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,19 +46,6 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A perfect link: zero latency, no impairments (the paper's idealised
-    /// setting).
-    pub fn ideal() -> Self {
-        LinkConfig {
-            latency_s: 0.0,
-            jitter_s: 0.0,
-            loss: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            seed: 0,
-        }
-    }
-
     /// A GPRS-like default: 1.5 s latency, 1 s jitter, occasional duplicates
     /// and reorderings, no loss (set [`LinkConfig::loss`] per sweep point).
     pub fn gprs(seed: u64) -> Self {
@@ -126,7 +113,7 @@ impl WirePayload for Tagged {
 }
 
 /// A source→server link that drops, duplicates, jitters and reorders encoded
-/// frames under a seeded RNG, layered on the accounted [`MessageChannel`].
+/// frames under a seeded RNG, layered on the accounted `MessageChannel`.
 #[derive(Debug, Clone)]
 pub struct DegradedChannel {
     config: LinkConfig,
@@ -149,11 +136,6 @@ impl DegradedChannel {
             max_delivered_tag: None,
             stats: LinkStats::default(),
         }
-    }
-
-    /// The impairment configuration in force.
-    pub fn config(&self) -> LinkConfig {
-        self.config
     }
 
     /// Sends one encoded frame at time `sent_at`; the RNG decides its fate.
@@ -195,7 +177,7 @@ impl DegradedChannel {
     /// (e.g. the registration exchange that precedes data transfer) — the
     /// lossy sweep uses it for the initial update so every loss rate starts
     /// from the same known state.
-    pub fn send_reliable(&mut self, sent_at: f64, frame_bytes: Vec<u8>) {
+    pub(crate) fn send_reliable(&mut self, sent_at: f64, frame_bytes: Vec<u8>) {
         self.stats.frames_sent += 1;
         self.stats.payload_bytes += frame_bytes.len() as u64;
         let tag = self.next_tag;
@@ -218,20 +200,9 @@ impl DegradedChannel {
         out
     }
 
-    /// Number of frame copies currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
-
     /// Per-cause impairment statistics so far.
     pub fn stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// The inner channel's plain traffic accounting (copies actually put in
-    /// flight; excludes dropped frames, includes duplicate copies).
-    pub fn transmitted(&self) -> ChannelStats {
-        self.inner.stats()
     }
 }
 
@@ -243,9 +214,21 @@ mod tests {
         vec![n; 20]
     }
 
+    /// A perfect link: zero latency, no impairments.
+    fn ideal() -> LinkConfig {
+        LinkConfig {
+            latency_s: 0.0,
+            jitter_s: 0.0,
+            loss: 0.0,
+            duplicate: 0.0,
+            reorder: 0.0,
+            seed: 0,
+        }
+    }
+
     #[test]
     fn ideal_link_delivers_everything_in_order() {
-        let mut c = DegradedChannel::new(LinkConfig::ideal());
+        let mut c = DegradedChannel::new(ideal());
         for i in 0..10u8 {
             c.send(i as f64, frame_bytes(i));
         }
@@ -261,7 +244,7 @@ mod tests {
 
     #[test]
     fn full_loss_drops_everything_but_still_charges_the_bytes() {
-        let mut c = DegradedChannel::new(LinkConfig { loss: 1.0, ..LinkConfig::ideal() });
+        let mut c = DegradedChannel::new(LinkConfig { loss: 1.0, ..ideal() });
         for i in 0..8u8 {
             c.send(i as f64, frame_bytes(i));
         }
@@ -274,7 +257,7 @@ mod tests {
 
     #[test]
     fn duplicates_deliver_twice_and_cost_twice() {
-        let mut c = DegradedChannel::new(LinkConfig { duplicate: 1.0, ..LinkConfig::ideal() });
+        let mut c = DegradedChannel::new(LinkConfig { duplicate: 1.0, ..ideal() });
         c.send(0.0, frame_bytes(7));
         let delivered = c.deliver_until(10.0);
         assert_eq!(delivered.len(), 2);
@@ -291,11 +274,7 @@ mod tests {
     fn reordered_frames_are_overtaken_and_detected() {
         // Deterministic construction: frame 0 is reordered (held 2 s extra),
         // then the rate is zeroed so frame 1 is clean and overtakes it.
-        let mut c = DegradedChannel::new(LinkConfig {
-            latency_s: 1.0,
-            reorder: 1.0,
-            ..LinkConfig::ideal()
-        });
+        let mut c = DegradedChannel::new(LinkConfig { latency_s: 1.0, reorder: 1.0, ..ideal() });
         c.send(0.0, frame_bytes(0));
         c.config.reorder = 0.0;
         c.send(0.1, frame_bytes(1));
@@ -313,7 +292,7 @@ mod tests {
         // Same seed, increasing loss: the surviving set shrinks monotonically
         // and every survivor at the higher rate also survived the lower one.
         let survivors = |loss: f64| -> Vec<u8> {
-            let mut c = DegradedChannel::new(LinkConfig { loss, seed: 42, ..LinkConfig::ideal() });
+            let mut c = DegradedChannel::new(LinkConfig { loss, seed: 42, ..ideal() });
             for i in 0..100u8 {
                 c.send(i as f64, frame_bytes(i));
             }
@@ -334,16 +313,13 @@ mod tests {
 
     #[test]
     fn reliable_sends_bypass_impairments_and_rng() {
-        let mut lossy =
-            DegradedChannel::new(LinkConfig { loss: 1.0, seed: 9, ..LinkConfig::ideal() });
+        let mut lossy = DegradedChannel::new(LinkConfig { loss: 1.0, seed: 9, ..ideal() });
         lossy.send_reliable(0.0, frame_bytes(1));
         assert_eq!(lossy.deliver_until(10.0).len(), 1, "reliable frames cannot be lost");
         // The reliable send consumed no draws: the next lossy frame's fate
         // matches a channel that never sent the reliable frame.
-        let mut reference =
-            DegradedChannel::new(LinkConfig { loss: 0.5, seed: 9, ..LinkConfig::ideal() });
-        let mut with_reliable =
-            DegradedChannel::new(LinkConfig { loss: 0.5, seed: 9, ..LinkConfig::ideal() });
+        let mut reference = DegradedChannel::new(LinkConfig { loss: 0.5, seed: 9, ..ideal() });
+        let mut with_reliable = DegradedChannel::new(LinkConfig { loss: 0.5, seed: 9, ..ideal() });
         with_reliable.send_reliable(0.0, frame_bytes(0));
         for i in 0..50u8 {
             reference.send(i as f64, frame_bytes(i));
@@ -358,6 +334,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "probability")]
     fn out_of_range_probabilities_are_rejected() {
-        let _ = DegradedChannel::new(LinkConfig { loss: 1.5, ..LinkConfig::ideal() });
+        let _ = DegradedChannel::new(LinkConfig { loss: 1.5, ..ideal() });
     }
 }

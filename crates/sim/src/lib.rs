@@ -14,7 +14,7 @@
 //! * [`sweep`] — the experiment driver: a grid of (scenario × protocol ×
 //!   requested accuracy) runs, executed in parallel with crossbeam scoped
 //!   threads, producing the data behind Figures 7–10.
-//! * [`degraded`] — the lossy-link channel model: a [`channel::MessageChannel`]
+//! * [`degraded`] — the lossy-link channel model: a `channel::MessageChannel`
 //!   carrying encoded frames that are dropped, duplicated, jittered and
 //!   reordered under a seeded RNG, with per-cause statistics.
 //! * [`lossy`] — the loss-rate sweep over the degraded link: encode → channel
@@ -65,7 +65,6 @@ pub mod scale_workload;
 pub mod service_workload;
 pub mod sweep;
 
-pub use channel::{MessageChannel, WirePayload};
 pub use connscale::{run_connscale_workload, ConnScaleConfig, ConnScaleReport};
 pub use degraded::{DegradedChannel, LinkConfig, LinkStats};
 pub use faultplan::FaultPlan;

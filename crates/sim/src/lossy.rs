@@ -15,7 +15,7 @@
 //! frames lost at 10 % are a subset of those lost at 30 %, so the reported
 //! degradation is monotone in the loss rate rather than an artefact of
 //! resampled randomness. The initial update travels on the reliable control
-//! channel ([`DegradedChannel::send_reliable`]) so every sweep point starts
+//! channel (`DegradedChannel::send_reliable`) so every sweep point starts
 //! from the same known state.
 
 use crate::degraded::{DegradedChannel, LinkConfig, LinkStats};
@@ -304,7 +304,14 @@ mod tests {
         let config = LossSweepConfig {
             scale: 0.06,
             loss_rates: vec![0.0],
-            link: LinkConfig::ideal(),
+            link: LinkConfig {
+                latency_s: 0.0,
+                jitter_s: 0.0,
+                loss: 0.0,
+                duplicate: 0.0,
+                reorder: 0.0,
+                seed: 0,
+            },
             ..LossSweepConfig::default()
         };
         let result = run_loss_sweep(&config);

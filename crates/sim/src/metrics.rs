@@ -25,7 +25,7 @@ impl DeviationStats {
     ///
     /// `allowance` is the deviation the protocol is allowed (requested
     /// accuracy plus sensor uncertainty); larger samples count as violations.
-    pub fn from_samples(mut samples: Vec<f64>, allowance: f64) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<f64>, allowance: f64) -> Self {
         if samples.is_empty() {
             return DeviationStats {
                 mean: 0.0,
@@ -66,7 +66,7 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Updates per hour for a given update count and duration.
-    pub fn rate_per_hour(updates: u64, duration_s: f64) -> f64 {
+    pub(crate) fn rate_per_hour(updates: u64, duration_s: f64) -> f64 {
         if duration_s <= 0.0 {
             0.0
         } else {

@@ -111,7 +111,7 @@ impl ProtocolContext {
     }
 
     /// The protocol configuration for a requested accuracy `u_s`.
-    pub fn config(&self, requested_accuracy: f64) -> ProtocolConfig {
+    pub(crate) fn config(&self, requested_accuracy: f64) -> ProtocolConfig {
         ProtocolConfig::new(requested_accuracy).with_sensor_uncertainty(self.sensor_uncertainty)
     }
 }

@@ -128,7 +128,7 @@ impl Json {
     }
 
     /// Prints this number with exactly `decimals` digits after the point.
-    pub fn fixed(mut self, decimals: u8) -> Json {
+    pub(crate) fn fixed(mut self, decimals: u8) -> Json {
         if let Json::Num(metric) = &mut self {
             metric.decimals = Some(decimals);
         }

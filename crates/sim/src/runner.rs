@@ -159,7 +159,7 @@ mod tests {
             last_sequence = Some(delivered.sequence);
             server.apply(&delivered);
         }
-        let undelivered = channel.in_flight() as u64;
+        let undelivered = channel.deliver_until(f64::INFINITY).len() as u64;
         assert_eq!(
             server.updates_applied() + undelivered,
             outcome.metrics.updates,

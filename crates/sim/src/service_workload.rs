@@ -60,7 +60,7 @@ impl QueryMix {
     pub const BALANCED: QueryMix = QueryMix { rect: 1, nearest: 1, zone: 1 };
 
     /// Short label for reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("rect{}:near{}:zone{}", self.rect, self.nearest, self.zone)
     }
 

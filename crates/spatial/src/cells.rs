@@ -292,12 +292,6 @@ impl SeenScratch {
     pub fn dedup_counters(&self) -> (u64, u64) {
         (self.inspected, self.unique)
     }
-
-    /// Resets the dedup counters (the stamp state is unaffected).
-    pub fn reset_counters(&mut self) {
-        self.inspected = 0;
-        self.unique = 0;
-    }
 }
 
 #[cfg(test)]
@@ -362,8 +356,6 @@ mod tests {
         seen.gather([3].into_iter());
         assert_eq!(seen.first_visits(), [3], "new generation resets the mask");
         assert_eq!(seen.dedup_counters(), (4, 3));
-        seen.reset_counters();
-        assert_eq!(seen.dedup_counters(), (0, 0));
         seen.begin(1024);
         seen.gather([1023].into_iter());
         assert_eq!(seen.first_visits(), [1023], "mask grows to the index size");

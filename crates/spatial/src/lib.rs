@@ -41,7 +41,7 @@ pub struct Entry<T> {
 
 impl<T> Entry<T> {
     /// Creates an entry.
-    pub fn new(bbox: Aabb, item: T) -> Self {
+    pub(crate) fn new(bbox: Aabb, item: T) -> Self {
         Entry { bbox, item }
     }
 }

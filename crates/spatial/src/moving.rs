@@ -227,12 +227,6 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         self.items.is_empty()
     }
 
-    /// The configured cell size in metres.
-    #[inline]
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     /// Returns `true` if `key` currently has an entry.
     pub fn contains_key(&self, key: &K) -> bool {
         self.items.contains_key(key)
@@ -241,12 +235,6 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// The bounding box currently stored for `key`, if any.
     pub fn get(&self, key: &K) -> Option<&Aabb> {
         self.items.get(key).map(|&dense| &self.entries[dense as usize].bbox)
-    }
-
-    /// A box guaranteed to contain every current entry (it may be larger:
-    /// removals do not shrink it). `None` while nothing was ever inserted.
-    pub fn bounds(&self) -> Option<Aabb> {
-        self.bounds
     }
 
     /// Number of occupied grid cells (diagnostic; useful in benchmarks).
@@ -935,10 +923,10 @@ mod tests {
     #[test]
     fn bounds_track_insertions() {
         let mut idx = MovingIndex::new(10.0);
-        assert!(idx.bounds().is_none());
+        assert!(idx.bounds.is_none());
         idx.insert(1, Aabb::around(Point::new(0.0, 0.0), 1.0));
         idx.insert(2, Aabb::around(Point::new(100.0, -50.0), 1.0));
-        let b = idx.bounds().unwrap();
+        let b = idx.bounds.unwrap();
         assert!(b.contains(&Point::new(0.0, 0.0)));
         assert!(b.contains(&Point::new(100.0, -50.0)));
     }

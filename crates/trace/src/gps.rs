@@ -28,7 +28,7 @@ pub struct GpsNoiseModel {
 
 impl GpsNoiseModel {
     /// Creates a model with explicit parameters.
-    pub fn new(sigma: f64, correlation_time: f64, white_sigma: f64, seed: u64) -> Self {
+    pub(crate) fn new(sigma: f64, correlation_time: f64, white_sigma: f64, seed: u64) -> Self {
         assert!(sigma >= 0.0 && white_sigma >= 0.0);
         assert!(correlation_time > 0.0);
         GpsNoiseModel {
@@ -45,18 +45,6 @@ impl GpsNoiseModel {
     /// white jitter, which keeps ~95 % of fixes within 5 m of the truth.
     pub fn dgps(seed: u64) -> Self {
         GpsNoiseModel::new(2.5, 60.0, 0.8, seed)
-    }
-
-    /// A perfect sensor (zero error) — useful in tests and for isolating
-    /// protocol behaviour from sensor behaviour in ablations.
-    pub fn perfect(seed: u64) -> Self {
-        GpsNoiseModel::new(0.0, 1.0, 0.0, seed)
-    }
-
-    /// A deliberately poor, uncorrected-GPS-like sensor (~10 m 1-σ), used by
-    /// the sensitivity ablation.
-    pub fn uncorrected_gps(seed: u64) -> Self {
-        GpsNoiseModel::new(10.0, 90.0, 2.0, seed)
     }
 
     /// The nominal 1-σ horizontal accuracy reported alongside each fix
@@ -98,7 +86,7 @@ mod tests {
 
     #[test]
     fn perfect_sensor_reports_the_truth() {
-        let mut m = GpsNoiseModel::perfect(1);
+        let mut m = GpsNoiseModel::new(0.0, 1.0, 0.0, 1);
         let p = Point::new(100.0, 200.0);
         for _ in 0..10 {
             assert!(m.observe(p, 1.0).distance(&p) < 1e-9);

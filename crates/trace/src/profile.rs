@@ -37,7 +37,7 @@ pub struct DriverProfile {
 impl DriverProfile {
     /// Freeway driving: high speeds, gentle accelerations, essentially no
     /// stops (Table 1: average 103 km/h, maximum 155 km/h).
-    pub fn freeway_car() -> Self {
+    pub(crate) fn freeway_car() -> Self {
         DriverProfile {
             max_speed: kmh_to_ms(155.0),
             speed_limit_compliance: 1.1,
@@ -52,7 +52,7 @@ impl DriverProfile {
 
     /// Inter-urban driving on country roads through villages (Table 1:
     /// average 60 km/h, maximum 116 km/h).
-    pub fn interurban_car() -> Self {
+    pub(crate) fn interurban_car() -> Self {
         DriverProfile {
             max_speed: kmh_to_ms(116.0),
             speed_limit_compliance: 1.05,
@@ -81,7 +81,7 @@ impl DriverProfile {
     }
 
     /// A walking person (Table 1: average 4.6 km/h, maximum 7.2 km/h).
-    pub fn pedestrian() -> Self {
+    pub(crate) fn pedestrian() -> Self {
         DriverProfile {
             max_speed: kmh_to_ms(7.2),
             speed_limit_compliance: 1.0,
@@ -97,13 +97,13 @@ impl DriverProfile {
 
     /// The speed this profile actually drives on a road with the given posted
     /// limit (m/s), before curve or stop constraints.
-    pub fn cruise_speed(&self, speed_limit_ms: f64) -> f64 {
+    pub(crate) fn cruise_speed(&self, speed_limit_ms: f64) -> f64 {
         (speed_limit_ms * self.speed_limit_compliance).min(self.max_speed)
     }
 
     /// Maximum speed through a curve of radius `radius_m` (m/s), from
     /// `v² / r ≤ a_lat`.
-    pub fn curve_speed(&self, radius_m: f64) -> f64 {
+    pub(crate) fn curve_speed(&self, radius_m: f64) -> f64 {
         if !radius_m.is_finite() {
             return self.max_speed;
         }

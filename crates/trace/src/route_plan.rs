@@ -8,7 +8,7 @@
 
 use crate::motion::{PlannedStop, SpeedLimitChange};
 use crate::profile::DriverProfile;
-use mbdr_geo::{Point, Polyline};
+use mbdr_geo::Polyline;
 use mbdr_roadnet::{NodeId, RoadClass, RoadNetwork, Route, Router};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,13 +24,6 @@ pub struct PlannedTrip {
     pub speed_limits: Vec<SpeedLimitChange>,
     /// Planned stops along the path (sorted by arc length).
     pub stops: Vec<PlannedStop>,
-}
-
-impl PlannedTrip {
-    /// Total length of the trip, metres.
-    pub fn length(&self) -> f64 {
-        self.path.length()
-    }
 }
 
 /// Builds a [`PlannedTrip`] from a route: extracts geometry, per-link speed
@@ -117,7 +110,7 @@ pub fn plan_wandering_route(
 /// Plans the end-to-end traversal of a freeway map generated by
 /// [`mbdr_roadnet::gen::freeway`]: from the first interchange to the farthest
 /// one, which follows the main carriageway.
-pub fn plan_freeway_traversal(network: &RoadNetwork) -> Route {
+pub(crate) fn plan_freeway_traversal(network: &RoadNetwork) -> Route {
     // The far end is the freeway-link endpoint farthest from node 0.
     let origin = NodeId(0);
     let origin_pos = network.node(origin).position;
@@ -142,17 +135,8 @@ pub fn plan_freeway_traversal(network: &RoadNetwork) -> Route {
 
 /// Finds the node whose name matches `name` exactly, if any (used to locate
 /// the named town centres and interchanges the generators create).
-pub fn find_named_node(network: &RoadNetwork, name: &str) -> Option<NodeId> {
+pub(crate) fn find_named_node(network: &RoadNetwork, name: &str) -> Option<NodeId> {
     network.nodes().iter().find(|n| n.name.as_deref() == Some(name)).map(|n| n.id)
-}
-
-/// The node nearest to a given position (for ad-hoc trip planning in examples).
-pub fn nearest_node(network: &RoadNetwork, p: &Point) -> Option<NodeId> {
-    network
-        .nodes()
-        .iter()
-        .min_by(|a, b| a.position.distance(p).partial_cmp(&b.position.distance(p)).expect("finite"))
-        .map(|n| n.id)
 }
 
 #[cfg(test)]
@@ -182,13 +166,13 @@ mod tests {
         });
         let route = plan_wandering_route(&net, NodeId(0), 3_000.0, 2);
         let trip = trip_from_route(&net, route.clone(), &DriverProfile::city_car(), 3);
-        assert!((trip.length() - route.length(&net)).abs() < 1.0);
+        assert!((trip.path.length() - route.length(&net)).abs() < 1.0);
         assert_eq!(trip.speed_limits.len(), trip.route.links.len());
         // Speed limits are sorted and start at zero.
         assert_eq!(trip.speed_limits[0].from_arc_length, 0.0);
         assert!(trip.speed_limits.windows(2).all(|w| w[0].from_arc_length <= w[1].from_arc_length));
         // Stops lie within the trip and are sorted.
-        assert!(trip.stops.iter().all(|s| s.arc_length <= trip.length()));
+        assert!(trip.stops.iter().all(|s| s.arc_length <= trip.path.length()));
         assert!(trip.stops.windows(2).all(|w| w[0].arc_length <= w[1].arc_length));
     }
 
@@ -227,19 +211,6 @@ mod tests {
         });
         assert!(find_named_node(&net, "interchange 0").is_some());
         assert!(find_named_node(&net, "no such place").is_none());
-    }
-
-    #[test]
-    fn nearest_node_returns_the_closest_intersection() {
-        let net = city_grid::generate(&city_grid::CityConfig {
-            columns: 5,
-            rows: 5,
-            jitter_m: 0.0,
-            removal_probability: 0.0,
-            ..city_grid::CityConfig::default()
-        });
-        let n = nearest_node(&net, &Point::new(5.0, 5.0)).unwrap();
-        assert_eq!(net.node(n).position, Point::new(0.0, 0.0));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl ScenarioKind {
     }
 
     /// Target trip length of the paper's trace for this scenario, metres.
-    pub fn paper_length_m(self) -> f64 {
+    pub(crate) fn paper_length_m(self) -> f64 {
         match self {
             ScenarioKind::Freeway => 163_000.0,
             ScenarioKind::Interurban => 99_000.0,
@@ -67,7 +67,7 @@ impl ScenarioKind {
 
     /// Number of consecutive position fixes from which speed and direction are
     /// interpolated in this scenario (paper, Section 4).
-    pub fn interpolation_window(self) -> usize {
+    pub(crate) fn interpolation_window(self) -> usize {
         match self {
             ScenarioKind::Freeway => 2,
             ScenarioKind::Interurban | ScenarioKind::City => 4,
@@ -85,7 +85,7 @@ impl ScenarioKind {
     }
 
     /// Driver/pedestrian behaviour profile for this scenario.
-    pub fn profile(self) -> DriverProfile {
+    pub(crate) fn profile(self) -> DriverProfile {
         match self {
             ScenarioKind::Freeway => DriverProfile::freeway_car(),
             ScenarioKind::Interurban => DriverProfile::interurban_car(),
@@ -95,7 +95,7 @@ impl ScenarioKind {
     }
 
     /// Map-matching tolerance `u_m` for this scenario, metres.
-    pub fn matching_tolerance(self) -> f64 {
+    pub(crate) fn matching_tolerance(self) -> f64 {
         match self {
             // Walking speeds are low and paths narrow; a tighter tolerance
             // avoids matching to parallel paths.
@@ -119,11 +119,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Full-scale scenario as evaluated in the paper.
-    pub fn full(kind: ScenarioKind, seed: u64) -> Self {
-        Scenario { kind, scale: 1.0, seed }
-    }
-
     /// A reduced-scale scenario for fast tests (≈ 10 % of the paper length).
     pub fn quick(kind: ScenarioKind, seed: u64) -> Self {
         Scenario { kind, scale: 0.1, seed }
@@ -237,7 +232,7 @@ mod tests {
         assert!(!data.trace.is_empty());
         assert!(data.trace.len() > 100, "trace should span minutes, got {}", data.trace.len());
         // Ground truth path length is close to the planned trip length.
-        let planned = data.trip.length();
+        let planned = data.trip.path.length();
         let travelled = data.trace.path_length();
         assert!(
             (travelled - planned).abs() / planned < 0.2,

@@ -44,17 +44,6 @@ impl TraceStats {
             samples: trace.len(),
         }
     }
-
-    /// Formats the stats as a Table 1 row: `length duration avg max`.
-    pub fn table1_row(&self, label: &str) -> String {
-        format!(
-            "{label:<18} {:>7.0} km  {:>8}  {:>6.0} km/h  {:>6.0} km/h",
-            self.length_km,
-            format_duration_hm(self.duration_s),
-            self.average_speed_kmh,
-            self.max_speed_kmh
-        )
-    }
 }
 
 impl fmt::Display for TraceStats {
@@ -101,8 +90,6 @@ mod tests {
         assert!((s.average_speed_kmh - 72.0).abs() < 0.1);
         assert!((s.max_speed_kmh - 72.0).abs() < 1e-6);
         assert_eq!(s.samples, 100);
-        let row = s.table1_row("test");
-        assert!(row.contains("km/h"));
         assert!(s.to_string().contains("samples"));
     }
 }

@@ -67,7 +67,7 @@ impl Trace {
     }
 
     /// Total ground-truth path length in metres.
-    pub fn path_length(&self) -> f64 {
+    pub(crate) fn path_length(&self) -> f64 {
         self.ground_truth.windows(2).map(|w| w[0].position.distance(&w[1].position)).sum()
     }
 
@@ -102,12 +102,6 @@ impl Trace {
         }
         let frac = (t - a.t) / (b.t - a.t);
         Some(a.position.lerp(&b.position, frac))
-    }
-
-    /// A sub-trace containing only samples with `t < cutoff` (used in tests).
-    pub fn truncated(&self, cutoff: f64) -> Trace {
-        let n = self.fixes.partition_point(|f| f.t < cutoff);
-        Trace { fixes: self.fixes[..n].to_vec(), ground_truth: self.ground_truth[..n].to_vec() }
     }
 }
 
@@ -158,14 +152,6 @@ mod tests {
         // Clamped outside the span.
         assert_eq!(t.true_position_at(-3.0).unwrap(), Point::new(0.0, 0.0));
         assert_eq!(t.true_position_at(99.0).unwrap(), Point::new(40.0, 0.0));
-    }
-
-    #[test]
-    fn truncated_keeps_only_earlier_samples() {
-        let t = straight_trace(10);
-        let cut = t.truncated(4.5);
-        assert_eq!(cut.len(), 5);
-        assert!(cut.fixes.iter().all(|f| f.t < 4.5));
     }
 
     #[test]
