@@ -3,9 +3,10 @@
 //! Two contracts are enforced here:
 //!
 //! * `docs/WIRE.md` names (in backticks) every wire/format constant defined
-//!   by `mbdr-core`'s wire modules and by `mbdr-journal`, and names no
-//!   constant that does not exist — renaming a wire constant without
-//!   updating the spec fails `cargo test`, as does documenting a ghost.
+//!   by `mbdr-core`'s wire modules, by `mbdr-net`'s framing and by
+//!   `mbdr-journal`, and names no constant that does not exist — renaming
+//!   a wire constant without updating the spec fails `cargo test`, as does
+//!   documenting a ghost.
 //! * `README.md` and `docs/OPERATIONS.md` mention every `reproduce`
 //!   command in [`mbdr_bench::REPRODUCE_COMMANDS`] (the same list the
 //!   binary's parser and usage string are tested against), every
@@ -69,6 +70,7 @@ fn wire_source_files(root: &Path) -> Vec<PathBuf> {
         root.join("crates/core/src/wire/mod.rs"),
         root.join("crates/core/src/wire/query.rs"),
         root.join("crates/core/src/wire/snapshot.rs"),
+        root.join("crates/net/src/transport.rs"),
     ];
     let journal_src = root.join("crates/journal/src");
     let entries = fs::read_dir(&journal_src)

@@ -78,5 +78,5 @@ pub use journal::{
     MAX_RECORD_BYTES, RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SNAPSHOT_FILE_SUFFIX, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
 };
-pub use stats::JournalStatsSnapshot;
+pub use stats::{Histogram, HistogramSnapshot, JournalStatsSnapshot};
 pub use vfs::{FaultFs, FaultKind, RealFs, Vfs, VfsFile};

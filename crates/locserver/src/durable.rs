@@ -18,10 +18,11 @@
 //! segment's frames are bucketed by shard (frames borrowed from the segment
 //! buffer, in journal order), and each shard is written under one write-lock
 //! hold, the shards spread over up to `available_parallelism` scoped
-//! threads. The index rebuild at the end stays serial: on two threads it
-//! raised the process's peak RSS (each thread's allocator arena keeps half
-//! the rebuilt indexes). [`recover_into`] documents what an error leaves
-//! behind.
+//! threads. The index rebuild at the end bulk-builds each shard's index
+//! ([`mbdr_spatial::MovingIndex::bulk`]) from its trackers.
+//! [`recover_into`] documents what an error leaves behind. Each pass records
+//! the wall time of its four stages — open scan, restore, replay, rebuild —
+//! into histograms on the service ([`LocationService::recovery_stages`]).
 //!
 //! Objects must be registered (with their predictors) on the service *before*
 //! recovery runs: a snapshot records tracker state, not prediction functions.
@@ -30,9 +31,12 @@
 
 use crate::service::LocationService;
 use mbdr_core::{decode_snapshot, DecodeError};
-use mbdr_journal::{Journal, JournalConfig, JournalError, RealFs, Retained, Vfs};
+use mbdr_journal::{
+    Histogram, HistogramSnapshot, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs,
+};
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What a recovery pass found and rebuilt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,6 +61,43 @@ pub struct RecoveryReport {
     pub frame_decode_errors: u64,
     /// Bytes the journal discarded during torn-tail repair at open.
     pub truncated_bytes: u64,
+}
+
+/// Wall time of each recovery stage on one service: every recovery pass
+/// records one sample into each (see [`LocationService::recovery_stages`]).
+#[derive(Debug, Default)]
+pub(crate) struct RecoveryTimers {
+    open_scan: Histogram,
+    restore: Histogram,
+    replay: Histogram,
+    rebuild: Histogram,
+}
+
+impl RecoveryTimers {
+    pub(crate) fn snapshot(&self) -> RecoveryStages {
+        RecoveryStages {
+            open_scan: self.open_scan.snapshot(),
+            restore: self.restore.snapshot(),
+            replay: self.replay.snapshot(),
+            rebuild: self.rebuild.snapshot(),
+        }
+    }
+}
+
+/// Point-in-time copy of a service's recovery stage timers, in nanoseconds,
+/// one sample per stage per recovery pass. A stage a pass did not need
+/// (no snapshot, no frames, nothing to rebuild) records a sample near 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryStages {
+    /// The journal's scan: reading and checksumming every retained file —
+    /// the pass's wall time less the three stages below.
+    pub open_scan: HistogramSnapshot,
+    /// Decoding the snapshot and restoring its entries into the trackers.
+    pub restore: HistogramSnapshot,
+    /// Replaying the retained frames into the trackers.
+    pub replay: HistogramSnapshot,
+    /// Deriving every shard's spatial index and expiry heap.
+    pub rebuild: HistogramSnapshot,
 }
 
 /// Typed failure modes of [`recover_and_attach`].
@@ -163,8 +204,9 @@ pub fn recover_and_attach_with_vfs(
 ///
 /// Snapshot entries and replayed frames are written to the trackers only;
 /// the spatial indexes and expiry heaps are state *derived* from the
-/// trackers' last reports, and are built once, afresh and serially,
-/// as the last step — so until this function returns,
+/// trackers' last reports, and are built once, afresh, one bulk build per
+/// shard ([`mbdr_spatial::MovingIndex::bulk`]) on the calling thread, as
+/// the last step — so until this function returns,
 /// [`LocationService::position_of`] already answers from restored state
 /// while rect and nearest queries see an index that does not cover it yet.
 /// Serve queries only afterwards (`mbdr-net`'s `NetServer::bind_durable`
@@ -191,44 +233,73 @@ pub fn recover_into(
     Ok(pass.report(journal))
 }
 
-/// One recovery pass: applies what the journal hands over and counts it.
+/// One recovery pass: applies what the journal hands over, counts it and
+/// times its stages.
 struct Pass<'s> {
     service: &'s LocationService,
     report: RecoveryReport,
+    /// When the pass began: just before the journal's scan.
+    started: Instant,
+    /// Time spent restoring and replaying, inside the scan's callbacks.
+    restore: Duration,
+    replay: Duration,
 }
 
 impl<'s> Pass<'s> {
     fn new(service: &'s LocationService) -> Self {
-        Pass { service, report: RecoveryReport::default() }
+        Pass {
+            service,
+            report: RecoveryReport::default(),
+            started: Instant::now(),
+            restore: Duration::ZERO,
+            replay: Duration::ZERO,
+        }
     }
 
     /// Applies one snapshot or segment to the trackers.
     fn take(&mut self, item: Retained<'_>) -> Result<(), RecoverError> {
+        let began = Instant::now();
         match item {
             Retained::Snapshot { body, .. } => {
-                let (frames, entries) = decode_snapshot(body).map_err(RecoverError::Snapshot)?;
-                let (restored, skipped) = self.service.restore_entries(&entries);
-                self.report.snapshot_frames = frames;
-                self.report.restored_objects = restored;
-                self.report.skipped_objects = skipped;
+                let restored = self.restore_snapshot(body);
+                self.restore += began.elapsed();
+                restored
             }
             Retained::Segment(records) => {
                 let replayed = self.service.replay_frames(records.map(|(_, bytes)| bytes));
                 self.report.replayed_frames += replayed.frames;
                 self.report.replayed_updates += replayed.updates;
                 self.report.frame_decode_errors += replayed.decode_errors;
+                self.replay += began.elapsed();
+                Ok(())
             }
         }
+    }
+
+    fn restore_snapshot(&mut self, body: &[u8]) -> Result<(), RecoverError> {
+        let (frames, entries) = decode_snapshot(body).map_err(RecoverError::Snapshot)?;
+        let (restored, skipped) = self.service.restore_entries(&entries);
+        self.report.snapshot_frames = frames;
+        self.report.restored_objects = restored;
+        self.report.skipped_objects = skipped;
         Ok(())
     }
 
     /// Rebuilds the indexes if any tracker was written — before the pass's
     /// verdict is returned: a pass that failed midway has moved trackers
-    /// too, and they must not be left behind a stale index.
+    /// too, and they must not be left behind a stale index — and records
+    /// the pass's four stage times.
     fn finish<T>(&self, outcome: Result<T, RecoverError>) -> Result<T, RecoverError> {
+        let scanned = self.started.elapsed().saturating_sub(self.restore + self.replay);
+        let began = Instant::now();
         if self.report.restored_objects > 0 || self.report.replayed_updates > 0 {
             self.service.rebuild_indexes();
         }
+        let timers = &self.service.recovery;
+        timers.rebuild.record_duration(began.elapsed());
+        timers.open_scan.record_duration(scanned);
+        timers.restore.record_duration(self.restore);
+        timers.replay.record_duration(self.replay);
         outcome
     }
 

@@ -71,6 +71,8 @@ pub mod zones;
 
 pub use config::ServiceConfig;
 pub use durability::DurabilityStatsSnapshot;
-pub use durable::{recover_and_attach, recover_and_attach_with_vfs, RecoverError, RecoveryReport};
+pub use durable::{
+    recover_and_attach, recover_and_attach_with_vfs, RecoverError, RecoveryReport, RecoveryStages,
+};
 pub use service::{IndexStats, LocationService, ObjectId, PositionReport, QueryScratch};
 pub use zones::{ZoneEvent, ZoneEventKind, ZoneWatcher};

@@ -10,6 +10,7 @@
 
 use crate::config::ServiceConfig;
 use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
+use crate::durable::{RecoveryStages, RecoveryTimers};
 use crate::shard::ShardState;
 use crate::shard::{CandidateScratch, Shard};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
@@ -183,6 +184,8 @@ pub struct LocationService {
     /// which regime journaling is in, and the exact count of frames applied
     /// without durability while the journal's disk was failing.
     durability: DurabilityControl,
+    /// Stage times of the recovery passes run on this service.
+    pub(crate) recovery: RecoveryTimers,
 }
 
 impl Default for LocationService {
@@ -206,6 +209,7 @@ impl LocationService {
             shards,
             journal: OnceLock::new(),
             durability: DurabilityControl::default(),
+            recovery: RecoveryTimers::default(),
         }
     }
 
@@ -364,7 +368,10 @@ impl LocationService {
 
     /// Derives every shard's spatial index and expiry heap afresh from its
     /// trackers, one write-lock hold per shard — the last step of a recovery
-    /// pass that restored or replayed anything.
+    /// pass that restored or replayed anything. The shards run on the
+    /// calling thread: on a helper thread [`LocationService::write_shards`]
+    /// would put half of the indexes in the helper's malloc arena, which
+    /// raised peak RSS by up to 4 % on 100 000 objects.
     pub(crate) fn rebuild_indexes(&self) {
         for shard in &self.shards {
             shard.write(|s| s.rebuild_index());
@@ -455,6 +462,13 @@ impl LocationService {
         }
         self.durability.mark_recovered();
         true
+    }
+
+    /// Wall time of each stage of every recovery pass run on this service
+    /// (`recover_and_attach`, `recover_into`): open scan, restore, replay and
+    /// index rebuild, one sample per stage per pass.
+    pub fn recovery_stages(&self) -> RecoveryStages {
+        self.recovery.snapshot()
     }
 
     /// Point-in-time copy of the durability state machine's counters.

@@ -42,13 +42,16 @@
 //! The trackers are the shard's only primary state. The index and the expiry
 //! heap are *derived* from the trackers' last reports: an object's entry
 //! `(bbox, valid_until)` is a pure function of its last accepted state (and,
-//! once re-grown, of the query time that re-grew it), written by `reindex`
-//! and nothing else. Live ingest maintains them incrementally, one `reindex`
-//! per accepted update. Crash recovery does not: snapshot restore and journal
-//! replay write trackers only, and `rebuild_index` derives index and heap
-//! once at the end with the same `reindex` call — bit-identical entries, one
-//! heap entry per mover. Until it has run, rect and nearest queries see an
-//! index that does not cover the recovered trackers yet.
+//! once re-grown, of the query time that re-grew it), computed by
+//! `derive_entry` and nothing else. Live ingest maintains them
+//! incrementally, one `reindex` per accepted update. Crash recovery does
+//! not: snapshot restore and journal replay write trackers only, and
+//! `rebuild_index` derives index and heap once at the end from the same
+//! `derive_entry` — bit-identical entries, one heap entry per mover — with
+//! one bulk build of the grid (`MovingIndex::bulk`, slots in ascending
+//! order, which leaves the index per-slot inserts would) and one heapify.
+//! Until it has run, rect and nearest queries see an index that does not
+//! cover the recovered trackers yet.
 //!
 //! ## Storage and query layout
 //!
@@ -95,6 +98,15 @@ struct TrackedSlot {
     valid_until: f64,
     /// The entry is on the shard's wide list instead of in the grid.
     wide: bool,
+}
+
+/// Where an object's index entry goes, as [`ShardState::derive_entry`]
+/// computes it.
+enum Placement {
+    /// In the grid under this box.
+    Grid(Aabb),
+    /// On the wide list.
+    Wide,
 }
 
 /// A pending index-entry expiry (min-heap by time via `Reverse`).
@@ -317,11 +329,13 @@ impl ShardState {
     }
 
     /// Recovery: derives the spatial index and the expiry heap afresh from the
-    /// trackers' last reports — one [`ShardState::reindex`] per live slot, the
-    /// very call the accepted-update path ends with, so every entry is
-    /// bit-identical to the one per-update maintenance leaves behind, and the
-    /// heap holds exactly one entry per mover. Ascending slot order reads the
-    /// arena sequentially.
+    /// trackers' last reports. Every live slot's entry comes from
+    /// [`ShardState::derive_entry`], the derivation the accepted-update path
+    /// uses too, so every entry is bit-identical to the one per-update
+    /// maintenance leaves behind, and the heap holds exactly one entry per
+    /// mover. The grid entries go to one [`MovingIndex::bulk`] build in
+    /// ascending slot order — the order that leaves the index a per-slot
+    /// insert would — and the heap is heapified once.
     #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
     pub(crate) fn rebuild_index(&mut self) {
         let mut live = vec![true; self.slots.len()];
@@ -329,23 +343,25 @@ impl ShardState {
             live[slot as usize] = false;
         }
         self.index = MovingIndex::new(self.config.cell_size_m);
-        self.index.reserve(self.by_id.len());
         self.wide.clear();
-        self.expiries.clear();
-        for ((slot, tracked), live) in self.slots.iter_mut().enumerate().zip(live) {
+        let mut grid = Vec::with_capacity(self.by_id.len());
+        let mut expiries = Vec::with_capacity(self.by_id.len());
+        for ((slot, tracked), live) in (0u32..).zip(&mut self.slots).zip(live) {
             tracked.wide = false;
-            if live {
-                Self::reindex(
-                    &self.config,
-                    &mut self.index,
-                    &mut self.wide,
-                    &mut self.expiries,
-                    slot as u32,
-                    tracked,
-                    None,
-                );
+            if !live {
+                continue;
+            }
+            match Self::derive_entry(&self.config, tracked, None) {
+                None => {}
+                Some(Placement::Wide) => self.wide.push(slot),
+                Some(Placement::Grid(bbox)) => {
+                    grid.push((slot, bbox));
+                    expiries.extend(Self::expiry(slot, tracked));
+                }
             }
         }
+        self.index = MovingIndex::bulk(self.config.cell_size_m, grid);
+        self.expiries = BinaryHeap::from(expiries);
     }
 
     /// Appends one durability-snapshot entry per object with applied state to
@@ -396,11 +412,8 @@ impl ShardState {
     }
 
     /// (Re)writes the index entry of the object in `slot` from its last
-    /// reported state. With `extend_to = Some(t)` the validity is pushed past
-    /// `t` (lazy re-grow on a stale query); otherwise it starts one horizon
-    /// after the report. A box wider than `WIDE_CELLS` cells per axis puts
-    /// the entry on the wide list; any other box puts it in the grid, off
-    /// the wide list if it was on it.
+    /// reported state ([`ShardState::derive_entry`]): in the grid, off the
+    /// wide list if it was on it, or on the wide list, out of the grid.
     fn reindex(
         config: &ServiceConfig,
         index: &mut MovingIndex<u32>,
@@ -411,9 +424,35 @@ impl ShardState {
         extend_to: Option<f64>,
     ) {
         Self::leave_wide(wide, slot, tracked);
-        let Some(state) = tracked.tracker.last_state() else {
-            return;
-        };
+        match Self::derive_entry(config, tracked, extend_to) {
+            None => {}
+            Some(Placement::Wide) => {
+                index.remove(&slot);
+                wide.push(slot);
+            }
+            Some(Placement::Grid(bbox)) => {
+                index.insert(slot, bbox);
+                if let Some(expiry) = Self::expiry(slot, tracked) {
+                    expiries.push(expiry);
+                }
+            }
+        }
+    }
+
+    /// The index entry of an object from its last reported state — the one
+    /// derivation behind both per-update maintenance and the rebuild — with
+    /// the slot's generation bumped and its validity and wide flag set to
+    /// match. With `extend_to = Some(t)` the validity is pushed past `t`
+    /// (lazy re-grow on a stale query); otherwise it starts one horizon after
+    /// the report. A box wider than `WIDE_CELLS` cells per axis goes on the
+    /// wide list. `None` (and the slot untouched) for an object that has not
+    /// reported yet.
+    fn derive_entry(
+        config: &ServiceConfig,
+        tracked: &mut TrackedSlot,
+        extend_to: Option<f64>,
+    ) -> Option<Placement> {
+        let state = tracked.tracker.last_state()?;
         let speed = state.speed.abs();
         let (valid_until, radius) = if speed < 1e-9 {
             (f64::INFINITY, config.slack_m)
@@ -423,21 +462,19 @@ impl ShardState {
         };
         tracked.generation += 1;
         if 2.0 * radius > WIDE_CELLS * config.cell_size_m {
-            index.remove(&slot);
             tracked.valid_until = f64::INFINITY;
             tracked.wide = true;
-            wide.push(slot);
-            return;
+            return Some(Placement::Wide);
         }
         tracked.valid_until = valid_until;
-        index.insert(slot, Aabb::around(state.position, radius));
-        if valid_until.is_finite() {
-            expiries.push(Reverse(Expiry {
-                at: valid_until,
-                slot,
-                generation: tracked.generation,
-            }));
-        }
+        Some(Placement::Grid(Aabb::around(state.position, radius)))
+    }
+
+    /// The heap entry of a slot whose entry is in the grid: none for a parked
+    /// object, whose entry never expires.
+    fn expiry(slot: u32, tracked: &TrackedSlot) -> Option<Reverse<Expiry>> {
+        let at = tracked.valid_until;
+        at.is_finite().then_some(Reverse(Expiry { at, slot, generation: tracked.generation }))
     }
 
     /// Takes `slot` off the wide list if it is on it.

@@ -583,6 +583,54 @@ fn refused_attach_touches_neither_disk_nor_service() {
     let _ = fs::remove_dir_all(&dir_a);
 }
 
+#[test]
+fn each_recovery_pass_records_one_sample_per_stage() {
+    let dir = temp_dir("stage-timers");
+    let counts = |service: &LocationService| {
+        let stages = service.recovery_stages();
+        [stages.open_scan, stages.restore, stages.replay, stages.rebuild].map(|h| h.count())
+    };
+    let primary = fleet();
+    assert_eq!(counts(&primary), [0; 4], "no pass yet");
+    let (journal, _) = recover_and_attach(&primary, journal_config(&dir)).expect("attach");
+    assert_eq!(counts(&primary), [1; 4], "a fresh directory is a pass too");
+    for bytes in &encoded_frames(12) {
+        primary.apply_frame_bytes(bytes).expect("apply");
+    }
+    assert!(matches!(
+        recover_and_attach(&primary, journal_config(&dir)),
+        Err(RecoverError::AlreadyAttached)
+    ));
+    assert_eq!(counts(&primary), [1; 4], "a refused attach runs no pass");
+    drop(primary);
+    drop(journal);
+
+    // Snapshot, tail and rebuild: one sample each, and no more time in the
+    // four stages than the call took.
+    let recovered = fleet();
+    let began = std::time::Instant::now();
+    let (journal, report) = recover_and_attach(&recovered, journal_config(&dir)).expect("recover");
+    let wall = u64::try_from(began.elapsed().as_nanos()).expect("a short pass");
+    assert!(report.restored_objects > 0 && report.replayed_frames > 0, "{report:?}");
+    assert_eq!(counts(&recovered), [1; 4]);
+    let stages = recovered.recovery_stages();
+    let total: u64 = [stages.open_scan, stages.restore, stages.replay, stages.rebuild]
+        .map(|h| h.sum_ns())
+        .iter()
+        .sum();
+    assert!(total <= wall, "stages {total} ns within the call's {wall} ns");
+    assert!(
+        stages.restore.sum_ns() > 0 && stages.replay.sum_ns() > 0 && stages.rebuild.sum_ns() > 0
+    );
+
+    // `recover_into` is a pass of its own.
+    let offline = fleet();
+    recover_into(&offline, &journal).expect("recover_into");
+    assert_eq!(counts(&offline), [1; 4]);
+    assert_eq!(counts(&recovered), [1; 4], "per service");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A passthrough [`Vfs`] over [`RealFs`] that counts the bytes it reads.
 #[derive(Default)]
 struct CountingFs {

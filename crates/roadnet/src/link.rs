@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 pub enum RoadClass {
     /// Autobahn / freeway carriageway.
     Freeway,
-    /// Freeway on/off ramp or interchange connector.
-    Ramp,
     /// Inter-urban main road ("Bundesstraße").
     Trunk,
     /// Urban main road.
@@ -32,7 +30,6 @@ impl RoadClass {
     pub(crate) fn default_speed_limit_kmh(self) -> f64 {
         match self {
             RoadClass::Freeway => 130.0,
-            RoadClass::Ramp => 60.0,
             RoadClass::Trunk => 100.0,
             RoadClass::Arterial => 50.0,
             RoadClass::Residential => 30.0,
@@ -46,7 +43,6 @@ impl RoadClass {
         match self {
             RoadClass::Freeway => 5,
             RoadClass::Trunk => 4,
-            RoadClass::Ramp => 3,
             RoadClass::Arterial => 2,
             RoadClass::Residential => 1,
             RoadClass::Footpath => 0,

@@ -47,15 +47,16 @@ pub struct LinkLocator {
 impl LinkLocator {
     /// Builds a locator for the given network.
     pub fn build(network: &RoadNetwork) -> Self {
-        let mut index = MovingIndex::new(CELL_M);
-        index.reserve(network.links().iter().map(|link| link.geometry.segment_count()).sum());
-        for link in network.links() {
+        let links = network.links();
+        let mut segments =
+            Vec::with_capacity(links.iter().map(|link| link.geometry.segment_count()).sum());
+        for link in links {
             for (si, seg) in link.geometry.segments().enumerate() {
                 let bbox = Aabb::from_points([seg.a, seg.b]).expect("segment has two points");
-                index.insert((link.id, si as u32), bbox);
+                segments.push(((link.id, si as u32), bbox));
             }
         }
-        LinkLocator { index }
+        LinkLocator { index: MovingIndex::bulk(CELL_M, segments) }
     }
 
     /// All links whose geometry comes within `max_distance` metres of `p`,

@@ -68,6 +68,16 @@ impl<P: Copy + Default> CellTable<P> {
         CellTable { slots: Vec::new(), mask: 0, live: 0, tombstones: 0 }
     }
 
+    /// An empty table that takes `cells` inserts without growing: the
+    /// capacity that many inserts into [`CellTable::new`] would grow it to.
+    pub(crate) fn with_capacity(cells: usize) -> Self {
+        let mut table = CellTable::new();
+        if cells > 0 {
+            table.rehash((cells * 4).div_ceil(3).next_power_of_two().max(16));
+        }
+        table
+    }
+
     /// Number of live (occupied) cells.
     pub(crate) fn len(&self) -> usize {
         self.live
@@ -178,24 +188,29 @@ impl<P: Copy + Default> CellTable<P> {
     fn reserve_one(&mut self) {
         let cap = self.slots.len();
         if cap == 0 || (self.live + self.tombstones + 1) * 4 > cap * 3 {
-            let new_cap = (cap * 2).max(16).max(((self.live + 1) * 2).next_power_of_two());
-            let old = std::mem::replace(
-                &mut self.slots,
-                vec![
-                    TableSlot { state: SlotState::Empty, coord: (0, 0), payload: P::default() };
-                    new_cap
-                ],
-            );
-            self.mask = new_cap - 1;
-            self.tombstones = 0;
-            for slot in old {
-                if slot.state == SlotState::Live {
-                    let mut at = self.home(slot.coord);
-                    while self.slots[at].state == SlotState::Live {
-                        at = (at + 1) & self.mask;
-                    }
-                    self.slots[at] = slot;
+            self.rehash((cap * 2).max(16).max(((self.live + 1) * 2).next_power_of_two()));
+        }
+    }
+
+    /// Moves the live cells into a fresh slot array of `new_cap` (a power of
+    /// two above the live count), dropping every tombstone.
+    fn rehash(&mut self, new_cap: usize) {
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![
+                TableSlot { state: SlotState::Empty, coord: (0, 0), payload: P::default() };
+                new_cap
+            ],
+        );
+        self.mask = new_cap - 1;
+        self.tombstones = 0;
+        for slot in old {
+            if slot.state == SlotState::Live {
+                let mut at = self.home(slot.coord);
+                while self.slots[at].state == SlotState::Live {
+                    at = (at + 1) & self.mask;
                 }
+                self.slots[at] = slot;
             }
         }
     }
@@ -322,6 +337,21 @@ mod tests {
             assert_eq!(t.get((i, -i * 7)), Some(&(i as u32)), "survivors intact");
         }
         assert_eq!(t.iter().count(), 250);
+    }
+
+    #[test]
+    fn a_presized_table_has_the_capacity_inserts_grow_to_and_never_grows() {
+        for cells in [0usize, 1, 11, 12, 13, 24, 25, 100, 767, 768, 769, 5_000] {
+            let mut grown: CellTable<u32> = CellTable::new();
+            let mut presized: CellTable<u32> = CellTable::with_capacity(cells);
+            let cap = presized.slots.len();
+            for i in 0..cells as i64 {
+                grown.insert((i, -i), 0);
+                presized.insert((i, -i), 0);
+            }
+            assert_eq!(presized.slots.len(), cap, "{cells} cells: the presized table grew");
+            assert_eq!(cap, grown.slots.len(), "{cells} cells");
+        }
     }
 
     #[test]

@@ -34,6 +34,12 @@
 //! so the steady state (objects moving within a warm cell population) touches
 //! the allocator zero times — the property the `hotpath` benchmark gate pins.
 //!
+//! A whole entry set known up front (a map's link segments, a shard's
+//! recovered objects) is built by [`MovingIndex::bulk`] instead: it leaves
+//! the index inserting the entries one by one would, but sorts all cell
+//! registrations by cell in one stable counting sort and sizes every
+//! structure once, where inserts probe, grow and copy as they go.
+//!
 //! Two queries serve every caller: [`MovingIndex::query_keys_into`] (sorted,
 //! deduplicated keys of the cells a box overlaps) and
 //! [`MovingIndex::for_each_in_rect_unordered`] (entries whose box intersects
@@ -122,6 +128,116 @@ impl Span {
     fn rank(&self, cell: (i64, i64)) -> u32 {
         (cell.0 - self.x0) as u32 * self.rows + (cell.1 - self.y0) as u32
     }
+
+    /// The cell at index `rank` of the run — the inverse of [`Span::rank`].
+    fn cell(&self, rank: u32) -> (i64, i64) {
+        (self.x0 + i64::from(rank / self.rows), self.y0 + i64::from(rank % self.rows))
+    }
+}
+
+/// The rectangle of cells a bulk build's entries cover, from its lowest
+/// corner `lo`, `rows` cells high: a cell's key is its column-major position
+/// in it. A key needs 128 bits: the rectangle may span 2^64 cells per axis.
+struct CellGrid {
+    lo: (i64, i64),
+    rows: u128,
+}
+
+impl CellGrid {
+    fn key(&self, cell: (i64, i64)) -> u128 {
+        u128::from(cell.0.abs_diff(self.lo.0)) * self.rows + u128::from(cell.1.abs_diff(self.lo.1))
+    }
+
+    /// Calls `f(cell key, dense id, run slot)` for every registration of
+    /// the entries of `spans`: entries in dense order, each one's cells in
+    /// run order.
+    fn for_each_registration(&self, spans: &[Span], mut f: impl FnMut(u128, u32, usize)) {
+        for (dense, span) in (0u32..).zip(spans) {
+            let mut slot = span.start as usize;
+            for dx in 0..span.cols {
+                let column = self.key((span.x0 + i64::from(dx), span.y0));
+                for dy in 0..span.rows {
+                    f(column + u128::from(dy), dense, slot);
+                    slot += 1;
+                }
+            }
+        }
+    }
+}
+
+/// One cell registration of a sparse bulk build: the cell key (split in two
+/// halves to keep the record at 24 bytes), the entry, and the slot of its
+/// run that records where in the cell's segment the entry lands.
+#[derive(Debug, Clone, Copy)]
+struct Registration {
+    key_lo: u64,
+    key_hi: u64,
+    dense: u32,
+    slot: u32,
+}
+
+impl Registration {
+    fn key(&self) -> u128 {
+        u128::from(self.key_hi) << 64 | u128::from(self.key_lo)
+    }
+
+    fn same_cell(&self, other: &Registration) -> bool {
+        (self.key_lo, self.key_hi) == (other.key_lo, other.key_hi)
+    }
+}
+
+/// The widest digit of [`sort_by_cell`]: 2 048 buckets, whose write streams
+/// stay in cache as a pass scatters the records.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Groups `regs` by cell, keeping their order within a cell: a least
+/// significant digit radix sort over the key bits in which the
+/// registrations differ, each pass a stable counting sort into a second
+/// buffer. The digits are no wider than the
+/// registration count's bit length (nor than [`MAX_DIGIT_BITS`]), so a pass
+/// costs O(registrations) however sparse the cells are.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "digits are masked below the bucket count; the buckets partition `0..regs.len()`"
+)]
+fn sort_by_cell(regs: &mut Vec<Registration>) {
+    let Some(&first) = regs.first() else {
+        return;
+    };
+    // A digit in which every key equals the first key's is already sorted.
+    let differ = regs.iter().fold(0u128, |acc, r| acc | (r.key() ^ first.key()));
+    let bits = u128::BITS - differ.leading_zeros();
+    if bits == 0 {
+        return;
+    }
+    let widest = (usize::BITS - regs.len().leading_zeros()).clamp(4, MAX_DIGIT_BITS);
+    let width = bits.div_ceil(bits.div_ceil(widest));
+    let mask = (1u128 << width) - 1;
+    let mut offsets = vec![0u32; 1 << width];
+    // Every pass overwrites all of `spare`, so stale contents may stay.
+    let mut spare = vec![first; regs.len()];
+    for shift in (0..bits).step_by(width as usize) {
+        if (differ >> shift) & mask == 0 {
+            continue;
+        }
+        let digit = |r: &Registration| ((r.key() >> shift) & mask) as usize;
+        offsets.fill(0);
+        for r in regs.iter() {
+            offsets[digit(r)] += 1;
+        }
+        let mut start = 0;
+        for offset in &mut offsets {
+            let count = *offset;
+            *offset = start;
+            start += count;
+        }
+        for r in regs.iter() {
+            let at = &mut offsets[digit(r)];
+            spare[*at as usize] = *r;
+            *at += 1;
+        }
+        std::mem::swap(regs, &mut spare);
+    }
 }
 
 /// A flat `u32` slab carved into power-of-two-capacity segments, with one
@@ -207,14 +323,135 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         }
     }
 
-    /// Reserves room for `additional` more entries in the per-entry tables
-    /// (key map, entry arena, cell spans), so a bulk load of known size
-    /// does not re-grow them along the way. Cell storage grows with the cells
-    /// the entries turn out to occupy, as ever.
-    pub fn reserve(&mut self, additional: usize) {
-        self.items.reserve(additional);
-        self.entries.reserve(additional);
-        self.spans.reserve(additional);
+    /// Builds the index that inserting `items` one by one into an empty
+    /// [`MovingIndex::new`] leaves: dense ids in the given order, every cell
+    /// segment holding its entries in that order at the size class the
+    /// inserts grow it to, the same position runs — so the same query
+    /// walks, answers and statistics.
+    ///
+    /// Each entry's cells are computed once and every `(cell, entry, run
+    /// slot)` registration is visited in entry order; a stable counting sort
+    /// by cell places them, and the cell table, the segment slab and the
+    /// run slab are each sized once. No cell is probed before it is inserted
+    /// and no segment is copied to a larger class, which is what per-entry
+    /// inserts spend their time on. The counting sort runs over the cell
+    /// rectangle the entries cover when it holds no more cells than there
+    /// are registrations; a sparser set (corridors, far-apart clumps) is
+    /// radix-sorted as registration records instead, in time and memory
+    /// proportional to the registrations, not to the rectangle.
+    ///
+    /// # Panics
+    /// Panics if `cell_size` is not strictly positive, if a key repeats, or
+    /// if a box spans 2^32 cells or more per axis.
+    pub fn bulk(cell_size: f64, items: impl IntoIterator<Item = (K, Aabb)>) -> Self {
+        let mut idx = MovingIndex::new(cell_size);
+        let items = items.into_iter();
+        let expected = items.size_hint().0;
+        idx.items.reserve(expected);
+        idx.entries.reserve(expected);
+        idx.spans.reserve(expected);
+        // Spans and run slots in dense order; the cell rectangle they cover.
+        let (mut run_slots, mut registrations) = (0u32, 0usize);
+        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+        for (key, bbox) in items {
+            let dense = idx.entries.len() as u32;
+            assert!(idx.items.insert(key, dense).is_none(), "a bulk build takes each key once");
+            idx.entries.push(Entry::new(bbox, key));
+            let mut span = Span::of(&bbox, cell_size);
+            span.start = run_slots;
+            run_slots += seg_cap(span.class());
+            if span.cols > 0 && span.rows > 0 {
+                registrations += span.cols as usize * span.rows as usize;
+                let last = span.cell(span.cols * span.rows - 1);
+                lo = (lo.0.min(span.x0), lo.1.min(span.y0));
+                hi = (hi.0.max(last.0), hi.1.max(last.1));
+            }
+            idx.spans.push(span);
+            idx.grow_bounds(&bbox);
+        }
+        idx.runs.data = vec![0; run_slots as usize];
+        if registrations > 0 {
+            let grid = CellGrid { lo, rows: u128::from(hi.1.abs_diff(lo.1)) + 1 };
+            let cells = (u128::from(hi.0.abs_diff(lo.0)) + 1).checked_mul(grid.rows);
+            match cells.filter(|&cells| cells <= registrations as u128) {
+                Some(cells) => idx.fill_counted(&grid, cells as usize),
+                None => idx.fill_sorted(&grid, registrations),
+            }
+        }
+        idx
+    }
+
+    /// Lays out every cell segment of a bulk build whose rectangle holds
+    /// `cells` cells, no more than there are registrations: one count per
+    /// cell, then one segment per occupied cell, then the registrations
+    /// written in entry order — each cell's segment fills in that order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cell keys lie below `cells`; segment slots below each segment's length"
+    )]
+    fn fill_counted(&mut self, grid: &CellGrid, cells: usize) {
+        // Per cell: where its segment starts in the slab, and how many of
+        // its slots are (to be) filled.
+        let mut segments = vec![(0u32, 0u32); cells];
+        grid.for_each_registration(&self.spans, |key, _, _| segments[key as usize].1 += 1);
+        let occupied = segments.iter().filter(|&&(_, len)| len > 0).count();
+        self.table = CellTable::with_capacity(occupied);
+        let mut slab_len = 0;
+        // Keys run column by column, `grid.rows` cells each; every cell of
+        // the rectangle exists, so no offset overflows.
+        let columns = segments.chunks_mut(grid.rows as usize);
+        for (dx, column) in (0..).zip(columns) {
+            for (dy, segment) in (0..).zip(column) {
+                let len = segment.1;
+                if len > 0 {
+                    let class = class_for(len);
+                    let cell = (grid.lo.0 + dx, grid.lo.1 + dy);
+                    self.table.insert(cell, Segment { start: slab_len, len, class });
+                    *segment = (slab_len, 0);
+                    slab_len += seg_cap(class);
+                }
+            }
+        }
+        self.slab.data = vec![0; slab_len as usize];
+        let (slab, runs) = (&mut self.slab.data, &mut self.runs.data);
+        grid.for_each_registration(&self.spans, |key, dense, slot| {
+            let (start, filled) = &mut segments[key as usize];
+            slab[(*start + *filled) as usize] = dense;
+            runs[slot] = *filled;
+            *filled += 1;
+        });
+    }
+
+    /// Lays out every cell segment of a bulk build from its registration
+    /// records ordered by cell (see `sort_by_cell`): each run of equal keys
+    /// is one cell's segment, in entry order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "records hold run slots of this build; groups are non-empty"
+    )]
+    fn fill_sorted(&mut self, grid: &CellGrid, registrations: usize) {
+        let mut regs = Vec::with_capacity(registrations);
+        grid.for_each_registration(&self.spans, |key, dense, slot| {
+            let (key_lo, key_hi) = (key as u64, (key >> 64) as u64);
+            regs.push(Registration { key_lo, key_hi, dense, slot: slot as u32 });
+        });
+        sort_by_cell(&mut regs);
+        let groups = || regs.chunk_by(Registration::same_cell);
+        let slab_len: usize = groups().map(|g| seg_cap(class_for(g.len() as u32)) as usize).sum();
+        self.slab.data.reserve_exact(slab_len);
+        self.table = CellTable::with_capacity(groups().count());
+        for group in groups() {
+            let start = self.slab.data.len() as u32;
+            let len = group.len() as u32;
+            let segment = Segment { start, len, class: class_for(len) };
+            for (pos, r) in (0u32..).zip(group) {
+                self.slab.data.push(r.dense);
+                self.runs.data[r.slot as usize] = pos;
+            }
+            self.slab.data.resize((start + seg_cap(segment.class)) as usize, 0);
+            let span = &self.spans[group[0].dense as usize];
+            self.table.insert(span.cell(group[0].slot - span.start), segment);
+        }
     }
 
     /// Number of entries in the index.
@@ -286,11 +523,16 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
             }
         };
         self.attach(dense, Span::of(&bbox, self.cell_size));
-        self.bounds = Some(match self.bounds {
-            Some(b) => b.union(&bbox),
-            None => bbox,
-        });
+        self.grow_bounds(&bbox);
         moved
+    }
+
+    /// Widens `bounds` to cover `bbox`.
+    fn grow_bounds(&mut self, bbox: &Aabb) {
+        self.bounds = Some(match self.bounds {
+            Some(b) => b.union(bbox),
+            None => *bbox,
+        });
     }
 
     /// Removes `key` from the index. Returns `true` if it was present.
@@ -519,6 +761,17 @@ mod tests {
         keys
     }
 
+    /// The tests' seeded source, a 64-bit LCG: `next(n)` draws below `n`.
+    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |n| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        }
+    }
+
     fn populated() -> MovingIndex<u32> {
         let mut idx = MovingIndex::new(10.0);
         idx.insert(1, Aabb::around(Point::new(5.0, 5.0), 1.0));
@@ -697,13 +950,7 @@ mod tests {
         let mut idx = MovingIndex::new(10.0);
         let mut model = std::collections::BTreeMap::new();
         let mut bounds: Option<Aabb> = None;
-        let mut state = 0x9E37_u64;
-        let mut next = |n: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % n
-        };
+        let mut next = lcg(0x9E37);
         const HALVES: [(f64, f64); 5] =
             [(0.0, 0.0), (4.0, 9.0), (14.0, 6.0), (19.0, 24.0), (28.0, 21.0)];
         let place = |idx: &mut MovingIndex<u32>,
@@ -769,6 +1016,174 @@ mod tests {
         }
         let query = Aabb::new(Point::new(-50.0, -50.0), Point::new(200.0, 200.0));
         assert_queries_match_model(&idx, &model, bounds, &query);
+    }
+
+    /// `got` holds what `want` holds, down to the layout queries see: the
+    /// same dense id per key, the same boxes, spans and position runs, and
+    /// for every occupied cell a segment of the same size class holding the
+    /// same dense ids in the same order. Only where in the slab a segment
+    /// sits may differ (inserts leave outgrown segments on free lists).
+    fn assert_same_index(got: &MovingIndex<u32>, want: &MovingIndex<u32>, what: &str) {
+        assert_eq!(got.items, want.items, "{what}: dense ids");
+        assert_eq!(got.free_ids, want.free_ids, "{what}: free ids");
+        assert_eq!(got.entries.len(), want.entries.len(), "{what}: entry arena");
+        for &dense in want.items.values() {
+            let d = dense as usize;
+            assert_eq!(got.entries[d], want.entries[d], "{what}: entry {dense}");
+            let (g, w) = (got.spans[d], want.spans[d]);
+            assert_eq!(
+                (g.x0, g.y0, g.cols, g.rows, g.start),
+                (w.x0, w.y0, w.cols, w.rows, w.start),
+                "{what}: span of entry {dense}"
+            );
+        }
+        assert_eq!(got.runs.data, want.runs.data, "{what}: position runs");
+        assert_eq!(got.runs.free, want.runs.free, "{what}: free runs");
+        assert_eq!(got.occupied_cells(), want.occupied_cells(), "{what}");
+        assert_eq!(got.max_cell_occupancy(), want.max_cell_occupancy(), "{what}");
+        for (cell, w) in want.table.iter() {
+            let g = got.table.get(cell).unwrap_or_else(|| panic!("{what}: {cell:?} missing"));
+            assert_eq!((g.len, g.class), (w.len, w.class), "{what}: segment of {cell:?}");
+            let slots = |idx: &MovingIndex<u32>, seg: &Segment| {
+                idx.slab.data[seg.start as usize..(seg.start + seg.len) as usize].to_vec()
+            };
+            assert_eq!(slots(got, g), slots(want, w), "{what}: slots of {cell:?}");
+        }
+        assert_eq!(got.bounds, want.bounds, "{what}: bounds");
+    }
+
+    /// Both queries walk `got` as they walk `want`: the same entries in the
+    /// same order, the same dedup counts, the same keys, the same extent.
+    fn assert_same_walks(got: &MovingIndex<u32>, want: &MovingIndex<u32>, queries: &[Aabb]) {
+        let walk = |idx: &MovingIndex<u32>, query: &Aabb| {
+            let (mut seen, mut walked, mut keys) = (SeenScratch::new(), Vec::new(), Vec::new());
+            idx.for_each_in_rect_unordered(query, &mut seen, |e| walked.push(e.item));
+            idx.query_keys_into(query, &mut seen, &mut keys);
+            (walked, keys, seen.dedup_counters(), idx.extent_radius(&query.center()).to_bits())
+        };
+        for query in queries {
+            assert_eq!(walk(got, query), walk(want, query), "walk of {query:?}");
+        }
+    }
+
+    /// A box of exactly `cols × rows` cells of side 10 from cell `(x, y)`.
+    fn cells_box(x: i64, y: i64, cols: u64, rows: u64) -> Aabb {
+        let corner = Point::new(x as f64 * 10.0 + 0.5, y as f64 * 10.0 + 0.5);
+        let far =
+            Point::new(corner.x + (cols - 1) as f64 * 10.0, corner.y + (rows - 1) as f64 * 10.0);
+        Aabb::new(corner, far)
+    }
+
+    #[test]
+    fn bulk_build_equals_one_by_one_inserts_and_stays_equal_under_churn() {
+        let mut next = lcg(0xB01C);
+        // Entry sets by kind; each draws the boxes of its initial set and of
+        // its churn.
+        fn draw(next: &mut dyn FnMut(u64) -> u64, kind: usize) -> Aabb {
+            let at = |next: &mut dyn FnMut(u64) -> u64, span: u64| {
+                Point::new(
+                    next(span) as f64 - (span / 2) as f64,
+                    next(span) as f64 - (span / 2) as f64,
+                )
+            };
+            match kind {
+                // Uniform over 200 × 200 cells, up to 11 cells per axis.
+                0 => Aabb::around(at(next, 2_000), next(50) as f64),
+                // Clustered: a 4 × 4-cell block, crowded past six size classes.
+                1 => Aabb::around(at(next, 40), next(8) as f64),
+                // Far apart, negative and sparse: three clumps up to 10^12
+                // cells apart, and the two cells coordinates saturate at.
+                2 => {
+                    let clump = [(-1e13, -3e12), (-5e9, -20.0), (-40.0, -1e9)][next(3) as usize];
+                    match next(40) {
+                        0 => Aabb::around(Point::new(-1e300, -1e300), 0.0),
+                        1 => Aabb::around(Point::new(1e300, 1e300), 0.0),
+                        _ => {
+                            let c = at(next, 300);
+                            Aabb::around(Point::new(clump.0 + c.x, clump.1 + c.y), next(25) as f64)
+                        }
+                    }
+                }
+                // Crowded into the cell where coordinates saturate.
+                4 => Aabb::around(Point::new(1e300, 1e300), next(3) as f64),
+                // Wide: from one cell to 64 cells per axis, axes independent.
+                _ => {
+                    let (x, y) = (next(200) as i64 - 100, next(200) as i64 - 100);
+                    cells_box(x, y, 1 + next(64), 1 + next(64))
+                }
+            }
+        }
+        let mut queries = vec![
+            Aabb::around(Point::ORIGIN, 5.0),
+            Aabb::around(Point::ORIGIN, 400.0),
+            Aabb::around(Point::new(-1e13, -3e12), 200.0),
+            Aabb::around(Point::new(-5e9, -20.0), 60.0),
+            Aabb::around(Point::new(1e300, 1e300), 1.0),
+        ];
+        for _ in 0..24 {
+            let c = Point::new(next(2_400) as f64 - 1_200.0, next(2_400) as f64 - 1_200.0);
+            queries.push(Aabb::around(c, [3.0, 40.0, 300.0][next(3) as usize]));
+        }
+        let mut grown_classes = 0;
+        let mut layouts = [0; 2];
+        for (case, (kind, n)) in
+            [(0, 0), (0, 1), (0, 400), (1, 400), (2, 200), (4, 3), (5, 1), (5, 60)]
+                .into_iter()
+                .enumerate()
+        {
+            let items: Vec<(u32, Aabb)> =
+                (0..n).map(|key| (key * 3, draw(&mut next, kind))).collect();
+            let mut want = MovingIndex::new(10.0);
+            for &(key, bbox) in &items {
+                want.insert(key, bbox);
+            }
+            let mut got = MovingIndex::bulk(10.0, items.iter().copied());
+            let what = format!("case {case} (kind {kind}, {n} entries)");
+            // Which layout the build took: counted when the cell rectangle
+            // holds no more cells than there are registrations.
+            let registrations: u128 = got.spans.iter().map(|s| u128::from(s.cols * s.rows)).sum();
+            let corners: Vec<(i64, i64)> = got.table.iter().map(|(cell, _)| cell).collect();
+            let side = |axis: fn(&(i64, i64)) -> i64| {
+                let (lo, hi) = (corners.iter().map(axis).min()?, corners.iter().map(axis).max()?);
+                Some(u128::from(hi.abs_diff(lo)) + 1)
+            };
+            if let (Some(cols), Some(rows)) = (side(|c| c.0), side(|c| c.1)) {
+                let cells = cols.checked_mul(rows);
+                layouts[usize::from(cells.is_some_and(|c| c <= registrations))] += 1;
+            }
+            assert_same_index(&got, &want, &what);
+            assert_runs_match_segments(&got);
+            assert_same_walks(&got, &want, &queries);
+            grown_classes =
+                grown_classes.max(got.table.iter().map(|(_, s)| s.class).max().unwrap_or(0));
+
+            // One seeded churn of inserts, moves and removes on both.
+            let keys = 3 * n.max(20) + 30;
+            for step in 0..300 {
+                let key = next(u64::from(keys)) as u32;
+                if want.contains_key(&key) && next(3) == 0 {
+                    assert!(got.remove(&key) && want.remove(&key));
+                } else {
+                    let bbox = draw(&mut next, kind);
+                    assert_eq!(got.insert(key, bbox), want.insert(key, bbox));
+                }
+                if step % 60 == 59 {
+                    let what = format!("{what}, churn step {step}");
+                    assert_same_index(&got, &want, &what);
+                    assert_runs_match_segments(&got);
+                    assert_same_walks(&got, &want, &queries);
+                }
+            }
+        }
+        assert!(grown_classes >= 5, "a cell outgrew five size classes: {grown_classes}");
+        assert!(layouts[0] >= 2 && layouts[1] >= 2, "sorted and counted layouts: {layouts:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "each key once")]
+    fn bulk_build_refuses_a_repeated_key() {
+        let bbox = Aabb::around(Point::ORIGIN, 1.0);
+        let _ = MovingIndex::bulk(10.0, [(1u32, bbox), (2, bbox), (1, bbox)]);
     }
 
     #[test]
@@ -847,13 +1262,7 @@ mod tests {
         // so segments hold swapped slots; queries from one cell to the whole
         // extent.
         let mut idx = MovingIndex::new(10.0);
-        let mut state = 0x51AB_u64;
-        let mut next = |n: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % n
-        };
+        let mut next = lcg(0x51AB);
         for round in 0..3 {
             for key in 0..400u32 {
                 if round > 0 && next(3) == 0 {
