@@ -5,9 +5,9 @@
 
 use mbdr_core::wire::TOWARDS_NONE_WIRE;
 use mbdr_core::{DecodeError, Frame, FrameView, ObjectState, Update, UpdateKind, UpdateView};
+use mbdr_geo::rng::{for_each_seed, SplitMix64};
 use mbdr_geo::Point;
 use mbdr_roadnet::{LinkId, NodeId};
-use proptest::prelude::*;
 
 const KINDS: [UpdateKind; 5] = [
     UpdateKind::Initial,
@@ -20,37 +20,30 @@ const KINDS: [UpdateKind; 5] = [
 /// Draws one arbitrary update covering every field combination: with/without
 /// a link, with/without a travel direction, with/without a turn rate, every
 /// kind, and sequence numbers across the whole `u64` range.
-fn arb_update() -> impl Strategy<Value = Update> {
-    (
-        (0u64..u64::MAX, 0usize..KINDS.len(), -50_000.0..50_000.0f64, -50_000.0..50_000.0f64),
-        (0.0..70.0f64, -10.0..10.0f64, 0.0..100_000.0f64),
-        (0u8..2, 0u32..10_000, 0.0..3_000.0f64, 0u8..3, 0u32..TOWARDS_NONE_WIRE, 0u8..2),
-        -1.0..1.0f64,
-    )
-        .prop_map(
-            |(
-                (sequence, kind, x, y),
-                (speed, heading, timestamp),
-                (has_link, link_id, arc_length, towards_mode, towards_id, has_turn),
-                turn_rate,
-            )| {
-                let link = (has_link == 1).then_some(LinkId(link_id));
-                Update {
-                    sequence,
-                    state: ObjectState {
-                        position: Point::new(x, y),
-                        speed,
-                        heading,
-                        timestamp,
-                        link,
-                        arc_length: if link.is_some() { arc_length } else { 0.0 },
-                        towards: (link.is_some() && towards_mode > 0).then_some(NodeId(towards_id)),
-                        turn_rate: if has_turn == 1 { turn_rate } else { 0.0 },
-                    },
-                    kind: KINDS[kind],
-                }
-            },
-        )
+fn arb_update(rng: &mut SplitMix64) -> Update {
+    let link = (rng.below(2) == 1).then_some(LinkId(rng.below(10_000) as u32));
+    let towards_mode = rng.below(3);
+    let towards_id = rng.below(u64::from(TOWARDS_NONE_WIRE)) as u32;
+    let turn_rate = if rng.below(2) == 1 { rng.range(-1.0, 1.0) } else { 0.0 };
+    Update {
+        sequence: rng.next_u64(),
+        state: ObjectState {
+            position: Point::new(rng.range(-50_000.0, 50_000.0), rng.range(-50_000.0, 50_000.0)),
+            speed: rng.range(0.0, 70.0),
+            heading: rng.range(-10.0, 10.0),
+            timestamp: rng.range(0.0, 100_000.0),
+            link,
+            arc_length: if link.is_some() { rng.range(0.0, 3_000.0) } else { 0.0 },
+            towards: (link.is_some() && towards_mode > 0).then_some(NodeId(towards_id)),
+            turn_rate,
+        },
+        kind: KINDS[rng.below(KINDS.len() as u64) as usize],
+    }
+}
+
+/// Up to `max - 1` arbitrary updates.
+fn arb_updates(rng: &mut SplitMix64, max: u64) -> Vec<Update> {
+    (0..rng.below(max)).map(|_| arb_update(rng)).collect()
 }
 
 /// What a round trip is expected to reproduce: the `f32`-narrowed values of
@@ -64,120 +57,139 @@ fn narrowed(u: &Update) -> Update {
     n
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+const CASES: u64 = 256;
 
-    #[test]
-    fn decode_inverts_encode(u in arb_update()) {
+#[test]
+fn decode_inverts_encode() {
+    for_each_seed(CASES, |rng| {
+        let u = arb_update(rng);
         let bytes = u.encode().expect("generated updates avoid the sentinel");
         let decoded = Update::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(decoded, narrowed(&u));
+        assert_eq!(decoded, narrowed(&u));
         // A second trip is bit-exact: the narrowing is idempotent.
-        prop_assert_eq!(decoded.encode().unwrap(), bytes);
-    }
+        assert_eq!(decoded.encode().unwrap(), bytes);
+    });
+}
 
-    #[test]
-    fn encoded_len_is_exact_without_allocating(u in arb_update()) {
-        prop_assert_eq!(u.encoded_len(), u.encode().unwrap().len());
-    }
+#[test]
+fn encoded_len_is_exact_without_allocating() {
+    for_each_seed(CASES, |rng| {
+        let u = arb_update(rng);
+        assert_eq!(u.encoded_len(), u.encode().unwrap().len());
+    });
+}
 
-    #[test]
-    fn truncated_buffers_error_instead_of_panicking(u in arb_update(), frac in 0.0..1.0f64) {
-        let bytes = u.encode().unwrap();
-        let cut = ((bytes.len() as f64 * frac) as usize).min(bytes.len() - 1);
-        prop_assert!(matches!(
-            Update::decode(&bytes[..cut]),
-            Err(DecodeError::Truncated { .. })
-        ));
-    }
+#[test]
+fn truncated_buffers_error_instead_of_panicking() {
+    for_each_seed(CASES, |rng| {
+        let bytes = arb_update(rng).encode().unwrap();
+        let cut = ((bytes.len() as f64 * rng.next_f64()) as usize).min(bytes.len() - 1);
+        assert!(matches!(Update::decode(&bytes[..cut]), Err(DecodeError::Truncated { .. })));
+    });
+}
 
-    #[test]
-    fn corrupted_kind_byte_is_a_typed_error(u in arb_update(), bad in 5u8..255) {
-        let mut bytes = u.encode().unwrap();
-        bytes[8] = bad;
-        prop_assert_eq!(Update::decode(&bytes), Err(DecodeError::InvalidKind(bad)));
-    }
+#[test]
+fn corrupted_kind_byte_is_a_typed_error() {
+    for_each_seed(CASES, |rng| {
+        let mut bytes = arb_update(rng).encode().unwrap();
+        // Every byte past the last kind, 0xFF included.
+        for bad in 5..=u8::MAX {
+            bytes[8] = bad;
+            assert_eq!(Update::decode(&bytes), Err(DecodeError::InvalidKind(bad)));
+        }
+    });
+}
 
-    #[test]
-    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..255, 0..96)) {
+#[test]
+fn arbitrary_bytes_never_panic() {
+    let mut all_ones_drawn = false;
+    for_each_seed(CASES, |rng| {
+        // Bytes over the full range 0..=0xFF: all-ones lengths and counts too.
+        let bytes: Vec<u8> = (0..rng.below(96)).map(|_| rng.next_u64() as u8).collect();
+        all_ones_drawn |= bytes.contains(&0xFF);
         // Random garbage either happens to parse or reports a typed error;
         // the decoder must never panic or read out of bounds.
         let _ = Update::decode(&bytes);
         let _ = Frame::decode(&bytes);
-    }
+    });
+    assert!(all_ones_drawn, "the garbage holds 0xFF bytes");
+}
 
-    #[test]
-    fn frames_round_trip_batches(
-        updates in proptest::collection::vec(arb_update(), 0..12),
-        source in 0u64..u64::MAX,
-    ) {
+#[test]
+fn frames_round_trip_batches() {
+    for_each_seed(CASES, |rng| {
+        let updates = arb_updates(rng, 12);
+        let source = rng.next_u64();
         let frame = Frame { source, updates };
         let bytes = frame.encode().unwrap();
-        prop_assert_eq!(bytes.len(), frame.encoded_len());
+        assert_eq!(bytes.len(), frame.encoded_len());
         let decoded = Frame::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(decoded.source, source);
-        prop_assert_eq!(decoded.updates.len(), frame.updates.len());
+        assert_eq!(decoded.source, source);
+        assert_eq!(decoded.updates.len(), frame.updates.len());
         for (d, u) in decoded.updates.iter().zip(&frame.updates) {
-            prop_assert_eq!(*d, narrowed(u));
+            assert_eq!(*d, narrowed(u));
         }
-    }
+    });
+}
 
-    #[test]
-    fn reserved_towards_never_encodes(u in arb_update()) {
-        let mut u = u;
+#[test]
+fn reserved_towards_never_encodes() {
+    for_each_seed(CASES, |rng| {
+        let mut u = arb_update(rng);
         u.state.link = Some(LinkId(1));
         u.state.towards = Some(NodeId(TOWARDS_NONE_WIRE));
-        prop_assert!(u.encode().is_err());
-        prop_assert!(Frame::single(0, u).encode().is_err());
-    }
+        assert!(u.encode().is_err());
+        assert!(Frame::single(0, u).encode().is_err());
+    });
+}
 
-    #[test]
-    fn update_view_agrees_with_owned_decode_on_valid_input(u in arb_update()) {
-        let bytes = u.encode().unwrap();
+#[test]
+fn update_view_agrees_with_owned_decode_on_valid_input() {
+    for_each_seed(CASES, |rng| {
+        let bytes = arb_update(rng).encode().unwrap();
         let view = UpdateView::parse(&bytes).expect("own encoding parses");
-        prop_assert_eq!(*view.get(), Update::decode(&bytes).unwrap());
-        prop_assert_eq!(view.wire_len(), bytes.len());
-    }
+        assert_eq!(*view.get(), Update::decode(&bytes).unwrap());
+        assert_eq!(view.wire_len(), bytes.len());
+    });
+}
 
-    #[test]
-    fn frame_view_agrees_with_owned_decode_on_valid_input(
-        updates in proptest::collection::vec(arb_update(), 0..12),
-        source in 0u64..u64::MAX,
-    ) {
-        let frame = Frame { source, updates };
+#[test]
+fn frame_view_agrees_with_owned_decode_on_valid_input() {
+    for_each_seed(CASES, |rng| {
+        let frame = Frame { updates: arb_updates(rng, 12), source: rng.next_u64() };
         let bytes = frame.encode().unwrap();
         let view = FrameView::parse(&bytes).expect("own encoding parses");
         let owned = Frame::decode(&bytes).unwrap();
-        prop_assert_eq!(view.source(), owned.source);
-        prop_assert_eq!(view.update_count(), owned.updates.len());
-        prop_assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
-    }
+        assert_eq!(view.source(), owned.source);
+        assert_eq!(view.update_count(), owned.updates.len());
+        assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
+    });
+}
 
-    #[test]
-    fn views_reject_exactly_what_owned_decode_rejects(
-        updates in proptest::collection::vec(arb_update(), 0..6),
-        source in 0u64..u64::MAX,
-        frac in 0.0..1.0f64,
-        flip_at in 0usize..512,
-        flip in 1u8..255,
-    ) {
+#[test]
+fn views_reject_exactly_what_owned_decode_rejects() {
+    let mut all_bits_flipped = false;
+    for_each_seed(CASES, |rng| {
         // Damage a valid frame two ways — truncation at an arbitrary offset
         // and a single-byte corruption (which can forge bad kinds, bad
         // flags, NaN floats or inconsistent lengths) — and require the
         // borrowed and the owned decoder to return the *same* typed verdict.
-        let frame = Frame { source, updates };
+        let frame = Frame { updates: arb_updates(rng, 6), source: rng.next_u64() };
         let bytes = frame.encode().unwrap();
 
-        let cut = ((bytes.len() as f64 * frac) as usize).min(bytes.len());
+        let cut = ((bytes.len() as f64 * rng.next_f64()) as usize).min(bytes.len());
         let truncated = &bytes[..cut];
         match (FrameView::parse(truncated), Frame::decode(truncated)) {
             (Ok(view), Ok(owned)) => {
-                prop_assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
+                assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
             }
-            (Err(ve), Err(oe)) => prop_assert_eq!(ve, oe),
+            (Err(ve), Err(oe)) => assert_eq!(ve, oe),
             (view, owned) => panic!("cut {cut}: view {view:?} vs owned {owned:?}"),
         }
 
+        // A flip mask over 1..=0xFF: the all-bits flip too.
+        let (flip_at, flip) = (rng.below(512) as usize, 1 + rng.below(255) as u8);
+        all_bits_flipped |= flip == 0xFF;
         let mut damaged = bytes.clone();
         let at = flip_at % damaged.len().max(1);
         if !damaged.is_empty() {
@@ -185,9 +197,9 @@ proptest! {
         }
         match (FrameView::parse(&damaged), Frame::decode(&damaged)) {
             (Ok(view), Ok(owned)) => {
-                prop_assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
+                assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates);
             }
-            (Err(ve), Err(oe)) => prop_assert_eq!(ve, oe),
+            (Err(ve), Err(oe)) => assert_eq!(ve, oe),
             (view, owned) => panic!("flip at {at}: view {view:?} vs owned {owned:?}"),
         }
 
@@ -198,10 +210,11 @@ proptest! {
             let uat = at % udamaged.len();
             udamaged[uat] ^= flip;
             match (UpdateView::parse(&udamaged), Update::decode(&udamaged)) {
-                (Ok(view), Ok(owned)) => prop_assert_eq!(*view.get(), owned),
-                (Err(ve), Err(oe)) => prop_assert_eq!(ve, oe),
+                (Ok(view), Ok(owned)) => assert_eq!(*view.get(), owned),
+                (Err(ve), Err(oe)) => assert_eq!(ve, oe),
                 (view, owned) => panic!("update flip: view {view:?} vs owned {owned:?}"),
             }
         }
-    }
+    });
+    assert!(all_bits_flipped, "the all-bits flip is applied");
 }

@@ -126,6 +126,7 @@ impl MotionEstimator {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use crate::rng::SplitMix64;
 
     #[test]
     #[should_panic(expected = "at least two")]
@@ -242,40 +243,31 @@ mod tests {
 
     #[test]
     fn recording_then_estimating_on_demand_equals_estimating_every_sighting() {
-        // SplitMix64: seeded, so a failure names its stream.
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        let unit = |state: &mut u64| (next(state) >> 11) as f64 / (1u64 << 53) as f64;
         for window in 2..=8 {
             for seed in 0..16u64 {
-                let mut rng = seed ^ ((window as u64) << 32);
+                let mut rng = SplitMix64::new(seed ^ ((window as u64) << 32));
                 let mut lazy = MotionEstimator::new(window);
                 let mut reference = VecDeque::new();
                 let (mut t, mut p) = (0.0, Point::new(0.0, 0.0));
                 for step in 0..400 {
                     // Mostly 1 Hz; sometimes the same instant again, a
                     // timestamp that runs backwards, or a standstill.
-                    t += match next(&mut rng) % 8 {
+                    t += match rng.below(8) {
                         0 => 0.0,
                         1 => -0.5,
                         _ => 1.0,
                     };
-                    if !next(&mut rng).is_multiple_of(6) {
+                    if !rng.next_u64().is_multiple_of(6) {
                         p = Point::new(
-                            p.x + 40.0 * (unit(&mut rng) - 0.5),
-                            p.y + 40.0 * (unit(&mut rng) - 0.5),
+                            p.x + 40.0 * (rng.next_f64() - 0.5),
+                            p.y + 40.0 * (rng.next_f64() - 0.5),
                         );
                     }
                     let eager = eager_push(window, &mut reference, t, p);
                     lazy.record(t, p);
                     // Read the estimate only now and then, as a protocol
                     // that sends on ≈ 5 % of its sightings does.
-                    if next(&mut rng).is_multiple_of(4) {
+                    if rng.next_u64().is_multiple_of(4) {
                         let e = lazy.estimate();
                         let bits = |m: &MotionEstimate| {
                             [m.speed, m.heading, m.direction.x, m.direction.y].map(f64::to_bits)

@@ -18,6 +18,8 @@
 //! * [`estimate`] — speed and direction estimation from the last *n* position
 //!   sightings (the paper interpolates over 2, 4 or 8 fixes depending on the
 //!   movement pattern).
+//! * [`rng`] — the workspace's one seeded generator ([`rng::SplitMix64`]) and
+//!   the seeded property-test loop ([`rng::for_each_seed`]).
 //! * [`units`] — km/h ↔ m/s conversion and Table 1's `h:mm` durations.
 //!
 //! Everything is `f64`, allocation-free on the hot paths, and independent of
@@ -32,6 +34,7 @@ pub mod estimate;
 pub mod point;
 pub mod polyline;
 pub mod projection;
+pub mod rng;
 pub mod segment;
 pub mod units;
 pub mod vec2;

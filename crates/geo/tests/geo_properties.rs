@@ -1,58 +1,72 @@
-//! Property-based tests for the geometry substrate.
+//! Property-based tests for the geometry substrate: each property runs over
+//! 64 seeded cases.
 
+use mbdr_geo::rng::{for_each_seed, SplitMix64};
 use mbdr_geo::{
     angle_between, normalize_angle, Aabb, GeoPoint, LocalProjection, Point, Polyline, Segment, Vec2,
 };
-use proptest::prelude::*;
 
-fn finite_coord() -> impl Strategy<Value = f64> {
-    -50_000.0..50_000.0f64
+const CASES: u64 = 64;
+
+fn point(rng: &mut SplitMix64) -> Point {
+    Point::new(rng.range(-50_000.0, 50_000.0), rng.range(-50_000.0, 50_000.0))
 }
 
-fn arb_point() -> impl Strategy<Value = Point> {
-    (finite_coord(), finite_coord()).prop_map(|(x, y)| Point::new(x, y))
+fn vector(rng: &mut SplitMix64) -> Vec2 {
+    Vec2::new(rng.range(-1_000.0, 1_000.0), rng.range(-1_000.0, 1_000.0))
 }
 
-fn arb_vec() -> impl Strategy<Value = Vec2> {
-    (-1_000.0..1_000.0f64, -1_000.0..1_000.0f64).prop_map(|(x, y)| Vec2::new(x, y))
+/// Two to seven vertices.
+fn vertices(rng: &mut SplitMix64) -> Vec<Point> {
+    (0..2 + rng.below(6)).map(|_| point(rng)).collect()
 }
 
-proptest! {
-    #[test]
-    fn distance_is_a_metric(a in arb_point(), b in arb_point(), c in arb_point()) {
+#[test]
+fn distance_is_a_metric() {
+    for_each_seed(CASES, |rng| {
+        let (a, b, c) = (point(rng), point(rng), point(rng));
         let ab = a.distance(&b);
         let ba = b.distance(&a);
-        prop_assert!((ab - ba).abs() < 1e-6);
-        prop_assert!(ab >= 0.0);
+        assert!((ab - ba).abs() < 1e-6);
+        assert!(ab >= 0.0);
         // Triangle inequality with a small tolerance for rounding.
-        prop_assert!(a.distance(&c) <= ab + b.distance(&c) + 1e-6);
-    }
+        assert!(a.distance(&c) <= ab + b.distance(&c) + 1e-6);
+    });
+}
 
-    #[test]
-    fn heading_roundtrip_through_unit_vector(angle in 0.0..std::f64::consts::TAU) {
+#[test]
+fn heading_roundtrip_through_unit_vector() {
+    for_each_seed(CASES, |rng| {
+        let angle = rng.range(0.0, std::f64::consts::TAU);
         let v = Vec2::from_heading(angle);
-        prop_assert!((v.norm() - 1.0).abs() < 1e-9);
-        prop_assert!(angle_between(v.heading(), angle) < 1e-6);
-    }
+        assert!((v.norm() - 1.0).abs() < 1e-9);
+        assert!(angle_between(v.heading(), angle) < 1e-6);
+    });
+}
 
-    #[test]
-    fn normalize_angle_is_idempotent_and_in_range(a in -100.0..100.0f64) {
-        let n = normalize_angle(a);
-        prop_assert!((0.0..std::f64::consts::TAU).contains(&n));
-        prop_assert!((normalize_angle(n) - n).abs() < 1e-12);
-    }
+#[test]
+fn normalize_angle_is_idempotent_and_in_range() {
+    for_each_seed(CASES, |rng| {
+        let n = normalize_angle(rng.range(-100.0, 100.0));
+        assert!((0.0..std::f64::consts::TAU).contains(&n));
+        assert!((normalize_angle(n) - n).abs() < 1e-12);
+    });
+}
 
-    #[test]
-    fn angle_between_is_symmetric_and_bounded(a in -20.0..20.0f64, b in -20.0..20.0f64) {
+#[test]
+fn angle_between_is_symmetric_and_bounded() {
+    for_each_seed(CASES, |rng| {
+        let (a, b) = (rng.range(-20.0, 20.0), rng.range(-20.0, 20.0));
         let d = angle_between(a, b);
-        prop_assert!((0.0..=std::f64::consts::PI + 1e-12).contains(&d));
-        prop_assert!((d - angle_between(b, a)).abs() < 1e-9);
-    }
+        assert!((0.0..=std::f64::consts::PI + 1e-12).contains(&d));
+        assert!((d - angle_between(b, a)).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn segment_projection_is_closest_among_samples(
-        a in arb_point(), b in arb_point(), q in arb_point()
-    ) {
+#[test]
+fn segment_projection_is_closest_among_samples() {
+    for_each_seed(CASES, |rng| {
+        let (a, b, q) = (point(rng), point(rng), point(rng));
         let seg = Segment::new(a, b);
         let proj = seg.project(&q);
         // The reported distance must not exceed the distance to any sampled
@@ -60,90 +74,98 @@ proptest! {
         for i in 0..=20 {
             let t = i as f64 / 20.0;
             let sample = seg.point_at(t);
-            prop_assert!(proj.distance <= q.distance(&sample) + 1e-6);
+            assert!(proj.distance <= q.distance(&sample) + 1e-6);
         }
         // The projected point actually lies on the segment's bounding box.
         let bb = Aabb::new(a, b).inflated(1e-6);
-        prop_assert!(bb.contains(&proj.point));
-    }
+        assert!(bb.contains(&proj.point));
+    });
+}
 
-    #[test]
-    fn polyline_arc_length_walk_is_consistent(
-        pts in proptest::collection::vec(arb_point(), 2..8),
-        frac in 0.0..1.0f64
-    ) {
-        let poly = Polyline::new(pts);
+#[test]
+fn polyline_arc_length_walk_is_consistent() {
+    for_each_seed(CASES, |rng| {
+        let poly = Polyline::new(vertices(rng));
         let total = poly.length();
-        let s = frac * total;
+        let s = rng.next_f64() * total;
         let p = poly.point_at_arc_length(s);
         // The point must lie on the polyline (distance ~ 0).
-        prop_assert!(poly.distance_to(&p) < 1e-6);
+        assert!(poly.distance_to(&p) < 1e-6);
         // Walking the full length lands on the final vertex.
-        prop_assert!(poly.point_at_arc_length(total).distance(&poly.last()) < 1e-6);
-    }
+        assert!(poly.point_at_arc_length(total).distance(&poly.last()) < 1e-6);
+    });
+}
 
-    #[test]
-    fn polyline_projection_within_vertex_distance(
-        pts in proptest::collection::vec(arb_point(), 2..8),
-        q in arb_point()
-    ) {
+#[test]
+fn polyline_projection_within_vertex_distance() {
+    for_each_seed(CASES, |rng| {
+        let pts = vertices(rng);
+        let q = point(rng);
         let poly = Polyline::new(pts.clone());
         let proj = poly.project(&q);
         // Projection distance is never worse than the distance to any vertex.
         for v in &pts {
-            prop_assert!(proj.distance <= q.distance(v) + 1e-6);
+            assert!(proj.distance <= q.distance(v) + 1e-6);
         }
-        prop_assert!(proj.arc_length >= -1e-9);
-        prop_assert!(proj.arc_length <= poly.length() + 1e-6);
-    }
+        assert!(proj.arc_length >= -1e-9);
+        assert!(proj.arc_length <= poly.length() + 1e-6);
+    });
+}
 
-    #[test]
-    fn projection_roundtrip_is_sub_millimetre(
-        dlat in -0.3..0.3f64, dlon in -0.3..0.3f64
-    ) {
+#[test]
+fn projection_roundtrip_is_sub_millimetre() {
+    for_each_seed(CASES, |rng| {
         let proj = LocalProjection::stuttgart();
-        let geo = GeoPoint::new(48.745 + dlat, 9.105 + dlon);
+        let geo = GeoPoint::new(48.745 + rng.range(-0.3, 0.3), 9.105 + rng.range(-0.3, 0.3));
         let local = proj.to_local(&geo);
         let back = proj.to_geo(&local);
-        prop_assert!(geo.haversine_distance(&back) < 1e-3);
-    }
+        assert!(geo.haversine_distance(&back) < 1e-3);
+    });
+}
 
-    #[test]
-    fn local_distances_track_geodesic_distances(
-        dlat in -0.2..0.2f64, dlon in -0.2..0.2f64
-    ) {
+#[test]
+fn local_distances_track_geodesic_distances() {
+    for_each_seed(CASES, |rng| {
         let proj = LocalProjection::stuttgart();
         let a = GeoPoint::new(48.745, 9.105);
-        let b = GeoPoint::new(48.745 + dlat, 9.105 + dlon);
+        let b = GeoPoint::new(48.745 + rng.range(-0.2, 0.2), 9.105 + rng.range(-0.2, 0.2));
         let hav = a.haversine_distance(&b);
         let loc = proj.to_local(&a).distance(&proj.to_local(&b));
         // Within 1 % over a ~±22 km area (GPS noise is orders of magnitude larger).
-        prop_assert!((hav - loc).abs() <= hav.max(1.0) * 0.01 + 0.01);
-    }
+        assert!((hav - loc).abs() <= hav.max(1.0) * 0.01 + 0.01);
+    });
+}
 
-    #[test]
-    fn aabb_union_contains_both(a in arb_point(), b in arb_point(), c in arb_point(), d in arb_point()) {
-        let b1 = Aabb::new(a, b);
-        let b2 = Aabb::new(c, d);
+#[test]
+fn aabb_union_contains_both() {
+    for_each_seed(CASES, |rng| {
+        let b1 = Aabb::new(point(rng), point(rng));
+        let b2 = Aabb::new(point(rng), point(rng));
         let u = b1.union(&b2);
-        prop_assert!(u.contains_box(&b1));
-        prop_assert!(u.contains_box(&b2));
-    }
+        assert!(u.contains_box(&b1));
+        assert!(u.contains_box(&b2));
+    });
+}
 
-    #[test]
-    fn aabb_distance_zero_iff_contained(p in arb_point(), a in arb_point(), b in arb_point()) {
-        let bb = Aabb::new(a, b);
+#[test]
+fn aabb_distance_zero_iff_contained() {
+    for_each_seed(CASES, |rng| {
+        let p = point(rng);
+        let bb = Aabb::new(point(rng), point(rng));
         let d = bb.distance_to_point(&p);
         if bb.contains(&p) {
-            prop_assert!(d.abs() < 1e-9);
+            assert!(d.abs() < 1e-9);
         } else {
-            prop_assert!(d > 0.0);
+            assert!(d > 0.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn vec_rotation_preserves_norm(v in arb_vec(), angle in -10.0..10.0f64) {
-        let r = v.rotated(angle);
-        prop_assert!((r.norm() - v.norm()).abs() < 1e-6);
-    }
+#[test]
+fn vec_rotation_preserves_norm() {
+    for_each_seed(CASES, |rng| {
+        let v = vector(rng);
+        let r = v.rotated(rng.range(-10.0, 10.0));
+        assert!((r.norm() - v.norm()).abs() < 1e-6);
+    });
 }

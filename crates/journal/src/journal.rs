@@ -1026,7 +1026,8 @@ fn be_u64(bytes: &[u8]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{splitmix64, FaultFs, FaultKind};
+    use crate::vfs::{FaultFs, FaultKind};
+    use mbdr_geo::rng::SplitMix64;
     use std::fs;
     use std::sync::atomic::AtomicU32;
 
@@ -1055,8 +1056,8 @@ mod tests {
         !crc
     }
 
-    fn random_bytes(rng: &mut u64, len: usize) -> Vec<u8> {
-        (0..len).map(|_| splitmix64(rng) as u8).collect()
+    fn random_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
     #[test]
@@ -1070,7 +1071,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_bytewise_oracle_at_every_short_length_and_offset() {
-        let mut rng = 0xC0FF_EE00u64;
+        let mut rng = SplitMix64::new(0xC0FF_EE00);
         let buffer = random_bytes(&mut rng, 64 + 8);
         for offset in 0..8 {
             for len in 0..=64 {
@@ -1082,10 +1083,10 @@ mod tests {
 
     #[test]
     fn crc32_matches_bytewise_oracle_on_seeded_random_buffers() {
-        let mut rng = 2001u64;
+        let mut rng = SplitMix64::new(2001);
         for round in 0..64 {
             // Lengths spread over 0..=64 KiB, the last round pinned at the top.
-            let len = if round == 63 { 64 * 1024 } else { splitmix64(&mut rng) as usize % 65_537 };
+            let len = if round == 63 { 64 * 1024 } else { rng.below(65_537) as usize };
             let bytes = random_bytes(&mut rng, len);
             assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "round {round}, len {len}");
         }

@@ -478,9 +478,12 @@ impl Vfs for FaultFs {
     }
 }
 
-/// SplitMix64: the seed-expansion step used for fault schedules (and by the
-/// retry-jitter and fault-plan generators elsewhere in the workspace).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: the seed-expansion step of the fault schedules. A copy of
+/// `mbdr_geo::rng::SplitMix64::next_u64`, the workspace's one generator:
+/// `mbdr-journal` has no dependency on `mbdr-geo`, and adding that normal
+/// edge would rewrite the benchmark's pinned lock file
+/// (`benchmark/Cargo.lock`). A unit test holds the two streams equal.
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -491,6 +494,16 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_is_the_workspace_generators_stream() {
+        for seed in [0, 7, 2001, u64::MAX] {
+            let (mut state, mut rng) = (seed, mbdr_geo::rng::SplitMix64::new(seed));
+            for _ in 0..16 {
+                assert_eq!(splitmix64(&mut state), rng.next_u64(), "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn op_indices_count_only_mutating_calls() {

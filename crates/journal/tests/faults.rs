@@ -10,6 +10,7 @@
 //! `write_all`); with a large `PerBatch` fsync budget each append then
 //! consumes exactly one op — header and payload in a single `write_all`.
 
+use mbdr_geo::rng::SplitMix64;
 use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig, RealFs, Vfs, VfsFile};
 use std::fs;
 use std::io;
@@ -46,14 +47,6 @@ fn record_write_op(i: u64) -> u64 {
     OPEN_OPS + APPEND_OPS * i
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn replay_payloads(journal: &Journal) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     journal.replay(|_, payload| out.push(payload.to_vec())).expect("replay");
@@ -65,11 +58,11 @@ fn replay_payloads(journal: &Journal) -> Vec<Vec<u8>> {
 #[test]
 fn seeded_torn_payload_write_is_repaired_at_reopen() {
     let seed = 42u64;
-    let mut rng = seed;
-    let appends = 6 + splitmix64(&mut rng) % 8; // 6..=13
+    let mut rng = SplitMix64::new(seed);
+    let appends = 6 + rng.below(8); // 6..=13
     let payload = [0xA5u8; 12];
     // Past the 8-byte record header, short of the full payload.
-    let keep = 8 + (splitmix64(&mut rng) % (payload.len() as u64 - 1)) as usize;
+    let keep = 8 + rng.below(payload.len() as u64 - 1) as usize;
 
     let dir = temp_dir("torn");
     let faults = FaultFs::over_real();
@@ -157,9 +150,9 @@ fn record_write_torn_at_every_byte_never_loses_or_invents_a_record() {
 #[test]
 fn seeded_bit_flip_drops_exactly_the_corrupted_record() {
     let seed = 7u64;
-    let mut rng = seed;
-    let appends = 5 + splitmix64(&mut rng) % 6; // 5..=10
-    let mask = (splitmix64(&mut rng) as u8) | 1; // nonzero
+    let mut rng = SplitMix64::new(seed);
+    let appends = 5 + rng.below(6); // 5..=10
+    let mask = (rng.next_u64() as u8) | 1; // nonzero
 
     let dir = temp_dir("bitflip");
     let faults = FaultFs::over_real();
@@ -184,8 +177,8 @@ fn seeded_bit_flip_drops_exactly_the_corrupted_record() {
 #[test]
 fn seeded_enospc_fails_cleanly_without_torn_bytes() {
     let seed = 11u64;
-    let mut rng = seed;
-    let victim = 2 + splitmix64(&mut rng) % 4; // append 2..=5 of 8
+    let mut rng = SplitMix64::new(seed);
+    let victim = 2 + rng.below(4); // append 2..=5 of 8
 
     let dir = temp_dir("enospc");
     let faults = FaultFs::over_real();
@@ -219,9 +212,9 @@ fn seeded_enospc_fails_cleanly_without_torn_bytes() {
 #[test]
 fn seeded_fsync_failure_is_conservative_but_loses_nothing() {
     let seed = 3u64;
-    let mut rng = seed;
-    let victim = 1 + splitmix64(&mut rng) % 4; // append 1..=4 of 6
-                                               // PerFrame: each append consumes record write, sync → 2 ops.
+    let mut rng = SplitMix64::new(seed);
+    let victim = 1 + rng.below(4); // append 1..=4 of 6
+                                   // PerFrame: each append consumes record write, sync → 2 ops.
     let sync_op = OPEN_OPS + 2 * victim + 1;
 
     let dir = temp_dir("fsync");
@@ -252,9 +245,9 @@ fn seeded_fsync_failure_is_conservative_but_loses_nothing() {
 #[test]
 fn seeded_snapshot_bit_flip_is_ignored_in_favor_of_the_log() {
     let seed = 19u64;
-    let mut rng = seed;
-    let appends = 4 + splitmix64(&mut rng) % 5; // 4..=8
-    let mask = (splitmix64(&mut rng) as u8) | 1;
+    let mut rng = SplitMix64::new(seed);
+    let appends = 4 + rng.below(5); // 4..=8
+    let mask = (rng.next_u64() as u8) | 1;
     // Install ops: create, header write, body write, sync_all, rename.
     let body_write_op = OPEN_OPS + APPEND_OPS * appends + 2;
 

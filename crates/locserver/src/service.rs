@@ -794,6 +794,7 @@ impl LocationService {
 mod tests {
     use super::*;
     use mbdr_core::{LinearPredictor, ObjectState, StaticPredictor, UpdateKind};
+    use mbdr_geo::rng::SplitMix64;
     use std::collections::HashSet;
 
     #[test]
@@ -974,15 +975,11 @@ mod tests {
         let objects = 24u64;
         let (batched, reference) = (make(objects), make(objects));
         let mut stream: Vec<(ObjectId, Update)> = Vec::new();
-        let mut mix = 0x9E3779B97F4A7C15u64;
+        let mut rng = SplitMix64::new(0xBA7C_4000);
         for step in 0..400u64 {
-            mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let id = ObjectId(mix % (objects + 4)); // some ids unregistered
-            let t = (step / 8) as f64;
-            stream.push((
-                id,
-                update(step % 16, t, (mix % 5_000) as f64, (mix % 3_000) as f64, 8.0, 1.0),
-            ));
+            let id = ObjectId(rng.below(objects + 4)); // some ids unregistered
+            let (x, y) = (rng.below(5_000) as f64, rng.below(3_000) as f64);
+            stream.push((id, update(step % 16, (step / 8) as f64, x, y, 8.0, 1.0)));
         }
         let mut batch_applied = 0;
         for chunk in stream.chunks(37) {
@@ -1168,14 +1165,7 @@ mod tests {
 
     #[test]
     fn radix_order_equals_the_comparison_sort_for_every_id_family() {
-        let mut state = 0xD161_7000_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(0xD161_7000);
         const BASE: u64 = 0x0123_4567_89AB_CDEF;
         // The `i`-th id of a family, given a fresh random `u64`.
         type Family = fn(u64, u64) -> u64;
@@ -1191,13 +1181,13 @@ mod tests {
         let mut spare = reports(&[7; 9_000]); // stale contents must not leak
         for (name, id) in families {
             for n in [0, 1, 2, RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1, 2_047, 5_000] {
-                let mut ids: Vec<u64> = (0..n as u64).map(|i| id(i, next())).collect();
+                let mut ids: Vec<u64> = (0..n as u64).map(|i| id(i, rng.next_u64())).collect();
                 ids.sort_unstable();
                 ids.dedup();
                 // Shuffled, ascending and descending inputs.
                 let mut shuffled = ids.clone();
                 for i in (1..shuffled.len()).rev() {
-                    shuffled.swap(i, (next() % (i as u64 + 1)) as usize);
+                    shuffled.swap(i, rng.below(i as u64 + 1) as usize);
                 }
                 let descending: Vec<u64> = ids.iter().rev().copied().collect();
                 for input in [shuffled, ids.clone(), descending] {

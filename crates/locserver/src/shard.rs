@@ -670,24 +670,8 @@ impl Shard {
 mod tests {
     use super::*;
     use mbdr_core::{LinearPredictor, ObjectState};
+    use mbdr_geo::rng::SplitMix64;
     use std::collections::HashSet;
-
-    /// splitmix64 — the seeded source of every stream below.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
 
     enum Op {
         Register(ObjectId),
@@ -705,7 +689,7 @@ mod tests {
     /// (re-)registrations and deregistrations. Returns the stream and how
     /// many `(re-registrations, slot-reusing registrations)` it holds.
     fn stream(seed: u64, ops: usize) -> (Vec<Op>, (usize, usize)) {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut out: Vec<Op> = (0..IDS).map(|i| Op::Register(ObjectId(i))).collect();
         let mut registered = [true; IDS as usize];
         let mut freed = 0usize;

@@ -7,6 +7,7 @@
 //! degraded window.
 
 use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, UpdateKind};
+use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig};
 use mbdr_locserver::durable::recover_into;
@@ -39,11 +40,8 @@ fn fleet() -> LocationService {
 
 /// Deterministic pre-encoded frames, round-robin over the fleet.
 fn encoded_frames(count: usize) -> Vec<Vec<u8>> {
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut step = move || {
-        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((rng >> 17) % 4001) as f64 - 2000.0
-    };
+    let mut rng = SplitMix64::new(0xF4A3_0000);
+    let mut step = move || rng.below(4001) as f64 - 2000.0;
     (0..count)
         .map(|i| {
             let object = i as u64 % OBJECTS;
@@ -203,14 +201,7 @@ fn service_without_journal_reports_durable_health() {
 fn seeded_fault_soak_recovers_indefinitely() {
     let dir = temp_dir("soak");
     let frames = encoded_frames(400);
-    let mut seed = 0x5EED_50AC_u64;
-    let mut rng = move || {
-        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(0x5EED_50AC);
 
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let mut total_recovered = 0u64;
@@ -235,11 +226,11 @@ fn seeded_fault_soak_recovers_indefinitely() {
             .expect("monotone cumulative recovered frames");
 
         // One generation: a few hundred frames with random kill/heal/probe.
-        let steps = 100 + (rng() % 300) as usize;
+        let steps = 100 + rng.below(300) as usize;
         for i in 0..steps {
-            let bytes = &frames[(rng() as usize) % frames.len()];
+            let bytes = &frames[rng.below(frames.len() as u64) as usize];
             service.apply_frame_bytes(bytes).expect("soak apply");
-            match rng() % 23 {
+            match rng.below(23) {
                 0 => fault.set_dead(true),
                 1 | 2 => fault.set_dead(false),
                 3 | 4 => {
@@ -255,7 +246,7 @@ fn seeded_fault_soak_recovers_indefinitely() {
         // Sometimes heal + recover cleanly before the kill; sometimes crash
         // while degraded (the un-journaled window is legitimately lost — the
         // next generation must still recover what *was* journaled).
-        if rng() % 2 == 0 {
+        if rng.below(2) == 0 {
             fault.set_dead(false);
             let _ = service.probe_durability();
             let _ = journal.flush();

@@ -11,6 +11,7 @@
 
 use mbdr_core::{decode_snapshot, encode_snapshot_into, Frame, SnapshotEntry};
 use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
+use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{
     FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Vfs, VfsFile, JOURNAL_VERSION,
@@ -48,13 +49,10 @@ fn fleet() -> LocationService {
 }
 
 /// Deterministic pre-encoded frames: round-robin over the fleet, three
-/// updates per frame, positions from a splitmix-style generator.
+/// updates per frame, positions from the seeded generator.
 fn encoded_frames(rounds: u64) -> Vec<Vec<u8>> {
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut step = move || {
-        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((rng >> 17) % 4001) as f64 - 2000.0
-    };
+    let mut rng = SplitMix64::new(0xF4A3_0000);
+    let mut step = move || rng.below(4001) as f64 - 2000.0;
     let mut out = Vec::new();
     for round in 0..rounds {
         for object in 0..OBJECTS {
@@ -299,27 +297,10 @@ fn snapshot_entries_for_unregistered_objects_are_skipped() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// splitmix64 — the seeded source of the randomized recoveries below.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// `count` seeded frames over `clocks.len()` objects (a fifth parked), 1–4
 /// updates each, every object on its own advancing clock — continuing from
 /// `clocks`, so a second call extends the first call's stream.
-fn seeded_frames(rng: &mut Rng, clocks: &mut [(u64, f64)], count: usize) -> Vec<Vec<u8>> {
+fn seeded_frames(rng: &mut SplitMix64, clocks: &mut [(u64, f64)], count: usize) -> Vec<Vec<u8>> {
     (0..count)
         .map(|_| {
             let object = rng.below(clocks.len() as u64);
@@ -429,7 +410,7 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
             }
             service
         };
-        let mut rng = Rng(0x5EED_0000 + seed);
+        let mut rng = SplitMix64::new(0x5EED_0000 + seed);
         let mut clocks = vec![(0u64, 0.0f64); (FLEET + STRANGERS) as usize];
         let count = 120 + rng.below(500) as usize;
         let before = seeded_frames(&mut rng, &mut clocks, count);

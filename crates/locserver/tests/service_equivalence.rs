@@ -10,9 +10,9 @@ use mbdr_core::{
     ArcPredictor, LinearPredictor, ObjectState, Predictor, ServerTracker, StaticPredictor, Update,
     UpdateKind,
 };
+use mbdr_geo::rng::{for_each_seed, SplitMix64};
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -68,24 +68,6 @@ fn reference_nearest(
     out.into_iter().take(k).map(|(_, r)| r).collect()
 }
 
-/// SplitMix64 — the seeded, dependency-free stream of the dense-cluster test.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// Position, age and id bits: `PositionReport`'s `==` would let `-0.0`
 /// match `0.0`.
 fn bits(reports: &[PositionReport]) -> Vec<(u64, u64, u64, u64)> {
@@ -113,7 +95,7 @@ fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
     const CLUSTER: usize = 2_500;
     const BACKGROUND: usize = 1_000;
     let cell = config.cell_size_m;
-    let mut rng = SplitMix(seed);
+    let mut rng = SplitMix64::new(seed);
     let service = LocationService::with_config(config);
     let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
     let mut movers = Vec::new();
@@ -241,7 +223,7 @@ enum Ids {
 }
 
 impl Ids {
-    fn id(self, i: u64, rng: &mut SplitMix) -> u64 {
+    fn id(self, i: u64, rng: &mut SplitMix64) -> u64 {
         const BASE: u64 = 0x0123_4567_89AB_CDEF;
         match self {
             Ids::Random => rng.next_u64(),
@@ -269,7 +251,7 @@ fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig)
     const MOVERS: u64 = 600;
     const SWEEP: u64 = 600;
     const ROW_Y: f64 = 50_000.0;
-    let mut rng = SplitMix(seed);
+    let mut rng = SplitMix64::new(seed);
     let service = LocationService::with_config(config);
     let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
     let mut row = Vec::new();
@@ -387,7 +369,7 @@ fn seeded_rect_search_matches_the_full_scan_reference() {
 fn silent_movers_far_in_the_future_answer_in_time_and_match_the_full_scan() {
     // Before the wide list, one query at t = 10⁵ s re-grew every silent
     // mover into millions of cells under the shard write locks.
-    let mut rng = SplitMix(0x5EED_0300);
+    let mut rng = SplitMix64::new(0x5EED_0300);
     let service = LocationService::with_config(ServiceConfig::with_shards(4));
     let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
     for i in 0..200u64 {
@@ -449,7 +431,7 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
     // 10⁴ m/s registered its box in about 5 million cells (seconds under the
     // shard write lock), and 10⁶ m/s or f32::MAX never finished.
     const HOSTILE: [f64; 3] = [1e4, 1e6, f32::MAX as f64];
-    let mut rng = SplitMix(0x5EED_0400);
+    let mut rng = SplitMix64::new(0x5EED_0400);
     let service = Arc::new(LocationService::with_config(ServiceConfig::with_shards(4)));
     let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
     let mut updates = Vec::new();
@@ -524,28 +506,19 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn sharded_service_matches_the_full_scan_reference(
-        object_count in 2usize..20,
-        shards in 1usize..9,
-        cell in 50.0..600.0f64,
-        horizon in 2.0..40.0f64,
-        updates in proptest::collection::vec(
-            (0usize..20, -2_000.0..2_000.0f64, -2_000.0..2_000.0f64,
-             0.0..40.0f64, 0.0..std::f64::consts::TAU, -0.1..0.1f64, 0.0..200.0f64),
-            1..120
-        ),
-        deregister_stride in 2usize..7,
-        queries in proptest::collection::vec(
-            (-2_500.0..2_500.0f64, -2_500.0..2_500.0f64, 10.0..1_500.0f64, 0.0..600.0f64),
-            1..24
-        ),
-    ) {
-        let config =
-            ServiceConfig { shards, cell_size_m: cell, horizon_s: horizon, slack_m: 25.0 };
+/// Random updates, deregistrations and queries over random shard counts,
+/// cell sizes and horizons, at query instants up to 600 s (far past most
+/// validity horizons): every answer equals the full scan.
+#[test]
+fn sharded_service_matches_the_full_scan_reference() {
+    for_each_seed(32, |rng| {
+        let object_count = 2 + rng.below(18) as usize;
+        let config = ServiceConfig {
+            shards: 1 + rng.below(8) as usize,
+            cell_size_m: rng.range(50.0, 600.0),
+            horizon_s: rng.range(2.0, 40.0),
+            slack_m: 25.0,
+        };
         let service = LocationService::with_config(config);
         let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
 
@@ -559,43 +532,42 @@ proptest! {
         // Random updates (sequence numbers per object in generation order, so
         // both sides see the same accept/reject decisions).
         let mut sequences = vec![0u64; object_count];
-        for &(raw_index, x, y, speed, heading, turn_rate, t) in updates.iter() {
-            let index = raw_index % object_count;
+        for _ in 0..1 + rng.below(119) {
+            let index = rng.below(object_count as u64) as usize;
             let id = ObjectId(index as u64);
-            let mut state = ObjectState::basic(Point::new(x, y), speed, heading, t);
-            state.turn_rate = turn_rate;
-            let update = Update {
-                sequence: sequences[index],
-                state,
-                kind: UpdateKind::DeviationBound,
-            };
+            let position = Point::new(rng.range(-2_000.0, 2_000.0), rng.range(-2_000.0, 2_000.0));
+            let (speed, heading) = (rng.range(0.0, 40.0), rng.range(0.0, std::f64::consts::TAU));
+            let mut state = ObjectState::basic(position, speed, heading, rng.range(0.0, 200.0));
+            state.turn_rate = rng.range(-0.1, 0.1);
+            let update =
+                Update { sequence: sequences[index], state, kind: UpdateKind::DeviationBound };
             sequences[index] += 1;
-            prop_assert!(service.apply_update(id, &update));
+            assert!(service.apply_update(id, &update));
             mirror.get_mut(&id).unwrap().apply(&update);
         }
 
         // Deregister a deterministic subset on both sides.
-        for i in (0..object_count).step_by(deregister_stride) {
+        for i in (0..object_count).step_by(2 + rng.below(5) as usize) {
             let id = ObjectId(i as u64);
-            prop_assert!(service.deregister(id));
+            assert!(service.deregister(id));
             mirror.remove(&id);
         }
 
-        for (qi, &(x, y, extent, t)) in queries.iter().enumerate() {
-            let area = Aabb::around(Point::new(x, y), extent);
-            prop_assert_eq!(
+        for qi in 0..1 + rng.below(23) {
+            let from = Point::new(rng.range(-2_500.0, 2_500.0), rng.range(-2_500.0, 2_500.0));
+            let (extent, t) = (rng.range(10.0, 1_500.0), rng.range(0.0, 600.0));
+            let area = Aabb::around(from, extent);
+            assert_eq!(
                 service.objects_in_rect(&area, t),
                 reference_in_rect(&mirror, &area, t),
-                "rect query {} diverged (area {:?}, t {})", qi, area, t
+                "rect query {qi} diverged (area {area:?}, t {t})"
             );
-            let from = Point::new(x, y);
             let k = (extent as usize % (object_count + 2)).max(1);
-            prop_assert_eq!(
+            assert_eq!(
                 service.nearest_objects(&from, t, k),
                 reference_nearest(&mirror, &from, t, k),
-                "nearest query {} diverged (from {:?}, t {}, k {}, config {:?})",
-                qi, from, t, k, config
+                "nearest query {qi} diverged (from {from:?}, t {t}, k {k}, config {config:?})"
             );
         }
-    }
+    });
 }

@@ -7,31 +7,10 @@
 //! (where several links tie at one distance), on and beside links, off the
 //! map, and at non-finite coordinates.
 
+use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::Point;
 use mbdr_roadnet::{LinkLocator, LinkMatch, NetworkBuilder, RoadClass, RoadNetwork};
 use mbdr_trace::{Scenario, ScenarioKind};
-
-/// SplitMix64 — the seeded, dependency-free stream of the fixes.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 /// Every link within `radius` of `p`, from one projection per link, nearest
 /// first and the lower link id first among equals.
@@ -73,15 +52,15 @@ fn h_network() -> RoadNetwork {
 
 /// Fixes on (up to 120) nodes, on link vertices, on and beside links, in
 /// and far outside the map's box.
-fn finite_fixes(network: &RoadNetwork, tolerance: f64, rng: &mut SplitMix) -> Vec<Point> {
+fn finite_fixes(network: &RoadNetwork, tolerance: f64, rng: &mut SplitMix64) -> Vec<Point> {
     let nodes = network.nodes();
     let mut fixes: Vec<Point> =
         nodes.iter().step_by(nodes.len().div_ceil(120)).map(|n| n.position).collect();
     let links = network.links();
     for _ in 0..150 {
-        let geometry = &links[rng.below(links.len())].geometry;
+        let geometry = &links[rng.below(links.len() as u64) as usize].geometry;
         let vertices = geometry.vertices();
-        fixes.push(vertices[rng.below(vertices.len())]);
+        fixes.push(vertices[rng.below(vertices.len() as u64) as usize]);
         let on = geometry.point_at_arc_length(rng.range(0.0, geometry.length()));
         fixes.push(on);
         let off = 3.0 * tolerance;
@@ -106,7 +85,7 @@ fn finite_fixes(network: &RoadNetwork, tolerance: f64, rng: &mut SplitMix) -> Ve
 /// answers had a tie for first place.
 fn check_map(network: &RoadNetwork, tolerance: f64, seed: u64, what: &str) -> usize {
     let locator = LinkLocator::build(network);
-    let mut rng = SplitMix(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut ties = 0;
     for p in finite_fixes(network, tolerance, &mut rng) {
         for radius in [0.0, tolerance, 10.0 * tolerance] {

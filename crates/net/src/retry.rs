@@ -9,11 +9,13 @@
 //! lockstep), and the whole attempt loop is capped by
 //! [`RetryPolicy::deadline`].
 //!
-//! The jitter stream is a seeded splitmix64: the full delay schedule is a
-//! pure function of the policy (`RetryPolicy::delays`), so tests assert
-//! exact schedules instead of sleeping, and two clients with different seeds
-//! spread out while a replayed run stays bit-identical.
+//! The jitter stream is the workspace's seeded generator,
+//! [`mbdr_geo::rng::SplitMix64`]: the full delay schedule is a pure function
+//! of the policy (`RetryPolicy::delays`), so tests assert exact schedules
+//! instead of sleeping, and two clients with different seeds spread out
+//! while a replayed run stays bit-identical.
 
+use mbdr_geo::rng::SplitMix64;
 use std::time::{Duration, Instant};
 
 /// A jittered exponential backoff schedule with a total deadline.
@@ -51,7 +53,7 @@ impl RetryPolicy {
         Delays {
             base: self.initial_backoff.min(self.max_backoff),
             max: self.max_backoff,
-            rng: self.jitter_seed,
+            rng: SplitMix64::new(self.jitter_seed),
         }
     }
 
@@ -85,16 +87,7 @@ impl RetryPolicy {
 pub(crate) struct Delays {
     base: Duration,
     max: Duration,
-    rng: u64,
-}
-
-/// One step of the splitmix64 stream the jitter draws from.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rng: SplitMix64,
 }
 
 impl Iterator for Delays {
@@ -106,7 +99,7 @@ impl Iterator for Delays {
         // delay never collapses to zero (which would hammer a down server)
         // and never exceeds the base.
         let half = base / 2;
-        let jitter = if half == 0 { 0 } else { splitmix64(&mut self.rng) % (half + 1) };
+        let jitter = if half == 0 { 0 } else { self.rng.below(half + 1) };
         let delay = Duration::from_nanos(half + jitter);
         self.base = (self.base.saturating_mul(2)).min(self.max);
         Some(delay)

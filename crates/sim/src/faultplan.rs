@@ -5,9 +5,13 @@
 //! and heals just before frame `heal_frame`. Deriving the window from the
 //! seed (instead of hard-coding it) keeps the fault workload honest — the
 //! acceptance criterion is that the seeded fsync-kill is reproducible from
-//! the seed alone, so the schedule must be a pure function of it. The same
-//! SplitMix64 mixer as the journal's own fault scheduler is used, so one
-//! seed word drives both layers identically across runs.
+//! the seed alone, so the schedule must be a pure function of it. The draws
+//! come from the workspace's seeded generator,
+//! [`mbdr_geo::rng::SplitMix64`], whose stream the journal's own fault
+//! scheduler repeats, so one seed word drives both layers identically
+//! across runs.
+
+use mbdr_geo::rng::SplitMix64;
 
 /// One deterministic disk-outage window over a frame schedule.
 ///
@@ -35,11 +39,11 @@ impl FaultPlan {
         // Fold the schedule length into the mixer state so that nearby
         // lengths land in different windows even when they share the same
         // quarter/eighth buckets below.
-        let mut state = seed ^ total_frames.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let mut rng = SplitMix64::new(seed ^ total_frames.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         let eighth = (total_frames / 8).max(1);
         let quarter = (total_frames / 4).max(1);
-        let kill_frame = quarter + splitmix64(&mut state) % quarter;
-        let window = eighth + splitmix64(&mut state) % eighth;
+        let kill_frame = quarter + rng.below(quarter);
+        let window = eighth + rng.below(eighth);
         let latest_heal = total_frames.saturating_sub(eighth).max(kill_frame + 1);
         let heal_frame = (kill_frame + window).min(latest_heal);
         FaultPlan { kill_frame, heal_frame }
@@ -50,16 +54,6 @@ impl FaultPlan {
     pub fn degraded_frames(&self) -> u64 {
         self.heal_frame - self.kill_frame
     }
-}
-
-/// SplitMix64: the statelessly-seedable mixer used across the workspace for
-/// schedule derivation (identical constants to the journal's fault seeder).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! [`ScaleConfig::hotspot_fraction`] (~30%), and within the hotspot the cell
 //! is Zipf(1)-distributed, so the first cell alone holds roughly
 //! `fraction / H_harmonic` of the whole fleet. Everything is driven by one
-//! seeded SplitMix64 stream, so reports are bit-deterministic for a
+//! seeded [`SplitMix64`] stream, so reports are bit-deterministic for a
 //! given config — which is what lets the `BENCH_scale.json` gate hold the
 //! result counts and occupancy diagnostics strictly.
 //!
@@ -28,6 +28,7 @@
 //! is the path hotspot density punishes.
 
 use mbdr_core::{LinearPredictor, ObjectState, Predictor, Update, UpdateKind};
+use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{
     IndexStats, LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig,
@@ -124,31 +125,6 @@ pub struct ScaleReport {
     pub nearest_rings: u64,
 }
 
-/// SplitMix64: tiny, seedable, and (unlike thread-count-dependent streams)
-/// trivially deterministic — every draw of the workload comes from one
-/// instance so reports are bit-identical for a given config.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[0, n)`.
-    fn next_below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
-
 /// Per-object motion state: parked objects re-report the same position every
 /// round; movers advance along a fixed heading at constant speed (matching
 /// the linear predictor the server runs for them).
@@ -223,7 +199,7 @@ fn place_fleet(config: &ScaleConfig, rng: &mut SplitMix64) -> Vec<Motion> {
 /// Runs the scale workload. Single-threaded by design: every count in the
 /// report is reproducible bit-for-bit, so the baseline gate can be strict.
 pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
-    let mut rng = SplitMix64(config.seed ^ 0xA076_1D64_78BD_642F);
+    let mut rng = SplitMix64::new(config.seed ^ 0xA076_1D64_78BD_642F);
     let fleet = place_fleet(config, &mut rng);
 
     let service = LocationService::with_config(ServiceConfig {
@@ -277,7 +253,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         } else {
             Point::new((rng.next_f64() * 2.0 - 1.0) * world, (rng.next_f64() * 2.0 - 1.0) * world)
         };
-        (from, 1 + rng.next_below(16) as usize)
+        (from, 1 + rng.below(16) as usize)
     };
 
     // Eight warm-up queries. They draw from the seeded stream and count in
@@ -372,7 +348,7 @@ mod tests {
             nearest_queries: 0,
             ..ScaleConfig::standard(2_000, true, 5)
         };
-        let mut rng = SplitMix64(config.seed ^ 0xA076_1D64_78BD_642F);
+        let mut rng = SplitMix64::new(config.seed ^ 0xA076_1D64_78BD_642F);
         let fleet = place_fleet(&config, &mut rng);
         let service = LocationService::with_config(ServiceConfig {
             shards: config.shards,

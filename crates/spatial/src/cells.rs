@@ -312,6 +312,7 @@ impl SeenScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbdr_geo::rng::SplitMix64;
 
     #[test]
     fn table_roundtrips_inserts_lookups_and_removals() {
@@ -409,14 +410,8 @@ mod tests {
 
     #[test]
     fn gather_matches_a_first_visit_reference_on_seeded_walks() {
-        let mut state = 0x6A7E_u64;
-        let mut next = |n: u64| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        };
+        let mut rng = SplitMix64::new(0x6A7E);
+        let mut next = |n: u64| rng.below(n);
         let mut seen = SeenScratch::new();
         let mut reference_counts = (0, 0);
         // Index sizes from one entry to thousands; walks of up to 64 cells

@@ -751,6 +751,7 @@ pub fn first_ring_radius(cell_size: f64, occupancy: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbdr_geo::rng::SplitMix64;
 
     /// Keys of the entries whose box intersects `query`, ascending — the
     /// unordered walk the service's kernels run, put in order for a test.
@@ -759,17 +760,6 @@ mod tests {
         idx.for_each_in_rect_unordered(query, &mut SeenScratch::new(), |e| keys.push(e.item));
         keys.sort_unstable();
         keys
-    }
-
-    /// The tests' seeded source, a 64-bit LCG: `next(n)` draws below `n`.
-    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
-        let mut state = seed;
-        move |n| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % n
-        }
     }
 
     fn populated() -> MovingIndex<u32> {
@@ -950,7 +940,8 @@ mod tests {
         let mut idx = MovingIndex::new(10.0);
         let mut model = std::collections::BTreeMap::new();
         let mut bounds: Option<Aabb> = None;
-        let mut next = lcg(0x9E37);
+        let mut rng = SplitMix64::new(0x9E37);
+        let mut next = |n| rng.below(n);
         const HALVES: [(f64, f64); 5] =
             [(0.0, 0.0), (4.0, 9.0), (14.0, 6.0), (19.0, 24.0), (28.0, 21.0)];
         let place = |idx: &mut MovingIndex<u32>,
@@ -1076,7 +1067,8 @@ mod tests {
 
     #[test]
     fn bulk_build_equals_one_by_one_inserts_and_stays_equal_under_churn() {
-        let mut next = lcg(0xB01C);
+        let mut rng = SplitMix64::new(0xB01C);
+        let mut next = |n| rng.below(n);
         // Entry sets by kind; each draws the boxes of its initial set and of
         // its churn.
         fn draw(next: &mut dyn FnMut(u64) -> u64, kind: usize) -> Aabb {
@@ -1262,7 +1254,8 @@ mod tests {
         // so segments hold swapped slots; queries from one cell to the whole
         // extent.
         let mut idx = MovingIndex::new(10.0);
-        let mut next = lcg(0x51AB);
+        let mut rng = SplitMix64::new(0x51AB);
+        let mut next = |n| rng.below(n);
         for round in 0..3 {
             for key in 0..400u32 {
                 if round > 0 && next(3) == 0 {

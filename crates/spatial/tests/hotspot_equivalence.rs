@@ -13,37 +13,17 @@
 //! * seeded cases over crowded placements at a size that runs in
 //!   milliseconds.
 
+use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_spatial::{MovingIndex, SeenScratch};
 use std::collections::BTreeMap;
-
-/// SplitMix64 — deterministic, dependency-free stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
 
 const CELL: f64 = 250.0;
 
 /// ~30 % of entries land inside a 4×2-cell hotspot block near the origin,
 /// the rest spread over a ±10 km world — the same skew shape as the
 /// `mbdr-sim` scale workload.
-fn hotspot_box(rng: &mut Rng) -> Aabb {
+fn hotspot_box(rng: &mut SplitMix64) -> Aabb {
     let center = if rng.next_f64() < 0.3 {
         Point::new(rng.next_f64() * 4.0 * CELL, rng.next_f64() * 2.0 * CELL)
     } else {
@@ -54,7 +34,7 @@ fn hotspot_box(rng: &mut Rng) -> Aabb {
 
 /// A crowded placement: every box near the origin, so most of the index
 /// lives in a handful of cells.
-fn crowded_box(rng: &mut Rng) -> Aabb {
+fn crowded_box(rng: &mut SplitMix64) -> Aabb {
     let (x, y) = (rng.next_f64() * 600.0, rng.next_f64() * 400.0);
     Aabb::new(Point::new(x, y), Point::new(x + rng.next_f64() * 80.0, y + rng.next_f64() * 80.0))
 }
@@ -62,13 +42,13 @@ fn crowded_box(rng: &mut Rng) -> Aabb {
 /// The rect walk returns exactly the brute-force set; the key query a sorted
 /// superset of it.
 fn assert_rect_matches_the_scan(
-    index: &MovingIndex<usize>,
-    reference: &BTreeMap<usize, Aabb>,
+    index: &MovingIndex<u64>,
+    reference: &BTreeMap<u64, Aabb>,
     query: &Aabb,
     what: &str,
 ) {
     let mut seen = SeenScratch::new();
-    let expect: Vec<usize> =
+    let expect: Vec<u64> =
         reference.iter().filter(|(_, b)| b.intersects(query)).map(|(&k, _)| k).collect();
     let mut walked = Vec::new();
     index.for_each_in_rect_unordered(query, &mut seen, |e| walked.push(e.item));
@@ -82,10 +62,10 @@ fn assert_rect_matches_the_scan(
 
 #[test]
 fn hundred_thousand_hotspot_entries_answer_bit_identically_to_a_full_scan() {
-    const N: usize = 100_000;
-    let mut rng = Rng(0xC0FF_EE00_2026_0808);
-    let mut index: MovingIndex<usize> = MovingIndex::new(CELL);
-    let mut reference: BTreeMap<usize, Aabb> = BTreeMap::new();
+    const N: u64 = 100_000;
+    let mut rng = SplitMix64::new(0xC0FF_EE00_2026_0808);
+    let mut index: MovingIndex<u64> = MovingIndex::new(CELL);
+    let mut reference: BTreeMap<u64, Aabb> = BTreeMap::new();
     for key in 0..N {
         let b = hotspot_box(&mut rng);
         index.insert(key, b);
@@ -123,12 +103,12 @@ fn hundred_thousand_hotspot_entries_answer_bit_identically_to_a_full_scan() {
 
 #[test]
 fn crowded_cells_stay_equivalent_under_churn() {
-    let mut rng = Rng(0xC0DE_0000_2026_1017);
+    let mut rng = SplitMix64::new(0xC0DE_0000_2026_1017);
     for case in 0..48 {
         // Cell size much larger than the placement spread: everything shares
         // very few cells, maximizing per-cell crowding.
-        let mut index: MovingIndex<usize> = MovingIndex::new(500.0);
-        let mut reference: BTreeMap<usize, Aabb> = BTreeMap::new();
+        let mut index: MovingIndex<u64> = MovingIndex::new(500.0);
+        let mut reference: BTreeMap<u64, Aabb> = BTreeMap::new();
         let n = 1 + rng.below(400);
         for key in 0..n {
             let b = crowded_box(&mut rng);

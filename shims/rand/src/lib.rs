@@ -1,10 +1,13 @@
 //! Offline shim for `rand` 0.8.
 //!
 //! Provides the exact API surface this workspace consumes: `rngs::StdRng`,
-//! `SeedableRng::seed_from_u64`, and the `Rng` extension methods `gen`,
-//! `gen_range` (over exclusive and inclusive ranges of floats and integers)
-//! and `gen_bool`. The generator is SplitMix64 — deterministic, well mixed,
-//! and more than adequate for the simulator's synthetic maps and traces.
+//! `SeedableRng::seed_from_u64`, and the `Rng` extension methods `gen` (of
+//! `f64`), `gen_range` (over exclusive and inclusive ranges of `f64`, `u16`,
+//! `u32` and `usize`) and `gen_bool`. The generator is SplitMix64 —
+//! deterministic, well mixed, and more than adequate for the simulator's
+//! synthetic maps and traces. `StdRng::seed_from_u64(s)` is the stream of
+//! `mbdr_geo::rng::SplitMix64::new(s)` after one discarded draw; a unit test
+//! in `mbdr-geo` holds the two equal.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -34,41 +37,6 @@ impl Sample for f64 {
     }
 }
 
-impl Sample for f32 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
-impl Sample for u64 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Sample for u32 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl Sample for usize {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
-    }
-}
-
-impl Sample for bool {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 /// A scalar type `gen_range` can sample over.
 pub trait UniformSample: Copy + PartialOrd {
     /// Draws uniformly from `[lo, hi)` (`inclusive == false`) or `[lo, hi]`.
@@ -85,19 +53,6 @@ impl UniformSample for f64 {
     ) -> Self {
         assert!(lo <= hi, "gen_range: empty range");
         lo + f64::sample(rng) * (hi - lo)
-    }
-}
-
-impl UniformSample for f32 {
-    #[inline]
-    fn sample_range<R: RngCore + ?Sized>(
-        rng: &mut R,
-        lo: Self,
-        hi: Self,
-        _inclusive: bool,
-    ) -> Self {
-        assert!(lo <= hi, "gen_range: empty range");
-        lo + f32::sample(rng) * (hi - lo)
     }
 }
 
@@ -124,7 +79,7 @@ macro_rules! impl_uniform_int {
     )*};
 }
 
-impl_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_uniform_int!(u16, u32, usize);
 
 /// A range argument accepted by [`Rng::gen_range`].
 pub trait SampleRange<T> {

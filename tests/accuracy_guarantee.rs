@@ -7,12 +7,12 @@ use mbdr_core::{
     DistanceBasedReporting, LinearDeadReckoning, ProtocolConfig, ServerTracker, Sighting,
     UpdateProtocol,
 };
+use mbdr_geo::rng::for_each_seed;
 use mbdr_geo::{Point, Vec2};
 use mbdr_sim::protocols::ProtocolContext;
 use mbdr_sim::runner::{run_protocol, RunConfig};
 use mbdr_sim::ProtocolKind;
 use mbdr_trace::{Scenario, ScenarioKind};
-use proptest::prelude::*;
 
 #[test]
 fn bound_violations_are_negligible_on_all_scenarios_and_protocols() {
@@ -49,19 +49,16 @@ fn bound_violations_are_negligible_on_all_scenarios_and_protocols() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// For noiseless straight-line motion at constant speed, the server-side
-    /// error of linear dead reckoning must never exceed the requested
-    /// accuracy, and distance-based reporting must respect it too.
-    #[test]
-    fn linear_dr_guarantee_on_random_straight_motion(
-        speed in 1.0..40.0f64,
-        heading in 0.0..std::f64::consts::TAU,
-        us in 20.0..300.0f64,
-        duration in 60usize..600,
-    ) {
+/// For noiseless straight-line motion at constant speed, the server-side
+/// error of linear dead reckoning must never exceed the requested accuracy,
+/// and distance-based reporting must respect it too.
+#[test]
+fn linear_dr_guarantee_on_random_straight_motion() {
+    for_each_seed(48, |rng| {
+        let speed = rng.range(1.0, 40.0);
+        let heading = rng.range(0.0, std::f64::consts::TAU);
+        let us = rng.range(20.0, 300.0);
+        let duration = 60 + rng.below(540) as usize;
         let config = ProtocolConfig::new(us).with_sensor_uncertainty(0.0);
         let mut linear = LinearDeadReckoning::new(config, 2);
         let mut baseline = DistanceBasedReporting::new(config);
@@ -79,34 +76,36 @@ proptest! {
             }
             let linear_err = linear_server.position_at(t as f64).unwrap().distance(&position);
             let baseline_err = baseline_server.position_at(t as f64).unwrap().distance(&position);
-            prop_assert!(linear_err <= us + 1e-6, "linear error {linear_err} > u_s {us}");
-            prop_assert!(baseline_err <= us + 1e-6, "baseline error {baseline_err} > u_s {us}");
+            assert!(linear_err <= us + 1e-6, "linear error {linear_err} > u_s {us}");
+            assert!(baseline_err <= us + 1e-6, "baseline error {baseline_err} > u_s {us}");
         }
-    }
+    });
+}
 
-    /// Even for motion that keeps turning (which linear prediction cannot
-    /// follow), the deviation check at the source keeps the server error
-    /// bounded: it can exceed `u_s` only by what accumulates within a single
-    /// 1 Hz sensor interval.
-    #[test]
-    fn linear_dr_guarantee_on_turning_motion(
-        speed in 2.0..30.0f64,
-        turn_rate in -0.2..0.2f64,
-        us in 30.0..200.0f64,
-    ) {
+/// Even for motion that keeps turning (which linear prediction cannot
+/// follow), the deviation check at the source keeps the server error
+/// bounded: it can exceed `u_s` only by what accumulates within a single
+/// 1 Hz sensor interval.
+#[test]
+fn linear_dr_guarantee_on_turning_motion() {
+    for_each_seed(48, |rng| {
+        let speed = rng.range(2.0, 30.0);
+        let turn_rate = rng.range(-0.2, 0.2);
+        let us = rng.range(30.0, 200.0);
         let config = ProtocolConfig::new(us).with_sensor_uncertainty(0.0);
         let mut protocol = LinearDeadReckoning::new(config, 2);
         let mut server = ServerTracker::new(protocol.predictor());
         let mut heading = 0.0f64;
         let mut position = Point::ORIGIN;
         for t in 0..400usize {
-            if let Some(u) = protocol.on_sighting(Sighting { t: t as f64, position, accuracy: 0.0 }) {
+            if let Some(u) = protocol.on_sighting(Sighting { t: t as f64, position, accuracy: 0.0 })
+            {
                 server.apply(&u);
             }
             let err = server.position_at(t as f64).unwrap().distance(&position);
-            prop_assert!(err <= us + speed + 1e-6, "error {err} exceeds u_s {us} plus one step");
+            assert!(err <= us + speed + 1e-6, "error {err} exceeds u_s {us} plus one step");
             heading += turn_rate;
             position += Vec2::from_heading(heading) * speed;
         }
-    }
+    });
 }
