@@ -30,12 +30,11 @@
 //!
 //! Every number is seed-determined.
 
-use crate::recovery::{encoded_frames, fleet, queries_match, UPDATES_PER_FRAME};
+use crate::recovery::{encoded_frames, fleet, queries_match, ScratchDir, UPDATES_PER_FRAME};
 use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig, JournalStatsSnapshot};
 use mbdr_locserver::durable::recover_into;
 use mbdr_locserver::{recover_and_attach, DurabilityStatsSnapshot, RecoveryReport};
 use mbdr_sim::{FaultPlan, Json};
-use std::fs;
 use std::sync::Arc;
 
 /// Fdatasync batch window of the faulted ingest (strictly gated).
@@ -97,14 +96,9 @@ pub(crate) fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     let mid_probe = plan.kill_frame + plan.degraded_frames() / 2;
     let t_max = rounds as f64 * 2.0 + 20.0;
 
-    let scratch = std::env::temp_dir().join(format!(
-        "mbdr-faults-{}-{seed}-{}",
-        std::process::id(),
-        (scale * 1000.0) as u64
-    ));
-    let _ = fs::remove_dir_all(&scratch);
+    let scratch = ScratchDir::new("faults", scale, seed);
     let config = JournalConfig {
-        dir: scratch.clone(),
+        dir: scratch.path().to_path_buf(),
         segment_max_bytes: 16 * 1024, // rotation on: the repair must cope
         fsync: FsyncPolicy::PerBatch(FSYNC_BATCH),
         snapshot_every_frames: 0, // threshold snapshots off: counts stay exact
@@ -148,8 +142,6 @@ pub(crate) fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     let recovered = fleet(objects);
     let (_journal, recovery) = recover_and_attach(&recovered, config).expect("recovery succeeds");
     let bit_identical_acknowledged = u64::from(queries_match(&recovered, &twin, objects, t_max));
-
-    let _ = fs::remove_dir_all(&scratch);
 
     FaultsBench {
         objects,

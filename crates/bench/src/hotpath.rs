@@ -27,12 +27,11 @@
 //! layer by layer in `benchmark/` (`core.*`, `locserver.*`, `journal.*`).
 
 use crate::alloccount;
-use mbdr_core::{LinearPredictor, MapPredictor, ObjectState, Predictor, Update, UpdateKind};
+use crate::recovery::{fleet, ScratchDir};
+use mbdr_core::{MapPredictor, ObjectState, Predictor, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{FsyncPolicy, JournalConfig};
-use mbdr_locserver::{
-    recover_and_attach, LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig,
-};
+use mbdr_locserver::{recover_and_attach, PositionReport, QueryScratch};
 use mbdr_roadnet::{NetworkBuilder, NodeId, RoadClass, RoadNetwork};
 use mbdr_sim::Json;
 use std::hint::black_box;
@@ -136,7 +135,6 @@ fn prediction_network() -> (Arc<RoadNetwork>, ObjectState) {
 /// Runs the hot-path measurement. Deterministic for a given `(scale, seed)`.
 pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     let objects = ((128.0 * scale).round() as usize).max(32);
-    let shards = 8usize;
     let warm_rounds = POSITION_CYCLE;
     let measured_rounds = ((64.0 * scale).round() as usize).max(8);
     let total_rounds = warm_rounds + measured_rounds;
@@ -146,11 +144,7 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     // another), so baselines written with different seeds genuinely differ.
     let base = Point::new(4_000.0 + (seed % 64) as f64, 4_000.0 - (seed % 32) as f64);
 
-    let service =
-        LocationService::with_config(ServiceConfig { shards, ..ServiceConfig::default() });
-    for object in 0..objects as u64 {
-        service.register(ObjectId(object), Arc::new(LinearPredictor));
-    }
+    let service = fleet(objects);
 
     // Pre-encode every frame (warm + measured) so the measured loop touches
     // only the ingest path itself.
@@ -184,19 +178,10 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     // effectively-infinite fsync batch, so the measured loop is exactly
     // "append one pre-framed record + apply" — any allocation it performs is
     // the journal's fault and fails the strict 0 gate. ---
-    let scratch = std::env::temp_dir().join(format!(
-        "mbdr-hotpath-journal-{}-{seed}-{}",
-        std::process::id(),
-        (scale * 1000.0) as u64
-    ));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let journaled =
-        LocationService::with_config(ServiceConfig { shards, ..ServiceConfig::default() });
-    for object in 0..objects as u64 {
-        journaled.register(ObjectId(object), Arc::new(LinearPredictor));
-    }
+    let journal_dir = ScratchDir::new("hotpath-journal", scale, seed);
+    let journaled = fleet(objects);
     let journal_config = JournalConfig {
-        dir: scratch.clone(),
+        dir: journal_dir.path().to_path_buf(),
         segment_max_bytes: u64::MAX,
         fsync: FsyncPolicy::PerBatch(u32::MAX),
         snapshot_every_frames: 0,
@@ -216,7 +201,7 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
     assert_eq!(journaled_applied as u64, measured_updates, "journaled run sees the same updates");
     drop(journal);
     drop(journaled);
-    let _ = std::fs::remove_dir_all(&scratch);
+    drop(journal_dir);
 
     // --- Queries at the last reported instant (inside every index entry's
     // validity horizon, so no lazy re-grow perturbs the read path). ---
@@ -268,7 +253,7 @@ pub fn hotpath_report(scale: f64, seed: u64) -> HotpathReport {
 
     HotpathReport {
         objects,
-        shards,
+        shards: service.shard_count(),
         updates_per_frame: UPDATES_PER_FRAME,
         ingest_rounds: measured_rounds,
         queries,

@@ -79,6 +79,8 @@ pub(crate) struct RecoveryBench {
     pub corrupt_bit_identical: u64,
 }
 
+/// An 8-shard service with `objects` ids registered under the linear
+/// predictor: the fleet every journaled experiment ingests into.
 pub(crate) fn fleet(objects: usize) -> LocationService {
     let service =
         LocationService::with_config(ServiceConfig { shards: 8, ..ServiceConfig::default() });
@@ -86,6 +88,31 @@ pub(crate) fn fleet(objects: usize) -> LocationService {
         service.register(ObjectId(i), Arc::new(LinearPredictor));
     }
     service
+}
+
+/// A scratch directory under the system temp dir, named
+/// `mbdr-<kind>-<pid>-<seed>-<scale·1000>` so concurrent runs never share
+/// one. Emptied when made, removed when dropped.
+pub(crate) struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    pub(crate) fn new(kind: &str, scale: f64, seed: u64) -> ScratchDir {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir()
+            .join(format!("mbdr-{kind}-{pid}-{seed}-{}", (scale * 1000.0) as u64));
+        let _ = fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The pre-encoded frame schedule: round-robin over the fleet, positions from
@@ -183,14 +210,9 @@ pub(crate) fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     let frames = encoded_frames(objects, rounds, seed);
     let t_max = rounds as f64 * 2.0 + 20.0;
 
-    let scratch = std::env::temp_dir().join(format!(
-        "mbdr-recovery-{}-{seed}-{}",
-        std::process::id(),
-        (scale * 1000.0) as u64
-    ));
-    let _ = fs::remove_dir_all(&scratch);
-    let journal_dir = scratch.join("journaled");
-    let tear_dir = scratch.join("torn");
+    let scratch = ScratchDir::new("recovery", scale, seed);
+    let journal_dir = scratch.path().join("journaled");
+    let tear_dir = scratch.path().join("torn");
 
     // --- Phase 1: journaled ingest, then a crash (plain drop). ---
     let config = JournalConfig {
@@ -248,8 +270,6 @@ pub(crate) fn recovery_bench(scale: f64, seed: u64) -> RecoveryBench {
     let corrupt_bit_identical = u64::from(queries_match(&repaired, &twin_minus, objects, t_max));
     let expected_torn = (RECORD_HEADER_LEN + frames[frames.len() - 1].len()) as u64;
     debug_assert_eq!(tear_report.truncated_bytes, expected_torn);
-
-    let _ = fs::remove_dir_all(&scratch);
 
     RecoveryBench {
         objects,

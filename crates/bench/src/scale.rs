@@ -18,7 +18,7 @@ pub(crate) struct ScalePoint {
     pub report: ScaleReport,
     /// The most heap bytes the run held at once beyond those live when it
     /// started — the service with every object tracked and indexed, plus
-    /// the workload's own fleet and batch buffers — divided by the object
+    /// the workload's own fleet — divided by the object
     /// count. Requested sizes, not the system allocator's chunks. `None`
     /// unless the process installed the counting allocator
     /// ([`crate::alloccount`]).

@@ -279,43 +279,6 @@ impl LocationService {
         self.shard_of(object).write(|s| s.apply_update(object, update))
     }
 
-    /// Ingests a batch of updates, taking each stripe's write lock **once**
-    /// for all of the batch's updates that hash to it instead of once per
-    /// update. Updates are applied in batch order within every shard, so the
-    /// observable service state is identical to calling
-    /// [`LocationService::apply_update`] for each element in order. Returns
-    /// the number of updates applied to registered objects.
-    #[expect(clippy::indexing_slicing, reason = "`order` holds valid shard and batch indexes")]
-    pub fn apply_batch(&self, batch: &[(ObjectId, Update)]) -> usize {
-        // One allocation for the whole batch: sort (shard, batch index) pairs
-        // so each stripe's updates form a contiguous run, in batch order
-        // (unstable sort is fine — the index makes every key distinct).
-        let mut order: Vec<(usize, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, (object, _))| (self.shard_index(*object), i))
-            .collect();
-        order.sort_unstable();
-        let mut applied = 0;
-        let mut run_start = 0;
-        while run_start < order.len() {
-            let shard_index = order[run_start].0;
-            let run_end = run_start
-                + order[run_start..].iter().take_while(|&&(s, _)| s == shard_index).count();
-            applied += self.shards[shard_index].write(|s| {
-                order[run_start..run_end]
-                    .iter()
-                    .filter(|&&(_, i)| {
-                        let (object, update) = &batch[i];
-                        s.apply_update(*object, update)
-                    })
-                    .count()
-            });
-            run_start = run_end;
-        }
-        applied
-    }
-
     /// Decodes an encoded frame straight off the wire and ingests it — the
     /// receive path of the uplink protocol. Truncated or corrupted buffers
     /// report the codec's typed error instead of touching any shard.
@@ -607,8 +570,8 @@ impl LocationService {
     }
 
     /// Total write-lock acquisitions across all stripes — a cheap diagnostic
-    /// that makes lock traffic observable (batched ingest takes one per
-    /// stripe per batch; per-update ingest takes one per update).
+    /// that makes lock traffic observable (frame ingest takes one per frame;
+    /// per-update ingest takes one per update).
     pub fn write_lock_acquisitions(&self) -> u64 {
         self.shards.iter().map(|s| s.write_acquisitions()).sum()
     }
@@ -962,64 +925,15 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_matches_per_update_ingest_exactly() {
-        // Same randomized update stream into two services — one batched, one
-        // update-at-a-time — must leave bit-identical observable state.
-        let make = |objects: u64| {
-            let s = LocationService::with_config(ServiceConfig::with_shards(8));
-            for i in 0..objects {
-                s.register(ObjectId(i), Arc::new(LinearPredictor));
-            }
-            s
-        };
-        let objects = 24u64;
-        let (batched, reference) = (make(objects), make(objects));
-        let mut stream: Vec<(ObjectId, Update)> = Vec::new();
-        let mut rng = SplitMix64::new(0xBA7C_4000);
-        for step in 0..400u64 {
-            let id = ObjectId(rng.below(objects + 4)); // some ids unregistered
-            let (x, y) = (rng.below(5_000) as f64, rng.below(3_000) as f64);
-            stream.push((id, update(step % 16, (step / 8) as f64, x, y, 8.0, 1.0)));
-        }
-        let mut batch_applied = 0;
-        for chunk in stream.chunks(37) {
-            batch_applied += batched.apply_batch(chunk);
-        }
-        let mut one_applied = 0;
-        for (id, u) in &stream {
-            if reference.apply_update(*id, u) {
-                one_applied += 1;
-            }
-        }
-        assert_eq!(batch_applied, one_applied);
-        assert_eq!(batched.total_updates(), reference.total_updates());
-        assert_eq!(batched.indexed_count(), reference.indexed_count());
-        for i in 0..objects {
-            let (b, r) =
-                (batched.position_of(ObjectId(i), 60.0), reference.position_of(ObjectId(i), 60.0));
-            assert_eq!(b.map(|p| p.position), r.map(|p| p.position), "object {i}");
-        }
-        let area = Aabb::new(Point::new(-1.0, -1.0), Point::new(6_000.0, 6_000.0));
-        assert_eq!(batched.objects_in_rect(&area, 60.0), reference.objects_in_rect(&area, 60.0));
-    }
-
-    #[test]
-    fn apply_batch_takes_each_stripe_lock_once() {
+    fn apply_update_takes_one_write_lock_per_update() {
         let s = LocationService::with_config(ServiceConfig::with_shards(4));
         for i in 0..16u64 {
             s.register(ObjectId(i), Arc::new(StaticPredictor));
         }
-        let batch: Vec<(ObjectId, Update)> = (0..128u64)
-            .map(|i| (ObjectId(i % 16), update(i / 16, (i / 16) as f64, i as f64, 0.0, 0.0, 0.0)))
-            .collect();
         let before = s.write_lock_acquisitions();
-        assert_eq!(s.apply_batch(&batch), 128);
-        let batched_locks = s.write_lock_acquisitions() - before;
-        assert!(batched_locks <= 4, "one write lock per touched stripe, got {batched_locks}");
-        // The same traffic one update at a time costs one lock per update.
-        let before = s.write_lock_acquisitions();
-        for (id, u) in &batch {
-            s.apply_update(*id, u);
+        for i in 0..128u64 {
+            let u = update(i / 16, (i / 16) as f64, i as f64, 0.0, 0.0, 0.0);
+            assert!(s.apply_update(ObjectId(i % 16), &u));
         }
         assert_eq!(s.write_lock_acquisitions() - before, 128);
     }

@@ -624,8 +624,8 @@ impl ShardState {
 pub(crate) struct Shard {
     state: RwLock<ShardState>,
     /// Write-lock acquisitions so far — the observable that lets tests (and
-    /// operators) verify batched ingest takes each stripe lock once per
-    /// batch instead of once per update.
+    /// operators) verify a frame is ingested under one stripe lock instead
+    /// of one per update.
     write_acquisitions: AtomicU64,
 }
 

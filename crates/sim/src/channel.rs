@@ -8,13 +8,14 @@
 //!
 //! The channel is generic over what it carries (`WirePayload`): protocol
 //! runs ship [`Update`]s directly, while the lossy-link model
-//! ([`crate::degraded`]) ships encoded [`Frame`] bytes. Deliveries come out
+//! ([`crate::degraded`]) ships copies of encoded frame bytes tagged with
+//! their send order, so reordering is observable. Deliveries come out
 //! in *arrival-time* order — with a fixed latency that equals send order, but
 //! `MessageChannel::send_delayed` lets a caller add per-message delay
 //! (jitter), in which case later sends can overtake earlier ones exactly as
 //! on a real packet link.
 
-use mbdr_core::{Frame, Update};
+use mbdr_core::Update;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,18 +39,6 @@ pub(crate) trait WirePayload {
 impl WirePayload for Update {
     fn wire_len(&self) -> usize {
         self.encoded_len()
-    }
-}
-
-impl WirePayload for Frame {
-    fn wire_len(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-impl WirePayload for Vec<u8> {
-    fn wire_len(&self) -> usize {
-        self.len()
     }
 }
 
@@ -202,15 +191,6 @@ mod tests {
         assert_eq!(early.iter().map(|u| u.sequence).collect::<Vec<_>>(), vec![1]);
         let late = c.deliver_until(10.0);
         assert_eq!(late.iter().map(|u| u.sequence).collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn byte_payloads_are_charged_by_length() {
-        let mut c: MessageChannel<Vec<u8>> = MessageChannel::new(0.0);
-        c.send(0.0, vec![0u8; 42]);
-        c.send(0.0, vec![0u8; 10]);
-        assert_eq!(c.stats().payload_bytes, 52);
-        assert_eq!(c.deliver_until(0.0).len(), 2);
     }
 
     #[test]

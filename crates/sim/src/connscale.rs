@@ -129,14 +129,14 @@ impl ConnScaleReport {
 }
 
 /// OS threads of this process (Linux `/proc/self/task`; 0 elsewhere).
-pub(crate) fn resident_thread_count() -> usize {
+fn resident_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map(|entries| entries.count()).unwrap_or(0)
 }
 
 /// The deterministic update script of one hot connection: `frames_per_hot`
 /// frames for object `hot` walking a seeded path, sequences and timestamps
 /// strictly increasing so every update is accepted.
-pub(crate) fn hot_frames(config: &ConnScaleConfig, hot: usize) -> Vec<Frame> {
+fn hot_frames(config: &ConnScaleConfig, hot: usize) -> Vec<Frame> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ (hot as u64 + 1).wrapping_mul(0x9E37_79B9));
     let mut x = rng.gen_range(-WORLD_HALF_M..WORLD_HALF_M);
     let mut y = rng.gen_range(-WORLD_HALF_M..WORLD_HALF_M);
@@ -161,13 +161,12 @@ pub(crate) fn hot_frames(config: &ConnScaleConfig, hot: usize) -> Vec<Frame> {
 }
 
 /// The instant the rect queries are pinned to (after the last update).
-pub(crate) fn query_time(config: &ConnScaleConfig) -> f64 {
+fn query_time(config: &ConnScaleConfig) -> f64 {
     (config.frames_per_hot * config.updates_per_frame) as f64
 }
 
-/// The seeded rect-query sequence the workload issues (exposed so tests can
-/// replay the identical queries against a directly-driven service).
-pub(crate) fn query_rects(config: &ConnScaleConfig) -> Vec<Aabb> {
+/// The seeded rect-query sequence the workload issues.
+fn query_rects(config: &ConnScaleConfig) -> Vec<Aabb> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xBADC_AB1E);
     (0..config.rect_queries)
         .map(|_| {
@@ -181,7 +180,7 @@ pub(crate) fn query_rects(config: &ConnScaleConfig) -> Vec<Aabb> {
 }
 
 /// Builds the served store with one registered object per hot connection.
-pub(crate) fn build_service(config: &ConnScaleConfig) -> Arc<LocationService> {
+fn build_service(config: &ConnScaleConfig) -> Arc<LocationService> {
     let service = Arc::new(LocationService::with_config(ServiceConfig {
         shards: config.shards,
         ..ServiceConfig::default()

@@ -10,12 +10,15 @@
 
 use crate::metrics::RunMetrics;
 use crate::protocols::{ProtocolContext, ProtocolKind};
-use crate::runner::{run_protocol, RunConfig};
+use crate::runner::{run_protocol, RunConfig, RunOutcome};
+use mbdr_core::Predictor;
+use mbdr_locserver::ObjectId;
 use mbdr_roadnet::NodeId;
 use mbdr_trace::gps::GpsNoiseModel;
 use mbdr_trace::motion::{simulate_motion, MotionConfig};
 use mbdr_trace::route_plan::{plan_wandering_route, trip_from_route};
 use mbdr_trace::{DriverProfile, Fix, Scenario, ScenarioData, ScenarioKind, Trace};
+use std::sync::Arc;
 
 /// Configuration of a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,9 +60,8 @@ pub struct FleetResult {
     pub mean_updates_per_hour: f64,
 }
 
-/// Builds one object's scenario data on the shared city map (also the per-
-/// vehicle trace generator of [`crate::service_workload`]).
-pub(crate) fn object_scenario(
+/// Builds one object's scenario data on the shared city map.
+fn object_scenario(
     base: &ScenarioData,
     object_index: usize,
     fleet_seed: u64,
@@ -91,21 +93,34 @@ pub(crate) fn object_scenario(
     ScenarioData { trace, trip, ..base.clone() }
 }
 
-/// Runs the fleet simulation.
-pub fn run_fleet(config: &FleetConfig) -> FleetResult {
-    assert!(config.objects > 0, "a fleet needs at least one object");
+/// One simulated vehicle: its service id, the predictor its protocol shares
+/// with the server, what its protocol run produced, and the trace it drove.
+pub(crate) struct Vehicle {
+    pub(crate) id: ObjectId,
+    pub(crate) predictor: Arc<dyn Predictor>,
+    pub(crate) outcome: RunOutcome,
+    pub(crate) trace: Trace,
+}
+
+/// Simulates the whole fleet on one shared city map: every vehicle drives its
+/// own errand route and runs its own protocol instance over the trace, on
+/// crossbeam scoped threads. Returns the base scenario (the shared map) and
+/// the vehicles in id order. The fleet, the in-process replay
+/// ([`crate::service_workload`]) and the TCP replay ([`crate::net_workload`])
+/// all start here.
+pub(crate) fn simulate_fleet(config: &FleetConfig) -> (ScenarioData, Vec<Vehicle>) {
     // One shared city map for the whole fleet (scale only controls the unused
     // base trip; the map itself is the full default grid).
     let base = Scenario { kind: ScenarioKind::City, scale: 0.02, seed: config.seed }.build();
     let base_ctx = ProtocolContext::for_scenario(&base);
 
-    let mut results: Vec<Option<(RunMetrics, Trace)>> = Vec::new();
-    results.resize_with(config.objects, || None);
+    let mut slots: Vec<Option<Vehicle>> = Vec::new();
+    slots.resize_with(config.objects, || None);
     let workers =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(config.objects);
     let chunk = config.objects.div_ceil(workers);
     crossbeam::thread::scope(|scope| {
-        for (worker_index, out_chunk) in results.chunks_mut(chunk).enumerate() {
+        for (worker_index, out_chunk) in slots.chunks_mut(chunk).enumerate() {
             let base = &base;
             let base_ctx = &base_ctx;
             scope.spawn(move |_| {
@@ -116,20 +131,31 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
                     // Each object gets its own protocol instance but shares the
                     // map and spatial index through the context.
                     let protocol = config.protocol.build(base_ctx, config.requested_accuracy);
+                    let predictor = protocol.predictor();
                     let outcome = run_protocol(&data.trace, protocol, RunConfig::default());
-                    *slot = Some((outcome.metrics, data.trace));
+                    *slot = Some(Vehicle {
+                        id: ObjectId(object_index as u64),
+                        predictor,
+                        outcome,
+                        trace: data.trace,
+                    });
                 }
             });
         }
     })
     .expect("fleet worker panicked");
+    (base, slots.into_iter().map(|s| s.expect("every object ran")).collect())
+}
 
+/// Runs the fleet simulation.
+pub fn run_fleet(config: &FleetConfig) -> FleetResult {
+    assert!(config.objects > 0, "a fleet needs at least one object");
+    let (_, vehicles) = simulate_fleet(config);
     let mut per_object = Vec::with_capacity(config.objects);
     let mut traces = Vec::with_capacity(config.objects);
-    for r in results {
-        let (m, t) = r.expect("every object ran");
-        per_object.push(m);
-        traces.push(t);
+    for vehicle in vehicles {
+        per_object.push(vehicle.outcome.metrics);
+        traces.push(vehicle.trace);
     }
     let total_updates = per_object.iter().map(|m| m.updates).sum();
     let mean_updates_per_hour =

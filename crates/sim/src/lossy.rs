@@ -206,6 +206,23 @@ pub fn run_loss_sweep(config: &LossSweepConfig) -> LossSweepResult {
     }
 }
 
+/// Decodes every frame the link delivers by `now` and applies its updates.
+/// Returns the number of frames that failed to decode.
+fn receive(channel: &mut DegradedChannel, now: f64, server: &mut ServerTracker) -> u64 {
+    let mut decode_errors = 0;
+    for bytes in channel.deliver_until(now) {
+        match Frame::decode(&bytes) {
+            Ok(frame) => {
+                for update in &frame.updates {
+                    server.apply(update);
+                }
+            }
+            Err(_) => decode_errors += 1,
+        }
+    }
+    decode_errors
+}
+
 /// Replays one update stream through a degraded link: encode → channel →
 /// decode → apply, sampling the server deviation at every fix.
 fn replay_with_link(
@@ -232,16 +249,7 @@ fn replay_with_link(
             }
             next += 1;
         }
-        for bytes in channel.deliver_until(fix.t) {
-            match Frame::decode(&bytes) {
-                Ok(frame) => {
-                    for update in &frame.updates {
-                        server.apply(update);
-                    }
-                }
-                Err(_) => decode_errors += 1,
-            }
-        }
+        decode_errors += receive(&mut channel, fix.t, &mut server);
         if let Some(predicted) = server.position_at(fix.t) {
             deviations.push(predicted.distance(&truth.position));
         }
@@ -250,16 +258,7 @@ fn replay_with_link(
     // jitter + reorder/duplicate lag) are delivered and applied past trace
     // end, so every non-dropped frame really reaches the receiver and the
     // delivered ratio below is exact, not an in-flight overestimate.
-    for bytes in channel.deliver_until(f64::INFINITY) {
-        match Frame::decode(&bytes) {
-            Ok(frame) => {
-                for update in &frame.updates {
-                    server.apply(update);
-                }
-            }
-            Err(_) => decode_errors += 1,
-        }
-    }
+    decode_errors += receive(&mut channel, f64::INFINITY, &mut server);
     let stats = channel.stats();
     let unique_delivered = stats.frames_sent - stats.frames_dropped;
     let updates_applied = server.updates_applied();

@@ -14,8 +14,9 @@
 //!    object, so every update is accepted), and end with a
 //!    [`NetClient::flush`] barrier.
 //! 2. **Query**: `query_connections` threads each open their own connection,
-//!    subscribe two zones, and issue a seeded mix of rect / nearest / zone
-//!    polls at the fixed query time `t = virtual_duration`.
+//!    subscribe two zones, and issue a balanced rect / nearest / zone mix
+//!    at the fixed query time `t = virtual_duration` — the seeded query
+//!    stream of [`crate::service_workload`], drawn the same way.
 //!
 //! Because the query phase starts only after every producer flushed and
 //! always queries the same instant, the *result counts* (objects returned,
@@ -23,15 +24,12 @@
 //! the `BENCH_net.json` gate hold them. The time each layer costs is measured
 //! by `benchmark/`'s `tcp_fleet` workload, not here.
 
+use crate::fleet::FleetConfig;
 use crate::protocols::ProtocolKind;
 use crate::report::Json;
-use crate::service_workload::build_scripts;
+use crate::service_workload::{Query, QueryMix, QueryStream, Replay};
 use mbdr_core::Frame;
-use mbdr_geo::{Aabb, Point};
-use mbdr_locserver::{LocationService, ServiceConfig};
 use mbdr_net::{NetClient, NetServer, ServerConfig, ServerStatsSnapshot};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -201,28 +199,18 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     assert!(config.producer_connections > 0, "workload needs at least one producer connection");
     assert!(config.query_connections > 0, "workload needs at least one query connection");
     assert!(config.frame_batch > 0, "frames must carry at least one update");
-    let (base, scripts) = build_scripts(
-        config.objects,
-        config.trip_length_m,
-        config.requested_accuracy,
-        config.protocol,
-        config.seed,
-    );
-    let service = Arc::new(LocationService::with_config(ServiceConfig {
-        shards: config.shards,
-        slack_m: config.requested_accuracy,
-        ..ServiceConfig::default()
-    }));
-    for script in &scripts {
-        service.register(script.id, Arc::clone(&script.predictor));
-    }
-    let updates_sent: u64 = scripts.iter().map(|s| s.updates.len() as u64).sum();
-    let virtual_duration = scripts.iter().map(|s| s.trace.duration()).fold(0.0, f64::max).max(1.0);
-    let map_bounds =
-        base.network.bounding_box().unwrap_or_else(|| Aabb::around(Point::ORIGIN, 1_000.0));
+    let fleet = FleetConfig {
+        objects: config.objects,
+        trip_length_m: config.trip_length_m,
+        requested_accuracy: config.requested_accuracy,
+        protocol: config.protocol,
+        seed: config.seed,
+    };
+    let replay = Replay::new(&fleet, config.shards);
+    let vehicles = &replay.vehicles;
 
     let server = NetServer::bind(
-        Arc::clone(&service),
+        Arc::clone(&replay.service),
         "127.0.0.1:0",
         ServerConfig { ingest_workers: config.ingest_workers, ..ServerConfig::default() },
     )
@@ -234,13 +222,12 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for p in 0..config.producer_connections {
-            let scripts = &scripts;
             handles.push(scope.spawn(move |_| {
                 let mut client = NetClient::connect(addr).expect("producer connects");
                 let mut frames = 0u64;
-                for script in scripts.iter().skip(p).step_by(config.producer_connections) {
-                    for chunk in script.updates.chunks(config.frame_batch) {
-                        let frame = Frame { source: script.id.0, updates: chunk.to_vec() };
+                for vehicle in vehicles.iter().skip(p).step_by(config.producer_connections) {
+                    for chunk in vehicle.outcome.updates.chunks(config.frame_batch) {
+                        let frame = Frame { source: vehicle.id.0, updates: chunk.to_vec() };
                         client.send_frame(&frame).expect("producer sends");
                         frames += 1;
                     }
@@ -260,53 +247,40 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     let updates_applied: u64 = ingest_results.iter().map(|r| r.1).sum();
 
     // Phase 2: concurrent query connections at the fixed post-ingest instant.
-    let t_q = virtual_duration;
+    let t_q = replay.virtual_duration;
+    let [sw, ne] = replay.zones();
     let mut query_results: Vec<QueryTally> = Vec::new();
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for q in 0..config.query_connections {
             handles.push(scope.spawn(move |_| {
                 let mut client = NetClient::connect(addr).expect("query connection connects");
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ (q as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F),
-                );
-                let center = map_bounds.center();
-                client
-                    .subscribe_zone(0, &Aabb::new(map_bounds.min, center))
-                    .expect("subscribe sw zone");
-                client
-                    .subscribe_zone(1, &Aabb::new(center, map_bounds.max))
-                    .expect("subscribe ne zone");
-                let span_x = map_bounds.max.x - map_bounds.min.x;
-                let span_y = map_bounds.max.y - map_bounds.min.y;
+                let mut queries =
+                    QueryStream::new(config.seed, q, replay.map_bounds, QueryMix::BALANCED);
+                client.subscribe_zone(0, &sw).expect("subscribe sw zone");
+                client.subscribe_zone(1, &ne).expect("subscribe ne zone");
                 let mut tally = QueryTally::default();
                 // One reusable record buffer per connection: the rect and
                 // nearest answers decode into it without allocating per
                 // response (the server side reuses its buffers too).
                 let mut records = Vec::new();
                 for _ in 0..config.queries_per_connection {
-                    let p = Point::new(
-                        map_bounds.min.x + rng.gen_range(0.0..1.0) * span_x,
-                        map_bounds.min.y + rng.gen_range(0.0..1.0) * span_y,
-                    );
-                    match rng.gen_range(0u32..3) {
-                        0 => {
-                            let area = Aabb::around(p, rng.gen_range(100.0..1_200.0));
+                    match queries.next_query() {
+                        Query::Rect(area) => {
                             tally.rect += 1;
                             client
                                 .objects_in_rect_into(&area, t_q, &mut records)
                                 .expect("rect query");
                             tally.rect_results += records.len() as u64;
                         }
-                        1 => {
-                            let k = rng.gen_range(1u16..8);
+                        Query::Nearest(p, k) => {
                             tally.nearest += 1;
                             client
-                                .nearest_objects_into(&p, t_q, k, &mut records)
+                                .nearest_objects_into(&p, t_q, k as u16, &mut records)
                                 .expect("nearest query");
                             tally.nearest_results += records.len() as u64;
                         }
-                        _ => {
+                        Query::Zone => {
                             tally.zone += 1;
                             tally.zone_events +=
                                 client.poll_zones(t_q).expect("zone poll").len() as u64;
@@ -335,8 +309,8 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
         producer_connections: config.producer_connections,
         query_connections: config.query_connections,
         frame_batch: config.frame_batch,
-        virtual_duration_s: virtual_duration,
-        updates_sent,
+        virtual_duration_s: replay.virtual_duration,
+        updates_sent: replay.updates_sent(),
         frames_sent,
         updates_applied,
         queries_issued,

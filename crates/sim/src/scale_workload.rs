@@ -212,19 +212,15 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
         service.register(ObjectId(id), Arc::clone(&predictor));
     }
 
-    // --- Ingest: placement round + update rounds, batched per round.
+    // --- Ingest: placement round + update rounds, one update per object.
     let mut updates_applied = 0u64;
-    let mut batch: Vec<(ObjectId, Update)> = Vec::with_capacity(config.objects);
     for round in 0..=config.update_rounds {
         let t = round as f64 * config.round_interval_s;
-        batch.clear();
-        batch.extend(
-            fleet
-                .iter()
-                .enumerate()
-                .map(|(id, m)| (ObjectId(id as u64), m.update(round as u64, t))),
-        );
-        updates_applied += service.apply_batch(&batch) as u64;
+        for (id, m) in fleet.iter().enumerate() {
+            if service.apply_update(ObjectId(id as u64), &m.update(round as u64, t)) {
+                updates_applied += 1;
+            }
+        }
     }
     // Exhaustive, no `..`: a new index statistic that is not reported is a
     // compile error.

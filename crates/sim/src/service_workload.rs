@@ -27,14 +27,12 @@
 //! interleaving. The accuracy samples depend on that interleaving, so only
 //! the report's counts go into its JSON; they are exact.
 
-use crate::fleet::object_scenario;
-use crate::protocols::{ProtocolContext, ProtocolKind};
+use crate::fleet::{simulate_fleet, FleetConfig, Vehicle};
+use crate::protocols::ProtocolKind;
 use crate::report::Json;
-use crate::runner::{run_protocol, RunConfig};
-use mbdr_core::{Predictor, Update};
+use mbdr_core::Update;
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{LocationService, ObjectId, ServiceConfig, ZoneWatcher};
-use mbdr_trace::{Scenario, ScenarioData, ScenarioKind, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,11 +88,6 @@ pub struct WorkloadConfig {
     pub requested_accuracy: f64,
     /// Update protocol every vehicle runs.
     pub protocol: ProtocolKind,
-    /// When set, each producer ingests a whole virtual-time round of updates
-    /// through [`LocationService::apply_batch`] — one write-lock acquisition
-    /// per touched stripe per round — instead of one `apply_update` (and one
-    /// lock) per update. Observable state is identical either way.
-    pub batched_ingest: bool,
     /// Random seed.
     pub seed: u64,
 }
@@ -111,7 +104,6 @@ impl Default for WorkloadConfig {
             trip_length_m: 1_500.0,
             requested_accuracy: 100.0,
             protocol: ProtocolKind::MapBased,
-            batched_ingest: false,
             seed: 0x5EAF00D,
         }
     }
@@ -147,8 +139,6 @@ pub struct WorkloadReport {
     pub query_threads: usize,
     /// Query mix label.
     pub query_mix: String,
-    /// Whether producers ingested via per-round `apply_batch` calls.
-    pub batched_ingest: bool,
     /// Virtual (simulated) duration replayed, seconds.
     pub virtual_duration_s: f64,
     /// Updates generated by the protocols (phase 1).
@@ -179,7 +169,6 @@ impl WorkloadReport {
             ("producers", Json::exact(self.producers as f64)),
             ("query_threads", Json::exact(self.query_threads as f64)),
             ("query_mix", Json::str(&*self.query_mix)),
-            ("batched_ingest", Json::Bool(self.batched_ingest)),
             ("virtual_duration_s", Json::exact(self.virtual_duration_s).fixed(1)),
             ("updates_sent", Json::exact(self.updates_sent as f64)),
             ("updates_applied", Json::exact(self.updates_applied as f64)),
@@ -191,53 +180,95 @@ impl WorkloadReport {
     }
 }
 
-/// One vehicle's pre-generated replay script (also fed to the TCP workload
-/// in [`crate::net_workload`]).
-pub(crate) struct ObjectScript {
-    pub(crate) id: ObjectId,
-    pub(crate) predictor: Arc<dyn Predictor>,
-    pub(crate) updates: Vec<Update>,
-    pub(crate) trace: Trace,
+/// What both replay drivers (this one and [`crate::net_workload`]) start
+/// from: the simulated fleet, a service of `shards` stripes with every
+/// vehicle registered under its protocol's predictor, the virtual duration
+/// to replay and the shared map's bounds.
+pub(crate) struct Replay {
+    pub(crate) vehicles: Vec<Vehicle>,
+    pub(crate) service: Arc<LocationService>,
+    pub(crate) virtual_duration: f64,
+    pub(crate) map_bounds: Aabb,
 }
 
-/// Phase 1: simulate every vehicle and run its protocol offline, capturing
-/// the update stream the replay will ingest.
-pub(crate) fn build_scripts(
-    objects: usize,
-    trip_length_m: f64,
-    requested_accuracy: f64,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (ScenarioData, Vec<ObjectScript>) {
-    let base = Scenario { kind: ScenarioKind::City, scale: 0.02, seed }.build();
-    let base_ctx = ProtocolContext::for_scenario(&base);
-    let mut slots: Vec<Option<ObjectScript>> = Vec::new();
-    slots.resize_with(objects, || None);
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(objects);
-    let chunk = objects.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
-        for (worker_index, out_chunk) in slots.chunks_mut(chunk).enumerate() {
-            let base = &base;
-            let base_ctx = &base_ctx;
-            scope.spawn(move |_| {
-                for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    let object_index = worker_index * chunk + offset;
-                    let data = object_scenario(base, object_index, seed, trip_length_m);
-                    let protocol = protocol.build(base_ctx, requested_accuracy);
-                    let predictor = protocol.predictor();
-                    let outcome = run_protocol(&data.trace, protocol, RunConfig::default());
-                    *slot = Some(ObjectScript {
-                        id: ObjectId(object_index as u64),
-                        predictor,
-                        updates: outcome.updates,
-                        trace: data.trace,
-                    });
-                }
-            });
+impl Replay {
+    /// Phase 1: simulates the fleet and runs every vehicle's protocol
+    /// offline, then registers the fleet with a fresh service.
+    pub(crate) fn new(fleet: &FleetConfig, shards: usize) -> Replay {
+        let (base, vehicles) = simulate_fleet(fleet);
+        let service = Arc::new(LocationService::with_config(ServiceConfig {
+            shards,
+            slack_m: fleet.requested_accuracy,
+            ..ServiceConfig::default()
+        }));
+        for vehicle in &vehicles {
+            service.register(vehicle.id, Arc::clone(&vehicle.predictor));
         }
-    })
-    .expect("script builder panicked");
-    (base, slots.into_iter().map(|s| s.expect("every object built")).collect())
+        let virtual_duration =
+            vehicles.iter().map(|v| v.trace.duration()).fold(0.0, f64::max).max(1.0);
+        let map_bounds =
+            base.network.bounding_box().unwrap_or_else(|| Aabb::around(Point::ORIGIN, 1_000.0));
+        Replay { vehicles, service, virtual_duration, map_bounds }
+    }
+
+    /// Updates the protocols generated, fleet-wide.
+    pub(crate) fn updates_sent(&self) -> u64 {
+        self.vehicles.iter().map(|v| v.outcome.updates.len() as u64).sum()
+    }
+
+    /// The two watched zones: the map's south-west and north-east quarters.
+    pub(crate) fn zones(&self) -> [Aabb; 2] {
+        let center = self.map_bounds.center();
+        [Aabb::new(self.map_bounds.min, center), Aabb::new(center, self.map_bounds.max)]
+    }
+}
+
+/// One motivating query.
+pub(crate) enum Query {
+    /// Everything inside the rectangle.
+    Rect(Aabb),
+    /// The `k` nearest objects to the point.
+    Nearest(Point, usize),
+    /// One evaluation of the watched zones.
+    Zone,
+}
+
+/// The seeded query stream of one query thread or connection. Both replay
+/// drivers draw from it, so for the same seed they issue the same queries.
+pub(crate) struct QueryStream {
+    /// The stream's generator; the in-process driver draws its accuracy
+    /// sample from it after each query.
+    pub(crate) rng: StdRng,
+    bounds: Aabb,
+    mix: QueryMix,
+}
+
+impl QueryStream {
+    /// The stream of query thread (or connection) `index`.
+    pub(crate) fn new(seed: u64, index: usize, bounds: Aabb, mix: QueryMix) -> QueryStream {
+        let rng =
+            StdRng::seed_from_u64(seed ^ (index as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F));
+        QueryStream { rng, bounds, mix }
+    }
+
+    /// Draws the next query: a point uniform in the map bounds, a kind by the
+    /// mix's weights, then the rect's half-width (100 to 1 200 m) or `k`
+    /// (1 to 7). A zone query draws the point too.
+    pub(crate) fn next_query(&mut self) -> Query {
+        let (min, max) = (self.bounds.min, self.bounds.max);
+        let p = Point::new(
+            min.x + self.rng.gen_range(0.0..1.0) * (max.x - min.x),
+            min.y + self.rng.gen_range(0.0..1.0) * (max.y - min.y),
+        );
+        let draw = self.rng.gen_range(0..self.mix.total());
+        if draw < self.mix.rect {
+            Query::Rect(Aabb::around(p, self.rng.gen_range(100.0..1_200.0)))
+        } else if draw < self.mix.rect + self.mix.nearest {
+            Query::Nearest(p, self.rng.gen_range(1usize..8))
+        } else {
+            Query::Zone
+        }
+    }
 }
 
 /// Waits (yielding) until every frontier has reached `round`.
@@ -271,33 +302,24 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
     assert!(config.objects > 0, "workload needs at least one object");
     assert!(config.producers > 0, "workload needs at least one producer");
     assert!(config.query_threads > 0, "workload needs at least one query thread");
-    let (base, scripts) = build_scripts(
-        config.objects,
-        config.trip_length_m,
-        config.requested_accuracy,
-        config.protocol,
-        config.seed,
-    );
-
-    let service = LocationService::with_config(ServiceConfig {
-        shards: config.shards,
-        slack_m: config.requested_accuracy,
-        ..ServiceConfig::default()
-    });
-    for script in &scripts {
-        service.register(script.id, Arc::clone(&script.predictor));
-    }
-
-    let updates_sent: u64 = scripts.iter().map(|s| s.updates.len() as u64).sum();
-    let virtual_duration = scripts.iter().map(|s| s.trace.duration()).fold(0.0, f64::max).max(1.0);
+    let fleet = FleetConfig {
+        objects: config.objects,
+        trip_length_m: config.trip_length_m,
+        requested_accuracy: config.requested_accuracy,
+        protocol: config.protocol,
+        seed: config.seed,
+    };
+    let replay = Replay::new(&fleet, config.shards);
+    let Replay { vehicles, service, map_bounds, .. } = &replay;
+    let virtual_duration = replay.virtual_duration;
     let rounds = virtual_duration.ceil() as u64 + 1;
 
     // Partition the fleet round-robin over producers and pre-merge each
     // partition's updates by timestamp so replay is a single pass.
     let mut partitions: Vec<Vec<(ObjectId, &Update)>> = vec![Vec::new(); config.producers];
-    for (i, script) in scripts.iter().enumerate() {
+    for (i, vehicle) in vehicles.iter().enumerate() {
         let part = &mut partitions[i % config.producers];
-        part.extend(script.updates.iter().map(|u| (script.id, u)));
+        part.extend(vehicle.outcome.updates.iter().map(|u| (vehicle.id, u)));
     }
     for part in &mut partitions {
         part.sort_by(|a, b| {
@@ -310,22 +332,20 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
     }
 
     let frontiers: Vec<AtomicU64> = (0..config.producers).map(|_| AtomicU64::new(0)).collect();
-    let map_bounds =
-        base.network.bounding_box().unwrap_or_else(|| Aabb::around(Point::ORIGIN, 1_000.0));
     // Skew bound for an *accepted* accuracy sample (frontier unchanged at
     // `m` across the sample): a producer only works round `r` once every
     // frontier reached `r`, so any state applied before the sample has
     // `r ≤ m` and a timestamp below `m + 1` — at most 1.5 virtual seconds
     // past the query time `m − ½`. The bound uses 2.5 s for margin; 10 m of
     // slack absorbs truth interpolation.
-    let v_max = scripts
+    let v_max = vehicles
         .iter()
-        .flat_map(|s| s.trace.ground_truth.iter())
+        .flat_map(|v| v.trace.ground_truth.iter())
         .map(|g| g.speed)
         .fold(0.0, f64::max);
-    let u_p = scripts
+    let u_p = vehicles
         .iter()
-        .filter_map(|s| s.trace.fixes.first())
+        .filter_map(|v| v.trace.fixes.first())
         .map(|f| f.accuracy)
         .fold(0.0, f64::max);
     let accuracy_bound = config.requested_accuracy + u_p + v_max * 2.5 + 10.0;
@@ -336,27 +356,18 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
         let mut producer_handles = Vec::new();
         for (p, part) in partitions.iter().enumerate() {
             let frontiers = &frontiers;
-            let service = &service;
             producer_handles.push(scope.spawn(move |_| {
                 let mut pos = 0usize;
                 let mut applied = 0u64;
-                let mut batch: Vec<(ObjectId, Update)> = Vec::new();
                 for r in 0..rounds {
                     let limit = (r + 1) as f64;
-                    let round_start = pos;
-                    while pos < part.len() && part[pos].1.state.timestamp < limit {
-                        pos += 1;
-                    }
-                    if config.batched_ingest {
-                        batch.clear();
-                        batch.extend(part[round_start..pos].iter().map(|(id, u)| (*id, **u)));
-                        applied += service.apply_batch(&batch) as u64;
-                    } else {
-                        for &(id, update) in &part[round_start..pos] {
-                            if service.apply_update(id, update) {
-                                applied += 1;
-                            }
+                    while let Some(&(id, update)) =
+                        part.get(pos).filter(|(_, u)| u.state.timestamp < limit)
+                    {
+                        if service.apply_update(id, update) {
+                            applied += 1;
                         }
+                        pos += 1;
                     }
                     frontiers[p].store(r + 1, Ordering::Release);
                     wait_for_round(frontiers, r + 1);
@@ -366,22 +377,15 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
         }
 
         let mut query_handles = Vec::new();
+        let [sw, ne] = replay.zones();
         for q in 0..config.query_threads {
             let frontiers = &frontiers;
-            let service = &service;
-            let scripts = &scripts;
             query_handles.push(scope.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ (q as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F),
-                );
+                let mut queries = QueryStream::new(config.seed, q, *map_bounds, config.query_mix);
                 let mut tally = QueryTally::default();
                 let mut watcher = ZoneWatcher::new();
-                let center = map_bounds.center();
-                watcher.add_zone("sw", Aabb::new(map_bounds.min, center));
-                watcher.add_zone("ne", Aabb::new(center, map_bounds.max));
-                let span_x = map_bounds.max.x - map_bounds.min.x;
-                let span_y = map_bounds.max.y - map_bounds.min.y;
-                let weights = config.query_mix;
+                watcher.add_zone("sw", sw);
+                watcher.add_zone("ne", ne);
                 for _ in 0..config.queries_per_thread {
                     // Wait for the first completed round, then query just
                     // behind the slowest producer.
@@ -391,35 +395,32 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
                         m = min_frontier(frontiers);
                     }
                     let t_q = (m as f64 - 0.5).min(virtual_duration);
-                    let p = Point::new(
-                        map_bounds.min.x + rng.gen_range(0.0..1.0) * span_x,
-                        map_bounds.min.y + rng.gen_range(0.0..1.0) * span_y,
-                    );
                     // The answers' sizes depend on how far the producers
                     // got, so only the queries themselves are counted.
-                    let draw = rng.gen_range(0..weights.total());
-                    if draw < weights.rect {
-                        let area = Aabb::around(p, rng.gen_range(100.0..1_200.0));
-                        tally.rect += 1;
-                        service.objects_in_rect(&area, t_q);
-                    } else if draw < weights.rect + weights.nearest {
-                        let k = rng.gen_range(1usize..8);
-                        tally.nearest += 1;
-                        service.nearest_objects(&p, t_q, k);
-                    } else {
-                        tally.zone += 1;
-                        watcher.evaluate(service, t_q);
+                    match queries.next_query() {
+                        Query::Rect(area) => {
+                            tally.rect += 1;
+                            service.objects_in_rect(&area, t_q);
+                        }
+                        Query::Nearest(p, k) => {
+                            tally.nearest += 1;
+                            service.nearest_objects(&p, t_q, k);
+                        }
+                        Query::Zone => {
+                            tally.zone += 1;
+                            watcher.evaluate(service, t_q);
+                        }
                     }
                     // Accuracy sample: what the service answers for one random
                     // vehicle vs. where that vehicle truly is at t_q. Only
                     // counted if the frontier did not advance while sampling —
                     // otherwise producers may have applied states arbitrarily
                     // far past t_q and the 2.5 s skew bound would not apply.
-                    let script = &scripts[rng.gen_range(0usize..scripts.len())];
-                    if t_q <= script.trace.duration() {
+                    let vehicle = &vehicles[queries.rng.gen_range(0usize..vehicles.len())];
+                    if t_q <= vehicle.trace.duration() {
                         if let (Some(report), Some(truth)) = (
-                            service.position_of(script.id, t_q),
-                            script.trace.true_position_at(t_q),
+                            service.position_of(vehicle.id, t_q),
+                            vehicle.trace.true_position_at(t_q),
                         ) {
                             if min_frontier(frontiers) == m {
                                 let error = report.position.distance(&truth);
@@ -466,9 +467,8 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
         producers: config.producers,
         query_threads: config.query_threads,
         query_mix: config.query_mix.label(),
-        batched_ingest: config.batched_ingest,
         virtual_duration_s: virtual_duration,
-        updates_sent,
+        updates_sent: replay.updates_sent(),
         updates_applied,
         queries_issued,
         rect_queries: query_results.iter().map(|t| t.rect).sum(),
@@ -537,36 +537,6 @@ mod tests {
         // What the racing query threads saw is not seed-determined: it stays
         // out of the document.
         assert_eq!(tree.get("accuracy"), None);
-    }
-
-    #[test]
-    fn batched_ingest_applies_the_same_updates() {
-        let base = WorkloadConfig {
-            objects: 24,
-            shards: 8,
-            producers: 3,
-            query_threads: 2,
-            queries_per_thread: 30,
-            trip_length_m: 400.0,
-            ..WorkloadConfig::default()
-        };
-        let batched = run_service_workload(&WorkloadConfig { batched_ingest: true, ..base });
-        let per_update = run_service_workload(&base);
-        // Same scripts (same seed) either way: every generated update is
-        // accepted by both ingest modes.
-        assert!(batched.batched_ingest);
-        assert_eq!(batched.updates_sent, per_update.updates_sent);
-        assert_eq!(batched.updates_applied, batched.updates_sent);
-        assert_eq!(per_update.updates_applied, per_update.updates_sent);
-        assert_eq!(batched.to_json().get("batched_ingest"), Some(&Json::Bool(true)));
-        // The accuracy bound holds under batched ingest too.
-        assert!(
-            batched.accuracy.within_bound as f64 >= batched.accuracy.samples as f64 * 0.95,
-            "{}/{} samples within {:.0} m",
-            batched.accuracy.within_bound,
-            batched.accuracy.samples,
-            batched.accuracy.bound_m
-        );
     }
 
     #[test]
