@@ -64,8 +64,9 @@ pub(crate) struct RecoveryBench {
     /// `snapshots` fires exactly on cadence.
     pub journal: JournalStatsSnapshot,
     /// What phase 2's recovery rebuilt. Gates: every object restored,
-    /// `truncated_bytes` 0 (the files were intact); `replayed_updates` still
-    /// counts the snapshot-covered updates the trackers silently reject.
+    /// `truncated_bytes` 0 (the files were intact); `replayed_frames`
+    /// includes the `covered_frames` below the snapshot's floor, which are
+    /// never decoded, so `replayed_updates` counts only the frames above it.
     pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with exactly
     /// the twin's bits (gate: 1).
@@ -300,6 +301,7 @@ pub(crate) fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> 
             ("snapshots", Json::exact(r.journal.snapshots as f64)),
             ("snapshot_frames", Json::exact(r.recovery.snapshot_frames as f64)),
             ("replayed_frames", Json::exact(r.recovery.replayed_frames as f64)),
+            ("covered_frames", Json::exact(r.recovery.covered_frames as f64)),
             ("replayed_updates", Json::exact(r.recovery.replayed_updates as f64)),
             ("restored_objects", Json::exact(r.recovery.restored_objects as f64)),
             ("truncated_bytes", Json::exact(r.recovery.truncated_bytes as f64)),
@@ -327,6 +329,8 @@ mod tests {
         assert!(r.torn_recovery.truncated_bytes > 0);
         assert!(r.journal.snapshots >= 1, "cadence must fire at this scale: {r:?}");
         assert!(r.recovery.snapshot_frames > 0);
+        let uncovered = r.recovery.replayed_frames - r.recovery.covered_frames;
+        assert_eq!(r.recovery.replayed_updates, uncovered * r.updates_per_frame as u64);
         let tree = render_recovery_json(0.25, 42, &r);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-recovery/1")));
         assert_eq!(tree.get("bit_identical"), Some(&Json::exact(1.0)));

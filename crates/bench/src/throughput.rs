@@ -9,7 +9,9 @@ use mbdr_sim::{run_service_workload, Json, QueryMix, WorkloadConfig, WorkloadRep
 /// The workload grid at the given scale — every combination of fleet size,
 /// shard count and query mix. `scale` shrinks fleet size, trip length and
 /// query counts together, so `--scale 0.02` is a seconds-long smoke run
-/// while `--scale 1.0` is the full grid.
+/// while `--scale 1.0` is the full grid. A fleet never shrinks below an
+/// eighth of its full size, so the two sizes stay distinct at every scale
+/// (8 and 24 objects at the smallest) and the fleet-size axis is gated.
 pub(crate) fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
     let objects_axis = [64usize, 192];
     let shards_axis = [1usize, 16];
@@ -19,7 +21,7 @@ pub(crate) fn throughput_grid(scale: f64, seed: u64) -> Vec<WorkloadReport> {
         for &shards in &shards_axis {
             for &query_mix in &mix_axis {
                 let config = WorkloadConfig {
-                    objects: ((objects_base as f64 * scale).round() as usize).max(8),
+                    objects: ((objects_base as f64 * scale).round() as usize).max(objects_base / 8),
                     shards,
                     producers: 4,
                     query_threads: 4,
@@ -49,9 +51,9 @@ mod tests {
 
     #[test]
     fn smoke_grid_produces_json_with_throughput_fields() {
-        // At 0.02 both fleet sizes round up to the 8-object floor; at 0.05
-        // they are 8 and 10, so every grid point is a distinct shape.
-        let reports = throughput_grid(0.05, 7);
+        // At the CI scale both fleet sizes sit on their floors, 8 and 24
+        // objects, so every grid point is still a distinct shape.
+        let reports = throughput_grid(0.02, 7);
         let points: std::collections::BTreeSet<_> =
             reports.iter().map(|r| (r.objects, r.shards, r.query_mix.as_str())).collect();
         assert_eq!(points.len(), 8, "2 fleet sizes x 2 shard counts x 2 mixes, all distinct");
@@ -60,7 +62,7 @@ mod tests {
             assert_eq!(r.updates_applied, r.updates_sent);
             assert_eq!(r.rect_queries + r.nearest_queries + r.zone_queries, r.queries_issued);
         }
-        let tree = render_throughput_json(0.05, 7, &reports);
+        let tree = render_throughput_json(0.02, 7, &reports);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-throughput/1")));
         let Some(Json::Arr(points)) = tree.get("points") else { panic!("points array") };
         assert_eq!(points.len(), reports.len());

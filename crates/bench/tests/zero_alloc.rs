@@ -6,6 +6,7 @@
 //! Beyond `hotpath_report`'s measured loops, the test drives the source-side
 //! protocols (and so `MotionEstimator::record`), the update and query
 //! codecs, the blocking transport's reader, `MovingIndex::query_keys_into`,
+//! the fill half of a planned bulk index build,
 //! ingest whose index boxes cross a position-run size class on every move,
 //! rect queries whose answers are large enough for the radix sort, and the
 //! intersection policies that walk a junction's outgoing links through a
@@ -163,6 +164,28 @@ fn assert_index_key_queries_do_not_allocate() {
     assert!(!keys.is_empty());
 }
 
+/// [`mbdr_spatial::BulkPlan::fill`], the half of a bulk index build that
+/// crash recovery runs on helper threads, writes only into the buffers its
+/// plan allocated — for a dense entry set (cells counted over their
+/// rectangle) and a sparse one (registrations sorted by cell).
+fn assert_planned_bulk_fills_do_not_allocate() {
+    for (what, spacing) in [("dense", 30.0), ("sparse", 5_000.0)] {
+        let items: Vec<(u32, Aabb)> = (0..512u32)
+            .map(|key| {
+                let center =
+                    Point::new(f64::from(key % 32) * spacing, f64::from(key / 32) * spacing);
+                (key, Aabb::around(center, 80.0))
+            })
+            .collect();
+        let plan = MovingIndex::plan_bulk(100.0, items.iter().copied());
+        let before = allocations();
+        let index = plan.fill();
+        assert_eq!(allocations() - before, 0, "{what}: BulkPlan::fill must not allocate");
+        assert_eq!(index.len(), items.len());
+        assert!(index.occupied_cells() > 0, "{what}");
+    }
+}
+
 /// Ingest whose moves change the size class of the entry's position run:
 /// each object flips between parked (a 200 m box inside one 250 m cell, a
 /// run of class 0) and 10 m/s (an 800 m box over 5 × 5 cells, class 3).
@@ -302,6 +325,7 @@ fn steady_state_ingest_and_queries_do_not_allocate() {
     assert_codecs_do_not_allocate();
     assert_transport_reads_do_not_allocate();
     assert_index_key_queries_do_not_allocate();
+    assert_planned_bulk_fills_do_not_allocate();
     assert_class_crossing_moves_do_not_allocate();
     assert_large_rect_answers_do_not_allocate();
     assert_policy_predictions_do_not_allocate();

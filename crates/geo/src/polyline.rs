@@ -165,7 +165,17 @@ impl Polyline {
     }
 
     /// Projects `p` onto the polyline, returning the globally closest point
-    /// over all segments.
+    /// over all segments: the first segment, in order, whose
+    /// [`Segment::project`] distance is strictly the smallest, with exactly
+    /// the point, distance and arc length that projection gives.
+    ///
+    /// Per segment it divides only when the foot of the perpendicular falls
+    /// inside the segment (`0 ≤ (p − a)·d ≤ |d|²`; outside, the clamped
+    /// parameter is 0 or 1 without it) and compares squared distances,
+    /// taking the square root only on a strict squared improvement: `sqrt`
+    /// is monotone and correctly rounded, so a segment skipped there could
+    /// never have won the `<` test on distances. The arc length is computed
+    /// once, for the winner.
     pub fn project(&self, p: &Point) -> PolyProjection {
         let mut best = PolyProjection {
             point: self.first(),
@@ -173,16 +183,34 @@ impl Polyline {
             arc_length: 0.0,
             segment_index: 0,
         };
+        let (mut best_squared, mut best_t) = (f64::INFINITY, None);
         for (i, seg) in self.segments().enumerate() {
-            let proj = seg.project(p);
-            if proj.distance < best.distance {
-                best = PolyProjection {
-                    point: proj.point,
-                    distance: proj.distance,
-                    arc_length: self.cumulative[i] + proj.t * seg.length(),
-                    segment_index: i,
-                };
+            let d = seg.direction();
+            let len2 = d.norm_squared();
+            let along = (*p - seg.a).dot(&d);
+            let t = if len2 <= f64::EPSILON || along < 0.0 {
+                0.0
+            } else if along > len2 {
+                1.0
+            } else {
+                along / len2
+            };
+            let point = seg.a.lerp(&seg.b, t);
+            let squared = p.distance_squared(&point);
+            if squared < best_squared {
+                let distance = squared.sqrt();
+                if distance < best.distance {
+                    best_squared = squared;
+                    best_t = Some(t);
+                    best.point = point;
+                    best.distance = distance;
+                    best.segment_index = i;
+                }
             }
+        }
+        if let Some(t) = best_t {
+            let i = best.segment_index;
+            best.arc_length = self.cumulative[i] + t * self.segment(i).length();
         }
         best
     }
@@ -274,6 +302,108 @@ mod tests {
         assert!(approx_eq(proj.point.x, 10.0));
         assert!(approx_eq(proj.point.y, 0.0));
         assert!(approx_eq(proj.arc_length, 10.0));
+    }
+
+    /// The projection as a full scan of [`Segment::project`] computes it,
+    /// every segment's square root and arc length included.
+    fn project_by_full_scan(line: &Polyline, p: &Point) -> PolyProjection {
+        let mut best = PolyProjection {
+            point: line.first(),
+            distance: f64::INFINITY,
+            arc_length: 0.0,
+            segment_index: 0,
+        };
+        for (i, seg) in line.segments().enumerate() {
+            let proj = seg.project(p);
+            if proj.distance < best.distance {
+                best = PolyProjection {
+                    point: proj.point,
+                    distance: proj.distance,
+                    arc_length: line.cumulative[i] + proj.t * seg.length(),
+                    segment_index: i,
+                };
+            }
+        }
+        best
+    }
+
+    fn assert_bit_equal(got: &PolyProjection, want: &PolyProjection, what: &str) {
+        let bits = |r: &PolyProjection| {
+            (r.point.x.to_bits(), r.point.y.to_bits(), r.distance.to_bits(), r.arc_length.to_bits())
+        };
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+        assert_eq!(got.segment_index, want.segment_index, "{what}");
+    }
+
+    #[test]
+    fn projection_equals_the_full_scan_bit_for_bit() {
+        let mut rng = crate::rng::SplitMix64::new(0x9E0_2001);
+        let mut coordinate = |span: u64| rng.below(2 * span + 1) as f64 - span as f64;
+        for round in 0..400 {
+            // Short chains on a coarse lattice, so vertices repeat (zero-length
+            // segments) and points fall on vertices, on segments and on the
+            // bisectors between them (equidistant from two segments).
+            let lattice = if round % 2 == 0 { 4 } else { 1_000 };
+            let count = 2 + (round % 7);
+            let vertices: Vec<Point> =
+                (0..count).map(|_| Point::new(coordinate(lattice), coordinate(lattice))).collect();
+            let line = Polyline::new(vertices);
+            for probe in 0..40 {
+                let p = Point::new(coordinate(lattice + 2), coordinate(lattice + 2));
+                let p = if probe % 8 == 7 { Point::new(p.x + 0.5, p.y - 0.25) } else { p };
+                let what = format!("round {round}, probe {probe}, p {p:?}");
+                assert_bit_equal(&line.project(&p), &project_by_full_scan(&line, &p), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn projection_edge_cases_equal_the_full_scan() {
+        let degenerate = Polyline::new(vec![Point::new(1.0, 1.0), Point::new(1.0, 1.0)]);
+        let repeated = Polyline::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(4.0, 0.0),
+            Point::new(4.0, 0.0),
+            Point::new(4.0, 4.0),
+        ]);
+        // Two parallel segments 2 m either side of y = 0, and a V whose arms
+        // are mirror images about x = 0: points on y = 0 or x = 0 are
+        // equidistant from two segments, and the first one must win.
+        let parallel = Polyline::new(vec![
+            Point::new(0.0, 2.0),
+            Point::new(8.0, 2.0),
+            Point::new(8.0, -2.0),
+            Point::new(0.0, -2.0),
+        ]);
+        let vee =
+            Polyline::new(vec![Point::new(-3.0, 5.0), Point::new(0.0, 0.0), Point::new(3.0, 5.0)]);
+        let points = [
+            Point::new(3.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(0.0, 3.0),
+            Point::new(-0.0, 7.5),
+            Point::new(4.0, 0.0),
+            Point::new(-2.0, -2.0),
+            Point::new(f64::NAN, 1.0),
+            Point::new(1.0, f64::NAN),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(1e300, -1e300),
+        ];
+        for (name, line) in [
+            ("degenerate", &degenerate),
+            ("repeated", &repeated),
+            ("parallel", &parallel),
+            ("vee", &vee),
+        ] {
+            for p in &points {
+                let what = format!("{name}, p {p:?}");
+                assert_bit_equal(&line.project(p), &project_by_full_scan(line, p), &what);
+            }
+        }
+        let nan = parallel.project(&Point::new(f64::NAN, 0.0));
+        assert_eq!((nan.segment_index, nan.arc_length), (0, 0.0), "a NaN point matches nothing");
+        assert!(nan.distance.is_infinite());
     }
 
     #[test]

@@ -50,12 +50,22 @@ const SNAPSHOT_FILE_PREFIX: &str = "snap-";
 
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, and
-/// `[k][n]` is the CRC of byte `n` followed by `k` zero bytes, so eight input
-/// bytes fold into the running value with eight independent lookups.
-#[expect(clippy::indexing_slicing, reason = "n < 256 and 1 <= k < 8 by the loop bounds")]
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut bytewise = [0u32; 256];
+/// Independent CRC lanes of the braided kernel: the input is cut into
+/// blocks of `BRAID_LANES` little-endian 64-bit words and word `i` of every
+/// block goes to lane `i`, so five chains of table lookups run side by side.
+const BRAID_LANES: usize = 5;
+/// Bytes per braid block: one 64-bit word per lane.
+const BRAID_BLOCK: usize = BRAID_LANES * 8;
+/// Buffers shorter than this many blocks take the slicing-by-8 loop alone:
+/// below it the serial fold of the last block costs more than the lanes
+/// save. Journal records run from tens of bytes to a few hundred.
+const BRAID_MIN_BLOCKS: usize = 4;
+
+/// The classic byte-at-a-time table: `[n]` is the CRC register after
+/// shifting byte `n` through the polynomial.
+#[expect(clippy::indexing_slicing, reason = "n < 256 by the loop bound")]
+const fn build_bytewise_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -64,51 +74,127 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
             c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        bytewise[n] = c;
+        table[n] = c;
         n += 1;
     }
-    let mut tables = [bytewise; 8];
-    let mut k = 1;
-    while k < 8 {
-        let mut n = 0;
-        while n < 256 {
-            let prev = tables[k - 1][n];
-            tables[k][n] = (prev >> 8) ^ bytewise[(prev & 0xFF) as usize];
-            n += 1;
+    table
+}
+
+/// Tables that fold a little-endian 64-bit word with eight independent
+/// lookups when `zeros` more bytes follow the word before it meets the
+/// register again: `[k][n]` is the CRC of byte `n` followed by
+/// `(7 - k) + zeros` zero bytes, for byte `k` of the word.
+#[expect(clippy::indexing_slicing, reason = "n < 256 and k < 8 by the loop bounds")]
+const fn build_word_tables(zeros: usize) -> [[u32; 256]; 8] {
+    let bytewise = build_bytewise_table();
+    let mut tables = [[0u32; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = bytewise[n];
+        let mut z = 0;
+        while z < zeros {
+            c = (c >> 8) ^ bytewise[(c & 0xFF) as usize];
+            z += 1;
         }
-        k += 1;
+        let mut k = 8;
+        while k > 0 {
+            k -= 1;
+            tables[k][n] = c;
+            c = (c >> 8) ^ bytewise[(c & 0xFF) as usize];
+        }
+        n += 1;
     }
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+/// The byte-at-a-time table, for the bytes after the last whole word.
+static CRC_TABLE: [u32; 256] = build_bytewise_table();
+
+/// Slicing-by-8: eight input bytes fold into the running register with
+/// eight independent lookups.
+static SLICE_TABLES: [[u32; 256]; 8] = build_word_tables(0);
+
+/// Braid tables (zlib's `crc_braid_table` for five 64-bit lanes): a lane's
+/// word must pass the other four lanes' words of its block, 32 bytes,
+/// before the lane takes its next word, so byte `k` advances by
+/// `(7 - k) + 32` zero bytes.
+static BRAID_TABLES: [[u32; 256]; 8] = build_word_tables((BRAID_LANES - 1) * 8);
+
+/// The 64-bit little-endian word of an 8-byte chunk.
+#[inline]
+fn le_word(chunk: &[u8]) -> u64 {
+    chunk.try_into().map_or(0, u64::from_le_bytes)
+}
+
+/// One fold of a word through `tables` (see [`build_word_tables`]); the
+/// caller has XORed the running register into the word's low 32 bits.
+#[inline]
+#[expect(clippy::indexing_slicing, reason = "every index is masked to 0..=255")]
+fn fold_word(tables: &[[u32; 256]; 8], word: u64) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = tables;
+    t0[(word & 0xFF) as usize]
+        ^ t1[((word >> 8) & 0xFF) as usize]
+        ^ t2[((word >> 16) & 0xFF) as usize]
+        ^ t3[((word >> 24) & 0xFF) as usize]
+        ^ t4[((word >> 32) & 0xFF) as usize]
+        ^ t5[((word >> 40) & 0xFF) as usize]
+        ^ t6[((word >> 48) & 0xFF) as usize]
+        ^ t7[(word >> 56) as usize]
+}
 
 /// IEEE CRC-32 (the zlib/zip polynomial) of `bytes`. Allocation-free; used for
 /// every record and snapshot checksum in the journal format.
+///
+/// Buffers of at least [`BRAID_MIN_BLOCKS`] blocks run the braided kernel of
+/// zlib 1.2.12 over their whole blocks: [`BRAID_LANES`] lanes each fold their
+/// own word of every block, advanced past the other lanes' words by
+/// [`BRAID_TABLES`], and the last block folds the lanes into one register in
+/// lane order. The CRC is linear, so the lanes' registers XOR together into
+/// the register a serial pass would hold. The remaining bytes (all of a
+/// shorter buffer) take slicing-by-8, then a byte at a time.
 #[must_use]
-#[expect(clippy::indexing_slicing, reason = "every index is a byte or masked to 0..=255")]
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
-    let mut crc = u32::MAX;
+    let blocks = bytes.len() / BRAID_BLOCK;
+    let (crc, tail) = if blocks >= BRAID_MIN_BLOCKS {
+        let (braided, tail) = bytes.split_at(blocks * BRAID_BLOCK);
+        (braid(u32::MAX, braided), tail)
+    } else {
+        (u32::MAX, bytes)
+    };
+    !slice_by_8(crc, tail)
+}
+
+/// Runs the register `crc` over `blocks`, a non-empty whole number of braid
+/// blocks: every block but the last on independent lanes, the last folding
+/// the lanes serially.
+fn braid(crc: u32, blocks: &[u8]) -> u32 {
+    let mut lanes = [u64::from(crc), 0, 0, 0, 0];
+    let mut chunks = blocks.chunks_exact(BRAID_BLOCK);
+    let last = chunks.next_back().unwrap_or_default();
+    for block in chunks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = u64::from(fold_word(&BRAID_TABLES, *lane ^ le_word(word)));
+        }
+    }
+    let mut crc = 0;
+    for (lane, word) in lanes.iter().zip(last.chunks_exact(8)) {
+        crc = fold_word(&SLICE_TABLES, u64::from(crc) ^ lane ^ le_word(word));
+    }
+    crc
+}
+
+/// Runs the register `crc` over `bytes`: eight bytes per step, then the
+/// remainder a byte at a time.
+#[expect(clippy::indexing_slicing, reason = "every index is masked to 0..=255")]
+fn slice_by_8(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        // Irrefutable in fact (`chunks_exact(8)`); the pattern is how the
-        // eight bytes are named without a panicking index.
-        let [a, b, c, d, e, f, g, h] = *chunk else { continue };
-        let lo = crc ^ u32::from_le_bytes([a, b, c, d]);
-        crc = t7[(lo & 0xFF) as usize]
-            ^ t6[((lo >> 8) & 0xFF) as usize]
-            ^ t5[((lo >> 16) & 0xFF) as usize]
-            ^ t4[(lo >> 24) as usize]
-            ^ t3[usize::from(e)]
-            ^ t2[usize::from(f)]
-            ^ t1[usize::from(g)]
-            ^ t0[usize::from(h)];
+        crc = fold_word(&SLICE_TABLES, u64::from(crc) ^ le_word(chunk));
     }
     for &byte in chunks.remainder() {
-        crc = t0[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 /// When appended records are flushed to stable storage.
@@ -1043,7 +1129,8 @@ mod tests {
     }
 
     /// Byte-at-a-time reference with each table entry computed on the fly, so
-    /// it shares nothing with `CRC_TABLES`: the oracle for the slicing kernel.
+    /// it shares no table with the kernel: the oracle for the braided and
+    /// slicing-by-8 loops.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut crc = u32::MAX;
         for &byte in bytes {
@@ -1069,12 +1156,17 @@ mod tests {
         assert_eq!(crc32_bytewise(b""), 0);
     }
 
+    /// Every length up to six braid blocks and a word, at every offset of a
+    /// word: the slicing-by-8 loop alone below `BRAID_MIN_BLOCKS` blocks,
+    /// then every count of braided blocks with every tail length.
     #[test]
     fn crc32_matches_bytewise_oracle_at_every_short_length_and_offset() {
+        const LONGEST: usize = 6 * BRAID_BLOCK + 8;
+        const { assert!(BRAID_MIN_BLOCKS < 6, "the sweep must reach the braided kernel") };
         let mut rng = SplitMix64::new(0xC0FF_EE00);
-        let buffer = random_bytes(&mut rng, 64 + 8);
+        let buffer = random_bytes(&mut rng, LONGEST + 8);
         for offset in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=LONGEST {
                 let slice = &buffer[offset..offset + len];
                 assert_eq!(crc32(slice), crc32_bytewise(slice), "offset {offset}, len {len}");
             }

@@ -2,12 +2,17 @@
 //! retained frame tail, rebuild the spatial indexes from the recovered
 //! trackers, then attach the journal for live appends.
 //!
-//! Replayed frames go through the same staleness-aware
-//! [`mbdr_core::ServerTracker`] apply rules as live traffic, so frames the
-//! snapshot already covers — or duplicates from an imperfect kill point — are
-//! rejected exactly like reordered network deliveries would be. That is what
-//! makes *restore snapshot, then replay everything retained* correct without
-//! tracking a precise per-object replay cursor.
+//! A retained segment can straddle the snapshot's floor: compaction deletes
+//! only segments the snapshot covers whole. Its records below the floor are
+//! walked and checksummed by the scan like every other, but never parsed or
+//! applied ([`RecoveryReport::covered_frames`]). That skip is exact: the
+//! snapshot was collected after every frame below its grant had been
+//! applied, so the staleness-aware [`mbdr_core::ServerTracker`] apply rules
+//! would reject each covered update anyway. The frames at and above the
+//! floor go through those same rules as live traffic, so duplicates from an
+//! imperfect kill point (frames appended after the grant and collected into
+//! the snapshot too) are rejected exactly like reordered network deliveries
+//! would be — no precise per-object replay cursor is needed.
 //!
 //! Recovery works per shard and reads the journal once. The journal's open
 //! scan hands over the bytes it has just checksummed: the snapshot body, then
@@ -19,7 +24,9 @@
 //! buffer, in journal order), and each shard is written under one write-lock
 //! hold, the shards spread over up to `available_parallelism` scoped
 //! threads. The index rebuild at the end bulk-builds each shard's index
-//! ([`mbdr_spatial::MovingIndex::bulk`]) from its trackers.
+//! from its trackers: the calling thread plans each shard
+//! ([`mbdr_spatial::MovingIndex::plan_bulk`], every buffer allocated) while
+//! helpers fill the shards already planned ([`mbdr_spatial::BulkPlan::fill`]).
 //! [`recover_into`] documents what an error leaves behind. Each pass records
 //! the wall time of its four stages — open scan, restore, replay, rebuild —
 //! into histograms on the service ([`LocationService::recovery_stages`]).
@@ -47,17 +54,25 @@ pub struct RecoveryReport {
     pub restored_objects: u64,
     /// Snapshot entries dropped because their object was not registered.
     pub skipped_objects: u64,
-    /// Frame records replayed from the retained log tail.
+    /// Frame records the journal handed over from the retained log tail —
+    /// `JournalStatsSnapshot::recovered_frames` of the pass — the
+    /// snapshot-covered ones included.
     pub replayed_frames: u64,
-    /// Updates routed to registered trackers while replaying the tail.
-    /// Duplicates and snapshot-covered updates still count here — the
-    /// per-object staleness rules silently reject them inside the tracker —
-    /// so this equals the update count of the replayed frames whenever every
-    /// source is registered.
+    /// Of `replayed_frames`, the records whose frame index lies below
+    /// `snapshot_frames`: the snapshot already holds their effect, so they
+    /// are checksummed by the scan but never parsed or applied. The rest,
+    /// `replayed_frames - covered_frames`, are decoded and applied.
+    pub covered_frames: u64,
+    /// Updates routed to registered trackers from the frames at or above the
+    /// snapshot's floor. Duplicates still count here — the per-object
+    /// staleness rules silently reject them inside the tracker — so this
+    /// equals the update count of the uncovered frames whenever every
+    /// source is registered. Covered frames' updates are not counted.
     pub replayed_updates: u64,
-    /// Replayed frames that failed wire decoding. Always 0 in practice —
+    /// Uncovered frames that failed wire decoding. Always 0 in practice —
     /// journal records are checksummed — but a truncated-then-repaired tail
-    /// is reported rather than hidden.
+    /// is reported rather than hidden. A covered record is never decoded,
+    /// so it counts in `covered_frames` whatever its bytes.
     pub frame_decode_errors: u64,
     /// Bytes the journal discarded during torn-tail repair at open.
     pub truncated_bytes: u64,
@@ -205,8 +220,12 @@ pub fn recover_and_attach_with_vfs(
 /// Snapshot entries and replayed frames are written to the trackers only;
 /// the spatial indexes and expiry heaps are state *derived* from the
 /// trackers' last reports, and are built once, afresh, one bulk build per
-/// shard ([`mbdr_spatial::MovingIndex::bulk`]) on the calling thread, as
-/// the last step — so until this function returns,
+/// shard, as the last step: the calling thread plans the shards one after
+/// the other ([`mbdr_spatial::MovingIndex::plan_bulk`] — every buffer the
+/// index and the expiry heap keep is allocated there, so none lands in a
+/// helper's malloc arena), and the fills ([`mbdr_spatial::BulkPlan::fill`])
+/// run on up to [`std::thread::available_parallelism`] threads as the plans
+/// are made. So until this function returns,
 /// [`LocationService::position_of`] already answers from restored state
 /// while rect and nearest queries see an index that does not cover it yet.
 /// Serve queries only afterwards (`mbdr-net`'s `NetServer::bind_durable`
@@ -266,8 +285,16 @@ impl<'s> Pass<'s> {
                 restored
             }
             Retained::Segment(records) => {
-                let replayed = self.service.replay_frames(records.map(|(_, bytes)| bytes));
-                self.report.replayed_frames += replayed.frames;
+                let floor = self.report.snapshot_frames;
+                let mut covered = 0;
+                let uncovered = records.filter_map(|(index, bytes)| {
+                    let is_covered = index < floor;
+                    covered += u64::from(is_covered);
+                    (!is_covered).then_some(bytes)
+                });
+                let replayed = self.service.replay_frames(uncovered);
+                self.report.covered_frames += covered;
+                self.report.replayed_frames += covered + replayed.frames;
                 self.report.replayed_updates += replayed.updates;
                 self.report.frame_decode_errors += replayed.decode_errors;
                 self.replay += began.elapsed();

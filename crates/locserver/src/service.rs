@@ -11,17 +11,18 @@
 use crate::config::ServiceConfig;
 use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
 use crate::durable::{RecoveryStages, RecoveryTimers};
-use crate::shard::ShardState;
 use crate::shard::{CandidateScratch, Shard};
+use crate::shard::{RebuildPlan, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
 use mbdr_spatial::first_ring_radius;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 
 /// Identifier of a tracked mobile object.
@@ -330,15 +331,54 @@ impl LocationService {
     }
 
     /// Derives every shard's spatial index and expiry heap afresh from its
-    /// trackers, one write-lock hold per shard — the last step of a recovery
-    /// pass that restored or replayed anything. The shards run on the
-    /// calling thread: on a helper thread [`LocationService::write_shards`]
-    /// would put half of the indexes in the helper's malloc arena, which
-    /// raised peak RSS by up to 4 % on 100 000 objects.
+    /// trackers — the last step of a recovery pass that restored or
+    /// replayed anything — in two write-lock holds per shard. The calling
+    /// thread plans the shards one after the other
+    /// ([`ShardState::plan_rebuild`]: derives the entries, counts the cells
+    /// and allocates every buffer the index and the heap keep) and queues
+    /// each plan as it is made; the fills ([`ShardState::fill_rebuild`]),
+    /// which allocate nothing, are taken off the queue by scoped helpers —
+    /// `available_parallelism` threads in all, never more than there are
+    /// shards — and, once every shard is planned, by the calling thread
+    /// too. So a shard's fill runs while the next shard is planned, and
+    /// every buffer stays in the calling thread's malloc arena: a helper
+    /// that allocated its shards' indexes itself would leave them in its
+    /// own, which raised peak RSS by up to 4 % on 100 000 objects. A helper
+    /// the OS refuses to start leaves its fills to the others; with one
+    /// core, each shard is planned and filled under one hold.
     pub(crate) fn rebuild_indexes(&self) {
-        for shard in &self.shards {
-            shard.write(|s| s.rebuild_index());
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let helpers = threads.min(self.shards.len()).saturating_sub(1);
+        if helpers == 0 {
+            for shard in &self.shards {
+                shard.write(ShardState::rebuild_index);
+            }
+            return;
         }
+        let (planned, queue) = mpsc::sync_channel::<(&Shard, RebuildPlan)>(self.shards.len());
+        let queue = Mutex::new(queue);
+        // Until the queue is empty and every plan is made.
+        let fill = || loop {
+            let Ok((shard, plan)) = queue.lock().recv() else { break };
+            shard.write(|s| s.fill_rebuild(plan));
+        };
+        let fill = &fill;
+        thread::scope(move |scope| {
+            let helpers: Vec<_> = (0..helpers)
+                .filter_map(|_| thread::Builder::new().spawn_scoped(scope, fill).ok())
+                .collect();
+            for shard in &self.shards {
+                let plan = shard.write(|s| s.plan_rebuild());
+                // The queue holds every shard and its receiver outlives the
+                // scope, so the send neither blocks nor fails.
+                let _ = planned.send((shard, plan));
+            }
+            drop(planned);
+            fill();
+            for helper in helpers {
+                helper.join().unwrap_or_else(|panic| resume_unwind(panic));
+            }
+        });
     }
 
     /// Proposes and, if the journal grants it, installs a snapshot of the full
@@ -783,6 +823,64 @@ mod tests {
             (0..16u8).map(|i| if i == 5 { vec![i] } else { Vec::new() }).collect();
         let ran = s.write_shards(&one, |_, _| thread::current().id());
         assert_eq!(ran, [thread::current().id()], "a lone shard runs on the calling thread");
+    }
+
+    /// The rebuild that plans on the calling thread and fills on helpers
+    /// equals the serial one — plan and fill back to back, shard by shard —
+    /// over one shard (planned and filled on the calling thread alone on
+    /// any host), fewer shards than lanes, an odd split and many shards:
+    /// same index statistics, same rect and nearest answers, right after
+    /// the rebuild and after queries re-grow its entries.
+    #[test]
+    fn rebuild_on_helper_lanes_equals_the_serial_rebuild() {
+        for (seed, shards) in [1usize, 3, 4, 16].into_iter().enumerate() {
+            let config = ServiceConfig { shards, horizon_s: 10.0, ..ServiceConfig::default() };
+            let build = || {
+                let service = LocationService::with_config(config);
+                let mut rng = SplitMix64::new(0xB01D_0000 + seed as u64);
+                for id in 0..400u64 {
+                    service.register(ObjectId(id), Arc::new(LinearPredictor));
+                }
+                for seq in 0..1_500u64 {
+                    let id = rng.below(400);
+                    // A tenth parked, a few fast enough for the wide list.
+                    let speed = match id % 10 {
+                        0 => 0.0,
+                        1 if seq % 7 == 0 => 900.0,
+                        _ => 1.0 + rng.below(20) as f64,
+                    };
+                    let (x, y) = (rng.below(9_000) as f64 - 4_500.0, rng.below(9_000) as f64);
+                    let heading = rng.below(628) as f64 / 100.0;
+                    service.apply_update(
+                        ObjectId(id),
+                        &update(seq, seq as f64 * 0.1, x, y, speed, heading),
+                    );
+                }
+                service
+            };
+            let (lanes, serial) = (build(), build());
+            lanes.rebuild_indexes();
+            for shard in &serial.shards {
+                shard.write(|s| s.rebuild_index());
+            }
+            let what = format!("{shards} shards");
+            assert_eq!(lanes.index_stats(), serial.index_stats(), "{what}");
+            for t in [150.0, 155.0, 250.0] {
+                for area in [
+                    Aabb::new(Point::new(-4_500.0, 0.0), Point::new(4_500.0, 9_000.0)),
+                    Aabb::around(Point::new(700.0, 3_000.0), 900.0),
+                ] {
+                    assert_eq!(lanes.objects_in_rect(&area, t), serial.objects_in_rect(&area, t));
+                }
+                for from in [Point::new(0.0, 4_500.0), Point::new(-4_000.0, 8_000.0)] {
+                    for k in [1, 9] {
+                        let got = lanes.nearest_objects(&from, t, k);
+                        assert_eq!(got, serial.nearest_objects(&from, t, k), "{what}, t={t}");
+                    }
+                }
+                assert_eq!(lanes.index_stats(), serial.index_stats(), "{what}, t={t}");
+            }
+        }
     }
 
     fn update(seq: u64, t: f64, x: f64, y: f64, speed: f64, heading: f64) -> Update {

@@ -48,10 +48,14 @@
 //! not: snapshot restore and journal replay write trackers only, and
 //! `rebuild_index` derives index and heap once at the end from the same
 //! `derive_entry` — bit-identical entries, one heap entry per mover — with
-//! one bulk build of the grid (`MovingIndex::bulk`, slots in ascending
-//! order, which leaves the index per-slot inserts would) and one heapify.
-//! Until it has run, rect and nearest queries see an index that does not
-//! cover the recovered trackers yet.
+//! one bulk build of the grid (slots in ascending order, which leaves the
+//! index per-slot inserts would) and one heapify. The rebuild comes in two
+//! halves so that recovery can run them on different threads:
+//! `plan_rebuild` derives the entries and allocates every buffer
+//! (`MovingIndex::plan_bulk`), `fill_rebuild` writes them
+//! (`BulkPlan::fill`) and allocates nothing. Until it has run, rect and
+//! nearest queries see an index that does not cover the recovered trackers
+//! yet.
 //!
 //! ## Storage and query layout
 //!
@@ -71,7 +75,7 @@ use crate::service::{ObjectId, PositionReport};
 use mbdr_core::wire::snapshot::SnapshotEntry;
 use mbdr_core::{Predictor, ServerTracker, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_spatial::{MovingIndex, SeenScratch};
+use mbdr_spatial::{BulkPlan, MovingIndex, SeenScratch};
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -132,6 +136,13 @@ impl PartialOrd for Expiry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// A shard's index rebuild with every buffer allocated: the index's bulk
+/// plan and the expiry heap's storage (see [`ShardState::plan_rebuild`]).
+pub(crate) struct RebuildPlan {
+    index: BulkPlan<u32>,
+    expiries: Vec<Reverse<Expiry>>,
 }
 
 /// Reusable per-reader buffers for the shard batch query kernels: the
@@ -329,20 +340,31 @@ impl ShardState {
     }
 
     /// Recovery: derives the spatial index and the expiry heap afresh from the
-    /// trackers' last reports. Every live slot's entry comes from
-    /// [`ShardState::derive_entry`], the derivation the accepted-update path
-    /// uses too, so every entry is bit-identical to the one per-update
-    /// maintenance leaves behind, and the heap holds exactly one entry per
-    /// mover. The grid entries go to one [`MovingIndex::bulk`] build in
-    /// ascending slot order — the order that leaves the index a per-slot
-    /// insert would — and the heap is heapified once.
-    #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
+    /// trackers' last reports — [`ShardState::plan_rebuild`], then
+    /// [`ShardState::fill_rebuild`] with its plan, on one thread.
     pub(crate) fn rebuild_index(&mut self) {
+        let plan = self.plan_rebuild();
+        self.fill_rebuild(plan);
+    }
+
+    /// The allocating half of [`ShardState::rebuild_index`]. Every live
+    /// slot's entry comes from [`ShardState::derive_entry`], the derivation
+    /// the accepted-update path uses too, so every entry is bit-identical to
+    /// the one per-update maintenance leaves behind, and the heap will hold
+    /// exactly one entry per mover. The grid entries go to one
+    /// [`MovingIndex::plan_bulk`] in ascending slot order — the order that
+    /// leaves the index a per-slot insert would. The old index and heap are
+    /// dropped here and the wide list rebuilt here, so that every buffer the
+    /// shard keeps afterwards is allocated, and every buffer it let go of
+    /// freed, by the caller's thread.
+    #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
+    pub(crate) fn plan_rebuild(&mut self) -> RebuildPlan {
         let mut live = vec![true; self.slots.len()];
         for &slot in &self.free_slots {
             live[slot as usize] = false;
         }
         self.index = MovingIndex::new(self.config.cell_size_m);
+        self.expiries = BinaryHeap::new();
         self.wide.clear();
         let mut grid = Vec::with_capacity(self.by_id.len());
         let mut expiries = Vec::with_capacity(self.by_id.len());
@@ -360,8 +382,17 @@ impl ShardState {
                 }
             }
         }
-        self.index = MovingIndex::bulk(self.config.cell_size_m, grid);
-        self.expiries = BinaryHeap::from(expiries);
+        let index = MovingIndex::plan_bulk(self.config.cell_size_m, grid);
+        RebuildPlan { index, expiries }
+    }
+
+    /// The non-allocating half of [`ShardState::rebuild_index`]: fills the
+    /// planned index ([`BulkPlan::fill`]) and heapifies the expiries in
+    /// place. Safe to run on a helper thread: what it writes was allocated
+    /// by the plan, so nothing lands in the helper's malloc arena.
+    pub(crate) fn fill_rebuild(&mut self, plan: RebuildPlan) {
+        self.index = plan.index.fill();
+        self.expiries = BinaryHeap::from(plan.expiries);
     }
 
     /// Appends one durability-snapshot entry per object with applied state to

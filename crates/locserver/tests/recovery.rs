@@ -350,9 +350,10 @@ fn assert_same_index_and_answers(a: &LocationService, b: &LocationService, t: f6
 }
 
 /// The report of the serial recovery the parallel one must match: one
-/// decode, then one tracker write per snapshot entry and per replayed frame,
-/// in journal order. Read from a copy of `dir`, so the recovery under test
-/// opens the directory as the crash left it.
+/// decode, then one tracker write per snapshot entry and per frame at or
+/// above the snapshot's floor, in journal order; frames below it are only
+/// counted as covered. Read from a copy of `dir`, so the recovery under
+/// test opens the directory as the crash left it.
 fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport {
     let copy = temp_dir("serial-oracle");
     fs::create_dir_all(&copy).expect("oracle dir");
@@ -368,8 +369,10 @@ fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport
         report.restored_objects = entries.iter().filter(|e| registered(e.object)).count() as u64;
         report.skipped_objects = entries.len() as u64 - report.restored_objects;
     }
+    let floor = report.snapshot_frames;
     report.replayed_frames = journal
-        .replay(|_, bytes| match Frame::decode(bytes) {
+        .replay(|index, bytes| match Frame::decode(bytes) {
+            _ if index < floor => report.covered_frames += 1,
             Ok(frame) if registered(frame.source) => {
                 report.replayed_updates += frame.updates.len() as u64;
             }
@@ -477,6 +480,51 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
     }
     assert!(snapshot_recoveries >= 8, "most seeds restore a snapshot: {snapshot_recoveries}");
     assert!(skipping_recoveries >= 8, "most seeds skip strangers: {skipping_recoveries}");
+}
+
+/// A segment that straddles the snapshot's floor holds, below the floor, a
+/// checksummed record that is no frame. Recovery walks it with the scan but
+/// never decodes it: the report counts it as covered, not as a decode
+/// error, and the recovered service answers like its uninterrupted twin.
+#[test]
+fn covered_frames_are_skipped_undecoded_even_when_they_are_no_frame() {
+    let dir = temp_dir("covered-garbage");
+    let frames = encoded_frames(8);
+    let config = JournalConfig {
+        // One segment for the whole life, so it straddles every snapshot.
+        segment_max_bytes: 1024 * 1024,
+        snapshot_every_frames: 30,
+        ..journal_config(&dir)
+    };
+    let primary = fleet();
+    let twin = fleet();
+    let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
+    for (i, bytes) in frames.iter().enumerate() {
+        if i == 5 {
+            // Frame index 5: checksummed garbage, well below the first grant.
+            journal.append_frame(&[0xEE; 11]).expect("append garbage");
+        }
+        primary.apply_frame_bytes(bytes).expect("primary apply");
+        twin.apply_frame_bytes(bytes).expect("twin apply");
+    }
+    let appended = journal.stats().appends;
+    assert_eq!(appended, frames.len() as u64 + 1);
+    drop(primary);
+    drop(journal);
+    assert_eq!(files_ending_in(&dir, ".mbdrj").1, 1, "one segment holds every frame");
+
+    let recovered = fleet();
+    let (journal, report) = recover_and_attach(&recovered, config).expect("recovery");
+    assert!(report.snapshot_frames > 5, "the garbage lies below the floor: {report:?}");
+    assert_eq!(report.covered_frames, report.snapshot_frames, "{report:?}");
+    assert_eq!(report.replayed_frames, appended, "every retained record is handed over");
+    assert_eq!(report.replayed_frames, journal.stats().recovered_frames);
+    assert_eq!(report.frame_decode_errors, 0, "a covered record is never decoded");
+    // Three updates per uncovered frame, every source registered.
+    assert_eq!(report.replayed_updates, 3 * (appended - report.covered_frames), "{report:?}");
+    assert_equivalent(&recovered, &twin, 40.0);
+    drop(journal);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

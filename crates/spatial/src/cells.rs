@@ -68,14 +68,28 @@ impl<P: Copy + Default> CellTable<P> {
         CellTable { slots: Vec::new(), mask: 0, live: 0, tombstones: 0 }
     }
 
-    /// An empty table that takes `cells` inserts without growing: the
-    /// capacity that many inserts into [`CellTable::new`] would grow it to.
-    pub(crate) fn with_capacity(cells: usize) -> Self {
+    /// An empty table that takes `cells` inserts without growing — the
+    /// capacity that many inserts into [`CellTable::new`] would grow it to —
+    /// in two steps, for a build that allocates on one thread and writes on
+    /// another: the slot array is allocated here, unwritten, and
+    /// [`CellTable::clear_reserved`] writes it before the first insert.
+    pub(crate) fn reserved(cells: usize) -> Self {
         let mut table = CellTable::new();
         if cells > 0 {
-            table.rehash((cells * 4).div_ceil(3).next_power_of_two().max(16));
+            let cap = (cells * 4).div_ceil(3).next_power_of_two().max(16);
+            table.slots = Vec::with_capacity(cap);
+            table.mask = cap - 1;
         }
         table
+    }
+
+    /// Writes every slot of a [`CellTable::reserved`] table empty, within
+    /// the capacity it reserved.
+    pub(crate) fn clear_reserved(&mut self) {
+        if self.mask > 0 {
+            let empty = TableSlot { state: SlotState::Empty, coord: (0, 0), payload: P::default() };
+            self.slots.resize(self.mask + 1, empty);
+        }
     }
 
     /// Number of live (occupied) cells.
@@ -344,8 +358,11 @@ mod tests {
     fn a_presized_table_has_the_capacity_inserts_grow_to_and_never_grows() {
         for cells in [0usize, 1, 11, 12, 13, 24, 25, 100, 767, 768, 769, 5_000] {
             let mut grown: CellTable<u32> = CellTable::new();
-            let mut presized: CellTable<u32> = CellTable::with_capacity(cells);
+            let mut presized: CellTable<u32> = CellTable::reserved(cells);
+            assert!(presized.slots.is_empty(), "{cells} cells: reserved, not written");
+            presized.clear_reserved();
             let cap = presized.slots.len();
+            assert_eq!(presized.slots.capacity(), cap, "{cells} cells: written in place");
             for i in 0..cells as i64 {
                 grown.insert((i, -i), 0);
                 presized.insert((i, -i), 0);

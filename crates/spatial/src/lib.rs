@@ -26,7 +26,7 @@ pub mod cells;
 pub mod moving;
 
 pub use cells::SeenScratch;
-pub use moving::{first_ring_radius, MovingIndex};
+pub use moving::{first_ring_radius, BulkPlan, MovingIndex};
 
 use mbdr_geo::Aabb;
 

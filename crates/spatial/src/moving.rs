@@ -38,7 +38,9 @@
 //! recovered objects) is built by [`MovingIndex::bulk`] instead: it leaves
 //! the index inserting the entries one by one would, but sorts all cell
 //! registrations by cell in one stable counting sort and sizes every
-//! structure once, where inserts probe, grow and copy as they go.
+//! structure once, where inserts probe, grow and copy as they go. It runs in
+//! two halves, which may run on different threads: [`MovingIndex::plan_bulk`]
+//! allocates every buffer, [`BulkPlan::fill`] writes them.
 //!
 //! Two queries serve every caller: [`MovingIndex::query_keys_into`] (sorted,
 //! deduplicated keys of the cells a box overlaps) and
@@ -138,6 +140,7 @@ impl Span {
 /// The rectangle of cells a bulk build's entries cover, from its lowest
 /// corner `lo`, `rows` cells high: a cell's key is its column-major position
 /// in it. A key needs 128 bits: the rectangle may span 2^64 cells per axis.
+#[derive(Debug)]
 struct CellGrid {
     lo: (i64, i64),
     rows: u128,
@@ -272,6 +275,55 @@ impl Slab {
     }
 }
 
+/// How a bulk build's cell segments are laid out (see
+/// [`MovingIndex::bulk`]).
+#[derive(Debug)]
+enum Layout {
+    /// No entry overlaps a cell.
+    Empty,
+    /// Counted over the cell rectangle: per cell key, `(0, registrations)`.
+    Counted { grid: CellGrid, segments: Vec<(u32, u32)> },
+    /// Registration records sorted by cell.
+    Sorted { regs: Vec<Registration> },
+}
+
+/// A bulk build with every buffer the index keeps allocated and the cells
+/// counted, waiting for [`BulkPlan::fill`] (see [`MovingIndex::plan_bulk`]).
+#[derive(Debug)]
+pub struct BulkPlan<K> {
+    /// Entries, spans and bounds in place; key map, table, slab and runs
+    /// sized but not written.
+    index: MovingIndex<K>,
+    layout: Layout,
+}
+
+impl<K: Copy + Eq + Hash + Ord> BulkPlan<K> {
+    /// The second half of [`MovingIndex::bulk`]: writes the key map, the
+    /// cell table, the cell segments and the position runs into the buffers
+    /// the plan allocated, and allocates nothing itself.
+    ///
+    /// # Panics
+    /// Panics if a key repeats.
+    pub fn fill(self) -> MovingIndex<K> {
+        let BulkPlan { mut index, layout } = self;
+        // The plan leaves these buffers unwritten: the first touch of their
+        // pages is part of the fill. `Vec::with_capacity` reserves exactly
+        // the capacity asked for, so the runs take all of theirs.
+        index.runs.data.resize(index.runs.data.capacity(), 0);
+        index.table.clear_reserved();
+        for (dense, entry) in (0u32..).zip(&index.entries) {
+            let fresh = index.items.insert(entry.item, dense).is_none();
+            assert!(fresh, "a bulk build takes each key once");
+        }
+        match layout {
+            Layout::Empty => {}
+            Layout::Counted { grid, mut segments } => index.fill_counted(&grid, &mut segments),
+            Layout::Sorted { regs } => index.fill_sorted(&regs),
+        }
+        index
+    }
+}
+
 /// A uniform-grid spatial index whose entries are addressed by key and may be
 /// moved or removed after insertion, stored cache-consciously (dense entry
 /// arena, flat per-cell segments, open-addressed cell table — see the module
@@ -327,7 +379,8 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// [`MovingIndex::new`] leaves: dense ids in the given order, every cell
     /// segment holding its entries in that order at the size class the
     /// inserts grow it to, the same position runs — so the same query
-    /// walks, answers and statistics.
+    /// walks, answers and statistics. It is [`MovingIndex::plan_bulk`]
+    /// followed by [`BulkPlan::fill`].
     ///
     /// Each entry's cells are computed once and every `(cell, entry, run
     /// slot)` registration is visited in entry order; a stable counting sort
@@ -344,58 +397,102 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// Panics if `cell_size` is not strictly positive, if a key repeats, or
     /// if a box spans 2^32 cells or more per axis.
     pub fn bulk(cell_size: f64, items: impl IntoIterator<Item = (K, Aabb)>) -> Self {
+        MovingIndex::plan_bulk(cell_size, items).fill()
+    }
+
+    /// The first half of [`MovingIndex::bulk`]: takes the entries, computes
+    /// their cell rectangles and run slots, counts the registrations of
+    /// every cell (or, for a sparse set, sorts them by cell) and allocates
+    /// every buffer the index keeps — entry arena, spans, position runs,
+    /// cell slab, cell table and key map — at its final size.
+    /// [`BulkPlan::fill`] then writes them without allocating, so it can run
+    /// on another thread while its memory stays where the plan put it.
+    ///
+    /// # Panics
+    /// Panics if `cell_size` is not strictly positive or if a box spans
+    /// 2^32 cells or more per axis.
+    pub fn plan_bulk(cell_size: f64, items: impl IntoIterator<Item = (K, Aabb)>) -> BulkPlan<K> {
         let mut idx = MovingIndex::new(cell_size);
         let items = items.into_iter();
         let expected = items.size_hint().0;
-        idx.items.reserve(expected);
         idx.entries.reserve(expected);
         idx.spans.reserve(expected);
         // Spans and run slots in dense order; the cell rectangle they cover.
         let (mut run_slots, mut registrations) = (0u32, 0usize);
         let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
         for (key, bbox) in items {
-            let dense = idx.entries.len() as u32;
-            assert!(idx.items.insert(key, dense).is_none(), "a bulk build takes each key once");
             idx.entries.push(Entry::new(bbox, key));
             let mut span = Span::of(&bbox, cell_size);
             span.start = run_slots;
             run_slots += seg_cap(span.class());
             if span.cols > 0 && span.rows > 0 {
                 registrations += span.cols as usize * span.rows as usize;
-                let last = span.cell(span.cols * span.rows - 1);
                 lo = (lo.0.min(span.x0), lo.1.min(span.y0));
-                hi = (hi.0.max(last.0), hi.1.max(last.1));
+                hi.0 = hi.0.max(span.x0 + i64::from(span.cols - 1));
+                hi.1 = hi.1.max(span.y0 + i64::from(span.rows - 1));
             }
             idx.spans.push(span);
             idx.grow_bounds(&bbox);
         }
-        idx.runs.data = vec![0; run_slots as usize];
-        if registrations > 0 {
+        idx.items.reserve(idx.entries.len());
+        idx.runs.data = Vec::with_capacity(run_slots as usize);
+        let layout = if registrations == 0 {
+            Layout::Empty
+        } else {
             let grid = CellGrid { lo, rows: u128::from(hi.1.abs_diff(lo.1)) + 1 };
             let cells = (u128::from(hi.0.abs_diff(lo.0)) + 1).checked_mul(grid.rows);
             match cells.filter(|&cells| cells <= registrations as u128) {
-                Some(cells) => idx.fill_counted(&grid, cells as usize),
-                None => idx.fill_sorted(&grid, registrations),
+                Some(cells) => idx.plan_counted(grid, cells as usize),
+                None => idx.plan_sorted(&grid, registrations),
             }
-        }
-        idx
+        };
+        BulkPlan { index: idx, layout }
     }
 
-    /// Lays out every cell segment of a bulk build whose rectangle holds
-    /// `cells` cells, no more than there are registrations: one count per
-    /// cell, then one segment per occupied cell, then the registrations
-    /// written in entry order — each cell's segment fills in that order.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "cell keys lie below `cells`; segment slots below each segment's length"
-    )]
-    fn fill_counted(&mut self, grid: &CellGrid, cells: usize) {
-        // Per cell: where its segment starts in the slab, and how many of
-        // its slots are (to be) filled.
+    /// Counts the registrations of every cell of a rectangle of `cells`
+    /// cells, no more than there are registrations, and sizes the cell table
+    /// and the slab for the occupied ones.
+    #[expect(clippy::indexing_slicing, reason = "cell keys lie below `cells`")]
+    fn plan_counted(&mut self, grid: CellGrid, cells: usize) -> Layout {
         let mut segments = vec![(0u32, 0u32); cells];
         grid.for_each_registration(&self.spans, |key, _, _| segments[key as usize].1 += 1);
-        let occupied = segments.iter().filter(|&&(_, len)| len > 0).count();
-        self.table = CellTable::with_capacity(occupied);
+        let (mut occupied, mut slab_len) = (0, 0);
+        for &(_, len) in segments.iter().filter(|&&(_, len)| len > 0) {
+            occupied += 1;
+            slab_len += seg_cap(class_for(len)) as usize;
+        }
+        self.table = CellTable::reserved(occupied);
+        self.slab.data = Vec::with_capacity(slab_len);
+        Layout::Counted { grid, segments }
+    }
+
+    /// Orders the registration records of a sparse bulk build by cell (see
+    /// `sort_by_cell`) and sizes the cell table and the slab for the cells
+    /// they name.
+    fn plan_sorted(&mut self, grid: &CellGrid, registrations: usize) -> Layout {
+        let mut regs = Vec::with_capacity(registrations);
+        grid.for_each_registration(&self.spans, |key, dense, slot| {
+            let (key_lo, key_hi) = (key as u64, (key >> 64) as u64);
+            regs.push(Registration { key_lo, key_hi, dense, slot: slot as u32 });
+        });
+        sort_by_cell(&mut regs);
+        let groups = || regs.chunk_by(Registration::same_cell);
+        let slab_len: usize = groups().map(|g| seg_cap(class_for(g.len() as u32)) as usize).sum();
+        self.slab.data.reserve_exact(slab_len);
+        self.table = CellTable::reserved(groups().count());
+        Layout::Sorted { regs }
+    }
+
+    /// Lays out every cell segment of a counted bulk build from its cells'
+    /// `(_, registrations)`: one segment per occupied cell, in key order,
+    /// then the registrations written in entry order — each cell's segment
+    /// fills in that order. Each pair becomes the cell's `(segment start,
+    /// slots filled)` on the way.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cell keys lie below `segments.len()`; segment slots below each segment's length"
+    )]
+    fn fill_counted(&mut self, grid: &CellGrid, segments: &mut [(u32, u32)]) {
         let mut slab_len = 0;
         // Keys run column by column, `grid.rows` cells each; every cell of
         // the rectangle exists, so no offset overflows.
@@ -412,7 +509,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 }
             }
         }
-        self.slab.data = vec![0; slab_len as usize];
+        self.slab.data.resize(slab_len as usize, 0);
         let (slab, runs) = (&mut self.slab.data, &mut self.runs.data);
         grid.for_each_registration(&self.spans, |key, dense, slot| {
             let (start, filled) = &mut segments[key as usize];
@@ -422,25 +519,15 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         });
     }
 
-    /// Lays out every cell segment of a bulk build from its registration
-    /// records ordered by cell (see `sort_by_cell`): each run of equal keys
-    /// is one cell's segment, in entry order.
+    /// Lays out every cell segment of a sparse bulk build from its
+    /// registration records ordered by cell: each run of equal keys is one
+    /// cell's segment, in entry order.
     #[expect(
         clippy::indexing_slicing,
         reason = "records hold run slots of this build; groups are non-empty"
     )]
-    fn fill_sorted(&mut self, grid: &CellGrid, registrations: usize) {
-        let mut regs = Vec::with_capacity(registrations);
-        grid.for_each_registration(&self.spans, |key, dense, slot| {
-            let (key_lo, key_hi) = (key as u64, (key >> 64) as u64);
-            regs.push(Registration { key_lo, key_hi, dense, slot: slot as u32 });
-        });
-        sort_by_cell(&mut regs);
-        let groups = || regs.chunk_by(Registration::same_cell);
-        let slab_len: usize = groups().map(|g| seg_cap(class_for(g.len() as u32)) as usize).sum();
-        self.slab.data.reserve_exact(slab_len);
-        self.table = CellTable::with_capacity(groups().count());
-        for group in groups() {
+    fn fill_sorted(&mut self, regs: &[Registration]) {
+        for group in regs.chunk_by(Registration::same_cell) {
             let start = self.slab.data.len() as u32;
             let len = group.len() as u32;
             let segment = Segment { start, len, class: class_for(len) };
