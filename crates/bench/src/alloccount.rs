@@ -1,13 +1,13 @@
 //! A counting global allocator: the observability behind the zero-alloc
 //! hot-path gate.
 //!
-//! [`CountingAllocator`] wraps the system allocator and bumps a global
-//! counter on every `alloc` / `realloc` / `alloc_zeroed` call (deallocations
-//! are free and not counted). It also keeps the bytes live on the heap —
-//! requested sizes, not the system allocator's chunks — and their high-water
-//! mark since the last `reset_peak`, which `reproduce scale` reads as the
-//! heap cost of each tracked object. Binaries that want allocation accounting
-//! install it with
+//! [`CountingAllocator`] wraps the system allocator and bumps the calling
+//! thread's counter on every `alloc` / `realloc` / `alloc_zeroed` call
+//! (deallocations are free and not counted). It also keeps the bytes live on
+//! the heap, process-wide — requested sizes, not the system allocator's
+//! chunks — and their high-water mark since the last `reset_peak`, which
+//! `reproduce scale` reads as the heap cost of each tracked object. Binaries
+//! that want allocation accounting install it with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -24,10 +24,14 @@
 //! whole `reproduce` binary can carry it for the commands that read it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Heap allocations observed so far (process-wide, all threads).
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations this thread has made so far. `const`-initialised and
+    /// without a destructor, so reading it never allocates or panics.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Bytes currently allocated (process-wide, all threads).
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
@@ -56,7 +60,7 @@ pub struct CountingAllocator;
 // pointer.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: forwards the caller's layout to System.alloc unchanged.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
@@ -72,7 +76,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: forwards the caller's layout to System.alloc_zeroed unchanged.
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
@@ -82,7 +86,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: forwards the caller's ptr/layout/new_size to System.realloc
         // unchanged.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
@@ -98,10 +102,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-/// Total heap allocations observed so far. Zero until (and unless) a binary
-/// installs [`CountingAllocator`] as its global allocator.
+/// Heap allocations the calling thread has made so far; other threads'
+/// allocations do not count. Zero until (and unless) a binary installs
+/// [`CountingAllocator`] as its global allocator.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Bytes currently live on the heap (requested sizes, all threads). Zero
@@ -192,5 +197,34 @@ mod tests {
         assert_eq!(peak_bytes(), base + 3_000, "the high-water mark holds the largest total");
         assert_eq!(reset_peak(), base);
         assert_eq!(peak_bytes(), base, "a reset lowers the mark to the live bytes");
+    }
+
+    #[allow(unsafe_code, reason = "drives the allocator's unsafe methods directly")]
+    #[test]
+    fn allocations_count_the_calling_thread_only() {
+        // The direct calls move the live bytes the test above holds still.
+        let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let allocate_once = || {
+            let at = Layout::from_size_align(64, 8).expect("a valid layout");
+            // SAFETY: the block has a non-zero size, is checked for null and
+            // is freed once with the layout it was allocated with.
+            unsafe {
+                let block = CountingAllocator.alloc(at);
+                assert!(!block.is_null());
+                CountingAllocator.dealloc(block, at);
+            }
+        };
+        let before = allocations();
+        allocate_once();
+        assert_eq!(allocations(), before + 1, "an allocation on this thread counts");
+        let spawned = std::thread::spawn(move || {
+            let before = allocations();
+            allocate_once();
+            allocations() - before
+        })
+        .join()
+        .expect("the spawned thread allocates and returns");
+        assert_eq!(spawned, 1, "the spawned thread counts its own allocation");
+        assert_eq!(allocations(), before + 1, "another thread's allocation does not count here");
     }
 }

@@ -12,8 +12,9 @@
 //! intersection policies that walk a junction's outgoing links through a
 //! warm-then-measured loop each.
 //!
-//! This file holds exactly one `#[test]` on purpose: the counting allocator
-//! is process-global, and a sibling test allocating concurrently would bleed
+//! The allocation count is per thread ([`allocations`]), and every measured
+//! loop — here and in `hotpath_report` — runs on the test's own thread, so
+//! libtest's main thread growing its bookkeeping meanwhile does not bleed
 //! into the measured deltas.
 
 use mbdr_bench::alloccount::{allocations, counting_allocator_installed, CountingAllocator};

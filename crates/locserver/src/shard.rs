@@ -60,9 +60,9 @@
 //! ## Storage and query layout
 //!
 //! Trackers live in a dense slot arena (`slots[slot_id]`); the
-//! `ObjectId → slot` hash map is consulted on ingest and point lookup only.
-//! The spatial index is keyed by the small `u32` slot id, so resolving a
-//! query candidate is a direct array index — no hashing on the query path.
+//! `ObjectId → slot` hash map, the shard's only map, is consulted on ingest
+//! and point lookup only. The slot is also the spatial index's own id, so a
+//! move and a query candidate are each one array index — no hashing.
 //! Range and nearest collection run as batch kernels in three passes over
 //! struct-of-arrays scratch: (1) walk the index cells for candidate slots
 //! (deduplicated by a generation-stamped seen mask) and add the wide list,
@@ -174,7 +174,7 @@ pub(crate) struct ShardState {
     by_id: HashMap<ObjectId, u32>,
     slots: Vec<TrackedSlot>,
     free_slots: Vec<u32>,
-    /// Spatial index keyed by slot id.
+    /// Spatial index whose ids are the slot ids.
     index: MovingIndex<u32>,
     /// Slots whose re-grown box was too wide for the grid (see the module
     /// docs): candidates of every query.
@@ -565,11 +565,11 @@ impl ShardState {
     /// own deterministic order on final results) and add the whole wide
     /// list, then predict every candidate at `t` into the contiguous
     /// struct-of-arrays buffers the filter passes run over.
-    #[expect(clippy::indexing_slicing, reason = "index items are slot ids this shard issued")]
+    #[expect(clippy::indexing_slicing, reason = "index ids are slot ids this shard issued")]
     fn collect_candidates(&self, area: &Aabb, t: f64, scratch: &mut CandidateScratch) {
         let CandidateScratch { seen, cand, xs, ys, ages, objects } = scratch;
         cand.clear();
-        self.index.for_each_in_rect_unordered(area, seen, |entry| cand.push(entry.item));
+        self.index.for_each_in_rect_unordered(area, seen, |slot| cand.push(slot));
         cand.extend_from_slice(&self.wide);
         xs.clear();
         ys.clear();

@@ -40,23 +40,24 @@ pub struct LinkMatch {
 /// return the best projection per link.
 #[derive(Debug, Clone)]
 pub struct LinkLocator {
-    /// Keyed (link id, segment index), one entry per segment bbox.
-    index: MovingIndex<(LinkId, u32)>,
+    /// The link of every geometry segment, pushed link by link.
+    links: Vec<LinkId>,
+    /// One entry per segment bbox, under the segment's position in `links`.
+    index: MovingIndex<u32>,
 }
 
 impl LinkLocator {
     /// Builds a locator for the given network.
     pub fn build(network: &RoadNetwork) -> Self {
-        let links = network.links();
-        let mut segments =
-            Vec::with_capacity(links.iter().map(|link| link.geometry.segment_count()).sum());
-        for link in links {
-            for (si, seg) in link.geometry.segments().enumerate() {
-                let bbox = Aabb::from_points([seg.a, seg.b]).expect("segment has two points");
-                segments.push(((link.id, si as u32), bbox));
+        let count = network.links().iter().map(|link| link.geometry.segment_count()).sum();
+        let (mut links, mut boxes) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        for link in network.links() {
+            for seg in link.geometry.segments() {
+                links.push(link.id);
+                boxes.push(Aabb::from_points([seg.a, seg.b]).expect("segment has two points"));
             }
         }
-        LinkLocator { index: MovingIndex::bulk(CELL_M, segments) }
+        LinkLocator { index: MovingIndex::bulk(CELL_M, (0u32..).zip(boxes)), links }
     }
 
     /// All links whose geometry comes within `max_distance` metres of `p`,
@@ -79,16 +80,17 @@ impl LinkLocator {
         if !p.is_finite() || max_distance.is_nan() || max_distance < 0.0 {
             return out;
         }
-        // Keys come sorted by (link, segment): a link's segments are
-        // adjacent, so each link is projected once.
-        let mut keys = Vec::new();
+        // Segment positions come sorted, and a link's segments hold adjacent
+        // positions, so each link is projected once.
+        let mut segments = Vec::new();
         self.index.query_keys_into(
             &Aabb::around(*p, max_distance),
             &mut SeenScratch::new(),
-            &mut keys,
+            &mut segments,
         );
-        keys.dedup_by_key(|&mut (link, _)| link);
-        for (link_id, _) in keys {
+        let link_of = |at: u32| self.links[at as usize];
+        segments.dedup_by_key(|at| link_of(*at));
+        for link_id in segments.into_iter().map(link_of) {
             let proj = network.link(link_id).geometry.project(p);
             if proj.distance <= max_distance {
                 out.push(LinkMatch {

@@ -241,7 +241,7 @@ impl<P: Copy + Default> CellTable<P> {
 /// array and the first-visit list grow to the largest entry count seen.
 #[derive(Debug, Default)]
 pub struct SeenScratch {
-    /// `stamps[dense_id] == generation` ⇔ the entry was visited this query.
+    /// `stamps[id] == generation` ⇔ the entry was visited this query.
     stamps: Vec<u32>,
     generation: u32,
     /// `fresh[..gathered]` holds this query's first visits in walk order.
@@ -261,7 +261,7 @@ impl SeenScratch {
         SeenScratch::default()
     }
 
-    /// Starts a new query over an index with `entries` dense ids: bumps the
+    /// Starts a new query over an index with `entries` ids: bumps the
     /// generation so every previous stamp becomes stale at once, and empties
     /// the first-visit list.
     pub(crate) fn begin(&mut self, entries: usize) {
@@ -281,7 +281,7 @@ impl SeenScratch {
         }
     }
 
-    /// Stamps every dense id of `ids` as visited and appends the ones not
+    /// Stamps every id of `ids` as visited and appends the ones not
     /// yet visited this query to [`SeenScratch::first_visits`] — the dedup
     /// primitive. `ids` must be distinct (one cell's segment is).
     ///
@@ -308,10 +308,11 @@ impl SeenScratch {
         self.gathered = end;
     }
 
-    /// The current query's first visits, in the order the walk met them.
+    /// The current query's first visits, in the order the walk met them
+    /// (the caller may reorder them).
     #[inline]
-    pub(crate) fn first_visits(&self) -> &[u32] {
-        &self.fresh[..self.gathered]
+    pub(crate) fn first_visits(&mut self) -> &mut [u32] {
+        &mut self.fresh[..self.gathered]
     }
 
     /// Cumulative `(candidates inspected, unique candidates)` over every

@@ -14,10 +14,13 @@
 //! * [`first_ring_radius`] — the first ring of the service's expanding-ring
 //!   nearest search, sized from the local cell occupancy.
 //!
-//! Entries are `(Aabb, T)` pairs; the caller decides what the payload `T` is
-//! (a link id, an object id, …) and how precise the final distance filter must
-//! be. The index is conservative: a query returns every entry whose bounding
-//! box satisfies the predicate, never fewer.
+//! An entry is a bounding box under an id the caller numbers densely (a
+//! shard's slot, a link segment's position in the locator's list). The index
+//! keeps its state in arenas indexed by that id and hands the same ids back
+//! from every query, so a caller resolves a candidate with one array index of
+//! its own. The index is conservative: a query returns every entry whose
+//! bounding box satisfies the predicate, never fewer; the caller decides how
+//! precise the final distance filter must be.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,34 +30,3 @@ pub mod moving;
 
 pub use cells::SeenScratch;
 pub use moving::{first_ring_radius, BulkPlan, MovingIndex};
-
-use mbdr_geo::Aabb;
-
-/// An entry stored in a spatial index: a bounding box plus an opaque payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Entry<T> {
-    /// Bounding box of the indexed geometry.
-    pub bbox: Aabb,
-    /// Caller-defined payload (e.g. a link id).
-    pub item: T,
-}
-
-impl<T> Entry<T> {
-    /// Creates an entry.
-    pub(crate) fn new(bbox: Aabb, item: T) -> Self {
-        Entry { bbox, item }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mbdr_geo::Point;
-
-    #[test]
-    fn entry_holds_payload() {
-        let e = Entry::new(Aabb::around(Point::new(1.0, 2.0), 5.0), 42u32);
-        assert_eq!(e.item, 42);
-        assert!(e.bbox.contains(&Point::new(1.0, 2.0)));
-    }
-}

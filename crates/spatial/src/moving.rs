@@ -1,7 +1,7 @@
 //! A keyed, incrementally-updatable grid index for moving objects.
 //!
 //! [`MovingIndex`] is a uniform grid of cells whose entries are addressed by
-//! a caller-chosen key and can be inserted, moved and removed in O(cells per
+//! a caller-chosen id and can be inserted, moved and removed in O(cells per
 //! entry) — the operation the location service performs on every ingested
 //! position update. A static entry set (the link segments of a map) is the
 //! special case that is inserted once and never moved.
@@ -13,9 +13,9 @@
 //! cell, SipHash per cell probe, and a `sort_unstable + dedup` pass per query)
 //! dominated the query profile. Instead:
 //!
-//! * entries live in a dense arena (`entries[dense_id]`), addressed by a
-//!   small integer id; the key → id map is hashed only on mutation;
-//! * cell membership lives in one flat slab of dense-id slots,
+//! * entries live in arenas indexed by the caller's own id (`boxes[id]`,
+//!   `spans[id]`), which queries hand back: no path hashes or translates it;
+//! * cell membership lives in one flat slab of id slots,
 //!   carved into power-of-two-capacity segments — one contiguous segment per
 //!   occupied cell, found through an open-addressed `CellTable`;
 //! * every entry records the rectangle of cells its box overlaps and a
@@ -30,7 +30,7 @@
 //!   the candidate list on every query; the walk gathers each segment's
 //!   first visits without a branch per slot.
 //!
-//! All mutation paths reuse freed segments, dense ids and position runs,
+//! All mutation paths reuse freed segments, position runs and arena slots,
 //! so the steady state (objects moving within a warm cell population) touches
 //! the allocator zero times — the property the `hotpath` benchmark gate pins.
 //!
@@ -43,15 +43,14 @@
 //! allocates every buffer, [`BulkPlan::fill`] writes them.
 //!
 //! Two queries serve every caller: [`MovingIndex::query_keys_into`] (sorted,
-//! deduplicated keys of the cells a box overlaps) and
-//! [`MovingIndex::for_each_in_rect_unordered`] (entries whose box intersects
-//! the query, in walk order). Both run on caller-owned scratch buffers.
+//! deduplicated ids of the cells a box overlaps) and
+//! [`MovingIndex::for_each_in_rect_unordered`] (ids whose box intersects the
+//! query, in walk order). Both run on caller-owned scratch buffers.
 
 use crate::cells::CellTable;
-use crate::{Entry, SeenScratch};
+use crate::SeenScratch;
 use mbdr_geo::{Aabb, Point};
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::marker::PhantomData;
 
 /// Capacity of the smallest segment size class (class `c` holds
 /// `MIN_SEG_CAP << c` slots).
@@ -93,11 +92,13 @@ struct Span {
     cols: u32,
     rows: u32,
     start: u32,
+    /// Whether the id has an entry (an absent id's span and box are stale).
+    present: bool,
 }
 
 impl Span {
-    /// The cell rectangle of `bbox`, with no run yet. A box whose corners
-    /// are out of order overlaps no cell.
+    /// The cell rectangle of `bbox` of a present entry, with no run yet. A
+    /// box whose corners are out of order overlaps no cell.
     fn of(bbox: &Aabb, cell_size: f64) -> Span {
         let (x0, y0) = cell_of(&bbox.min, cell_size);
         let (x1, y1) = cell_of(&bbox.max, cell_size);
@@ -108,7 +109,7 @@ impl Span {
             let cells = u32::try_from(hi.abs_diff(lo)).ok().and_then(|d| d.checked_add(1));
             cells.expect("a box spans fewer than 2^32 cells per axis")
         };
-        Span { x0, y0, cols: axis(x0, x1), rows: axis(y0, y1), start: 0 }
+        Span { x0, y0, cols: axis(x0, x1), rows: axis(y0, y1), start: 0, present: true }
     }
 
     /// The cells of the rectangle in run order — column by column, the
@@ -140,10 +141,12 @@ impl Span {
 /// The rectangle of cells a bulk build's entries cover, from its lowest
 /// corner `lo`, `rows` cells high: a cell's key is its column-major position
 /// in it. A key needs 128 bits: the rectangle may span 2^64 cells per axis.
+/// `order` holds the build's ids in the order it was given them.
 #[derive(Debug)]
 struct CellGrid {
     lo: (i64, i64),
     rows: u128,
+    order: Vec<u32>,
 }
 
 impl CellGrid {
@@ -151,16 +154,17 @@ impl CellGrid {
         u128::from(cell.0.abs_diff(self.lo.0)) * self.rows + u128::from(cell.1.abs_diff(self.lo.1))
     }
 
-    /// Calls `f(cell key, dense id, run slot)` for every registration of
-    /// the entries of `spans`: entries in dense order, each one's cells in
-    /// run order.
+    /// Calls `f(cell key, id, run slot)` for every registration of the
+    /// build: entries in `order`, each one's cells in run order.
+    #[expect(clippy::indexing_slicing, reason = "`order` holds ids the arenas were grown to")]
     fn for_each_registration(&self, spans: &[Span], mut f: impl FnMut(u128, u32, usize)) {
-        for (dense, span) in (0u32..).zip(spans) {
+        for &id in &self.order {
+            let span = &spans[id as usize];
             let mut slot = span.start as usize;
             for dx in 0..span.cols {
                 let column = self.key((span.x0 + i64::from(dx), span.y0));
                 for dy in 0..span.rows {
-                    f(column + u128::from(dy), dense, slot);
+                    f(column + u128::from(dy), id, slot);
                     slot += 1;
                 }
             }
@@ -175,7 +179,7 @@ impl CellGrid {
 struct Registration {
     key_lo: u64,
     key_hi: u64,
-    dense: u32,
+    id: u32,
     slot: u32,
 }
 
@@ -246,8 +250,8 @@ fn sort_by_cell(regs: &mut Vec<Registration>) {
 /// A flat `u32` slab carved into power-of-two-capacity segments, with one
 /// free list per size class so emptied and outgrown segments are recycled
 /// instead of leaking or reallocating. The index keeps two: one for the
-/// cell segments (one dense id per slot, what the seen mask and the entry
-/// arena are indexed by) and one for the entries' position runs.
+/// cell segments (one entry id per slot) and one for the entries' position
+/// runs.
 #[derive(Debug, Clone)]
 struct Slab {
     data: Vec<u32>,
@@ -291,19 +295,16 @@ enum Layout {
 /// counted, waiting for [`BulkPlan::fill`] (see [`MovingIndex::plan_bulk`]).
 #[derive(Debug)]
 pub struct BulkPlan<K> {
-    /// Entries, spans and bounds in place; key map, table, slab and runs
-    /// sized but not written.
+    /// Boxes, spans and bounds in place; table, slab and runs sized but not
+    /// written.
     index: MovingIndex<K>,
     layout: Layout,
 }
 
-impl<K: Copy + Eq + Hash + Ord> BulkPlan<K> {
-    /// The second half of [`MovingIndex::bulk`]: writes the key map, the
-    /// cell table, the cell segments and the position runs into the buffers
-    /// the plan allocated, and allocates nothing itself.
-    ///
-    /// # Panics
-    /// Panics if a key repeats.
+impl<K: Copy + From<u32> + TryInto<u32>> BulkPlan<K> {
+    /// The second half of [`MovingIndex::bulk`]: writes the cell table, the
+    /// cell segments and the position runs into the buffers the plan
+    /// allocated, and allocates nothing itself.
     pub fn fill(self) -> MovingIndex<K> {
         let BulkPlan { mut index, layout } = self;
         // The plan leaves these buffers unwritten: the first touch of their
@@ -311,10 +312,6 @@ impl<K: Copy + Eq + Hash + Ord> BulkPlan<K> {
         // the capacity asked for, so the runs take all of theirs.
         index.runs.data.resize(index.runs.data.capacity(), 0);
         index.table.clear_reserved();
-        for (dense, entry) in (0u32..).zip(&index.entries) {
-            let fresh = index.items.insert(entry.item, dense).is_none();
-            assert!(fresh, "a bulk build takes each key once");
-        }
         match layout {
             Layout::Empty => {}
             Layout::Counted { grid, mut segments } => index.fill_counted(&grid, &mut segments),
@@ -324,26 +321,24 @@ impl<K: Copy + Eq + Hash + Ord> BulkPlan<K> {
     }
 }
 
-/// A uniform-grid spatial index whose entries are addressed by key and may be
-/// moved or removed after insertion, stored cache-consciously (dense entry
-/// arena, flat per-cell segments, open-addressed cell table — see the module
+/// A uniform-grid spatial index whose entries are addressed by id and may be
+/// moved or removed after insertion, stored cache-consciously (id-indexed
+/// arenas, flat per-cell segments, open-addressed cell table — see the module
 /// docs).
 ///
-/// Keys must be `Ord` so query results can be returned in a deterministic
-/// order regardless of hash order.
+/// The ids are the caller's: any `K` that converts to and from `u32`. A key
+/// that does not fit in `u32` is refused, never truncated. The arenas grow to
+/// the highest id inserted, so callers number their entries densely.
 #[derive(Debug, Clone)]
 pub struct MovingIndex<K> {
     cell_size: f64,
-    /// Key → dense id. Hashed on mutation and point lookup only; queries
-    /// never touch it.
-    items: HashMap<K, u32>,
-    /// Dense id → entry. Freed ids keep their stale slot (unreachable: no
-    /// cell references it) and are recycled through `free_ids`.
-    entries: Vec<Entry<K>>,
-    /// Dense id → the cells the entry is registered in and its run in
-    /// `runs` (stale for freed ids, like their entries).
+    /// Id → bounding box (stale for an absent id).
+    boxes: Vec<Aabb>,
+    /// Id → whether it has an entry, the cells the entry is registered in
+    /// and its run in `runs`.
     spans: Vec<Span>,
-    free_ids: Vec<u32>,
+    /// Number of present ids.
+    len: usize,
     /// Cell coordinate → its segment of `slab`.
     table: CellTable<Segment>,
     slab: Slab,
@@ -353,9 +348,10 @@ pub struct MovingIndex<K> {
     /// Union of every bbox ever inserted (never shrinks on removal); clamps
     /// oversized query boxes and bounds the service's nearest-ring search.
     bounds: Option<Aabb>,
+    ids: PhantomData<K>,
 }
 
-impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
+impl<K: Copy + From<u32> + TryInto<u32>> MovingIndex<K> {
     /// Creates an empty index with the given cell size in metres.
     ///
     /// # Panics
@@ -364,26 +360,26 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         assert!(cell_size > 0.0, "grid cell size must be positive");
         MovingIndex {
             cell_size,
-            items: HashMap::new(),
-            entries: Vec::new(),
+            boxes: Vec::new(),
             spans: Vec::new(),
-            free_ids: Vec::new(),
+            len: 0,
             table: CellTable::new(),
             slab: Slab::new(),
             runs: Slab::new(),
             bounds: None,
+            ids: PhantomData,
         }
     }
 
-    /// Builds the index that inserting `items` one by one into an empty
-    /// [`MovingIndex::new`] leaves: dense ids in the given order, every cell
-    /// segment holding its entries in that order at the size class the
-    /// inserts grow it to, the same position runs — so the same query
-    /// walks, answers and statistics. It is [`MovingIndex::plan_bulk`]
-    /// followed by [`BulkPlan::fill`].
+    /// Builds the index that inserting `items` one by one, in the given
+    /// order, into an empty [`MovingIndex::new`] leaves: every cell segment
+    /// holding its entries in that order at the size class the inserts grow
+    /// it to, the same position runs — so the same query walks, answers and
+    /// statistics. It is [`MovingIndex::plan_bulk`] followed by
+    /// [`BulkPlan::fill`].
     ///
     /// Each entry's cells are computed once and every `(cell, entry, run
-    /// slot)` registration is visited in entry order; a stable counting sort
+    /// slot)` registration is visited in the given order; a stable counting sort
     /// by cell places them, and the cell table, the segment slab and the
     /// run slab are each sized once. No cell is probed before it is inserted
     /// and no segment is copied to a larger class, which is what per-entry
@@ -394,8 +390,8 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// proportional to the registrations, not to the rectangle.
     ///
     /// # Panics
-    /// Panics if `cell_size` is not strictly positive, if a key repeats, or
-    /// if a box spans 2^32 cells or more per axis.
+    /// Panics if `cell_size` is not strictly positive, if a key repeats or
+    /// does not fit in `u32`, or if a box spans 2^32 cells or more per axis.
     pub fn bulk(cell_size: f64, items: impl IntoIterator<Item = (K, Aabb)>) -> Self {
         MovingIndex::plan_bulk(cell_size, items).fill()
     }
@@ -403,25 +399,28 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// The first half of [`MovingIndex::bulk`]: takes the entries, computes
     /// their cell rectangles and run slots, counts the registrations of
     /// every cell (or, for a sparse set, sorts them by cell) and allocates
-    /// every buffer the index keeps — entry arena, spans, position runs,
-    /// cell slab, cell table and key map — at its final size.
+    /// every buffer the index keeps — box and span arenas, position runs,
+    /// cell slab and cell table — at its final size.
     /// [`BulkPlan::fill`] then writes them without allocating, so it can run
     /// on another thread while its memory stays where the plan put it.
     ///
     /// # Panics
-    /// Panics if `cell_size` is not strictly positive or if a box spans
-    /// 2^32 cells or more per axis.
+    /// Panics if `cell_size` is not strictly positive, if a key repeats or
+    /// does not fit in `u32`, or if a box spans 2^32 cells or more per axis.
+    #[expect(clippy::indexing_slicing, reason = "`place` grows the arenas to every id")]
     pub fn plan_bulk(cell_size: f64, items: impl IntoIterator<Item = (K, Aabb)>) -> BulkPlan<K> {
         let mut idx = MovingIndex::new(cell_size);
         let items = items.into_iter();
         let expected = items.size_hint().0;
-        idx.entries.reserve(expected);
+        idx.boxes.reserve(expected);
         idx.spans.reserve(expected);
-        // Spans and run slots in dense order; the cell rectangle they cover.
+        // Ids and run slots in the given order; the cell rectangle they cover.
+        let mut order = Vec::with_capacity(expected);
         let (mut run_slots, mut registrations) = (0u32, 0usize);
         let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
         for (key, bbox) in items {
-            idx.entries.push(Entry::new(bbox, key));
+            let (id, repeated) = idx.place(key, bbox);
+            assert!(!repeated, "a bulk build takes each key once");
             let mut span = Span::of(&bbox, cell_size);
             span.start = run_slots;
             run_slots += seg_cap(span.class());
@@ -431,15 +430,15 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 hi.0 = hi.0.max(span.x0 + i64::from(span.cols - 1));
                 hi.1 = hi.1.max(span.y0 + i64::from(span.rows - 1));
             }
-            idx.spans.push(span);
+            idx.spans[id as usize] = span;
+            order.push(id);
             idx.grow_bounds(&bbox);
         }
-        idx.items.reserve(idx.entries.len());
         idx.runs.data = Vec::with_capacity(run_slots as usize);
         let layout = if registrations == 0 {
             Layout::Empty
         } else {
-            let grid = CellGrid { lo, rows: u128::from(hi.1.abs_diff(lo.1)) + 1 };
+            let grid = CellGrid { lo, rows: u128::from(hi.1.abs_diff(lo.1)) + 1, order };
             let cells = (u128::from(hi.0.abs_diff(lo.0)) + 1).checked_mul(grid.rows);
             match cells.filter(|&cells| cells <= registrations as u128) {
                 Some(cells) => idx.plan_counted(grid, cells as usize),
@@ -471,9 +470,9 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// they name.
     fn plan_sorted(&mut self, grid: &CellGrid, registrations: usize) -> Layout {
         let mut regs = Vec::with_capacity(registrations);
-        grid.for_each_registration(&self.spans, |key, dense, slot| {
+        grid.for_each_registration(&self.spans, |key, id, slot| {
             let (key_lo, key_hi) = (key as u64, (key >> 64) as u64);
-            regs.push(Registration { key_lo, key_hi, dense, slot: slot as u32 });
+            regs.push(Registration { key_lo, key_hi, id, slot: slot as u32 });
         });
         sort_by_cell(&mut regs);
         let groups = || regs.chunk_by(Registration::same_cell);
@@ -485,9 +484,9 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
 
     /// Lays out every cell segment of a counted bulk build from its cells'
     /// `(_, registrations)`: one segment per occupied cell, in key order,
-    /// then the registrations written in entry order — each cell's segment
-    /// fills in that order. Each pair becomes the cell's `(segment start,
-    /// slots filled)` on the way.
+    /// then the registrations written in the build's order — each cell's
+    /// segment fills in that order. Each pair becomes the cell's `(segment
+    /// start, slots filled)` on the way.
     #[expect(
         clippy::indexing_slicing,
         reason = "cell keys lie below `segments.len()`; segment slots below each segment's length"
@@ -511,9 +510,9 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         }
         self.slab.data.resize(slab_len as usize, 0);
         let (slab, runs) = (&mut self.slab.data, &mut self.runs.data);
-        grid.for_each_registration(&self.spans, |key, dense, slot| {
+        grid.for_each_registration(&self.spans, |key, id, slot| {
             let (start, filled) = &mut segments[key as usize];
-            slab[(*start + *filled) as usize] = dense;
+            slab[(*start + *filled) as usize] = id;
             runs[slot] = *filled;
             *filled += 1;
         });
@@ -521,7 +520,7 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
 
     /// Lays out every cell segment of a sparse bulk build from its
     /// registration records ordered by cell: each run of equal keys is one
-    /// cell's segment, in entry order.
+    /// cell's segment, in the build's order.
     #[expect(
         clippy::indexing_slicing,
         reason = "records hold run slots of this build; groups are non-empty"
@@ -532,33 +531,56 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
             let len = group.len() as u32;
             let segment = Segment { start, len, class: class_for(len) };
             for (pos, r) in (0u32..).zip(group) {
-                self.slab.data.push(r.dense);
+                self.slab.data.push(r.id);
                 self.runs.data[r.slot as usize] = pos;
             }
             self.slab.data.resize((start + seg_cap(segment.class)) as usize, 0);
-            let span = &self.spans[group[0].dense as usize];
+            let span = &self.spans[group[0].id as usize];
             self.table.insert(span.cell(group[0].slot - span.start), segment);
         }
     }
 
     /// Number of entries in the index.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// Returns `true` if the index holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// Returns `true` if `key` currently has an entry.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.items.contains_key(key)
+        self.present(*key).is_some()
     }
 
     /// The bounding box currently stored for `key`, if any.
     pub fn get(&self, key: &K) -> Option<&Aabb> {
-        self.items.get(key).map(|&dense| &self.entries[dense as usize].bbox)
+        self.present(*key).and_then(|id| self.boxes.get(id))
+    }
+
+    /// The arena index of `key` if it has an entry.
+    fn present(&self, key: K) -> Option<usize> {
+        let id = TryInto::<u32>::try_into(key).ok()? as usize;
+        self.spans.get(id).filter(|span| span.present).map(|_| id)
+    }
+
+    /// Stores `bbox` as the box of `key`'s id, growing the arenas to hold it,
+    /// and returns the id and whether it was present (`u32` or a panic).
+    fn place(&mut self, key: K, bbox: Aabb) -> (u32, bool) {
+        let Ok::<u32, _>(id) = key.try_into() else {
+            panic!("an index id must fit in u32");
+        };
+        let at = id as usize;
+        if self.spans.len() <= at {
+            self.spans.resize(at + 1, Span::default());
+            self.boxes.resize(at + 1, bbox);
+        }
+        self.boxes[at] = bbox;
+        let present = self.spans[at].present;
+        self.len += usize::from(!present);
+        (id, present)
     }
 
     /// Number of occupied grid cells (diagnostic; useful in benchmarks).
@@ -583,33 +605,16 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// Inserts `key` with `bbox`, replacing (and unregistering) any previous
     /// placement of the same key. Returns `true` if the key was already
     /// present.
+    ///
+    /// # Panics
+    /// Panics if `key` does not fit in `u32`.
     pub fn insert(&mut self, key: K, bbox: Aabb) -> bool {
-        let (dense, moved) = match self.items.get(&key).copied() {
-            Some(dense) => {
-                // A move: detach the old placement but keep the dense id —
-                // no hashing beyond the lookup, no allocation.
-                self.detach(dense);
-                self.entries[dense as usize].bbox = bbox;
-                (dense, true)
-            }
-            None => {
-                let dense = match self.free_ids.pop() {
-                    Some(id) => {
-                        self.entries[id as usize] = Entry::new(bbox, key);
-                        id
-                    }
-                    None => {
-                        let id = self.entries.len() as u32;
-                        self.entries.push(Entry::new(bbox, key));
-                        self.spans.push(Span::default());
-                        id
-                    }
-                };
-                self.items.insert(key, dense);
-                (dense, false)
-            }
-        };
-        self.attach(dense, Span::of(&bbox, self.cell_size));
+        let (id, moved) = self.place(key, bbox);
+        if moved {
+            // A move: detach the old placement, in place — no allocation.
+            self.detach(id);
+        }
+        self.attach(id, Span::of(&bbox, self.cell_size));
         self.grow_bounds(&bbox);
         moved
     }
@@ -628,42 +633,43 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
     /// a swap-remove at the position the entry's run records, not a scan of
     /// the cell.
     pub fn remove(&mut self, key: &K) -> bool {
-        let Some(dense) = self.items.remove(key) else {
+        let Some(id) = self.present(*key) else {
             return false;
         };
-        self.detach(dense);
-        self.free_ids.push(dense);
+        self.detach(id as u32);
+        self.spans[id].present = false;
+        self.len -= 1;
         true
     }
 
-    /// Registers `dense` in every cell of `span` (a fresh rectangle), taking
-    /// a run of the matching class from `runs` and recording there the
+    /// Registers `id` in every cell of `span` (a fresh rectangle), taking a
+    /// run of the matching class from `runs` and recording there the
     /// position each cell's segment gave it.
-    fn attach(&mut self, dense: u32, mut span: Span) {
+    fn attach(&mut self, id: u32, mut span: Span) {
         span.start = self.runs.alloc(span.class(), 0);
-        self.spans[dense as usize] = span;
+        self.spans[id as usize] = span;
         for (slot, cell) in (span.start as usize..).zip(span.cells()) {
-            self.runs.data[slot] = self.register(dense, cell);
+            self.runs.data[slot] = self.register(id, cell);
         }
     }
 
-    /// Unregisters `dense` from every cell its span covers and returns its
-    /// run to `runs`' free list.
-    fn detach(&mut self, dense: u32) {
-        let span = self.spans[dense as usize];
+    /// Unregisters `id` from every cell its span covers and returns its run
+    /// to `runs`' free list.
+    fn detach(&mut self, id: u32) {
+        let span = self.spans[id as usize];
         for (slot, cell) in (span.start as usize..).zip(span.cells()) {
             self.unregister(cell, self.runs.data[slot]);
         }
         self.runs.release(span.start, span.class());
     }
 
-    /// Appends a slot for `dense` to `cell`'s segment, growing the segment a
+    /// Appends a slot for `id` to `cell`'s segment, growing the segment a
     /// size class (copy + recycle) when full. Returns the slot's position in
     /// the segment.
-    fn register(&mut self, dense: u32, cell: (i64, i64)) -> u32 {
+    fn register(&mut self, id: u32, cell: (i64, i64)) -> u32 {
         match self.table.get(cell).copied() {
             Some(seg) if seg.len < seg_cap(seg.class) => {
-                self.slab.data[(seg.start + seg.len) as usize] = dense;
+                self.slab.data[(seg.start + seg.len) as usize] = id;
                 self.table.get_mut(cell).expect("cell just probed").len += 1;
                 seg.len
             }
@@ -671,20 +677,20 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
                 // Segment full: move the cell to the next size class. Runs
                 // store segment-relative positions, so the copy invalidates
                 // nothing.
-                let new_start = self.slab.alloc(seg.class + 1, dense);
+                let new_start = self.slab.alloc(seg.class + 1, id);
                 self.slab.data.copy_within(
                     seg.start as usize..(seg.start + seg.len) as usize,
                     new_start as usize,
                 );
-                self.slab.data[(new_start + seg.len) as usize] = dense;
+                self.slab.data[(new_start + seg.len) as usize] = id;
                 self.slab.release(seg.start, seg.class);
                 *self.table.get_mut(cell).expect("cell just probed") =
                     Segment { start: new_start, len: seg.len + 1, class: seg.class + 1 };
                 seg.len
             }
             None => {
-                let start = self.slab.alloc(0, dense);
-                self.slab.data[start as usize] = dense;
+                let start = self.slab.alloc(0, id);
+                self.slab.data[start as usize] = id;
                 self.table.insert(cell, Segment { start, len: 1, class: 0 });
                 0
             }
@@ -727,14 +733,14 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         })
     }
 
-    /// Walks the cells overlapping `query` and leaves the dense ids of the
-    /// entries registered there in `seen.first_visits()`, each once, in walk
-    /// order. Returns `false` (and walks nothing) when no entry can match.
+    /// Walks the cells overlapping `query` and leaves the ids of the entries
+    /// registered there in `seen.first_visits()`, each once, in walk order.
+    /// Returns `false` (and walks nothing) when no entry can match.
     fn gather_in(&self, query: &Aabb, seen: &mut SeenScratch) -> bool {
         let Some(clamped) = self.clamp(query) else {
             return false;
         };
-        seen.begin(self.entries.len());
+        seen.begin(self.spans.len());
         for cell in cell_range(&clamped, self.cell_size) {
             if let Some(seg) = self.table.get(cell) {
                 let slots = &self.slab.data[seg.start as usize..(seg.start + seg.len) as usize];
@@ -744,43 +750,43 @@ impl<K: Copy + Eq + Hash + Ord> MovingIndex<K> {
         true
     }
 
-    /// Writes the keys of entries registered in cells overlapping `query`
+    /// Writes the ids of entries registered in cells overlapping `query`
     /// into `out` (cleared first), deduplicated and in ascending order.
     ///
     /// Dedup is O(candidates) via the generation-stamped seen mask — an
     /// entry spanning many visited cells is gathered once and skipped on
-    /// every later visit — and only the *unique* keys are sorted. Both
+    /// every later visit — and only the *unique* ids are sorted. Both
     /// buffers are the caller's scratch: a reader that reuses them across
     /// queries performs zero heap allocations per query in steady state.
     pub fn query_keys_into(&self, query: &Aabb, seen: &mut SeenScratch, out: &mut Vec<K>) {
         out.clear();
         if self.gather_in(query, seen) {
-            out.extend(seen.first_visits().iter().map(|&dense| self.entries[dense as usize].item));
-            out.sort_unstable();
+            let ids = seen.first_visits();
+            ids.sort_unstable();
+            out.extend(ids.iter().map(|&id| K::from(id)));
         }
     }
 
-    /// Calls `f` for every entry whose bounding box intersects `query`, in
-    /// **unspecified order**, allocation-free — the form the location
-    /// service's batch query kernels are built on (they impose their own
-    /// deterministic order on the final results, so paying for an ordered
-    /// candidate walk here would be waste).
+    /// Calls `f` with the id of every entry whose bounding box intersects
+    /// `query`, in **unspecified order**, allocation-free — the form the
+    /// location service's batch query kernels are built on (they impose their
+    /// own deterministic order on the final results, so paying for an
+    /// ordered candidate walk here would be waste).
     ///
     /// Two passes: the cell walk gathers every segment's first visits into
     /// `seen` without a branch per slot, then one pass over those entries
-    /// runs the bbox test and `f`. The entries reach `f` in the order the
-    /// walk first met them.
-    pub fn for_each_in_rect_unordered<'a>(
-        &'a self,
+    /// runs the bbox test and `f`. The ids reach `f` in the order the walk
+    /// first met them.
+    pub fn for_each_in_rect_unordered(
+        &self,
         query: &Aabb,
         seen: &mut SeenScratch,
-        mut f: impl FnMut(&'a Entry<K>),
+        mut f: impl FnMut(K),
     ) {
         if self.gather_in(query, seen) {
-            for &dense in seen.first_visits() {
-                let entry = &self.entries[dense as usize];
-                if entry.bbox.intersects(query) {
-                    f(entry);
+            for &mut id in seen.first_visits() {
+                if self.boxes[id as usize].intersects(query) {
+                    f(K::from(id));
                 }
             }
         }
@@ -844,7 +850,7 @@ mod tests {
     /// unordered walk the service's kernels run, put in order for a test.
     fn rect(idx: &MovingIndex<u32>, query: &Aabb) -> Vec<u32> {
         let mut keys = Vec::new();
-        idx.for_each_in_rect_unordered(query, &mut SeenScratch::new(), |e| keys.push(e.item));
+        idx.for_each_in_rect_unordered(query, &mut SeenScratch::new(), |k| keys.push(k));
         keys.sort_unstable();
         keys
     }
@@ -940,7 +946,7 @@ mod tests {
         }
         let slab_len = idx.slab.data.len();
         let runs_len = idx.runs.data.len();
-        let entries_len = idx.entries.len();
+        let arena_len = idx.spans.len();
         // …then keep cycling through the same positions: the arenas must not
         // grow (segments, ids and runs are all recycled).
         for round in 0..50 {
@@ -952,28 +958,24 @@ mod tests {
         }
         assert_eq!(idx.slab.data.len(), slab_len, "steady churn must not grow the slab");
         assert_eq!(idx.runs.data.len(), runs_len, "runs are recycled");
-        assert_eq!(idx.entries.len(), entries_len, "dense ids are recycled");
+        assert_eq!(idx.spans.len(), arena_len, "moves stay in their arena slots");
         assert_eq!(idx.len(), 32);
     }
 
     /// Checks every live entry's run against the cell segments: for each
     /// cell of its box, in `cell_range` order, the run records the position
-    /// at which that cell's segment holds the entry's dense id; and the
-    /// segments hold no other slots.
+    /// at which that cell's segment holds the entry's id; and the segments
+    /// hold no other slots.
     fn assert_runs_match_segments(idx: &MovingIndex<u32>) {
         let mut registered = 0usize;
-        for (&key, &dense) in &idx.items {
-            let span = idx.spans[dense as usize];
-            let bbox = idx.entries[dense as usize].bbox;
-            for (rank, cell) in cell_range(&bbox, idx.cell_size).enumerate() {
+        let arenas = (0u32..).zip(idx.spans.iter().zip(&idx.boxes));
+        for (key, (span, bbox)) in arenas.filter(|(_, (span, _))| span.present) {
+            for (rank, cell) in cell_range(bbox, idx.cell_size).enumerate() {
                 let pos = idx.runs.data[span.start as usize + rank];
                 let seg = idx.table.get(cell).expect("a registered cell is occupied");
                 assert!(pos < seg.len, "key {key}, cell {cell:?}: position {pos} past the segment");
                 let slot = idx.slab.data[(seg.start + pos) as usize];
-                assert_eq!(
-                    slot, dense,
-                    "key {key}, cell {cell:?}: the run points at another entry"
-                );
+                assert_eq!(slot, key, "key {key}, cell {cell:?}: the run points at another entry");
                 registered += 1;
             }
         }
@@ -1022,8 +1024,8 @@ mod tests {
     fn position_runs_follow_churn_against_a_model() {
         // Boxes from one cell to 7 × 6 cells (runs of class 0 to 4), never
         // square but for the point boxes, centred in a 6 × 6-cell block so
-        // cells are crowded; keys are removed and re-inserted, so dense ids
-        // are recycled.
+        // cells are crowded; keys are removed and re-inserted, so arena slots
+        // are reused.
         let mut idx = MovingIndex::new(10.0);
         let mut model = std::collections::BTreeMap::new();
         let mut bounds: Option<Aabb> = None;
@@ -1052,7 +1054,7 @@ mod tests {
                 let bbox =
                     Aabb::new(Point::new(c.x - hx, c.y - hy), Point::new(c.x + hx, c.y + hy));
                 place(&mut idx, &mut model, &mut bounds, key, bbox);
-                classes[idx.spans[idx.items[&key] as usize].class() as usize] += 1;
+                classes[idx.spans[key as usize].class() as usize] += 1;
             }
             assert_eq!(idx.len(), model.len(), "step {step}");
             assert_runs_match_segments(&idx);
@@ -1097,23 +1099,24 @@ mod tests {
     }
 
     /// `got` holds what `want` holds, down to the layout queries see: the
-    /// same dense id per key, the same boxes, spans and position runs, and
-    /// for every occupied cell a segment of the same size class holding the
-    /// same dense ids in the same order. Only where in the slab a segment
-    /// sits may differ (inserts leave outgrown segments on free lists).
+    /// same ids present, the same boxes, spans and position runs, and for
+    /// every occupied cell a segment of the same size class holding the same
+    /// ids in the same order. Only where in the slab a segment sits may
+    /// differ (inserts leave outgrown segments on free lists).
     fn assert_same_index(got: &MovingIndex<u32>, want: &MovingIndex<u32>, what: &str) {
-        assert_eq!(got.items, want.items, "{what}: dense ids");
-        assert_eq!(got.free_ids, want.free_ids, "{what}: free ids");
-        assert_eq!(got.entries.len(), want.entries.len(), "{what}: entry arena");
-        for &dense in want.items.values() {
-            let d = dense as usize;
-            assert_eq!(got.entries[d], want.entries[d], "{what}: entry {dense}");
-            let (g, w) = (got.spans[d], want.spans[d]);
-            assert_eq!(
-                (g.x0, g.y0, g.cols, g.rows, g.start),
-                (w.x0, w.y0, w.cols, w.rows, w.start),
-                "{what}: span of entry {dense}"
-            );
+        assert_eq!(got.len(), want.len(), "{what}: entries");
+        assert_eq!(got.spans.len(), want.spans.len(), "{what}: span arena");
+        assert_eq!(got.boxes.len(), want.boxes.len(), "{what}: box arena");
+        for (id, (g, w)) in got.spans.iter().zip(&want.spans).enumerate() {
+            assert_eq!(g.present, w.present, "{what}: presence of id {id}");
+            if w.present {
+                assert_eq!(got.boxes[id], want.boxes[id], "{what}: box of id {id}");
+                assert_eq!(
+                    (g.x0, g.y0, g.cols, g.rows, g.start),
+                    (w.x0, w.y0, w.cols, w.rows, w.start),
+                    "{what}: span of id {id}"
+                );
+            }
         }
         assert_eq!(got.runs.data, want.runs.data, "{what}: position runs");
         assert_eq!(got.runs.free, want.runs.free, "{what}: free runs");
@@ -1135,7 +1138,7 @@ mod tests {
     fn assert_same_walks(got: &MovingIndex<u32>, want: &MovingIndex<u32>, queries: &[Aabb]) {
         let walk = |idx: &MovingIndex<u32>, query: &Aabb| {
             let (mut seen, mut walked, mut keys) = (SeenScratch::new(), Vec::new(), Vec::new());
-            idx.for_each_in_rect_unordered(query, &mut seen, |e| walked.push(e.item));
+            idx.for_each_in_rect_unordered(query, &mut seen, |k| walked.push(k));
             idx.query_keys_into(query, &mut seen, &mut keys);
             (walked, keys, seen.dedup_counters(), idx.extent_radius(&query.center()).to_bits())
         };
@@ -1205,13 +1208,24 @@ mod tests {
         }
         let mut grown_classes = 0;
         let mut layouts = [0; 2];
-        for (case, (kind, n)) in
-            [(0, 0), (0, 1), (0, 400), (1, 400), (2, 200), (4, 3), (5, 1), (5, 60)]
-                .into_iter()
-                .enumerate()
+        // Ids are spaced three apart; the last case hands them over out of
+        // order (37 is prime to 400).
+        for (case, (kind, n, stride)) in [
+            (0, 0, 1),
+            (0, 1, 1),
+            (0, 400, 1),
+            (1, 400, 1),
+            (2, 200, 1),
+            (4, 3, 1),
+            (5, 1, 1),
+            (5, 60, 1),
+            (1, 400, 37),
+        ]
+        .into_iter()
+        .enumerate()
         {
             let items: Vec<(u32, Aabb)> =
-                (0..n).map(|key| (key * 3, draw(&mut next, kind))).collect();
+                (0..n).map(|i| (i * stride % n.max(1) * 3, draw(&mut next, kind))).collect();
             let mut want = MovingIndex::new(10.0);
             for &(key, bbox) in &items {
                 want.insert(key, bbox);
@@ -1263,6 +1277,45 @@ mod tests {
     fn bulk_build_refuses_a_repeated_key() {
         let bbox = Aabb::around(Point::ORIGIN, 1.0);
         let _ = MovingIndex::bulk(10.0, [(1u32, bbox), (2, bbox), (1, bbox)]);
+    }
+
+    #[test]
+    fn an_id_past_the_arenas_leaves_the_ids_below_it_absent() {
+        let mut idx = MovingIndex::new(10.0);
+        let bbox = Aabb::around(Point::new(5.0, 5.0), 1.0);
+        assert!(!idx.insert(5u32, bbox), "a fresh id");
+        assert_eq!(idx.len(), 1);
+        for id in 0..5 {
+            assert!(!idx.contains_key(&id) && idx.get(&id).is_none(), "id {id}");
+            assert!(!idx.remove(&id), "id {id}");
+        }
+        let everything = Aabb::around(Point::ORIGIN, 1e3);
+        assert_eq!(rect(&idx, &everything), [5]);
+        let mut keys = Vec::new();
+        idx.query_keys_into(&everything, &mut SeenScratch::new(), &mut keys);
+        assert_eq!(keys, [5]);
+        // A box whose corners are out of order is present but in no cell.
+        let inverted = Aabb { min: Point::new(1.0, 1.0), max: Point::new(0.0, 0.0) };
+        assert!(!idx.insert(2, inverted));
+        assert!(idx.contains_key(&2) && idx.len() == 2);
+        assert_eq!(idx.occupied_cells(), 1);
+        assert!(idx.remove(&2) && !idx.contains_key(&2));
+        // Removing 5 and inserting it again reuses its arena slot.
+        let arenas = |idx: &MovingIndex<u32>| {
+            (idx.spans.len(), idx.spans.capacity(), idx.boxes.len(), idx.boxes.capacity())
+        };
+        let before = arenas(&idx);
+        assert!(idx.remove(&5) && idx.is_empty());
+        assert!(!idx.insert(5, bbox), "a removed id is absent");
+        assert_eq!(arenas(&idx), before, "the arenas do not grow");
+        assert_eq!(rect(&idx, &everything), [5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit in u32")]
+    fn an_id_past_u32_is_refused_not_truncated() {
+        let mut idx = MovingIndex::<u64>::new(10.0);
+        idx.insert(u64::from(u32::MAX) + 1, Aabb::around(Point::ORIGIN, 1.0));
     }
 
     #[test]
@@ -1379,12 +1432,11 @@ mod tests {
             expect_counts.1 += firsts.len() as u64;
             let expect: Vec<u32> = firsts
                 .iter()
-                .map(|&dense| &idx.entries[dense as usize])
-                .filter(|e| e.bbox.intersects(&query))
-                .map(|e| e.item)
+                .copied()
+                .filter(|&id| idx.boxes[id as usize].intersects(&query))
                 .collect();
             let mut got = Vec::new();
-            idx.for_each_in_rect_unordered(&query, &mut seen, |e| got.push(e.item));
+            idx.for_each_in_rect_unordered(&query, &mut seen, |k| got.push(k));
             assert_eq!(got, expect, "query {q}: same entries in the same order");
             assert_eq!(seen.dedup_counters(), expect_counts, "query {q}");
         }
@@ -1413,7 +1465,7 @@ mod tests {
     fn bounds_track_insertions() {
         let mut idx = MovingIndex::new(10.0);
         assert!(idx.bounds.is_none());
-        idx.insert(1, Aabb::around(Point::new(0.0, 0.0), 1.0));
+        idx.insert(1u32, Aabb::around(Point::new(0.0, 0.0), 1.0));
         idx.insert(2, Aabb::around(Point::new(100.0, -50.0), 1.0));
         let b = idx.bounds.unwrap();
         assert!(b.contains(&Point::new(0.0, 0.0)));

@@ -50,7 +50,7 @@ fn moving_index_after_churn_equals_brute_force() {
             let expect: Vec<u64> =
                 reference.iter().filter(|(_, b)| b.intersects(&query)).map(|(&k, _)| k).collect();
             let mut walked = Vec::new();
-            index.for_each_in_rect_unordered(&query, &mut seen, |e| walked.push(e.item));
+            index.for_each_in_rect_unordered(&query, &mut seen, |k| walked.push(k));
             walked.sort_unstable();
             assert_eq!(walked, expect, "{what}: the rect walk");
 
