@@ -31,9 +31,10 @@
 //! Every number is seed-determined.
 
 use crate::recovery::{encoded_frames, fleet, queries_match, ScratchDir, UPDATES_PER_FRAME};
-use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig, JournalStatsSnapshot};
-use mbdr_locserver::durable::recover_into;
-use mbdr_locserver::{recover_and_attach, DurabilityStatsSnapshot, RecoveryReport};
+use mbdr_journal::{FaultFs, FsyncPolicy, JournalConfig, JournalStatsSnapshot};
+use mbdr_locserver::{
+    recover_and_attach, recover_and_attach_with_vfs, DurabilityStatsSnapshot, RecoveryReport,
+};
 use mbdr_sim::{FaultPlan, Json};
 use std::sync::Arc;
 
@@ -107,12 +108,9 @@ pub(crate) fn faults_bench(scale: f64, seed: u64) -> FaultsBench {
     // --- Phase 1: faulted ingest over a disk that dies and heals. ---
     let fault = FaultFs::over_real();
     let primary = fleet(objects);
-    let journal = Arc::new(
-        Journal::open_with_vfs(config.clone(), Arc::new(fault.clone()))
-            .expect("fresh dir opens over FaultFs"),
-    );
-    recover_into(&primary, &journal).expect("fresh dir recovers");
-    assert!(primary.attach_journal(Arc::clone(&journal)));
+    let (journal, _) =
+        recover_and_attach_with_vfs(&primary, config.clone(), Arc::new(fault.clone()))
+            .expect("fresh dir recovers over FaultFs");
     let twin = fleet(objects);
 
     let mut updates_applied = 0u64;

@@ -305,8 +305,8 @@ impl std::fmt::Display for ServeError {
 
 /// Where a durable server currently sits on the availability-over-durability
 /// trade-off. Carried in the health response as one byte; the full state
-/// machine (transitions, probing, re-flooring) lives in
-/// `mbdr-locserver::durability`.
+/// machine (transitions, probing, re-flooring) lives in `mbdr-locserver`'s
+/// private `durable` module, behind `LocationService::durability_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DurabilityState {
     /// Every acknowledged frame is being journaled (or no journal is

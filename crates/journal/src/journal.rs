@@ -238,16 +238,6 @@ impl JournalConfig {
     }
 }
 
-/// A validated snapshot read back from disk: the frame count it covers and the
-/// opaque body (encoded by the caller, e.g. `mbdr-core`'s snapshot codec).
-#[derive(Debug, Clone)]
-pub struct SnapshotBlob {
-    /// Number of journal frames the snapshot covers (its compaction floor).
-    pub frames: u64,
-    /// Caller-encoded snapshot body; the journal treats it as opaque bytes.
-    pub body: Vec<u8>,
-}
-
 /// An open segment file positioned for appending.
 struct Segment {
     file: Box<dyn VfsFile>,
@@ -288,7 +278,6 @@ pub struct Journal {
     /// Frame count covered by the newest installed snapshot.
     snapshot_floor: AtomicU64,
     snapshot_active: AtomicBool,
-    recovered_snapshot: Option<(u64, PathBuf)>,
 }
 
 impl Journal {
@@ -331,11 +320,10 @@ impl Journal {
     /// [`Journal::open_with_vfs`] that also hands what it validated to
     /// `sink`, so recovery reads and checksums every retained byte once: first
     /// the chosen snapshot's body (as [`Retained::Snapshot`]), then each
-    /// retained segment's records in frame order (as [`Retained::Segment`]),
-    /// the same sequence [`Journal::recover`] hands over for a journal that
-    /// is already open. One file's bytes are in memory at a time — the
-    /// snapshot image is dropped before the first segment is read — and none
-    /// outlives the call.
+    /// retained segment's records in frame order (as [`Retained::Segment`]).
+    /// It is the only way to read a snapshot back. One file's bytes are in
+    /// memory at a time — the snapshot image is dropped before the first
+    /// segment is read — and none outlives the call.
     ///
     /// The snapshot is handed over before any segment is read, so a refusal
     /// can follow it: a coverage gap or a newer-version first segment before
@@ -375,7 +363,8 @@ impl Journal {
                 recovered_snapshot = Some((*snap_frames, path.clone()));
                 // Handed over and dropped before any segment is read, so the
                 // image and a segment buffer are never in memory together.
-                sink(snapshot_item(*snap_frames, &image))?;
+                let body = image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
+                sink(Retained::Snapshot { frames: *snap_frames, body })?;
                 break;
             }
         }
@@ -495,7 +484,6 @@ impl Journal {
             frames: AtomicU64::new(frames),
             snapshot_floor: AtomicU64::new(snapshot_floor),
             snapshot_active: AtomicBool::new(false),
-            recovered_snapshot,
         };
         Ok((journal, delivered))
     }
@@ -621,72 +609,15 @@ impl Journal {
     }
 
     /// Streams every retained record, in frame order, into `sink(index,
-    /// payload)` and returns the number delivered. Intended to be called once
-    /// at boot, after [`Journal::open`] and the snapshot restore, before live
-    /// appends begin; the writer lock is held for the whole replay. Each
-    /// segment is read once and checksummed in full before its first record
-    /// is delivered. Records were validated at open, so a failure here is a
-    /// typed [`JournalError::Corrupt`] indicating external modification.
+    /// payload)` and returns the number delivered. Reads every segment in the
+    /// directory again, once each, and checksums it in full before its first
+    /// record is delivered; the writer lock is held for the whole replay.
+    /// Records were validated at open, so a failure here is a typed
+    /// [`JournalError::Corrupt`] indicating external modification. Recovery
+    /// does not call this: it takes the records the open scan has just read
+    /// ([`Journal::open_and_recover`]).
     pub fn replay(&self, mut sink: impl FnMut(u64, &[u8])) -> Result<u64, JournalError> {
         let _writer = self.writer.lock();
-        let delivered = self.each_segment(&mut |records| {
-            for (index, payload) in records {
-                sink(index, payload);
-            }
-            Ok::<(), JournalError>(())
-        })?;
-        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
-        Ok(delivered)
-    }
-
-    /// Reads back the newest valid snapshot found at open, if any. The file is
-    /// read again and its body revalidated against its checksum before being
-    /// returned.
-    pub fn load_snapshot(&self) -> Result<Option<SnapshotBlob>, JournalError> {
-        let Some((frames, path)) = &self.recovered_snapshot else {
-            return Ok(None);
-        };
-        let Some(mut bytes) = read_snapshot(self.vfs.as_ref(), path, *frames)? else {
-            return Err(corrupt(path, 0, "snapshot failed revalidation"));
-        };
-        // A valid image is exactly header + body, so the body is handed out in
-        // the buffer it was read into rather than in a second copy of it.
-        bytes.drain(..SNAPSHOT_HEADER_LEN);
-        Ok(Some(SnapshotBlob { frames: *frames, body: bytes }))
-    }
-
-    /// [`Journal::load_snapshot`] and [`Journal::replay`] in one pass for a
-    /// journal that is already open: hands `sink` the snapshot found at open
-    /// and then each retained segment's records, the sequence
-    /// [`Journal::open_and_recover`] hands over, and returns the number of
-    /// records delivered. Every file is read and checksummed once here; a
-    /// file that no longer validates is a [`JournalError::Corrupt`]. The
-    /// writer lock is held throughout, and an error from `sink` stops the
-    /// pass and is returned as is.
-    pub fn recover<E: From<JournalError>>(
-        &self,
-        mut sink: impl FnMut(Retained<'_>) -> Result<(), E>,
-    ) -> Result<u64, E> {
-        let _writer = self.writer.lock();
-        if let Some((frames, path)) = &self.recovered_snapshot {
-            let image = read_snapshot(self.vfs.as_ref(), path, *frames)?;
-            let Some(image) = image else {
-                return Err(corrupt(path, 0, "snapshot failed revalidation").into());
-            };
-            sink(snapshot_item(*frames, &image))?;
-        }
-        let delivered = self.each_segment(&mut |records| sink(Retained::Segment(records)))?;
-        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
-        Ok(delivered)
-    }
-
-    /// Reads every segment in the directory once, checksums it in full and
-    /// hands its records to `sink`; returns the number of records handed
-    /// over. The caller holds the writer lock.
-    fn each_segment<E: From<JournalError>>(
-        &self,
-        sink: &mut impl FnMut(Records<'_>) -> Result<(), E>,
-    ) -> Result<u64, E> {
         let segments = list_numbered(
             self.vfs.as_ref(),
             &self.config.dir,
@@ -697,16 +628,19 @@ impl Journal {
         for (_, path) in segments {
             let bytes = self.vfs.read(&path).map_err(JournalError::Io)?;
             let Some((base, records)) = segment_body(&path, &bytes)? else {
-                return Err(corrupt(&path, 0, "segment header failed revalidation").into());
+                return Err(corrupt(&path, 0, "segment header failed revalidation"));
             };
             let (count, valid) = validate_records(records);
             if valid < records.len() {
                 let at = (SEGMENT_HEADER_LEN + valid) as u64;
-                return Err(corrupt(&path, at, "record failed revalidation").into());
+                return Err(corrupt(&path, at, "record failed revalidation"));
             }
-            sink(Records { bytes: records, index: base })?;
+            for (index, payload) in (Records { bytes: records, index: base }) {
+                sink(index, payload);
+            }
             delivered += count;
         }
+        self.stats.recovered_frames.fetch_add(delivered, Ordering::Relaxed);
         Ok(delivered)
     }
 
@@ -784,11 +718,6 @@ impl Journal {
     /// compaction does not decrease it).
     pub fn frames_appended(&self) -> u64 {
         self.frames.load(Ordering::Relaxed)
-    }
-
-    /// Frame count of the snapshot selected at open, if one was found.
-    pub fn recovered_snapshot_frames(&self) -> Option<u64> {
-        self.recovered_snapshot.as_ref().map(|(frames, _)| *frames)
     }
 
     /// Point-in-time copy of the journal's counters.
@@ -895,8 +824,8 @@ impl Journal {
 
 /// One step of a recovery read, in journal order: the chosen snapshot (if
 /// any) first, then every retained segment. Handed out by
-/// [`Journal::open_and_recover`] and [`Journal::recover`]; the borrowed bytes
-/// are the ones the checksum pass validated and live only for the call.
+/// [`Journal::open_and_recover`]; the borrowed bytes are the ones the
+/// checksum pass validated and live only for the call.
 #[derive(Debug, Clone)]
 pub enum Retained<'a> {
     /// The newest valid snapshot.
@@ -932,11 +861,6 @@ impl<'a> Iterator for Records<'a> {
         self.index += 1;
         Some((index, payload))
     }
-}
-
-/// The [`Retained::Snapshot`] for a validated snapshot image.
-fn snapshot_item(frames: u64, image: &[u8]) -> Retained<'_> {
-    Retained::Snapshot { frames, body: image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default() }
 }
 
 /// Splits a segment image into its base frame index and the record bytes
@@ -1128,6 +1052,20 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Opens `config` on the real filesystem and returns the snapshot the
+    /// open scan handed over, as `(frames, body)`.
+    fn open_taking_snapshot(config: JournalConfig) -> (Journal, Option<(u64, Vec<u8>)>) {
+        let mut snapshot = None;
+        let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
+            if let Retained::Snapshot { frames, body } = item {
+                snapshot = Some((frames, body.to_vec()));
+            }
+            Ok::<(), JournalError>(())
+        })
+        .expect("open");
+        (journal, snapshot)
+    }
+
     /// Byte-at-a-time reference with each table entry computed on the fly, so
     /// it shares no table with the kernel: the oracle for the braided and
     /// slicing-by-8 loops.
@@ -1242,10 +1180,8 @@ mod tests {
         assert_eq!(journal.snapshot_floor.load(Ordering::Relaxed), frames);
         drop(journal);
 
-        let journal = Journal::open(config).expect("reopen");
-        let blob = journal.load_snapshot().expect("load").expect("present");
-        assert_eq!(blob.frames, frames);
-        assert_eq!(blob.body, b"snapshot-body");
+        let (journal, snapshot) = open_taking_snapshot(config);
+        assert_eq!(snapshot, Some((frames, b"snapshot-body".to_vec())));
         let mut first = None;
         journal
             .replay(|index, _| {
@@ -1300,8 +1236,8 @@ mod tests {
         journal.install_snapshot(frames, b"forced-floor").expect("install");
         assert_eq!(journal.snapshot_floor.load(Ordering::Relaxed), 3);
         drop(journal);
-        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
-        assert_eq!(journal.load_snapshot().expect("load").expect("present").frames, 3);
+        let (_, snapshot) = open_taking_snapshot(JournalConfig::new(&dir));
+        assert_eq!(snapshot.expect("present").0, 3);
         cleanup(&dir);
     }
 

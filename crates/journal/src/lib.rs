@@ -74,8 +74,8 @@ mod vfs;
 
 pub use error::JournalError;
 pub use journal::{
-    FsyncPolicy, Journal, JournalConfig, Records, Retained, SnapshotBlob, JOURNAL_VERSION,
-    MAX_RECORD_BYTES, RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+    FsyncPolicy, Journal, JournalConfig, Records, Retained, JOURNAL_VERSION, MAX_RECORD_BYTES,
+    RECORD_HEADER_LEN, SEGMENT_FILE_SUFFIX, SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
     SNAPSHOT_FILE_SUFFIX, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
 };
 pub use stats::{Histogram, HistogramSnapshot, JournalStatsSnapshot};

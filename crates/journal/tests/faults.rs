@@ -11,7 +11,10 @@
 //! consumes exactly one op — header and payload in a single `write_all`.
 
 use mbdr_geo::rng::SplitMix64;
-use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig, RealFs, Vfs, VfsFile};
+use mbdr_journal::{
+    FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs,
+    VfsFile,
+};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -45,6 +48,20 @@ fn config(dir: &Path) -> JournalConfig {
 /// Op index of append `i`'s record write (0-based appends).
 fn record_write_op(i: u64) -> u64 {
     OPEN_OPS + APPEND_OPS * i
+}
+
+/// Opens `config` on the real filesystem and returns the snapshot the open
+/// scan handed over, as `(frames, body)`.
+fn open_taking_snapshot(config: JournalConfig) -> (Journal, Option<(u64, Vec<u8>)>) {
+    let mut snapshot = None;
+    let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
+        if let Retained::Snapshot { frames, body } = item {
+            snapshot = Some((frames, body.to_vec()));
+        }
+        Ok::<(), JournalError>(())
+    })
+    .expect("open");
+    (journal, snapshot)
 }
 
 fn replay_payloads(journal: &Journal) -> Vec<Vec<u8>> {
@@ -263,9 +280,8 @@ fn seeded_snapshot_bit_flip_is_ignored_in_favor_of_the_log() {
     journal.flush().expect("flush");
     drop(journal);
 
-    let journal = Journal::open(config(&dir)).expect("recovery open");
-    assert!(journal.load_snapshot().expect("no error").is_none(), "corrupt snapshot ignored");
-    assert_eq!(journal.recovered_snapshot_frames(), None);
+    let (journal, snapshot) = open_taking_snapshot(config(&dir));
+    assert_eq!(snapshot, None, "corrupt snapshot ignored");
     assert_eq!(replay_payloads(&journal).len() as u64, appends, "the log still covers it");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -296,8 +312,8 @@ fn seeded_rename_failure_aborts_snapshot_install() {
         .filter(|e| e.as_ref().is_ok_and(|e| e.path().extension().is_some_and(|ext| ext == "tmp")))
         .count();
     assert_eq!(tmp_count, 1, "the orphaned temp file is on disk before reopen");
-    let journal = Journal::open(config(&dir)).expect("recovery open");
-    assert!(journal.load_snapshot().expect("no error").is_none());
+    let (journal, snapshot) = open_taking_snapshot(config(&dir));
+    assert_eq!(snapshot, None);
     assert_eq!(replay_payloads(&journal).len() as u64, appends);
     let tmp_count = fs::read_dir(&dir)
         .expect("read dir")

@@ -4,9 +4,10 @@
 //! must read it back clean, and must write the very same bytes when fed the
 //! very same appends and snapshot body.
 
-use mbdr_journal::{FsyncPolicy, Journal, JournalConfig};
+use mbdr_journal::{FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const RECORDS: u8 = 6;
 const SNAPSHOT_AFTER: u8 = 3;
@@ -64,6 +65,20 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
+/// Opens `config` on the real filesystem and returns the snapshot the open
+/// scan handed over, as `(frames, body)`.
+fn open_taking_snapshot(config: JournalConfig) -> (Journal, Option<(u64, Vec<u8>)>) {
+    let mut snapshot = None;
+    let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
+        if let Retained::Snapshot { frames, body } = item {
+            snapshot = Some((frames, body.to_vec()));
+        }
+        Ok::<(), JournalError>(())
+    })
+    .expect("open");
+    (journal, snapshot)
+}
+
 #[test]
 fn journal_written_by_the_previous_build_opens_clean_and_replays() {
     // Open a copy: open positions a writer on the last segment.
@@ -71,12 +86,10 @@ fn journal_written_by_the_previous_build_opens_clean_and_replays() {
     for (name, bytes) in dir_image(&fixture_dir()) {
         fs::write(dir.join(name), bytes).expect("copy fixture");
     }
-    let journal = Journal::open(config(&dir)).expect("open fixture");
+    let (journal, snapshot) = open_taking_snapshot(config(&dir));
     assert_eq!(journal.stats().truncated_bytes, 0, "every record and the snapshot validate");
     assert_eq!(journal.frames_appended(), u64::from(RECORDS));
-    let blob = journal.load_snapshot().expect("load").expect("snapshot present");
-    assert_eq!(blob.frames, u64::from(SNAPSHOT_AFTER));
-    assert_eq!(blob.body, snapshot_body());
+    assert_eq!(snapshot, Some((u64::from(SNAPSHOT_AFTER), snapshot_body())), "snapshot present");
     let mut seen = Vec::new();
     journal.replay(|index, bytes| seen.push((index, bytes.to_vec()))).expect("replay");
     let expected: Vec<(u64, Vec<u8>)> = (0..RECORDS).map(|i| (u64::from(i), payload(i))).collect();

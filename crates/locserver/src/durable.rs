@@ -1,6 +1,12 @@
-//! Crash recovery: open the journal, restore the newest snapshot, replay the
-//! retained frame tail, rebuild the spatial indexes from the recovered
-//! trackers, then attach the journal for live appends.
+//! Durability: crash recovery, and the degraded-mode state machine of a
+//! journaled service.
+//!
+//! ## Recovery
+//!
+//! [`recover_and_attach`] is the one way to a journaled service: open the
+//! journal, restore the newest snapshot, replay the retained frame tail,
+//! rebuild the spatial indexes from the recovered trackers, then attach the
+//! journal for live appends.
 //!
 //! A retained segment can straddle the snapshot's floor: compaction deletes
 //! only segments the snapshot covers whole. Its records below the floor are
@@ -14,34 +20,57 @@
 //! the snapshot too) are rejected exactly like reordered network deliveries
 //! would be — no precise per-object replay cursor is needed.
 //!
-//! Recovery works per shard and reads the journal once. The journal's open
-//! scan hands over the bytes it has just checksummed: the snapshot body, then
-//! one segment buffer at a time ([`mbdr_journal::Journal::open_and_recover`]),
-//! so one file's bytes are in memory at a time (the snapshot is restored and
-//! its image dropped before the first segment is read) and every retained
-//! byte is read and checksummed once. Snapshot entries and each
-//! segment's frames are bucketed by shard (frames borrowed from the segment
-//! buffer, in journal order), and each shard is written under one write-lock
-//! hold, the shards spread over up to `available_parallelism` scoped
-//! threads. The index rebuild at the end bulk-builds each shard's index
-//! from its trackers: the calling thread plans each shard
-//! ([`mbdr_spatial::MovingIndex::plan_bulk`], every buffer allocated) while
-//! helpers fill the shards already planned ([`mbdr_spatial::BulkPlan::fill`]).
-//! [`recover_into`] documents what an error leaves behind. Each pass records
-//! the wall time of its four stages — open scan, restore, replay, rebuild —
-//! into histograms on the service ([`LocationService::recovery_stages`]).
+//! Recovery reads every retained journal byte once, writes each shard under
+//! one write-lock hold per step and derives each shard's index once at the
+//! end; [`recover_and_attach`] documents how, and what an error leaves
+//! behind. Each pass records the wall time of its four stages — open scan,
+//! restore, replay, rebuild — into histograms on the service
+//! ([`LocationService::recovery_stages`]).
 //!
 //! Objects must be registered (with their predictors) on the service *before*
 //! recovery runs: a snapshot records tracker state, not prediction functions.
 //! Entries for unregistered objects are counted in
 //! [`RecoveryReport::skipped_objects`] and dropped.
+//!
+//! ## Degraded mode
+//!
+//! A location server would rather serve stale-bounded answers than refuse
+//! them: when the write-ahead journal's disk starts failing, the service
+//! keeps applying frames to the in-memory trackers and only *flags* the lost
+//! durability instead of erroring every ingest. `DurabilityControl` is the
+//! small lock-free state block that tracks which regime the service is in:
+//!
+//! * [`DurabilityState::Durable`] — every applied frame is in the journal.
+//! * [`DurabilityState::Degraded`] — a journal append failed persistently;
+//!   serving continues, but applied frames are counted in
+//!   `degraded_frames` instead of journaled. A crash in this window loses
+//!   exactly those frames (the paper's dead-reckoning staleness bounds still
+//!   hold for everything the server *answers* — only replay completeness is
+//!   at risk).
+//! * [`DurabilityState::Recovered`] — a re-probe
+//!   ([`LocationService::probe_durability`]) found the disk writable
+//!   again, repaired the journal tail ([`mbdr_journal::Journal::repair_and_sync`])
+//!   and installed a forced snapshot of the *current* tracker state, which
+//!   re-establishes the durability floor above the un-journaled window.
+//!   `Recovered` journals appends exactly like `Durable`; it is a distinct
+//!   state so operators can see that a degradation happened and healed.
+//!   It stays a state, not an event: clients read it as state byte 2 of the
+//!   wire's `RESP_HEALTH` (`docs/WIRE.md`), the `faults` baseline counts its
+//!   transitions, and the service keeps no event ring that could carry it.
+//!
+//! Transitions are monotone within one incident (`Durable`/`Recovered` →
+//! `Degraded` → `Recovered`) but the machine is re-entrant: a recovered
+//! service that hits the disk again re-degrades, and both transition
+//! counters keep counting. All fields are relaxed atomics — the state read
+//! on the ingest hot path is a single `AtomicU8` load.
 
 use crate::service::LocationService;
-use mbdr_core::{decode_snapshot, DecodeError};
+use mbdr_core::{decode_snapshot, DecodeError, DurabilityState};
 use mbdr_journal::{
     Histogram, HistogramSnapshot, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs,
 };
 use std::fmt;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,7 +149,7 @@ pub struct RecoveryStages {
 pub enum RecoverError {
     /// The journal could not be opened, replayed, or read.
     Journal(JournalError),
-    /// The snapshot blob passed its checksum but failed wire decoding.
+    /// The snapshot body passed its checksum but failed wire decoding.
     Snapshot(DecodeError),
     /// The service already has a journal attached; recovery must run on a
     /// freshly built service.
@@ -162,9 +191,30 @@ impl From<JournalError> for RecoverError {
 ///
 /// The restore and the replay consume the bytes the journal's open scan
 /// reads and checksums ([`Journal::open_and_recover`]), so every retained
-/// journal byte is read and checksummed once; see [`recover_into`] for how
-/// the work is spread over shards and threads and what an error leaves
-/// behind.
+/// journal byte is read and checksummed once. The snapshot body is decoded
+/// in full before any tracker is touched, so a [`RecoverError::Snapshot`]
+/// leaves the service as it was. Its entries are then bucketed by shard and
+/// each shard restored under one write-lock hold. Each segment's frames are
+/// bucketed by their source's shard in journal order, borrowed from the
+/// segment buffer, and each shard replays its frames under one write-lock
+/// hold. Both steps spread the shards over up to
+/// [`std::thread::available_parallelism`] threads (the calling thread and
+/// scoped helpers, never more than there are shards with work).
+///
+/// Snapshot entries and replayed frames are written to the trackers only;
+/// the spatial indexes and expiry heaps are state *derived* from the
+/// trackers' last reports, and are built once, afresh, one bulk build per
+/// shard, as the last step: the calling thread plans the shards one after
+/// the other ([`mbdr_spatial::MovingIndex::plan_bulk`] — every buffer the
+/// index and the expiry heap keep is allocated there, so none lands in a
+/// helper's malloc arena), and the fills ([`mbdr_spatial::BulkPlan::fill`])
+/// run on up to as many threads as the plans are made. Until this function
+/// returns, [`LocationService::position_of`] already answers from restored
+/// state while rect and nearest queries see an index that does not cover it
+/// yet; serve queries only afterwards (`mbdr-net`'s
+/// `NetServer::bind_durable` binds its listener after this returns). A pass
+/// that wrote to no tracker — a fresh directory — spawns no thread and takes
+/// no shard lock at all.
 ///
 /// On a fresh (empty) directory this degenerates to "create the journal and
 /// attach it" with an all-zero report, so servers use one code path whether
@@ -175,6 +225,17 @@ impl From<JournalError> for RecoverError {
 /// a second `Journal::open` on a live directory would be a second writer
 /// (its open sweeps in-flight `*.tmp` snapshots), and a restore would put
 /// snapshot state over live trackers.
+///
+/// The snapshot is restored before the journal reads a segment (so its
+/// image is gone before the first segment buffer arrives), and each segment
+/// is replayed as it is read. A refusal can therefore come after writes: a
+/// coverage gap or a first segment in a newer format version after the
+/// snapshot was restored, a later segment in a newer format version after
+/// the segments before it were replayed too. The indexes are rebuilt over
+/// those trackers all the same, so the service is consistent, but it holds
+/// a partial state and no journal; build a fresh service before retrying.
+/// No refusal modifies a journal file, and a snapshot that fails to decode
+/// touches no tracker.
 pub fn recover_and_attach(
     service: &LocationService,
     config: JournalConfig,
@@ -194,62 +255,13 @@ pub fn recover_and_attach_with_vfs(
     }
     let mut pass = Pass::new(service);
     let opened = Journal::open_and_recover(config, vfs, |item| pass.take(item));
-    let journal = Arc::new(pass.finish(opened)?);
-    let report = pass.report(&journal);
+    let (journal, report) = pass.finish(opened)?;
+    let journal = Arc::new(journal);
     // Still checked: a concurrent attach may have won since the test above.
     if !service.attach_journal(Arc::clone(&journal)) {
         return Err(RecoverError::AlreadyAttached);
     }
     Ok((journal, report))
-}
-
-/// The restore + replay half of [`recover_and_attach`], without attaching,
-/// for a journal the caller has already opened (tests, offline inspection).
-/// The open scan's bytes are gone by then, so this reads the snapshot and
-/// every retained segment again, once each ([`Journal::recover`]).
-///
-/// The snapshot body is decoded in full before any tracker is touched, so a
-/// [`RecoverError::Snapshot`] leaves the service as it was. Its entries are
-/// then bucketed by shard and each shard restored under one write-lock
-/// hold. Each segment's frames are bucketed by their source's shard in
-/// journal order, borrowed from the segment buffer, and each shard replays
-/// its frames under one write-lock hold. Both steps spread the shards over
-/// up to [`std::thread::available_parallelism`] threads (the calling thread
-/// and scoped helpers, never more than there are shards with work).
-///
-/// Snapshot entries and replayed frames are written to the trackers only;
-/// the spatial indexes and expiry heaps are state *derived* from the
-/// trackers' last reports, and are built once, afresh, one bulk build per
-/// shard, as the last step: the calling thread plans the shards one after
-/// the other ([`mbdr_spatial::MovingIndex::plan_bulk`] — every buffer the
-/// index and the expiry heap keep is allocated there, so none lands in a
-/// helper's malloc arena), and the fills ([`mbdr_spatial::BulkPlan::fill`])
-/// run on up to [`std::thread::available_parallelism`] threads as the plans
-/// are made. So until this function returns,
-/// [`LocationService::position_of`] already answers from restored state
-/// while rect and nearest queries see an index that does not cover it yet.
-/// Serve queries only afterwards (`mbdr-net`'s `NetServer::bind_durable`
-/// binds its listener after this returns). A pass that wrote to no tracker
-/// — a fresh directory — spawns no thread and takes no shard lock at all.
-///
-/// The snapshot is restored before the journal reads a segment (so its
-/// image is gone before the first segment buffer arrives), and each segment
-/// is replayed as it is read. A refusal can therefore come after writes: a
-/// coverage gap or a first segment in a newer format version after the
-/// snapshot was restored, a later segment in a newer format version (or,
-/// here, one that no longer validates) after the segments before it were
-/// replayed too. The indexes are rebuilt over those trackers all the same,
-/// so the service is consistent, but it holds a partial state; build a
-/// fresh service before retrying. No refusal modifies a journal file, and a
-/// snapshot that fails to decode touches no tracker.
-pub fn recover_into(
-    service: &LocationService,
-    journal: &Journal,
-) -> Result<RecoveryReport, RecoverError> {
-    let mut pass = Pass::new(service);
-    let outcome = journal.recover(|item| pass.take(item));
-    pass.finish(outcome)?;
-    Ok(pass.report(journal))
 }
 
 /// One recovery pass: applies what the journal hands over, counts it and
@@ -314,9 +326,12 @@ impl<'s> Pass<'s> {
 
     /// Rebuilds the indexes if any tracker was written — before the pass's
     /// verdict is returned: a pass that failed midway has moved trackers
-    /// too, and they must not be left behind a stale index — and records
-    /// the pass's four stage times.
-    fn finish<T>(&self, outcome: Result<T, RecoverError>) -> Result<T, RecoverError> {
+    /// too, and they must not be left behind a stale index — records the
+    /// pass's four stage times, and reports on the opened journal.
+    fn finish(
+        self,
+        opened: Result<Journal, RecoverError>,
+    ) -> Result<(Journal, RecoveryReport), RecoverError> {
         let scanned = self.started.elapsed().saturating_sub(self.restore + self.replay);
         let began = Instant::now();
         if self.report.restored_objects > 0 || self.report.replayed_updates > 0 {
@@ -327,10 +342,137 @@ impl<'s> Pass<'s> {
         timers.open_scan.record_duration(scanned);
         timers.restore.record_duration(self.restore);
         timers.replay.record_duration(self.replay);
-        outcome
+        let journal = opened?;
+        let report =
+            RecoveryReport { truncated_bytes: journal.stats().truncated_bytes, ..self.report };
+        Ok((journal, report))
+    }
+}
+
+mbdr_journal::counters! {
+    /// The monotone counters of one [`DurabilityControl`].
+    pub(crate) struct DurabilityCounters {
+        /// Frames applied to trackers *without* being journaled while
+        /// degraded — the exact count of applies a crash in the degraded
+        /// window would lose.
+        degraded_frames,
+        /// Durable/Recovered → Degraded transitions (distinct disk incidents).
+        degraded_transitions,
+        /// Degraded → Recovered transitions (healed incidents).
+        recovered_transitions,
+        /// Re-probe attempts made while degraded (successful or not).
+        probe_attempts,
+    }
+    /// Point-in-time copy of a service's `DurabilityControl` (surfaced through
+    /// `mbdr-net`'s `ServerStatsSnapshot`).
+    pub snapshot DurabilityStatsSnapshot {
+        /// Current durability regime.
+        pub state: DurabilityState,
+    }
+}
+
+/// Live durability state + counters for one [`crate::LocationService`].
+///
+/// Updated from the ingest path ([`DurabilityControl::enter_degraded`],
+/// [`DurabilityControl::note_degraded_frame`]) and the re-probe path
+/// ([`DurabilityControl::note_probe_attempt`],
+/// [`DurabilityControl::mark_recovered`]); read via
+/// [`DurabilityControl::snapshot`].
+#[derive(Debug, Default)]
+pub(crate) struct DurabilityControl {
+    /// Current [`DurabilityState`], stored as its wire byte (see
+    /// [`DurabilityState::to_wire`]) so the hot-path check is one atomic load.
+    state: AtomicU8,
+    counters: DurabilityCounters,
+}
+
+impl DurabilityControl {
+    /// The current state.
+    pub(crate) fn state(&self) -> DurabilityState {
+        // Only `to_wire` values are ever stored, so the fallback is dead code
+        // kept for panic-freedom.
+        DurabilityState::from_wire(self.state.load(Ordering::Relaxed))
+            .unwrap_or(DurabilityState::Degraded)
     }
 
-    fn report(&self, journal: &Journal) -> RecoveryReport {
-        RecoveryReport { truncated_bytes: journal.stats().truncated_bytes, ..self.report }
+    /// Is the service currently in the degraded (non-journaling) regime?
+    /// Single relaxed load — cheap enough for the ingest hot path.
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.state.load(Ordering::Relaxed) == DurabilityState::Degraded.to_wire()
+    }
+
+    /// Flips to [`DurabilityState::Degraded`]. Counts a transition only when
+    /// the previous state was not already degraded, so concurrent shard
+    /// failures in one incident count once.
+    pub(crate) fn enter_degraded(&self) {
+        let prev = self.state.swap(DurabilityState::Degraded.to_wire(), Ordering::Relaxed);
+        if prev != DurabilityState::Degraded.to_wire() {
+            self.counters.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one frame applied without journaling while degraded.
+    pub(crate) fn note_degraded_frame(&self) {
+        self.counters.degraded_frames.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one re-probe attempt.
+    pub(crate) fn note_probe_attempt(&self) {
+        self.counters.probe_attempts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Flips to [`DurabilityState::Recovered`] after a successful re-probe.
+    /// Counts a transition only when the previous state was degraded.
+    pub(crate) fn mark_recovered(&self) {
+        let prev = self.state.swap(DurabilityState::Recovered.to_wire(), Ordering::Relaxed);
+        if prev == DurabilityState::Degraded.to_wire() {
+            self.counters.recovered_transitions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Copies state + counters into a plain-value snapshot.
+    pub(crate) fn snapshot(&self) -> DurabilityStatsSnapshot {
+        DurabilityStatsSnapshot { state: self.state(), ..self.counters.snapshot() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transitions_count_incidents_not_calls() {
+        let control = DurabilityControl::default();
+        assert_eq!(control.state(), DurabilityState::Durable);
+        assert!(!control.is_degraded());
+
+        control.enter_degraded();
+        control.enter_degraded(); // same incident, counted once
+        assert!(control.is_degraded());
+        assert_eq!(control.snapshot().degraded_transitions, 1);
+
+        control.note_degraded_frame();
+        control.note_degraded_frame();
+        control.note_probe_attempt();
+        control.mark_recovered();
+        control.mark_recovered(); // already recovered: no second healing
+        assert_eq!(control.state(), DurabilityState::Recovered);
+        assert!(!control.is_degraded());
+
+        // Re-entrant: a recovered service can degrade again.
+        control.enter_degraded();
+        control.mark_recovered();
+        let snap = control.snapshot();
+        assert_eq!(snap.state, DurabilityState::Recovered);
+        assert_eq!(snap.degraded_frames, 2);
+        assert_eq!(snap.degraded_transitions, 2);
+        assert_eq!(snap.recovered_transitions, 2);
+        assert_eq!(snap.probe_attempts, 1);
+    }
+
+    #[test]
+    fn default_snapshot_is_durable_and_zeroed() {
+        assert_eq!(DurabilityStatsSnapshot::default().state, DurabilityState::Durable);
+        assert_eq!(DurabilityControl::default().snapshot(), DurabilityStatsSnapshot::default());
     }
 }

@@ -63,16 +63,15 @@
 )]
 
 pub mod config;
-pub mod durability;
-pub mod durable;
+mod durable;
 pub mod service;
 mod shard;
 pub mod zones;
 
 pub use config::ServiceConfig;
-pub use durability::DurabilityStatsSnapshot;
 pub use durable::{
-    recover_and_attach, recover_and_attach_with_vfs, RecoverError, RecoveryReport, RecoveryStages,
+    recover_and_attach, recover_and_attach_with_vfs, DurabilityStatsSnapshot, RecoverError,
+    RecoveryReport, RecoveryStages,
 };
 pub use service::{IndexStats, LocationService, ObjectId, PositionReport, QueryScratch};
 pub use zones::{ZoneEvent, ZoneEventKind, ZoneWatcher};

@@ -9,10 +9,8 @@
 //! identical to what a full scan over every tracker would return.
 
 use crate::config::ServiceConfig;
-use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
-use crate::durable::{RecoveryStages, RecoveryTimers};
-use crate::shard::{CandidateScratch, Shard};
-use crate::shard::{RebuildPlan, ShardState};
+use crate::durable::{DurabilityControl, DurabilityStatsSnapshot, RecoveryStages, RecoveryTimers};
+use crate::shard::{CandidateScratch, Shard, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
@@ -149,6 +147,53 @@ fn radix_pass(src: &[PositionReport], dst: &mut [PositionReport], shift: u32) {
     }
 }
 
+/// Runs every job of `jobs` on its shard under one write-lock hold and
+/// returns the results in no particular order. The calling thread draws the
+/// jobs, so whatever making one costs — its allocations included — is paid
+/// there, and queues each as it is drawn for
+/// `min(available_parallelism, jobs.len())` threads: scoped helpers, which
+/// take jobs as soon as they are queued, and the calling thread once it has
+/// queued the last. A helper the OS refuses to start leaves its jobs to the
+/// others.
+/// With one thread each job runs on the calling thread as it is drawn; with
+/// no job no thread is spawned and no lock is taken.
+fn write_each<'s, J: Send, R: Send>(
+    jobs: impl ExactSizeIterator<Item = (&'s Shard, J)>,
+    work: impl Fn(&mut ShardState, J) -> R + Sync,
+) -> Vec<R> {
+    let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get).min(jobs.len());
+    if threads <= 1 {
+        return jobs.map(|(shard, job)| shard.write(|s| work(s, job))).collect();
+    }
+    let (queue, queued) = mpsc::sync_channel::<(&Shard, J)>(jobs.len());
+    let queued = Mutex::new(queued);
+    // Until the queue is empty and every job has been queued.
+    let drain = || {
+        let mut out = Vec::new();
+        loop {
+            let Ok((shard, job)) = queued.lock().recv() else { break out };
+            out.push(shard.write(|s| work(s, job)));
+        }
+    };
+    let drain = &drain;
+    thread::scope(move |scope| {
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| thread::Builder::new().spawn_scoped(scope, drain).ok())
+            .collect();
+        for job in jobs {
+            // The queue holds every job and its receiver outlives the scope,
+            // so the send neither blocks nor fails.
+            let _ = queue.send(job);
+        }
+        drop(queue);
+        let mut out = drain();
+        for helper in helpers {
+            out.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        out
+    })
+}
+
 /// Aggregated spatial-index occupancy diagnostics across every shard
 /// (see [`LocationService::index_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,11 +222,11 @@ pub(crate) struct Replayed {
 pub struct LocationService {
     config: ServiceConfig,
     shards: Vec<Shard>,
-    /// Write-ahead journal for ingested frames, set at most once (see
-    /// [`LocationService::attach_journal`]). `OnceLock` keeps the steady-state
-    /// read on the ingest path a plain atomic load.
+    /// Write-ahead journal for ingested frames, set at most once, by
+    /// recovery (see [`LocationService::attach_journal`]). `OnceLock` keeps
+    /// the steady-state read on the ingest path a plain atomic load.
     journal: OnceLock<Arc<Journal>>,
-    /// Durable / Degraded / Recovered state machine (see [`crate::durability`]):
+    /// Durable / Degraded / Recovered state machine (see `crate::durable`):
     /// which regime journaling is in, and the exact count of frames applied
     /// without durability while the journal's disk was failing.
     durability: DurabilityControl,
@@ -221,9 +266,10 @@ impl LocationService {
     /// attached; returns `false` (leaving the existing one in place) on a
     /// second attempt.
     ///
-    /// Attach *after* restoring state — [`crate::durable::recover_and_attach`]
-    /// runs the full open → restore → replay → attach sequence.
-    pub fn attach_journal(&self, journal: Arc<Journal>) -> bool {
+    /// Only [`crate::recover_and_attach`] calls this, as the last step of
+    /// its open → restore → replay → attach sequence, so no journal is ever
+    /// attached over state it has not restored.
+    pub(crate) fn attach_journal(&self, journal: Arc<Journal>) -> bool {
         self.journal.set(journal).is_ok()
     }
 
@@ -290,7 +336,7 @@ impl LocationService {
     /// ever built, so steady-state ingest performs no heap allocation (the
     /// property the `mbdr-bench` counting-allocator gate enforces).
     ///
-    /// With a journal attached (see [`LocationService::attach_journal`]) the
+    /// With a journal attached (by [`crate::recover_and_attach`]) the
     /// validated frame bytes are appended to the write-ahead log *inside* the
     /// shard's write-lock hold, immediately before they are applied: readers
     /// can never observe applied state whose frame is not yet in the journal,
@@ -300,8 +346,8 @@ impl LocationService {
     /// steady-state ingest stays allocation-free too.
     ///
     /// A failed append does **not** fail the ingest: the service flips to the
-    /// degraded regime (see [`crate::durability`]), keeps applying frames, and
-    /// counts every un-journaled apply until
+    /// degraded regime ([`mbdr_core::DurabilityState::Degraded`]), keeps
+    /// applying frames, and counts every un-journaled apply until
     /// [`LocationService::probe_durability`] heals the journal. The
     /// steady-state durable path pays one extra relaxed atomic load.
     pub fn apply_frame_bytes(&self, bytes: &[u8]) -> Result<usize, DecodeError> {
@@ -335,50 +381,16 @@ impl LocationService {
     /// replayed anything — in two write-lock holds per shard. The calling
     /// thread plans the shards one after the other
     /// ([`ShardState::plan_rebuild`]: derives the entries, counts the cells
-    /// and allocates every buffer the index and the heap keep) and queues
-    /// each plan as it is made; the fills ([`ShardState::fill_rebuild`]),
-    /// which allocate nothing, are taken off the queue by scoped helpers —
-    /// `available_parallelism` threads in all, never more than there are
-    /// shards — and, once every shard is planned, by the calling thread
-    /// too. So a shard's fill runs while the next shard is planned, and
-    /// every buffer stays in the calling thread's malloc arena: a helper
-    /// that allocated its shards' indexes itself would leave them in its
-    /// own, which raised peak RSS by up to 4 % on 100 000 objects. A helper
-    /// the OS refuses to start leaves its fills to the others; with one
-    /// core, each shard is planned and filled under one hold.
+    /// and allocates every buffer the index and the heap keep), and the
+    /// fills ([`ShardState::fill_rebuild`]), which allocate nothing, run as
+    /// the plans are made ([`write_each`]). So a shard's fill runs while the
+    /// next shard is planned, and every buffer stays in the calling thread's
+    /// malloc arena: a helper that allocated its shards' indexes itself
+    /// would leave them in its own, which raised peak RSS by up to 4 % on
+    /// 100 000 objects.
     pub(crate) fn rebuild_indexes(&self) {
-        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let helpers = threads.min(self.shards.len()).saturating_sub(1);
-        if helpers == 0 {
-            for shard in &self.shards {
-                shard.write(ShardState::rebuild_index);
-            }
-            return;
-        }
-        let (planned, queue) = mpsc::sync_channel::<(&Shard, RebuildPlan)>(self.shards.len());
-        let queue = Mutex::new(queue);
-        // Until the queue is empty and every plan is made.
-        let fill = || loop {
-            let Ok((shard, plan)) = queue.lock().recv() else { break };
-            shard.write(|s| s.fill_rebuild(plan));
-        };
-        let fill = &fill;
-        thread::scope(move |scope| {
-            let helpers: Vec<_> = (0..helpers)
-                .filter_map(|_| thread::Builder::new().spawn_scoped(scope, fill).ok())
-                .collect();
-            for shard in &self.shards {
-                let plan = shard.write(|s| s.plan_rebuild());
-                // The queue holds every shard and its receiver outlives the
-                // scope, so the send neither blocks nor fails.
-                let _ = planned.send((shard, plan));
-            }
-            drop(planned);
-            fill();
-            for helper in helpers {
-                helper.join().unwrap_or_else(|panic| resume_unwind(panic));
-            }
-        });
+        let plans = self.shards.iter().map(|shard| (shard, shard.write(ShardState::plan_rebuild)));
+        write_each(plans, ShardState::fill_rebuild);
     }
 
     /// Proposes and, if the journal grants it, installs a snapshot of the full
@@ -468,8 +480,9 @@ impl LocationService {
     }
 
     /// Wall time of each stage of every recovery pass run on this service
-    /// (`recover_and_attach`, `recover_into`): open scan, restore, replay and
-    /// index rebuild, one sample per stage per pass.
+    /// ([`crate::recover_and_attach`] runs one unless it refuses the service
+    /// up front): open scan, restore, replay and index rebuild, one sample
+    /// per stage per pass.
     pub fn recovery_stages(&self) -> RecoveryStages {
         self.recovery.snapshot()
     }
@@ -496,31 +509,20 @@ impl LocationService {
     }
 
     /// Restores tracker state from decoded snapshot entries (trackers only;
-    /// see [`LocationService::rebuild_indexes`]): the entries are bucketed by
-    /// shard and each shard is restored under one write-lock hold, the
-    /// shards spread over threads by [`LocationService::write_shards`].
-    /// Returns `(restored, skipped)` — an entry is skipped when its object is
-    /// not registered on this service (recovery cannot invent the predictor).
-    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
+    /// see [`LocationService::rebuild_indexes`]): the entries are dealt to
+    /// their shards and each shard is restored under one write-lock hold, the
+    /// shards spread over threads by [`write_each`]. Returns
+    /// `(restored, skipped)` — an entry is skipped when its object is not
+    /// registered on this service (recovery cannot invent the predictor).
     pub(crate) fn restore_entries(&self, entries: &[SnapshotEntry]) -> (u64, u64) {
-        let mut buckets: Vec<Vec<&SnapshotEntry>> = vec![Vec::new(); self.shards.len()];
-        for entry in entries {
-            buckets[self.shard_index(ObjectId(entry.object))].push(entry);
-        }
-        let restored: u64 = self
-            .write_shards(&buckets, |s, bucket| {
-                let restored = bucket.iter().filter(|e| {
-                    s.restore_object(
-                        ObjectId(e.object),
-                        &e.update,
-                        e.updates_applied,
-                        e.bytes_received,
-                    )
-                });
-                restored.count() as u64
-            })
-            .into_iter()
-            .sum();
+        let jobs = self.deal(entries.iter().map(|e| (ObjectId(e.object), e)));
+        let per_shard = write_each(jobs.into_iter(), |s, bucket| {
+            let restored = bucket.into_iter().filter(|e| {
+                s.restore_object(ObjectId(e.object), &e.update, e.updates_applied, e.bytes_received)
+            });
+            restored.count() as u64
+        });
+        let restored: u64 = per_shard.into_iter().sum();
         (restored, entries.len() as u64 - restored)
     }
 
@@ -529,24 +531,21 @@ impl LocationService {
     /// journal order (one object's frames always share a shard, so each
     /// object sees its frames in order), and each shard applies its frames
     /// under one write-lock hold, the shards spread over threads by
-    /// [`LocationService::write_shards`]. The frames are borrowed from the
-    /// segment buffer, never copied. Same staleness rules as live ingest,
-    /// nothing re-journaled, and no index work: only an object's last state
-    /// is ever indexed, so [`crate::durable::recover_into`] ends with one
-    /// [`LocationService::rebuild_indexes`] instead of re-anchoring per
-    /// replayed update.
-    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
+    /// [`write_each`]. The frames are borrowed from the segment buffer, never
+    /// copied. Same staleness rules as live ingest, nothing re-journaled, and
+    /// no index work: only an object's last state is ever indexed, so a
+    /// recovery pass ends with one [`LocationService::rebuild_indexes`]
+    /// instead of re-anchoring per replayed update.
     pub(crate) fn replay_frames<'a>(&self, frames: impl Iterator<Item = &'a [u8]>) -> Replayed {
         let mut replayed = Replayed::default();
-        let mut buckets: Vec<Vec<&[u8]>> = vec![Vec::new(); self.shards.len()];
-        for bytes in frames {
+        let routed = frames.filter_map(|bytes| {
             replayed.frames += 1;
-            match FrameView::peek_source(bytes) {
-                Some(source) => buckets[self.shard_index(ObjectId(source))].push(bytes),
-                None => replayed.decode_errors += 1,
-            }
-        }
-        let per_shard = self.write_shards(&buckets, |s, bucket| {
+            let source = FrameView::peek_source(bytes);
+            replayed.decode_errors += u64::from(source.is_none());
+            source.map(|source| (ObjectId(source), bytes))
+        });
+        let jobs = self.deal(routed);
+        let per_shard = write_each(jobs.into_iter(), |s, bucket| {
             let mut counts = Replayed::default();
             for bytes in bucket {
                 match FrameView::parse(bytes) {
@@ -566,47 +565,15 @@ impl LocationService {
         replayed
     }
 
-    /// Runs `work` on every shard whose bucket (`buckets[i]` belongs to shard
-    /// `i`) is not empty, under one write-lock hold per shard, and returns
-    /// the results in no particular order. The shards are dealt round-robin
-    /// over `min(available_parallelism, non-empty shards)` threads: the
-    /// calling thread and scoped helpers (a helper the OS refuses to start
-    /// has its shards run on the calling thread). With nothing to do no
-    /// thread is spawned and no lock is taken.
-    fn write_shards<T: Sync, R: Send>(
-        &self,
-        buckets: &[Vec<T>],
-        work: impl Fn(&mut ShardState, &[T]) -> R + Sync,
-    ) -> Vec<R> {
-        let jobs: Vec<(&Shard, &[T])> = self
-            .shards
-            .iter()
-            .zip(buckets)
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(shard, bucket)| (shard, bucket.as_slice()))
-            .collect();
-        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get).min(jobs.len());
-        let lane = |lane: usize| -> Vec<R> {
-            let mine = jobs.iter().skip(lane).step_by(threads.max(1));
-            mine.map(|&(shard, bucket)| shard.write(|s| work(s, bucket))).collect()
-        };
-        if threads <= 1 {
-            return lane(0);
+    /// Deals `items` to the shards of their objects, keeping their order,
+    /// and pairs each shard that got any with its share.
+    #[expect(clippy::indexing_slicing, reason = "shard_index is modulo shards.len()")]
+    fn deal<T: Clone>(&self, items: impl Iterator<Item = (ObjectId, T)>) -> Vec<(&Shard, Vec<T>)> {
+        let mut buckets = vec![Vec::new(); self.shards.len()];
+        for (object, item) in items {
+            buckets[self.shard_index(object)].push(item);
         }
-        let lane = &lane;
-        thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads)
-                .map(|i| thread::Builder::new().spawn_scoped(scope, move || lane(i)).map_err(|_| i))
-                .collect();
-            let mut out = lane(0);
-            for helper in helpers {
-                out.extend(match helper {
-                    Ok(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
-                    Err(i) => lane(i),
-                });
-            }
-            out
-        })
+        self.shards.iter().zip(buckets).filter(|(_, bucket)| !bucket.is_empty()).collect()
     }
 
     /// Total write-lock acquisitions across all stripes — a cheap diagnostic
@@ -799,30 +766,41 @@ mod tests {
     use mbdr_core::{LinearPredictor, ObjectState, StaticPredictor, UpdateKind};
     use mbdr_geo::rng::SplitMix64;
     use std::collections::HashSet;
+    use std::sync::{Condvar, Mutex as StdMutex};
+    use std::time::Duration;
 
     #[test]
-    fn write_shards_deals_shards_over_threads_and_skips_empty_buckets() {
+    fn write_each_spreads_jobs_over_threads_and_takes_no_lock_without_jobs() {
         let s = LocationService::with_config(ServiceConfig::with_shards(16));
         // Nothing to do: no lock, no thread.
-        let empty: Vec<Vec<u8>> = vec![Vec::new(); 16];
-        assert!(s.write_shards(&empty, |_, _| thread::current().id()).is_empty());
+        let none = s.shards.iter().take(0).map(|shard| (shard, 0u8));
+        assert!(write_each(none, |_, _| thread::current().id()).is_empty());
         assert_eq!(s.write_lock_acquisitions(), 0);
-        // Every shard busy: one lock hold each, on as many threads as the
-        // machine offers (two or more on any multi-core host).
-        let busy: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i]).collect();
-        let ran = s.write_shards(&busy, |_, bucket| (thread::current().id(), bucket.to_vec()));
-        assert_eq!(s.write_lock_acquisitions(), 16);
-        let mut buckets: Vec<Vec<u8>> = ran.iter().map(|(_, bucket)| bucket.clone()).collect();
-        buckets.sort();
-        assert_eq!(buckets, busy, "each shard ran once, with its own bucket");
-        let threads: HashSet<_> = ran.iter().map(|(id, _)| *id).collect();
+        // Sixteen jobs: one lock hold each, on as many threads as the machine
+        // offers (two or more on any multi-core host). The first jobs to
+        // start wait until that many run at once, so no thread can empty
+        // the queue before the last helper has taken a job.
         let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let (started, all_in) = (StdMutex::new(0usize), Condvar::new());
+        let ran = write_each(s.shards.iter().zip(0..16u8), |_, job| {
+            let mut count = started.lock().unwrap();
+            *count += 1;
+            all_in.notify_all();
+            let wait = Duration::from_secs(60);
+            drop(all_in.wait_timeout_while(count, wait, |n| *n < cores.min(16)).unwrap());
+            (thread::current().id(), job)
+        });
+        assert_eq!(s.write_lock_acquisitions(), 16);
+        let mut jobs: Vec<u8> = ran.iter().map(|&(_, job)| job).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, (0..16).collect::<Vec<_>>(), "each job ran once");
+        let threads: HashSet<_> = ran.iter().map(|(id, _)| *id).collect();
         assert_eq!(threads.len(), cores.min(16));
-        // Fewer busy shards than cores: one thread per busy shard at most.
-        let one: Vec<Vec<u8>> =
-            (0..16u8).map(|i| if i == 5 { vec![i] } else { Vec::new() }).collect();
-        let ran = s.write_shards(&one, |_, _| thread::current().id());
-        assert_eq!(ran, [thread::current().id()], "a lone shard runs on the calling thread");
+        // One job: it runs on the calling thread.
+        let one = s.shards.iter().skip(5).take(1).map(|shard| (shard, 5u8));
+        let ran = write_each(one, |_, _| thread::current().id());
+        assert_eq!(ran, [thread::current().id()], "a lone job runs on the calling thread");
+        assert_eq!(s.write_lock_acquisitions(), 17);
     }
 
     /// The rebuild that plans on the calling thread and fills on helpers

@@ -34,8 +34,8 @@
 //! box that large would have yielded anyway. Wide entries stay out of the
 //! index's `bounds()` and so out of `extent_radius`; a nearest search stays
 //! exact because every ring collects them. The object's next accepted update
-//! with a narrower box, its deregistration or re-registration, and a
-//! `rebuild_index` that finds its box narrower take an entry off the list.
+//! with a narrower box, its deregistration or re-registration, and an index
+//! rebuild that finds its box narrower take an entry off the list.
 //!
 //! ## Derived state
 //!
@@ -45,8 +45,8 @@
 //! once re-grown, of the query time that re-grew it), computed by
 //! `derive_entry` and nothing else. Live ingest maintains them
 //! incrementally, one `reindex` per accepted update. Crash recovery does
-//! not: snapshot restore and journal replay write trackers only, and
-//! `rebuild_index` derives index and heap once at the end from the same
+//! not: snapshot restore and journal replay write trackers only, and one
+//! rebuild derives index and heap at the end from the same
 //! `derive_entry` — bit-identical entries, one heap entry per mover — with
 //! one bulk build of the grid (slots in ascending order, which leaves the
 //! index per-slot inserts would) and one heapify. The rebuild comes in two
@@ -298,7 +298,8 @@ impl ShardState {
 
     /// Recovery: reinstates one object's tracker state from a durability
     /// snapshot. Tracker only — the index entry is derived state, written once
-    /// by [`ShardState::rebuild_index`] when the recovery pass is over. Returns
+    /// by [`ShardState::plan_rebuild`] and [`ShardState::fill_rebuild`] when
+    /// the recovery pass is over. Returns
     /// `false` when the object is not registered — recovery cannot invent a
     /// tracker because it would not know the predictor.
     #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
@@ -339,15 +340,17 @@ impl ShardState {
         routed
     }
 
-    /// Recovery: derives the spatial index and the expiry heap afresh from the
-    /// trackers' last reports — [`ShardState::plan_rebuild`], then
-    /// [`ShardState::fill_rebuild`] with its plan, on one thread.
+    /// The serial rebuild the tests hold recovery's to: derives the spatial
+    /// index and the expiry heap afresh from the trackers' last reports —
+    /// [`ShardState::plan_rebuild`], then [`ShardState::fill_rebuild`] with
+    /// its plan, on one thread.
+    #[cfg(test)]
     pub(crate) fn rebuild_index(&mut self) {
         let plan = self.plan_rebuild();
         self.fill_rebuild(plan);
     }
 
-    /// The allocating half of [`ShardState::rebuild_index`]. Every live
+    /// The allocating half of a recovery's index rebuild. Every live
     /// slot's entry comes from [`ShardState::derive_entry`], the derivation
     /// the accepted-update path uses too, so every entry is bit-identical to
     /// the one per-update maintenance leaves behind, and the heap will hold
@@ -386,7 +389,7 @@ impl ShardState {
         RebuildPlan { index, expiries }
     }
 
-    /// The non-allocating half of [`ShardState::rebuild_index`]: fills the
+    /// The non-allocating half of a recovery's index rebuild: fills the
     /// planned index ([`BulkPlan::fill`]) and heapifies the expiries in
     /// place. Safe to run on a helper thread: what it writes was allocated
     /// by the plan, so nothing lands in the helper's malloc arena.

@@ -10,8 +10,9 @@ use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, Up
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig};
-use mbdr_locserver::durable::recover_into;
-use mbdr_locserver::{recover_and_attach, LocationService, ObjectId, ServiceConfig};
+use mbdr_locserver::{
+    recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, ServiceConfig,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -71,16 +72,12 @@ fn journal_config(dir: &Path) -> JournalConfig {
     }
 }
 
-/// Opens a journal over a [`FaultFs`] and attaches it the way
-/// [`recover_and_attach`] would (open → restore+replay → attach).
+/// Recovers `service` from `dir` over a [`FaultFs`] and attaches the journal
+/// (open → restore+replay → attach).
 fn attach_faulty(service: &LocationService, fault: &FaultFs, dir: &Path) -> Arc<Journal> {
-    let journal = Arc::new(
-        Journal::open_with_vfs(journal_config(dir), Arc::new(fault.clone()))
-            .expect("open over FaultFs"),
-    );
-    recover_into(service, &journal).expect("recover");
-    assert!(service.attach_journal(Arc::clone(&journal)));
-    journal
+    recover_and_attach_with_vfs(service, journal_config(dir), Arc::new(fault.clone()))
+        .expect("recover over FaultFs")
+        .0
 }
 
 fn assert_equivalent(recovered: &LocationService, twin: &LocationService, t_max: f64) {
@@ -210,12 +207,9 @@ fn seeded_fault_soak_recovers_indefinitely() {
         generation += 1;
         let fault = FaultFs::over_real();
         let service = fleet();
-        let journal = Arc::new(
-            Journal::open_with_vfs(journal_config(&dir), Arc::new(fault.clone()))
-                .expect("soak open"),
-        );
-        let report = recover_into(&service, &journal).expect("soak recover");
-        assert!(service.attach_journal(Arc::clone(&journal)));
+        let (journal, report) =
+            recover_and_attach_with_vfs(&service, journal_config(&dir), Arc::new(fault.clone()))
+                .expect("soak recover");
         assert_eq!(
             journal.stats().recovered_frames,
             report.replayed_frames,

@@ -14,9 +14,9 @@ use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Vfs, VfsFile, JOURNAL_VERSION,
+    FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs, VfsFile,
+    JOURNAL_VERSION,
 };
-use mbdr_locserver::durable::recover_into;
 use mbdr_locserver::{
     recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, RecoverError,
     RecoveryReport, ServiceConfig, ZoneWatcher,
@@ -361,14 +361,18 @@ fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport
         let path = entry.expect("entry").path();
         fs::copy(&path, copy.join(path.file_name().expect("file name"))).expect("copy");
     }
-    let journal = Journal::open(JournalConfig::new(&copy)).expect("oracle open");
     let mut report = RecoveryReport::default();
-    if let Some(blob) = journal.load_snapshot().expect("oracle snapshot") {
-        let (frames, entries) = decode_snapshot(&blob.body).expect("oracle decode");
-        report.snapshot_frames = frames;
-        report.restored_objects = entries.iter().filter(|e| registered(e.object)).count() as u64;
-        report.skipped_objects = entries.len() as u64 - report.restored_objects;
-    }
+    let journal = Journal::open_and_recover(JournalConfig::new(&copy), Arc::new(RealFs), |item| {
+        if let Retained::Snapshot { body, .. } = item {
+            let (frames, entries) = decode_snapshot(body).expect("oracle decode");
+            report.snapshot_frames = frames;
+            report.restored_objects =
+                entries.iter().filter(|e| registered(e.object)).count() as u64;
+            report.skipped_objects = entries.len() as u64 - report.restored_objects;
+        }
+        Ok::<(), JournalError>(())
+    })
+    .expect("oracle open");
     let floor = report.snapshot_frames;
     report.replayed_frames = journal
         .replay(|index, bytes| match Frame::decode(bytes) {
@@ -567,8 +571,7 @@ fn recovery_into_indexed_state_rederives_the_index_from_the_trackers() {
     journal.append_frame(&frame).expect("append");
     drop(journal);
 
-    let journal = Journal::open(config).expect("reopen");
-    let report = recover_into(&service, &journal).expect("recover into live state");
+    let (journal, report) = recover_and_attach(&service, config).expect("recover into live state");
     assert_eq!((report.restored_objects, report.replayed_frames), (1, 1), "{report:?}");
     assert_eq!(ids(&service, b), [0], "indexed where the snapshot put it");
     assert_eq!(ids(&service, a), [] as [u64; 0], "and no longer where it was");
@@ -577,13 +580,17 @@ fn recovery_into_indexed_state_rederives_the_index_from_the_trackers() {
     assert_eq!(service.indexed_count(), 3);
     assert_eq!(service.nearest_objects(&b, 1.0, 1)[0].object, ObjectId(0));
 
+    drop(journal);
+
     // A recovery with nothing to restore or replay leaves the shards alone.
+    let service = fleet();
+    assert!(service.apply_update(ObjectId(0), &report_at(3, a, 0.0, 1.0)));
     let empty_dir = temp_dir("indexed-state-empty");
-    let empty = Journal::open(journal_config(&empty_dir)).expect("open empty");
     let locks = service.write_lock_acquisitions();
-    assert_eq!(recover_into(&service, &empty).expect("recover"), RecoveryReport::default());
+    let (_, report) = recover_and_attach(&service, journal_config(&empty_dir)).expect("recover");
+    assert_eq!(report, RecoveryReport::default());
     assert_eq!(service.write_lock_acquisitions(), locks, "no shard write lock taken");
-    assert_eq!(ids(&service, b), [0]);
+    assert_eq!(ids(&service, a), [0]);
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&empty_dir);
 }
@@ -651,12 +658,7 @@ fn each_recovery_pass_records_one_sample_per_stage() {
     assert!(
         stages.restore.sum_ns() > 0 && stages.replay.sum_ns() > 0 && stages.rebuild.sum_ns() > 0
     );
-
-    // `recover_into` is a pass of its own.
-    let offline = fleet();
-    recover_into(&offline, &journal).expect("recover_into");
-    assert_eq!(counts(&offline), [1; 4]);
-    assert_eq!(counts(&recovered), [1; 4], "per service");
+    drop(journal);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -6,9 +6,8 @@
 
 use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
-use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig};
-use mbdr_locserver::durable::recover_into;
-use mbdr_locserver::{LocationService, ObjectId};
+use mbdr_journal::{FaultFs, FsyncPolicy, JournalConfig};
+use mbdr_locserver::{recover_and_attach_with_vfs, LocationService, ObjectId};
 use mbdr_net::{ClientConfig, NetClient, NetServer, RetryPolicy, ServerConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -127,15 +126,9 @@ fn disk_death_is_observable_and_self_heals_over_the_wire() {
     let dir = temp_dir("self-heal");
     let fault = FaultFs::over_real();
     let service = fleet();
-    let journal = Arc::new(
-        Journal::open_with_vfs(
-            JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) },
-            Arc::new(fault.clone()),
-        )
-        .expect("open over FaultFs"),
-    );
-    recover_into(&service, &journal).expect("recover");
-    assert!(service.attach_journal(Arc::clone(&journal)));
+    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    let (journal, _) = recover_and_attach_with_vfs(&service, config, Arc::new(fault.clone()))
+        .expect("recover over FaultFs");
     let server =
         NetServer::bind(service, "127.0.0.1:0", ServerConfig::default()).expect("bind over faults");
 
