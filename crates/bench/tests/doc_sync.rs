@@ -70,6 +70,7 @@ fn wire_source_files(root: &Path) -> Vec<PathBuf> {
         root.join("crates/core/src/wire/mod.rs"),
         root.join("crates/core/src/wire/query.rs"),
         root.join("crates/core/src/wire/snapshot.rs"),
+        root.join("crates/core/src/wire/v1.rs"),
         root.join("crates/net/src/transport.rs"),
     ];
     let journal_src = root.join("crates/journal/src");

@@ -32,8 +32,8 @@
 //! and answers `position_at(t)`; [`protocol::UpdateProtocol`] is the
 //! source-side trait all the variants implement. [`wire`] is the verified
 //! codec the updates travel as: a round-trip-exact encoder/decoder pair plus
-//! the length-prefixed [`wire::Frame`] batching many updates per
-//! transmission, and [`wire::query`] adds the serving-layer message kinds
+//! the [`wire::Frame`] batching many updates per transmission, each coded
+//! against the one before it, and [`wire::query`] adds the serving-layer message kinds
 //! (rect / nearest / zone queries and their responses) the `mbdr-net` TCP
 //! layer speaks.
 

@@ -129,7 +129,13 @@ impl ServerTracker {
         self.updates_applied
     }
 
-    /// Total payload bytes received so far.
+    /// Total payload bytes of the applied updates, each counted at its
+    /// standalone message encoding ([`Update::encoded_len`], the paper's
+    /// per-message cost), not at the bytes it took inside a frame: a frame
+    /// codes each update against the one before it, so that size depends on
+    /// its neighbours, not on the update. Counting the message keeps the
+    /// counter — and the snapshots that store it — the same whichever frames
+    /// the updates arrived in.
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
     }

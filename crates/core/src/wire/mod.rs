@@ -5,12 +5,14 @@
 //! per message. This module makes that accounting a *verified protocol*: every
 //! encoded update decodes back to the state the server predicts from
 //! ([`Update::decode`] is the exact inverse of [`Update::encode`] modulo the
-//! documented `f32` narrowing), and a length-prefixed [`Frame`] batches many
-//! encoded updates from one source into a single transmission unit.
+//! documented `f32` narrowing), and a [`Frame`] batches many updates from one
+//! source into a single transmission unit, each update coded against the one
+//! before it so that a frame carries only what changed.
 //!
 //! ## Update layout
 //!
-//! All integers and floats are big-endian.
+//! The standalone message: what the simulator charges per update, what a
+//! snapshot stores per object. All integers and floats are big-endian.
 //!
 //! | offset | size | field |
 //! |---|---|---|
@@ -43,13 +45,35 @@
 //! round-trip to `None`, so encoding an update that carries it alongside a
 //! link is rejected with [`EncodeError::ReservedTowards`] instead.
 //!
-//! ## Frame layout
+//! ## Frame layout (version 2)
 //!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0 | 8 | source id (`u64`) |
-//! | 8 | 2 | update count (`u16`) |
-//! | 10 | — | per update: 2-byte length prefix (`u16`) followed by the encoded update |
+//! A frame is the source id and the update count, each an unsigned LEB128
+//! varint, then the updates. Each update is coded against the same field of
+//! the update before it in the frame; the first is coded against an update
+//! whose every field is zero. Decoding gives back exactly the updates the
+//! message codec would, `f32` narrowing included.
+//!
+//! | field | coding |
+//! |---|---|
+//! | head | one byte: `kind` in bits 0–2, link fields follow (bit 3), turn rate follows (bit 4); all other bits zero |
+//! | `sequence` | varint of `sequence − previous` (wrapping) |
+//! | `timestamp`, `x`, `y` | the `f64` bits XOR the previous bits, trimmed (below) |
+//! | `speed`, `heading` | the `f32` bits XOR the previous bits, trimmed |
+//! | link id, towards | iff bit 3: each a varint of the `u32` XOR the previous value |
+//! | `arc_length` | iff bit 3: the `f32` bits XOR the previous bits, trimmed |
+//! | `turn_rate` | iff bit 4: the `f32` bits XOR the previous bits, trimmed; never zero |
+//!
+//! A trimmed field is one descriptor byte, `leading zero bytes << 4 |
+//! significant bytes`, then the significant bytes; `0x00` means the field
+//! did not change. An update without link fields or turn rate counts them as
+//! zero for the update after it. Only the canonical form decodes — minimal
+//! varints, exact trims, a flagged turn rate that is not zero — so
+//! re-encoding any frame the decoder accepts gives back the same bytes. An
+//! update occupies 7 bytes at least: head, a one-byte sequence step and five
+//! unchanged fields.
+//!
+//! Journal segments written before this layout hold version-1 frames, which
+//! [`v1`] decodes; nothing encodes them any more.
 
 // Panic-free by construction: device-sent state reaches this code off the
 // wire, so it answers bad input with typed errors, never with a panic.
@@ -106,6 +130,7 @@ macro_rules! wire_kinds {
 
 pub mod query;
 pub mod snapshot;
+pub mod v1;
 
 /// The node id reserved on the wire to mean "no travel direction".
 pub const TOWARDS_NONE_WIRE: u32 = u32::MAX;
@@ -119,10 +144,20 @@ const UPDATE_BASE_LEN: usize = 42;
 const LINK_FIELDS_LEN: usize = 12;
 /// Bytes a non-zero turn rate adds.
 const TURN_FIELD_LEN: usize = 4;
-/// Bytes of a frame header (source id + update count).
-const FRAME_HEADER_LEN: usize = 10;
-/// Bytes of each per-update length prefix inside a frame.
-const FRAME_LEN_PREFIX: usize = 2;
+
+/// Bits 0–2 of a frame update's head byte: the update kind.
+const HEAD_KIND_MASK: u8 = 0b0_0111;
+/// Head-byte bit: the update's link fields follow.
+const FLAG_HEAD_LINK: u8 = 0b0_1000;
+/// Head-byte bit: the update's turn rate follows.
+const FLAG_HEAD_TURN: u8 = 0b1_0000;
+/// Fewest bytes one update occupies in a frame: the head byte, a one-byte
+/// sequence step and five unchanged-field descriptors.
+const FRAME_UPDATE_MIN_LEN: usize = 7;
+/// Most bytes one update occupies in a frame: the head byte, a ten-byte
+/// sequence step, three full `f64` and four full `f32` fields with their
+/// descriptors, and two five-byte link varints.
+const FRAME_UPDATE_MAX_LEN: usize = 1 + 10 + 3 * 9 + 4 * 5 + 2 * 5;
 
 /// A state that cannot be represented on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +212,20 @@ pub enum DecodeError {
     /// comparisons (spatial-index boxes, distance ordering), so the decoder
     /// rejects them outright.
     NonFinite,
+    /// A frame field is not in its one canonical form: a varint with a
+    /// redundant last byte, a trimmed float whose descriptor is not the
+    /// exact trim of its bytes, or a turn rate flagged present that is zero.
+    NonCanonical {
+        /// Offset of the field in the frame.
+        at: usize,
+    },
+    /// A frame varint whose value does not fit its field: more than 64
+    /// bits, a link or towards id above `u32::MAX`, or an update count
+    /// above `u16::MAX`.
+    OutOfRange {
+        /// Offset of the varint in the frame.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -189,6 +238,10 @@ impl std::fmt::Display for DecodeError {
             DecodeError::InvalidFlags(b) => write!(f, "invalid flags byte {b:#x}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the message"),
             DecodeError::NonFinite => write!(f, "non-finite float field"),
+            DecodeError::NonCanonical { at } => {
+                write!(f, "non-canonical field at byte {at}")
+            }
+            DecodeError::OutOfRange { at } => write!(f, "varint out of range at byte {at}"),
         }
     }
 }
@@ -221,6 +274,7 @@ impl UpdateKind {
 }
 
 /// A bounds-checked big-endian reader over a byte slice.
+#[derive(Debug, Clone, Copy)]
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -247,9 +301,17 @@ impl<'a> Reader<'a> {
         self.take(N)?.try_into().map_err(|_| DecodeError::Truncated { needed: N, available: 0 })
     }
 
+    #[inline(always)]
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        let [byte] = self.array::<1>()?;
-        Ok(byte)
+        match self.bytes.get(self.at) {
+            Some(&byte) => {
+                self.at += 1;
+                Ok(byte)
+            }
+            None => {
+                Err(DecodeError::Truncated { needed: self.at + 1, available: self.bytes.len() })
+            }
+        }
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
@@ -275,6 +337,94 @@ impl<'a> Reader<'a> {
     fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
+
+    /// A canonical unsigned LEB128 varint no larger than `max` (at least
+    /// `0x7F`: every field's range holds the one-byte values).
+    #[inline(always)]
+    fn varint(&mut self, max: u64) -> Result<u64, DecodeError> {
+        let at = self.at;
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(u64::from(first));
+        }
+        self.varint_tail(at, first, max)
+    }
+
+    /// The rest of a varint whose first byte, at `at`, was `first`.
+    fn varint_tail(&mut self, at: usize, first: u8, max: u64) -> Result<u64, DecodeError> {
+        let mut value = u64::from(first & 0x7F);
+        for shift in (7..64).step_by(7) {
+            let byte = self.u8()?;
+            let low = u64::from(byte & 0x7F);
+            if shift == 63 && low > 1 {
+                return Err(DecodeError::OutOfRange { at });
+            }
+            value |= low << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 {
+                    return Err(DecodeError::NonCanonical { at });
+                }
+                return if value <= max { Ok(value) } else { Err(DecodeError::OutOfRange { at }) };
+            }
+        }
+        Err(DecodeError::OutOfRange { at })
+    }
+
+    /// A `u32` coded as a varint.
+    #[inline(always)]
+    fn varint32(&mut self) -> Result<u32, DecodeError> {
+        let at = self.at;
+        u32::try_from(self.varint(u32::MAX.into())?).map_err(|_| DecodeError::OutOfRange { at })
+    }
+
+    /// A trimmed field of `width` bytes (see the module docs): the
+    /// descriptor byte, then the significant bytes it names.
+    #[inline(always)]
+    fn trimmed(&mut self, width: usize) -> Result<u64, DecodeError> {
+        let at = self.at;
+        let descriptor = self.u8()?;
+        if descriptor == 0 {
+            return Ok(0);
+        }
+        let (lead, len) = (usize::from(descriptor >> 4), usize::from(descriptor & 0x0F));
+        if len == 0 || lead + len > width {
+            return Err(DecodeError::NonCanonical { at });
+        }
+        if self.remaining() < len {
+            return Err(DecodeError::Truncated {
+                needed: self.at + len,
+                available: self.bytes.len(),
+            });
+        }
+        let value = self.word() >> (8 * (8 - len));
+        self.at += len;
+        // The trim is exact iff the first and the last significant byte
+        // are not zero.
+        if value >> (8 * (len - 1)) == 0 || value & 0xFF == 0 {
+            return Err(DecodeError::NonCanonical { at });
+        }
+        Ok(value << (8 * (width - lead - len)))
+    }
+
+    /// The next eight bytes as a big-endian word, zero-padded past the end:
+    /// one load wherever eight bytes remain.
+    #[inline(always)]
+    fn word(&self) -> u64 {
+        let rest = self.bytes.get(self.at..).unwrap_or_default();
+        let mut word = [0u8; 8];
+        match rest.get(..8) {
+            Some(whole) => word.copy_from_slice(whole),
+            None => word.get_mut(..rest.len()).unwrap_or_default().copy_from_slice(rest),
+        }
+        u64::from_be_bytes(word)
+    }
+
+    /// A trimmed `f32` field's bits.
+    #[inline(always)]
+    fn trimmed32(&mut self) -> Result<u32, DecodeError> {
+        // A four-byte trim holds at most 32 bits.
+        Ok(self.trimmed(4)? as u32)
+    }
 }
 
 impl Update {
@@ -294,19 +444,7 @@ impl Update {
     /// Appends the encoded update to `buf` (the allocation-free building
     /// block frames batch updates with). On error `buf` is left untouched.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
-        if self.state.link.is_some() && self.state.towards == Some(NodeId(TOWARDS_NONE_WIRE)) {
-            return Err(EncodeError::ReservedTowards);
-        }
-        // The decoder rejects non-finite floats (a hostile-input guard), so
-        // encoding them would fail only at the receiver — surface the error
-        // where the bad value originates instead.
-        let s = &self.state;
-        if ![s.timestamp, s.position.x, s.position.y, s.speed, s.heading, s.arc_length, s.turn_rate]
-            .iter()
-            .all(|v| v.is_finite())
-        {
-            return Err(EncodeError::NonFinite);
-        }
+        self.check_encodable()?;
         buf.reserve(self.encoded_len());
         buf.extend_from_slice(&self.sequence.to_be_bytes());
         buf.push(self.kind.to_wire());
@@ -331,6 +469,25 @@ impl Update {
         }
         if self.wire_turn_rate() != 0.0 {
             buf.extend_from_slice(&self.wire_turn_rate().to_be_bytes());
+        }
+        Ok(())
+    }
+
+    /// Refuses a state the wire cannot carry: the reserved `towards`
+    /// alongside a link, or a non-finite float. The decoder rejects
+    /// non-finite floats (a hostile-input guard), so encoding them would
+    /// fail only at the receiver — the error surfaces where the bad value
+    /// originates instead.
+    fn check_encodable(&self) -> Result<(), EncodeError> {
+        let s = &self.state;
+        if s.link.is_some() && s.towards == Some(NodeId(TOWARDS_NONE_WIRE)) {
+            return Err(EncodeError::ReservedTowards);
+        }
+        if ![s.timestamp, s.position.x, s.position.y, s.speed, s.heading, s.arc_length, s.turn_rate]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return Err(EncodeError::NonFinite);
         }
         Ok(())
     }
@@ -411,9 +568,10 @@ impl Update {
     }
 }
 
-/// A length-prefixed batch of encoded updates from one source — the unit one
-/// uplink transmission carries, and the unit the lossy channel model drops,
-/// duplicates and reorders.
+/// A batch of updates from one source — the unit one uplink transmission
+/// carries, and the unit the lossy channel model drops, duplicates and
+/// reorders. On the wire each update is coded against the one before it
+/// (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Identifier of the source all batched updates belong to (the location
@@ -439,11 +597,17 @@ impl Frame {
         self.updates.push(update);
     }
 
-    /// Size of the encoded frame in bytes (header + per-update length
-    /// prefixes + encoded updates), computed without allocating.
+    /// Size of the encoded frame in bytes, computed by the encoder's own
+    /// coding pass into a byte count: exact, and without allocating.
     pub fn encoded_len(&self) -> usize {
-        FRAME_HEADER_LEN
-            + self.updates.iter().map(|u| FRAME_LEN_PREFIX + u.encoded_len()).sum::<usize>()
+        let mut len = ByteCount(0);
+        len.varint(self.source);
+        len.varint(self.updates.len() as u64);
+        let mut previous = Coded::default();
+        for update in &self.updates {
+            previous = code_update(update, &previous, &mut len);
+        }
+        len.0
     }
 
     /// Encodes the frame (see the module docs for the layout).
@@ -454,24 +618,29 @@ impl Frame {
     }
 
     /// Appends the encoded frame to `buf` — the allocation-free building
-    /// block the serving layer wraps frames into messages with. On error the
-    /// buffer may hold a partial encoding; discard it.
+    /// block the serving layer wraps frames into messages with (reserve
+    /// [`Frame::encoded_len`] first to grow a cold buffer once). On error
+    /// the buffer may hold a partial encoding; discard it.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
         if self.updates.len() > u16::MAX as usize {
             return Err(EncodeError::FrameTooLarge(self.updates.len()));
         }
-        buf.reserve(self.encoded_len());
-        buf.extend_from_slice(&self.source.to_be_bytes());
-        buf.extend_from_slice(&(self.updates.len() as u16).to_be_bytes());
+        // Two varints of at most ten bytes each.
+        code_into(buf, 20, |header| {
+            header.varint(self.source);
+            header.varint(self.updates.len() as u64);
+        });
+        let mut previous = Coded::default();
         for update in &self.updates {
-            buf.extend_from_slice(&(update.encoded_len() as u16).to_be_bytes());
-            update.encode_into(buf)?;
+            update.check_encodable()?;
+            previous =
+                code_into(buf, FRAME_UPDATE_MAX_LEN, |out| code_update(update, &previous, out));
         }
         Ok(())
     }
 
-    /// Decodes a frame from exactly `bytes`. Never panics: truncated or
-    /// corrupted buffers report a typed [`DecodeError`].
+    /// Decodes a frame from exactly `bytes`. Never panics: truncated,
+    /// corrupted or non-canonical buffers report a typed [`DecodeError`].
     ///
     /// Shares its single validating walk (the private `walk_frame`) with
     /// [`FrameView::parse`], so the owned and the borrowed decoder accept
@@ -482,21 +651,266 @@ impl Frame {
     pub fn decode(bytes: &[u8]) -> Result<Frame, DecodeError> {
         // The count is untrusted until the walk finishes: cap the
         // preallocation by what the buffer could possibly hold (each update
-        // costs at least its length prefix plus the 42-byte base), so a
-        // hostile tiny frame claiming 65535 updates cannot force a
-        // multi-megabyte allocation before the first read fails.
+        // costs at least `FRAME_UPDATE_MIN_LEN` bytes), so a hostile tiny
+        // frame claiming 65535 updates cannot force a large allocation
+        // before the first read fails.
         let mut updates = Vec::new();
-        if bytes.len() >= FRAME_HEADER_LEN {
-            let mut header = Reader::new(bytes);
-            if let (Ok(_source), Ok(claimed)) = (header.u64(), header.u16()) {
-                let max_plausible =
-                    (bytes.len() - FRAME_HEADER_LEN) / (FRAME_LEN_PREFIX + UPDATE_BASE_LEN);
-                updates.reserve((claimed as usize).min(max_plausible));
-            }
+        let mut header = Reader::new(bytes);
+        if let Ok((_, claimed)) = frame_header(&mut header) {
+            updates.reserve(usize::from(claimed).min(header.remaining() / FRAME_UPDATE_MIN_LEN));
         }
-        let source = walk_frame(bytes, |u| updates.push(u))?;
-        Ok(Frame { source, updates })
+        let view = walk_frame(bytes, |u| updates.push(u))?;
+        Ok(Frame { source: view.source, updates })
     }
+}
+
+/// One update's fields as a frame codes them: the bits each travels as. A
+/// field the update does not carry — the link fields without a link, the
+/// turn rate when it is zero — is zero here, and the first update of a frame
+/// is coded against `Coded::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Coded {
+    sequence: u64,
+    timestamp: u64,
+    x: u64,
+    y: u64,
+    speed: u32,
+    heading: u32,
+    link: u32,
+    towards: u32,
+    arc_length: u32,
+    turn_rate: u32,
+}
+
+impl Coded {
+    /// The fields `update` travels as, narrowed as the decoder sees them.
+    fn of(update: &Update) -> Coded {
+        let s = &update.state;
+        let (link, towards, arc_length) = match s.link {
+            Some(link) => (
+                link.0,
+                s.towards.map_or(TOWARDS_NONE_WIRE, |n| n.0),
+                (s.arc_length as f32).to_bits(),
+            ),
+            None => (0, 0, 0),
+        };
+        let turn_rate = update.wire_turn_rate();
+        Coded {
+            sequence: update.sequence,
+            timestamp: s.timestamp.to_bits(),
+            x: s.position.x.to_bits(),
+            y: s.position.y.to_bits(),
+            speed: (s.speed as f32).to_bits(),
+            heading: (s.heading as f32).to_bits(),
+            link,
+            towards,
+            arc_length,
+            turn_rate: if turn_rate != 0.0 { turn_rate.to_bits() } else { 0 },
+        }
+    }
+}
+
+/// Where a frame is coded to: a [`Window`] of the frame buffer, or a
+/// [`ByteCount`] that measures the same coding without writing it.
+trait FrameSink {
+    fn byte(&mut self, byte: u8);
+    /// The `len` low-order bytes of `bits`, most significant first.
+    fn low_bytes(&mut self, bits: u64, len: usize);
+
+    /// An unsigned LEB128 varint, minimal.
+    fn varint(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.byte(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.byte(value as u8);
+    }
+
+    /// `bits`, a field of `width` bytes, trimmed: the descriptor byte, then
+    /// the bytes between the leading and the trailing zero bytes.
+    fn trimmed(&mut self, bits: u64, width: usize) {
+        if bits == 0 {
+            self.byte(0);
+            return;
+        }
+        let lead = bits.leading_zeros() as usize / 8 - (8 - width);
+        let trail = bits.trailing_zeros() as usize / 8;
+        let len = width - lead - trail;
+        self.byte((lead << 4 | len) as u8);
+        self.low_bytes(bits >> (8 * trail), len);
+    }
+}
+
+/// A [`FrameSink`] over zeroed bytes at the end of a frame buffer, written
+/// with plain stores and a word store per trimmed field (see
+/// [`code_into`]).
+struct Window<'a> {
+    bytes: &'a mut [u8],
+    len: usize,
+}
+
+impl FrameSink for Window<'_> {
+    #[inline(always)]
+    fn byte(&mut self, byte: u8) {
+        if let Some(slot) = self.bytes.get_mut(self.len) {
+            *slot = byte;
+        }
+        self.len += 1;
+    }
+
+    #[inline(always)]
+    fn low_bytes(&mut self, bits: u64, len: usize) {
+        let len = len.clamp(1, 8);
+        if let Some(word) = self.bytes.get_mut(self.len..self.len + 8) {
+            word.copy_from_slice(&(bits << (8 * (8 - len))).to_be_bytes());
+        }
+        self.len += len;
+    }
+}
+
+/// Runs `code` over a zeroed window of `room` bytes, plus eight of slack
+/// for the word store of a trimmed field, at the end of `buf`, then cuts
+/// `buf` back to what `code` wrote: no capacity check per byte.
+#[inline(always)]
+fn code_into<T>(buf: &mut Vec<u8>, room: usize, code: impl FnOnce(&mut Window<'_>) -> T) -> T {
+    let start = buf.len();
+    buf.resize(start + room + 8, 0);
+    let mut window = Window { bytes: buf.get_mut(start..).unwrap_or_default(), len: 0 };
+    let coded = code(&mut window);
+    let len = window.len;
+    buf.truncate(start + len);
+    coded
+}
+
+/// A [`FrameSink`] that only counts the bytes.
+struct ByteCount(usize);
+
+impl FrameSink for ByteCount {
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn low_bytes(&mut self, _: u64, len: usize) {
+        self.0 += len;
+    }
+}
+
+/// Codes `update` against `previous` (the fields of the update before it)
+/// into `out` and returns its own fields, the reference for the next one.
+fn code_update(update: &Update, previous: &Coded, out: &mut impl FrameSink) -> Coded {
+    let coded = Coded::of(update);
+    let has_link = update.state.link.is_some();
+    let mut head = update.kind.to_wire();
+    if has_link {
+        head |= FLAG_HEAD_LINK;
+    }
+    if coded.turn_rate != 0 {
+        head |= FLAG_HEAD_TURN;
+    }
+    out.byte(head);
+    out.varint(coded.sequence.wrapping_sub(previous.sequence));
+    out.trimmed(coded.timestamp ^ previous.timestamp, 8);
+    out.trimmed(coded.x ^ previous.x, 8);
+    out.trimmed(coded.y ^ previous.y, 8);
+    out.trimmed(u64::from(coded.speed ^ previous.speed), 4);
+    out.trimmed(u64::from(coded.heading ^ previous.heading), 4);
+    if has_link {
+        out.varint(u64::from(coded.link ^ previous.link));
+        out.varint(u64::from(coded.towards ^ previous.towards));
+        out.trimmed(u64::from(coded.arc_length ^ previous.arc_length), 4);
+    }
+    if coded.turn_rate != 0 {
+        out.trimmed(u64::from(coded.turn_rate ^ previous.turn_rate), 4);
+    }
+    coded
+}
+
+/// One update a frame walk validated: what its head byte says, and its
+/// fields.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    kind: UpdateKind,
+    has_link: bool,
+    coded: Coded,
+}
+
+impl Walked {
+    /// The update these fields decode to.
+    #[inline(always)]
+    fn update(&self) -> Update {
+        let c = &self.coded;
+        let widen = |bits: u32| f64::from(f32::from_bits(bits));
+        let has_link = self.has_link;
+        Update {
+            sequence: c.sequence,
+            state: ObjectState {
+                position: Point::new(f64::from_bits(c.x), f64::from_bits(c.y)),
+                speed: widen(c.speed),
+                heading: widen(c.heading),
+                timestamp: f64::from_bits(c.timestamp),
+                link: has_link.then_some(LinkId(c.link)),
+                arc_length: widen(c.arc_length),
+                towards: (has_link && c.towards != TOWARDS_NONE_WIRE).then_some(NodeId(c.towards)),
+                turn_rate: widen(c.turn_rate),
+            },
+            kind: self.kind,
+        }
+    }
+}
+
+/// Decodes the update at the reader coded against `previous` and validates
+/// it whole: head bits, canonical form, finite floats.
+#[inline(always)]
+fn walk_update(reader: &mut Reader<'_>, previous: &Coded) -> Result<Walked, DecodeError> {
+    let head = reader.u8()?;
+    if head & !(HEAD_KIND_MASK | FLAG_HEAD_LINK | FLAG_HEAD_TURN) != 0 {
+        return Err(DecodeError::InvalidFlags(head));
+    }
+    let kind = UpdateKind::from_wire(head & HEAD_KIND_MASK)?;
+    let has_link = head & FLAG_HEAD_LINK != 0;
+    let sequence = previous.sequence.wrapping_add(reader.varint(u64::MAX)?);
+    let timestamp = previous.timestamp ^ reader.trimmed(8)?;
+    let x = previous.x ^ reader.trimmed(8)?;
+    let y = previous.y ^ reader.trimmed(8)?;
+    let speed = previous.speed ^ reader.trimmed32()?;
+    let heading = previous.heading ^ reader.trimmed32()?;
+    let (link, towards, arc_length) = if has_link {
+        (
+            previous.link ^ reader.varint32()?,
+            previous.towards ^ reader.varint32()?,
+            previous.arc_length ^ reader.trimmed32()?,
+        )
+    } else {
+        (0, 0, 0)
+    };
+    let turn_rate = if head & FLAG_HEAD_TURN != 0 {
+        let at = reader.at;
+        let bits = previous.turn_rate ^ reader.trimmed32()?;
+        // The encoder omits a zero turn rate, so a flagged one would be a
+        // second encoding of the same update.
+        if bits << 1 == 0 {
+            return Err(DecodeError::NonCanonical { at });
+        }
+        bits
+    } else {
+        0
+    };
+    let finite = [timestamp, x, y].iter().all(|&b| f64::from_bits(b).is_finite())
+        && [speed, heading, arc_length, turn_rate].iter().all(|&b| f32::from_bits(b).is_finite());
+    if !finite {
+        return Err(DecodeError::NonFinite);
+    }
+    let coded =
+        Coded { sequence, timestamp, x, y, speed, heading, link, towards, arc_length, turn_rate };
+    Ok(Walked { kind, has_link, coded })
+}
+
+/// Reads a frame header: the source id and the update count.
+fn frame_header(reader: &mut Reader<'_>) -> Result<(u64, u16), DecodeError> {
+    let source = reader.varint(u64::MAX)?;
+    let at = reader.at;
+    let count = reader.varint(u16::MAX.into())?;
+    Ok((source, u16::try_from(count).map_err(|_| DecodeError::OutOfRange { at })?))
 }
 
 /// The one validating walk over an encoded frame, shared by [`Frame::decode`]
@@ -504,19 +918,20 @@ impl Frame {
 /// once (feeding it to `sink`), and rejects trailing bytes. Having a single
 /// walker is what makes the owned and borrowed decoders equivalent by
 /// construction.
-fn walk_frame(bytes: &[u8], mut sink: impl FnMut(Update)) -> Result<u64, DecodeError> {
+fn walk_frame(bytes: &[u8], mut sink: impl FnMut(Update)) -> Result<FrameView<'_>, DecodeError> {
     let mut reader = Reader::new(bytes);
-    let source = reader.u64()?;
-    let count = reader.u16()?;
+    let (source, count) = frame_header(&mut reader)?;
+    let updates = reader;
+    let mut previous = Coded::default();
     for _ in 0..count {
-        let len = reader.u16()? as usize;
-        let slice = reader.take(len)?;
-        sink(Update::decode(slice)?);
+        let walked = walk_update(&mut reader, &previous)?;
+        sink(walked.update());
+        previous = walked.coded;
     }
     if reader.remaining() != 0 {
         return Err(DecodeError::TrailingBytes(reader.remaining()));
     }
-    Ok(source)
+    Ok(FrameView { source, count, updates })
 }
 
 /// A zero-copy, fully validated view over one encoded update.
@@ -567,9 +982,9 @@ impl<'a> UpdateView<'a> {
 pub struct FrameView<'a> {
     source: u64,
     count: u16,
-    /// The per-update region (everything after the 10-byte header), already
-    /// validated to contain exactly `count` well-formed updates.
-    payload: &'a [u8],
+    /// A reader at the first update, the whole frame already validated to
+    /// hold exactly `count` well-formed updates after it.
+    updates: Reader<'a>,
 }
 
 impl<'a> FrameView<'a> {
@@ -579,20 +994,16 @@ impl<'a> FrameView<'a> {
     /// [`Frame::decode`] (both run the same private `walk_frame` pass; here every
     /// decoded update is a discarded stack copy — no allocation for any
     /// count the attacker claims).
-    #[expect(clippy::indexing_slicing, reason = "a successful walk_frame saw the whole header")]
     pub fn parse(bytes: &'a [u8]) -> Result<FrameView<'a>, DecodeError> {
-        let mut count = 0u16;
-        let source = walk_frame(bytes, |_| count += 1)?;
-        // A successful walk guarantees the header was present.
-        Ok(FrameView { source, count, payload: &bytes[FRAME_HEADER_LEN..] })
+        walk_frame(bytes, |_| {})
     }
 
     /// The source id the header of the frame in `bytes` names, read without
     /// validating the rest: what routes a frame to its shard before
-    /// [`FrameView::parse`] runs there. `None` if `bytes` is too short to
-    /// hold the id.
+    /// [`FrameView::parse`] runs there. `None` if `bytes` does not start
+    /// with a well-formed id.
     pub fn peek_source(bytes: &[u8]) -> Option<u64> {
-        Reader::new(bytes).u64().ok()
+        Reader::new(bytes).varint(u64::MAX).ok()
     }
 
     /// Identifier of the source all batched updates belong to.
@@ -617,7 +1028,7 @@ impl<'a> FrameView<'a> {
     /// stack value. Infallible: every update was validated by
     /// [`FrameView::parse`].
     pub fn updates(&self) -> FrameUpdates<'a> {
-        FrameUpdates { remaining: self.count, bytes: self.payload }
+        FrameUpdates { remaining: self.count, reader: self.updates, previous: Coded::default() }
     }
 }
 
@@ -625,7 +1036,10 @@ impl<'a> FrameView<'a> {
 #[derive(Debug, Clone)]
 pub struct FrameUpdates<'a> {
     remaining: u16,
-    bytes: &'a [u8],
+    reader: Reader<'a>,
+    /// The fields of the update last yielded, which the next is coded
+    /// against.
+    previous: Coded,
 }
 
 impl Iterator for FrameUpdates<'_> {
@@ -635,17 +1049,14 @@ impl Iterator for FrameUpdates<'_> {
         if self.remaining == 0 {
             return None;
         }
-        // `FrameView::parse` already validated every update, so none of
-        // these reads can fail on a live view — but they go through the
-        // bounds-checked reader anyway so the iterator stays panic-free
-        // by construction, not by argument.
-        let mut reader = Reader::new(self.bytes);
-        let len = reader.u16().ok()? as usize;
-        let slice = reader.take(len).ok()?;
-        let update = Update::decode(slice).ok()?;
+        // `FrameView::parse` already validated every update, so this decode
+        // cannot fail on a live view — but it goes through the
+        // bounds-checked reader anyway so the iterator stays panic-free by
+        // construction, not by argument.
+        let walked = walk_update(&mut self.reader, &self.previous).ok()?;
+        self.previous = walked.coded;
         self.remaining -= 1;
-        self.bytes = self.bytes.get(FRAME_LEN_PREFIX + len..).unwrap_or_default();
-        Some(update)
+        Some(walked.update())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -822,13 +1233,13 @@ mod tests {
 
     #[test]
     fn hostile_update_count_does_not_drive_preallocation() {
-        // A 10-byte frame claiming 0xFFFF updates must fail with Truncated
+        // A 4-byte frame claiming 0xFFFF updates must fail with Truncated
         // (the capacity cap keeps the decoder from allocating for the claim;
-        // observable here only as "still returns the right typed error").
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u64.to_be_bytes());
-        bytes.extend_from_slice(&u16::MAX.to_be_bytes());
+        // observable here only as "still returns the right typed error"),
+        // and a count past the 16-bit limit is out of range.
+        let bytes = [7, 0xFF, 0xFF, 0x03];
         assert!(matches!(Frame::decode(&bytes), Err(DecodeError::Truncated { .. })));
+        assert_eq!(Frame::decode(&[7, 0x80, 0x80, 0x04]), Err(DecodeError::OutOfRange { at: 1 }));
     }
 
     #[test]
@@ -906,7 +1317,7 @@ mod tests {
     fn empty_frame_is_valid() {
         let frame = Frame::new(3);
         let bytes = frame.encode().unwrap();
-        assert_eq!(bytes.len(), 10);
+        assert_eq!(bytes, [3, 0], "a one-byte source id and a zero count");
         assert_eq!(Frame::decode(&bytes).unwrap(), frame);
         let view = FrameView::parse(&bytes).unwrap();
         assert!(view.is_empty());
@@ -981,5 +1392,102 @@ mod tests {
                 (v, o) => panic!("byte {at}: view {v:?} vs owned {o:?}"),
             }
         }
+    }
+
+    /// A frame of `n` updates of one parked object reporting once a second.
+    fn parked_frame(n: u64) -> Frame {
+        let mut frame = Frame::new(300);
+        for i in 0..n {
+            let mut u = sample_update();
+            u.sequence = 1_000 + i;
+            u.state.timestamp = 100.0 + i as f64;
+            frame.push(u);
+        }
+        frame
+    }
+
+    #[test]
+    fn repeated_fields_cost_one_byte_each() {
+        let frame = parked_frame(8);
+        let bytes = frame.encode().unwrap();
+        assert_eq!(bytes.len(), frame.encoded_len());
+        // The header and the first update in full; after it: head, sequence
+        // step, a timestamp step of 1 s (a descriptor and one or two
+        // changed bytes), four unchanged floats, and link, towards and arc
+        // length unchanged.
+        let first = Frame { source: 300, updates: frame.updates[..1].to_vec() };
+        let rest = bytes.len() - first.encoded_len();
+        assert!((7 * (1 + 1 + 2 + 4 + 3)..=7 * (1 + 1 + 3 + 4 + 3)).contains(&rest), "{rest}");
+        let decoded = Frame::decode(&bytes).unwrap();
+        assert_eq!(decoded.updates, frame.updates.iter().map(narrowed).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overlong_varints_are_not_canonical() {
+        // Source 3 as a two-byte varint, then a zero count.
+        assert_eq!(Frame::decode(&[0x83, 0x00, 0x00]), Err(DecodeError::NonCanonical { at: 0 }));
+        // Eleven continuation bytes, and a tenth byte past bit 63.
+        let mut long = vec![0xFF; 10];
+        long.push(0x01);
+        assert_eq!(Frame::decode(&long), Err(DecodeError::OutOfRange { at: 0 }));
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        assert_eq!(Frame::decode(&wide), Err(DecodeError::OutOfRange { at: 0 }));
+        // u64::MAX is the largest source id and decodes.
+        let mut max = vec![0xFF; 9];
+        max.extend_from_slice(&[0x01, 0x00]);
+        assert_eq!(Frame::decode(&max), Ok(Frame::new(u64::MAX)));
+        assert_eq!(FrameView::peek_source(&max), Some(u64::MAX));
+    }
+
+    #[test]
+    fn non_canonical_trims_and_zero_turn_rates_are_refused() {
+        let mut u = sample_update();
+        u.state.link = None;
+        u.state.towards = None;
+        let bytes = Frame::single(1, u).encode().unwrap();
+        // Header 2 bytes, head at 2, sequence step at 3, timestamp at 4.
+        let timestamp_at = 4;
+        assert_eq!(bytes[timestamp_at], 0x02, "100.0 keeps two significant bytes");
+        for bad in [0x0F, 0x10, 0x80, 0x79, 0x09] {
+            let mut damaged = bytes.clone();
+            damaged[timestamp_at] = bad;
+            assert_eq!(
+                Frame::decode(&damaged),
+                Err(DecodeError::NonCanonical { at: timestamp_at }),
+                "descriptor {bad:#x}"
+            );
+        }
+        // Widening the trim by a zero byte names a different, longer form.
+        let mut padded = bytes[..timestamp_at].to_vec();
+        padded.extend_from_slice(&[0x03, 0x40, 0x59, 0x00]);
+        padded.extend_from_slice(&bytes[timestamp_at + 3..]);
+        assert_eq!(Frame::decode(&padded), Err(DecodeError::NonCanonical { at: timestamp_at }));
+        // A turn-rate flag whose turn rate is zero.
+        let mut flagged = bytes.clone();
+        flagged[2] |= FLAG_HEAD_TURN;
+        flagged.push(0x00);
+        assert_eq!(Frame::decode(&flagged), Err(DecodeError::NonCanonical { at: bytes.len() }));
+        // Undefined head bits and kinds.
+        let mut flags = bytes.clone();
+        flags[2] |= 0x20;
+        assert!(matches!(Frame::decode(&flags), Err(DecodeError::InvalidFlags(_))));
+        let mut kind = bytes;
+        kind[2] = 0x07;
+        assert_eq!(Frame::decode(&kind), Err(DecodeError::InvalidKind(7)));
+    }
+
+    #[test]
+    fn links_that_come_and_go_are_coded_against_zero() {
+        let mut frame = parked_frame(4);
+        frame.updates[1].state.link = None;
+        frame.updates[1].state.towards = None;
+        frame.updates[2].state.towards = None;
+        frame.updates[3].state.turn_rate = -0.5;
+        let bytes = frame.encode().unwrap();
+        assert_eq!(bytes.len(), frame.encoded_len());
+        let decoded = Frame::decode(&bytes).unwrap();
+        assert_eq!(decoded.updates, frame.updates.iter().map(narrowed).collect::<Vec<_>>());
+        assert_eq!(decoded.encode().unwrap(), bytes);
     }
 }

@@ -12,13 +12,17 @@
 //!
 //! | kind | name | payload |
 //! |---|---|---|
-//! | `0x01` | ingest | an encoded [`Frame`] (validated at apply time) |
+//! | `0x08` | ingest | an encoded [`Frame`] (validated at apply time) |
 //! | `0x02` | rect query | `min.x min.y max.x max.y t` (5 × `f64`) |
 //! | `0x03` | nearest query | `from.x from.y t` (3 × `f64`) + `k` (`u16`) |
 //! | `0x04` | zone subscribe | `zone` (`u32`) + `min.x min.y max.x max.y` (4 × `f64`) |
 //! | `0x05` | zone poll | `t` (`f64`) |
 //! | `0x06` | flush | — |
 //! | `0x07` | health | — |
+//!
+//! `0x01` was the ingest kind of the version-1 frame layout and is no kind
+//! now: a client that still sends it is refused as a bad request, so its
+//! frames are never parsed in a layout they were not written in.
 //!
 //! ## Response layout
 //!
@@ -37,13 +41,13 @@
 use super::{DecodeError, EncodeError, Frame, Reader};
 use mbdr_geo::{Aabb, Point};
 
-const REQ_INGEST: u8 = 0x01;
 const REQ_RECT: u8 = 0x02;
 const REQ_NEAREST: u8 = 0x03;
 const REQ_ZONE_SUBSCRIBE: u8 = 0x04;
 const REQ_ZONE_POLL: u8 = 0x05;
 const REQ_FLUSH: u8 = 0x06;
 const REQ_HEALTH: u8 = 0x07;
+const REQ_INGEST: u8 = 0x08;
 
 const RESP_POSITIONS: u8 = 0x81;
 const RESP_ZONE_EVENTS: u8 = 0x82;
@@ -716,6 +720,8 @@ mod tests {
     fn unknown_kinds_and_trailing_bytes_are_rejected() {
         assert_eq!(Request::decode(&[0x7F]), Err(DecodeError::InvalidKind(0x7F)));
         assert_eq!(Response::decode(&[0x01]), Err(DecodeError::InvalidKind(0x01)));
+        // The version-1 ingest kind is no kind now.
+        assert_eq!(Request::decode(&[0x01, 0, 0]), Err(DecodeError::InvalidKind(0x01)));
         let mut bytes = Request::Flush.encode();
         bytes.push(0);
         assert_eq!(Request::decode(&bytes), Err(DecodeError::TrailingBytes(1)));

@@ -2,6 +2,13 @@
 //! every update (modulo the documented `f32` narrowing), `encoded_len()` is
 //! exact without allocating, and damaged buffers produce typed errors instead
 //! of panics.
+//!
+//! The second half is a seeded search over frames, whose updates are each
+//! coded against the one before: frames of every kind, with links that come
+//! and go, repeated and changing fields, falling and wrapping sequences and
+//! values at the edges of the format must decode to what the message codec
+//! round-trips, re-encode to the same bytes, and give one typed verdict from
+//! both decoders on every truncation and every single-byte corruption.
 
 use mbdr_core::wire::TOWARDS_NONE_WIRE;
 use mbdr_core::{DecodeError, Frame, FrameView, ObjectState, Update, UpdateKind, UpdateView};
@@ -217,4 +224,263 @@ fn views_reject_exactly_what_owned_decode_rejects() {
         }
     });
     assert!(all_bits_flipped, "the all-bits flip is applied");
+}
+
+// ---------------------------------------------------------------------------
+// The seeded search over frames: each update coded against the one before it.
+// ---------------------------------------------------------------------------
+
+/// `f64` values at the edges of the format: signed zeros, subnormals, and
+/// magnitudes up to `f64::MAX`.
+const EDGE_F64: [f64; 8] = [0.0, -0.0, 5e-324, -2.2e-308, f32::MAX as f64, 1e300, f64::MAX, -1.5];
+/// `f32`-narrowed values at the edges: signed zeros, `f32` subnormals, and
+/// `±f32::MAX`.
+const EDGE_F32: [f64; 7] = [0.0, -0.0, 1e-45, -3e-39, f32::MAX as f64, -(f32::MAX as f64), 0.5];
+
+/// Seeds of the search; the exhaustive corruption sweep takes the first
+/// `CORRUPTION_SEEDS` of them.
+const FRAME_SEEDS: u64 = 256;
+const CORRUPTION_SEEDS: u64 = 24;
+
+fn pick<T: Copy>(rng: &mut SplitMix64, values: &[T]) -> T {
+    values[rng.below(values.len() as u64) as usize]
+}
+
+/// A float field's next value: mostly kept or nudged (what a frame of one
+/// object's fixes holds), sometimes redrawn or taken from `edges`.
+fn next_float(rng: &mut SplitMix64, previous: f64, edges: &[f64], span: f64) -> f64 {
+    match rng.below(6) {
+        0 | 1 => previous,
+        2 => previous + rng.range(-1.0, 1.0),
+        3 => rng.range(-span, span),
+        _ => pick(rng, edges),
+    }
+}
+
+/// The next sequence number: increasing, repeated, decreasing or wrapping.
+fn next_sequence(rng: &mut SplitMix64, previous: u64) -> u64 {
+    match rng.below(6) {
+        0 | 1 => previous.wrapping_add(1),
+        2 => previous,
+        3 => previous.wrapping_sub(1 + rng.below(1_000)),
+        4 => u64::MAX - rng.below(3),
+        _ => rng.next_u64(),
+    }
+}
+
+/// An update following `previous` in a frame: every field kept or changed
+/// on its own draw, links that appear and disappear, every kind.
+fn next_update(rng: &mut SplitMix64, previous: &Update) -> Update {
+    let p = &previous.state;
+    let link = match rng.below(4) {
+        0 => None,
+        1 => Some(LinkId(rng.next_u64() as u32)),
+        _ => p.link.or(Some(LinkId(rng.below(10) as u32))),
+    };
+    let towards = match (link, rng.below(4)) {
+        (None, _) => p.towards.filter(|_| rng.below(2) == 0),
+        (Some(_), 0) => None,
+        (Some(_), 1) => Some(NodeId(rng.below(u64::from(TOWARDS_NONE_WIRE)) as u32)),
+        (Some(_), _) => p.towards.filter(|n| n.0 != TOWARDS_NONE_WIRE).or(Some(NodeId(0))),
+    };
+    let turn_rate = match rng.below(4) {
+        0 => 0.0,
+        1 => p.turn_rate,
+        _ => next_float(rng, p.turn_rate, &EDGE_F32, 1.0),
+    };
+    Update {
+        sequence: next_sequence(rng, previous.sequence),
+        state: ObjectState {
+            position: Point::new(
+                next_float(rng, p.position.x, &EDGE_F64, 50_000.0),
+                next_float(rng, p.position.y, &EDGE_F64, 50_000.0),
+            ),
+            speed: next_float(rng, p.speed, &EDGE_F32, 70.0),
+            heading: next_float(rng, p.heading, &EDGE_F32, 10.0),
+            timestamp: match rng.below(3) {
+                0 => p.timestamp + 1.0,
+                _ => next_float(rng, p.timestamp, &EDGE_F64, 100_000.0),
+            },
+            link,
+            arc_length: next_float(rng, p.arc_length, &EDGE_F32, 3_000.0),
+            towards,
+            turn_rate,
+        },
+        kind: KINDS[rng.below(KINDS.len() as u64) as usize],
+    }
+}
+
+/// A frame of up to `max` updates, the first drawn whole, each later one
+/// from the update before it; the source id of any width.
+fn arb_frame(rng: &mut SplitMix64, max: u64) -> Frame {
+    let source = match rng.below(3) {
+        0 => rng.below(128),
+        1 => u64::MAX - rng.below(2),
+        _ => rng.next_u64() >> rng.below(64),
+    };
+    let mut updates = Vec::new();
+    let mut previous = arb_update(rng);
+    for _ in 0..rng.below(max + 1) {
+        updates.push(previous);
+        previous = next_update(rng, &previous);
+    }
+    Frame { source, updates }
+}
+
+/// Each update as the message codec round-trips it, or the verdict that
+/// refuses it.
+fn message_round_trip(frame: &Frame) -> Result<Vec<Update>, DecodeError> {
+    frame
+        .updates
+        .iter()
+        .map(|u| Update::decode(&u.encode().expect("search updates encode")))
+        .collect()
+}
+
+/// Bytes of `value` as a LEB128 varint.
+fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// `FrameView::parse` and `Frame::decode` agree on `bytes`, and whatever
+/// they accept is canonical: it re-encodes to exactly `bytes`.
+fn assert_one_verdict(bytes: &[u8], what: &str) {
+    match (FrameView::parse(bytes), Frame::decode(bytes)) {
+        (Ok(view), Ok(owned)) => {
+            assert_eq!(view.source(), owned.source, "{what}");
+            assert_eq!(view.updates().collect::<Vec<_>>(), owned.updates, "{what}");
+            assert_eq!(owned.encode().expect("decoded frames encode"), bytes, "{what}");
+            assert_eq!(owned.encoded_len(), bytes.len(), "{what}");
+        }
+        (Err(ve), Err(oe)) => assert_eq!(ve, oe, "{what}"),
+        (view, owned) => panic!("{what}: view {view:?} vs owned {owned:?}"),
+    }
+}
+
+#[test]
+fn frames_decode_to_the_message_round_trip_and_re_encode_to_the_same_bytes() {
+    let mut seen = [false; 6];
+    for_each_seed(FRAME_SEEDS, |rng| {
+        let frame = arb_frame(rng, 12);
+        for pair in frame.updates.windows(2) {
+            seen[0] |= pair[1].state.link.is_some() != pair[0].state.link.is_some();
+            seen[1] |= pair[1].sequence < pair[0].sequence;
+            seen[2] |= pair[1].state.position == pair[0].state.position;
+        }
+        for u in &frame.updates {
+            let s = &u.state;
+            seen[3] |= s.speed.to_bits() == (-0.0f64).to_bits();
+            seen[4] |= s.position.x.is_subnormal() || (s.heading as f32).is_subnormal();
+            seen[5] |= s.speed.abs() == f32::MAX as f64;
+        }
+        let bytes = frame.encode().expect("search frames encode");
+        assert_eq!(bytes.len(), frame.encoded_len());
+        let expected = message_round_trip(&frame);
+        let decoded = Frame::decode(&bytes).map(|f| f.updates);
+        assert_eq!(decoded, expected, "the frame codec is the message codec's values");
+        if let Ok(updates) = decoded {
+            let again = Frame { source: frame.source, updates };
+            assert_eq!(again.encode().unwrap(), bytes, "a decoded frame re-encodes bit for bit");
+            assert_eq!(FrameView::peek_source(&bytes), Some(frame.source));
+        }
+        assert_one_verdict(&bytes, "own encoding");
+    });
+    assert_eq!(seen, [true; 6], "links come and go, sequences fall, fields repeat, edges occur");
+}
+
+#[test]
+fn every_truncation_and_byte_corruption_gets_one_verdict() {
+    for_each_seed(CORRUPTION_SEEDS, |rng| {
+        let frame = arb_frame(rng, 4);
+        let bytes = frame.encode().expect("search frames encode");
+        for cut in 0..bytes.len() {
+            let truncated = &bytes[..cut];
+            assert!(
+                matches!(Frame::decode(truncated), Err(DecodeError::Truncated { .. })),
+                "cut {cut}"
+            );
+            assert_one_verdict(truncated, &format!("cut {cut}"));
+        }
+        let mut damaged = bytes.clone();
+        for at in 0..bytes.len() {
+            for flip in 1..=u8::MAX {
+                damaged[at] = bytes[at] ^ flip;
+                assert_one_verdict(&damaged, &format!("byte {at} ^ {flip:#x}"));
+            }
+            damaged[at] = bytes[at];
+        }
+    });
+}
+
+#[test]
+fn non_canonical_forms_and_hostile_counts_are_typed_errors() {
+    for_each_seed(FRAME_SEEDS, |rng| {
+        let frame = arb_frame(rng, 6);
+        let bytes = frame.encode().expect("search frames encode");
+        let source_len = varint_len(frame.source);
+        let count_len = varint_len(frame.updates.len() as u64);
+        let header_len = source_len + count_len;
+
+        // A redundant continuation byte on the source id and on the count;
+        // past ten bytes a varint is out of any field's range.
+        for (at, len) in [(0, source_len), (source_len, count_len)] {
+            let mut overlong = bytes[..at + len].to_vec();
+            *overlong.last_mut().unwrap() |= 0x80;
+            overlong.push(0x00);
+            overlong.extend_from_slice(&bytes[at + len..]);
+            let expected = if len == 10 {
+                DecodeError::OutOfRange { at }
+            } else {
+                DecodeError::NonCanonical { at }
+            };
+            assert_eq!(Frame::decode(&overlong), Err(expected));
+            assert_one_verdict(&overlong, "overlong varint");
+        }
+
+        // Counts the bytes cannot hold, and one past the 16-bit limit.
+        let with_count = |count: u64| {
+            let mut hostile = bytes[..source_len].to_vec();
+            let mut c = count;
+            while c >= 0x80 {
+                hostile.push(c as u8 | 0x80);
+                c >>= 7;
+            }
+            hostile.push(c as u8);
+            hostile.extend_from_slice(&bytes[header_len..]);
+            hostile
+        };
+        let claimed = frame.updates.len() as u64 + 1 + rng.below(u64::from(u16::MAX) - 12);
+        let hostile = with_count(claimed);
+        assert!(matches!(Frame::decode(&hostile), Err(DecodeError::Truncated { .. })));
+        assert_one_verdict(&hostile, "hostile count");
+        let too_many = with_count(u64::from(u16::MAX) + 1);
+        assert_eq!(Frame::decode(&too_many), Err(DecodeError::OutOfRange { at: source_len }));
+
+        // The first update's timestamp descriptor in a longer, zero-padded
+        // form: one more significant byte that is zero.
+        let Some(first) = frame.updates.first() else { return };
+        let at = header_len + 1 + varint_len(first.sequence);
+        let descriptor = bytes[at];
+        let (lead, len) = (usize::from(descriptor >> 4), usize::from(descriptor & 0x0F));
+        let mut padded = bytes[..at].to_vec();
+        if descriptor == 0 {
+            padded.extend_from_slice(&[0x01, 0x00]);
+        } else if lead + len < 8 {
+            padded.push((lead << 4 | (len + 1)) as u8);
+            padded.extend_from_slice(&bytes[at + 1..at + 1 + len]);
+            padded.push(0x00);
+        } else if lead > 0 {
+            padded.push(((lead - 1) << 4 | (len + 1)) as u8);
+            padded.push(0x00);
+            padded.extend_from_slice(&bytes[at + 1..at + 1 + len]);
+        } else {
+            // All eight bytes significant: no longer form exists, so name
+            // eight leading zero bytes and none significant instead.
+            padded.push(0x80);
+            padded.extend_from_slice(&bytes[at + 1..at + 1 + len]);
+        }
+        padded.extend_from_slice(&bytes[at + 1 + len..]);
+        assert_eq!(Frame::decode(&padded), Err(DecodeError::NonCanonical { at }));
+        assert_one_verdict(&padded, "padded descriptor");
+    });
 }

@@ -23,8 +23,11 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"MBDRJRNL";
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MBDRSNAP";
 /// On-disk format version written into segment and snapshot headers. Readers
 /// accept any version `<=` their own and refuse (typed error, no destructive
-/// repair) anything newer.
-pub const JOURNAL_VERSION: u16 = 1;
+/// repair) anything newer; a segment's version travels with its records
+/// ([`Records::version`]), so the reader of a payload knows what layout it
+/// was written in. Version 2 changed nothing in the journal's own framing:
+/// it marks segments whose payloads are frames of the second wire layout.
+pub const JOURNAL_VERSION: u16 = 2;
 /// Segment header: magic (8) + version (`u16`) + base frame index (`u64`).
 pub const SEGMENT_HEADER_LEN: usize = 18;
 /// Record header: payload length (`u32`) + CRC-32 of the payload (`u32`).
@@ -256,6 +259,10 @@ struct Writer {
     segment_bytes: u64,
     unsynced: u32,
     last_sync_nanos: u64,
+    /// The active segment was written by an older format version: the next
+    /// append rotates to a fresh segment first, so no segment ever mixes
+    /// payloads of two versions.
+    stale: bool,
     /// Header + payload of the record being appended, assembled here so the
     /// file sees one `write_all` per record. Outlives segment rotation.
     record: Vec<u8>,
@@ -303,6 +310,10 @@ impl Journal {
     /// The bytes the scan validated are dropped when it returns; a recovering
     /// caller that wants them uses [`Journal::open_and_recover`] instead of
     /// reading them again.
+    ///
+    /// A last segment written by an older format version is never appended
+    /// to: the first append starts a fresh segment in this version (one that
+    /// holds no record is replaced at open).
     pub fn open(config: JournalConfig) -> Result<Journal, JournalError> {
         Journal::open_with_vfs(config, Arc::new(RealFs))
     }
@@ -373,6 +384,8 @@ impl Journal {
         let segments =
             list_numbered(vfs.as_ref(), &config.dir, SEGMENT_FILE_PREFIX, SEGMENT_FILE_SUFFIX)?;
         let mut retained: Vec<(u64, PathBuf)> = Vec::new();
+        // Format version and record count of the last retained segment.
+        let mut tail = (JOURNAL_VERSION, 0u64);
         let mut frames: u64 = 0;
         let mut truncated: u64 = 0;
         let mut delivered: u64 = 0;
@@ -385,7 +398,7 @@ impl Journal {
             }
             let bytes = vfs.read(&path).map_err(JournalError::Io)?;
             let file_len = bytes.len() as u64;
-            let Some((base, records)) = segment_body(&path, &bytes)? else {
+            let Some(records) = segment_body(&path, &bytes)? else {
                 // Header missing, short, or wrong magic: the file (and
                 // everything after it) is an unreachable torn tail.
                 truncated += file_len;
@@ -393,6 +406,7 @@ impl Journal {
                 unreachable = true;
                 continue;
             };
+            let base = records.index;
             if retained.is_empty() {
                 if base > snapshot_floor {
                     // Compaction only deletes segments a snapshot covers, so
@@ -417,7 +431,7 @@ impl Journal {
                 unreachable = true;
                 continue;
             }
-            let (count, valid) = validate_records(records);
+            let (count, valid) = validate_records(records.bytes);
             frames += count;
             let valid_end = (SEGMENT_HEADER_LEN + valid) as u64;
             if valid_end < file_len {
@@ -425,9 +439,10 @@ impl Journal {
                 truncated += file_len - valid_end;
                 unreachable = true;
             }
+            tail = (records.version, count);
             sink(Retained::Segment(Records {
-                bytes: records.get(..valid).unwrap_or_default(),
-                index: base,
+                bytes: records.bytes.get(..valid).unwrap_or_default(),
+                ..records
             }))?;
             delivered += count;
             retained.push((base, path));
@@ -460,6 +475,14 @@ impl Journal {
         }
         let frames = frames.max(snapshot_floor);
 
+        let stale = !retained.is_empty() && tail.0 < JOURNAL_VERSION;
+        if stale && tail.1 == 0 {
+            // An older-format last segment with no record sits at the base a
+            // fresh segment would take: replace it now.
+            if let Some((_, path)) = retained.pop() {
+                vfs.remove_file(&path).map_err(JournalError::Io)?;
+            }
+        }
         let (segment, segment_bytes) = match retained.pop() {
             Some((base, path)) => {
                 let file = vfs.open_append(&path).map_err(JournalError::Io)?;
@@ -469,6 +492,8 @@ impl Journal {
             None => (create_segment(vfs.as_ref(), &config.dir, frames)?, SEGMENT_HEADER_LEN as u64),
         };
         let writer = Writer {
+            // A segment based at `frames` is the fresh one made above.
+            stale: stale && segment.base < frames,
             segment,
             segment_bytes,
             unsynced: 0,
@@ -510,9 +535,9 @@ impl Journal {
 
         let mut writer = self.writer.lock();
         let record_len = (RECORD_HEADER_LEN + len) as u64;
-        if writer.segment_bytes + record_len > self.config.segment_max_bytes
-            && writer.segment_bytes > SEGMENT_HEADER_LEN as u64
-        {
+        let full = writer.segment_bytes + record_len > self.config.segment_max_bytes
+            && writer.segment_bytes > SEGMENT_HEADER_LEN as u64;
+        if full || writer.stale {
             self.rotate(&mut writer)?;
         }
         let Writer { segment, record, .. } = &mut *writer;
@@ -627,15 +652,15 @@ impl Journal {
         let mut delivered = 0u64;
         for (_, path) in segments {
             let bytes = self.vfs.read(&path).map_err(JournalError::Io)?;
-            let Some((base, records)) = segment_body(&path, &bytes)? else {
+            let Some(records) = segment_body(&path, &bytes)? else {
                 return Err(corrupt(&path, 0, "segment header failed revalidation"));
             };
-            let (count, valid) = validate_records(records);
-            if valid < records.len() {
+            let (count, valid) = validate_records(records.bytes);
+            if valid < records.bytes.len() {
                 let at = (SEGMENT_HEADER_LEN + valid) as u64;
                 return Err(corrupt(&path, at, "record failed revalidation"));
             }
-            for (index, payload) in (Records { bytes: records, index: base }) {
+            for (index, payload) in records {
                 sink(index, payload);
             }
             delivered += count;
@@ -750,6 +775,7 @@ impl Journal {
         let base = self.frames.load(Ordering::Relaxed);
         writer.segment = create_segment(self.vfs.as_ref(), &self.config.dir, base)?;
         writer.segment_bytes = SEGMENT_HEADER_LEN as u64;
+        writer.stale = false;
         writer.unsynced = 0;
         writer.last_sync_nanos = self.vfs.now_nanos();
         Ok(())
@@ -849,6 +875,16 @@ pub struct Records<'a> {
     bytes: &'a [u8],
     /// Frame index of the next record.
     index: u64,
+    /// Format version of the segment the records were read from.
+    version: u16,
+}
+
+impl Records<'_> {
+    /// Format version of the segment these records were written in (at
+    /// most [`JOURNAL_VERSION`]): it names the layout of their payloads.
+    pub fn version(&self) -> u16 {
+        self.version
+    }
 }
 
 impl<'a> Iterator for Records<'a> {
@@ -863,10 +899,11 @@ impl<'a> Iterator for Records<'a> {
     }
 }
 
-/// Splits a segment image into its base frame index and the record bytes
-/// after the header. `None` for a header that is missing, short, or has the
-/// wrong magic; [`JournalError::UnsupportedVersion`] for a newer format.
-fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<(u64, &'a [u8])>, JournalError> {
+/// The records of a segment image, not yet checksummed: the bytes after the
+/// header, numbered from the header's base frame index. `None` for a header
+/// that is missing, short, or has the wrong magic;
+/// [`JournalError::UnsupportedVersion`] for a newer format.
+fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<Records<'a>>, JournalError> {
     if bytes.len() < SEGMENT_HEADER_LEN || bytes.get(..8) != Some(&SEGMENT_MAGIC[..]) {
         return Ok(None);
     }
@@ -885,7 +922,7 @@ fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<(u64, &'a [u8
     else {
         return Ok(None);
     };
-    Ok(Some((base, records)))
+    Ok(Some(Records { bytes: records, index: base, version }))
 }
 
 /// The one record walker: splits the record at the front of `bytes` into
@@ -1320,6 +1357,71 @@ mod tests {
         journal.replay(|_, payload| seen.push(payload.to_vec())).expect("replay");
         assert_eq!(seen, vec![b"good-frame".to_vec(), b"post-repair".to_vec()]);
         assert_eq!(journal.stats().truncated_bytes, 0, "nothing left to repair");
+        cleanup(&dir);
+    }
+
+    /// Rewrites the format version of the segment based at `base` in `dir`.
+    fn set_segment_version(dir: &Path, base: u64, version: u16) {
+        let path = dir.join(format!("{SEGMENT_FILE_PREFIX}{base:020}{SEGMENT_FILE_SUFFIX}"));
+        let mut bytes = fs::read(&path).expect("segment");
+        bytes[8..10].copy_from_slice(&version.to_be_bytes());
+        fs::write(&path, bytes).expect("rewrite");
+    }
+
+    #[test]
+    fn an_older_version_tail_is_never_appended_to() {
+        let dir = temp_dir("stale");
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
+        journal.append_frame(b"old-0").expect("append");
+        journal.append_frame(b"old-1").expect("append");
+        drop(journal);
+        set_segment_version(&dir, 0, JOURNAL_VERSION - 1);
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
+        assert!(journal.writer.lock().stale, "the older tail is not the append target");
+        journal.append_frame(b"new-2").expect("append");
+        assert_eq!(journal.writer.lock().segment.base, 2, "a fresh segment at the next frame");
+        drop(journal);
+        let mut versions = Vec::new();
+        let journal =
+            Journal::open_and_recover(JournalConfig::new(&dir), Arc::new(RealFs), |item| {
+                if let Retained::Segment(records) = item {
+                    versions.push((records.version(), records.count()));
+                }
+                Ok::<(), JournalError>(())
+            })
+            .expect("open");
+        assert_eq!(versions, [(JOURNAL_VERSION - 1, 2), (JOURNAL_VERSION, 1)]);
+        assert!(!journal.writer.lock().stale);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn an_older_version_tail_without_records_is_replaced() {
+        let dir = temp_dir("stale-empty");
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
+        journal.append_frame(b"old-0").expect("append");
+        let frames = journal.begin_forced_snapshot().expect("slot");
+        journal.install_snapshot(frames, b"body").expect("install");
+        drop(journal);
+        // A second segment at frame 1 holding no record, as a crash right
+        // after a rotation leaves it; both segments in the older format.
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
+        journal.rotate(&mut journal.writer.lock()).expect("rotate");
+        drop(journal);
+        set_segment_version(&dir, 0, JOURNAL_VERSION - 1);
+        set_segment_version(&dir, 1, JOURNAL_VERSION - 1);
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
+        {
+            let writer = journal.writer.lock();
+            assert_eq!(writer.segment.base, 0, "the empty segment is gone");
+            assert!(writer.stale, "the segment below is older too");
+        }
+        journal.append_frame(b"new-1").expect("append");
+        drop(journal);
+        let mut seen = Vec::new();
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
+        journal.replay(|index, payload| seen.push((index, payload.to_vec()))).expect("replay");
+        assert_eq!(seen, [(0, b"old-0".to_vec()), (1, b"new-1".to_vec())]);
         cleanup(&dir);
     }
 }

@@ -1,10 +1,16 @@
 //! The on-disk format is pinned by bytes, not only by constants:
 //! `fixtures/journal-v1/` is a journal directory written by the build that
-//! preceded the slicing-by-8 checksum and the single-write append. This build
-//! must read it back clean, and must write the very same bytes when fed the
-//! very same appends and snapshot body.
+//! preceded the slicing-by-8 checksum and the single-write append, in format
+//! version 1. This build must read it back clean, and must append to it only
+//! in a fresh segment of its own version. `fixtures/journal-v2/` was written
+//! by the same call sequence in format version 2 (the version that marks
+//! segments of the second frame layout); this build must read it back clean
+//! and write the very same bytes when fed the very same appends and snapshot
+//! body.
 
-use mbdr_journal::{FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained};
+use mbdr_journal::{
+    FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, JOURNAL_VERSION,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,8 +48,17 @@ fn write_reference_journal(dir: &Path) {
     journal.flush().expect("flush");
 }
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal-v1")
+fn fixture_dir(version: u16) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/journal-v{version}"))
+}
+
+/// A scratch copy of the fixture of `version`.
+fn fixture_copy(version: u16, tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    for (name, bytes) in dir_image(&fixture_dir(version)) {
+        fs::write(dir.join(name), bytes).expect("copy fixture");
+    }
+    dir
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -65,37 +80,96 @@ fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Opens `config` on the real filesystem and returns the snapshot the open
-/// scan handed over, as `(frames, body)`.
-fn open_taking_snapshot(config: JournalConfig) -> (Journal, Option<(u64, Vec<u8>)>) {
-    let mut snapshot = None;
+/// Records as `(frame index, payload)`.
+type OwnedRecords = Vec<(u64, Vec<u8>)>;
+
+/// What one open scan handed over: the snapshot as `(frames, body)`, and
+/// each segment's format version with its records.
+#[derive(Debug, Default)]
+struct Scanned {
+    snapshot: Option<(u64, Vec<u8>)>,
+    segments: Vec<(u16, OwnedRecords)>,
+}
+
+/// Opens `config` on the real filesystem and returns what the scan handed
+/// over.
+fn open_scanned(config: JournalConfig) -> (Journal, Scanned) {
+    let mut scanned = Scanned::default();
     let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
-        if let Retained::Snapshot { frames, body } = item {
-            snapshot = Some((frames, body.to_vec()));
+        match item {
+            Retained::Snapshot { frames, body } => scanned.snapshot = Some((frames, body.to_vec())),
+            Retained::Segment(records) => {
+                let version = records.version();
+                scanned.segments.push((version, records.map(|(i, p)| (i, p.to_vec())).collect()));
+            }
         }
         Ok::<(), JournalError>(())
     })
     .expect("open");
-    (journal, snapshot)
+    (journal, scanned)
+}
+
+/// Opens a copy of the fixture of `version`, checks it reads back clean with
+/// every segment of that version, and returns the open journal.
+fn open_fixture_clean(version: u16, dir: &Path) -> Journal {
+    let (journal, scanned) = open_scanned(config(dir));
+    assert_eq!(journal.stats().truncated_bytes, 0, "every record and the snapshot validate");
+    assert_eq!(journal.frames_appended(), u64::from(RECORDS));
+    let snapshot = Some((u64::from(SNAPSHOT_AFTER), snapshot_body()));
+    assert_eq!(scanned.snapshot, snapshot, "snapshot present");
+    assert!(scanned.segments.iter().all(|(v, _)| *v == version), "{:?}", scanned.segments);
+    let mut seen = Vec::new();
+    journal.replay(|index, bytes| seen.push((index, bytes.to_vec()))).expect("replay");
+    let expected: OwnedRecords = (0..RECORDS).map(|i| (u64::from(i), payload(i))).collect();
+    assert_eq!(seen, expected);
+    journal
 }
 
 #[test]
 fn journal_written_by_the_previous_build_opens_clean_and_replays() {
-    // Open a copy: open positions a writer on the last segment.
-    let dir = temp_dir("read");
-    for (name, bytes) in dir_image(&fixture_dir()) {
-        fs::write(dir.join(name), bytes).expect("copy fixture");
+    for version in [1, JOURNAL_VERSION] {
+        // Open a copy: open positions a writer on the last segment.
+        let dir = fixture_copy(version, "read");
+        drop(open_fixture_clean(version, &dir));
+        assert_eq!(
+            dir_image(&dir),
+            dir_image(&fixture_dir(version)),
+            "a clean open rewrites nothing"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
-    let (journal, snapshot) = open_taking_snapshot(config(&dir));
-    assert_eq!(journal.stats().truncated_bytes, 0, "every record and the snapshot validate");
-    assert_eq!(journal.frames_appended(), u64::from(RECORDS));
-    assert_eq!(snapshot, Some((u64::from(SNAPSHOT_AFTER), snapshot_body())), "snapshot present");
+}
+
+#[test]
+fn appends_after_a_version_1_journal_go_to_a_fresh_segment() {
+    let dir = fixture_copy(1, "upgrade");
+    let journal = open_fixture_clean(1, &dir);
+    journal.append_frame(&payload(RECORDS)).expect("append");
+    journal.append_frame(&payload(RECORDS + 1)).expect("append");
+    journal.flush().expect("flush");
+    drop(journal);
+    // The version-1 segments are untouched; the appends start a segment of
+    // this version at the next frame index.
+    let before = dir_image(&fixture_dir(1));
+    let after = dir_image(&dir);
+    for (name, bytes) in &before {
+        assert!(after.contains(&(name.clone(), bytes.clone())), "{name} was rewritten");
+    }
+    let fresh = format!("seg-{:020}.mbdrj", RECORDS);
+    assert!(after.iter().any(|(name, _)| *name == fresh), "{after:?}");
+
+    let (journal, scanned) = open_scanned(config(&dir));
+    let versions: Vec<u16> = scanned.segments.iter().map(|(v, _)| *v).collect();
+    assert_eq!(versions, [1, 1, JOURNAL_VERSION]);
+    let records: OwnedRecords =
+        scanned.segments.into_iter().flat_map(|(_, records)| records).collect();
+    let expected: OwnedRecords = (0..RECORDS + 2).map(|i| (u64::from(i), payload(i))).collect();
+    // The scan hands over the segments the snapshot does not cover whole.
+    assert!(expected.ends_with(&records), "{records:?}");
+    assert_eq!(journal.frames_appended(), u64::from(RECORDS + 2));
     let mut seen = Vec::new();
     journal.replay(|index, bytes| seen.push((index, bytes.to_vec()))).expect("replay");
-    let expected: Vec<(u64, Vec<u8>)> = (0..RECORDS).map(|i| (u64::from(i), payload(i))).collect();
     assert_eq!(seen, expected);
-    drop(journal);
-    assert_eq!(dir_image(&dir), dir_image(&fixture_dir()), "a clean open rewrites nothing");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -104,7 +178,7 @@ fn same_appends_and_snapshot_produce_byte_identical_files() {
     let dir = temp_dir("write");
     write_reference_journal(&dir);
     let written = dir_image(&dir);
-    let fixture = dir_image(&fixture_dir());
+    let fixture = dir_image(&fixture_dir(JOURNAL_VERSION));
     let names = |image: &[(String, Vec<u8>)]| -> Vec<String> {
         image.iter().map(|(name, _)| name.clone()).collect()
     };

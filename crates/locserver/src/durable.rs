@@ -297,6 +297,7 @@ impl<'s> Pass<'s> {
                 restored
             }
             Retained::Segment(records) => {
+                let version = records.version();
                 let floor = self.report.snapshot_frames;
                 let mut covered = 0;
                 let uncovered = records.filter_map(|(index, bytes)| {
@@ -304,7 +305,7 @@ impl<'s> Pass<'s> {
                     covered += u64::from(is_covered);
                     (!is_covered).then_some(bytes)
                 });
-                let replayed = self.service.replay_frames(uncovered);
+                let replayed = self.service.replay_frames(version, uncovered);
                 self.report.covered_frames += covered;
                 self.report.replayed_frames += covered + replayed.frames;
                 self.report.replayed_updates += replayed.updates;

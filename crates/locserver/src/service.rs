@@ -12,12 +12,16 @@ use crate::config::ServiceConfig;
 use crate::durable::{DurabilityControl, DurabilityStatsSnapshot, RecoveryStages, RecoveryTimers};
 use crate::shard::{CandidateScratch, Shard, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
-use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
+use mbdr_core::{wire, DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
 use mbdr_spatial::first_ring_radius;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+/// The first journal format version whose segments hold frames of the
+/// current wire layout; older segments hold version-1 frames.
+const FIRST_V2_JOURNAL_VERSION: u16 = 2;
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::{mpsc, Arc, OnceLock};
@@ -536,11 +540,21 @@ impl LocationService {
     /// no index work: only an object's last state is ever indexed, so a
     /// recovery pass ends with one [`LocationService::rebuild_indexes`]
     /// instead of re-anchoring per replayed update.
-    pub(crate) fn replay_frames<'a>(&self, frames: impl Iterator<Item = &'a [u8]>) -> Replayed {
+    ///
+    /// `version` is the journal format version of the segment the frames
+    /// come from: segments of version 1 hold frames of the version-1 layout
+    /// ([`mbdr_core::wire::v1`]), every later one the current layout.
+    pub(crate) fn replay_frames<'a>(
+        &self,
+        version: u16,
+        frames: impl Iterator<Item = &'a [u8]>,
+    ) -> Replayed {
+        let v1 = version < FIRST_V2_JOURNAL_VERSION;
         let mut replayed = Replayed::default();
         let routed = frames.filter_map(|bytes| {
             replayed.frames += 1;
-            let source = FrameView::peek_source(bytes);
+            let source =
+                if v1 { wire::v1::peek_source(bytes) } else { FrameView::peek_source(bytes) };
             replayed.decode_errors += u64::from(source.is_none());
             source.map(|source| (ObjectId(source), bytes))
         });
@@ -548,11 +562,16 @@ impl LocationService {
         let per_shard = write_each(jobs.into_iter(), |s, bucket| {
             let mut counts = Replayed::default();
             for bytes in bucket {
-                match FrameView::parse(bytes) {
-                    Ok(view) => {
-                        let routed = s.replay_updates(ObjectId(view.source()), view.updates());
-                        counts.updates += routed as u64;
-                    }
+                let routed = if v1 {
+                    wire::v1::decode(bytes).map(|frame| {
+                        s.replay_updates(ObjectId(frame.source), frame.updates.into_iter())
+                    })
+                } else {
+                    FrameView::parse(bytes)
+                        .map(|view| s.replay_updates(ObjectId(view.source()), view.updates()))
+                };
+                match routed {
+                    Ok(routed) => counts.updates += routed as u64,
                     Err(_) => counts.decode_errors += 1,
                 }
             }

@@ -261,6 +261,100 @@ fn torn_tail_recovers_to_the_last_complete_frame() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The frame in `bytes` re-encoded in the version-1 layout, as the builds
+/// before frame version 2 journaled it: source id (`u64`), update count
+/// (`u16`), then each update behind a `u16` length prefix.
+fn v1_frame(bytes: &[u8]) -> Vec<u8> {
+    let frame = Frame::decode(bytes).expect("own frame decodes");
+    let mut out = frame.source.to_be_bytes().to_vec();
+    out.extend_from_slice(&(frame.updates.len() as u16).to_be_bytes());
+    for update in &frame.updates {
+        let encoded = update.encode().expect("update encodes");
+        out.extend_from_slice(&(encoded.len() as u16).to_be_bytes());
+        out.extend_from_slice(&encoded);
+    }
+    out
+}
+
+/// Format version of each segment in `dir`, in frame order.
+fn segment_versions(dir: &Path) -> Vec<u16> {
+    dir_image(dir)
+        .into_iter()
+        .filter(|(path, _)| path.to_string_lossy().ends_with(".mbdrj"))
+        .map(|(_, bytes)| u16::from_be_bytes([bytes[8], bytes[9]]))
+        .collect()
+}
+
+#[test]
+fn a_version_1_journal_upgrades_in_place_and_recovers_bit_identical() {
+    let dir = temp_dir("upgrade");
+    let frames = encoded_frames(20);
+    let written_by_v1 = frames.len() / 2;
+    // Log only, so every version-1 segment stays to be replayed at the end.
+    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+
+    // A journal as the previous build left it: version-1 frames in
+    // segments whose headers say format version 1.
+    let journal = Journal::open(config.clone()).expect("open");
+    for bytes in &frames[..written_by_v1] {
+        journal.append_frame(&v1_frame(bytes)).expect("append");
+    }
+    journal.flush().expect("flush");
+    drop(journal);
+    for (path, mut bytes) in dir_image(&dir) {
+        bytes[8..10].copy_from_slice(&1u16.to_be_bytes());
+        fs::write(path, bytes).expect("write back");
+    }
+    let v1_segments = segment_versions(&dir).len();
+    assert!(v1_segments > 1, "the version-1 log spans segments");
+
+    // This build recovers it and keeps ingesting: its frames land in fresh
+    // segments of its own version, never in the version-1 tail.
+    let primary = fleet();
+    let (journal, report) = recover_and_attach(&primary, config.clone()).expect("upgrade");
+    assert_eq!(report.replayed_frames, written_by_v1 as u64, "{report:?}");
+    assert_eq!(report.frame_decode_errors, 0, "{report:?}");
+    for bytes in &frames[written_by_v1..] {
+        primary.apply_frame_bytes(bytes).expect("apply");
+    }
+    journal.flush().expect("flush");
+    drop(primary);
+    drop(journal);
+    let versions = segment_versions(&dir);
+    assert_eq!(versions[..v1_segments], vec![1; v1_segments][..], "{versions:?}");
+    assert!(versions[v1_segments..].iter().all(|&v| v == JOURNAL_VERSION), "{versions:?}");
+    assert!(versions.len() > v1_segments, "{versions:?}");
+
+    // Tear the tail: the last record loses its final byte.
+    let (newest, bytes) = dir_image(&dir)
+        .into_iter()
+        .rfind(|(path, _)| path.to_string_lossy().ends_with(".mbdrj"))
+        .expect("a segment");
+    fs::write(&newest, &bytes[..bytes.len() - 1]).expect("tear");
+
+    let twin = fleet();
+    for bytes in &frames[..frames.len() - 1] {
+        twin.apply_frame_bytes(bytes).expect("twin apply");
+    }
+    let recovered = fleet();
+    let (journal, report) = recover_and_attach(&recovered, config.clone()).expect("recovery");
+    assert_eq!(report.replayed_frames, frames.len() as u64 - 1, "{report:?}");
+    assert_eq!(report.frame_decode_errors, 0, "{report:?}");
+    assert!(report.truncated_bytes > 0, "{report:?}");
+    assert_equivalent(&recovered, &twin, 50.0);
+    drop(recovered);
+    drop(journal);
+
+    // A second open reads every frame again, both layouts.
+    let again = fleet();
+    let (_journal, report) = recover_and_attach(&again, config).expect("second recovery");
+    assert_eq!(report.replayed_frames, frames.len() as u64 - 1, "{report:?}");
+    assert_eq!(report.frame_decode_errors, 0, "{report:?}");
+    assert_eq!(report.truncated_bytes, 0, "{report:?}");
+    assert_equivalent(&again, &twin, 50.0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_entries_for_unregistered_objects_are_skipped() {
     let dir = temp_dir("unregistered");
@@ -766,7 +860,12 @@ fn dir_image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 fn a_newer_segment_refuses_recovery_after_what_precedes_it_was_applied() {
     // A journal whose snapshot is followed by a three-segment tail.
     let dir = temp_dir("newer-segment");
-    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    // 2 KiB segments: the ten rounds' frames then span five or more.
+    let config = JournalConfig {
+        snapshot_every_frames: 0,
+        segment_max_bytes: 2 * 1024,
+        ..journal_config(&dir)
+    };
     let primary = fleet();
     let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
     let frames = encoded_frames(10);

@@ -23,6 +23,19 @@ fn update(seq: u64, t: f64, x: f64, y: f64) -> Update {
     }
 }
 
+/// An ingest message as a client of the version-1 frame layout sent it:
+/// kind `0x01`, then the source id (`u64`), the update count (`u16`) and each
+/// update behind a `u16` length prefix.
+fn v1_ingest(source: u64, update: &Update) -> Vec<u8> {
+    let encoded = update.encode().expect("update encodes");
+    let mut body = vec![0x01];
+    body.extend_from_slice(&source.to_be_bytes());
+    body.extend_from_slice(&1u16.to_be_bytes());
+    body.extend_from_slice(&(encoded.len() as u16).to_be_bytes());
+    body.extend_from_slice(&encoded);
+    body
+}
+
 /// Expects the next message on `stream` to be the given serve error, and the
 /// connection to be closed right after it.
 fn expect_error_then_close(stream: &mut TcpStream, expected: ServeError) {
@@ -80,8 +93,7 @@ fn hostile_inputs_are_counted_dropped_and_leave_the_service_intact() {
     // 5. A corrupt frame payload: the envelope decodes (ingest kind), the
     //    apply path rejects the bytes, the worker reports and drops.
     let mut s = TcpStream::connect(addr).expect("connect raw");
-    let mut corrupt = vec![0x01]; // ingest kind
-    corrupt.extend_from_slice(&[0xEE; 25]); // not a decodable frame
+    let corrupt = Request::Ingest(vec![0xEE; 25]).encode(); // not a decodable frame
     write_message(&mut s, &corrupt).expect("corrupt frame");
     expect_error_then_close(&mut s, ServeError::BadRequest);
 
@@ -91,6 +103,14 @@ fn hostile_inputs_are_counted_dropped_and_leave_the_service_intact() {
     let mut nan = Request::Nearest { from: Point::ORIGIN, t: 1.0, k: 3 }.encode();
     nan[1..9].copy_from_slice(&f64::NAN.to_be_bytes());
     write_message(&mut s, &nan).expect("nan query");
+    expect_error_then_close(&mut s, ServeError::BadRequest);
+
+    // 7. A stale client: an ingest message in the version-1 frame layout
+    //    under the version-1 ingest kind `0x01`, a valid update that would
+    //    move object 1 far away. The kind is unknown now, so the message is
+    //    refused before any frame byte is read.
+    let mut s = TcpStream::connect(addr).expect("connect raw");
+    write_message(&mut s, &v1_ingest(1, &update(5, 3.0, 9_000.0, 9_000.0))).expect("v1 ingest");
     expect_error_then_close(&mut s, ServeError::BadRequest);
 
     // After all the abuse: a fresh connection is served normally — the shard
@@ -108,14 +128,15 @@ fn hostile_inputs_are_counted_dropped_and_leave_the_service_intact() {
     drop(good);
     drop(after);
     let stats = server.shutdown();
-    assert_eq!(stats.connections_accepted, 8, "2 good + 6 hostile");
+    assert_eq!(stats.connections_accepted, 9, "2 good + 7 hostile");
     assert_eq!(stats.connections_closed, 2, "the good connections closed cleanly");
-    assert_eq!(stats.connections_dropped, 6, "every hostile connection was dropped");
+    assert_eq!(stats.connections_dropped, 7, "every hostile connection was dropped");
     assert_eq!(stats.oversized_messages, 1);
     assert_eq!(stats.frame_decode_errors, 1);
     assert_eq!(
-        stats.request_decode_errors, 3,
-        "garbage kind + truncated rect + NaN query (the truncated message is an io error)"
+        stats.request_decode_errors, 4,
+        "garbage kind + truncated rect + NaN query + version-1 ingest (the truncated \
+         message is an io error)"
     );
     assert_eq!(stats.updates_applied, 2);
     assert_eq!(stats.frames_received, 3, "two good frames + the corrupt envelope");
@@ -131,8 +152,7 @@ fn corrupt_frame_then_immediate_close_still_counts_as_a_drop() {
     service.register(ObjectId(1), Arc::new(mbdr_core::StaticPredictor));
     let server = NetServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut s = TcpStream::connect(server.local_addr()).expect("connect raw");
-    let mut corrupt = vec![0x01u8];
-    corrupt.extend_from_slice(&[0xEE; 25]);
+    let corrupt = Request::Ingest(vec![0xEE; 25]).encode();
     write_message(&mut s, &corrupt).expect("corrupt frame");
     drop(s); // close without ever reading
              // Wait until the frame has been judged (the verdict is asynchronous).
@@ -171,8 +191,7 @@ fn a_flood_of_corrupt_frames_cannot_wedge_the_ingest_queue() {
                 // Hostile: a burst of corrupt frames.
                 let mut s = TcpStream::connect(addr).expect("connect raw");
                 for _ in 0..8 {
-                    let mut corrupt = vec![0x01u8];
-                    corrupt.extend_from_slice(&[0xEE; 30]);
+                    let corrupt = Request::Ingest(vec![0xEE; 30]).encode();
                     if write_message(&mut s, &corrupt).is_err() {
                         break; // already torn down mid-burst: equally fine
                     }
