@@ -72,11 +72,11 @@ pub(crate) struct FaultsBench {
     pub journal: JournalStatsSnapshot,
     /// What phase 2's recovery rebuilt. Gates: `snapshot_frames` is
     /// `kill_frame` (everything journaled before the disk died);
-    /// `replayed_frames` — the post-heal tail plus whatever pre-kill segments
-    /// compaction did not yet cover, which trackers silently reject — is at
-    /// least `frames - heal_frame` and at most `appends`; every object is
-    /// restored; `truncated_bytes` is 0 (the probe already repaired the tail
-    /// the dead disk left behind).
+    /// `replayed_frames` is exactly the post-heal tail, `frames -
+    /// heal_frame`: the forced snapshot's grant started a segment at its
+    /// floor and compaction deleted every pre-kill segment, so none is
+    /// `covered_frames`; every object is restored; `truncated_bytes` is 0
+    /// (the probe already repaired the tail the dead disk left behind).
     pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with
     /// exactly the bits of a twin that saw all acknowledged frames
@@ -199,14 +199,12 @@ mod tests {
         assert_eq!(r.journal.appends, r.frames as u64 - r.durability.degraded_frames);
         assert_eq!(r.journal.snapshots, 1, "exactly the recovery's forced snapshot");
         assert_eq!(r.recovery.snapshot_frames, r.kill_frame);
-        assert!(
-            r.recovery.replayed_frames >= r.frames as u64 - r.heal_frame,
-            "the post-heal tail must replay: {r:?}"
+        assert_eq!(
+            r.recovery.replayed_frames,
+            r.frames as u64 - r.heal_frame,
+            "exactly the post-heal tail replays: {r:?}"
         );
-        assert!(
-            r.recovery.replayed_frames <= r.journal.appends,
-            "replay cannot exceed what was appended: {r:?}"
-        );
+        assert_eq!(r.recovery.covered_frames, 0, "{r:?}");
         assert_eq!(r.recovery.restored_objects, r.objects as u64);
         assert_eq!(r.recovery.truncated_bytes, 0, "the probe already repaired the tail");
         let tree = render_faults_json(0.25, 42, &r);

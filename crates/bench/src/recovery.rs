@@ -64,9 +64,10 @@ pub(crate) struct RecoveryBench {
     /// `snapshots` fires exactly on cadence.
     pub journal: JournalStatsSnapshot,
     /// What phase 2's recovery rebuilt. Gates: every object restored,
-    /// `truncated_bytes` 0 (the files were intact); `replayed_frames`
-    /// includes the `covered_frames` below the snapshot's floor, which are
-    /// never decoded, so `replayed_updates` counts only the frames above it.
+    /// `truncated_bytes` 0 (the files were intact); every snapshot grant
+    /// started a segment, so `covered_frames` is 0 and `replayed_frames` is
+    /// exactly the frames past the snapshot's floor, each decoded
+    /// (`replayed_updates`).
     pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with exactly
     /// the twin's bits (gate: 1).
@@ -329,8 +330,12 @@ mod tests {
         assert!(r.torn_recovery.truncated_bytes > 0);
         assert!(r.journal.snapshots >= 1, "cadence must fire at this scale: {r:?}");
         assert!(r.recovery.snapshot_frames > 0);
-        let uncovered = r.recovery.replayed_frames - r.recovery.covered_frames;
-        assert_eq!(r.recovery.replayed_updates, uncovered * r.updates_per_frame as u64);
+        assert_eq!(r.recovery.covered_frames, 0, "segments start at grants: {r:?}");
+        assert_eq!(r.recovery.snapshot_frames + r.recovery.replayed_frames, r.frames as u64);
+        assert_eq!(
+            r.recovery.replayed_updates,
+            r.recovery.replayed_frames * r.updates_per_frame as u64
+        );
         let tree = render_recovery_json(0.25, 42, &r);
         assert_eq!(tree.get("schema"), Some(&Json::str("mbdr-recovery/1")));
         assert_eq!(tree.get("bit_identical"), Some(&Json::exact(1.0)));

@@ -216,11 +216,19 @@ pub enum FsyncPolicy {
 }
 
 /// Configuration for [`Journal::open`].
+///
+/// Segments rotate for two reasons: size ([`JournalConfig::segment_max_bytes`])
+/// and snapshot grants. Every grant ([`Journal::begin_snapshot`],
+/// [`Journal::begin_forced_snapshot`]) starts a fresh segment based at the
+/// frame count it grants, so an installed snapshot's compaction frees every
+/// frame it covers whatever the segment size, and the journal's disk holds
+/// the newest snapshot plus the frames appended since its grant.
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
     /// Directory holding segment and snapshot files; created if missing.
     pub dir: PathBuf,
-    /// Rotate to a new segment once the active one would exceed this size.
+    /// Rotate to a new segment once the active one would exceed this size
+    /// (a snapshot grant rotates too, see [`JournalConfig`]).
     pub segment_max_bytes: u64,
     /// Flush-to-disk policy for appended frames.
     pub fsync: FsyncPolicy,
@@ -294,18 +302,26 @@ impl Journal {
     /// The open scan reads every retained file once: snapshots newest first
     /// until one validates, then every segment in frame order, checksumming
     /// each record. Repair policy: the first record with a bad length or
-    /// checksum truncates its segment at that point, and every later segment
-    /// is deleted (records only become durable in order, so nothing after a
-    /// torn write is trustworthy). All discarded bytes are counted in
+    /// checksum truncates its segment at that point (a segment whose header
+    /// is unreadable or names a base other than its file name's is deleted
+    /// whole), and every later segment is deleted (records only become
+    /// durable in order, so nothing after a torn write is trustworthy). All discarded bytes are counted in
     /// [`JournalStatsSnapshot::truncated_bytes`]. Files written by a newer
     /// format version produce [`JournalError::UnsupportedVersion`] and are
     /// never modified. Likewise, if the oldest segment starts above the
     /// newest snapshot that still validates (its covering snapshot is corrupt
     /// or missing after compaction deleted the frames below), open returns
-    /// [`JournalError::Corrupt`] and touches no file. A log that ends below
-    /// the snapshot's frame count is wholly covered by the snapshot: its
-    /// segments are dropped, as compaction would drop them, and appends
-    /// continue in a fresh segment based at the snapshot's frame count.
+    /// [`JournalError::Corrupt`] and touches no file. A segment whose
+    /// successor starts at or below the chosen snapshot's frame count holds
+    /// only covered records (a crash between the snapshot's rename and
+    /// compaction's unlinks leaves such segments behind): the scan never
+    /// reads it and deletes it after the last refusal point, finishing the
+    /// compaction, so damage inside it truncates nothing. A log that ends
+    /// below the snapshot's frame count (a journal written before snapshot
+    /// grants started segments, torn below the floor) is wholly covered by
+    /// the snapshot: its segments are dropped, as compaction would drop
+    /// them, and appends continue in a fresh segment based at the snapshot's
+    /// frame count.
     ///
     /// The bytes the scan validated are dropped when it returns; a recovering
     /// caller that wants them uses [`Journal::open_and_recover`] instead of
@@ -333,8 +349,11 @@ impl Journal {
     /// the chosen snapshot's body (as [`Retained::Snapshot`]), then each
     /// retained segment's records in frame order (as [`Retained::Segment`]).
     /// It is the only way to read a snapshot back. One file's bytes are in
-    /// memory at a time — the snapshot image is dropped before the first
-    /// segment is read — and none outlives the call.
+    /// memory at a time — every file is read into one buffer, so the first
+    /// segment overwrites the snapshot image and takes no fresh pages while
+    /// it is smaller — and none outlives the call. Segments a crash left
+    /// below the snapshot's floor are not read at all (see
+    /// [`Journal::open`]).
     ///
     /// The snapshot is handed over before any segment is read, so a refusal
     /// can follow it: a coverage gap or a newer-version first segment before
@@ -365,24 +384,38 @@ impl Journal {
         let stats = JournalStats::default();
 
         // Read-only first: pick the newest snapshot that validates, so the
-        // coverage check below can refuse before anything is repaired.
+        // coverage check below can refuse before anything is repaired. One
+        // buffer holds each file in turn: the snapshot image, then every
+        // segment, so a segment read after a large snapshot reuses its pages.
+        let mut buf = Vec::new();
         let snapshots =
             list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
         let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
         for (snap_frames, path) in snapshots.iter().rev() {
-            if let Some(image) = read_snapshot(vfs.as_ref(), path, *snap_frames)? {
+            if read_snapshot(vfs.as_ref(), path, *snap_frames, &mut buf)? {
                 recovered_snapshot = Some((*snap_frames, path.clone()));
-                // Handed over and dropped before any segment is read, so the
-                // image and a segment buffer are never in memory together.
-                let body = image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
+                // Handed over before any segment is read, so the image and a
+                // segment's bytes are never in memory together.
+                let body = buf.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
                 sink(Retained::Snapshot { frames: *snap_frames, body })?;
                 break;
             }
         }
         let snapshot_floor = recovered_snapshot.as_ref().map_or(0, |(n, _)| *n);
 
-        let segments =
+        // A segment whose successor starts at or below the floor holds only
+        // covered records: compaction deletes it once the snapshot is
+        // installed, so one still here was left by a crash between the
+        // snapshot's rename and the unlinks. It is never read, and it is
+        // deleted below, after the last refusal point.
+        let mut segments =
             list_numbered(vfs.as_ref(), &config.dir, SEGMENT_FILE_PREFIX, SEGMENT_FILE_SUFFIX)?;
+        let covered = segments
+            .iter()
+            .skip(1)
+            .take_while(|(next_base, _)| *next_base <= snapshot_floor)
+            .count();
+        let covered: Vec<(u64, PathBuf)> = segments.drain(..covered).collect();
         let mut retained: Vec<(u64, PathBuf)> = Vec::new();
         // Format version and record count of the last retained segment.
         let mut tail = (JOURNAL_VERSION, 0u64);
@@ -390,17 +423,18 @@ impl Journal {
         let mut truncated: u64 = 0;
         let mut delivered: u64 = 0;
         let mut unreachable = false;
-        for (_, path) in segments {
+        for (named, path) in segments {
             if unreachable {
                 truncated += vfs.file_len(&path).map_err(JournalError::Io)?;
                 vfs.remove_file(&path).map_err(JournalError::Io)?;
                 continue;
             }
-            let bytes = vfs.read(&path).map_err(JournalError::Io)?;
-            let file_len = bytes.len() as u64;
-            let Some(records) = segment_body(&path, &bytes)? else {
-                // Header missing, short, or wrong magic: the file (and
-                // everything after it) is an unreachable torn tail.
+            vfs.read_into(&path, &mut buf).map_err(JournalError::Io)?;
+            let file_len = buf.len() as u64;
+            let Some(records) = segment_body(&path, named, &buf)? else {
+                // Header missing, short, with the wrong magic or a base
+                // that is not its name's: the file (and everything after
+                // it) is an unreachable torn tail.
                 truncated += file_len;
                 vfs.remove_file(&path).map_err(JournalError::Io)?;
                 unreachable = true;
@@ -460,6 +494,10 @@ impl Journal {
             if recovered_snapshot.as_ref().is_none_or(|(_, keep)| *keep != path) {
                 vfs.remove_file(&path).map_err(JournalError::Io)?;
             }
+        }
+        for (_, path) in covered {
+            // The compaction the crash interrupted, finished.
+            vfs.remove_file(&path).map_err(JournalError::Io)?;
         }
         if frames < snapshot_floor {
             // The log ends below the snapshot (a repaired tail, or a snapshot
@@ -650,9 +688,10 @@ impl Journal {
             SEGMENT_FILE_SUFFIX,
         )?;
         let mut delivered = 0u64;
-        for (_, path) in segments {
-            let bytes = self.vfs.read(&path).map_err(JournalError::Io)?;
-            let Some(records) = segment_body(&path, &bytes)? else {
+        let mut bytes = Vec::new();
+        for (named, path) in segments {
+            self.vfs.read_into(&path, &mut bytes).map_err(JournalError::Io)?;
+            let Some(records) = segment_body(&path, named, &bytes)? else {
                 return Err(corrupt(&path, 0, "segment header failed revalidation"));
             };
             let (count, valid) = validate_records(records.bytes);
@@ -687,33 +726,38 @@ impl Journal {
     /// threshold is not actually met. Every successful `begin_snapshot` must
     /// be paired with [`Journal::install_snapshot`] or
     /// [`Journal::abort_snapshot`].
+    ///
+    /// The grant is a segment boundary: under the writer lock the active
+    /// segment is synced and a fresh one is started, based at exactly the
+    /// granted frame count, so the frames the snapshot covers and the frames
+    /// after it never share a segment. Installing the snapshot then compacts
+    /// every covered frame away, and a recovery reads only the frames it
+    /// replays. An active segment that holds no record yet is already based
+    /// at the grant and is kept. A rotation that fails refuses the grant:
+    /// the slot is released and the failure counts in
+    /// [`JournalStatsSnapshot::append_errors`]; the active segment stays in
+    /// place, so appends go on.
     pub fn begin_snapshot(&self) -> Option<u64> {
-        if self.config.snapshot_every_frames == 0 {
+        let every = self.config.snapshot_every_frames;
+        if every == 0 {
             return None;
         }
-        if self
-            .snapshot_active
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return None;
-        }
-        let frames = self.frames.load(Ordering::Relaxed);
-        let floor = self.snapshot_floor.load(Ordering::Relaxed);
-        if frames.saturating_sub(floor) < self.config.snapshot_every_frames {
-            self.snapshot_active.store(false, Ordering::Release);
-            return None;
-        }
-        Some(frames)
+        self.grant(every)
     }
 
     /// Claims the snapshot-in-progress slot *unconditionally* — ignoring the
     /// `snapshot_every_frames` threshold, and available even when periodic
     /// snapshots are disabled. Used by degraded-mode recovery to re-establish
-    /// a durability floor from live tracker state. Returns `None` only while
-    /// another snapshot is in progress; the same pairing rules as
-    /// [`Journal::begin_snapshot`] apply.
+    /// a durability floor from live tracker state. Returns `None` while
+    /// another snapshot is in progress or when the rotation fails; the
+    /// rotation and the pairing rules of [`Journal::begin_snapshot`] apply.
     pub fn begin_forced_snapshot(&self) -> Option<u64> {
+        self.grant(0)
+    }
+
+    /// Claims the slot, checks that at least `threshold` frames lie past the
+    /// floor, and rotates so that a segment starts at the granted count.
+    fn grant(&self, threshold: u64) -> Option<u64> {
         if self
             .snapshot_active
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
@@ -721,7 +765,21 @@ impl Journal {
         {
             return None;
         }
-        Some(self.frames.load(Ordering::Relaxed))
+        // Appends advance the counter under this lock, so the count read
+        // here is the base the rotation gives the new segment.
+        let mut writer = self.writer.lock();
+        let frames = self.frames.load(Ordering::Relaxed);
+        let floor = self.snapshot_floor.load(Ordering::Relaxed);
+        if frames.saturating_sub(floor) < threshold {
+            self.snapshot_active.store(false, Ordering::Release);
+            return None;
+        }
+        if writer.segment_bytes > SEGMENT_HEADER_LEN as u64 && self.rotate(&mut writer).is_err() {
+            self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.snapshot_active.store(false, Ordering::Release);
+            return None;
+        }
+        Some(frames)
     }
 
     /// Releases the snapshot-in-progress slot after a failed snapshot attempt.
@@ -732,7 +790,9 @@ impl Journal {
     /// Durably installs a snapshot body covering `frames` journal frames:
     /// write to a temp file, fsync, rename into place, then compact — older
     /// snapshots and every segment lying entirely below `frames` are deleted.
-    /// Releases the slot claimed by [`Journal::begin_snapshot`].
+    /// The grant started a segment at `frames`, so that is every segment
+    /// before it: no retained segment holds a covered frame. Releases the
+    /// slot claimed by [`Journal::begin_snapshot`].
     pub fn install_snapshot(&self, frames: u64, body: &[u8]) -> Result<(), JournalError> {
         let result = self.install_snapshot_inner(frames, body);
         self.snapshot_active.store(false, Ordering::Release);
@@ -825,9 +885,11 @@ impl Journal {
             }
         }
         // A segment is dead iff the NEXT segment starts at or below the floor
-        // (all of its records are then covered by the snapshot). The active
-        // segment is always last and therefore never removed; the writer lock
-        // is held so rotation cannot race the deletions.
+        // (all of its records are then covered by the snapshot); the grant
+        // started a segment at the floor, so every segment before it is
+        // dead. The active segment is always last and therefore never
+        // removed; the writer lock is held so rotation cannot race the
+        // deletions. The open scan finishes a compaction a crash cut short.
         let writer = self.writer.lock();
         let segments = list_numbered(
             self.vfs.as_ref(),
@@ -901,9 +963,15 @@ impl<'a> Iterator for Records<'a> {
 
 /// The records of a segment image, not yet checksummed: the bytes after the
 /// header, numbered from the header's base frame index. `None` for a header
-/// that is missing, short, or has the wrong magic;
+/// that is missing, short, has the wrong magic, or names a base other than
+/// `named`, the one its file name carries (a segment holding no record yet
+/// is all header, so a torn write there lands in the base);
 /// [`JournalError::UnsupportedVersion`] for a newer format.
-fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<Records<'a>>, JournalError> {
+fn segment_body<'a>(
+    path: &Path,
+    named: u64,
+    bytes: &'a [u8],
+) -> Result<Option<Records<'a>>, JournalError> {
     if bytes.len() < SEGMENT_HEADER_LEN || bytes.get(..8) != Some(&SEGMENT_MAGIC[..]) {
         return Ok(None);
     }
@@ -922,7 +990,7 @@ fn segment_body<'a>(path: &Path, bytes: &'a [u8]) -> Result<Option<Records<'a>>,
     else {
         return Ok(None);
     };
-    Ok(Some(Records { bytes: records, index: base, version }))
+    Ok((base == named).then_some(Records { bytes: records, index: base, version }))
 }
 
 /// The one record walker: splits the record at the front of `bytes` into
@@ -957,20 +1025,21 @@ fn validate_records(bytes: &[u8]) -> (u64, usize) {
     (count, bytes.len() - rest.len())
 }
 
-/// Reads the snapshot at `path` and returns its image if it validates for
-/// `expect_frames` (`None` if it does not);
-/// [`JournalError::UnsupportedVersion`] for a newer format.
+/// Reads the snapshot at `path` into `buf` and returns whether it validates
+/// for `expect_frames`; [`JournalError::UnsupportedVersion`] for a newer
+/// format.
 fn read_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     expect_frames: u64,
-) -> Result<Option<Vec<u8>>, JournalError> {
-    let bytes = vfs.read(path)?;
-    if bytes.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
-        return Ok(None);
+    buf: &mut Vec<u8>,
+) -> Result<bool, JournalError> {
+    vfs.read_into(path, buf)?;
+    if buf.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
+        return Ok(false);
     }
-    let Some(version) = bytes.get(8..).and_then(be_u16) else {
-        return Ok(None);
+    let Some(version) = buf.get(8..).and_then(be_u16) else {
+        return Ok(false);
     };
     if version > JOURNAL_VERSION {
         return Err(JournalError::UnsupportedVersion {
@@ -979,8 +1048,7 @@ fn read_snapshot(
             supported: JOURNAL_VERSION,
         });
     }
-    let valid = matches!(parse_snapshot(&bytes), Some((frames, _)) if frames == expect_frames);
-    Ok(valid.then_some(bytes))
+    Ok(matches!(parse_snapshot(buf), Some((frames, _)) if frames == expect_frames))
 }
 
 /// Parses and checksum-validates a snapshot file image, returning the covered
@@ -1201,6 +1269,26 @@ mod tests {
         cleanup(&dir);
     }
 
+    /// Bases of the segment files in `dir`, ascending.
+    fn segment_bases(dir: &Path) -> Vec<u64> {
+        let segments = list_numbered(&RealFs, dir, SEGMENT_FILE_PREFIX, SEGMENT_FILE_SUFFIX);
+        segments.expect("list").into_iter().map(|(base, _)| base).collect()
+    }
+
+    /// Opens `config` on the real filesystem and returns every record the
+    /// open scan handed over, as `(frame index, payload)`.
+    fn open_taking_records(config: JournalConfig) -> (Journal, Vec<(u64, Vec<u8>)>) {
+        let mut records = Vec::new();
+        let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
+            if let Retained::Segment(segment) = item {
+                records.extend(segment.map(|(index, payload)| (index, payload.to_vec())));
+            }
+            Ok::<(), JournalError>(())
+        })
+        .expect("open");
+        (journal, records)
+    }
+
     #[test]
     fn snapshot_install_compacts_old_segments() {
         let dir = temp_dir("compact");
@@ -1212,25 +1300,110 @@ mod tests {
             journal.append_frame(&[i; 16]).expect("append");
         }
         let frames = journal.begin_snapshot().expect("snapshot due");
+        assert_eq!(frames, 10);
+        assert_eq!(segment_bases(&dir).last(), Some(&frames), "the grant starts a segment");
         journal.install_snapshot(frames, b"snapshot-body").expect("install");
         assert_eq!(journal.stats().snapshots, 1);
         assert_eq!(journal.snapshot_floor.load(Ordering::Relaxed), frames);
+        // Every covered frame was compacted away: only the grant's segment
+        // is left, and it holds no record yet.
+        assert_eq!(segment_bases(&dir), [frames]);
+        for i in 10u8..13 {
+            journal.append_frame(&[i; 16]).expect("append");
+        }
         drop(journal);
 
-        let (journal, snapshot) = open_taking_snapshot(config);
+        let (journal, snapshot) = open_taking_snapshot(config.clone());
         assert_eq!(snapshot, Some((frames, b"snapshot-body".to_vec())));
-        let mut first = None;
-        journal
-            .replay(|index, _| {
-                if first.is_none() {
-                    first = Some(index);
-                }
-            })
-            .expect("replay");
-        // Everything before the retained segment's base was compacted away.
-        let first = first.expect("tail survives");
-        assert!(first <= frames, "tail starts at {first}, floor {frames}");
-        assert!(journal.frames_appended() >= frames);
+        drop(journal);
+        // The reopen hands over exactly the frames past the floor.
+        let (journal, records) = open_taking_records(config);
+        let indices: Vec<u64> = records.iter().map(|(index, _)| *index).collect();
+        assert_eq!(indices, [10, 11, 12]);
+        assert_eq!(journal.frames_appended(), 13);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_grant_on_a_record_less_segment_creates_no_file() {
+        let dir = temp_dir("grant-empty");
+        let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
+        let fsyncs = journal.stats().fsyncs;
+        // Fresh journal: the active segment is based at 0 and holds nothing.
+        let frames = journal.begin_forced_snapshot().expect("slot");
+        assert_eq!(frames, 0);
+        assert_eq!(segment_bases(&dir), [0], "no second file at the same base");
+        assert_eq!(journal.stats().fsyncs, fsyncs, "nothing to rotate, nothing synced");
+        journal.install_snapshot(frames, b"empty").expect("install");
+        for i in 0u8..4 {
+            journal.append_frame(&[i; 4]).expect("append");
+        }
+        let frames = journal.begin_forced_snapshot().expect("slot");
+        journal.install_snapshot(frames, b"four").expect("install");
+        assert_eq!(segment_bases(&dir), [4]);
+        // Granted again before any append: the segment at 4 is kept.
+        let again = journal.begin_forced_snapshot().expect("slot");
+        assert_eq!(again, 4);
+        assert_eq!(segment_bases(&dir), [4]);
+        journal.abort_snapshot();
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_grant_never_installed_recovers_every_frame_from_the_previous_snapshot() {
+        for dropped in [true, false] {
+            let dir = temp_dir("grant-lost");
+            let config = JournalConfig::new(&dir);
+            let journal = Journal::open(config.clone()).expect("open");
+            for i in 0u8..5 {
+                journal.append_frame(&[i; 6]).expect("append");
+            }
+            let first = journal.begin_forced_snapshot().expect("slot");
+            journal.install_snapshot(first, b"at five").expect("install");
+            for i in 5u8..9 {
+                journal.append_frame(&[i; 6]).expect("append");
+            }
+            // The second grant rotates at 9, and its snapshot never lands:
+            // the process dies with the grant held, or the attempt aborts.
+            assert_eq!(journal.begin_forced_snapshot(), Some(9));
+            if !dropped {
+                journal.abort_snapshot();
+                journal.append_frame(&[9; 6]).expect("append after the abort");
+            }
+            drop(journal);
+            assert_eq!(segment_bases(&dir), [5, 9]);
+
+            let (journal, snapshot) = open_taking_snapshot(config.clone());
+            assert_eq!(snapshot, Some((5, b"at five".to_vec())));
+            drop(journal);
+            let (journal, records) = open_taking_records(config);
+            let end = if dropped { 9 } else { 10 };
+            let expected: Vec<(u64, Vec<u8>)> =
+                (5..end).map(|i| (u64::from(i), vec![i; 6])).collect();
+            assert_eq!(records, expected, "dropped {dropped}");
+            assert_eq!(journal.stats().truncated_bytes, 0);
+            cleanup(&dir);
+        }
+    }
+
+    #[test]
+    fn a_rotation_failure_refuses_the_grant_and_appends_go_on() {
+        let dir = temp_dir("grant-fault");
+        let faults = FaultFs::over_real();
+        let journal = Journal::open_with_vfs(JournalConfig::new(&dir), Arc::new(faults.clone()))
+            .expect("open");
+        journal.append_frame(b"before").expect("append");
+        // The rotation's first operation is the old segment's sync.
+        faults.schedule_fault(faults.ops(), FaultKind::FailFsync);
+        assert_eq!(journal.begin_forced_snapshot(), None, "the grant is refused");
+        assert_eq!(journal.stats().append_errors, 1);
+        assert_eq!(segment_bases(&dir), [0]);
+        journal.append_frame(b"after").expect("appends go on");
+        // The slot was released: the next grant rotates and installs.
+        let frames = journal.begin_forced_snapshot().expect("slot free again");
+        assert_eq!(frames, 2);
+        journal.install_snapshot(frames, b"two").expect("install");
+        assert_eq!(segment_bases(&dir), [2]);
         cleanup(&dir);
     }
 
@@ -1400,12 +1573,8 @@ mod tests {
         let dir = temp_dir("stale-empty");
         let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
         journal.append_frame(b"old-0").expect("append");
-        let frames = journal.begin_forced_snapshot().expect("slot");
-        journal.install_snapshot(frames, b"body").expect("install");
-        drop(journal);
         // A second segment at frame 1 holding no record, as a crash right
         // after a rotation leaves it; both segments in the older format.
-        let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
         journal.rotate(&mut journal.writer.lock()).expect("rotate");
         drop(journal);
         set_segment_version(&dir, 0, JOURNAL_VERSION - 1);

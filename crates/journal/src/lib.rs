@@ -14,11 +14,13 @@
 //! * **Segments** (`seg-<base>.mbdrj`): an 18-byte header
 //!   ([`SEGMENT_MAGIC`], format version, base frame index) followed by
 //!   length-prefixed, CRC-32-checksummed records, one wire frame each.
-//!   Segments rotate at [`JournalConfig::segment_max_bytes`].
+//!   Segments rotate at [`JournalConfig::segment_max_bytes`] and at every
+//!   snapshot grant, so a segment starts at each snapshot's frame count.
 //! * **Snapshots** (`snap-<frames>.mbdrs`): a single checksummed blob encoding
 //!   full tracker state (via `mbdr-core`'s snapshot codec) as of a frame
 //!   count. Installing a snapshot compacts every segment that lies entirely
-//!   below it.
+//!   below it — every segment before the one its grant started, so no
+//!   retained segment holds a frame the snapshot covers.
 //!
 //! # Crash safety
 //!
@@ -27,10 +29,13 @@
 //! [`JournalStatsSnapshot::truncated_bytes`]); a corrupt snapshot is ignored
 //! in favor of replaying the retained log when that log still reaches back
 //! past it, and is a typed [`JournalError::Corrupt`] refusal (no file
-//! touched) when compaction already deleted the frames it covered. A log that
-//! ends below the snapshot (a tail torn below its frame count) is wholly
-//! covered by it: its segments are dropped and appends continue in a fresh
-//! segment at the snapshot's frame count. Every new segment and every
+//! touched) when compaction already deleted the frames it covered. Segments
+//! a crash left behind between a snapshot's rename and its compaction are
+//! never read and are deleted at open. A log that ends below the snapshot (a
+//! tail torn below its frame count, in a journal written before grants
+//! started segments) is wholly covered by it: its segments are dropped and
+//! appends continue in a fresh segment at the snapshot's frame count. Every
+//! new segment and every
 //! snapshot rename is followed by a directory sync ([`Vfs::sync_dir`]), the
 //! rename before compaction unlinks anything. Recovery is
 //! snapshot-restore-then-replay, and replayed frames pass through the same

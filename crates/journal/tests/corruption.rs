@@ -197,6 +197,39 @@ fn future_format_version_is_a_typed_refusal_not_a_repair() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Every segment file in `dir` with its bytes: what a crash between a
+/// snapshot's rename and compaction's unlinks keeps on disk.
+fn segment_images(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    segment_paths(dir).into_iter().map(|p| (p.clone(), fs::read(&p).unwrap())).collect()
+}
+
+/// Puts back the segments `images` holds, as if the unlinks that deleted
+/// them never reached the disk.
+fn restore(images: &[(PathBuf, Vec<u8>)]) {
+    for (path, bytes) in images {
+        fs::write(path, bytes).unwrap();
+    }
+}
+
+/// The snapshot file of `frames` holding `body`, written into `dir` beside
+/// whatever segments are there — the layout a build from before snapshot
+/// grants started segments left, where a segment straddles the floor. The
+/// file is made by a scratch journal of `frames` appends, so its bytes are
+/// the ones the journal writes.
+fn place_snapshot(dir: &Path, frames: u8, body: &[u8]) {
+    let scratch = temp_dir("snapshot-maker");
+    let journal = Journal::open(config(&scratch)).expect("scratch open");
+    for i in 0..frames {
+        journal.append_frame(&[i]).expect("scratch append");
+    }
+    let granted = journal.begin_forced_snapshot().expect("snapshot slot");
+    journal.install_snapshot(granted, body).expect("scratch install");
+    drop(journal);
+    let name = format!("snap-{:020}.mbdrs", frames);
+    fs::copy(scratch.join(&name), dir.join(&name)).expect("place snapshot");
+    let _ = fs::remove_dir_all(&scratch);
+}
+
 #[test]
 fn corrupt_snapshot_is_ignored_in_favor_of_the_log() {
     let dir = temp_dir("snapshot");
@@ -206,9 +239,14 @@ fn corrupt_snapshot_is_ignored_in_favor_of_the_log() {
     for i in 0..6u8 {
         journal.append_frame(&[i; 12]).expect("append");
     }
+    journal.flush().expect("flush");
+    let covered = segment_images(&dir);
     let frames = journal.begin_snapshot().expect("snapshot due");
     journal.install_snapshot(frames, b"tracker-state").expect("install");
     drop(journal);
+    // A crash between the rename and the unlinks: the log still reaches
+    // back past the snapshot.
+    restore(&covered);
     // Flip a byte inside the snapshot body: checksum now fails.
     let snap: PathBuf = fs::read_dir(&dir)
         .unwrap()
@@ -222,8 +260,85 @@ fn corrupt_snapshot_is_ignored_in_favor_of_the_log() {
 
     let (journal, snapshot) = open_taking_snapshot(config);
     assert_eq!(snapshot, None, "corrupt snapshot ignored");
-    // The un-compacted tail still replays.
-    assert!(replay_count(&journal) > 0);
+    // The un-compacted log still replays, every frame of it.
+    assert_eq!(replay_count(&journal), 6);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash after a snapshot's rename but before compaction's unlinks leaves
+/// segments that hold covered frames only. The open scan does not read
+/// them, hands over exactly the frames past the floor, and deletes them.
+#[test]
+fn an_interrupted_compaction_is_finished_at_open() {
+    let dir = temp_dir("interrupted-compaction");
+    let config = JournalConfig { segment_max_bytes: 64, ..config(&dir) };
+    let journal = Journal::open(config.clone()).expect("open");
+    for i in 0..7u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    journal.flush().expect("flush");
+    let covered = segment_images(&dir);
+    assert!(covered.len() > 2, "a multi-segment log: {}", covered.len());
+    let frames = journal.begin_forced_snapshot().expect("snapshot slot");
+    journal.install_snapshot(frames, b"state at 7").expect("install");
+    for i in 7..9u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    journal.flush().expect("flush");
+    drop(journal);
+    let tail = segment_paths(&dir);
+    restore(&covered);
+
+    let mut handed = Vec::new();
+    let journal = Journal::open_and_recover(config, Arc::new(RealFs), |item| {
+        if let Retained::Segment(records) = item {
+            handed.extend(records.map(|(index, _)| index));
+        }
+        Ok::<(), JournalError>(())
+    })
+    .expect("open");
+    assert_eq!(handed, [7, 8], "only the frames past the floor are handed over");
+    assert_eq!(journal.stats().truncated_bytes, 0, "finishing compaction truncates nothing");
+    assert_eq!(segment_paths(&dir), tail, "the covered segments are gone");
+    assert_eq!(journal.frames_appended(), 9);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A covered segment that a crash left behind is never read, so a flipped
+/// byte inside it truncates nothing: the uncovered segments after it
+/// survive whole.
+#[test]
+fn a_flipped_byte_in_a_wholly_covered_segment_truncates_nothing() {
+    let dir = temp_dir("covered-flip");
+    let config = JournalConfig { segment_max_bytes: 64, ..config(&dir) };
+    let journal = Journal::open(config.clone()).expect("open");
+    for i in 0..5u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    journal.flush().expect("flush");
+    let covered = segment_images(&dir);
+    let frames = journal.begin_forced_snapshot().expect("snapshot slot");
+    journal.install_snapshot(frames, b"state at 5").expect("install");
+    for i in 5..12u8 {
+        journal.append_frame(&[i; 12]).expect("append");
+    }
+    journal.flush().expect("flush");
+    drop(journal);
+    restore(&covered);
+    let (first, bytes) = covered.first().expect("a covered segment");
+    let mut flipped = bytes.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x01;
+    fs::write(first, &flipped).unwrap();
+
+    let journal = Journal::open(config).expect("open");
+    assert_eq!(journal.stats().truncated_bytes, 0);
+    assert_eq!(journal.frames_appended(), 12);
+    let mut seen = Vec::new();
+    journal.replay(|index, payload| seen.push((index, payload.to_vec()))).expect("replay");
+    let expected: Vec<(u64, Vec<u8>)> = (5..12u8).map(|i| (u64::from(i), vec![i; 12])).collect();
+    assert_eq!(seen, expected, "every uncovered frame survives");
+    assert!(!first.exists(), "the covered segment was deleted, not repaired");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -281,6 +396,44 @@ fn corrupt_snapshot_over_a_compacted_log_is_a_typed_refusal() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A grant that ends the traffic leaves a last segment that is all header,
+/// so a byte flipped at the file's end lands in its base. Whether that base
+/// now reads above or below the snapshot's floor, the header no longer
+/// matches the file's name: the segment is discarded as a torn tail and the
+/// journal opens at the snapshot's frame count.
+#[test]
+fn a_torn_base_in_a_record_less_segment_is_discarded() {
+    for mask in [0xA5u8, 0x04] {
+        let dir = temp_dir("torn-base");
+        let config = config(&dir);
+        let journal = Journal::open(config.clone()).expect("open");
+        for i in 0..5u8 {
+            journal.append_frame(&[i; 12]).expect("append");
+        }
+        let frames = journal.begin_forced_snapshot().expect("snapshot slot");
+        journal.install_snapshot(frames, b"state at 5").expect("install");
+        drop(journal);
+        let segments = segment_paths(&dir);
+        assert_eq!(segments.len(), 1, "{segments:?}");
+        let mut bytes = fs::read(&segments[0]).unwrap();
+        assert_eq!(bytes.len(), 18, "the grant's segment is all header");
+        bytes[17] ^= mask;
+        fs::write(&segments[0], &bytes).unwrap();
+
+        let (journal, snapshot) = open_taking_snapshot(config.clone());
+        assert_eq!(snapshot, Some((5, b"state at 5".to_vec())), "mask {mask:#x}");
+        assert_eq!(journal.frames_appended(), 5, "mask {mask:#x}");
+        assert_eq!(journal.stats().truncated_bytes, 18, "mask {mask:#x}");
+        journal.append_frame(b"after").expect("append");
+        drop(journal);
+        let journal = Journal::open(config).expect("reopen");
+        let mut seen = Vec::new();
+        journal.replay(|index, payload| seen.push((index, payload.to_vec()))).expect("replay");
+        assert_eq!(seen, [(5, b"after".to_vec())], "mask {mask:#x}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn a_log_repaired_below_the_snapshot_floor_keeps_every_later_frame() {
     let dir = temp_dir("below-floor");
@@ -291,26 +444,25 @@ fn a_log_repaired_below_the_snapshot_floor_keeps_every_later_frame() {
         ..config(&dir)
     };
     let journal = Journal::open(config.clone()).expect("open");
-    for i in 0..30u8 {
-        journal.append_frame(&[i; 12]).expect("append");
-    }
-    let frames = journal.begin_forced_snapshot().expect("snapshot slot");
-    assert_eq!(frames, 30);
-    journal.install_snapshot(frames, b"state at 30").expect("install");
-    for i in 30..35u8 {
+    for i in 0..35u8 {
         journal.append_frame(&[i; 12]).expect("append");
     }
     drop(journal);
-    // Compaction left the segment based at 20 (records 20..35). Flip the
-    // last payload byte of record 25: the log now ends below the floor.
+    // What a build from before snapshot grants started segments left: a
+    // snapshot at 30, the segment below 20 compacted, and the segment based
+    // at 20 (records 20..35) straddling the floor. Flip the last payload
+    // byte of record 25: the log now ends below the floor.
+    place_snapshot(&dir, 30, b"state at 30");
     let segments = segment_paths(&dir);
-    assert_eq!(segments.len(), 1, "{segments:?}");
-    assert!(segments[0].ends_with("seg-00000000000000000020.mbdrj"));
-    let mut bytes = fs::read(&segments[0]).expect("read");
+    assert_eq!(segments.len(), 2, "{segments:?}");
+    fs::remove_file(&segments[0]).expect("compact segment 0");
+    assert!(segments[1].ends_with("seg-00000000000000000020.mbdrj"));
+    let mut bytes = fs::read(&segments[1]).expect("read");
     bytes[18 + 5 * 20 + 19] ^= 0x01;
-    fs::write(&segments[0], &bytes).expect("write back");
+    fs::write(&segments[1], &bytes).expect("write back");
 
-    let journal = Journal::open(config.clone()).expect("repairing open");
+    let (journal, snapshot) = open_taking_snapshot(config.clone());
+    assert_eq!(snapshot, Some((30, b"state at 30".to_vec())));
     assert_eq!(journal.frames_appended(), 30, "the snapshot covers up to 30");
     assert_eq!(journal.stats().truncated_bytes, 10 * 20, "records 25..35 are torn away");
     for i in 0..40u8 {

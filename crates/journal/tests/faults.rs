@@ -8,7 +8,10 @@
 //! Operation-index arithmetic (see the `vfs` module docs for what counts):
 //! a fresh open consumes ops 0 (`create_new_append`) and 1 (segment header
 //! `write_all`); with a large `PerBatch` fsync budget each append then
-//! consumes exactly one op — header and payload in a single `write_all`.
+//! consumes exactly one op — header and payload in a single `write_all`. A
+//! snapshot grant over a segment that holds records rotates first: the old
+//! segment's `sync_data`, the new one's `create_new_append` and its header
+//! `write_all`, three ops.
 
 use mbdr_geo::rng::SplitMix64;
 use mbdr_journal::{
@@ -27,6 +30,8 @@ static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 const OPEN_OPS: u64 = 2;
 /// Ops consumed per append under a never-firing `PerBatch` fsync policy.
 const APPEND_OPS: u64 = 1;
+/// Ops consumed by a snapshot grant's rotation.
+const GRANT_OPS: u64 = 3;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -258,25 +263,33 @@ fn seeded_fsync_failure_is_conservative_but_loses_nothing() {
 
 /// `corrupt_snapshot_is_ignored_in_favor_of_the_log`, from a seed: the disk
 /// flips a bit in the snapshot body on its way down; install reports success,
-/// and the reopen discards the snapshot while the log still replays.
+/// and the reopen discards the snapshot while the log still replays. The log
+/// reaches back past the snapshot because compaction's unlink of the covered
+/// segment fails too, as a crash between the rename and the unlinks leaves
+/// it; had it run, the reopen would be the typed refusal of
+/// `corrupt_snapshot_over_a_compacted_log_is_a_typed_refusal`.
 #[test]
 fn seeded_snapshot_bit_flip_is_ignored_in_favor_of_the_log() {
     let seed = 19u64;
     let mut rng = SplitMix64::new(seed);
     let appends = 4 + rng.below(5); // 4..=8
     let mask = (rng.next_u64() as u8) | 1;
-    // Install ops: create, header write, body write, sync_all, rename.
-    let body_write_op = OPEN_OPS + APPEND_OPS * appends + 2;
+    // Install ops after the grant's rotation: create, header write, body
+    // write, sync_all, rename, then compaction's unlink of segment 0.
+    let body_write_op = OPEN_OPS + APPEND_OPS * appends + GRANT_OPS + 2;
+    let unlink_op = body_write_op + 3;
 
     let dir = temp_dir("snap-flip");
     let faults = FaultFs::over_real();
     faults.schedule_fault(body_write_op, FaultKind::BitFlip { mask });
+    faults.schedule_fault(unlink_op, FaultKind::NoSpace);
     let journal = Journal::open_with_vfs(config(&dir), Arc::new(faults.clone())).expect("open");
     for i in 0..appends {
         journal.append_frame(&[i as u8; 11]).expect("append");
     }
     let frames = journal.begin_forced_snapshot().expect("slot free");
     journal.install_snapshot(frames, b"tracker-state").expect("install believes the disk");
+    assert_eq!(faults.pending_faults(), 0, "both faults fired");
     journal.flush().expect("flush");
     drop(journal);
 
@@ -292,7 +305,7 @@ fn seeded_snapshot_bit_flip_is_ignored_in_favor_of_the_log() {
 #[test]
 fn seeded_rename_failure_aborts_snapshot_install() {
     let appends = 5u64;
-    let rename_op = OPEN_OPS + APPEND_OPS * appends + 4;
+    let rename_op = OPEN_OPS + APPEND_OPS * appends + GRANT_OPS + 4;
 
     let dir = temp_dir("rename");
     let faults = FaultFs::over_real();
@@ -433,8 +446,8 @@ impl Vfs for Recording {
         self.note("create");
         RealFs.create(path)
     }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        RealFs.read(path)
+    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+        RealFs.read_into(path, buf)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.note("rename");

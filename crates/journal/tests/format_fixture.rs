@@ -4,9 +4,13 @@
 //! version 1. This build must read it back clean, and must append to it only
 //! in a fresh segment of its own version. `fixtures/journal-v2/` was written
 //! by the same call sequence in format version 2 (the version that marks
-//! segments of the second frame layout); this build must read it back clean
-//! and write the very same bytes when fed the very same appends and snapshot
-//! body.
+//! segments of the second frame layout), by the build before snapshot grants
+//! started segments: its first segment straddles the snapshot's floor. This
+//! build must read both back clean. `fixtures/journal-v2-aligned/` holds what
+//! this build writes for that call sequence — the grant at frame 3 starts a
+//! segment and compaction deletes the one below — and it must write the very
+//! same bytes again; every record and the snapshot in it are byte-identical
+//! to the ones in `journal-v2/`, so only the segment boundaries moved.
 
 use mbdr_journal::{
     FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, JOURNAL_VERSION,
@@ -50,6 +54,11 @@ fn write_reference_journal(dir: &Path) {
 
 fn fixture_dir(version: u16) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/journal-v{version}"))
+}
+
+/// The fixture this build writes: segments start at snapshot grants.
+fn aligned_fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal-v2-aligned")
 }
 
 /// A scratch copy of the fixture of `version`.
@@ -178,7 +187,7 @@ fn same_appends_and_snapshot_produce_byte_identical_files() {
     let dir = temp_dir("write");
     write_reference_journal(&dir);
     let written = dir_image(&dir);
-    let fixture = dir_image(&fixture_dir(JOURNAL_VERSION));
+    let fixture = dir_image(&aligned_fixture_dir());
     let names = |image: &[(String, Vec<u8>)]| -> Vec<String> {
         image.iter().map(|(name, _)| name.clone()).collect()
     };
@@ -186,5 +195,49 @@ fn same_appends_and_snapshot_produce_byte_identical_files() {
     for ((name, ours), (_, theirs)) in written.iter().zip(&fixture) {
         assert_eq!(ours, theirs, "{name} differs from the committed fixture");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The grant-aligned fixture holds the same records and the same snapshot
+/// as the one the build before it wrote, byte for byte: the grant moved
+/// where segments start, not what is in them. It reads back clean, and the
+/// scan hands over exactly the frames past the snapshot's floor.
+#[test]
+fn grant_aligned_segments_hold_the_earlier_builds_bytes() {
+    let records = |image: &[(String, Vec<u8>)]| -> Vec<u8> {
+        let segments = image.iter().filter(|(name, _)| name.ends_with(".mbdrj"));
+        segments.flat_map(|(_, bytes)| bytes[18..].to_vec()).collect()
+    };
+    let snapshot = |image: &[(String, Vec<u8>)]| -> Vec<(String, Vec<u8>)> {
+        image.iter().filter(|(name, _)| name.ends_with(".mbdrs")).cloned().collect()
+    };
+    let aligned = dir_image(&aligned_fixture_dir());
+    let earlier = dir_image(&fixture_dir(JOURNAL_VERSION));
+    let names: Vec<&str> = aligned.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [format!("seg-{:020}.mbdrj", SNAPSHOT_AFTER), format!("snap-{:020}.mbdrs", SNAPSHOT_AFTER)]
+    );
+    assert_eq!(snapshot(&aligned), snapshot(&earlier));
+    let earlier_records = records(&earlier);
+    // Records 0..3 sit below the floor in the earlier build's first segment.
+    let covered: usize = (0..SNAPSHOT_AFTER).map(|i| 8 + payload(i).len()).sum();
+    assert_eq!(records(&aligned), earlier_records[covered..]);
+
+    let dir = temp_dir("aligned-read");
+    for (name, bytes) in &aligned {
+        fs::write(dir.join(name), bytes).expect("copy fixture");
+    }
+    let (journal, scanned) = open_scanned(config(&dir));
+    assert_eq!(journal.stats().truncated_bytes, 0);
+    assert_eq!(journal.frames_appended(), u64::from(RECORDS));
+    assert_eq!(scanned.snapshot, Some((u64::from(SNAPSHOT_AFTER), snapshot_body())));
+    let handed: OwnedRecords =
+        scanned.segments.into_iter().flat_map(|(_, records)| records).collect();
+    let expected: OwnedRecords =
+        (SNAPSHOT_AFTER..RECORDS).map(|i| (u64::from(i), payload(i))).collect();
+    assert_eq!(handed, expected);
+    drop(journal);
+    assert_eq!(dir_image(&dir), aligned, "a clean open rewrites nothing");
     let _ = fs::remove_dir_all(&dir);
 }

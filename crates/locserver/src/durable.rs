@@ -8,9 +8,14 @@
 //! rebuild the spatial indexes from the recovered trackers, then attach the
 //! journal for live appends.
 //!
-//! A retained segment can straddle the snapshot's floor: compaction deletes
-//! only segments the snapshot covers whole. Its records below the floor are
-//! walked and checksummed by the scan like every other, but never parsed or
+//! Every snapshot grant starts a journal segment at the frame count it
+//! grants, and installing the snapshot deletes every segment before that
+//! one, so the journal this build writes holds the newest snapshot plus the
+//! frames appended since its grant, and a recovery reads only frames it
+//! replays (the open scan also finishes a compaction a crash cut short).
+//! A journal written by an earlier build can still hold a segment that
+//! straddles the snapshot's floor: its records below the floor are walked
+//! and checksummed by the scan like every other, but never parsed or
 //! applied ([`RecoveryReport::covered_frames`]). That skip is exact: the
 //! snapshot was collected after every frame below its grant had been
 //! applied, so the staleness-aware [`mbdr_core::ServerTracker`] apply rules
@@ -19,6 +24,17 @@
 //! imperfect kill point (frames appended after the grant and collected into
 //! the snapshot too) are rejected exactly like reordered network deliveries
 //! would be — no precise per-object replay cursor is needed.
+//!
+//! ## Snapshot writes
+//!
+//! A journaled service proposes a snapshot when the journal's threshold is
+//! reached ([`mbdr_journal::Journal::snapshot_pending`]). A grant the journal
+//! refuses — another snapshot in flight, or a rotation the disk failed,
+//! which the journal counts in its `append_errors` — skips the snapshot:
+//! it only delays compaction. Each granted snapshot records the wall time
+//! of its four stages — grant, collect, encode, install — into histograms
+//! on the service ([`LocationService::snapshot_stages`]), off the serve
+//! path.
 //!
 //! Recovery reads every retained journal byte once, writes each shard under
 //! one write-lock hold per step and derives each shard's index once at the
@@ -90,7 +106,10 @@ pub struct RecoveryReport {
     /// Of `replayed_frames`, the records whose frame index lies below
     /// `snapshot_frames`: the snapshot already holds their effect, so they
     /// are checksummed by the scan but never parsed or applied. The rest,
-    /// `replayed_frames - covered_frames`, are decoded and applied.
+    /// `replayed_frames - covered_frames`, are decoded and applied. Always
+    /// 0 on a journal this build wrote, whose segments start at snapshot
+    /// grants; only a segment an earlier build let straddle the floor
+    /// holds covered records.
     pub covered_frames: u64,
     /// Updates routed to registered trackers from the frames at or above the
     /// snapshot's floor. Duplicates still count here — the per-object
@@ -142,6 +161,47 @@ pub struct RecoveryStages {
     pub replay: HistogramSnapshot,
     /// Deriving every shard's spatial index and expiry heap.
     pub rebuild: HistogramSnapshot,
+}
+
+/// Wall time of each stage of writing a snapshot to the journal, on one
+/// service: every granted snapshot records one sample into each stage it
+/// reaches (see [`LocationService::snapshot_stages`]).
+#[derive(Debug, Default)]
+pub(crate) struct SnapshotTimers {
+    pub(crate) grant: Histogram,
+    pub(crate) collect: Histogram,
+    pub(crate) encode: Histogram,
+    pub(crate) install: Histogram,
+}
+
+impl SnapshotTimers {
+    pub(crate) fn snapshot(&self) -> SnapshotStages {
+        SnapshotStages {
+            grant: self.grant.snapshot(),
+            collect: self.collect.snapshot(),
+            encode: self.encode.snapshot(),
+            install: self.install.snapshot(),
+        }
+    }
+}
+
+/// Point-in-time copy of a service's snapshot-write stage timers, in
+/// nanoseconds, one sample per stage per granted snapshot (a refused grant
+/// records nothing; an encode failure records no install).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotStages {
+    /// [`Journal::begin_snapshot`] / [`Journal::begin_forced_snapshot`]:
+    /// claiming the slot and the rotation that starts a segment at the
+    /// grant, the old segment's sync included.
+    pub grant: HistogramSnapshot,
+    /// Gathering every shard's tracker state under read locks and sorting
+    /// it by object id.
+    pub collect: HistogramSnapshot,
+    /// Encoding the sorted entries into the snapshot body.
+    pub encode: HistogramSnapshot,
+    /// [`Journal::install_snapshot`]: writing, syncing and renaming the
+    /// snapshot file, then compacting the segments below the grant.
+    pub install: HistogramSnapshot,
 }
 
 /// Typed failure modes of [`recover_and_attach`].

@@ -71,7 +71,7 @@ pub mod zones;
 pub use config::ServiceConfig;
 pub use durable::{
     recover_and_attach, recover_and_attach_with_vfs, DurabilityStatsSnapshot, RecoverError,
-    RecoveryReport, RecoveryStages,
+    RecoveryReport, RecoveryStages, SnapshotStages,
 };
 pub use service::{IndexStats, LocationService, ObjectId, PositionReport, QueryScratch};
 pub use zones::{ZoneEvent, ZoneEventKind, ZoneWatcher};

@@ -9,7 +9,10 @@
 //! identical to what a full scan over every tracker would return.
 
 use crate::config::ServiceConfig;
-use crate::durable::{DurabilityControl, DurabilityStatsSnapshot, RecoveryStages, RecoveryTimers};
+use crate::durable::{
+    DurabilityControl, DurabilityStatsSnapshot, RecoveryStages, RecoveryTimers, SnapshotStages,
+    SnapshotTimers,
+};
 use crate::shard::{CandidateScratch, Shard, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{wire, DecodeError, FrameView, HealthStatus, Predictor, Update};
@@ -26,6 +29,7 @@ use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
+use std::time::Instant;
 
 /// Identifier of a tracked mobile object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -236,6 +240,8 @@ pub struct LocationService {
     durability: DurabilityControl,
     /// Stage times of the recovery passes run on this service.
     pub(crate) recovery: RecoveryTimers,
+    /// Stage times of the snapshots this service wrote to its journal.
+    snapshots: SnapshotTimers,
 }
 
 impl Default for LocationService {
@@ -260,6 +266,7 @@ impl LocationService {
             journal: OnceLock::new(),
             durability: DurabilityControl::default(),
             recovery: RecoveryTimers::default(),
+            snapshots: SnapshotTimers::default(),
         }
     }
 
@@ -398,18 +405,30 @@ impl LocationService {
     }
 
     /// Proposes and, if the journal grants it, installs a snapshot of the full
-    /// tracker state. Collection takes each shard's read lock in turn; because
-    /// appends happen inside the shard write hold *before* the apply, every
-    /// frame counted by the journal at grant time is visible to the collection
-    /// (frames appended concurrently after the grant may also be included,
-    /// which is harmless: replaying them over the snapshot is rejected by the
-    /// staleness rules). Failures are counted on the journal and swallowed —
-    /// a snapshot that could not be written only delays compaction.
+    /// tracker state. The grant starts a journal segment at the granted
+    /// frame count ([`Journal::begin_snapshot`]). Collection takes each
+    /// shard's read lock in turn; because appends happen inside the shard
+    /// write hold *before* the apply, every frame counted by the journal at
+    /// grant time is visible to the collection (frames appended concurrently
+    /// after the grant may also be included, which is harmless: replaying
+    /// them over the snapshot is rejected by the staleness rules). Failures
+    /// are counted on the journal and swallowed — a refused grant (its
+    /// rotation failed) or a snapshot that could not be written only delays
+    /// compaction.
     pub(crate) fn snapshot_to_journal(&self, journal: &Journal) {
-        let Some(frames) = journal.begin_snapshot() else {
+        let Some(frames) = self.timed_grant(journal, Journal::begin_snapshot) else {
             return;
         };
         self.write_snapshot(journal, frames);
+    }
+
+    /// Asks `journal` for a snapshot grant with `begin` and records the time
+    /// it took when granted.
+    fn timed_grant(&self, journal: &Journal, begin: fn(&Journal) -> Option<u64>) -> Option<u64> {
+        let began = Instant::now();
+        let frames = begin(journal)?;
+        self.snapshots.grant.record_duration(began.elapsed());
+        Some(frames)
     }
 
     /// Collects every shard's tracker state under read locks, sorted by
@@ -428,22 +447,27 @@ impl LocationService {
     /// Returns whether the snapshot was durably installed; failures are
     /// counted on the journal and release the grant.
     fn write_snapshot(&self, journal: &Journal, frames: u64) -> bool {
+        let timers = &self.snapshots;
+        let began = Instant::now();
         let entries = self.collect_snapshot_entries();
+        timers.collect.record_duration(began.elapsed());
+        let began = Instant::now();
         let mut body = Vec::new();
-        match encode_snapshot_into(frames, &entries, &mut body) {
-            Ok(()) => {
-                if journal.install_snapshot(frames, &body).is_err() {
-                    journal.note_write_error();
-                    return false;
-                }
-                true
-            }
-            Err(_) => {
-                journal.note_write_error();
-                journal.abort_snapshot();
-                false
-            }
+        let encoded = encode_snapshot_into(frames, &entries, &mut body);
+        timers.encode.record_duration(began.elapsed());
+        if encoded.is_err() {
+            journal.note_write_error();
+            journal.abort_snapshot();
+            return false;
         }
+        let began = Instant::now();
+        let installed = journal.install_snapshot(frames, &body);
+        timers.install.record_duration(began.elapsed());
+        if installed.is_err() {
+            journal.note_write_error();
+            return false;
+        }
+        true
     }
 
     /// One durability re-probe: if the service is degraded, checks whether
@@ -472,8 +496,9 @@ impl LocationService {
         if journal.repair_and_sync().is_err() {
             return false;
         }
-        let Some(frames) = journal.begin_forced_snapshot() else {
-            // A threshold snapshot is in flight; let it finish and retry.
+        let Some(frames) = self.timed_grant(journal, Journal::begin_forced_snapshot) else {
+            // A threshold snapshot is in flight, or the rotation failed;
+            // back off and retry.
             return false;
         };
         if !self.write_snapshot(journal, frames) {
@@ -489,6 +514,14 @@ impl LocationService {
     /// per stage per pass.
     pub fn recovery_stages(&self) -> RecoveryStages {
         self.recovery.snapshot()
+    }
+
+    /// Wall time of each stage of every snapshot this service wrote to its
+    /// journal — grant (with the rotation that starts a segment at it),
+    /// collect, encode and install — one sample per stage per granted
+    /// snapshot, threshold and forced alike.
+    pub fn snapshot_stages(&self) -> SnapshotStages {
+        self.snapshots.snapshot()
     }
 
     /// Point-in-time copy of the durability state machine's counters.
@@ -1031,6 +1064,36 @@ mod tests {
             assert!(s.apply_update(ObjectId(i % 16), &u));
         }
         assert_eq!(s.write_lock_acquisitions() - before, 128);
+    }
+
+    #[test]
+    fn one_threshold_snapshot_records_one_sample_per_stage() {
+        use mbdr_core::Frame;
+        use mbdr_journal::JournalConfig;
+        let dir = std::env::temp_dir()
+            .join(format!("mbdr-locserver-snapshot-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = LocationService::new();
+        s.register(ObjectId(1), Arc::new(LinearPredictor));
+        let config = JournalConfig { snapshot_every_frames: 3, ..JournalConfig::new(&dir) };
+        let (journal, _) = crate::recover_and_attach(&s, config).expect("attach");
+        let counts = |s: &LocationService| {
+            let stages = s.snapshot_stages();
+            [stages.grant, stages.collect, stages.encode, stages.install].map(|h| h.count())
+        };
+        assert_eq!(counts(&s), [0; 4]);
+        for i in 0..2u64 {
+            let frame = Frame::single(1, update(i, i as f64, 10.0 * i as f64, 0.0, 10.0, 0.0));
+            s.apply_frame_bytes(&frame.encode().unwrap()).unwrap();
+        }
+        assert_eq!(counts(&s), [0; 4], "below the threshold nothing is proposed");
+        let frame = Frame::single(1, update(2, 2.0, 20.0, 0.0, 10.0, 0.0));
+        s.apply_frame_bytes(&frame.encode().unwrap()).unwrap();
+        assert_eq!(journal.stats().snapshots, 1);
+        assert_eq!(counts(&s), [1; 4], "one threshold snapshot, one sample per stage");
+        assert!(s.snapshot_stages().install.sum_ns() > 0);
+        drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -360,12 +360,8 @@ impl ShardState {
     /// dropped here and the wide list rebuilt here, so that every buffer the
     /// shard keeps afterwards is allocated, and every buffer it let go of
     /// freed, by the caller's thread.
-    #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
     pub(crate) fn plan_rebuild(&mut self) -> RebuildPlan {
-        let mut live = vec![true; self.slots.len()];
-        for &slot in &self.free_slots {
-            live[slot as usize] = false;
-        }
+        let live = self.live_mask();
         self.index = MovingIndex::new(self.config.cell_size_m);
         self.expiries = BinaryHeap::new();
         self.wide.clear();
@@ -389,6 +385,18 @@ impl ShardState {
         RebuildPlan { index, expiries }
     }
 
+    /// `live[slot]` is whether `slot` holds a registered object: every slot
+    /// but the free ones. A freed slot keeps its last occupant's tracker
+    /// until it is recycled, so tracker state cannot tell the two apart.
+    #[expect(clippy::indexing_slicing, reason = "free slots and `live` both index the arena")]
+    fn live_mask(&self) -> Vec<bool> {
+        let mut live = vec![true; self.slots.len()];
+        for &slot in &self.free_slots {
+            live[slot as usize] = false;
+        }
+        live
+    }
+
     /// The non-allocating half of a recovery's index rebuild: fills the
     /// planned index ([`BulkPlan::fill`]) and heapifies the expiries in
     /// place. Safe to run on a helper thread: what it writes was allocated
@@ -401,12 +409,15 @@ impl ShardState {
     /// Appends one durability-snapshot entry per object with applied state to
     /// `out` (objects still waiting for their first update carry no state and
     /// are skipped — recovery re-registers them empty, exactly as they were).
-    /// Iteration order is arbitrary; the caller sorts.
-    #[expect(clippy::indexing_slicing, reason = "by_id holds only slot ids this shard issued")]
+    /// Walks the slot arena in slot order, skipping free slots, so the reads
+    /// are sequential instead of in the id map's hash order; the caller
+    /// sorts by object id.
     pub(crate) fn snapshot_entries_into(&self, out: &mut Vec<SnapshotEntry>) {
-        for (&object, &slot) in &self.by_id {
-            let tracked = &self.slots[slot as usize];
-            let tracker = &tracked.tracker;
+        for (tracked, live) in self.slots.iter().zip(self.live_mask()) {
+            if !live {
+                continue;
+            }
+            let (object, tracker) = (tracked.object, &tracked.tracker);
             let (Some(state), Some(sequence)) = (tracker.last_state(), tracker.last_sequence())
             else {
                 continue;
@@ -1001,5 +1012,41 @@ mod tests {
         assert!(shard.apply_update(ObjectId(7), &report(50.0, 5.0)));
         assert_eq!(shard.indexed_count(), 2);
         assert!(shard.next_expiry().is_finite());
+    }
+
+    #[test]
+    fn snapshot_entries_come_from_registered_slots_only() {
+        let mut shard = ShardState::new(ServiceConfig::default());
+        let report = |sequence: u64, x: f64| Update {
+            sequence,
+            state: ObjectState::basic(Point::new(x, 0.0), 3.0, 0.0, 1.0 + sequence as f64),
+            kind: UpdateKind::Initial,
+        };
+        for i in 0..4 {
+            shard.register(ObjectId(i), Arc::new(LinearPredictor));
+            assert!(shard.apply_update(ObjectId(i), &report(i, 10.0 * i as f64)));
+        }
+        // Object 1 leaves and its slot stays free, tracker state and all;
+        // object 2 leaves and its slot goes to object 9, which has reported
+        // nothing yet; object 3 re-registers and starts empty too.
+        assert!(shard.deregister(ObjectId(1)));
+        assert!(shard.deregister(ObjectId(2)));
+        shard.register(ObjectId(9), Arc::new(LinearPredictor));
+        shard.register(ObjectId(3), Arc::new(LinearPredictor));
+        assert_eq!(shard.slots.len(), 4, "object 9 took a freed slot");
+        let mut entries = Vec::new();
+        shard.snapshot_entries_into(&mut entries);
+        let objects: Vec<u64> = entries.iter().map(|e| e.object).collect();
+        assert_eq!(objects, [0], "only registered objects with state");
+        // Object 9 reports: its entry carries its own state, not the state
+        // the slot's previous occupant left.
+        assert!(shard.apply_update(ObjectId(9), &report(5, 70.0)));
+        entries.clear();
+        shard.snapshot_entries_into(&mut entries);
+        entries.sort_unstable_by_key(|e| e.object);
+        let objects: Vec<(u64, u64)> =
+            entries.iter().map(|e| (e.object, e.update.sequence)).collect();
+        assert_eq!(objects, [(0, 0), (9, 5)]);
+        assert_eq!(entries[1].update.state.position, Point::new(70.0, 0.0));
     }
 }

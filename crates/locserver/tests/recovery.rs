@@ -14,7 +14,7 @@ use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs, VfsFile,
+    FaultFs, FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs, VfsFile,
     JOURNAL_VERSION,
 };
 use mbdr_locserver::{
@@ -179,12 +179,14 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
         (report.replayed_frames as usize) < crash_at,
         "compaction must shorten replay: {report:?}"
     );
-    // A retained segment can straddle the snapshot floor, so the replay may
-    // overlap the snapshot — coverage is "at least", and the staleness rules
-    // make the overlap harmless.
-    assert!(
-        report.snapshot_frames + report.replayed_frames >= crash_at as u64,
-        "snapshot + tail must cover the journaled prefix: {report:?}"
+    // The snapshot's grant started a segment at its floor and compaction
+    // deleted every segment below: the tail holds exactly the frames past
+    // the floor, none of them covered.
+    assert_eq!(report.covered_frames, 0, "{report:?}");
+    assert_eq!(
+        report.snapshot_frames + report.replayed_frames,
+        crash_at as u64,
+        "snapshot + tail must cover the journaled prefix exactly: {report:?}"
     );
     assert_equivalent(&recovered, &twin, 70.0);
 
@@ -207,7 +209,8 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
     // Third generation: recover again over the full history.
     let third = fleet();
     let (_journal, report) = recover_and_attach(&third, journal_config(&dir)).expect("recovery 2");
-    assert!(report.snapshot_frames + report.replayed_frames >= frames.len() as u64, "{report:?}");
+    assert_eq!(report.covered_frames, 0, "{report:?}");
+    assert_eq!(report.snapshot_frames + report.replayed_frames, frames.len() as u64, "{report:?}");
     assert_equivalent(&third, &twin, 70.0);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -549,6 +552,7 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
         let (journal, report) = recover_and_attach(&recovered, journal_config).expect("recovery");
         assert_eq!(report, expected, "{what}: parallel and serial recovery disagree");
         assert_eq!(report.frame_decode_errors, 1, "{what}: {report:?}");
+        assert_eq!(report.covered_frames, 0, "{what}: segments start at grants: {report:?}");
         assert!(
             report.snapshot_frames + report.replayed_frames > crash_at as u64,
             "{what}: {report:?}"
@@ -580,36 +584,55 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
     assert!(skipping_recoveries >= 8, "most seeds skip strangers: {skipping_recoveries}");
 }
 
-/// A segment that straddles the snapshot's floor holds, below the floor, a
+/// A journal written before snapshot grants started segments: one segment
+/// that straddles the snapshot's floor holds, below the floor, a
 /// checksummed record that is no frame. Recovery walks it with the scan but
 /// never decodes it: the report counts it as covered, not as a decode
 /// error, and the recovered service answers like its uninterrupted twin.
+///
+/// The layout is put together from two journals fed the same records: the
+/// primary's, which never snapshots, holds every record in one segment, and
+/// a shadow service's, which snapshots every 30 frames, supplies its newest
+/// snapshot file.
 #[test]
 fn covered_frames_are_skipped_undecoded_even_when_they_are_no_frame() {
     let dir = temp_dir("covered-garbage");
+    let shadow_dir = temp_dir("covered-garbage-shadow");
     let frames = encoded_frames(8);
     let config = JournalConfig {
-        // One segment for the whole life, so it straddles every snapshot.
+        // One segment for the whole life, and no snapshot of its own.
         segment_max_bytes: 1024 * 1024,
-        snapshot_every_frames: 30,
+        snapshot_every_frames: 0,
         ..journal_config(&dir)
     };
+    let shadow_config = JournalConfig { snapshot_every_frames: 30, ..journal_config(&shadow_dir) };
     let primary = fleet();
+    let shadow = fleet();
     let twin = fleet();
     let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
+    let (shadow_journal, _) = recover_and_attach(&shadow, shadow_config).expect("attach shadow");
     for (i, bytes) in frames.iter().enumerate() {
         if i == 5 {
             // Frame index 5: checksummed garbage, well below the first grant.
             journal.append_frame(&[0xEE; 11]).expect("append garbage");
+            shadow_journal.append_frame(&[0xEE; 11]).expect("append garbage");
         }
         primary.apply_frame_bytes(bytes).expect("primary apply");
+        shadow.apply_frame_bytes(bytes).expect("shadow apply");
         twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     let appended = journal.stats().appends;
     assert_eq!(appended, frames.len() as u64 + 1);
-    drop(primary);
-    drop(journal);
+    assert!(shadow_journal.stats().snapshots > 0);
+    drop((primary, shadow));
+    drop((journal, shadow_journal));
     assert_eq!(files_ending_in(&dir, ".mbdrj").1, 1, "one segment holds every frame");
+    for entry in fs::read_dir(&shadow_dir).expect("read dir") {
+        let path = entry.expect("entry").path();
+        if path.to_string_lossy().ends_with(".mbdrs") {
+            fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy snapshot");
+        }
+    }
 
     let recovered = fleet();
     let (journal, report) = recover_and_attach(&recovered, config).expect("recovery");
@@ -622,6 +645,63 @@ fn covered_frames_are_skipped_undecoded_even_when_they_are_no_frame() {
     assert_eq!(report.replayed_updates, 3 * (appended - report.covered_frames), "{report:?}");
     assert_equivalent(&recovered, &twin, 40.0);
     drop(journal);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&shadow_dir);
+}
+
+/// Bases of the segment files in `dir`, ascending.
+fn segment_bases(dir: &Path) -> Vec<u64> {
+    let mut bases: Vec<u64> = fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| {
+            let name = e.expect("entry").file_name().to_string_lossy().into_owned();
+            name.strip_prefix("seg-")?.strip_suffix(".mbdrj")?.parse().ok()
+        })
+        .collect();
+    bases.sort_unstable();
+    bases
+}
+
+/// The forced snapshot a healed disk's probe installs is a grant like a
+/// threshold one: it starts a segment at its floor, compaction deletes every
+/// segment below, and the next recovery reads only the frames past it.
+#[test]
+fn a_forced_snapshot_after_a_probe_starts_a_segment_at_its_floor() {
+    let dir = temp_dir("probe-rotates");
+    let config =
+        JournalConfig { snapshot_every_frames: 0, segment_max_bytes: 512, ..journal_config(&dir) };
+    let frames = encoded_frames(6);
+    let (kill_at, heal_at) = (30usize, 40usize);
+    let fault = FaultFs::over_real();
+    let primary = fleet();
+    let twin = fleet();
+    let (journal, _) =
+        recover_and_attach_with_vfs(&primary, config.clone(), Arc::new(fault.clone()))
+            .expect("attach");
+    for (i, bytes) in frames[..heal_at].iter().enumerate() {
+        fault.set_dead(i >= kill_at);
+        primary.apply_frame_bytes(bytes).expect("primary apply");
+        twin.apply_frame_bytes(bytes).expect("twin apply");
+    }
+    fault.set_dead(false);
+    assert!(segment_bases(&dir).len() > 1, "a multi-segment log: {:?}", segment_bases(&dir));
+    assert!(primary.probe_durability(), "the healed disk takes the forced snapshot");
+    assert_eq!(segment_bases(&dir), [kill_at as u64], "the grant started the only segment");
+    assert_eq!(primary.snapshot_stages().grant.count(), 1);
+    for bytes in &frames[heal_at..] {
+        primary.apply_frame_bytes(bytes).expect("primary apply");
+        twin.apply_frame_bytes(bytes).expect("twin apply");
+    }
+    journal.flush().expect("flush");
+    drop(primary);
+    drop(journal);
+
+    let recovered = fleet();
+    let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
+    assert_eq!(report.snapshot_frames, kill_at as u64, "{report:?}");
+    assert_eq!(report.covered_frames, 0, "{report:?}");
+    assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "{report:?}");
+    assert_equivalent(&recovered, &twin, 20.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -775,10 +855,10 @@ impl Vfs for CountingFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         RealFs.create(path)
     }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let bytes = RealFs.read(path)?;
-        self.read_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes)
+    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+        RealFs.read_into(path, buf)?;
+        self.read_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         RealFs.rename(from, to)
@@ -860,12 +940,10 @@ fn dir_image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 fn a_newer_segment_refuses_recovery_after_what_precedes_it_was_applied() {
     // A journal whose snapshot is followed by a three-segment tail.
     let dir = temp_dir("newer-segment");
-    // 2 KiB segments: the ten rounds' frames then span five or more.
-    let config = JournalConfig {
-        snapshot_every_frames: 0,
-        segment_max_bytes: 2 * 1024,
-        ..journal_config(&dir)
-    };
+    // 1 KiB segments: the five rounds after the snapshot then span three or
+    // more.
+    let config =
+        JournalConfig { snapshot_every_frames: 0, segment_max_bytes: 1024, ..journal_config(&dir) };
     let primary = fleet();
     let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
     let frames = encoded_frames(10);
