@@ -267,10 +267,13 @@ struct Writer {
     segment_bytes: u64,
     unsynced: u32,
     last_sync_nanos: u64,
-    /// The active segment was written by an older format version: the next
-    /// append rotates to a fresh segment first, so no segment ever mixes
-    /// payloads of two versions.
-    stale: bool,
+    /// The next append rotates to a fresh segment first. Set when the active
+    /// segment was written by an older format version, so no segment ever
+    /// mixes payloads of two versions, and when a snapshot grant's rotation
+    /// failed, so no record lands past the grant's base while a segment the
+    /// failed rotation left there may still exist (the retried rotation
+    /// fails on it until [`Journal::repair_and_sync`] removes it).
+    rotate_first: bool,
     /// Header + payload of the record being appended, assembled here so the
     /// file sees one `write_all` per record. Outlives segment rotation.
     record: Vec<u8>,
@@ -349,9 +352,8 @@ impl Journal {
     /// the chosen snapshot's body (as [`Retained::Snapshot`]), then each
     /// retained segment's records in frame order (as [`Retained::Segment`]).
     /// It is the only way to read a snapshot back. One file's bytes are in
-    /// memory at a time — every file is read into one buffer, so the first
-    /// segment overwrites the snapshot image and takes no fresh pages while
-    /// it is smaller — and none outlives the call. Segments a crash left
+    /// memory at a time — the snapshot image is dropped before the first
+    /// segment is read — and none outlives the call. Segments a crash left
     /// below the snapshot's floor are not read at all (see
     /// [`Journal::open`]).
     ///
@@ -384,19 +386,16 @@ impl Journal {
         let stats = JournalStats::default();
 
         // Read-only first: pick the newest snapshot that validates, so the
-        // coverage check below can refuse before anything is repaired. One
-        // buffer holds each file in turn: the snapshot image, then every
-        // segment, so a segment read after a large snapshot reuses its pages.
-        let mut buf = Vec::new();
+        // coverage check below can refuse before anything is repaired.
         let snapshots =
             list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
         let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
         for (snap_frames, path) in snapshots.iter().rev() {
-            if read_snapshot(vfs.as_ref(), path, *snap_frames, &mut buf)? {
+            if let Some(image) = read_snapshot(vfs.as_ref(), path, *snap_frames)? {
                 recovered_snapshot = Some((*snap_frames, path.clone()));
-                // Handed over before any segment is read, so the image and a
-                // segment's bytes are never in memory together.
-                let body = buf.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
+                // Handed over and dropped before any segment is read, so the
+                // image and a segment buffer are never in memory together.
+                let body = image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
                 sink(Retained::Snapshot { frames: *snap_frames, body })?;
                 break;
             }
@@ -429,9 +428,9 @@ impl Journal {
                 vfs.remove_file(&path).map_err(JournalError::Io)?;
                 continue;
             }
-            vfs.read_into(&path, &mut buf).map_err(JournalError::Io)?;
-            let file_len = buf.len() as u64;
-            let Some(records) = segment_body(&path, named, &buf)? else {
+            let bytes = vfs.read(&path).map_err(JournalError::Io)?;
+            let file_len = bytes.len() as u64;
+            let Some(records) = segment_body(&path, named, &bytes)? else {
                 // Header missing, short, with the wrong magic or a base
                 // that is not its name's: the file (and everything after
                 // it) is an unreachable torn tail.
@@ -531,7 +530,7 @@ impl Journal {
         };
         let writer = Writer {
             // A segment based at `frames` is the fresh one made above.
-            stale: stale && segment.base < frames,
+            rotate_first: stale && segment.base < frames,
             segment,
             segment_bytes,
             unsynced: 0,
@@ -575,7 +574,7 @@ impl Journal {
         let record_len = (RECORD_HEADER_LEN + len) as u64;
         let full = writer.segment_bytes + record_len > self.config.segment_max_bytes
             && writer.segment_bytes > SEGMENT_HEADER_LEN as u64;
-        if full || writer.stale {
+        if full || writer.rotate_first {
             self.rotate(&mut writer)?;
         }
         let Writer { segment, record, .. } = &mut *writer;
@@ -688,9 +687,8 @@ impl Journal {
             SEGMENT_FILE_SUFFIX,
         )?;
         let mut delivered = 0u64;
-        let mut bytes = Vec::new();
         for (named, path) in segments {
-            self.vfs.read_into(&path, &mut bytes).map_err(JournalError::Io)?;
+            let bytes = self.vfs.read(&path).map_err(JournalError::Io)?;
             let Some(records) = segment_body(&path, named, &bytes)? else {
                 return Err(corrupt(&path, 0, "segment header failed revalidation"));
             };
@@ -733,14 +731,28 @@ impl Journal {
     /// after it never share a segment. Installing the snapshot then compacts
     /// every covered frame away, and a recovery reads only the frames it
     /// replays. An active segment that holds no record yet is already based
-    /// at the grant and is kept. A rotation that fails refuses the grant:
-    /// the slot is released and the failure counts in
-    /// [`JournalStatsSnapshot::append_errors`]; the active segment stays in
-    /// place, so appends go on.
+    /// at the grant and is kept.
+    ///
+    /// A rotation that fails refuses the grant (the slot is released) and
+    /// counts in [`JournalStatsSnapshot::append_errors`]. It fails the way a
+    /// failed append does: its sync stood in for the batch sync of every
+    /// record not yet known durable, and it may leave a segment at the
+    /// grant's base behind. So the next append rotates first, and a caller
+    /// that can act on the failure uses [`Journal::try_begin_snapshot`],
+    /// which returns it, and repairs the journal
+    /// ([`Journal::repair_and_sync`]) before trusting it again.
     pub fn begin_snapshot(&self) -> Option<u64> {
+        self.try_begin_snapshot().ok().flatten()
+    }
+
+    /// [`Journal::begin_snapshot`] that returns a failed rotation's error
+    /// instead of counting it only: `Ok(None)` is a refusal that leaves the
+    /// journal as it was (no snapshot due, or one already in progress), `Err`
+    /// a rotation that failed.
+    pub fn try_begin_snapshot(&self) -> Result<Option<u64>, JournalError> {
         let every = self.config.snapshot_every_frames;
         if every == 0 {
-            return None;
+            return Ok(None);
         }
         self.grant(every)
     }
@@ -748,22 +760,23 @@ impl Journal {
     /// Claims the snapshot-in-progress slot *unconditionally* — ignoring the
     /// `snapshot_every_frames` threshold, and available even when periodic
     /// snapshots are disabled. Used by degraded-mode recovery to re-establish
-    /// a durability floor from live tracker state. Returns `None` while
-    /// another snapshot is in progress or when the rotation fails; the
-    /// rotation and the pairing rules of [`Journal::begin_snapshot`] apply.
+    /// a durability floor from live tracker state, right after
+    /// [`Journal::repair_and_sync`]. Returns `None` while another snapshot is
+    /// in progress or when the rotation fails; the rotation, its failure and
+    /// the pairing rules of [`Journal::begin_snapshot`] apply.
     pub fn begin_forced_snapshot(&self) -> Option<u64> {
-        self.grant(0)
+        self.grant(0).ok().flatten()
     }
 
     /// Claims the slot, checks that at least `threshold` frames lie past the
     /// floor, and rotates so that a segment starts at the granted count.
-    fn grant(&self, threshold: u64) -> Option<u64> {
+    fn grant(&self, threshold: u64) -> Result<Option<u64>, JournalError> {
         if self
             .snapshot_active
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
             .is_err()
         {
-            return None;
+            return Ok(None);
         }
         // Appends advance the counter under this lock, so the count read
         // here is the base the rotation gives the new segment.
@@ -772,14 +785,17 @@ impl Journal {
         let floor = self.snapshot_floor.load(Ordering::Relaxed);
         if frames.saturating_sub(floor) < threshold {
             self.snapshot_active.store(false, Ordering::Release);
-            return None;
+            return Ok(None);
         }
-        if writer.segment_bytes > SEGMENT_HEADER_LEN as u64 && self.rotate(&mut writer).is_err() {
-            self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
-            self.snapshot_active.store(false, Ordering::Release);
-            return None;
+        if writer.segment_bytes > SEGMENT_HEADER_LEN as u64 {
+            if let Err(err) = self.rotate(&mut writer) {
+                writer.rotate_first = true;
+                self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
+                self.snapshot_active.store(false, Ordering::Release);
+                return Err(err);
+            }
         }
-        Some(frames)
+        Ok(Some(frames))
     }
 
     /// Releases the snapshot-in-progress slot after a failed snapshot attempt.
@@ -835,7 +851,7 @@ impl Journal {
         let base = self.frames.load(Ordering::Relaxed);
         writer.segment = create_segment(self.vfs.as_ref(), &self.config.dir, base)?;
         writer.segment_bytes = SEGMENT_HEADER_LEN as u64;
-        writer.stale = false;
+        writer.rotate_first = false;
         writer.unsynced = 0;
         writer.last_sync_nanos = self.vfs.now_nanos();
         Ok(())
@@ -1025,21 +1041,20 @@ fn validate_records(bytes: &[u8]) -> (u64, usize) {
     (count, bytes.len() - rest.len())
 }
 
-/// Reads the snapshot at `path` into `buf` and returns whether it validates
-/// for `expect_frames`; [`JournalError::UnsupportedVersion`] for a newer
-/// format.
+/// Reads the snapshot at `path` and returns its image if it validates for
+/// `expect_frames` (`None` if it does not);
+/// [`JournalError::UnsupportedVersion`] for a newer format.
 fn read_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     expect_frames: u64,
-    buf: &mut Vec<u8>,
-) -> Result<bool, JournalError> {
-    vfs.read_into(path, buf)?;
-    if buf.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
-        return Ok(false);
+) -> Result<Option<Vec<u8>>, JournalError> {
+    let bytes = vfs.read(path)?;
+    if bytes.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
+        return Ok(None);
     }
-    let Some(version) = buf.get(8..).and_then(be_u16) else {
-        return Ok(false);
+    let Some(version) = bytes.get(8..).and_then(be_u16) else {
+        return Ok(None);
     };
     if version > JOURNAL_VERSION {
         return Err(JournalError::UnsupportedVersion {
@@ -1048,7 +1063,8 @@ fn read_snapshot(
             supported: JOURNAL_VERSION,
         });
     }
-    Ok(matches!(parse_snapshot(buf), Some((frames, _)) if frames == expect_frames))
+    let valid = matches!(parse_snapshot(&bytes), Some((frames, _)) if frames == expect_frames);
+    Ok(valid.then_some(bytes))
 }
 
 /// Parses and checksum-validates a snapshot file image, returning the covered
@@ -1387,23 +1403,52 @@ mod tests {
     }
 
     #[test]
-    fn a_rotation_failure_refuses_the_grant_and_appends_go_on() {
+    fn a_rotation_failure_fails_the_grant_and_the_next_append_rotates_first() {
         let dir = temp_dir("grant-fault");
+        let config = JournalConfig { snapshot_every_frames: 1, ..JournalConfig::new(&dir) };
         let faults = FaultFs::over_real();
-        let journal = Journal::open_with_vfs(JournalConfig::new(&dir), Arc::new(faults.clone()))
-            .expect("open");
+        let journal = Journal::open_with_vfs(config, Arc::new(faults.clone())).expect("open");
         journal.append_frame(b"before").expect("append");
         // The rotation's first operation is the old segment's sync.
         faults.schedule_fault(faults.ops(), FaultKind::FailFsync);
-        assert_eq!(journal.begin_forced_snapshot(), None, "the grant is refused");
+        assert!(matches!(journal.try_begin_snapshot(), Err(JournalError::Io(_))));
         assert_eq!(journal.stats().append_errors, 1);
         assert_eq!(segment_bases(&dir), [0]);
-        journal.append_frame(b"after").expect("appends go on");
-        // The slot was released: the next grant rotates and installs.
+        // The slot was released, and no record joins the segment whose sync
+        // failed: the next append starts a segment first.
+        journal.append_frame(b"after").expect("append");
+        assert_eq!(segment_bases(&dir), [0, 1]);
         let frames = journal.begin_forced_snapshot().expect("slot free again");
         assert_eq!(frames, 2);
         journal.install_snapshot(frames, b"two").expect("install");
         assert_eq!(segment_bases(&dir), [2]);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_segment_a_failed_grant_left_blocks_appends_until_repair() {
+        let dir = temp_dir("grant-orphan");
+        let faults = FaultFs::over_real();
+        let journal = Journal::open_with_vfs(JournalConfig::new(&dir), Arc::new(faults.clone()))
+            .expect("open");
+        journal.append_frame(b"before").expect("append");
+        // Rotation ops: sync, create, header write, then the rollback's
+        // unlink. A short header write whose unlink fails leaves a torn
+        // segment at the grant's base.
+        let rotation = faults.ops();
+        faults.schedule_fault(rotation + 2, FaultKind::ShortWrite { keep: 5 });
+        faults.schedule_fault(rotation + 3, FaultKind::NoSpace);
+        assert_eq!(journal.begin_forced_snapshot(), None, "the grant is refused");
+        assert_eq!(faults.pending_faults(), 0);
+        assert_eq!(segment_bases(&dir), [0, 1], "the torn segment stays");
+        assert!(journal.append_frame(b"after").is_err(), "no record lands past its base");
+        journal.repair_and_sync().expect("repair");
+        assert_eq!(segment_bases(&dir), [0]);
+        assert_eq!(journal.stats().truncated_bytes, 5);
+        journal.append_frame(b"after").expect("append");
+        drop(journal);
+        let (_, records) = open_taking_records(JournalConfig::new(&dir));
+        assert_eq!(records, [(0, b"before".to_vec()), (1, b"after".to_vec())]);
         cleanup(&dir);
     }
 
@@ -1550,7 +1595,7 @@ mod tests {
         drop(journal);
         set_segment_version(&dir, 0, JOURNAL_VERSION - 1);
         let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
-        assert!(journal.writer.lock().stale, "the older tail is not the append target");
+        assert!(journal.writer.lock().rotate_first, "the older tail is not the append target");
         journal.append_frame(b"new-2").expect("append");
         assert_eq!(journal.writer.lock().segment.base, 2, "a fresh segment at the next frame");
         drop(journal);
@@ -1564,7 +1609,7 @@ mod tests {
             })
             .expect("open");
         assert_eq!(versions, [(JOURNAL_VERSION - 1, 2), (JOURNAL_VERSION, 1)]);
-        assert!(!journal.writer.lock().stale);
+        assert!(!journal.writer.lock().rotate_first);
         cleanup(&dir);
     }
 
@@ -1583,7 +1628,7 @@ mod tests {
         {
             let writer = journal.writer.lock();
             assert_eq!(writer.segment.base, 0, "the empty segment is gone");
-            assert!(writer.stale, "the segment below is older too");
+            assert!(writer.rotate_first, "the segment below is older too");
         }
         journal.append_frame(b"new-1").expect("append");
         drop(journal);

@@ -12,8 +12,8 @@
 //! byte-identically on every run. The journal hands the file one `write_all`
 //! per appended record (header and payload together), so an append without a
 //! due fsync consumes exactly one index. Read-side operations (`read`,
-//! `read_into`, `read_dir_names`, `file_len`, `open_append`,
-//! `create_dir_all`, `now_nanos`) never consume indices and never fail by injection: this
+//! `read_dir_names`, `file_len`, `open_append`, `create_dir_all`,
+//! `now_nanos`) never consume indices and never fail by injection: this
 //! models a disk whose write path is failing while already-written data still
 //! reads back, which keeps recovery scans well-defined mid-schedule.
 //! `sync_dir` consumes no index either, so adding directory syncs moved no
@@ -55,17 +55,8 @@ pub trait Vfs: Send + Sync {
     /// Creates (truncating if present) a file for writing, e.g. a snapshot
     /// temp file that is later renamed into place.
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
-    /// Reads the whole file into `buf`, replacing what it held and keeping
-    /// its capacity: a caller that reads file after file through one buffer
-    /// touches fresh pages only when a file outgrows every one before it.
-    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()>;
-    /// Reads the whole file into a new buffer ([`Vfs::read_into`] an empty
-    /// one).
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.read_into(path, &mut buf)?;
-        Ok(buf)
-    }
+    /// Reads the whole file into memory.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Atomically renames `from` to `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file.
@@ -127,9 +118,8 @@ impl Vfs for RealFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         Ok(Box::new(RealFile(std::fs::File::create(path)?)))
     }
-    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
-        buf.clear();
-        io::Read::read_to_end(&mut std::fs::File::open(path)?, buf).map(drop)
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
@@ -437,8 +427,8 @@ impl Vfs for FaultFs {
         Ok(Box::new(FaultFile { inner, state: Arc::clone(&self.state) }))
     }
 
-    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
-        self.inner.read_into(path, buf)
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

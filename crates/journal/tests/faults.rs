@@ -446,8 +446,8 @@ impl Vfs for Recording {
         self.note("create");
         RealFs.create(path)
     }
-    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
-        RealFs.read_into(path, buf)
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealFs.read(path)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.note("rename");

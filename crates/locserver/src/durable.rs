@@ -28,10 +28,16 @@
 //! ## Snapshot writes
 //!
 //! A journaled service proposes a snapshot when the journal's threshold is
-//! reached ([`mbdr_journal::Journal::snapshot_pending`]). A grant the journal
-//! refuses — another snapshot in flight, or a rotation the disk failed,
-//! which the journal counts in its `append_errors` — skips the snapshot:
-//! it only delays compaction. Each granted snapshot records the wall time
+//! reached ([`mbdr_journal::Journal::snapshot_pending`]). A grant refused
+//! because another snapshot is in flight skips the snapshot. A grant whose
+//! rotation the disk failed (counted in the journal's `append_errors`) is a
+//! failed journal write: the rotation's sync covered the frames appended
+//! since the last batch sync, and it may have left a segment at the grant's
+//! base, so the service degrades exactly as on a failed append (see
+//! *Degraded mode*). While degraded no threshold snapshot is proposed: the
+//! re-probe repairs the journal before it grants its forced snapshot. A
+//! snapshot that fails to write only delays compaction.
+//! Each granted snapshot records the wall time
 //! of its four stages — grant, collect, encode, install — into histograms
 //! on the service ([`LocationService::snapshot_stages`]), off the serve
 //! path.
@@ -57,8 +63,8 @@
 //! small lock-free state block that tracks which regime the service is in:
 //!
 //! * [`DurabilityState::Durable`] — every applied frame is in the journal.
-//! * [`DurabilityState::Degraded`] — a journal append failed persistently;
-//!   serving continues, but applied frames are counted in
+//! * [`DurabilityState::Degraded`] — a journal append, or the segment
+//!   rotation of a snapshot grant, failed; serving continues, but applied frames are counted in
 //!   `degraded_frames` instead of journaled. A crash in this window loses
 //!   exactly those frames (the paper's dead-reckoning staleness bounds still
 //!   hold for everything the server *answers* — only replay completeness is
@@ -190,7 +196,7 @@ impl SnapshotTimers {
 /// records nothing; an encode failure records no install).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotStages {
-    /// [`Journal::begin_snapshot`] / [`Journal::begin_forced_snapshot`]:
+    /// [`Journal::try_begin_snapshot`] / [`Journal::begin_forced_snapshot`]:
     /// claiming the slot and the rotation that starts a segment at the
     /// grant, the old segment's sync included.
     pub grant: HistogramSnapshot,

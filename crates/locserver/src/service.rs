@@ -17,7 +17,7 @@ use crate::shard::{CandidateScratch, Shard, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
 use mbdr_core::{wire, DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
-use mbdr_journal::Journal;
+use mbdr_journal::{Journal, JournalError};
 use mbdr_spatial::first_ring_radius;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -380,7 +380,9 @@ impl LocationService {
             view.updates().filter(|u| s.apply_update(object, u)).count()
         });
         if let Some(journal) = journal {
-            if journal.snapshot_pending() {
+            // While degraded the re-probe owns snapshots: it repairs the
+            // journal before it grants one.
+            if journal.snapshot_pending() && !self.durability.is_degraded() {
                 self.snapshot_to_journal(journal);
             }
         }
@@ -411,24 +413,36 @@ impl LocationService {
     /// write hold *before* the apply, every frame counted by the journal at
     /// grant time is visible to the collection (frames appended concurrently
     /// after the grant may also be included, which is harmless: replaying
-    /// them over the snapshot is rejected by the staleness rules). Failures
-    /// are counted on the journal and swallowed — a refused grant (its
-    /// rotation failed) or a snapshot that could not be written only delays
-    /// compaction.
+    /// them over the snapshot is rejected by the staleness rules). A grant
+    /// whose rotation failed is a failed write like a failed append: the
+    /// rotation's sync stood in for the batch sync of the frames appended
+    /// since the last one, so the service enters the degraded regime and
+    /// [`LocationService::probe_durability`] repairs the journal and
+    /// re-snapshots. A snapshot that could not be written is counted on the
+    /// journal and swallowed: the segments it would have compacted stay.
     pub(crate) fn snapshot_to_journal(&self, journal: &Journal) {
-        let Some(frames) = self.timed_grant(journal, Journal::begin_snapshot) else {
-            return;
-        };
-        self.write_snapshot(journal, frames);
+        match self.timed_grant(journal, Journal::try_begin_snapshot) {
+            Ok(Some(frames)) => {
+                self.write_snapshot(journal, frames);
+            }
+            Ok(None) => {}
+            Err(_) => self.durability.enter_degraded(),
+        }
     }
 
     /// Asks `journal` for a snapshot grant with `begin` and records the time
     /// it took when granted.
-    fn timed_grant(&self, journal: &Journal, begin: fn(&Journal) -> Option<u64>) -> Option<u64> {
+    fn timed_grant(
+        &self,
+        journal: &Journal,
+        begin: fn(&Journal) -> Result<Option<u64>, JournalError>,
+    ) -> Result<Option<u64>, JournalError> {
         let began = Instant::now();
         let frames = begin(journal)?;
-        self.snapshots.grant.record_duration(began.elapsed());
-        Some(frames)
+        if frames.is_some() {
+            self.snapshots.grant.record_duration(began.elapsed());
+        }
+        Ok(frames)
     }
 
     /// Collects every shard's tracker state under read locks, sorted by
@@ -496,9 +510,10 @@ impl LocationService {
         if journal.repair_and_sync().is_err() {
             return false;
         }
-        let Some(frames) = self.timed_grant(journal, Journal::begin_forced_snapshot) else {
-            // A threshold snapshot is in flight, or the rotation failed;
-            // back off and retry.
+        let forced = self.timed_grant(journal, |journal| Ok(journal.begin_forced_snapshot()));
+        let Ok(Some(frames)) = forced else {
+            // A threshold snapshot is in flight, or the rotation failed (the
+            // next probe repairs what it left); back off and retry.
             return false;
         };
         if !self.write_snapshot(journal, frames) {

@@ -9,7 +9,7 @@
 use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
-use mbdr_journal::{FaultFs, FsyncPolicy, Journal, JournalConfig};
+use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig};
 use mbdr_locserver::{
     recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, ServiceConfig,
 };
@@ -173,6 +173,82 @@ fn disk_death_degrades_heals_and_loses_no_acknowledged_frame() {
     assert_eq!(recovered.health_status().state, DurabilityState::Durable);
     drop(journal);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A threshold snapshot's grant rotates the journal, and a rotation the disk
+/// fails is a failed journal write: its sync stood in for the batch sync of
+/// every frame appended since the last one, and a torn segment it could not
+/// unlink may sit at the grant's base. The service degrades as on a failed
+/// append, the re-probe repairs the journal and snapshots the degraded
+/// window, and a fresh process recovers every frame. Two faults, relative
+/// to the op after the grant's frame is appended: the old segment's sync
+/// fails; or the new segment's header write is cut short and the unlink
+/// that would remove it fails.
+#[test]
+fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
+    let faults: [&[(u64, FaultKind)]; 2] = [
+        &[(0, FaultKind::FailFsync)],
+        &[(2, FaultKind::ShortWrite { keep: 5 }), (3, FaultKind::NoSpace)],
+    ];
+    for (case, schedule) in faults.iter().enumerate() {
+        let dir = temp_dir(&format!("grant-fault-{case}"));
+        let frames = encoded_frames(40);
+        let (grant_at, heal_at) = (16usize, 32usize);
+        let config = JournalConfig {
+            // No batch sync before the grant's: the rotation's sync is the
+            // first one for these frames.
+            fsync: FsyncPolicy::PerBatch(64),
+            snapshot_every_frames: grant_at as u64,
+            ..journal_config(&dir)
+        };
+        let fault = FaultFs::over_real();
+        let primary = fleet();
+        let (journal, _) =
+            recover_and_attach_with_vfs(&primary, config.clone(), Arc::new(fault.clone()))
+                .expect("recover over FaultFs");
+        let twin = fleet();
+        for bytes in &frames[..grant_at - 1] {
+            primary.apply_frame_bytes(bytes).expect("durable apply");
+            twin.apply_frame_bytes(bytes).expect("twin apply");
+        }
+        // The next frame's append is one op; the grant it triggers rotates.
+        let rotation = fault.ops() + 1;
+        for &(offset, kind) in schedule.iter() {
+            fault.schedule_fault(rotation + offset, kind);
+        }
+        for bytes in &frames[grant_at - 1..heal_at] {
+            primary.apply_frame_bytes(bytes).expect("apply still serves");
+            twin.apply_frame_bytes(bytes).expect("twin apply");
+        }
+        assert_eq!(fault.pending_faults(), 0, "case {case}: every fault fired");
+        let health = primary.health_status();
+        assert_eq!(health.state, DurabilityState::Degraded, "case {case}");
+        assert_eq!(health.append_errors, 1, "case {case}");
+        assert_eq!(health.degraded_frames, (heal_at - grant_at) as u64, "case {case}");
+        assert_eq!(journal.frames_appended(), grant_at as u64, "case {case}");
+        assert_eq!(primary.snapshot_stages().grant.count(), 0, "case {case}: no grant");
+
+        assert!(primary.probe_durability(), "case {case}: the disk took the repair");
+        assert_eq!(primary.health_status().state, DurabilityState::Recovered);
+        assert_eq!(journal.stats().snapshots, 1, "case {case}: a forced snapshot");
+        for bytes in &frames[heal_at..] {
+            primary.apply_frame_bytes(bytes).expect("recovered apply");
+            twin.apply_frame_bytes(bytes).expect("twin apply");
+        }
+        journal.flush().expect("flush");
+        drop(primary);
+        drop(journal);
+
+        let recovered = fleet();
+        let (journal, report) = recover_and_attach(&recovered, config).expect("recover");
+        assert_eq!(report.snapshot_frames, grant_at as u64, "case {case}: {report:?}");
+        assert_eq!(report.covered_frames, 0, "case {case}: {report:?}");
+        assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "case {case}");
+        assert_eq!(report.frame_decode_errors, 0, "case {case}");
+        assert_equivalent(&recovered, &twin, 10.0);
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

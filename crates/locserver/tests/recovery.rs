@@ -855,10 +855,10 @@ impl Vfs for CountingFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         RealFs.create(path)
     }
-    fn read_into(&self, path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
-        RealFs.read_into(path, buf)?;
-        self.read_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(())
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        let bytes = RealFs.read(path)?;
+        self.read_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(bytes)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         RealFs.rename(from, to)
