@@ -74,8 +74,8 @@ pub(crate) struct FaultsBench {
     /// `kill_frame` (everything journaled before the disk died);
     /// `replayed_frames` is exactly the post-heal tail, `frames -
     /// heal_frame`: the forced snapshot's grant started a segment at its
-    /// floor and compaction deleted every pre-kill segment, so none is
-    /// `covered_frames`; every object is restored; `truncated_bytes` is 0
+    /// floor and compaction deleted every pre-kill segment; every object is
+    /// restored; `truncated_bytes` is 0
     /// (the probe already repaired the tail the dead disk left behind).
     pub recovery: RecoveryReport,
     /// `1` iff the recovered service answered every probe query with
@@ -204,7 +204,6 @@ mod tests {
             r.frames as u64 - r.heal_frame,
             "exactly the post-heal tail replays: {r:?}"
         );
-        assert_eq!(r.recovery.covered_frames, 0, "{r:?}");
         assert_eq!(r.recovery.restored_objects, r.objects as u64);
         assert_eq!(r.recovery.truncated_bytes, 0, "the probe already repaired the tail");
         let tree = render_faults_json(0.25, 42, &r);

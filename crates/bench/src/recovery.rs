@@ -64,8 +64,7 @@ pub(crate) struct RecoveryBench {
     /// `snapshots` fires exactly on cadence.
     pub journal: JournalStatsSnapshot,
     /// What phase 2's recovery rebuilt. Gates: every object restored,
-    /// `truncated_bytes` 0 (the files were intact); every snapshot grant
-    /// started a segment, so `covered_frames` is 0 and `replayed_frames` is
+    /// `truncated_bytes` 0 (the files were intact); `replayed_frames` is
     /// exactly the frames past the snapshot's floor, each decoded
     /// (`replayed_updates`).
     pub recovery: RecoveryReport,
@@ -302,7 +301,6 @@ pub(crate) fn render_recovery_json(scale: f64, seed: u64, r: &RecoveryBench) -> 
             ("snapshots", Json::exact(r.journal.snapshots as f64)),
             ("snapshot_frames", Json::exact(r.recovery.snapshot_frames as f64)),
             ("replayed_frames", Json::exact(r.recovery.replayed_frames as f64)),
-            ("covered_frames", Json::exact(r.recovery.covered_frames as f64)),
             ("replayed_updates", Json::exact(r.recovery.replayed_updates as f64)),
             ("restored_objects", Json::exact(r.recovery.restored_objects as f64)),
             ("truncated_bytes", Json::exact(r.recovery.truncated_bytes as f64)),
@@ -330,7 +328,6 @@ mod tests {
         assert!(r.torn_recovery.truncated_bytes > 0);
         assert!(r.journal.snapshots >= 1, "cadence must fire at this scale: {r:?}");
         assert!(r.recovery.snapshot_frames > 0);
-        assert_eq!(r.recovery.covered_frames, 0, "segments start at grants: {r:?}");
         assert_eq!(r.recovery.snapshot_frames + r.recovery.replayed_frames, r.frames as u64);
         assert_eq!(
             r.recovery.replayed_updates,

@@ -3,7 +3,8 @@
 //! Two contracts are enforced here:
 //!
 //! * `docs/WIRE.md` names (in backticks) every wire/format constant defined
-//!   by `mbdr-core`'s wire modules, by `mbdr-net`'s framing and by
+//!   by `mbdr-core`'s wire modules, by `mbdr-net`'s framing, by
+//!   `mbdr-locserver`'s reader of older journal formats and by
 //!   `mbdr-journal`, and names no constant that does not exist — renaming
 //!   a wire constant without updating the spec fails `cargo test`, as does
 //!   documenting a ghost.
@@ -70,7 +71,7 @@ fn wire_source_files(root: &Path) -> Vec<PathBuf> {
         root.join("crates/core/src/wire/mod.rs"),
         root.join("crates/core/src/wire/query.rs"),
         root.join("crates/core/src/wire/snapshot.rs"),
-        root.join("crates/core/src/wire/v1.rs"),
+        root.join("crates/locserver/src/legacy.rs"),
         root.join("crates/net/src/transport.rs"),
     ];
     let journal_src = root.join("crates/journal/src");

@@ -71,9 +71,6 @@
 //! re-encoding any frame the decoder accepts gives back the same bytes. An
 //! update occupies 7 bytes at least: head, a one-byte sequence step and five
 //! unchanged fields.
-//!
-//! Journal segments written before this layout hold version-1 frames, which
-//! [`v1`] decodes; nothing encodes them any more.
 
 // Panic-free by construction: device-sent state reaches this code off the
 // wire, so it answers bad input with typed errors, never with a panic.
@@ -130,7 +127,6 @@ macro_rules! wire_kinds {
 
 pub mod query;
 pub mod snapshot;
-pub mod v1;
 
 /// The node id reserved on the wire to mean "no travel direction".
 pub const TOWARDS_NONE_WIRE: u32 = u32::MAX;

@@ -203,10 +203,9 @@ fn slice_by_8(mut crc: u32, bytes: &[u8]) -> u32 {
 /// When appended records are flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every appended frame. Maximum durability, slowest.
-    PerFrame,
     /// `fdatasync` once every `n` appended frames (`n` is clamped to `>= 1`).
-    /// Bounds loss to the last `n - 1` frames on power failure.
+    /// Bounds loss to the last `n - 1` frames on power failure; `PerBatch(1)`
+    /// syncs after every frame.
     PerBatch(u32),
     /// `fdatasync` when at least this much time has passed since the last
     /// sync, checked on each append. Bounds loss by time, not frame count.
@@ -267,12 +266,11 @@ struct Writer {
     segment_bytes: u64,
     unsynced: u32,
     last_sync_nanos: u64,
-    /// The next append rotates to a fresh segment first. Set when the active
-    /// segment was written by an older format version, so no segment ever
-    /// mixes payloads of two versions, and when a snapshot grant's rotation
-    /// failed, so no record lands past the grant's base while a segment the
-    /// failed rotation left there may still exist (the retried rotation
-    /// fails on it until [`Journal::repair_and_sync`] removes it).
+    /// The next append rotates to a fresh segment first. Set when a snapshot
+    /// grant's rotation failed, so no record lands past the grant's base
+    /// while a segment the failed rotation left there may still exist (the
+    /// retried rotation fails on it until [`Journal::repair_and_sync`]
+    /// removes it).
     rotate_first: bool,
     /// Header + payload of the record being appended, assembled here so the
     /// file sees one `write_all` per record. Outlives segment rotation.
@@ -319,20 +317,22 @@ impl Journal {
     /// only covered records (a crash between the snapshot's rename and
     /// compaction's unlinks leaves such segments behind): the scan never
     /// reads it and deletes it after the last refusal point, finishing the
-    /// compaction, so damage inside it truncates nothing. A log that ends
-    /// below the snapshot's frame count (a journal written before snapshot
-    /// grants started segments, torn below the floor) is wholly covered by
-    /// the snapshot: its segments are dropped, as compaction would drop
-    /// them, and appends continue in a fresh segment based at the snapshot's
-    /// frame count.
+    /// compaction, so damage inside it truncates nothing. A segment that
+    /// straddles the floor (written before snapshot grants started segments)
+    /// is checksummed whole, but only its records from the floor on are
+    /// handed over. A log that ends below the snapshot's frame count (such a
+    /// journal torn below the floor) is wholly covered by the snapshot: its
+    /// segments are dropped, as compaction would drop them, and appends
+    /// continue in a fresh segment based at the snapshot's frame count.
     ///
     /// The bytes the scan validated are dropped when it returns; a recovering
     /// caller that wants them uses [`Journal::open_and_recover`] instead of
     /// reading them again.
     ///
     /// A last segment written by an older format version is never appended
-    /// to: the first append starts a fresh segment in this version (one that
-    /// holds no record is replaced at open).
+    /// to: open starts a fresh segment in this version at the frame count,
+    /// after the last refusal point (an older last segment that holds no
+    /// record sits at that very base and is deleted first).
     pub fn open(config: JournalConfig) -> Result<Journal, JournalError> {
         Journal::open_with_vfs(config, Arc::new(RealFs))
     }
@@ -350,11 +350,13 @@ impl Journal {
     /// [`Journal::open_with_vfs`] that also hands what it validated to
     /// `sink`, so recovery reads and checksums every retained byte once: first
     /// the chosen snapshot's body (as [`Retained::Snapshot`]), then each
-    /// retained segment's records in frame order (as [`Retained::Segment`]).
-    /// It is the only way to read a snapshot back. One file's bytes are in
-    /// memory at a time — the snapshot image is dropped before the first
-    /// segment is read — and none outlives the call. Segments a crash left
-    /// below the snapshot's floor are not read at all (see
+    /// retained segment's records from the snapshot's floor on, in frame
+    /// order (as [`Retained::Segment`]). It is the only way to read a
+    /// snapshot back. One file's bytes are in memory at a time — the
+    /// snapshot image is dropped before the first segment is read — and none
+    /// outlives the call. Segments a crash left below the snapshot's floor
+    /// are not read at all, and the records of a segment that straddles it
+    /// are checksummed but handed over only from the floor on (see
     /// [`Journal::open`]).
     ///
     /// The snapshot is handed over before any segment is read, so a refusal
@@ -391,11 +393,12 @@ impl Journal {
             list_numbered(vfs.as_ref(), &config.dir, SNAPSHOT_FILE_PREFIX, SNAPSHOT_FILE_SUFFIX)?;
         let mut recovered_snapshot: Option<(u64, PathBuf)> = None;
         for (snap_frames, path) in snapshots.iter().rev() {
-            if let Some(image) = read_snapshot(vfs.as_ref(), path, *snap_frames)? {
+            // Dropped at the end of the iteration, before any segment is
+            // read, so the image and a segment buffer are never in memory
+            // together.
+            let image = vfs.read(path).map_err(JournalError::Io)?;
+            if let Some(body) = snapshot_body(path, *snap_frames, &image)? {
                 recovered_snapshot = Some((*snap_frames, path.clone()));
-                // Handed over and dropped before any segment is read, so the
-                // image and a segment buffer are never in memory together.
-                let body = image.get(SNAPSHOT_HEADER_LEN..).unwrap_or_default();
                 sink(Retained::Snapshot { frames: *snap_frames, body })?;
                 break;
             }
@@ -473,11 +476,16 @@ impl Journal {
                 unreachable = true;
             }
             tail = (records.version, count);
-            sink(Retained::Segment(Records {
-                bytes: records.bytes.get(..valid).unwrap_or_default(),
-                ..records
-            }))?;
-            delivered += count;
+            let mut handed =
+                Records { bytes: records.bytes.get(..valid).unwrap_or_default(), ..records };
+            // Records below the floor (a segment that straddles it) were
+            // checksummed above; the snapshot holds their effect.
+            let covered = snapshot_floor.saturating_sub(base).min(count);
+            for _ in 0..covered {
+                handed.next();
+            }
+            sink(Retained::Segment(handed))?;
+            delivered += count - covered;
             retained.push((base, path));
         }
         if truncated > 0 {
@@ -512,25 +520,25 @@ impl Journal {
         }
         let frames = frames.max(snapshot_floor);
 
-        let stale = !retained.is_empty() && tail.0 < JOURNAL_VERSION;
-        if stale && tail.1 == 0 {
-            // An older-format last segment with no record sits at the base a
-            // fresh segment would take: replace it now.
+        // An older-format last segment is never appended to, so no segment
+        // mixes payloads of two versions: the writer starts a fresh segment
+        // at `frames`. One that holds no record sits at that very base.
+        let older_tail = !retained.is_empty() && tail.0 < JOURNAL_VERSION;
+        if older_tail && tail.1 == 0 {
             if let Some((_, path)) = retained.pop() {
                 vfs.remove_file(&path).map_err(JournalError::Io)?;
             }
         }
         let (segment, segment_bytes) = match retained.pop() {
-            Some((base, path)) => {
+            Some((base, path)) if !older_tail => {
                 let file = vfs.open_append(&path).map_err(JournalError::Io)?;
                 let segment_bytes = vfs.file_len(&path).map_err(JournalError::Io)?;
                 (Segment { file, path, base }, segment_bytes)
             }
-            None => (create_segment(vfs.as_ref(), &config.dir, frames)?, SEGMENT_HEADER_LEN as u64),
+            _ => (create_segment(vfs.as_ref(), &config.dir, frames)?, SEGMENT_HEADER_LEN as u64),
         };
         let writer = Writer {
-            // A segment based at `frames` is the fresh one made above.
-            rotate_first: stale && segment.base < frames,
+            rotate_first: false,
             segment,
             segment_bytes,
             unsynced: 0,
@@ -829,7 +837,6 @@ impl Journal {
     fn maybe_sync(&self, writer: &mut Writer) -> Result<(), JournalError> {
         writer.unsynced = writer.unsynced.saturating_add(1);
         let due = match self.config.fsync {
-            FsyncPolicy::PerFrame => true,
             FsyncPolicy::PerBatch(n) => writer.unsynced >= n.max(1),
             FsyncPolicy::Timer(interval) => {
                 let elapsed = self.vfs.now_nanos().saturating_sub(writer.last_sync_nanos);
@@ -1041,15 +1048,16 @@ fn validate_records(bytes: &[u8]) -> (u64, usize) {
     (count, bytes.len() - rest.len())
 }
 
-/// Reads the snapshot at `path` and returns its image if it validates for
-/// `expect_frames` (`None` if it does not);
+/// The checksummed body of a snapshot image. `None` for one that does not
+/// validate: a header that is missing, short or has the wrong magic, a
+/// frame count other than `named`, the one its file name carries, a length
+/// other than the image's, or a failed checksum;
 /// [`JournalError::UnsupportedVersion`] for a newer format.
-fn read_snapshot(
-    vfs: &dyn Vfs,
+fn snapshot_body<'a>(
     path: &Path,
-    expect_frames: u64,
-) -> Result<Option<Vec<u8>>, JournalError> {
-    let bytes = vfs.read(path)?;
+    named: u64,
+    bytes: &'a [u8],
+) -> Result<Option<&'a [u8]>, JournalError> {
     if bytes.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
         return Ok(None);
     }
@@ -1063,28 +1071,16 @@ fn read_snapshot(
             supported: JOURNAL_VERSION,
         });
     }
-    let valid = matches!(parse_snapshot(&bytes), Some((frames, _)) if frames == expect_frames);
-    Ok(valid.then_some(bytes))
-}
-
-/// Parses and checksum-validates a snapshot file image, returning the covered
-/// frame count and the body slice.
-fn parse_snapshot(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    if bytes.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
-        return None;
-    }
-    let version = bytes.get(8..).and_then(be_u16)?;
-    if version > JOURNAL_VERSION {
-        return None;
-    }
-    let frames = bytes.get(10..).and_then(be_u64)?;
-    let len = bytes.get(18..).and_then(be_u32)? as usize;
-    let crc = bytes.get(22..).and_then(be_u32)?;
-    let body = bytes.get(SNAPSHOT_HEADER_LEN..SNAPSHOT_HEADER_LEN + len)?;
-    if SNAPSHOT_HEADER_LEN + len != bytes.len() || crc32(body) != crc {
-        return None;
-    }
-    Some((frames, body))
+    let (Some(frames), Some(len), Some(crc), Some(body)) = (
+        bytes.get(10..).and_then(be_u64),
+        bytes.get(18..).and_then(be_u32),
+        bytes.get(22..).and_then(be_u32),
+        bytes.get(SNAPSHOT_HEADER_LEN..),
+    ) else {
+        return Ok(None);
+    };
+    let valid = frames == named && body.len() == len as usize && crc32(body) == crc;
+    Ok(valid.then_some(body))
 }
 
 /// Creates the segment based at `base`, writes its header and syncs the
@@ -1586,6 +1582,13 @@ mod tests {
         fs::write(&path, bytes).expect("rewrite");
     }
 
+    /// Format version in the header of the segment based at `base` in `dir`.
+    fn segment_version(dir: &Path, base: u64) -> u16 {
+        let path = dir.join(format!("{SEGMENT_FILE_PREFIX}{base:020}{SEGMENT_FILE_SUFFIX}"));
+        let bytes = fs::read(path).expect("segment");
+        u16::from_be_bytes([bytes[8], bytes[9]])
+    }
+
     #[test]
     fn an_older_version_tail_is_never_appended_to() {
         let dir = temp_dir("stale");
@@ -1595,9 +1598,14 @@ mod tests {
         drop(journal);
         set_segment_version(&dir, 0, JOURNAL_VERSION - 1);
         let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
-        assert!(journal.writer.lock().rotate_first, "the older tail is not the append target");
+        // Open closed the older tail: the writer sits on a fresh segment of
+        // this version at the next frame, before any append.
+        assert_eq!(journal.writer.lock().segment.base, 2);
+        assert_eq!(segment_bases(&dir), [0, 2]);
+        assert_eq!(segment_version(&dir, 2), JOURNAL_VERSION);
+        assert!(!journal.writer.lock().rotate_first);
         journal.append_frame(b"new-2").expect("append");
-        assert_eq!(journal.writer.lock().segment.base, 2, "a fresh segment at the next frame");
+        assert_eq!(segment_bases(&dir), [0, 2], "the append joins the fresh segment");
         drop(journal);
         let mut versions = Vec::new();
         let journal =
@@ -1609,7 +1617,7 @@ mod tests {
             })
             .expect("open");
         assert_eq!(versions, [(JOURNAL_VERSION - 1, 2), (JOURNAL_VERSION, 1)]);
-        assert!(!journal.writer.lock().rotate_first);
+        assert_eq!(journal.writer.lock().segment.base, 2, "a current tail is appended to");
         cleanup(&dir);
     }
 
@@ -1625,12 +1633,13 @@ mod tests {
         set_segment_version(&dir, 0, JOURNAL_VERSION - 1);
         set_segment_version(&dir, 1, JOURNAL_VERSION - 1);
         let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");
-        {
-            let writer = journal.writer.lock();
-            assert_eq!(writer.segment.base, 0, "the empty segment is gone");
-            assert!(writer.rotate_first, "the segment below is older too");
-        }
+        // The older empty segment at 1 gave way to a fresh one of this
+        // version at the same base, and the writer sits on it.
+        assert_eq!(journal.writer.lock().segment.base, 1);
+        assert_eq!(segment_bases(&dir), [0, 1]);
+        assert_eq!(segment_version(&dir, 1), JOURNAL_VERSION);
         journal.append_frame(b"new-1").expect("append");
+        assert_eq!(segment_bases(&dir), [0, 1]);
         drop(journal);
         let mut seen = Vec::new();
         let journal = Journal::open(JournalConfig::new(&dir)).expect("reopen");

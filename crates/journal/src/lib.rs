@@ -45,8 +45,8 @@
 //! once. All failure modes are typed [`JournalError`]s — the crate never
 //! panics on corrupt input.
 //!
-//! Durability is tunable via [`FsyncPolicy`] (per-frame, per-batch, or
-//! timer-based fsync). The crate is std-only.
+//! Durability is tunable via [`FsyncPolicy`] (per-batch — a batch of one
+//! syncs every frame — or timer-based fsync). The crate is std-only.
 //!
 //! # Fault injection
 //!

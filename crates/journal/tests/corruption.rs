@@ -450,13 +450,26 @@ fn a_log_repaired_below_the_snapshot_floor_keeps_every_later_frame() {
     drop(journal);
     // What a build from before snapshot grants started segments left: a
     // snapshot at 30, the segment below 20 compacted, and the segment based
-    // at 20 (records 20..35) straddling the floor. Flip the last payload
-    // byte of record 25: the log now ends below the floor.
+    // at 20 (records 20..35) straddling the floor.
     place_snapshot(&dir, 30, b"state at 30");
     let segments = segment_paths(&dir);
     assert_eq!(segments.len(), 2, "{segments:?}");
     fs::remove_file(&segments[0]).expect("compact segment 0");
     assert!(segments[1].ends_with("seg-00000000000000000020.mbdrj"));
+    // The scan hands over, and counts, only the records from the floor on.
+    let mut handed = Vec::new();
+    let journal = Journal::open_and_recover(config.clone(), Arc::new(RealFs), |item| {
+        if let Retained::Segment(records) = item {
+            handed.extend(records.map(|(index, _)| index));
+        }
+        Ok::<(), JournalError>(())
+    })
+    .expect("open");
+    assert_eq!(handed, (30..35).collect::<Vec<u64>>());
+    assert_eq!(journal.stats().recovered_frames, 5);
+    drop(journal);
+    // The records below the floor are still checksummed. Flip the last
+    // payload byte of record 25: the log now ends below the floor.
     let mut bytes = fs::read(&segments[1]).expect("read");
     bytes[18 + 5 * 20 + 19] ^= 0x01;
     fs::write(&segments[1], &bytes).expect("write back");

@@ -236,12 +236,12 @@ fn seeded_fsync_failure_is_conservative_but_loses_nothing() {
     let seed = 3u64;
     let mut rng = SplitMix64::new(seed);
     let victim = 1 + rng.below(4); // append 1..=4 of 6
-                                   // PerFrame: each append consumes record write, sync → 2 ops.
+                                   // PerBatch(1): each append consumes record write, sync → 2 ops.
     let sync_op = OPEN_OPS + 2 * victim + 1;
 
     let dir = temp_dir("fsync");
     let mut config = config(&dir);
-    config.fsync = FsyncPolicy::PerFrame;
+    config.fsync = FsyncPolicy::PerBatch(1);
     let faults = FaultFs::over_real();
     faults.schedule_fault(sync_op, FaultKind::FailFsync);
     let journal = Journal::open_with_vfs(config.clone(), Arc::new(faults.clone())).expect("open");

@@ -1,8 +1,10 @@
 //! The on-disk format is pinned by bytes, not only by constants:
 //! `fixtures/journal-v1/` is a journal directory written by the build that
 //! preceded the slicing-by-8 checksum and the single-write append, in format
-//! version 1. This build must read it back clean, and must append to it only
-//! in a fresh segment of its own version. `fixtures/journal-v2/` was written
+//! version 1. This build must read it back clean; its open rewrites no file
+//! and adds exactly one segment, of its own version, holding no record yet,
+//! at the next frame index, so it never appends to a version-1 segment.
+//! `fixtures/journal-v2/` was written
 //! by the same call sequence in format version 2 (the version that marks
 //! segments of the second frame layout), by the build before snapshot grants
 //! started segments: its first segment straddles the snapshot's floor. This
@@ -14,6 +16,7 @@
 
 use mbdr_journal::{
     FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, JOURNAL_VERSION,
+    SEGMENT_MAGIC,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -140,11 +143,16 @@ fn journal_written_by_the_previous_build_opens_clean_and_replays() {
         // Open a copy: open positions a writer on the last segment.
         let dir = fixture_copy(version, "read");
         drop(open_fixture_clean(version, &dir));
-        assert_eq!(
-            dir_image(&dir),
-            dir_image(&fixture_dir(version)),
-            "a clean open rewrites nothing"
-        );
+        let mut expected = dir_image(&fixture_dir(version));
+        if version < JOURNAL_VERSION {
+            // The writer never sits on an older segment: open starts one of
+            // this version, all header, at the next frame.
+            let base = u64::from(RECORDS).to_be_bytes();
+            let header = [&SEGMENT_MAGIC[..], &JOURNAL_VERSION.to_be_bytes(), &base].concat();
+            expected.push((format!("seg-{RECORDS:020}.mbdrj"), header));
+            expected.sort();
+        }
+        assert_eq!(dir_image(&dir), expected, "a clean open rewrites nothing");
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -157,8 +165,8 @@ fn appends_after_a_version_1_journal_go_to_a_fresh_segment() {
     journal.append_frame(&payload(RECORDS + 1)).expect("append");
     journal.flush().expect("flush");
     drop(journal);
-    // The version-1 segments are untouched; the appends start a segment of
-    // this version at the next frame index.
+    // The version-1 segments are untouched; the appends go to the segment
+    // of this version that open started at the next frame index.
     let before = dir_image(&fixture_dir(1));
     let after = dir_image(&dir);
     for (name, bytes) in &before {
@@ -173,8 +181,8 @@ fn appends_after_a_version_1_journal_go_to_a_fresh_segment() {
     let records: OwnedRecords =
         scanned.segments.into_iter().flat_map(|(_, records)| records).collect();
     let expected: OwnedRecords = (0..RECORDS + 2).map(|i| (u64::from(i), payload(i))).collect();
-    // The scan hands over the segments the snapshot does not cover whole.
-    assert!(expected.ends_with(&records), "{records:?}");
+    // The scan hands over exactly the records from the snapshot's floor on.
+    assert_eq!(records, expected[usize::from(SNAPSHOT_AFTER)..], "{records:?}");
     assert_eq!(journal.frames_appended(), u64::from(RECORDS + 2));
     let mut seen = Vec::new();
     journal.replay(|index, bytes| seen.push((index, bytes.to_vec()))).expect("replay");

@@ -14,16 +14,19 @@
 //! frames appended since its grant, and a recovery reads only frames it
 //! replays (the open scan also finishes a compaction a crash cut short).
 //! A journal written by an earlier build can still hold a segment that
-//! straddles the snapshot's floor: its records below the floor are walked
-//! and checksummed by the scan like every other, but never parsed or
-//! applied ([`RecoveryReport::covered_frames`]). That skip is exact: the
-//! snapshot was collected after every frame below its grant had been
-//! applied, so the staleness-aware [`mbdr_core::ServerTracker`] apply rules
-//! would reject each covered update anyway. The frames at and above the
-//! floor go through those same rules as live traffic, so duplicates from an
-//! imperfect kill point (frames appended after the grant and collected into
-//! the snapshot too) are rejected exactly like reordered network deliveries
-//! would be — no precise per-object replay cursor is needed.
+//! straddles the snapshot's floor: the open scan checksums its records below
+//! the floor like every other, but hands over only those from the floor on.
+//! That skip is exact: the snapshot was collected after every frame below
+//! its grant had been applied, so the staleness-aware
+//! [`mbdr_core::ServerTracker`] apply rules would reject each covered update
+//! anyway. The frames at and above the floor go through those same rules as
+//! live traffic, so duplicates from an imperfect kill point (frames appended
+//! after the grant and collected into the snapshot too) are rejected exactly
+//! like reordered network deliveries would be — no precise per-object
+//! replay cursor is needed.
+//!
+//! A directory written in an older format version is upgraded in place by
+//! the first recovery that opens it (see [`recover_and_attach`]).
 //!
 //! ## Snapshot writes
 //!
@@ -86,6 +89,7 @@
 //! counters keep counting. All fields are relaxed atomics — the state read
 //! on the ingest hot path is a single `AtomicU8` load.
 
+use crate::legacy;
 use crate::service::LocationService;
 use mbdr_core::{decode_snapshot, DecodeError, DurabilityState};
 use mbdr_journal::{
@@ -105,28 +109,20 @@ pub struct RecoveryReport {
     pub restored_objects: u64,
     /// Snapshot entries dropped because their object was not registered.
     pub skipped_objects: u64,
-    /// Frame records the journal handed over from the retained log tail —
-    /// `JournalStatsSnapshot::recovered_frames` of the pass — the
-    /// snapshot-covered ones included.
+    /// Frame records the journal handed over and the pass replayed —
+    /// `JournalStatsSnapshot::recovered_frames` of the pass: the retained
+    /// records from the snapshot's floor on (the open scan checksums, but
+    /// never hands over, any below it; see the module docs).
     pub replayed_frames: u64,
-    /// Of `replayed_frames`, the records whose frame index lies below
-    /// `snapshot_frames`: the snapshot already holds their effect, so they
-    /// are checksummed by the scan but never parsed or applied. The rest,
-    /// `replayed_frames - covered_frames`, are decoded and applied. Always
-    /// 0 on a journal this build wrote, whose segments start at snapshot
-    /// grants; only a segment an earlier build let straddle the floor
-    /// holds covered records.
-    pub covered_frames: u64,
-    /// Updates routed to registered trackers from the frames at or above the
-    /// snapshot's floor. Duplicates still count here — the per-object
-    /// staleness rules silently reject them inside the tracker — so this
-    /// equals the update count of the uncovered frames whenever every
-    /// source is registered. Covered frames' updates are not counted.
+    /// Updates routed to registered trackers from the replayed frames.
+    /// Duplicates still count here — the per-object staleness rules
+    /// silently reject them inside the tracker — so this equals the update
+    /// count of the replayed frames whenever every source is registered.
     pub replayed_updates: u64,
-    /// Uncovered frames that failed wire decoding. Always 0 in practice —
-    /// journal records are checksummed — but a truncated-then-repaired tail
-    /// is reported rather than hidden. A covered record is never decoded,
-    /// so it counts in `covered_frames` whatever its bytes.
+    /// Replayed frames that failed wire decoding (for a frame of an older
+    /// format version: that failed to decode or to re-encode in the current
+    /// layout). Always 0 in practice — journal records are checksummed — but
+    /// a truncated-then-repaired tail is reported rather than hidden.
     pub frame_decode_errors: u64,
     /// Bytes the journal discarded during torn-tail repair at open.
     pub truncated_bytes: u64,
@@ -286,6 +282,13 @@ impl From<JournalError> for RecoverError {
 /// attach it" with an all-zero report, so servers use one code path whether
 /// or not a previous life existed.
 ///
+/// A pass that replayed a segment of an older format version (re-encoded in
+/// the current layout by the private `legacy` module) upgrades the directory
+/// before it attaches the journal: a forced snapshot of the recovered
+/// trackers, whose install compacts every older file away. A failed upgrade
+/// snapshot is returned as [`RecoverError::Journal`] with nothing attached;
+/// the directory still holds every acknowledged frame.
+///
 /// A service that already has a journal is refused with
 /// [`RecoverError::AlreadyAttached`] *before* anything is opened or restored:
 /// a second `Journal::open` on a live directory would be a second writer
@@ -321,7 +324,11 @@ pub fn recover_and_attach_with_vfs(
     }
     let mut pass = Pass::new(service);
     let opened = Journal::open_and_recover(config, vfs, |item| pass.take(item));
+    let upgrade = pass.replayed_older;
     let (journal, report) = pass.finish(opened)?;
+    if upgrade {
+        service.write_forced_snapshot(&journal)?;
+    }
     let journal = Arc::new(journal);
     // Still checked: a concurrent attach may have won since the test above.
     if !service.attach_journal(Arc::clone(&journal)) {
@@ -335,6 +342,8 @@ pub fn recover_and_attach_with_vfs(
 struct Pass<'s> {
     service: &'s LocationService,
     report: RecoveryReport,
+    /// A segment of an older format version was replayed.
+    replayed_older: bool,
     /// When the pass began: just before the journal's scan.
     started: Instant,
     /// Time spent restoring and replaying, inside the scan's callbacks.
@@ -347,6 +356,7 @@ impl<'s> Pass<'s> {
         Pass {
             service,
             report: RecoveryReport::default(),
+            replayed_older: false,
             started: Instant::now(),
             restore: Duration::ZERO,
             replay: Duration::ZERO,
@@ -363,17 +373,14 @@ impl<'s> Pass<'s> {
                 restored
             }
             Retained::Segment(records) => {
-                let version = records.version();
-                let floor = self.report.snapshot_frames;
-                let mut covered = 0;
-                let uncovered = records.filter_map(|(index, bytes)| {
-                    let is_covered = index < floor;
-                    covered += u64::from(is_covered);
-                    (!is_covered).then_some(bytes)
-                });
-                let replayed = self.service.replay_frames(version, uncovered);
-                self.report.covered_frames += covered;
-                self.report.replayed_frames += covered + replayed.frames;
+                let replayed = match legacy::current_frames(&records) {
+                    Some(frames) => {
+                        self.replayed_older = true;
+                        self.service.replay_frames(frames.iter().map(Vec::as_slice))
+                    }
+                    None => self.service.replay_frames(records.map(|(_, bytes)| bytes)),
+                };
+                self.report.replayed_frames += replayed.frames;
                 self.report.replayed_updates += replayed.updates;
                 self.report.frame_decode_errors += replayed.decode_errors;
                 self.replay += began.elapsed();

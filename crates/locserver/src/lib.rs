@@ -64,6 +64,7 @@
 
 pub mod config;
 mod durable;
+mod legacy;
 pub mod service;
 mod shard;
 pub mod zones;

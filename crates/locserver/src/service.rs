@@ -15,16 +15,13 @@ use crate::durable::{
 };
 use crate::shard::{CandidateScratch, Shard, ShardState};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
-use mbdr_core::{wire, DecodeError, FrameView, HealthStatus, Predictor, Update};
+use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{Journal, JournalError};
 use mbdr_spatial::first_ring_radius;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-/// The first journal format version whose segments hold frames of the
-/// current wire layout; older segments hold version-1 frames.
-const FIRST_V2_JOURNAL_VERSION: u16 = 2;
+use std::io;
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::{mpsc, Arc, OnceLock};
@@ -423,7 +420,7 @@ impl LocationService {
     pub(crate) fn snapshot_to_journal(&self, journal: &Journal) {
         match self.timed_grant(journal, Journal::try_begin_snapshot) {
             Ok(Some(frames)) => {
-                self.write_snapshot(journal, frames);
+                let _ = self.write_snapshot(journal, frames);
             }
             Ok(None) => {}
             Err(_) => self.durability.enter_degraded(),
@@ -458,9 +455,10 @@ impl LocationService {
 
     /// Encodes and installs a snapshot for a grant already obtained from
     /// [`Journal::begin_snapshot`] / [`Journal::begin_forced_snapshot`].
-    /// Returns whether the snapshot was durably installed; failures are
-    /// counted on the journal and release the grant.
-    fn write_snapshot(&self, journal: &Journal, frames: u64) -> bool {
+    /// `Ok` once the snapshot is durably installed; failures are counted on
+    /// the journal and release the grant, and a body that fails to encode
+    /// is returned as an [`io::ErrorKind::InvalidData`] error.
+    fn write_snapshot(&self, journal: &Journal, frames: u64) -> Result<(), JournalError> {
         let timers = &self.snapshots;
         let began = Instant::now();
         let entries = self.collect_snapshot_entries();
@@ -469,19 +467,25 @@ impl LocationService {
         let mut body = Vec::new();
         let encoded = encode_snapshot_into(frames, &entries, &mut body);
         timers.encode.record_duration(began.elapsed());
-        if encoded.is_err() {
+        if let Err(err) = encoded {
             journal.note_write_error();
             journal.abort_snapshot();
-            return false;
+            return Err(JournalError::Io(io::Error::new(io::ErrorKind::InvalidData, err)));
         }
         let began = Instant::now();
         let installed = journal.install_snapshot(frames, &body);
         timers.install.record_duration(began.elapsed());
-        if installed.is_err() {
-            journal.note_write_error();
-            return false;
-        }
-        true
+        installed.inspect_err(|_| journal.note_write_error())
+    }
+
+    /// Claims a forced snapshot ([`Journal::begin_forced_snapshot`]) and
+    /// writes the current tracker state into it. A grant refused — another
+    /// snapshot in flight, or a failed rotation — is an error too.
+    pub(crate) fn write_forced_snapshot(&self, journal: &Journal) -> Result<(), JournalError> {
+        let granted = self.timed_grant(journal, |journal| Ok(journal.begin_forced_snapshot()))?;
+        let frames = granted
+            .ok_or_else(|| JournalError::Io(io::Error::other("forced snapshot not granted")))?;
+        self.write_snapshot(journal, frames)
     }
 
     /// One durability re-probe: if the service is degraded, checks whether
@@ -510,13 +514,10 @@ impl LocationService {
         if journal.repair_and_sync().is_err() {
             return false;
         }
-        let forced = self.timed_grant(journal, |journal| Ok(journal.begin_forced_snapshot()));
-        let Ok(Some(frames)) = forced else {
-            // A threshold snapshot is in flight, or the rotation failed (the
-            // next probe repairs what it left); back off and retry.
-            return false;
-        };
-        if !self.write_snapshot(journal, frames) {
+        if self.write_forced_snapshot(journal).is_err() {
+            // A threshold snapshot is in flight, the rotation failed (the
+            // next probe repairs what it left) or the write did; back off
+            // and retry.
             return false;
         }
         self.durability.mark_recovered();
@@ -588,21 +589,11 @@ impl LocationService {
     /// no index work: only an object's last state is ever indexed, so a
     /// recovery pass ends with one [`LocationService::rebuild_indexes`]
     /// instead of re-anchoring per replayed update.
-    ///
-    /// `version` is the journal format version of the segment the frames
-    /// come from: segments of version 1 hold frames of the version-1 layout
-    /// ([`mbdr_core::wire::v1`]), every later one the current layout.
-    pub(crate) fn replay_frames<'a>(
-        &self,
-        version: u16,
-        frames: impl Iterator<Item = &'a [u8]>,
-    ) -> Replayed {
-        let v1 = version < FIRST_V2_JOURNAL_VERSION;
+    pub(crate) fn replay_frames<'a>(&self, frames: impl Iterator<Item = &'a [u8]>) -> Replayed {
         let mut replayed = Replayed::default();
         let routed = frames.filter_map(|bytes| {
             replayed.frames += 1;
-            let source =
-                if v1 { wire::v1::peek_source(bytes) } else { FrameView::peek_source(bytes) };
+            let source = FrameView::peek_source(bytes);
             replayed.decode_errors += u64::from(source.is_none());
             source.map(|source| (ObjectId(source), bytes))
         });
@@ -610,14 +601,8 @@ impl LocationService {
         let per_shard = write_each(jobs.into_iter(), |s, bucket| {
             let mut counts = Replayed::default();
             for bytes in bucket {
-                let routed = if v1 {
-                    wire::v1::decode(bytes).map(|frame| {
-                        s.replay_updates(ObjectId(frame.source), frame.updates.into_iter())
-                    })
-                } else {
-                    FrameView::parse(bytes)
-                        .map(|view| s.replay_updates(ObjectId(view.source()), view.updates()))
-                };
+                let routed = FrameView::parse(bytes)
+                    .map(|view| s.replay_updates(ObjectId(view.source()), view.updates()));
                 match routed {
                     Ok(routed) => counts.updates += routed as u64,
                     Err(_) => counts.decode_errors += 1,

@@ -242,7 +242,6 @@ fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
         let recovered = fleet();
         let (journal, report) = recover_and_attach(&recovered, config).expect("recover");
         assert_eq!(report.snapshot_frames, grant_at as u64, "case {case}: {report:?}");
-        assert_eq!(report.covered_frames, 0, "case {case}: {report:?}");
         assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "case {case}");
         assert_eq!(report.frame_decode_errors, 0, "case {case}");
         assert_equivalent(&recovered, &twin, 10.0);

@@ -14,8 +14,8 @@ use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{
-    FaultFs, FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs, VfsFile,
-    JOURNAL_VERSION,
+    FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig, JournalError, RealFs, Retained, Vfs,
+    VfsFile, JOURNAL_VERSION,
 };
 use mbdr_locserver::{
     recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, RecoverError,
@@ -181,8 +181,7 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
     );
     // The snapshot's grant started a segment at its floor and compaction
     // deleted every segment below: the tail holds exactly the frames past
-    // the floor, none of them covered.
-    assert_eq!(report.covered_frames, 0, "{report:?}");
+    // the floor.
     assert_eq!(
         report.snapshot_frames + report.replayed_frames,
         crash_at as u64,
@@ -209,7 +208,6 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
     // Third generation: recover again over the full history.
     let third = fleet();
     let (_journal, report) = recover_and_attach(&third, journal_config(&dir)).expect("recovery 2");
-    assert_eq!(report.covered_frames, 0, "{report:?}");
     assert_eq!(report.snapshot_frames + report.replayed_frames, frames.len() as u64, "{report:?}");
     assert_equivalent(&third, &twin, 70.0);
     let _ = fs::remove_dir_all(&dir);
@@ -279,13 +277,25 @@ fn v1_frame(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Format version of each segment in `dir`, in frame order.
-fn segment_versions(dir: &Path) -> Vec<u16> {
-    dir_image(dir)
-        .into_iter()
-        .filter(|(path, _)| path.to_string_lossy().ends_with(".mbdrj"))
-        .map(|(_, bytes)| u16::from_be_bytes([bytes[8], bytes[9]]))
-        .collect()
+/// Format version of each segment and snapshot file in `dir`, by name.
+fn file_versions(dir: &Path) -> Vec<u16> {
+    dir_image(dir).into_iter().map(|(_, bytes)| u16::from_be_bytes([bytes[8], bytes[9]])).collect()
+}
+
+/// A journal as the builds before frame version 2 left it in `config.dir`:
+/// `frames` as version-1 frames, in segments whose headers say format
+/// version 1.
+fn write_v1_journal(config: &JournalConfig, frames: &[Vec<u8>]) {
+    let journal = Journal::open(config.clone()).expect("open");
+    for bytes in frames {
+        journal.append_frame(&v1_frame(bytes)).expect("append");
+    }
+    journal.flush().expect("flush");
+    drop(journal);
+    for (path, mut bytes) in dir_image(&config.dir) {
+        bytes[8..10].copy_from_slice(&1u16.to_be_bytes());
+        fs::write(path, bytes).expect("write back");
+    }
 }
 
 #[test]
@@ -295,38 +305,24 @@ fn a_version_1_journal_upgrades_in_place_and_recovers_bit_identical() {
     let written_by_v1 = frames.len() / 2;
     // Log only, so every version-1 segment stays to be replayed at the end.
     let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    write_v1_journal(&config, &frames[..written_by_v1]);
+    assert!(file_versions(&dir).len() > 1, "the version-1 log spans segments");
 
-    // A journal as the previous build left it: version-1 frames in
-    // segments whose headers say format version 1.
-    let journal = Journal::open(config.clone()).expect("open");
-    for bytes in &frames[..written_by_v1] {
-        journal.append_frame(&v1_frame(bytes)).expect("append");
-    }
-    journal.flush().expect("flush");
-    drop(journal);
-    for (path, mut bytes) in dir_image(&dir) {
-        bytes[8..10].copy_from_slice(&1u16.to_be_bytes());
-        fs::write(path, bytes).expect("write back");
-    }
-    let v1_segments = segment_versions(&dir).len();
-    assert!(v1_segments > 1, "the version-1 log spans segments");
-
-    // This build recovers it and keeps ingesting: its frames land in fresh
-    // segments of its own version, never in the version-1 tail.
+    // This build recovers every frame, and its upgrade snapshot leaves only
+    // files of its own version: the snapshot and a segment at its floor.
     let primary = fleet();
     let (journal, report) = recover_and_attach(&primary, config.clone()).expect("upgrade");
     assert_eq!(report.replayed_frames, written_by_v1 as u64, "{report:?}");
     assert_eq!(report.frame_decode_errors, 0, "{report:?}");
+    assert_eq!(primary.snapshot_stages().grant.count(), 1, "one upgrade snapshot");
+    assert_eq!(file_versions(&dir), [JOURNAL_VERSION; 2]);
+    assert_eq!(segment_bases(&dir), [written_by_v1 as u64]);
     for bytes in &frames[written_by_v1..] {
         primary.apply_frame_bytes(bytes).expect("apply");
     }
     journal.flush().expect("flush");
     drop(primary);
     drop(journal);
-    let versions = segment_versions(&dir);
-    assert_eq!(versions[..v1_segments], vec![1; v1_segments][..], "{versions:?}");
-    assert!(versions[v1_segments..].iter().all(|&v| v == JOURNAL_VERSION), "{versions:?}");
-    assert!(versions.len() > v1_segments, "{versions:?}");
 
     // Tear the tail: the last record loses its final byte.
     let (newest, bytes) = dir_image(&dir)
@@ -335,26 +331,51 @@ fn a_version_1_journal_upgrades_in_place_and_recovers_bit_identical() {
         .expect("a segment");
     fs::write(&newest, &bytes[..bytes.len() - 1]).expect("tear");
 
+    // The second recovery finds no older file: no upgrade snapshot.
     let twin = fleet();
     for bytes in &frames[..frames.len() - 1] {
         twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     let recovered = fleet();
-    let (journal, report) = recover_and_attach(&recovered, config.clone()).expect("recovery");
-    assert_eq!(report.replayed_frames, frames.len() as u64 - 1, "{report:?}");
+    let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
+    assert_eq!(report.snapshot_frames, written_by_v1 as u64, "{report:?}");
+    assert_eq!(report.replayed_frames, (frames.len() - 1 - written_by_v1) as u64, "{report:?}");
     assert_eq!(report.frame_decode_errors, 0, "{report:?}");
     assert!(report.truncated_bytes > 0, "{report:?}");
+    assert_eq!(recovered.snapshot_stages().grant.count(), 0, "nothing left to upgrade");
     assert_equivalent(&recovered, &twin, 50.0);
-    drop(recovered);
-    drop(journal);
+    let _ = fs::remove_dir_all(&dir);
+}
 
-    // A second open reads every frame again, both layouts.
-    let again = fleet();
-    let (_journal, report) = recover_and_attach(&again, config).expect("second recovery");
-    assert_eq!(report.replayed_frames, frames.len() as u64 - 1, "{report:?}");
-    assert_eq!(report.frame_decode_errors, 0, "{report:?}");
-    assert_eq!(report.truncated_bytes, 0, "{report:?}");
-    assert_equivalent(&again, &twin, 50.0);
+/// A failed upgrade snapshot is the journal's typed error with nothing
+/// attached, and a fresh service then recovers every acknowledged frame.
+#[test]
+fn a_failed_upgrade_snapshot_refuses_recovery_and_loses_nothing() {
+    let dir = temp_dir("upgrade-fault");
+    let frames = encoded_frames(8);
+    let config = JournalConfig { snapshot_every_frames: 0, ..journal_config(&dir) };
+    write_v1_journal(&config, &frames);
+    // Reads count no operation: the open's fresh segment is ops 0 (create)
+    // and 1 (header write), so op 2 is the upgrade snapshot's temp file.
+    let faults = FaultFs::over_real();
+    faults.schedule_fault(2, FaultKind::NoSpace);
+    let refused = fleet();
+    let Err(err) = recover_and_attach_with_vfs(&refused, config.clone(), Arc::new(faults)) else {
+        panic!("the upgrade snapshot fails");
+    };
+    let full = |e: &io::Error| e.kind() == io::ErrorKind::StorageFull;
+    assert!(matches!(&err, RecoverError::Journal(JournalError::Io(e)) if full(e)), "{err:?}");
+    assert!(refused.journal().is_none(), "nothing attached");
+
+    let twin = fleet();
+    for bytes in &frames {
+        twin.apply_frame_bytes(bytes).expect("twin apply");
+    }
+    let recovered = fleet();
+    let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
+    assert_eq!(report.replayed_frames, frames.len() as u64, "{report:?}");
+    assert!(file_versions(&dir).iter().all(|&v| v == JOURNAL_VERSION));
+    assert_equivalent(&recovered, &twin, 30.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -448,9 +469,9 @@ fn assert_same_index_and_answers(a: &LocationService, b: &LocationService, t: f6
 
 /// The report of the serial recovery the parallel one must match: one
 /// decode, then one tracker write per snapshot entry and per frame at or
-/// above the snapshot's floor, in journal order; frames below it are only
-/// counted as covered. Read from a copy of `dir`, so the recovery under
-/// test opens the directory as the crash left it.
+/// above the snapshot's floor, in journal order; frames below it count
+/// nowhere. Read from a copy of `dir`, so the recovery under test opens the
+/// directory as the crash left it.
 fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport {
     let copy = temp_dir("serial-oracle");
     fs::create_dir_all(&copy).expect("oracle dir");
@@ -471,14 +492,19 @@ fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport
     })
     .expect("oracle open");
     let floor = report.snapshot_frames;
-    report.replayed_frames = journal
-        .replay(|index, bytes| match Frame::decode(bytes) {
-            _ if index < floor => report.covered_frames += 1,
-            Ok(frame) if registered(frame.source) => {
-                report.replayed_updates += frame.updates.len() as u64;
+    journal
+        .replay(|index, bytes| {
+            if index < floor {
+                return;
             }
-            Ok(_) => {}
-            Err(_) => report.frame_decode_errors += 1,
+            report.replayed_frames += 1;
+            match Frame::decode(bytes) {
+                Ok(frame) if registered(frame.source) => {
+                    report.replayed_updates += frame.updates.len() as u64;
+                }
+                Ok(_) => {}
+                Err(_) => report.frame_decode_errors += 1,
+            }
         })
         .expect("oracle replay");
     report.truncated_bytes = journal.stats().truncated_bytes;
@@ -552,7 +578,6 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
         let (journal, report) = recover_and_attach(&recovered, journal_config).expect("recovery");
         assert_eq!(report, expected, "{what}: parallel and serial recovery disagree");
         assert_eq!(report.frame_decode_errors, 1, "{what}: {report:?}");
-        assert_eq!(report.covered_frames, 0, "{what}: segments start at grants: {report:?}");
         assert!(
             report.snapshot_frames + report.replayed_frames > crash_at as u64,
             "{what}: {report:?}"
@@ -582,71 +607,6 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
     }
     assert!(snapshot_recoveries >= 8, "most seeds restore a snapshot: {snapshot_recoveries}");
     assert!(skipping_recoveries >= 8, "most seeds skip strangers: {skipping_recoveries}");
-}
-
-/// A journal written before snapshot grants started segments: one segment
-/// that straddles the snapshot's floor holds, below the floor, a
-/// checksummed record that is no frame. Recovery walks it with the scan but
-/// never decodes it: the report counts it as covered, not as a decode
-/// error, and the recovered service answers like its uninterrupted twin.
-///
-/// The layout is put together from two journals fed the same records: the
-/// primary's, which never snapshots, holds every record in one segment, and
-/// a shadow service's, which snapshots every 30 frames, supplies its newest
-/// snapshot file.
-#[test]
-fn covered_frames_are_skipped_undecoded_even_when_they_are_no_frame() {
-    let dir = temp_dir("covered-garbage");
-    let shadow_dir = temp_dir("covered-garbage-shadow");
-    let frames = encoded_frames(8);
-    let config = JournalConfig {
-        // One segment for the whole life, and no snapshot of its own.
-        segment_max_bytes: 1024 * 1024,
-        snapshot_every_frames: 0,
-        ..journal_config(&dir)
-    };
-    let shadow_config = JournalConfig { snapshot_every_frames: 30, ..journal_config(&shadow_dir) };
-    let primary = fleet();
-    let shadow = fleet();
-    let twin = fleet();
-    let (journal, _) = recover_and_attach(&primary, config.clone()).expect("attach");
-    let (shadow_journal, _) = recover_and_attach(&shadow, shadow_config).expect("attach shadow");
-    for (i, bytes) in frames.iter().enumerate() {
-        if i == 5 {
-            // Frame index 5: checksummed garbage, well below the first grant.
-            journal.append_frame(&[0xEE; 11]).expect("append garbage");
-            shadow_journal.append_frame(&[0xEE; 11]).expect("append garbage");
-        }
-        primary.apply_frame_bytes(bytes).expect("primary apply");
-        shadow.apply_frame_bytes(bytes).expect("shadow apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
-    }
-    let appended = journal.stats().appends;
-    assert_eq!(appended, frames.len() as u64 + 1);
-    assert!(shadow_journal.stats().snapshots > 0);
-    drop((primary, shadow));
-    drop((journal, shadow_journal));
-    assert_eq!(files_ending_in(&dir, ".mbdrj").1, 1, "one segment holds every frame");
-    for entry in fs::read_dir(&shadow_dir).expect("read dir") {
-        let path = entry.expect("entry").path();
-        if path.to_string_lossy().ends_with(".mbdrs") {
-            fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy snapshot");
-        }
-    }
-
-    let recovered = fleet();
-    let (journal, report) = recover_and_attach(&recovered, config).expect("recovery");
-    assert!(report.snapshot_frames > 5, "the garbage lies below the floor: {report:?}");
-    assert_eq!(report.covered_frames, report.snapshot_frames, "{report:?}");
-    assert_eq!(report.replayed_frames, appended, "every retained record is handed over");
-    assert_eq!(report.replayed_frames, journal.stats().recovered_frames);
-    assert_eq!(report.frame_decode_errors, 0, "a covered record is never decoded");
-    // Three updates per uncovered frame, every source registered.
-    assert_eq!(report.replayed_updates, 3 * (appended - report.covered_frames), "{report:?}");
-    assert_equivalent(&recovered, &twin, 40.0);
-    drop(journal);
-    let _ = fs::remove_dir_all(&dir);
-    let _ = fs::remove_dir_all(&shadow_dir);
 }
 
 /// Bases of the segment files in `dir`, ascending.
@@ -699,7 +659,6 @@ fn a_forced_snapshot_after_a_probe_starts_a_segment_at_its_floor() {
     let recovered = fleet();
     let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
     assert_eq!(report.snapshot_frames, kill_at as u64, "{report:?}");
-    assert_eq!(report.covered_frames, 0, "{report:?}");
     assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "{report:?}");
     assert_equivalent(&recovered, &twin, 20.0);
     let _ = fs::remove_dir_all(&dir);
