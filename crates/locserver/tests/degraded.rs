@@ -2,9 +2,9 @@
 //! service to Degraded (serving continues, un-journaled applies are counted
 //! exactly), a re-probe against the healed disk repairs the journal, installs
 //! a forced snapshot and flips back to Recovered — and a fresh process
-//! recovering from that directory answers every query bit-identically to an
-//! uninterrupted in-memory twin, because the forced snapshot covers the
-//! degraded window.
+//! recovering from that directory answers every query bit-identically to the
+//! reference model (`mbdr_model::Model`) fed every acknowledged frame,
+//! because the forced snapshot covers the degraded window.
 
 use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, UpdateKind};
 use mbdr_geo::rng::SplitMix64;
@@ -13,6 +13,7 @@ use mbdr_journal::{FaultFs, FaultKind, FsyncPolicy, Journal, JournalConfig};
 use mbdr_locserver::{
     recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, ServiceConfig,
 };
+use mbdr_model::{assert_answers, Model};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -80,18 +81,19 @@ fn attach_faulty(service: &LocationService, fault: &FaultFs, dir: &Path) -> Arc<
         .0
 }
 
-fn assert_equivalent(recovered: &LocationService, twin: &LocationService, t_max: f64) {
-    assert_eq!(recovered.total_updates(), twin.total_updates());
+/// Asserts that `recovered` answers like the model fed `frames` every 3.5 s
+/// up to `t_max`: one rect, nearest five from the origin.
+fn assert_matches(recovered: &LocationService, frames: &[Vec<u8>], t_max: f64) {
+    let mut model = Model::default();
+    for i in 0..OBJECTS {
+        model.register(ObjectId(i), Arc::new(LinearPredictor));
+    }
+    for bytes in frames {
+        model.apply_frame_bytes(bytes).expect("model apply");
+    }
     let area = Aabb::new(Point::new(-2000.0, -2000.0), Point::new(2000.0, 2000.0));
-    let mut t = 0.0;
-    while t <= t_max {
-        assert_eq!(recovered.objects_in_rect(&area, t), twin.objects_in_rect(&area, t), "t={t}");
-        assert_eq!(
-            recovered.nearest_objects(&Point::ORIGIN, t, 5),
-            twin.nearest_objects(&Point::ORIGIN, t, 5),
-            "t={t}"
-        );
-        t += 3.5;
+    for t in (0..).map(|i| f64::from(i) * 3.5).take_while(|&t| t <= t_max) {
+        assert_answers(recovered, &model, t, &[area], &[Point::ORIGIN], &[5], "recovered");
     }
 }
 
@@ -104,12 +106,10 @@ fn disk_death_degrades_heals_and_loses_no_acknowledged_frame() {
     let fault = FaultFs::over_real();
     let primary = fleet();
     let journal = attach_faulty(&primary, &fault, &dir);
-    let twin = fleet();
 
     // Phase 1: durable ingest.
     for bytes in &frames[..kill_at] {
         primary.apply_frame_bytes(bytes).expect("durable apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     assert_eq!(primary.health_status().state, DurabilityState::Durable);
     assert_eq!(journal.frames_appended(), kill_at as u64);
@@ -120,7 +120,6 @@ fn disk_death_degrades_heals_and_loses_no_acknowledged_frame() {
     fault.set_dead(true);
     for bytes in &frames[kill_at..heal_at] {
         primary.apply_frame_bytes(bytes).expect("degraded apply still serves");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     let health = primary.health_status();
     assert_eq!(health.state, DurabilityState::Degraded);
@@ -152,7 +151,6 @@ fn disk_death_degrades_heals_and_loses_no_acknowledged_frame() {
     // Phase 4: recovered ingest journals again.
     for bytes in &frames[heal_at..] {
         primary.apply_frame_bytes(bytes).expect("recovered apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     assert_eq!(journal.frames_appended(), (kill_at + frames.len() - heal_at) as u64);
     assert_eq!(primary.health_status().degraded_frames, (heal_at - kill_at) as u64);
@@ -161,15 +159,15 @@ fn disk_death_degrades_heals_and_loses_no_acknowledged_frame() {
     drop(journal);
 
     // Phase 5: a fresh process recovering from the directory matches the
-    // uninterrupted twin exactly — every acknowledged frame survived, because
-    // the forced snapshot re-established the durability floor above the
-    // un-journaled window.
+    // model fed every frame exactly — every acknowledged frame survived,
+    // because the forced snapshot re-established the durability floor above
+    // the un-journaled window.
     let recovered = fleet();
     let (journal, report) = recover_and_attach(&recovered, journal_config(&dir)).expect("recover");
     assert_eq!(report.snapshot_frames, kill_at as u64, "{report:?}");
     assert_eq!(report.restored_objects, OBJECTS);
     assert_eq!(report.frame_decode_errors, 0);
-    assert_equivalent(&recovered, &twin, 10.0);
+    assert_matches(&recovered, &frames, 10.0);
     assert_eq!(recovered.health_status().state, DurabilityState::Durable);
     drop(journal);
     let _ = fs::remove_dir_all(&dir);
@@ -206,10 +204,8 @@ fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
         let (journal, _) =
             recover_and_attach_with_vfs(&primary, config.clone(), Arc::new(fault.clone()))
                 .expect("recover over FaultFs");
-        let twin = fleet();
         for bytes in &frames[..grant_at - 1] {
             primary.apply_frame_bytes(bytes).expect("durable apply");
-            twin.apply_frame_bytes(bytes).expect("twin apply");
         }
         // The next frame's append is one op; the grant it triggers rotates.
         let rotation = fault.ops() + 1;
@@ -218,7 +214,6 @@ fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
         }
         for bytes in &frames[grant_at - 1..heal_at] {
             primary.apply_frame_bytes(bytes).expect("apply still serves");
-            twin.apply_frame_bytes(bytes).expect("twin apply");
         }
         assert_eq!(fault.pending_faults(), 0, "case {case}: every fault fired");
         let health = primary.health_status();
@@ -233,7 +228,6 @@ fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
         assert_eq!(journal.stats().snapshots, 1, "case {case}: a forced snapshot");
         for bytes in &frames[heal_at..] {
             primary.apply_frame_bytes(bytes).expect("recovered apply");
-            twin.apply_frame_bytes(bytes).expect("twin apply");
         }
         journal.flush().expect("flush");
         drop(primary);
@@ -244,7 +238,7 @@ fn a_failed_grant_rotation_degrades_and_loses_no_acknowledged_frame() {
         assert_eq!(report.snapshot_frames, grant_at as u64, "case {case}: {report:?}");
         assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "case {case}");
         assert_eq!(report.frame_decode_errors, 0, "case {case}");
-        assert_equivalent(&recovered, &twin, 10.0);
+        assert_matches(&recovered, &frames, 10.0);
         drop(journal);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,13 +1,16 @@
 //! Kill-and-recover equivalence: a service rebuilt from its journal
-//! (snapshot + tail replay) must answer every query **bit-identically** to an
-//! uninterrupted twin that applied the same frames in memory — rect id sets
-//! and positions, nearest-neighbour sequences, and zone enter/leave events.
+//! (snapshot + tail replay) must answer every query **bit-identically** to
+//! the reference model (`mbdr_model::Model`) fed every acknowledged frame —
+//! rect id sets and positions (over the zones a `ZoneWatcher` would watch
+//! too: its events are a function of those rect answers), nearest-neighbour
+//! sequences, every object's position and the update count.
 //!
 //! Recovery writes trackers only and derives every shard's spatial index once
-//! at the end, so the second half of this file holds the *index* to the same
-//! standard: a rebuilt index equals one maintained update by update, recovery
-//! into a service that already holds indexed state re-derives it from the
-//! trackers, and a refused attach touches neither disk nor service.
+//! at the end, so the second half of this file holds the *index* to the
+//! standard of an uninterrupted twin: a rebuilt index equals one maintained
+//! update by update, recovery into a service that already holds indexed
+//! state re-derives it from the trackers, and a refused attach touches
+//! neither disk nor service.
 
 use mbdr_core::{decode_snapshot, encode_snapshot_into, Frame, SnapshotEntry};
 use mbdr_core::{LinearPredictor, ObjectState, Update, UpdateKind};
@@ -19,8 +22,9 @@ use mbdr_journal::{
 };
 use mbdr_locserver::{
     recover_and_attach, recover_and_attach_with_vfs, LocationService, ObjectId, RecoverError,
-    RecoveryReport, ServiceConfig, ZoneWatcher,
+    RecoveryReport, ServiceConfig,
 };
+use mbdr_model::{assert_answers, Model};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -46,6 +50,18 @@ fn fleet() -> LocationService {
         service.register(ObjectId(i), Arc::new(LinearPredictor));
     }
     service
+}
+
+/// A model of `objects` linear movers, fed `frames`.
+fn model_of(objects: u64, frames: &[Vec<u8>]) -> Model {
+    let mut model = Model::default();
+    for i in 0..objects {
+        model.register(ObjectId(i), Arc::new(LinearPredictor));
+    }
+    for bytes in frames {
+        model.apply_frame_bytes(bytes).expect("model apply");
+    }
+    model
 }
 
 /// Deterministic pre-encoded frames: round-robin over the fleet, three
@@ -77,57 +93,20 @@ fn encoded_frames(rounds: u64) -> Vec<Vec<u8>> {
     out
 }
 
-/// Asserts the two services answer rect, nearest and zone queries with
-/// exactly the same bits, across a grid of query times and areas.
-fn assert_equivalent(recovered: &LocationService, twin: &LocationService, t_max: f64) {
-    assert_eq!(recovered.total_updates(), twin.total_updates(), "update counts diverge");
+/// Asserts that `recovered` answers like `model` every 2.5 s up to `t_max`:
+/// rects over three areas and the two zones of a downtown watcher, nearest
+/// five from two vantage points.
+fn assert_matches(recovered: &LocationService, model: &Model, t_max: f64) {
     let areas = [
         Aabb::new(Point::new(-2000.0, -2000.0), Point::new(2000.0, 2000.0)),
         Aabb::new(Point::new(-500.0, -500.0), Point::new(500.0, 500.0)),
         Aabb::new(Point::new(0.0, -2000.0), Point::new(2000.0, 0.0)),
+        Aabb::new(Point::new(-800.0, -800.0), Point::new(800.0, 800.0)),
+        Aabb::new(Point::new(0.0, -2000.0), Point::new(2000.0, 2000.0)),
     ];
     let vantage = [Point::new(0.0, 0.0), Point::new(-1500.0, 900.0)];
-    let mut t = 0.0;
-    while t <= t_max {
-        for area in &areas {
-            assert_eq!(
-                recovered.objects_in_rect(area, t),
-                twin.objects_in_rect(area, t),
-                "rect answers diverge at t={t}"
-            );
-        }
-        for from in &vantage {
-            assert_eq!(
-                recovered.nearest_objects(from, t, 5),
-                twin.nearest_objects(from, t, 5),
-                "nearest answers diverge at t={t}"
-            );
-        }
-        for i in 0..OBJECTS {
-            assert_eq!(
-                recovered.position_of(ObjectId(i), t),
-                twin.position_of(ObjectId(i), t),
-                "position diverges for object {i} at t={t}"
-            );
-        }
-        t += 7.5;
-    }
-    // Zone transitions depend on every intermediate evaluation, so two fresh
-    // watchers walked over the same times must emit identical event streams.
-    let mut watcher_a = ZoneWatcher::new();
-    let mut watcher_b = ZoneWatcher::new();
-    for w in [&mut watcher_a, &mut watcher_b] {
-        w.add_zone("downtown", Aabb::new(Point::new(-800.0, -800.0), Point::new(800.0, 800.0)));
-        w.add_zone("east", Aabb::new(Point::new(0.0, -2000.0), Point::new(2000.0, 2000.0)));
-    }
-    let mut t = 0.0;
-    while t <= t_max {
-        assert_eq!(
-            watcher_a.evaluate(recovered, t),
-            watcher_b.evaluate(twin, t),
-            "zone events diverge at t={t}"
-        );
-        t += 5.0;
+    for t in (0..).map(|i| f64::from(i) * 2.5).take_while(|&t| t <= t_max) {
+        assert_answers(recovered, model, t, &areas, &vantage, &[5], "recovered");
     }
 }
 
@@ -162,12 +141,6 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
     drop(primary);
     drop(journal);
 
-    // Twin: same frames, purely in memory, never interrupted.
-    let twin = fleet();
-    for bytes in &frames[..crash_at] {
-        twin.apply_frame_bytes(bytes).expect("twin apply");
-    }
-
     // Recovered: fresh process, state rebuilt from snapshot + tail.
     let recovered = fleet();
     let (journal, report) = recover_and_attach(&recovered, journal_config(&dir)).expect("recovery");
@@ -187,15 +160,15 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
         crash_at as u64,
         "snapshot + tail must cover the journaled prefix exactly: {report:?}"
     );
-    assert_equivalent(&recovered, &twin, 70.0);
+    assert_matches(&recovered, &model_of(OBJECTS, &frames[..crash_at]), 70.0);
 
-    // Both keep serving: apply the remaining frames to each and re-compare.
-    // The recovered service keeps journaling while it does.
+    // It keeps serving: apply the remaining frames and re-compare. The
+    // recovered service keeps journaling while it does.
     for bytes in &frames[crash_at..] {
         recovered.apply_frame_bytes(bytes).expect("recovered apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
-    assert_equivalent(&recovered, &twin, 70.0);
+    let model = model_of(OBJECTS, &frames);
+    assert_matches(&recovered, &model, 70.0);
     let stats = journal.stats();
     assert_eq!(
         stats.recovered_frames + stats.appends,
@@ -209,7 +182,7 @@ fn killed_service_recovers_bit_identical_to_uninterrupted_twin() {
     let third = fleet();
     let (_journal, report) = recover_and_attach(&third, journal_config(&dir)).expect("recovery 2");
     assert_eq!(report.snapshot_frames + report.replayed_frames, frames.len() as u64, "{report:?}");
-    assert_equivalent(&third, &twin, 70.0);
+    assert_matches(&third, &model, 70.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -253,12 +226,8 @@ fn torn_tail_recovers_to_the_last_complete_frame() {
     assert!(report.truncated_bytes > 0, "{report:?}");
     assert_eq!(report.frame_decode_errors, 0);
 
-    // The twin that never saw the torn final frame is the ground truth.
-    let twin = fleet();
-    for bytes in &frames[..frames.len() - 1] {
-        twin.apply_frame_bytes(bytes).expect("twin apply");
-    }
-    assert_equivalent(&recovered, &twin, 30.0);
+    // The model that never saw the torn final frame is the ground truth.
+    assert_matches(&recovered, &model_of(OBJECTS, &frames[..frames.len() - 1]), 30.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -332,10 +301,6 @@ fn a_version_1_journal_upgrades_in_place_and_recovers_bit_identical() {
     fs::write(&newest, &bytes[..bytes.len() - 1]).expect("tear");
 
     // The second recovery finds no older file: no upgrade snapshot.
-    let twin = fleet();
-    for bytes in &frames[..frames.len() - 1] {
-        twin.apply_frame_bytes(bytes).expect("twin apply");
-    }
     let recovered = fleet();
     let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
     assert_eq!(report.snapshot_frames, written_by_v1 as u64, "{report:?}");
@@ -343,7 +308,7 @@ fn a_version_1_journal_upgrades_in_place_and_recovers_bit_identical() {
     assert_eq!(report.frame_decode_errors, 0, "{report:?}");
     assert!(report.truncated_bytes > 0, "{report:?}");
     assert_eq!(recovered.snapshot_stages().grant.count(), 0, "nothing left to upgrade");
-    assert_equivalent(&recovered, &twin, 50.0);
+    assert_matches(&recovered, &model_of(OBJECTS, &frames[..frames.len() - 1]), 50.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -367,15 +332,11 @@ fn a_failed_upgrade_snapshot_refuses_recovery_and_loses_nothing() {
     assert!(matches!(&err, RecoverError::Journal(JournalError::Io(e)) if full(e)), "{err:?}");
     assert!(refused.journal().is_none(), "nothing attached");
 
-    let twin = fleet();
-    for bytes in &frames {
-        twin.apply_frame_bytes(bytes).expect("twin apply");
-    }
     let recovered = fleet();
     let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
     assert_eq!(report.replayed_frames, frames.len() as u64, "{report:?}");
     assert!(file_versions(&dir).iter().all(|&v| v == JOURNAL_VERSION));
-    assert_equivalent(&recovered, &twin, 30.0);
+    assert_matches(&recovered, &model_of(OBJECTS, &frames), 30.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -444,27 +405,27 @@ fn seeded_frames(rng: &mut SplitMix64, clocks: &mut [(u64, f64)], count: usize) 
         .collect()
 }
 
-/// Index occupancy plus rect and nearest answers at `t`, equal on both sides.
-fn assert_same_index_and_answers(a: &LocationService, b: &LocationService, t: f64, what: &str) {
+/// Rect and nearest answers at `t` of the recovered service and of its
+/// uninterrupted twin, each against the model, then their index occupancy:
+/// derived state that no answer shows.
+fn assert_same_index_and_answers(
+    recovered: &LocationService,
+    twin: &LocationService,
+    model: &Model,
+    t: f64,
+    what: &str,
+) {
     let areas = [
         Aabb::new(Point::new(-4_000.0, -4_000.0), Point::new(4_000.0, 4_000.0)),
         Aabb::new(Point::new(-700.0, -900.0), Point::new(1_100.0, 600.0)),
         Aabb::around(Point::new(2_500.0, -2_500.0), 400.0),
     ];
-    for area in &areas {
-        assert_eq!(a.objects_in_rect(area, t), b.objects_in_rect(area, t), "{what}: rect, t={t}");
-    }
-    for from in [Point::new(0.0, 0.0), Point::new(-3_000.0, 3_500.0)] {
-        for k in [1, 7] {
-            assert_eq!(
-                a.nearest_objects(&from, t, k),
-                b.nearest_objects(&from, t, k),
-                "{what}: nearest, t={t}"
-            );
-        }
+    let points = [Point::new(0.0, 0.0), Point::new(-3_000.0, 3_500.0)];
+    for service in [recovered, twin] {
+        assert_answers(service, model, t, &areas, &points, &[1, 7], what);
     }
     // After the queries, so a lazy re-grow they triggered is compared too.
-    assert_eq!(a.index_stats(), b.index_stats(), "{what}: index stats, t={t}");
+    assert_eq!(recovered.index_stats(), twin.index_stats(), "{what}: index stats, t={t}");
 }
 
 /// The report of the serial recovery the parallel one must match: one
@@ -513,14 +474,14 @@ fn serial_report(dir: &Path, registered: impl Fn(u64) -> bool) -> RecoveryReport
     report
 }
 
-/// Recovery against an uninterrupted twin, and its report against the
-/// serial oracle, over seeds that vary the shard count (one shard, fewer
-/// shards than threads, an odd split, many small shards), the segment size
-/// and the snapshot cadence. The primary also serves objects the recovering
-/// service does not register, so snapshots carry entries recovery must
-/// skip, and the crash leaves one checksummed record that is no frame. With
-/// 16 shards and two or more cores, restore and replay run on two threads
-/// or more.
+/// Recovery against the model, its index against an uninterrupted twin's and
+/// its report against the serial oracle, over seeds that vary the shard
+/// count (one shard, fewer shards than threads, an odd split, many small
+/// shards), the segment size and the snapshot cadence. The primary also
+/// serves objects the recovering service does not register, so snapshots
+/// carry entries recovery must skip, and the crash leaves one checksummed
+/// record that is no frame. With 16 shards and two or more cores, restore
+/// and replay run on two threads or more.
 #[test]
 fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
     const FLEET: u64 = 60;
@@ -565,6 +526,7 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
         // The twin answers no query before the comparison: lazy re-grow is
         // query-driven, and a rebuilt index has seen none.
         let twin = fleet(FLEET);
+        let mut model = model_of(FLEET, &before[..crash_at]);
         for bytes in &before[..crash_at] {
             primary.apply_frame_bytes(bytes).expect("primary apply");
             twin.apply_frame_bytes(bytes).expect("twin apply");
@@ -585,23 +547,23 @@ fn rebuilt_indexes_equal_an_uninterrupted_twins_across_seeds() {
         snapshot_recoveries += u64::from(report.restored_objects > 0);
         skipping_recoveries += u64::from(report.skipped_objects > 0);
         assert_eq!(recovered.index_stats(), twin.index_stats(), "{what}: right after recovery");
-        assert_eq!(recovered.total_updates(), twin.total_updates(), "{what}");
         // At the crash instant, half a horizon on, and ten horizons on — the
         // last two re-grow entries of the rebuilt index.
         for t in [t_crash, t_crash + 0.5 * config.horizon_s, t_crash + 10.0 * config.horizon_s] {
-            assert_same_index_and_answers(&recovered, &twin, t, &what);
+            assert_same_index_and_answers(&recovered, &twin, &model, t, &what);
         }
-        // Placements are consistent after a rebuild: both keep ingesting (the
-        // recovered one journaling and snapshotting) and stay equal.
+        // Placements are consistent after a rebuild: all three keep ingesting
+        // (the recovered one journaling and snapshotting) and stay equal.
         let t_end = clocks.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         for (i, bytes) in after.iter().enumerate() {
             recovered.apply_frame_bytes(bytes).expect("recovered apply");
             twin.apply_frame_bytes(bytes).expect("twin apply");
+            model.apply_frame_bytes(bytes).expect("model apply");
             if i % 500 == 499 {
-                assert_same_index_and_answers(&recovered, &twin, t_end * 0.5, &what);
+                assert_same_index_and_answers(&recovered, &twin, &model, t_end * 0.5, &what);
             }
         }
-        assert_same_index_and_answers(&recovered, &twin, t_end, &what);
+        assert_same_index_and_answers(&recovered, &twin, &model, t_end, &what);
         drop(journal);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -634,14 +596,12 @@ fn a_forced_snapshot_after_a_probe_starts_a_segment_at_its_floor() {
     let (kill_at, heal_at) = (30usize, 40usize);
     let fault = FaultFs::over_real();
     let primary = fleet();
-    let twin = fleet();
     let (journal, _) =
         recover_and_attach_with_vfs(&primary, config.clone(), Arc::new(fault.clone()))
             .expect("attach");
     for (i, bytes) in frames[..heal_at].iter().enumerate() {
         fault.set_dead(i >= kill_at);
         primary.apply_frame_bytes(bytes).expect("primary apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     fault.set_dead(false);
     assert!(segment_bases(&dir).len() > 1, "a multi-segment log: {:?}", segment_bases(&dir));
@@ -650,7 +610,6 @@ fn a_forced_snapshot_after_a_probe_starts_a_segment_at_its_floor() {
     assert_eq!(primary.snapshot_stages().grant.count(), 1);
     for bytes in &frames[heal_at..] {
         primary.apply_frame_bytes(bytes).expect("primary apply");
-        twin.apply_frame_bytes(bytes).expect("twin apply");
     }
     journal.flush().expect("flush");
     drop(primary);
@@ -660,7 +619,7 @@ fn a_forced_snapshot_after_a_probe_starts_a_segment_at_its_floor() {
     let (_journal, report) = recover_and_attach(&recovered, config).expect("recovery");
     assert_eq!(report.snapshot_frames, kill_at as u64, "{report:?}");
     assert_eq!(report.replayed_frames, (frames.len() - heal_at) as u64, "{report:?}");
-    assert_equivalent(&recovered, &twin, 20.0);
+    assert_matches(&recovered, &model_of(OBJECTS, &frames), 20.0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -733,11 +692,11 @@ fn refused_attach_touches_neither_disk_nor_service() {
     let (dir_a, dir_b) = (temp_dir("refused-a"), temp_dir("refused-b"));
     let service = fleet();
     let (journal, _) = recover_and_attach(&service, journal_config(&dir_a)).expect("attach");
-    for bytes in &encoded_frames(5) {
+    let frames = encoded_frames(5);
+    for bytes in &frames {
         service.apply_frame_bytes(bytes).expect("apply");
     }
     let stats = journal.stats();
-    let positions: Vec<_> = (0..OBJECTS).map(|i| service.position_of(ObjectId(i), 12.0)).collect();
     let locks = service.write_lock_acquisitions();
 
     let refused = recover_and_attach(&service, journal_config(&dir_b));
@@ -745,9 +704,7 @@ fn refused_attach_touches_neither_disk_nor_service() {
     assert!(!dir_b.exists(), "refused before any journal was opened or created");
     assert_eq!(journal.stats(), stats, "the attached journal is untouched");
     assert_eq!(service.write_lock_acquisitions(), locks, "no shard was written");
-    for (i, before) in positions.iter().enumerate() {
-        assert_eq!(&service.position_of(ObjectId(i as u64), 12.0), before, "object {i}");
-    }
+    assert_answers(&service, &model_of(OBJECTS, &frames), 12.0, &[], &[], &[], "after refusal");
     assert!(Arc::ptr_eq(service.journal().expect("still attached"), &journal));
     let _ = fs::remove_dir_all(&dir_a);
 }

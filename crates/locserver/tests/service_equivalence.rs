@@ -1,88 +1,20 @@
 //! The index-refactor contract: the sharded, spatially-indexed service must
 //! return **exactly** the same query answers as the seed implementation — a
-//! full scan over every tracker under one global lock. The reference below is
-//! that full scan, re-implemented verbatim over a mirror of the same
-//! `ServerTracker`s; the property drives both through random registrations,
-//! updates, deregistrations and queries (including query times far past the
-//! index staleness horizon, which exercise the lazy re-grow path).
+//! full scan over every tracker under one global lock. That full scan is
+//! `mbdr_model::Model`, fed the same registrations and updates; the tests
+//! drive both through dense clusters, hostile rects, times and speeds, and
+//! seeded registrations, updates, frames, deregistrations and queries
+//! (including query times far past the index staleness horizon, which
+//! exercise the lazy re-grow path).
 
-use mbdr_core::{
-    ArcPredictor, LinearPredictor, ObjectState, Predictor, ServerTracker, StaticPredictor, Update,
-    UpdateKind,
-};
+use mbdr_core::{LinearPredictor, ObjectState, Predictor, StaticPredictor, Update, UpdateKind};
 use mbdr_geo::rng::{for_each_seed, SplitMix64};
 use mbdr_geo::{Aabb, Point};
-use mbdr_locserver::{LocationService, ObjectId, PositionReport, QueryScratch, ServiceConfig};
-use std::collections::BTreeMap;
+use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
+use mbdr_model::{assert_answers, predictor_for, run, seeded_ops, Model, Op};
+use std::sync::mpsc;
 use std::sync::Arc;
-
-fn predictor_for(index: usize) -> Arc<dyn Predictor> {
-    match index % 3 {
-        0 => Arc::new(StaticPredictor),
-        1 => Arc::new(LinearPredictor),
-        _ => Arc::new(ArcPredictor),
-    }
-}
-
-/// The seed implementation's range query, verbatim, over the mirror store.
-fn reference_in_rect(
-    mirror: &BTreeMap<ObjectId, ServerTracker>,
-    area: &Aabb,
-    t: f64,
-) -> Vec<PositionReport> {
-    let mut out: Vec<PositionReport> = mirror
-        .iter()
-        .filter_map(|(&id, tracker)| {
-            let position = tracker.position_at(t)?;
-            if area.contains(&position) {
-                let age = tracker.last_state().map(|s| (t - s.timestamp).max(0.0)).unwrap_or(0.0);
-                Some(PositionReport { object: id, position, information_age: age })
-            } else {
-                None
-            }
-        })
-        .collect();
-    out.sort_by_key(|r| r.object);
-    out
-}
-
-/// The seed implementation's k-nearest query, verbatim, over the mirror.
-fn reference_nearest(
-    mirror: &BTreeMap<ObjectId, ServerTracker>,
-    from: &Point,
-    t: f64,
-    k: usize,
-) -> Vec<PositionReport> {
-    let mut out: Vec<(f64, PositionReport)> = mirror
-        .iter()
-        .filter_map(|(&id, tracker)| {
-            let position = tracker.position_at(t)?;
-            let age = tracker.last_state().map(|s| (t - s.timestamp).max(0.0)).unwrap_or(0.0);
-            Some((
-                from.distance(&position),
-                PositionReport { object: id, position, information_age: age },
-            ))
-        })
-        .collect();
-    out.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.object.cmp(&b.1.object)));
-    out.into_iter().take(k).map(|(_, r)| r).collect()
-}
-
-/// Position, age and id bits: `PositionReport`'s `==` would let `-0.0`
-/// match `0.0`.
-fn bits(reports: &[PositionReport]) -> Vec<(u64, u64, u64, u64)> {
-    reports
-        .iter()
-        .map(|r| {
-            (
-                r.object.0,
-                r.position.x.to_bits(),
-                r.position.y.to_bits(),
-                r.information_age.to_bits(),
-            )
-        })
-        .collect()
-}
+use std::time::Duration;
 
 /// Thousands of objects in the grid cell `[-cell, 0)²` on a uniform
 /// background with an empty block at `[2 km, 3 km)²`, half parked, half
@@ -97,14 +29,12 @@ fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
     let cell = config.cell_size_m;
     let mut rng = SplitMix64::new(seed);
     let service = LocationService::with_config(config);
-    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut model = Model::default();
     let mut movers = Vec::new();
     for i in 0..CLUSTER + BACKGROUND {
         let id = ObjectId(i as u64);
         let predictor: Arc<dyn Predictor> =
             if i % 2 == 0 { Arc::new(LinearPredictor) } else { Arc::new(StaticPredictor) };
-        service.register(id, Arc::clone(&predictor));
-        mirror.insert(id, ServerTracker::new(predictor));
         let position = if i < CLUSTER {
             Point::new(-cell * rng.next_f64(), -cell * rng.next_f64())
         } else {
@@ -125,8 +55,7 @@ fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
             state: ObjectState::basic(position, speed, heading, 0.0),
             kind: UpdateKind::Initial,
         };
-        assert!(service.apply_update(id, &update));
-        mirror.get_mut(&id).unwrap().apply(&update);
+        run(&service, &mut model, &[Op::Register(id, predictor), Op::Update(id, update)]);
         if speed > 0.0 {
             movers.push((id, position, speed, heading));
         }
@@ -141,8 +70,7 @@ fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
             state: ObjectState::basic(moved, speed, heading, 5.0),
             kind: UpdateKind::DeviationBound,
         };
-        assert!(service.apply_update(id, &update));
-        mirror.get_mut(&id).unwrap().apply(&update);
+        run(&service, &mut model, &[Op::Update(id, update)]);
     }
 
     let points = [
@@ -166,31 +94,17 @@ fn dense_cluster_matches_the_full_scan(seed: u64, config: ServiceConfig) {
     let mut crowded = 0;
     for t in [5.0, 5.0 + config.horizon_s + 0.5, 500.0] {
         for from in &points {
-            let full = reference_nearest(&mirror, from, t, usize::MAX);
-            let expect = |k: usize| &full[..k.min(full.len())];
             // k = 1 first: it is the query that lazily re-grows the index
             // entries at this `t`, so the occupancy read next is the one
             // every later query sizes its first ring from.
-            let got = service.nearest_objects(from, t, 1);
-            assert_eq!(bits(&got), bits(expect(1)), "{from:?}, t {t}, k 1");
+            assert_answers(&service, &model, t, &[], &[*from], &[1], &format!("{config:?}"));
             let occupancy = service.occupancy_at(from);
             crowded += usize::from(occupancy >= CLUSTER / 2);
-            for k in [
-                8,
-                64,
-                occupancy.saturating_sub(1),
-                occupancy,
-                occupancy + 1,
-                objects + 1,
-                u16::MAX as usize,
-            ] {
-                let got = service.nearest_objects(from, t, k);
-                assert_eq!(
-                    bits(&got),
-                    bits(expect(k)),
-                    "{from:?}, t {t}, k {k}, occupancy {occupancy}, {config:?}"
-                );
-            }
+            let k_max = usize::from(u16::MAX);
+            let ks =
+                [8, 64, occupancy.saturating_sub(1), occupancy, occupancy + 1, objects + 1, k_max];
+            let what = format!("occupancy {occupancy}, {config:?}");
+            assert_answers(&service, &model, t, &[], &[*from], &ks, &what);
         }
     }
     assert!(crowded > 0, "some query starts with a ring smaller than a cell");
@@ -206,23 +120,37 @@ fn dense_cluster_nearest_matches_the_full_scan_reference() {
 }
 
 /// The answer ids of one rect search: where in the id space the objects'
-/// ids lie decides which radix digits the sort runs.
+/// ids lie decides which radix digits the sort runs. Digit `d` is bits
+/// `11d` to `11d + 10`.
 #[derive(Debug, Clone, Copy)]
 enum Ids {
     /// Uniform over all 64 bits: every digit differs.
     Random,
     /// `0..n`: the two low digits differ.
     Sequential,
-    /// Only bits 51 and up differ: the low digits are skipped.
+    /// Only bits 51 and up differ: the low digits are skipped, digits 4
+    /// and 5 differ.
     HighBits,
     /// Pairs that differ only in bit 63, the pairs a counter apart: the
-    /// middle digits are skipped.
+    /// middle digits are skipped, digits 0, 1 and 5 differ.
     Bit63Pairs,
-    /// Counting down from `u64::MAX` in strides of 2³² + 1.
+    /// Counting down from `u64::MAX` in strides of 2³² + 1: the counter
+    /// below and above bit 32, digits 0 to 3 differ.
     NearMax,
 }
 
 impl Ids {
+    /// The digits in which the first 2 100 ids differ, bit `d` for digit `d`.
+    fn differing_digits(self) -> u32 {
+        match self {
+            Ids::Random => 0b11_1111,
+            Ids::Sequential => 0b00_0011,
+            Ids::HighBits => 0b11_0000,
+            Ids::Bit63Pairs => 0b10_0011,
+            Ids::NearMax => 0b00_1111,
+        }
+    }
+
     fn id(self, i: u64, rng: &mut SplitMix64) -> u64 {
         const BASE: u64 = 0x0123_4567_89AB_CDEF;
         match self {
@@ -253,7 +181,7 @@ fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig)
     const ROW_Y: f64 = 50_000.0;
     let mut rng = SplitMix64::new(seed);
     let service = LocationService::with_config(config);
-    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut model = Model::default();
     let mut row = Vec::new();
     for i in 0..LINE + MOVERS {
         let id = ObjectId(ids.id(i, &mut rng));
@@ -276,12 +204,10 @@ fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig)
             state.turn_rate = 0.02 * rng.next_f64() - 0.01;
             (predictor_for(i as usize), state)
         };
-        service.register(id, Arc::clone(&predictor));
-        assert!(mirror.insert(id, ServerTracker::new(predictor)).is_none(), "{ids:?}: id clash");
         let update = Update { sequence: 0, state, kind: UpdateKind::Initial };
-        assert!(service.apply_update(id, &update));
-        mirror.get_mut(&id).unwrap().apply(&update);
+        run(&service, &mut model, &[Op::Register(id, predictor), Op::Update(id, update)]);
     }
+    assert_eq!(model.object_count() as u64, LINE + MOVERS, "{ids:?}: id clash");
 
     let prefix = |n: u64| {
         Aabb::new(Point::new(-0.5, ROW_Y - 0.25), Point::new(n as f64 - 0.5, ROW_Y + 0.25))
@@ -292,7 +218,7 @@ fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig)
             Point::new(14_000.0 * rng.next_f64() - 7_000.0, 14_000.0 * rng.next_f64() - 7_000.0);
         areas.push(Aabb::around(center, 0.5 + 8_000.0 * rng.next_f64().powi(3)));
     }
-    let (nan, big) = (f64::NAN, 1e300);
+    let (nan, inf, big) = (f64::NAN, f64::INFINITY, 1e300);
     areas.extend([
         Aabb { min: Point::new(4_000.0, 4_000.0), max: Point::new(-4_000.0, -4_000.0) },
         Aabb { min: Point::new(-4_000.0, 4_000.0), max: Point::new(4_000.0, -4_000.0) },
@@ -303,54 +229,22 @@ fn rect_search_matches_the_full_scan(seed: u64, ids: Ids, config: ServiceConfig)
         Aabb { min: Point::new(-big, -big), max: Point::new(big, big) },
         Aabb { min: Point::new(-big, -big), max: Point::new(0.0, 0.0) },
         Aabb { min: Point::new(big, big), max: Point::new(big, big) },
-        Aabb {
-            min: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
-            max: Point::new(f64::INFINITY, f64::INFINITY),
-        },
+        Aabb { min: Point::new(-inf, -inf), max: Point::new(inf, inf) },
     ]);
 
-    let everything = Aabb {
-        min: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
-        max: Point::new(f64::INFINITY, f64::INFINITY),
-    };
-    let times = [
-        10.0,
-        f64::NAN,
-        10.0 + config.horizon_s + 1.0,
-        f64::INFINITY,
-        1_000.0,
-        f64::NEG_INFINITY,
-        1e6,
-    ];
-    let mut scratch = QueryScratch::default();
-    let mut got = Vec::new();
-    for t in times {
+    for t in [10.0, nan, 10.0 + config.horizon_s + 1.0, inf, 1_000.0, -inf, 1e6] {
         let sweep = (0..=SWEEP).filter(|n| t == 10.0 || n % 53 <= 1).map(prefix);
         let areas: Vec<Aabb> = sweep.chain(areas.iter().copied()).collect();
-        if !t.is_finite() {
-            for area in &areas {
-                service.objects_in_rect_into(area, t, &mut scratch, &mut got);
-                assert!(got.is_empty(), "{ids:?}: t {t} answers empty");
-            }
-            continue;
-        }
-        // The full scan filters every object by the area and sorts by id,
-        // so one scan per `t` filtered per area is the same reference.
-        let full = reference_in_rect(&mirror, &everything, t);
-        assert_eq!(full.len() as u64, LINE + MOVERS);
-        for (qi, area) in areas.iter().enumerate() {
-            let expect: Vec<PositionReport> =
-                full.iter().filter(|r| area.contains(&r.position)).copied().collect();
-            service.objects_in_rect_into(area, t, &mut scratch, &mut got);
-            assert_eq!(bits(&got), bits(&expect), "{ids:?}, t {t}, rect {qi} {area:?}");
-            if t == 10.0 && qi as u64 <= SWEEP {
-                assert_eq!(got.len(), qi, "{ids:?}: the row prefix answers its length");
-            }
-        }
+        assert_answers(&service, &model, t, &areas, &[], &[], &format!("{ids:?}"));
+    }
+    for n in 0..=SWEEP {
+        let answer = service.objects_in_rect(&prefix(n), 10.0);
+        assert_eq!(answer.len() as u64, n, "{ids:?}: the row prefix answers its length");
     }
     // The row's ids really are spread the way the family says.
-    row.sort_unstable();
-    assert_eq!(row.len() as u64, LINE);
+    let differing = row.iter().fold(0, |bits, id| bits | (id.0 ^ row[0].0));
+    let digits = (0..6).filter(|d| (differing >> (11 * d)) & 0x7FF != 0).fold(0, |m, d| m | 1 << d);
+    assert_eq!(digits, ids.differing_digits(), "{ids:?}: the digits the ids differ in");
 }
 
 #[test]
@@ -365,63 +259,54 @@ fn seeded_rect_search_matches_the_full_scan_reference() {
     rect_search_matches_the_full_scan(0x5EED_0200, Ids::Random, ServiceConfig::with_shards(1));
 }
 
+/// Rects of each of `extents` around the origin and of 1 m around every
+/// `steps[0]`-th object's predicted position; nearest 1, 8 and 500 from the
+/// origin and from every `steps[1]`-th object's position.
+fn assert_far_answers(
+    service: &LocationService,
+    model: &Model,
+    t: f64,
+    extents: &[f64],
+    steps: [usize; 2],
+    what: &str,
+) {
+    let full = model.objects_in_rect(&Aabb::around(Point::ORIGIN, f64::MAX), t);
+    let mut areas: Vec<Aabb> = extents.iter().map(|&e| Aabb::around(Point::ORIGIN, e)).collect();
+    areas.extend(full.iter().step_by(steps[0]).map(|r| Aabb::around(r.position, 1.0)));
+    let mut points = vec![Point::ORIGIN];
+    points.extend(full.iter().step_by(steps[1]).map(|r| r.position));
+    assert_answers(service, model, t, &areas, &points, &[1, 8, 500], what);
+}
+
 #[test]
 fn silent_movers_far_in_the_future_answer_in_time_and_match_the_full_scan() {
     // Before the wide list, one query at t = 10⁵ s re-grew every silent
     // mover into millions of cells under the shard write locks.
     let mut rng = SplitMix64::new(0x5EED_0300);
     let service = LocationService::with_config(ServiceConfig::with_shards(4));
-    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut model = Model::default();
     for i in 0..200u64 {
         let id = ObjectId(rng.next_u64());
-        let predictor = predictor_for(i as usize);
-        service.register(id, Arc::clone(&predictor));
-        mirror.insert(id, ServerTracker::new(predictor));
         let position =
             Point::new(4_000.0 * rng.next_f64() - 2_000.0, 4_000.0 * rng.next_f64() - 2_000.0);
         let speed = if i % 5 == 0 { 0.0 } else { 1.0 + 29.0 * rng.next_f64() };
         let state =
             ObjectState::basic(position, speed, rng.next_f64() * std::f64::consts::TAU, 0.0);
         let update = Update { sequence: 0, state, kind: UpdateKind::Initial };
-        assert!(service.apply_update(id, &update));
-        mirror.get_mut(&id).unwrap().apply(&update);
+        let register = Op::Register(id, predictor_for(i as usize));
+        run(&service, &mut model, &[register, Op::Update(id, update)]);
     }
-    let service = Arc::new(service);
+    let (service, model) = (Arc::new(service), Arc::new(model));
     for t in [1e5, 1e9] {
-        // Rects around the origin, the whole plane, and each of a few
-        // movers' predicted positions; nearest from the origin and from far
-        // out along the movers' paths.
-        let full = reference_in_rect(&mirror, &Aabb::around(Point::ORIGIN, f64::MAX), t);
-        let mut areas =
-            vec![Aabb::around(Point::ORIGIN, 3_000.0), Aabb::around(Point::ORIGIN, 1e300)];
-        areas.extend(full.iter().step_by(37).map(|r| Aabb::around(r.position, 1.0)));
-        let points: Vec<Point> = [Point::ORIGIN]
-            .into_iter()
-            .chain(full.iter().step_by(53).map(|r| r.position))
-            .collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = Arc::clone(&service);
-        let queries = (areas.clone(), points.clone());
+        let (tx, rx) = mpsc::channel();
+        let (service, model) = (Arc::clone(&service), Arc::clone(&model));
         std::thread::spawn(move || {
-            let (areas, points) = queries;
-            let rects: Vec<_> = areas.iter().map(|a| worker.objects_in_rect(a, t)).collect();
-            let nearest: Vec<Vec<_>> = points
-                .iter()
-                .flat_map(|p| [1, 8, 500].map(|k| worker.nearest_objects(p, t, k)))
-                .collect();
-            tx.send((rects, nearest)).expect("receiver waits");
+            assert_far_answers(&service, &model, t, &[3_000.0, 1e300], [37, 53], "silent movers");
+            tx.send(()).expect("receiver waits");
         });
-        let (rects, nearest) = rx
-            .recv_timeout(std::time::Duration::from_secs(3))
-            .unwrap_or_else(|_| panic!("queries at t = {t} must not stall"));
-        for (area, got) in areas.iter().zip(&rects) {
-            assert_eq!(bits(got), bits(&reference_in_rect(&mirror, area, t)), "t {t}, {area:?}");
-        }
-        let expect =
-            points.iter().flat_map(|p| [1, 8, 500].map(|k| reference_nearest(&mirror, p, t, k)));
-        for (i, (got, expect)) in nearest.iter().zip(expect).enumerate() {
-            assert_eq!(bits(got), bits(&expect), "t {t}, nearest query {i}");
-        }
+        // Disconnected: the worker's assertion failed (its message is above).
+        rx.recv_timeout(Duration::from_secs(3))
+            .unwrap_or_else(|e| panic!("queries at t = {t} must answer in time: {e}"));
     }
 }
 
@@ -433,7 +318,7 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
     const HOSTILE: [f64; 3] = [1e4, 1e6, f32::MAX as f64];
     let mut rng = SplitMix64::new(0x5EED_0400);
     let service = Arc::new(LocationService::with_config(ServiceConfig::with_shards(4)));
-    let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
+    let mut model = Model::default();
     let mut updates = Vec::new();
     for i in 0..120u64 {
         let id = ObjectId(rng.next_u64());
@@ -443,8 +328,7 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
         let hostile = HOSTILE.get(i as usize % 6).copied();
         let predictor: Arc<dyn Predictor> =
             if hostile.is_some() { Arc::new(LinearPredictor) } else { predictor_for(i as usize) };
-        service.register(id, Arc::clone(&predictor));
-        mirror.insert(id, ServerTracker::new(predictor));
+        run(&service, &mut model, &[Op::Register(id, predictor)]);
         let normal = if i % 5 == 0 { 0.0 } else { 1.0 + 29.0 * rng.next_f64() };
         let mut report = |sequence: u64, speed: f64, t: f64| {
             let position =
@@ -468,7 +352,7 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
             }
         }
     }
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = mpsc::channel();
     let worker = Arc::clone(&service);
     let applied = updates.clone();
     std::thread::spawn(move || {
@@ -478,96 +362,24 @@ fn hostile_speeds_apply_in_time_and_match_the_full_scan() {
     });
     for (id, update) in &updates {
         let accepted = rx
-            .recv_timeout(std::time::Duration::from_secs(3))
+            .recv_timeout(Duration::from_secs(3))
             .unwrap_or_else(|_| panic!("an update at {} m/s must not stall", update.state.speed));
-        assert!(accepted);
-        mirror.get_mut(id).unwrap().apply(update);
+        assert_eq!(accepted, model.apply_update(*id, update));
     }
     for t in [3.0, 3.5, 60.0] {
-        let full = reference_in_rect(&mirror, &Aabb::around(Point::ORIGIN, f64::MAX), t);
-        let mut areas = vec![
-            Aabb::around(Point::ORIGIN, 3_000.0),
-            Aabb::around(Point::ORIGIN, 1e300),
-            Aabb::around(Point::ORIGIN, f64::MAX),
-        ];
-        areas.extend(full.iter().step_by(7).map(|r| Aabb::around(r.position, 1.0)));
-        for area in &areas {
-            let got = service.objects_in_rect(area, t);
-            assert_eq!(bits(&got), bits(&reference_in_rect(&mirror, area, t)), "t {t}, {area:?}");
-        }
-        let points = [Point::ORIGIN].into_iter().chain(full.iter().step_by(11).map(|r| r.position));
-        for p in points {
-            for k in [1, 8, 500] {
-                let got = service.nearest_objects(&p, t, k);
-                let expect = reference_nearest(&mirror, &p, t, k);
-                assert_eq!(bits(&got), bits(&expect), "t {t}, nearest from {p:?}, k {k}");
-            }
-        }
+        let extents = [3_000.0, 1e300, f64::MAX];
+        assert_far_answers(&service, &model, t, &extents, [7, 11], "hostile speeds");
     }
 }
 
-/// Random updates, deregistrations and queries over random shard counts,
-/// cell sizes and horizons, at query instants up to 600 s (far past most
-/// validity horizons): every answer equals the full scan.
+/// Random registrations, updates, frames, deregistrations and queries over
+/// random shard counts, cell sizes and horizons, at query instants up to
+/// 600 s (far past most validity horizons): every answer equals the model's
+/// ([`mbdr_model::seeded_ops`]).
 #[test]
 fn sharded_service_matches_the_full_scan_reference() {
     for_each_seed(32, |rng| {
-        let object_count = 2 + rng.below(18) as usize;
-        let config = ServiceConfig {
-            shards: 1 + rng.below(8) as usize,
-            cell_size_m: rng.range(50.0, 600.0),
-            horizon_s: rng.range(2.0, 40.0),
-            slack_m: 25.0,
-        };
-        let service = LocationService::with_config(config);
-        let mut mirror: BTreeMap<ObjectId, ServerTracker> = BTreeMap::new();
-
-        for i in 0..object_count {
-            let id = ObjectId(i as u64);
-            let predictor = predictor_for(i);
-            service.register(id, Arc::clone(&predictor));
-            mirror.insert(id, ServerTracker::new(predictor));
-        }
-
-        // Random updates (sequence numbers per object in generation order, so
-        // both sides see the same accept/reject decisions).
-        let mut sequences = vec![0u64; object_count];
-        for _ in 0..1 + rng.below(119) {
-            let index = rng.below(object_count as u64) as usize;
-            let id = ObjectId(index as u64);
-            let position = Point::new(rng.range(-2_000.0, 2_000.0), rng.range(-2_000.0, 2_000.0));
-            let (speed, heading) = (rng.range(0.0, 40.0), rng.range(0.0, std::f64::consts::TAU));
-            let mut state = ObjectState::basic(position, speed, heading, rng.range(0.0, 200.0));
-            state.turn_rate = rng.range(-0.1, 0.1);
-            let update =
-                Update { sequence: sequences[index], state, kind: UpdateKind::DeviationBound };
-            sequences[index] += 1;
-            assert!(service.apply_update(id, &update));
-            mirror.get_mut(&id).unwrap().apply(&update);
-        }
-
-        // Deregister a deterministic subset on both sides.
-        for i in (0..object_count).step_by(2 + rng.below(5) as usize) {
-            let id = ObjectId(i as u64);
-            assert!(service.deregister(id));
-            mirror.remove(&id);
-        }
-
-        for qi in 0..1 + rng.below(23) {
-            let from = Point::new(rng.range(-2_500.0, 2_500.0), rng.range(-2_500.0, 2_500.0));
-            let (extent, t) = (rng.range(10.0, 1_500.0), rng.range(0.0, 600.0));
-            let area = Aabb::around(from, extent);
-            assert_eq!(
-                service.objects_in_rect(&area, t),
-                reference_in_rect(&mirror, &area, t),
-                "rect query {qi} diverged (area {area:?}, t {t})"
-            );
-            let k = (extent as usize % (object_count + 2)).max(1);
-            assert_eq!(
-                service.nearest_objects(&from, t, k),
-                reference_nearest(&mirror, &from, t, k),
-                "nearest query {qi} diverged (from {from:?}, t {t}, k {k}, config {config:?})"
-            );
-        }
+        let (config, ops) = seeded_ops(rng);
+        run(&LocationService::with_config(config), &mut Model::default(), &ops);
     });
 }

@@ -8,6 +8,7 @@ use mbdr_core::{DurabilityState, Frame, LinearPredictor, ObjectState, Update, Up
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::{FaultFs, FsyncPolicy, JournalConfig};
 use mbdr_locserver::{recover_and_attach_with_vfs, LocationService, ObjectId};
+use mbdr_model::bits;
 use mbdr_net::{ClientConfig, NetClient, NetServer, RetryPolicy, ServerConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -99,7 +100,7 @@ fn durable_server_serves_identical_answers_after_restart() {
     assert_eq!(report.truncated_bytes, 0);
 
     let after = server.service().objects_in_rect(&world(), 30.0);
-    assert_eq!(before, after, "recovered answers must be bit-identical");
+    assert_eq!(bits(&before), bits(&after), "recovered answers must be bit-identical");
 
     // The recovery is visible through the ordinary stats surface too.
     let stats = server.stats();

@@ -1,14 +1,15 @@
 //! The idle-connection soak: the reason the reactor exists. A crowd of
 //! mostly-idle connections must cost the server *zero* threads beyond its
 //! fixed pool (accept + reactors + ingest workers), while a hot subset
-//! streaming through the same reactors stays bit-identical to feeding the
-//! service directly in-process. The CI-sized variant runs by default; the
-//! full two-thousand-connection soak is `#[ignore]`d tier-2
+//! streaming through the same reactors stays bit-identical to the reference
+//! model fed the same frames in-process. The CI-sized variant runs by
+//! default; the full two-thousand-connection soak is `#[ignore]`d tier-2
 //! (`cargo test -p mbdr-net --test idle_soak -- --ignored`).
 
 use mbdr_core::{Frame, ObjectState, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
+use mbdr_model::{bits, Model};
 use mbdr_net::{NetClient, NetServer, ServerConfig};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -46,12 +47,11 @@ fn hot_stream(object: u64) -> Vec<Frame> {
 fn run_soak(idle_connections: usize, hot_objects: u64) {
     let _guard = SOAK_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
 
-    // The reference service is fed the identical frames in-process.
-    let config = ServiceConfig::with_shards(4);
-    let reference = LocationService::with_config(config);
-    let served = Arc::new(LocationService::with_config(config));
+    // The reference model is fed the identical frames in-process.
+    let mut model = Model::default();
+    let served = Arc::new(LocationService::with_config(ServiceConfig::with_shards(4)));
     for i in 0..hot_objects {
-        reference.register(ObjectId(i), Arc::new(mbdr_core::StaticPredictor));
+        model.register(ObjectId(i), Arc::new(mbdr_core::StaticPredictor));
         served.register(ObjectId(i), Arc::new(mbdr_core::StaticPredictor));
     }
 
@@ -93,26 +93,19 @@ fn run_soak(idle_connections: usize, hot_objects: u64) {
     for (i, client) in hot_clients.iter_mut().enumerate() {
         for frame in hot_stream(i as u64) {
             let bytes = frame.encode().expect("frames encode");
-            reference.apply_frame_bytes(&bytes).expect("reference apply");
+            model.apply_frame_bytes(&bytes).expect("model apply");
             client.send_frame(&frame).expect("hot send");
         }
         assert_eq!(client.flush().expect("hot flush").frames, 12);
     }
-    assert_eq!(served.total_updates(), reference.total_updates());
+    assert_eq!(served.total_updates(), model.total_updates());
 
-    // Bit-identity: the served answers equal direct calls on the reference,
-    // field for field, bit for bit.
+    // Bit-identity: the served answers equal the model's, field for field,
+    // bit for bit.
     let area = Aabb::new(Point::new(-10.0, -10.0), Point::new(1e6, 1e6));
     for &t in &[3.0, 7.5, 11.0, 40.0] {
         let over_wire = hot_clients[0].objects_in_rect(&area, t).expect("rect over TCP");
-        let direct = reference.objects_in_rect(&area, t);
-        assert_eq!(over_wire.len(), direct.len(), "rect cardinality at t={t}");
-        for (w, d) in over_wire.iter().zip(&direct) {
-            assert_eq!(w.object, d.object.0);
-            assert_eq!(w.position.x.to_bits(), d.position.x.to_bits());
-            assert_eq!(w.position.y.to_bits(), d.position.y.to_bits());
-            assert_eq!(w.information_age.to_bits(), d.information_age.to_bits());
-        }
+        assert_eq!(bits(&over_wire), bits(&model.objects_in_rect(&area, t)), "rect at t={t}");
     }
 
     // Still no extra threads after serving the hot subset under load.

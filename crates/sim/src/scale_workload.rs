@@ -294,6 +294,7 @@ pub fn run_scale_workload(config: &ScaleConfig) -> ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbdr_model::{assert_answers, run, Model, Op};
 
     #[test]
     fn uniform_and_hotspot_runs_are_deterministic_and_skew_is_visible() {
@@ -336,9 +337,9 @@ mod tests {
 
     #[test]
     fn query_answers_match_a_full_scan_reference() {
-        // The workload's service answers must equal brute force over the
-        // fleet's exact predicted positions — on a skewed fleet, where the
-        // index does the most pruning work.
+        // The workload's service answers must equal the reference model fed
+        // the same updates — on a skewed fleet, where the index does the
+        // most pruning work.
         let config = ScaleConfig {
             rect_queries: 0,
             nearest_queries: 0,
@@ -351,38 +352,16 @@ mod tests {
             cell_size_m: config.cell_size_m,
             ..ServiceConfig::default()
         });
+        let mut model = Model::default();
         let predictor: Arc<dyn Predictor> = Arc::new(LinearPredictor);
-        for id in 0..config.objects as u64 {
-            service.register(ObjectId(id), Arc::clone(&predictor));
-        }
         for (id, m) in fleet.iter().enumerate() {
-            service.apply_update(ObjectId(id as u64), &m.update(0, 0.0));
+            let (id, update) = (ObjectId(id as u64), m.update(0, 0.0));
+            let register = Op::Register(id, Arc::clone(&predictor));
+            run(&service, &mut model, &[register, Op::Update(id, update)]);
         }
         let t = 7.0;
         let area = Aabb::around(Point::new(2.0 * config.cell_size_m, 100.0), 700.0);
-        let got = service.objects_in_rect(&area, t);
-        let mut expected: Vec<ObjectId> = fleet
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| area.contains(&m.position_at(t)))
-            .map(|(id, _)| ObjectId(id as u64))
-            .collect();
-        expected.sort_unstable();
-        assert!(!expected.is_empty(), "query area hits the hotspot");
-        assert_eq!(got.iter().map(|r| r.object).collect::<Vec<_>>(), expected);
-
-        let nn = service.nearest_objects(&Point::new(200.0, 200.0), t, 12);
-        let mut brute: Vec<(f64, ObjectId)> = fleet
-            .iter()
-            .enumerate()
-            .map(|(id, m)| {
-                (Point::new(200.0, 200.0).distance(&m.position_at(t)), ObjectId(id as u64))
-            })
-            .collect();
-        brute.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        assert_eq!(
-            nn.iter().map(|r| r.object).collect::<Vec<_>>(),
-            brute[..12].iter().map(|(_, id)| *id).collect::<Vec<_>>()
-        );
+        assert!(!model.objects_in_rect(&area, t).is_empty(), "query area hits the hotspot");
+        assert_answers(&service, &model, t, &[area], &[Point::new(200.0, 200.0)], &[12], "scale");
     }
 }

@@ -10,8 +10,9 @@
 //!   randomized queries) requiring the unordered rect walk to return
 //!   **exactly** the brute-force id set, and the sorted key query a sorted
 //!   superset of it;
-//! * seeded cases over crowded placements at a size that runs in
-//!   milliseconds.
+//! * seeded churn cases at a size that runs in milliseconds: crowded
+//!   placements in a few large cells, and boxes spread over many small
+//!   ones.
 
 use mbdr_geo::rng::SplitMix64;
 use mbdr_geo::{Aabb, Point};
@@ -39,8 +40,14 @@ fn crowded_box(rng: &mut SplitMix64) -> Aabb {
     Aabb::new(Point::new(x, y), Point::new(x + rng.next_f64() * 80.0, y + rng.next_f64() * 80.0))
 }
 
+/// A box of up to 200 m per side, its corner within ±2 km of the origin.
+fn spread_box(rng: &mut SplitMix64) -> Aabb {
+    let (x, y) = (rng.range(-2_000.0, 2_000.0), rng.range(-2_000.0, 2_000.0));
+    Aabb::new(Point::new(x, y), Point::new(x + rng.range(0.0, 200.0), y + rng.range(0.0, 200.0)))
+}
+
 /// The rect walk returns exactly the brute-force set; the key query a sorted
-/// superset of it.
+/// superset of it, of live keys only.
 fn assert_rect_matches_the_scan(
     index: &MovingIndex<u64>,
     reference: &BTreeMap<u64, Aabb>,
@@ -58,6 +65,7 @@ fn assert_rect_matches_the_scan(
     index.query_keys_into(query, &mut seen, &mut keys);
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "{what}: keys sorted and unique");
     assert!(expect.iter().all(|k| keys.binary_search(k).is_ok()), "{what}: a superset");
+    assert!(keys.iter().all(|k| reference.contains_key(k)), "{what}: live keys only");
 }
 
 #[test]
@@ -101,34 +109,54 @@ fn hundred_thousand_hotspot_entries_answer_bit_identically_to_a_full_scan() {
     }
 }
 
-#[test]
-fn crowded_cells_stay_equivalent_under_churn() {
-    let mut rng = SplitMix64::new(0xC0DE_0000_2026_1017);
-    for case in 0..48 {
-        // Cell size much larger than the placement spread: everything shares
-        // very few cells, maximizing per-cell crowding.
-        let mut index: MovingIndex<u64> = MovingIndex::new(500.0);
+/// `cases` seeded indexes, each under insert → move → remove churn (the
+/// location-service update pattern): up to `entries` inserts, then up to
+/// `moves` re-inserts and `removes` removals of random keys, then `queries`
+/// rect checks. `cell` draws each index's cell size, `boxed` every box.
+fn churn_then_check(
+    seed: u64,
+    cases: usize,
+    cell: fn(&mut SplitMix64) -> f64,
+    boxed: fn(&mut SplitMix64) -> Aabb,
+    [entries, moves, removes, queries]: [u64; 4],
+) {
+    let mut rng = SplitMix64::new(seed);
+    for case in 0..cases {
+        let cell = cell(&mut rng);
+        let mut index: MovingIndex<u64> = MovingIndex::new(cell);
         let mut reference: BTreeMap<u64, Aabb> = BTreeMap::new();
-        let n = 1 + rng.below(400);
+        let n = 1 + rng.below(entries);
         for key in 0..n {
-            let b = crowded_box(&mut rng);
+            let b = boxed(&mut rng);
             index.insert(key, b);
             reference.insert(key, b);
         }
-        for _ in 0..rng.below(120) {
-            let (key, b) = (rng.below(n), crowded_box(&mut rng));
+        for _ in 0..rng.below(moves) {
+            let (key, b) = (rng.below(n), boxed(&mut rng));
             index.insert(key, b);
             reference.insert(key, b);
         }
-        for _ in 0..rng.below(80) {
+        for _ in 0..rng.below(removes) {
             let key = rng.below(n);
             index.remove(&key);
             reference.remove(&key);
         }
         assert_eq!(index.len(), reference.len(), "case {case}");
-        for q in 0..4 {
-            let query = crowded_box(&mut rng);
-            assert_rect_matches_the_scan(&index, &reference, &query, &format!("case {case}, {q}"));
+        for q in 0..queries {
+            let query = boxed(&mut rng);
+            let what = format!("case {case}, query {q} ({query:?}), cell {cell}");
+            assert_rect_matches_the_scan(&index, &reference, &query, &what);
         }
     }
+}
+
+#[test]
+fn crowded_cells_stay_equivalent_under_churn() {
+    // Cell size much larger than the placement spread: everything shares
+    // very few cells, maximizing per-cell crowding.
+    churn_then_check(0xC0DE_0000_2026_1017, 48, |_| 500.0, crowded_box, [400, 120, 80, 4]);
+    // Boxes spread over ±2 km in cells of 20 to 400 m: an entry spans one
+    // to many cells.
+    let cell = |rng: &mut SplitMix64| rng.range(20.0, 400.0);
+    churn_then_check(0x1DE7_0000_2026_1017, 64, cell, spread_box, [120, 60, 40, 8]);
 }

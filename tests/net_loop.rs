@@ -1,13 +1,14 @@
 //! The full serving path, end to end and bit-identical: trace → update
 //! protocol → `Frame::encode` → real TCP → server decode → sharded ingest →
 //! query over the same socket. Every answer that comes back over the wire
-//! must equal — to the last f64 bit — what `LocationService` returns when
-//! called directly on a service fed the identical frame bytes in-process.
-//! The wire is then provably a transport, not a transformation.
+//! must equal — to the last f64 bit — what the reference model
+//! (`mbdr_model::Model`) answers when fed the identical frame bytes
+//! in-process. The wire is then provably a transport, not a transformation.
 
 use mbdr_core::Frame;
 use mbdr_geo::{Aabb, Point};
 use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
+use mbdr_model::{bits, Model};
 use mbdr_net::{NetClient, NetServer, ServerConfig};
 use mbdr_sim::protocols::{ProtocolContext, ProtocolKind};
 use mbdr_sim::runner::{run_protocol, RunConfig};
@@ -31,12 +32,12 @@ fn tcp_served_answers_are_bit_identical_to_direct_service_calls() {
         streams.push((ObjectId(i as u64), predictor, outcome.updates));
     }
 
-    // Both services are fed the *same encoded bytes*: one straight through
-    // `apply_frame_bytes`, one across a real socket.
-    let reference = LocationService::with_config(ServiceConfig::with_shards(4));
+    // The model and the service are fed the *same encoded bytes*: one
+    // straight through `apply_frame_bytes`, one across a real socket.
+    let mut model = Model::default();
     let served = Arc::new(LocationService::with_config(ServiceConfig::with_shards(4)));
     for (id, predictor, _) in &streams {
-        reference.register(*id, Arc::clone(predictor));
+        model.register(*id, Arc::clone(predictor));
         served.register(*id, Arc::clone(predictor));
     }
     let server =
@@ -48,26 +49,18 @@ fn tcp_served_answers_are_bit_identical_to_direct_service_calls() {
         for batch in updates.chunks(4) {
             let frame = Frame { source: id.0, updates: batch.to_vec() };
             let bytes = frame.encode().expect("protocol updates encode");
-            assert!(reference.apply_frame_bytes(&bytes).is_ok());
+            assert!(model.apply_frame_bytes(&bytes).is_ok());
             client.send_frame(&frame).expect("send over TCP");
             frames_sent += 1;
         }
     }
     let flush = client.flush().expect("flush barrier");
     assert_eq!(flush.frames, frames_sent);
-    assert_eq!(flush.updates_applied, reference.total_updates());
-    assert_eq!(served.total_updates(), reference.total_updates());
+    assert_eq!(flush.updates_applied, model.total_updates());
+    assert_eq!(served.total_updates(), model.total_updates());
 
-    let bit_identical = |wire: &mbdr_core::PositionRecord,
-                         direct: &mbdr_locserver::PositionReport| {
-        assert_eq!(wire.object, direct.object.0);
-        assert_eq!(wire.position.x.to_bits(), direct.position.x.to_bits());
-        assert_eq!(wire.position.y.to_bits(), direct.position.y.to_bits());
-        assert_eq!(wire.information_age.to_bits(), direct.information_age.to_bits());
-    };
-
-    // Rect queries at several instants and extents: socket answers vs direct
-    // calls on the reference service, field for field, bit for bit.
+    // Rect queries at several instants and extents: socket answers vs the
+    // model's, field for field, bit for bit.
     let bounds = data.network.bounding_box().expect("city map has extent");
     let duration = data.trace.duration();
     for (i, &t) in [0.25 * duration, 0.5 * duration, duration, duration + 120.0].iter().enumerate()
@@ -77,11 +70,7 @@ fn tcp_served_answers_are_bit_identical_to_direct_service_calls() {
             _ => Aabb::around(bounds.center(), 800.0),
         };
         let over_wire = client.objects_in_rect(&area, t).expect("rect over TCP");
-        let direct = reference.objects_in_rect(&area, t);
-        assert_eq!(over_wire.len(), direct.len(), "rect cardinality at t={t}");
-        for (w, d) in over_wire.iter().zip(&direct) {
-            bit_identical(w, d);
-        }
+        assert_eq!(bits(&over_wire), bits(&model.objects_in_rect(&area, t)), "rect at t={t}");
     }
 
     // Nearest queries across k values and probe points.
@@ -90,11 +79,8 @@ fn tcp_served_answers_are_bit_identical_to_direct_service_calls() {
     {
         let t = 0.75 * duration;
         let over_wire = client.nearest_objects(&probe, t, k).expect("nearest over TCP");
-        let direct = reference.nearest_objects(&probe, t, k as usize);
-        assert_eq!(over_wire.len(), direct.len(), "nearest cardinality k={k}");
-        for (w, d) in over_wire.iter().zip(&direct) {
-            bit_identical(w, d);
-        }
+        let expect = model.nearest_objects(&probe, t, k as usize);
+        assert_eq!(bits(&over_wire), bits(&expect), "nearest k={k}");
     }
 
     drop(client);

@@ -7,11 +7,12 @@
 //! duplicates, jitters and reorders (but does not lose) them, decoded at the
 //! service edge and ingested frame-at-a-time — and the resulting service
 //! state must answer position queries identically (up to the codec's
-//! documented f32 narrowing) to a reference service fed the same updates
-//! in-memory, in order, with no wire in between.
+//! documented f32 narrowing) to the reference model (`mbdr_model::Model`)
+//! fed the same updates in-memory, in order, with no wire in between.
 
 use mbdr_core::{Frame, Update};
 use mbdr_locserver::{LocationService, ObjectId, ServiceConfig};
+use mbdr_model::Model;
 use mbdr_sim::protocols::{ProtocolContext, ProtocolKind};
 use mbdr_sim::runner::{run_protocol, RunConfig};
 use mbdr_sim::{DegradedChannel, LinkConfig};
@@ -36,17 +37,12 @@ fn wire_loop_reaches_the_service_intact_despite_dups_and_reordering() {
     }
 
     let wired = LocationService::with_config(ServiceConfig::with_shards(4));
-    let reference = LocationService::with_config(ServiceConfig::with_shards(4));
-    for (id, predictor, _) in &streams {
+    let mut model = Model::default();
+    for (id, predictor, updates) in &streams {
         wired.register(*id, std::sync::Arc::clone(predictor));
-        reference.register(*id, std::sync::Arc::clone(predictor));
-    }
-
-    // Reference: every update applied directly, in order.
-    for (id, _, updates) in &streams {
-        for update in updates {
-            assert!(reference.apply_update(*id, update));
-        }
+        // The model: every update applied directly, in order.
+        model.register(*id, std::sync::Arc::clone(predictor));
+        assert!(updates.iter().all(|update| model.apply_update(*id, update)));
     }
 
     // Wire path: batch every source's updates into frames of up to 4, ship
@@ -83,15 +79,15 @@ fn wire_loop_reaches_the_service_intact_despite_dups_and_reordering() {
 
     // Duplicates and reordered stragglers were rejected by the per-object
     // trackers, not silently applied (so the wired path applies at most as
-    // many updates as the in-order reference): the newest state per object
+    // many updates as the in-order model): the newest state per object
     // won on both paths, and every query answer matches up to the f32
     // narrowing.
-    assert!(wired.total_updates() <= reference.total_updates());
-    assert_eq!(wired.indexed_count(), reference.indexed_count());
+    assert!(wired.total_updates() <= model.total_updates());
+    assert_eq!(wired.indexed_count(), streams.len(), "every object reported");
     let t = data.trace.duration();
     for (id, _, _) in &streams {
         let w = wired.position_of(*id, t).expect("wired service tracks the object");
-        let r = reference.position_of(*id, t).expect("reference tracks the object");
+        let r = model.position_of(*id, t).expect("the model tracks the object");
         let distance = w.position.distance(&r.position);
         assert!(distance < 0.01, "object {:?}: wire path diverged by {distance} m", id);
         assert!((w.information_age - r.information_age).abs() < 1e-9);
